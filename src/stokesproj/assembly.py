@@ -7,14 +7,17 @@ Dirichlet conditions are homogeneous, so constrained rows/columns are
 simply eliminated; ``restrict``/``extend`` on FeSpace translate between
 full and free coefficient vectors.  Accumulation is element-major with a
 stable sorted reduction, so matrices are bit-reproducible.
+``Discretization`` assembles each operator once per (mesh, degree) pair.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
 
-from . import femspace
+from . import femspace, sparsela
+from .mesh import Mesh
 
 
 def _default_quad_degree(*degrees):
@@ -113,13 +116,10 @@ def _check_shared_mesh(v_space, p_space):
         raise ValueError("velocity and pressure spaces must share the mesh")
 
 
-def assemble_pressure_gradient(v_space, p_space, quad_degree=None, restrict_rows=True):
+def assemble_pressure_gradient(v_space, p_space, quad_degree=None):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
-    basis functions phi_i.
-
-    Rows are restricted to free velocity DOFs unless ``restrict_rows`` is
-    False.  Columns always span the whole pressure space.
-    """
+    basis functions phi_i.  Rows span the free velocity DOFs, columns the
+    whole pressure space."""
     _check_shared_mesh(v_space, p_space)
     if v_space.components != 2:
         raise ValueError("velocity space must have two components")
@@ -140,15 +140,14 @@ def assemble_pressure_gradient(v_space, p_space, quad_degree=None, restrict_rows
         elem = np.einsum("q,tqm,qi,t->tim", rule.weights, p_grads[..., axis], v_vals, det)
         blocks.append(_csr_from_coo(rows, cols, elem, (ns, np_)))
     full = sparse.vstack(blocks, format="csr")
-    if not restrict_rows:
-        return full
     keep = np.concatenate([v_space.free_scalar, ns + v_space.free_scalar])
     return full[keep]
 
 
-def assemble_divergence(v_space, p_space, quad_degree=None, restrict_cols=True):
-    """Divergence matrix D with D[mu, i] = (div phi_i, psi_mu), assembled
-    directly; equals -G^T up to quadrature exactness."""
+def assemble_divergence(v_space, p_space, quad_degree=None):
+    """Divergence matrix D with D[mu, i] = (div phi_i, psi_mu) on the free
+    velocity DOFs, assembled directly; equals -G^T up to quadrature
+    exactness."""
     _check_shared_mesh(v_space, p_space)
     qd = quad_degree or _default_quad_degree(v_space.degree, p_space.degree)
     rule = femspace.quadrature(qd)
@@ -168,8 +167,6 @@ def assemble_divergence(v_space, p_space, quad_degree=None, restrict_cols=True):
         elem = np.einsum("q,qm,tqi,t->tmi", rule.weights, p_vals, v_grads[..., axis], det)
         blocks.append(_csr_from_coo(rows, cols, elem, (np_, ns)))
     full = sparse.hstack(blocks, format="csr")
-    if not restrict_cols:
-        return full
     keep = np.concatenate([v_space.free_scalar, ns + v_space.free_scalar])
     return full[:, keep].tocsr()
 
@@ -261,21 +258,67 @@ def restrict_matrix(space, matrix):
     return matrix.tocsr()[keep][:, keep].tocsr()
 
 
-@dataclass(frozen=True)
-class SystemMatrices:
-    """The four operators of the discrete schemes, restricted to free
-    velocity DOFs: velocity mass M, velocity stiffness A, pressure
-    gradient coupling G, pressure stiffness S."""
+def componentwise(matrix, x):
+    """``matrix @ x`` applied to every component block of ``x``; for a
+    scalar matrix and a vector field, bit-identical to the product with
+    the block-diagonal vector matrix."""
+    return (matrix @ x.reshape(-1, matrix.shape[1]).T).T.ravel()
 
-    M: sparse.csr_array
-    A: sparse.csr_array
-    G: sparse.csr_array
-    S: sparse.csr_array
 
-    @classmethod
-    def build(cls, v_space, p_space):
-        M = restrict_matrix(v_space, assemble_mass(v_space))
-        A = restrict_matrix(v_space, assemble_stiffness(v_space))
-        G = assemble_pressure_gradient(v_space, p_space)
-        S = assemble_pressure_stiffness(p_space)
-        return cls(M=M, A=A, G=G, S=S)
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """Spaces and lazily cached operators of one equal-order (mesh, degree)
+    pair; runners build one per mesh and every consumer shares it.
+
+    The pressure space is also the scalar velocity space, so ``mass`` and
+    ``stiffness`` serve both fields (velocity operators are block-diagonal
+    and act through ``componentwise``); ``stiffness`` is the pressure
+    stiffness S and ``pressure_solver`` its pinned factorization.  ``_free``
+    marks blocks on the free scalar velocity DOFs; ``G`` has free vector
+    velocity rows."""
+
+    mesh: Mesh
+    degree: int
+
+    @cached_property
+    def v_space(self):
+        return femspace.build_space(self.mesh, self.degree, components=2)
+
+    @cached_property
+    def p_space(self):
+        return femspace.build_space(self.mesh, self.degree, components=1)
+
+    @cached_property
+    def mass(self):
+        return assemble_mass(self.p_space)
+
+    @cached_property
+    def stiffness(self):
+        return assemble_stiffness(self.p_space)
+
+    @cached_property
+    def mass_free(self):
+        fs = self.v_space.free_scalar
+        return self.mass[fs][:, fs].tocsr()
+
+    @cached_property
+    def stiffness_free(self):
+        fs = self.v_space.free_scalar
+        return self.stiffness[fs][:, fs].tocsr()
+
+    @cached_property
+    def stiffness_free_vector(self):
+        """Vector stiffness on free velocity DOFs (the steady saddle block)."""
+        return sparse.block_diag([self.stiffness_free] * 2, format="csr")
+
+    @cached_property
+    def G(self):
+        return assemble_pressure_gradient(self.v_space, self.p_space)
+
+    @cached_property
+    def mean_weights(self):
+        return basis_integrals(self.p_space)
+
+    @cached_property
+    def pressure_solver(self):
+        return sparsela.PinnedSingularSolver(self.stiffness)

@@ -30,11 +30,12 @@ solver or I/O failures.
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import femspace, metrics, schemes, sparsela, steady
+from .assembly import Discretization
 from .mesh import build_grid, mesh_size
 from .mms import berrone_case
 
@@ -249,7 +250,7 @@ def _validate_guard(config):
     stability threshold without the override flag."""
     if config.kind == "steady_sweep":
         return
-    slack = 1.0 + 1e-12
+    slack = schemes._GUARD_SLACK
     if config.kind == "stability_probe":
         if any(r > 2.0 * slack for r in config.dt_ratios) and not config.allow_unstable:
             raise ConfigError(GUARD_MESSAGE)
@@ -317,12 +318,12 @@ def run_steady_sweep(config):
         for n in config.n_values:
             grid = build_grid(n)
             h = mesh_size(grid)
-            v_space = femspace.build_space(grid, degree, components=2)
-            p_space = femspace.build_space(grid, degree, components=1)
-            ops = steady.SteadyOperators(v_space, p_space)
+            disc = Discretization(grid, degree)
+            v_space, p_space = disc.v_space, disc.p_space
+            ops = steady.SteadyOperators(disc)
             rhs_v = ops.load(case.steady_forcing)
-            v_norms = metrics.SpaceNorms(v_space)
-            p_norms = metrics.SpaceNorms(p_space)
+            v_norms = metrics.SpaceNorms(disc, v_space)
+            p_norms = metrics.SpaceNorms(disc, p_space)
             interp_v = femspace.interpolate(v_space, case.steady_velocity)
             interp_p = femspace.interpolate(p_space, case.steady_pressure)
             for rho, delta in _resolve_deltas(config, n):
@@ -401,15 +402,13 @@ def run_transient_init(config):
     rows = []
     degree = config.degrees[0]
     for n in config.n_values:
-        grid = build_grid(n)
+        disc = Discretization(build_grid(n), degree)
         ((rho, delta),) = _resolve_deltas(config, n)
         dt = delta if config.dt_law == "equal_delta" else config.dt
         for init in config.inits:
             params = _transient_params(config, delta, dt, init)
-            v_space = femspace.build_space(grid, degree, components=2)
-            p_space = femspace.build_space(grid, degree, components=1)
-            tracker = metrics.TransientErrorTracker(v_space, p_space, case)
-            schemes.run(params, case, grid, degree, observers=(tracker,))
+            tracker = metrics.TransientErrorTracker(disc, case)
+            schemes.run(params, case, disc, observers=(tracker,))
             for rec in _recorded(tracker.records, config.record_every):
                 rows.append(
                     [init, n, rec.step, rec.t, rec.pres_l2_interp, rec.vel_l2_interp]
@@ -433,11 +432,10 @@ def run_transient_convergence(config):
         ((rho, delta),) = _resolve_deltas(config, n)
         dt = delta if config.dt_law == "equal_delta" else config.dt
         params = _transient_params(config, delta, dt, init)
-        v_space = femspace.build_space(grid, degree, components=2)
-        p_space = femspace.build_space(grid, degree, components=1)
-        tracker = metrics.TransientErrorTracker(v_space, p_space, case)
+        disc = Discretization(grid, degree)
+        tracker = metrics.TransientErrorTracker(disc, case)
         try:
-            result = schemes.run(params, case, grid, degree, observers=(tracker,))
+            result = schemes.run(params, case, disc, observers=(tracker,))
             resolved = result.params
             press = metrics.discrete_time_norm(
                 tracker.records[1:], resolved.dt, "pres_l2_exact"
@@ -482,8 +480,9 @@ def run_stability_probe(config):
     rows = []
     degree = config.degrees[0]
     for n in config.n_values:
-        grid = build_grid(n)
+        disc = Discretization(build_grid(n), degree)
         ((rho, delta),) = _resolve_deltas(config, n)
+        initial = None
         for ratio in config.dt_ratios:
             dt = ratio * delta
             params = schemes.SchemeParams(
@@ -497,15 +496,19 @@ def run_stability_probe(config):
                 allow_unstable=config.allow_unstable,
                 tol=config.tol,
             )
+            if initial is None:
+                # the steady initial state depends on nu, delta, tol and the
+                # data, not on dt, so every ratio starts from this one
+                initial = schemes.initialize(params, case, disc)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 result = schemes.run(
                     params,
                     case,
-                    grid,
-                    degree,
+                    disc,
                     energy_ceiling=config.energy_ceiling,
                     max_steps=config.step_budget,
+                    initial_state=initial,
                 )
             for step, energy in enumerate(result.energies):
                 rows.append(["data", n, ratio, step, energy, ""])

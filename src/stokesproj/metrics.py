@@ -13,11 +13,12 @@ precomputed moments, so recording a full ErrorRecord costs a few sparse
 products per step.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import assembly, femspace
+from .assembly import componentwise
 
 
 @dataclass
@@ -47,7 +48,8 @@ def _norm_key(norm):
 
 def fe_norm_diff(space, a, b, norm="l2", matrix=None):
     """Norm of the difference of two coefficient vectors on one space:
-    sqrt((a-b)^T M (a-b)) for 'l2', with the stiffness matrix for 'h1semi'."""
+    sqrt((a-b)^T M (a-b)) for 'l2', with the stiffness matrix for 'h1semi'.
+    A given ``matrix`` may be the scalar one of a vector space."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (space.num_dofs,) or b.shape != (space.num_dofs,):
@@ -56,25 +58,19 @@ def fe_norm_diff(space, a, b, norm="l2", matrix=None):
         key = _norm_key(norm)
         matrix = assembly.assemble_mass(space) if key == "l2" else assembly.assemble_stiffness(space)
     d = a - b
-    return float(np.sqrt(max(d @ (matrix @ d), 0.0)))
+    return float(np.sqrt(max(d @ componentwise(matrix, d), 0.0)))
 
 
 class SpaceNorms:
-    """Cached mass/stiffness matrices of a space for repeated norm queries."""
+    """Repeated L2 norm queries on ``space``, one of the spaces of ``disc``,
+    through the discretization's shared scalar mass."""
 
-    def __init__(self, space):
+    def __init__(self, disc, space):
+        self.disc = disc
         self.space = space
-        self.mass = assembly.assemble_mass(space)
-        self.stiffness = assembly.assemble_stiffness(space)
 
     def l2_diff(self, a, b):
-        return fe_norm_diff(self.space, a, b, "l2", self.mass)
-
-    def h1semi_diff(self, a, b):
-        return fe_norm_diff(self.space, a, b, "h1semi", self.stiffness)
-
-    def l2(self, a):
-        return self.l2_diff(a, np.zeros(self.space.num_dofs))
+        return fe_norm_diff(self.space, a, b, "l2", self.disc.mass)
 
 
 def error_vs_exact(space, coeffs, exact, norm="l2", quad_degree=6):
@@ -89,24 +85,23 @@ def error_vs_exact(space, coeffs, exact, norm="l2", quad_degree=6):
     coeffs = np.asarray(coeffs, dtype=float)
     rule = femspace.quadrature(quad_degree)
     xq = assembly.quadrature_points_physical(space.mesh, rule)
-    vals, grads, det = assembly._physical_gradients(space, rule)
+    if key == "l2":
+        _, det, _ = assembly._geometry(space.mesh)
+        vals, _ = space.reference.eval(rule.reference_points())
+    else:
+        _, grads, det = assembly._physical_gradients(space, rule)
+    ue = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
     ns = space.num_scalar_dofs
     acc = 0.0
     for c in range(space.components):
         ce = coeffs[c * ns + space.element_dofs]  # (nt, nb)
+        uc = ue[c] if space.components == 2 else ue
         if key == "l2":
-            uh = np.einsum("qi,ti->tq", vals, ce)
-            ue = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
-            if space.components == 2:
-                ue = ue[c]
-            diff2 = (uh - ue) ** 2
+            diff2 = (np.einsum("qi,ti->tq", vals, ce) - uc) ** 2
             acc += np.einsum("q,tq,t->", rule.weights, diff2, det)
         else:
             guh = np.einsum("tqia,ti->tqa", grads, ce)
-            ge = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
-            if space.components == 2:
-                ge = ge[c]
-            diff2 = (guh - np.moveaxis(ge, 0, -1)) ** 2
+            diff2 = (guh - np.moveaxis(uc, 0, -1)) ** 2
             acc += np.einsum("q,tqa,t->", rule.weights, diff2, det)
     return float(np.sqrt(max(acc, 0.0)))
 
@@ -157,22 +152,19 @@ class TransientErrorTracker:
     the test suite.
     """
 
-    def __init__(self, v_space, p_space, case):
+    def __init__(self, disc, case):
+        v_space, p_space = disc.v_space, disc.p_space
         self.v_space = v_space
-        self.p_space = p_space
-        self.case = case
         self.records = []
 
-        self.Mv = assembly.assemble_mass(v_space)
-        self.Av = assembly.assemble_stiffness(v_space)
-        self.Mp = assembly.assemble_mass(p_space)
-        self.Sp = assembly.assemble_stiffness(p_space)
+        self.M = disc.mass
+        self.A = disc.stiffness
 
         self.interp_v = femspace.interpolate(v_space, case.steady_velocity)
         self.interp_p = femspace.interpolate(p_space, case.steady_pressure)
-        self.m_interp_v = self.Mv @ self.interp_v
+        self.m_interp_v = componentwise(self.M, self.interp_v)
         self.interp_v_sq = float(self.interp_v @ self.m_interp_v)
-        self.m_interp_p = self.Mp @ self.interp_p
+        self.m_interp_p = self.M @ self.interp_p
         self.interp_p_sq = float(self.interp_p @ self.m_interp_p)
 
         zeros_v = np.zeros(v_space.num_dofs)
@@ -201,17 +193,17 @@ class TransientErrorTracker:
     def __call__(self, state, ops):
         v, q = state.velocity, state.pressure
         c = float(np.cos(state.t))
-        vmv = float(v @ (self.Mv @ v))
+        vmv = float(v @ componentwise(self.M, v))
         vel_l2_interp = self._moment_norm(vmv, float(v @ self.m_interp_v), self.interp_v_sq, c)
         vel_l2_exact = self._moment_norm(vmv, float(v @ self.load_v), self.norm_v_sq, c)
         vel_h1_exact = self._moment_norm(
-            float(v @ (self.Av @ v)), float(v @ self.gload_v), self.norm_gv_sq, c
+            float(v @ componentwise(self.A, v)), float(v @ self.gload_v), self.norm_gv_sq, c
         )
-        qmq = float(q @ (self.Mp @ q))
+        qmq = float(q @ (self.M @ q))
         pres_l2_interp = self._moment_norm(qmq, float(q @ self.m_interp_p), self.interp_p_sq, c)
         pres_l2_exact = self._moment_norm(qmq, float(q @ self.load_p), self.norm_p_sq, c)
         pres_h1_exact = self._moment_norm(
-            float(q @ (self.Sp @ q)), float(q @ self.gload_p), self.norm_gp_sq, c
+            float(q @ (self.A @ q)), float(q @ self.gload_p), self.norm_gp_sq, c
         )
         div_norm = float(np.linalg.norm(ops.G.T @ self.v_space.restrict(v)))
         self.records.append(
@@ -229,6 +221,3 @@ class TransientErrorTracker:
             )
         )
 
-
-def record_fields():
-    return [f.name for f in fields(ErrorRecord)]

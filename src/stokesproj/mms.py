@@ -180,13 +180,3 @@ def berrone_case(nu, divergence_free=True):
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
     return ManufacturedCase(nu=float(nu), divergence_free=divergence_free)
-
-
-def eval_forcing_transient(case, x, y, t):
-    """Momentum forcing of the transient problem at (x, y, t)."""
-    return case.forcing(x, y, t)
-
-
-def eval_vt(case, x, y, t):
-    """Time derivative of the exact velocity at (x, y, t)."""
-    return case.velocity_t(x, y, t)

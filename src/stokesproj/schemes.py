@@ -27,6 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import assembly, femspace, sparsela, steady
+from .assembly import componentwise
 
 _GUARD_SLACK = 1.0 + 1e-12
 
@@ -143,28 +144,23 @@ class TimeState:
 
 
 class SchemeOperators:
-    """Assembled matrices, cached factorizations and load machinery for
-    time stepping on one mesh.  Immutable once built; shared by all steps."""
+    """Operators, factorizations and loads for time stepping with ``params``
+    on one Discretization.  Immutable once built; shared by all steps."""
 
-    def __init__(self, v_space, p_space, params):
-        self.v_space = v_space
-        self.p_space = p_space
+    def __init__(self, disc, params):
+        self.v_space = disc.v_space
+        self.p_space = disc.p_space
         self.params = params
-        mesh = v_space.mesh
-        scalar = femspace.build_space(mesh, v_space.degree, components=1)
-        ms = assembly.assemble_mass(scalar)
-        ks = assembly.assemble_stiffness(scalar)
-        fs = v_space.free_scalar
-        self.Ms = ms[fs][:, fs].tocsr()
-        self.As = ks[fs][:, fs].tocsr()
+        self.Ms = disc.mass_free
+        self.As = disc.stiffness_free
         self.H = (self.Ms / params.dt + params.nu * self.As).tocsr()
-        self.G = assembly.assemble_pressure_gradient(v_space, p_space)
-        self.S = assembly.assemble_pressure_stiffness(p_space)
-        self.mean_weights = assembly.basis_integrals(p_space)
-        self.num_free = fs.shape[0]
+        self.G = disc.G
+        self.S = disc.stiffness
+        self.mean_weights = disc.mean_weights
+        self.num_free = self.v_space.num_free_scalar
         if params.solver == "direct":
             self._h_solver = sparsela.FactorizedSpd(self.H)
-            self._s_solver = sparsela.PinnedSingularSolver(self.S)
+            self._s_solver = disc.pressure_solver
         else:
             self._h_solver = None
             self._s_solver = None
@@ -223,12 +219,8 @@ class SchemeOperators:
         return float(np.sum(vf * (self.Ms @ vf.T).T))
 
 
-def _subtract_mean(coeffs, weights):
-    return sparsela.project_mean(np.asarray(coeffs, dtype=float), weights)
-
-
-def initialize(params, case, mesh, degree, v_space=None, p_space=None):
-    """Initial (velocity, pressure) state for the configured strategy.
+def initialize(params, case, disc):
+    """Initial (velocity, pressure) state on ``disc`` for the configured strategy.
 
     interpolant:        nodal interpolants of v(0) and q(0), the pressure
                         shifted to zero discrete mean;
@@ -236,29 +228,18 @@ def initialize(params, case, mesh, degree, v_space=None, p_space=None):
                         g(0) - v_t(0);
     zero_pressure:      interpolated velocity and identically zero pressure.
     """
-    if v_space is None:
-        v_space = femspace.build_space(mesh, degree, components=2)
-    if p_space is None:
-        p_space = femspace.build_space(mesh, degree, components=1)
-    weights = assembly.basis_integrals(p_space)
+    v_space, p_space = disc.v_space, disc.p_space
     if params.init == "stabilized_stokes":
-        sol = steady.solve_stabilized_stokes(
-            mesh,
-            degree,
-            params.nu,
-            params.delta,
-            case.steady_data(0.0),
-            tol=params.tol,
-            v_space=v_space,
-            p_space=p_space,
-        )
+        ops = steady.SteadyOperators(disc)
+        sol = ops.solve(params.nu, params.delta, ops.load(case.steady_data(0.0)),
+                        tol=params.tol)
         v0, q0 = sol.velocity, sol.pressure
     else:
         v0 = femspace.interpolate(v_space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":
-            q0 = _subtract_mean(
+            q0 = sparsela.project_mean(
                 femspace.interpolate(p_space, lambda x, y: case.pressure(x, y, 0.0)),
-                weights,
+                disc.mean_weights,
             )
         else:
             q0 = np.zeros(p_space.num_dofs)
@@ -270,11 +251,7 @@ def initialize(params, case, mesh, degree, v_space=None, p_space=None):
 
 def _advance(state, params, ops, load_block, pressure_in_momentum):
     vf = ops.v_space.restrict(state.velocity)
-    rhs = (
-        (ops.Ms @ vf.reshape(2, -1).T).T.ravel() / params.dt
-        + load_block
-        - ops.G @ pressure_in_momentum
-    )
+    rhs = componentwise(ops.Ms, vf) / params.dt + load_block - ops.G @ pressure_in_momentum
     try:
         v_new = ops.momentum_solve(rhs)
     except sparsela.LinearSolverError as exc:
@@ -333,24 +310,24 @@ class RunResult:
     energies: np.ndarray
 
 
-def run(params, case, mesh, degree, observers=(), energy_ceiling=None, max_steps=None):
-    """Execute the configured scheme on ``mesh`` with forcing from ``case``.
+def run(params, case, disc, observers=(), energy_ceiling=None, max_steps=None,
+        initial_state=None):
+    """Execute the configured scheme on ``disc`` with forcing from ``case``.
 
     Observers are callables ``observer(state, ops)`` invoked on the
     initial state and after every step.  When ``energy_ceiling`` is set,
     the run stops and is marked diverged once the velocity energy exceeds
-    ceiling * max(initial energy, 1e-300) or stops being finite.  Returns
-    a RunResult; per-step records live in the observers.
+    ceiling * max(initial energy, 1e-300) or stops being finite.  A given
+    ``initial_state`` (left unmodified) replaces ``initialize``.  Returns a
+    RunResult; per-step records live in the observers.
     """
-    params = params.resolved(h=1.0 / mesh.n)
+    params = params.resolved(h=1.0 / disc.mesh.n)
     n_steps = params.num_steps()
     if max_steps is not None:
         n_steps = min(n_steps, max_steps)
-    v_space = femspace.build_space(mesh, degree, components=2)
-    p_space = femspace.build_space(mesh, degree, components=1)
-    ops = SchemeOperators(v_space, p_space, params)
+    ops = SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
-    state = initialize(params, case, mesh, degree, v_space, p_space)
+    state = initialize(params, case, disc) if initial_state is None else initial_state
     step_fn = step_noninc if params.scheme == "noninc" else step_inc
 
     track_energy = energy_ceiling is not None
@@ -387,10 +364,10 @@ def noninc_residuals(params, ops, v_old_full, v_new_full, q_momentum, q_new, loa
     and consistency checks."""
     v_old = ops.v_space.restrict(v_old_full)
     v_new = ops.v_space.restrict(v_new_full)
-    mom_rhs = (ops.Ms @ v_old.reshape(2, -1).T).T.ravel() / params.dt + load_block
+    mom_rhs = componentwise(ops.Ms, v_old) / params.dt + load_block
     lhs = (
-        (ops.Ms @ v_new.reshape(2, -1).T).T.ravel() / params.dt
-        + params.nu * (ops.As @ v_new.reshape(2, -1).T).T.ravel()
+        componentwise(ops.Ms, v_new) / params.dt
+        + params.nu * componentwise(ops.As, v_new)
         + ops.G @ q_momentum
     )
     mom_scale = max(np.linalg.norm(mom_rhs), 1e-300)

@@ -46,18 +46,16 @@ class StokesSolution:
 
 
 class SteadyOperators:
-    """Reusable assembled operators of the steady system on one space
-    pair; lets parameter sweeps share the assembly across delta values."""
+    """The steady system's operators on one Discretization; lets parameter
+    sweeps share the assembly across delta values."""
 
-    def __init__(self, v_space, p_space):
-        self.v_space = v_space
-        self.p_space = p_space
-        self.a_free = assembly.restrict_matrix(
-            v_space, assembly.assemble_stiffness(v_space)
-        )
-        self.g_mat = assembly.assemble_pressure_gradient(v_space, p_space)
-        self.s_mat = assembly.assemble_pressure_stiffness(p_space)
-        self.mean_weights = assembly.basis_integrals(p_space)
+    def __init__(self, disc):
+        self.v_space = disc.v_space
+        self.p_space = disc.p_space
+        self.a_free = disc.stiffness_free_vector
+        self.g_mat = disc.G
+        self.s_mat = disc.stiffness
+        self.mean_weights = disc.mean_weights
 
     def load(self, ghat):
         return assembly.assemble_load(self.v_space, ghat, restrict=True)
@@ -87,8 +85,7 @@ class SteadyOperators:
         )
 
 
-def solve_stabilized_stokes(mesh, degree, nu, delta, ghat, tol=1e-10,
-                            v_space=None, p_space=None):
+def solve_stabilized_stokes(mesh, degree, nu, delta, ghat, tol=1e-10):
     """Solve the stabilized steady Stokes system for analytic data ``ghat``.
 
     Parameters
@@ -97,11 +94,6 @@ def solve_stabilized_stokes(mesh, degree, nu, delta, ghat, tol=1e-10,
     nu, delta : viscosity and stabilization parameter (both positive)
     ghat : vector field callable, the steady momentum data
     tol : relative block-residual tolerance of the solve
-    v_space, p_space : optional prebuilt spaces (must match mesh/degree)
     """
-    if v_space is None:
-        v_space = femspace.build_space(mesh, degree, components=2)
-    if p_space is None:
-        p_space = femspace.build_space(mesh, degree, components=1)
-    ops = SteadyOperators(v_space, p_space)
+    ops = SteadyOperators(assembly.Discretization(mesh, degree))
     return ops.solve(nu, delta, ops.load(ghat), tol=tol)

@@ -12,6 +12,7 @@ import pytest
 
 import dense_oracle
 from stokesproj import assembly, femspace, mesh, metrics, mms, schemes, steady
+from stokesproj.assembly import Discretization
 
 NU = 0.01
 
@@ -39,12 +40,12 @@ def _steady_table(case, degree, n_values, rho_values):
         t0 = time.time()
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
-        v_space = femspace.build_space(grid, degree, 2)
-        p_space = femspace.build_space(grid, degree, 1)
-        ops = steady.SteadyOperators(v_space, p_space)
+        disc = Discretization(grid, degree)
+        v_space, p_space = disc.v_space, disc.p_space
+        ops = steady.SteadyOperators(disc)
         rhs = ops.load(case.steady_forcing)
-        v_norms = metrics.SpaceNorms(v_space)
-        p_norms = metrics.SpaceNorms(p_space)
+        v_norms = metrics.SpaceNorms(disc, v_space)
+        p_norms = metrics.SpaceNorms(disc, p_space)
         interp_v = femspace.interpolate(v_space, case.steady_velocity)
         interp_p = femspace.interpolate(p_space, case.steady_pressure)
         setup = time.time() - t0
@@ -193,10 +194,9 @@ def init_study(mms_case):
             params = schemes.SchemeParams(
                 nu=NU, dt=delta, T=2.0, delta=delta, scheme="noninc", init=init
             )
-            v_space = femspace.build_space(grid, 1, 2)
-            p_space = femspace.build_space(grid, 1, 1)
-            tracker = metrics.TransientErrorTracker(v_space, p_space, mms_case)
-            schemes.run(params, mms_case, grid, 1, observers=(tracker,))
+            disc = Discretization(grid, 1)
+            tracker = metrics.TransientErrorTracker(disc, mms_case)
+            schemes.run(params, mms_case, disc, observers=(tracker,))
             results[(n, init)] = tracker.records
     return results, time.time() - t0
 
@@ -251,7 +251,8 @@ def test_criterion_06_stability_threshold(mms_case):
             nu=NU, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
             init="stabilized_stokes", allow_dt_up_to_2delta=True, allow_unstable=True,
         )
-        result = schemes.run(params, mms_case, grid, 1, energy_ceiling=1e12, max_steps=500)
+        result = schemes.run(params, mms_case, Discretization(grid, 1), energy_ceiling=1e12,
+                             max_steps=500)
         finite = result.energies[np.isfinite(result.energies)]
         outcomes[ratio] = (result.diverged, result.steps_completed,
                            finite.max() / result.energies[0])
@@ -283,8 +284,8 @@ def test_criterion_07_free_decay_monotonicity():
     grid = mesh.build_grid(20)
     delta = steady.choose_delta(1.0 / 20, NU, 10.0)
     rng = np.random.default_rng(2024)
-    v_space = femspace.build_space(grid, 1, 2)
-    p_space = femspace.build_space(grid, 1, 1)
+    disc = Discretization(grid, 1)
+    v_space, p_space = disc.v_space, disc.p_space
     free = np.concatenate(
         [v_space.free_scalar, v_space.num_scalar_dofs + v_space.free_scalar]
     )
@@ -296,7 +297,7 @@ def test_criterion_07_free_decay_monotonicity():
             nu=NU, dt=delta, T=100 * delta, delta=delta, scheme=scheme,
             init="zero_pressure",
         ).resolved(1.0 / 20)
-        ops = schemes.SchemeOperators(v_space, p_space, params)
+        ops = schemes.SchemeOperators(disc, params)
         zero_q = np.zeros(p_space.num_dofs)
         state = schemes.TimeState(0, 0.0, v0.copy(), zero_q.copy(), zero_q.copy())
         step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
@@ -331,11 +332,11 @@ def test_criterion_08_scheme_equivalence(mms_case):
         nu=NU, dt=delta, T=50 * delta, delta=delta, scheme="inc",
         init="stabilized_stokes",
     ).resolved(1.0 / 20)
-    v_space = femspace.build_space(grid, 1, 2)
-    p_space = femspace.build_space(grid, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     ops.set_forcing_terms(mms_case.forcing_terms())
-    state = schemes.initialize(params, mms_case, grid, 1, v_space, p_space)
+    state = schemes.initialize(params, mms_case, disc)
     worst_mom = worst_div = 0.0
     for _ in range(50):
         prev = state
@@ -454,10 +455,9 @@ def inc_convergence(mms_case):
             nu=NU, dt=delta, T=0.02, delta=delta, scheme="inc",
             init="stabilized_stokes",
         )
-        v_space = femspace.build_space(grid, 1, 2)
-        p_space = femspace.build_space(grid, 1, 1)
-        tracker = metrics.TransientErrorTracker(v_space, p_space, mms_case)
-        result = schemes.run(params, mms_case, grid, 1, observers=(tracker,))
+        disc = Discretization(grid, 1)
+        tracker = metrics.TransientErrorTracker(disc, mms_case)
+        result = schemes.run(params, mms_case, disc, observers=(tracker,))
         errs.append(
             metrics.discrete_time_norm(tracker.records[1:], result.params.dt,
                                        "pres_l2_exact")

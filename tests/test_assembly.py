@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 import dense_oracle
 from stokesproj import assembly, femspace, mesh, sparsela
@@ -205,13 +204,3 @@ def test_basis_integrals_sum_to_measure(grid4):
         w = assembly.basis_integrals(space)
         assert w.sum() == pytest.approx(1.0, abs=1e-13)
 
-
-def test_system_matrices_bundle(spaces_p1_grid4):
-    v_space, p_space = spaces_p1_grid4
-    sys = assembly.SystemMatrices.build(v_space, p_space)
-    nf = 2 * v_space.num_free_scalar
-    assert sys.M.shape == (nf, nf)
-    assert sys.A.shape == (nf, nf)
-    assert sys.G.shape == (nf, p_space.num_dofs)
-    assert sys.S.shape == (p_space.num_dofs, p_space.num_dofs)
-    assert sparse.issparse(sys.M)

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import stokesproj
 from stokesproj import cli, steady
 
 
@@ -101,6 +106,30 @@ def test_probe_ratios_beyond_two_need_flag():
     with pytest.raises(cli.ConfigError):
         cli.parse_config_text("", kind="stability_probe")
     cli.parse_config_text("allow_unstable = true\n", kind="stability_probe")
+
+
+@pytest.mark.parametrize(
+    "ratio, accepted",
+    [(1.0, True), (2.0 * (1.0 + 1e-12), True), (2.0 * (1.0 + 1e-9), False)],
+    ids=["delta", "2delta-within-slack", "2delta-beyond-slack"],
+)
+def test_guard_edges(tmp_path, capsys, ratio, accepted):
+    # dt = ratio * delta; doubling is exact, so dt = 2 delta (1 + 1e-12) lies
+    # exactly on the guard's slackened edge
+    dt = ratio * steady.choose_delta(1.0 / 20, 0.01, 10.0)
+    texts = {
+        "transient-init": f"[transient_init]\nn_values = 20\ndt_law = fixed\ndt = {dt!r}\n",
+        "stability-probe": f"[stability_probe]\nn_values = 20\ndt_ratios = {ratio!r}\n",
+    }
+    for command, text in texts.items():
+        kind = command.replace("-", "_")
+        if accepted:
+            cli.parse_config_text(text, kind=kind)
+            continue
+        with pytest.raises(cli.ConfigError):
+            cli.parse_config_text(text, kind=kind)
+        assert cli.main([command, "--config", str(write(tmp_path, text))]) == 2
+        assert "2*delta" in capsys.readouterr().err
 
 
 def test_equal_delta_law_sets_dt_to_delta():
@@ -295,3 +324,16 @@ def test_main_probe_divergence_still_exit_zero(tmp_path):
     )
     assert cli.main(["stability-probe", "--config", str(cfg), "--out",
                      str(tmp_path / "x.csv")]) == 0
+
+
+def test_python_m_stokesproj_runs_cleanly(tmp_path):
+    cfg = write(tmp_path, "[steady_sweep]\nn_values = 4\nrho_values = 100\n")
+    src = os.path.dirname(os.path.dirname(stokesproj.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stokesproj", "steady-sweep", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "row,degree,N" in proc.stdout

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stokesproj import assembly, femspace, metrics, mms
+from stokesproj.assembly import Discretization
 
 
 def test_identical_vectors_have_zero_norm(grid4):
@@ -124,14 +125,14 @@ def test_interpolation_rate_of_manufactured_velocity(case):
 def test_tracker_matches_direct_quadrature(grid4, case):
     from stokesproj import schemes
 
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
     params = schemes.SchemeParams(
         nu=case.nu, dt=1e-3, T=2e-3, delta=1e-3, scheme="noninc", init="interpolant"
     )
     pr = params.resolved(0.25)
-    ops = schemes.SchemeOperators(v_space, p_space, pr)
-    tracker = metrics.TransientErrorTracker(v_space, p_space, case)
+    ops = schemes.SchemeOperators(disc, pr)
+    tracker = metrics.TransientErrorTracker(disc, case)
     rng = np.random.default_rng(2)
     v = np.zeros(v_space.num_dofs)
     free = np.concatenate(

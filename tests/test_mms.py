@@ -89,19 +89,19 @@ def test_velocity_derivatives_vs_finite_differences(divergence_free):
 
 def test_velocity_t(case):
     x, y = np.array([0.3]), np.array([0.6])
-    assert np.abs(mms.eval_vt(case, x, y, 0.0)).max() <= 1e-15
-    vt = mms.eval_vt(case, x, y, np.pi / 2)
+    assert np.abs(case.velocity_t(x, y, 0.0)).max() <= 1e-15
+    vt = case.velocity_t(x, y, np.pi / 2)
     assert np.allclose(vt, -case.steady_velocity(x, y), atol=1e-15)
     # temporal finite difference
     t, ht = 1.3, 1e-6
     fd = (case.velocity(x, y, t + ht) - case.velocity(x, y, t - ht)) / (2 * ht)
-    assert np.abs(mms.eval_vt(case, x, y, t) - fd).max() <= 1e-8
+    assert np.abs(case.velocity_t(x, y, t) - fd).max() <= 1e-8
 
 
 def test_forcing_reduces_to_velocity_when_cos_vanishes(case):
     # at t = 3 pi / 2: cos(t) = 0, sin(t) = -1, so g = v_t = s
     x, y = np.array([0.4]), np.array([0.7])
-    g = mms.eval_forcing_transient(case, x, y, 1.5 * np.pi)
+    g = case.forcing(x, y, 1.5 * np.pi)
     assert np.allclose(g, case.steady_velocity(x, y), atol=1e-12)
 
 
@@ -120,7 +120,7 @@ def test_forcing_vs_finite_difference_oracle(case):
     qx = (case.pressure(x + hs, y, t) - case.pressure(x - hs, y, t)) / (2 * hs)
     qy = (case.pressure(x, y + hs, t) - case.pressure(x, y - hs, t)) / (2 * hs)
     g_fd = vt - case.nu * lap + np.stack([qx, qy])
-    g = mms.eval_forcing_transient(case, x, y, t)
+    g = case.forcing(x, y, t)
     scale = max(1.0, np.abs(g_fd).max())
     assert np.abs(g - g_fd).max() <= 1e-6 * scale
 

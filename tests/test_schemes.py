@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from stokesproj import assembly, femspace, mesh, metrics, mms, schemes, steady
+from stokesproj.assembly import Discretization
 
 
 def make_params(**kw):
@@ -24,7 +27,23 @@ def random_velocity(v_space, rng, scale=1.0):
 
 
 def test_guard_accepts_dt_equal_delta():
-    make_params(dt=1e-3, delta=1e-3).resolved(0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        make_params(dt=1e-3, delta=1e-3).resolved(0.1)
+
+
+@pytest.mark.parametrize("slack, accepted", [(1e-12, True), (1e-9, False)])
+def test_guard_edge_at_two_delta(slack, accepted):
+    # doubling is exact, so dt = 2 delta (1 + 1e-12) lies exactly on the
+    # guard's slackened edge
+    dt = 2.0 * (1.0 + slack) * 1e-3
+    params = make_params(dt=dt, delta=1e-3, T=10 * dt, allow_dt_up_to_2delta=True)
+    if accepted:
+        with pytest.warns(UserWarning):
+            params.resolved(0.1)
+    else:
+        with pytest.raises(schemes.SchemeGuardError):
+            params.resolved(0.1)
 
 
 def test_guard_refuses_dt_above_delta_without_flag():
@@ -73,7 +92,7 @@ def test_rejects_unknown_enum_values():
 
 def test_zero_pressure_init(grid4, case):
     params = make_params(init="zero_pressure").resolved(0.25)
-    state = schemes.initialize(params, case, grid4, 1)
+    state = schemes.initialize(params, case, Discretization(grid4, 1))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     assert state.step == 0 and state.t == 0.0
 
@@ -87,7 +106,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
             return np.zeros_like(x)
 
     params = make_params(init="interpolant").resolved(0.25)
-    state = schemes.initialize(params, LinearCase(), grid4, 1)
+    state = schemes.initialize(params, LinearCase(), Discretization(grid4, 1))
     v_space = femspace.build_space(grid4, 1, 2)
     ns = v_space.num_scalar_dofs
     expected = v_space.node_coords[:, 0].copy()
@@ -97,7 +116,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
 
 def test_interpolant_init_pressure_mean_subtracted(grid4, case):
     params = make_params(init="interpolant").resolved(0.25)
-    state = schemes.initialize(params, case, grid4, 1)
+    state = schemes.initialize(params, case, Discretization(grid4, 1))
     p_space = femspace.build_space(grid4, 1, 1)
     w = assembly.basis_integrals(p_space)
     assert abs(w @ state.pressure) <= 1e-13
@@ -115,14 +134,14 @@ def test_stabilized_stokes_init_zero_case(grid4):
             return lambda x, y: np.zeros((2,) + x.shape)
 
     params = make_params(init="stabilized_stokes").resolved(0.25)
-    state = schemes.initialize(params, NullCase(), grid4, 1)
+    state = schemes.initialize(params, NullCase(), Discretization(grid4, 1))
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
 
 
 def test_incremental_init_copies_pressure(grid4, case):
     params = make_params(scheme="inc", init="interpolant").resolved(0.25)
-    state = schemes.initialize(params, case, grid4, 1)
+    state = schemes.initialize(params, case, Discretization(grid4, 1))
     assert np.array_equal(state.pressure_prev, state.pressure)
 
 
@@ -131,9 +150,9 @@ def test_incremental_init_copies_pressure(grid4, case):
 
 def test_zero_trajectory(grid4, case):
     params = make_params().resolved(0.25)
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     zero = np.zeros(2 * ops.num_free)
     state = schemes.TimeState(0, 0.0, np.zeros(v_space.num_dofs), np.zeros(p_space.num_dofs))
     for _ in range(3):
@@ -142,7 +161,7 @@ def test_zero_trajectory(grid4, case):
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     # incremental scheme too
     pi = make_params(scheme="inc").resolved(0.25)
-    ops_i = schemes.SchemeOperators(v_space, p_space, pi)
+    ops_i = schemes.SchemeOperators(disc, pi)
     st = schemes.TimeState(0, 0.0, np.zeros(v_space.num_dofs),
                            np.zeros(p_space.num_dofs), np.zeros(p_space.num_dofs))
     for _ in range(3):
@@ -153,9 +172,9 @@ def test_zero_trajectory(grid4, case):
 @pytest.mark.parametrize("scheme", ["noninc", "inc"])
 def test_free_decay_energy_monotone(grid4, scheme):
     params = make_params(scheme=scheme, dt=5e-4, delta=5e-4, T=5e-2).resolved(0.25)
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     rng = np.random.default_rng(12)
     v0 = random_velocity(v_space, rng)
     zero_q = np.zeros(p_space.num_dofs)
@@ -172,11 +191,11 @@ def test_free_decay_energy_monotone(grid4, scheme):
 
 def test_pressure_zero_mean_every_step(grid4, case):
     params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2).resolved(0.25)
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, grid4, 1, v_space, p_space)
+    state = schemes.initialize(params, case, disc)
     w = assembly.basis_integrals(p_space)
     for _ in range(10):
         state = schemes.step_noninc(state, params, ops, None)
@@ -186,11 +205,11 @@ def test_pressure_zero_mean_every_step(grid4, case):
 
 def test_pressure_equation_residual_each_step(grid4, case):
     params = make_params(init="stabilized_stokes").resolved(0.25)
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, grid4, 1, v_space, p_space)
+    state = schemes.initialize(params, case, disc)
     for _ in range(10):
         state = schemes.step_noninc(state, params, ops, None)
         rhs = ops.G.T @ v_space.restrict(state.velocity)
@@ -200,11 +219,11 @@ def test_pressure_equation_residual_each_step(grid4, case):
 
 def test_incremental_pressure_update_residual(grid4, case):
     params = make_params(scheme="inc", init="stabilized_stokes").resolved(0.25)
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, grid4, 1, v_space, p_space)
+    state = schemes.initialize(params, case, disc)
     for _ in range(10):
         prev = state
         state = schemes.step_inc(state, params, ops, None)
@@ -220,11 +239,11 @@ def test_incremental_extrapolation_satisfies_noninc_relations(case):
     grid = mesh.build_grid(8)
     params = make_params(scheme="inc", init="stabilized_stokes",
                          dt=1e-3, delta=1e-3, T=2e-2).resolved(1 / 8)
-    v_space = femspace.build_space(grid, 1, 2)
-    p_space = femspace.build_space(grid, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, grid, 1, v_space, p_space)
+    state = schemes.initialize(params, case, disc)
     for _ in range(20):
         prev = state
         state = schemes.step_inc(state, params, ops, None)
@@ -243,11 +262,11 @@ def test_classical_form_identity(grid4, case):
     # projected end-of-step velocity reproduces the eliminated update
     dt = 1e-3
     params = make_params(dt=dt, delta=dt, init="stabilized_stokes").resolved(0.25)
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid4, 1, 1)
-    ops = schemes.SchemeOperators(v_space, p_space, params)
+    disc = Discretization(grid4, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = schemes.SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
-    s0 = schemes.initialize(params, case, grid4, 1, v_space, p_space)
+    s0 = schemes.initialize(params, case, disc)
 
     state_a = s0
     vb, qb = v_space.restrict(s0.velocity), s0.pressure.copy()
@@ -274,7 +293,7 @@ def test_classical_form_identity(grid4, case):
 
 def test_run_single_step(grid4, case):
     params = make_params(T=1e-3, init="stabilized_stokes")
-    result = schemes.run(params, case, grid4, 1)
+    result = schemes.run(params, case, Discretization(grid4, 1))
     assert result.steps_completed == 1
     assert result.final_state.t == pytest.approx(1e-3)
     assert not result.diverged
@@ -283,7 +302,7 @@ def test_run_single_step(grid4, case):
 def test_run_invokes_observers(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
     seen = []
-    result = schemes.run(params, case, grid4, 1,
+    result = schemes.run(params, case, Discretization(grid4, 1),
                          observers=(lambda st, ops: seen.append(st.step),))
     assert seen == [0, 1, 2, 3, 4, 5]
     assert result.steps_completed == 5
@@ -291,8 +310,8 @@ def test_run_invokes_observers(grid4, case):
 
 def test_run_deterministic(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
-    r1 = schemes.run(params, case, grid4, 1)
-    r2 = schemes.run(params, case, grid4, 1)
+    r1 = schemes.run(params, case, Discretization(grid4, 1))
+    r2 = schemes.run(params, case, Discretization(grid4, 1))
     assert np.array_equal(r1.final_state.velocity, r2.final_state.velocity)
     assert np.array_equal(r1.final_state.pressure, r2.final_state.pressure)
 
@@ -300,8 +319,8 @@ def test_run_deterministic(grid4, case):
 def test_run_cg_solver_matches_direct(grid4, case):
     pd = make_params(T=5e-3, init="stabilized_stokes", solver="direct")
     pc = make_params(T=5e-3, init="stabilized_stokes", solver="cg", tol=1e-12)
-    rd = schemes.run(pd, case, grid4, 1)
-    rc = schemes.run(pc, case, grid4, 1)
+    rd = schemes.run(pd, case, Discretization(grid4, 1))
+    rc = schemes.run(pc, case, Discretization(grid4, 1))
     scale = np.linalg.norm(rd.final_state.velocity)
     assert np.linalg.norm(rd.final_state.velocity - rc.final_state.velocity) <= 1e-8 * scale
 
@@ -314,7 +333,8 @@ def test_unstable_run_marked_diverged(case):
         nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
         init="stabilized_stokes", allow_unstable=True,
     )
-    result = schemes.run(params, case, grid, 1, energy_ceiling=1e12, max_steps=500)
+    result = schemes.run(params, case, Discretization(grid, 1), energy_ceiling=1e12,
+                         max_steps=500)
     assert result.diverged
     assert result.steps_completed < 500
 
@@ -326,6 +346,6 @@ def test_stable_run_keeps_energy_bounded(case):
         nu=case.nu, dt=0.5 * delta, T=100 * 0.5 * delta, delta=delta,
         scheme="noninc", init="stabilized_stokes",
     )
-    result = schemes.run(params, case, grid, 1, energy_ceiling=1e12)
+    result = schemes.run(params, case, Discretization(grid, 1), energy_ceiling=1e12)
     assert not result.diverged
     assert result.energies.max() <= 10.0 * result.energies[0]

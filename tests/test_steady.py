@@ -3,6 +3,7 @@ import pytest
 
 import dense_oracle
 from stokesproj import assembly, femspace, mesh, metrics, steady
+from stokesproj.assembly import Discretization
 
 
 def test_choose_delta_values():
@@ -125,13 +126,13 @@ def test_rho_optimum_structure(case):
     # at N = 80: pressure best near rho = 10, velocity best near rho = 100
     grid = mesh.build_grid(80)
     h = mesh.mesh_size(grid)
-    v_space = femspace.build_space(grid, 1, 2)
-    p_space = femspace.build_space(grid, 1, 1)
-    ops = steady.SteadyOperators(v_space, p_space)
+    disc = Discretization(grid, 1)
+    v_space, p_space = disc.v_space, disc.p_space
+    ops = steady.SteadyOperators(disc)
     rhs = ops.load(case.steady_forcing)
     iv = femspace.interpolate(v_space, case.steady_velocity)
     ip = femspace.interpolate(p_space, case.steady_pressure)
-    vn, pn = metrics.SpaceNorms(v_space), metrics.SpaceNorms(p_space)
+    vn, pn = metrics.SpaceNorms(disc, v_space), metrics.SpaceNorms(disc, p_space)
     verr, perr = {}, {}
     for rho in (1.0, 10.0, 100.0, 1000.0):
         sol = ops.solve(case.nu, steady.choose_delta(h, case.nu, rho), rhs)
