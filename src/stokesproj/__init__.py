@@ -7,8 +7,8 @@ Subpackages/modules:
 - ``mesh``: structured triangulations of the unit square
 - ``femspace``: P1/P2 Lagrange elements, quadrature, DOF spaces
 - ``assembly``: sparse matrices and load vectors for all bilinear forms
-- ``sparsela``: sparse linear algebra (CG with nullspace projection,
-  saddle-point direct solve, cached factorizations)
+- ``sparsela``: sparse linear algebra (saddle-point direct solve,
+  cached factorizations)
 - ``steady``: the stabilized steady Stokes solver
 - ``mms``: manufactured solutions and consistent forcing terms
 - ``schemes``: non-incremental and incremental projection time steppers

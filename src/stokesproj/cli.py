@@ -41,12 +41,6 @@ from .mms import berrone_case
 
 KINDS = ("steady_sweep", "transient_init", "transient_convergence", "stability_probe")
 
-GUARD_MESSAGE = (
-    "dt exceeds the 2*delta stability threshold; the scheme is unstable there. "
-    "Set allow_unstable (or pass --allow-unstable) to probe it anyway."
-)
-
-
 class ConfigError(ValueError):
     pass
 
@@ -227,40 +221,39 @@ def validate_config(config):
         raise ConfigError(f"unknown scheme {config.scheme!r}")
     if config.delta2_law not in ("equal_delta", "zero"):
         raise ConfigError(f"unknown delta2 law {config.delta2_law!r}")
-    if any(i not in schemes.INITS for i in config.inits):
+    if not config.inits or any(i not in schemes.INITS for i in config.inits):
         raise ConfigError(f"inits must be chosen from {schemes.INITS}")
     if config.record_every < 1 or config.step_budget < 1:
         raise ConfigError("record_every and step_budget must be >= 1")
-    if config.kind != "steady_sweep" and len(_rho_list(config)) != 1:
+    if any(rho <= 0 for rho in config.rho_values):
+        raise ConfigError("rho_values must be positive")
+    if config.kind == "steady_sweep":
+        return
+    if len(_rho_list(config)) != 1:
         raise ConfigError(
             f"{config.kind} uses a single stabilization law; give one rho "
             "(or delta_h2), not a list"
         )
-    _validate_guard(config)
+    # the runners step with exactly these parameters, so a config that
+    # passes here cannot fail the guard or the T/dt check at run time
+    for n in config.n_values:
+        try:
+            for params in _scheme_runs(config, n):
+                params.check_guard()
+                params.num_steps()
+        except schemes.SchemeGuardError as exc:
+            raise ConfigError(
+                f"N = {n}: {exc}. Set allow_unstable (or pass --allow-unstable) "
+                "to run it anyway."
+            ) from exc
+        except ValueError as exc:
+            raise ConfigError(f"N = {n}: {exc}") from exc
 
 
 def _rho_list(config):
     if config.delta_h2 is not None:
         return (1.0 / np.sqrt(config.nu * config.delta_h2),)
     return config.rho_values
-
-
-def _validate_guard(config):
-    """Reject configurations whose time step breaches the 2*delta
-    stability threshold without the override flag."""
-    if config.kind == "steady_sweep":
-        return
-    slack = schemes._GUARD_SLACK
-    if config.kind == "stability_probe":
-        if any(r > 2.0 * slack for r in config.dt_ratios) and not config.allow_unstable:
-            raise ConfigError(GUARD_MESSAGE)
-        return
-    for n in config.n_values:
-        for rho in _rho_list(config):
-            delta = steady.choose_delta(1.0 / n, config.nu, rho)
-            dt = delta if config.dt_law == "equal_delta" else config.dt
-            if dt > 2.0 * delta * slack and not config.allow_unstable:
-                raise ConfigError(GUARD_MESSAGE)
 
 
 def _fmt(value):
@@ -371,22 +364,40 @@ def run_steady_sweep(config):
 # transient experiments
 
 
-def _transient_params(config, delta, dt, init, scheme=None):
-    delta2 = None
-    if (scheme or config.scheme) == "inc" and config.delta2_law == "zero":
-        delta2 = 0.0
+def _scheme_params(config, delta, dt, init):
+    """The SchemeParams of one time-stepping run.  The stability probe
+    steps the non-incremental scheme for ``step_budget`` steps and accepts
+    dt up to 2 delta; the transient kinds accept dt > delta only with
+    ``allow_unstable``."""
+    probe = config.kind == "stability_probe"
+    scheme = "noninc" if probe else config.scheme
     return schemes.SchemeParams(
         nu=config.nu,
         dt=dt,
-        T=config.T,
+        T=config.step_budget * dt if probe else config.T,
         delta=delta,
-        delta2=delta2,
-        scheme=scheme or config.scheme,
+        delta2=0.0 if scheme == "inc" and config.delta2_law == "zero" else None,
+        scheme=scheme,
         init=init,
-        allow_dt_up_to_2delta=config.allow_unstable,
+        allow_dt_up_to_2delta=probe or config.allow_unstable,
         allow_unstable=config.allow_unstable,
         tol=config.tol,
     )
+
+
+def _scheme_runs(config, n):
+    """SchemeParams of every run on mesh ``n``, in run order: one per init
+    (transient_init), one for the first init (transient_convergence), or
+    one per dt/delta ratio (stability_probe)."""
+    ((_, delta),) = _resolve_deltas(config, n)
+    if config.kind == "stability_probe":
+        return [
+            _scheme_params(config, delta, ratio * delta, "stabilized_stokes")
+            for ratio in config.dt_ratios
+        ]
+    dt = delta if config.dt_law == "equal_delta" else config.dt
+    inits = config.inits if config.kind == "transient_init" else config.inits[:1]
+    return [_scheme_params(config, delta, dt, init) for init in inits]
 
 
 def _recorded(records, every):
@@ -403,15 +414,12 @@ def run_transient_init(config):
     degree = config.degrees[0]
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
-        ((rho, delta),) = _resolve_deltas(config, n)
-        dt = delta if config.dt_law == "equal_delta" else config.dt
-        for init in config.inits:
-            params = _transient_params(config, delta, dt, init)
+        for params in _scheme_runs(config, n):
             tracker = metrics.TransientErrorTracker(disc, case)
             schemes.run(params, case, disc, observers=(tracker,))
             for rec in _recorded(tracker.records, config.record_every):
                 rows.append(
-                    [init, n, rec.step, rec.t, rec.pres_l2_interp, rec.vel_l2_interp]
+                    [params.init, n, rec.step, rec.t, rec.pres_l2_interp, rec.vel_l2_interp]
                 )
     return columns, rows
 
@@ -424,14 +432,12 @@ def run_transient_convergence(config):
     ).split(",")
     rows = []
     degree = config.degrees[0]
-    init = config.inits[0]
+    (rho,) = _rho_list(config)
     hs, discrete_errors = [], []
     for n in config.n_values:
         grid = build_grid(n)
         h = mesh_size(grid)
-        ((rho, delta),) = _resolve_deltas(config, n)
-        dt = delta if config.dt_law == "equal_delta" else config.dt
-        params = _transient_params(config, delta, dt, init)
+        (params,) = _scheme_runs(config, n)
         disc = Discretization(grid, degree)
         tracker = metrics.TransientErrorTracker(disc, case)
         try:
@@ -462,8 +468,8 @@ def run_transient_convergence(config):
             discrete_errors.append(press)
         except (sparsela.LinearSolverError, schemes.SchemeStepError) as exc:
             rows.append(
-                ["data", config.scheme, n, h, rho, delta, "", dt, "", "", "", "",
-                 f"failed: {exc}"]
+                ["data", config.scheme, n, h, rho, params.delta, "", params.dt, "", "", "",
+                 "", f"failed: {exc}"]
             )
     rate_row = ["rate", config.scheme, "", "", "", "", "", "", ""]
     if len(discrete_errors) >= 2:
@@ -481,21 +487,8 @@ def run_stability_probe(config):
     degree = config.degrees[0]
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
-        ((rho, delta),) = _resolve_deltas(config, n)
         initial = None
-        for ratio in config.dt_ratios:
-            dt = ratio * delta
-            params = schemes.SchemeParams(
-                nu=config.nu,
-                dt=dt,
-                T=config.step_budget * dt,
-                delta=delta,
-                scheme="noninc",
-                init="stabilized_stokes",
-                allow_dt_up_to_2delta=True,
-                allow_unstable=config.allow_unstable,
-                tol=config.tol,
-            )
+        for ratio, params in zip(config.dt_ratios, _scheme_runs(config, n)):
             if initial is None:
                 # the steady initial state depends on nu, delta, tol and the
                 # data, not on dt, so every ratio starts from this one
@@ -551,7 +544,7 @@ def main(argv=None):
             "--allow-unstable",
             action="store_true",
             default=None,
-            help="permit time steps beyond the 2*delta stability threshold",
+            help="permit time steps beyond the guard (dt > delta; probe ratios > 2)",
         )
     args = parser.parse_args(argv)
     overrides = {"out": args.out, "allow_unstable": args.allow_unstable}
@@ -568,7 +561,7 @@ def main(argv=None):
         return 1
     try:
         text = run_experiment(config)
-    except (sparsela.LinearSolverError, schemes.SchemeStepError, schemes.SchemeGuardError) as exc:
+    except (sparsela.LinearSolverError, schemes.SchemeStepError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
     if config.out:

@@ -15,10 +15,12 @@ For delta = dt the non-incremental scheme is the classical first-order
 pressure-projection update; with delta decoupled from dt it remains
 stable under dt <= delta (accepted up to dt <= 2 delta with an explicit
 override), and blows up beyond, which the stability probe exercises on
-purpose.
+purpose.  ``SchemeParams.check_guard`` is the one place that rule is
+written; the CLI validates configs with it.
 
 Pressures are kept at zero discrete mean.  The velocity system matrix is
-block-diagonal over components, so one scalar factorization serves both.
+block-diagonal over components, so one scalar factorization (and one
+pinned factorization of S) serves every step.
 """
 
 import warnings
@@ -33,7 +35,6 @@ _GUARD_SLACK = 1.0 + 1e-12
 
 SCHEMES = ("noninc", "inc")
 INITS = ("interpolant", "stabilized_stokes", "zero_pressure")
-SOLVERS = ("direct", "cg")
 
 
 class SchemeGuardError(ValueError):
@@ -48,25 +49,21 @@ class SchemeStepError(RuntimeError):
 class SchemeParams:
     """Time-stepping configuration.
 
-    ``delta`` may be left unset when ``rho`` is given; it is then resolved
-    per mesh as delta = h^2 / (nu rho^2).  ``delta2`` (incremental scheme
-    only) defaults to delta, the analyzed case.  The time-step guard
-    refuses dt > delta unless ``allow_dt_up_to_2delta`` is set, and
-    refuses dt > 2 delta unless ``allow_unstable`` is set (stability-probe
-    mode).
+    ``delta2`` (incremental scheme only) defaults to delta, the analyzed
+    case.  The time-step guard refuses dt > delta unless
+    ``allow_dt_up_to_2delta`` is set, and refuses dt > 2 delta unless
+    ``allow_unstable`` is set (stability-probe mode).
     """
 
     nu: float
     dt: float
     T: float
-    delta: float = None
+    delta: float
     delta2: float = None
-    rho: float = None
     scheme: str = "noninc"
     init: str = "stabilized_stokes"
     allow_dt_up_to_2delta: bool = False
     allow_unstable: bool = False
-    solver: str = "direct"
     tol: float = 1e-10
 
     def __post_init__(self):
@@ -76,51 +73,44 @@ class SchemeParams:
             raise ValueError("time step must be positive")
         if self.T <= 0.0:
             raise ValueError("final time must be positive")
+        if self.delta <= 0.0:
+            raise ValueError("stabilization parameter delta must be positive")
+        if self.delta2 is not None and self.delta2 < 0.0:
+            raise ValueError("delta2 must be nonnegative")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}; choose from {INITS}")
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}; choose from {SOLVERS}")
-        if self.delta is None and self.rho is None:
-            raise ValueError("either delta or rho must be given")
 
-    def resolved(self, h):
-        """Resolve delta/delta2 for mesh size h and run all guards."""
-        delta = self.delta
-        if delta is None:
-            delta = steady.choose_delta(h, self.nu, self.rho)
-        if delta <= 0.0:
-            raise ValueError("stabilization parameter delta must be positive")
-        delta2 = self.delta2
-        if self.scheme == "inc":
-            if delta2 is None:
-                delta2 = delta
-            if delta2 < 0.0:
-                raise ValueError("delta2 must be nonnegative")
-        params = replace(self, delta=delta, delta2=delta2)
+    def resolved(self):
+        """Default delta2 to delta for the incremental scheme and run all
+        guards; warns when dt lies in the delta < dt <= 2 delta band."""
+        params = self
+        if self.scheme == "inc" and self.delta2 is None:
+            params = replace(self, delta2=self.delta)
         params.check_guard()
-        params.num_steps()
-        return params
-
-    def check_guard(self):
-        if self.dt > 2.0 * self.delta * _GUARD_SLACK:
-            if not self.allow_unstable:
-                raise SchemeGuardError(
-                    f"dt = {self.dt:g} exceeds twice the stabilization parameter "
-                    f"2*delta = {2 * self.delta:g}; the scheme is unstable there "
-                    "(set allow_unstable to probe it anyway)"
-                )
-        elif self.dt > self.delta * _GUARD_SLACK:
-            if not (self.allow_dt_up_to_2delta or self.allow_unstable):
-                raise SchemeGuardError(
-                    f"dt = {self.dt:g} exceeds delta = {self.delta:g}; "
-                    "accepted only up to 2*delta with allow_dt_up_to_2delta"
-                )
+        if params.delta * _GUARD_SLACK < params.dt <= 2.0 * params.delta * _GUARD_SLACK:
             warnings.warn(
                 "running with delta < dt <= 2*delta, outside the default guard",
                 stacklevel=2,
             )
+        params.num_steps()
+        return params
+
+    def check_guard(self):
+        """Raise SchemeGuardError when dt breaches the guard for the flags set."""
+        if self.dt > 2.0 * self.delta * _GUARD_SLACK:
+            if not self.allow_unstable:
+                raise SchemeGuardError(
+                    f"dt = {self.dt:g} exceeds twice the stabilization parameter "
+                    f"2*delta = {2 * self.delta:g}; the scheme is unstable there"
+                )
+        elif self.dt > self.delta * _GUARD_SLACK:
+            if not (self.allow_dt_up_to_2delta or self.allow_unstable):
+                raise SchemeGuardError(
+                    f"dt = {self.dt:g} exceeds delta = {self.delta:g}; steps up to "
+                    "2*delta are accepted only on request"
+                )
 
     def num_steps(self):
         n = int(round(self.T / self.dt))
@@ -158,12 +148,8 @@ class SchemeOperators:
         self.S = disc.stiffness
         self.mean_weights = disc.mean_weights
         self.num_free = self.v_space.num_free_scalar
-        if params.solver == "direct":
-            self._h_solver = sparsela.FactorizedSpd(self.H)
-            self._s_solver = disc.pressure_solver
-        else:
-            self._h_solver = None
-            self._s_solver = None
+        self._h_solver = sparsela.FactorizedSpd(self.H)
+        self._s_solver = disc.pressure_solver
         self._load_terms = None
 
     # loads -----------------------------------------------------------------
@@ -176,42 +162,25 @@ class SchemeOperators:
         ]
 
     def load(self, g, t):
-        """Load vector on free DOFs for forcing ``g`` at time ``t``; uses
-        the precomputed separable terms when g is None."""
-        if g is None:
-            if self._load_terms is None:
-                raise ValueError("no forcing terms registered")
-            out = np.zeros(2 * self.num_free)
-            for tf, vec in self._load_terms:
-                out += tf(t) * vec
-            return out
-        if isinstance(g, np.ndarray):
+        """Load vector on free DOFs at time ``t``: ``g`` itself when it is
+        an array, else the sum of the registered separable terms."""
+        if g is not None:
             return g
-        return assembly.assemble_load(self.v_space, g, restrict=True)
+        if self._load_terms is None:
+            raise ValueError("no forcing terms registered")
+        out = np.zeros(2 * self.num_free)
+        for tf, vec in self._load_terms:
+            out += tf(t) * vec
+        return out
 
     # solves ----------------------------------------------------------------
     def momentum_solve(self, rhs_block):
         """Solve (M/dt + nu A) per component; rhs and result in block layout."""
-        rhs = rhs_block.reshape(2, -1).T
-        if self._h_solver is not None:
-            sol = self._h_solver.solve(rhs)
-        else:
-            sol = np.empty_like(rhs)
-            for c in range(2):
-                sol[:, c], _ = sparsela.cg_solve(
-                    self.H, rhs[:, c], tol=self.params.tol, diag_precondition=True
-                )
-        return sol.T.ravel()
+        return self._h_solver.solve(rhs_block.reshape(2, -1).T).T.ravel()
 
     def pressure_solve(self, rhs, coefficient):
         """Solve coefficient * S q = rhs on the zero-mean subspace."""
-        scaled = rhs / coefficient
-        if self._s_solver is not None:
-            q = self._s_solver.solve(scaled)
-        else:
-            q, _ = sparsela.cg_solve(
-                self.S, scaled, tol=self.params.tol, project_out_constants=True
-            )
+        q = self._s_solver.solve(rhs / coefficient)
         return sparsela.project_mean(q, self.mean_weights)
 
     def velocity_energy(self, velocity_full):
@@ -260,9 +229,8 @@ def _advance(state, params, ops, load_block, pressure_in_momentum):
 
 
 def step_noninc(state, params, ops, g):
-    """One step of the non-incremental scheme; ``g`` is the forcing at
-    t_{n+1} (analytic field, precomputed load vector, or None to use the
-    registered separable terms)."""
+    """One step of the non-incremental scheme; ``g`` is the load vector at
+    t_{n+1}, or None to use the registered separable terms."""
     t_next = state.t + params.dt
     load_block = ops.load(g, t_next)
     v_new = _advance(state, params, ops, load_block, state.pressure)
@@ -321,7 +289,7 @@ def run(params, case, disc, observers=(), energy_ceiling=None, max_steps=None,
     ``initial_state`` (left unmodified) replaces ``initialize``.  Returns a
     RunResult; per-step records live in the observers.
     """
-    params = params.resolved(h=1.0 / disc.mesh.n)
+    params = params.resolved()
     n_steps = params.num_steps()
     if max_steps is not None:
         n_steps = min(n_steps, max_steps)

@@ -1,12 +1,9 @@
 """Sparse linear algebra for the schemes.
 
 Matrices are scipy CSR arrays in canonical form (sorted, duplicate-free
-column indices).  Three solver entry points cover everything the
+column indices).  Two direct solver entry points cover everything the
 schemes need:
 
-- ``cg_solve``: conjugate gradients for SPD systems, optionally with the
-  constant vector deflated out (the pressure stiffness is singular with
-  exactly that nullspace);
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
   Stokes block system on the zero-mean pressure subspace;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
@@ -36,108 +33,6 @@ class SolveReport:
     iterations: int
     relative_residual: float
     converged: bool
-
-
-def is_canonical_csr(a):
-    """True when column indices are sorted and unique within each row."""
-    a = a.tocsr()
-    for r in range(a.shape[0]):
-        cols = a.indices[a.indptr[r] : a.indptr[r + 1]]
-        if cols.size > 1 and np.any(np.diff(cols) <= 0):
-            return False
-    return True
-
-
-def spmv(a, x):
-    """Sparse matrix-vector product with shape checking."""
-    x = np.asarray(x)
-    if a.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: matrix {a.shape} with vector {x.shape}")
-    return a @ x
-
-
-def _deflate(v):
-    v -= v.mean()
-    return v
-
-
-def cg_solve(a, b, tol=1e-10, project_out_constants=False, max_iterations=None,
-             diag_precondition=False):
-    """Conjugate gradients for a symmetric (semi)definite system.
-
-    With ``project_out_constants`` the constant vector is removed from
-    right-hand side, iterates and solution, which makes the singular
-    pressure stiffness solvable; ``b`` must then be orthogonal to
-    constants to within 1e-10 * ||b||.  Convergence is declared at
-    relative residual ``tol``; non-convergence raises LinearSolverError
-    carrying the report.
-    """
-    b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    if a.shape != (n, n):
-        raise ValueError(f"dimension mismatch: matrix {a.shape} with vector {b.shape}")
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(0, 0.0, True)
-    if project_out_constants and abs(b.sum()) / np.sqrt(n) > 1e-10 * bnorm:
-        raise LinearSolverError(
-            "right-hand side is not orthogonal to the constant nullspace"
-        )
-    if max_iterations is None:
-        max_iterations = max(200, 20 * n)
-    inv_diag = None
-    if diag_precondition:
-        d = a.diagonal()
-        if np.any(d <= 0):
-            raise LinearSolverError("diagonal preconditioner needs positive diagonal")
-        inv_diag = 1.0 / d
-
-    x = np.zeros(n)
-    r = b.copy()
-    if project_out_constants:
-        _deflate(r)
-    z = inv_diag * r if inv_diag is not None else r.copy()
-    if project_out_constants and inv_diag is not None:
-        _deflate(z)
-    p = z.copy()
-    rz = float(r @ z)
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        ap = a @ p
-        pap = float(p @ ap)
-        if pap <= 0.0:
-            raise LinearSolverError(
-                f"CG breakdown at iteration {iterations}: non-positive curvature",
-                SolveReport(iterations, np.linalg.norm(r) / bnorm, False),
-            )
-        alpha = rz / pap
-        x += alpha * p
-        r -= alpha * ap
-        if project_out_constants:
-            _deflate(r)
-        res = np.linalg.norm(r) / bnorm
-        if res <= tol:
-            break
-        z = inv_diag * r if inv_diag is not None else r
-        if project_out_constants and inv_diag is not None:
-            z = _deflate(z.copy())
-        rz_new = float(r @ z)
-        p = z + (rz_new / rz) * p
-        rz = rz_new
-    if project_out_constants:
-        _deflate(x)
-    true_res = b - a @ x
-    if project_out_constants:
-        _deflate(true_res)
-    rel = float(np.linalg.norm(true_res) / bnorm)
-    report = SolveReport(iterations, rel, rel <= tol)
-    if not report.converged:
-        raise LinearSolverError(
-            f"CG failed to reach tol={tol} in {iterations} iterations "
-            f"(residual {rel:.3e})",
-            report,
-        )
-    return x, report
 
 
 def _symmetric_splu(a_csc):

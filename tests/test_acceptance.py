@@ -296,7 +296,7 @@ def test_criterion_07_free_decay_monotonicity():
         params = schemes.SchemeParams(
             nu=NU, dt=delta, T=100 * delta, delta=delta, scheme=scheme,
             init="zero_pressure",
-        ).resolved(1.0 / 20)
+        ).resolved()
         ops = schemes.SchemeOperators(disc, params)
         zero_q = np.zeros(p_space.num_dofs)
         state = schemes.TimeState(0, 0.0, v0.copy(), zero_q.copy(), zero_q.copy())
@@ -331,7 +331,7 @@ def test_criterion_08_scheme_equivalence(mms_case):
     params = schemes.SchemeParams(
         nu=NU, dt=delta, T=50 * delta, delta=delta, scheme="inc",
         init="stabilized_stokes",
-    ).resolved(1.0 / 20)
+    ).resolved()
     disc = Discretization(grid, 1)
     v_space, p_space = disc.v_space, disc.p_space
     ops = schemes.SchemeOperators(disc, params)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import dense_oracle
-from stokesproj import assembly, femspace, mesh, sparsela
+from stokesproj import assembly, femspace, mesh
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["P1", "P2"])
@@ -166,13 +167,32 @@ def test_symmetry(spaces_p1_grid4):
         assert abs(mat - mat.T).max() <= 1e-14
 
 
+def is_canonical_csr(a):
+    """True when column indices are sorted and unique within each row."""
+    a = a.tocsr()
+    for r in range(a.shape[0]):
+        cols = a.indices[a.indptr[r] : a.indptr[r + 1]]
+        if cols.size > 1 and np.any(np.diff(cols) <= 0):
+            return False
+    return True
+
+
+def test_is_canonical_csr():
+    good = sparse.csr_array(np.eye(3))
+    assert is_canonical_csr(good)
+    bad = sparse.csr_array(
+        (np.array([1.0, 2.0]), np.array([1, 0]), np.array([0, 2, 2, 2])), shape=(3, 3)
+    )
+    assert not is_canonical_csr(bad)
+
+
 def test_matrices_are_canonical_csr(spaces_p1_grid4):
     v_space, p_space = spaces_p1_grid4
     for mat in (
         assembly.assemble_mass(v_space),
         assembly.assemble_pressure_gradient(v_space, p_space),
     ):
-        assert sparsela.is_canonical_csr(mat)
+        assert is_canonical_csr(mat)
 
 
 def test_accumulation_matches_sequential_sum():

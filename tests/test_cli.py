@@ -1,9 +1,16 @@
+import contextlib
+import io
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stokesproj
 from stokesproj import cli, steady
@@ -110,12 +117,17 @@ def test_probe_ratios_beyond_two_need_flag():
 
 @pytest.mark.parametrize(
     "ratio, accepted",
-    [(1.0, True), (2.0 * (1.0 + 1e-12), True), (2.0 * (1.0 + 1e-9), False)],
+    [
+        (1.0, {"transient-init": True, "stability-probe": True}),
+        (2.0 * (1.0 + 1e-12), {"transient-init": False, "stability-probe": True}),
+        (2.0 * (1.0 + 1e-9), {"transient-init": False, "stability-probe": False}),
+    ],
     ids=["delta", "2delta-within-slack", "2delta-beyond-slack"],
 )
 def test_guard_edges(tmp_path, capsys, ratio, accepted):
     # dt = ratio * delta; doubling is exact, so dt = 2 delta (1 + 1e-12) lies
-    # exactly on the guard's slackened edge
+    # exactly on the guard's slackened edge.  The probe accepts ratios up to
+    # 2; the transient kinds accept dt > delta only with allow_unstable.
     dt = ratio * steady.choose_delta(1.0 / 20, 0.01, 10.0)
     texts = {
         "transient-init": f"[transient_init]\nn_values = 20\ndt_law = fixed\ndt = {dt!r}\n",
@@ -123,13 +135,81 @@ def test_guard_edges(tmp_path, capsys, ratio, accepted):
     }
     for command, text in texts.items():
         kind = command.replace("-", "_")
-        if accepted:
+        if accepted[command]:
             cli.parse_config_text(text, kind=kind)
             continue
         with pytest.raises(cli.ConfigError):
             cli.parse_config_text(text, kind=kind)
         assert cli.main([command, "--config", str(write(tmp_path, text))]) == 2
         assert "2*delta" in capsys.readouterr().err
+
+
+def test_guard_band_is_config_error(tmp_path, capsys):
+    # N = 4, rho = 10: delta = 1/16, dt = 1.5 delta; T = 2 dt keeps the run short
+    text = "[transient_init]\nn_values = 4\ndt_law = fixed\ndt = 0.09375\nT = 0.1875\n"
+    cfg = write(tmp_path, text)
+    assert cli.main(["transient-init", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "allow_unstable" in err and "allow_dt_up_to_2delta" not in err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # validation only checks, never warns
+        cli.parse_config_text(text, kind="transient_init",
+                              overrides={"allow_unstable": True})
+    out = tmp_path / "band.csv"
+    with pytest.warns(UserWarning, match="delta < dt <= 2"):
+        code = cli.main(["transient-init", "--config", str(cfg), "--allow-unstable",
+                         "--out", str(out)])
+    assert code == 0
+    assert "init,N,n,t" in out.read_text()
+
+
+@pytest.mark.parametrize(
+    "command, text",
+    [
+        # dt = delta = 0.0625 at N = 4, rho = 10
+        ("transient-init", "[transient_init]\nn_values = 4\nT = 0.1\n"),
+        ("transient-init", "[transient_init]\nn_values = 4\nT = -1\n"),
+        ("transient-init", "[transient_init]\nn_values = 4\nrho_values = 0\n"),
+        ("transient-convergence", "[transient_convergence]\nn_values = 4\ninits =\n"),
+    ],
+    ids=["T-not-step-multiple", "T-negative", "rho-zero", "no-inits"],
+)
+def test_values_that_failed_at_run_time_are_config_errors(tmp_path, capsys, command, text):
+    cfg = write(tmp_path, text)
+    assert cli.main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+_EDGE_RATIOS = st.sampled_from([1.0, 2.0, 2.0 * (1.0 + 1e-12), 2.0 * (1.0 - 1e-12)])
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    ratio=st.floats(0.25, 5.0) | _EDGE_RATIOS,
+    k=st.integers(1, 3),
+    allow_unstable=st.booleans(),
+)
+def test_parsed_transient_configs_run(ratio, k, allow_unstable):
+    # parsing and running apply one guard: a config is refused with exit 2
+    # or runs to completion, never fails at run time with exit 1
+    dt = ratio * steady.choose_delta(1.0 / 4, 0.01, 10.0)
+    text = (
+        f"allow_unstable = {'true' if allow_unstable else 'false'}\n"
+        f"[transient_init]\nn_values = 4\ndt_law = fixed\ndt = {dt!r}\nT = {k * dt!r}\n"
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write(pathlib.Path(tmp), text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the delta < dt <= 2 delta band warns
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["transient-init", "--config", str(cfg),
+                                 "--out", os.path.join(tmp, "out.csv")])
+    assert code in (0, 2)
+    if allow_unstable or ratio <= 1.0:
+        assert code == 0
+    elif ratio > 1.0 + 1e-9:
+        assert code == 2
 
 
 def test_equal_delta_law_sets_dt_to_delta():
@@ -177,9 +257,8 @@ def test_steady_sweep_row_counts():
 
 
 def test_experiment_script_configs_parse():
-    import pathlib
-
-    scripts = pathlib.Path(__file__).parent.parent / "scripts"
+    root = pathlib.Path(__file__).parent.parent
+    scripts = root / "scripts"
     fig1 = cli.parse_config(scripts / "fig1_linear.cfg")
     assert fig1.kind == "steady_sweep"
     assert fig1.n_values == (20, 40, 80, 160, 320)
@@ -196,6 +275,14 @@ def test_experiment_script_configs_parse():
     assert probe.allow_unstable
     conv = cli.parse_config(scripts / "transient_convergence.cfg")
     assert conv.scheme == "inc" and conv.rho_values == (100.0,)
+    # the benchmark workloads must stay valid too (read only)
+    kinds = {path.stem: cli.parse_config(path).kind
+             for path in sorted((root / "perfbench" / "configs").glob("*.cfg"))}
+    assert kinds == {
+        "conv-inc-p1": "transient_convergence",
+        "probe-p2": "stability_probe",
+        "steady-p1": "steady_sweep",
+    }
 
 
 def test_steady_sweep_rate_rows():

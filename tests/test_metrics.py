@@ -130,7 +130,7 @@ def test_tracker_matches_direct_quadrature(grid4, case):
     params = schemes.SchemeParams(
         nu=case.nu, dt=1e-3, T=2e-3, delta=1e-3, scheme="noninc", init="interpolant"
     )
-    pr = params.resolved(0.25)
+    pr = params.resolved()
     ops = schemes.SchemeOperators(disc, pr)
     tracker = metrics.TransientErrorTracker(disc, case)
     rng = np.random.default_rng(2)

@@ -6,144 +6,6 @@ import scipy.sparse.linalg as spla
 from stokesproj import assembly, femspace, mesh, sparsela, steady
 
 
-def random_sparse(n, rng, density=0.4):
-    a = rng.random((n, n))
-    a[a > density] = 0.0
-    return sparse.csr_array(a)
-
-
-def test_spmv_identity():
-    x = np.arange(5.0)
-    eye = sparse.identity(5, format="csr")
-    assert np.array_equal(sparsela.spmv(eye, x), x)
-
-
-def test_spmv_zero_matrix():
-    z = sparse.csr_array((4, 4))
-    assert np.array_equal(sparsela.spmv(z, np.ones(4)), np.zeros(4))
-
-
-def test_spmv_matches_dense():
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        a = random_sparse(5, rng)
-        x = rng.standard_normal(5)
-        dense = a.toarray() @ x
-        got = sparsela.spmv(a, x)
-        scale = max(np.abs(dense).max(), 1.0)
-        assert np.abs(got - dense).max() <= 1e-15 * scale
-
-
-def test_spmv_dimension_mismatch():
-    a = sparse.identity(4, format="csr")
-    with pytest.raises(ValueError):
-        sparsela.spmv(a, np.ones(5))
-
-
-def test_spmv_deterministic():
-    rng = np.random.default_rng(1)
-    a = random_sparse(50, rng)
-    x = rng.standard_normal(50)
-    assert np.array_equal(sparsela.spmv(a, x), sparsela.spmv(a, x))
-
-
-# --- conjugate gradients -----------------------------------------------------
-
-
-def test_cg_identity_single_iteration():
-    a = sparse.identity(6, format="csr")
-    b = np.arange(1.0, 7.0)
-    x, report = sparsela.cg_solve(a, b, tol=1e-12)
-    assert np.allclose(x, b, atol=1e-12)
-    assert report.iterations == 1
-    assert report.converged
-
-
-def test_cg_zero_rhs():
-    a = sparse.identity(6, format="csr")
-    x, report = sparsela.cg_solve(a, np.zeros(6))
-    assert np.array_equal(x, np.zeros(6))
-    assert report.iterations == 0
-
-
-def test_cg_spd_random():
-    rng = np.random.default_rng(2)
-    m = rng.standard_normal((12, 12))
-    a = sparse.csr_array(m @ m.T + 12 * np.eye(12))
-    b = rng.standard_normal(12)
-    x, report = sparsela.cg_solve(a, b, tol=1e-12)
-    assert np.linalg.norm(a @ x - b) <= 1e-11 * np.linalg.norm(b)
-    assert report.relative_residual <= 1e-12
-
-
-def test_cg_reported_residual_matches_true(grid4):
-    p_space = femspace.build_space(grid4, 1, 1)
-    s = assembly.assemble_pressure_stiffness(p_space)
-    v_space = femspace.build_space(grid4, 1, 2)
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    rng = np.random.default_rng(3)
-    b = g.T @ rng.standard_normal(g.shape[0])
-    x, report = sparsela.cg_solve(s, b, tol=1e-12, project_out_constants=True)
-    true_res = b - s @ x
-    true_res -= true_res.mean()
-    assert np.linalg.norm(true_res) / np.linalg.norm(b) <= 10 * max(
-        report.relative_residual, 1e-16
-    )
-    assert abs(x.mean()) <= 1e-12
-
-
-def test_cg_projected_singular_laplacian(grid4):
-    p_space = femspace.build_space(grid4, 1, 1)
-    v_space = femspace.build_space(grid4, 1, 2)
-    s = assembly.assemble_pressure_stiffness(p_space)
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    rng = np.random.default_rng(4)
-    b = g.T @ rng.standard_normal(g.shape[0])
-    x, report = sparsela.cg_solve(s, b, tol=1e-10, project_out_constants=True)
-    assert report.converged
-    assert abs(x.mean()) <= 1e-12
-
-
-def test_cg_rejects_incompatible_rhs(grid4):
-    p_space = femspace.build_space(grid4, 1, 1)
-    s = assembly.assemble_pressure_stiffness(p_space)
-    b = np.ones(p_space.num_dofs)  # pure nullspace component
-    with pytest.raises(sparsela.LinearSolverError):
-        sparsela.cg_solve(s, b, project_out_constants=True)
-
-
-def test_cg_nonconvergence_raises():
-    a = sparse.identity(40, format="csr") + sparse.random(
-        40, 40, density=0.2, random_state=5
-    )
-    a = sparse.csr_array(a @ a.T + 1e-6 * sparse.identity(40))
-    b = np.ones(40)
-    with pytest.raises(sparsela.LinearSolverError) as err:
-        sparsela.cg_solve(a, b, tol=1e-14, max_iterations=2)
-    assert err.value.report is not None
-    assert not err.value.report.converged
-
-
-def test_cg_with_jacobi_preconditioner():
-    rng = np.random.default_rng(6)
-    d = np.linspace(1.0, 1e4, 30)
-    a = sparse.csr_array(np.diag(d) + 0.1 * np.eye(30, k=1) + 0.1 * np.eye(30, k=-1))
-    b = rng.standard_normal(30)
-    x, report = sparsela.cg_solve(a, b, tol=1e-12, diag_precondition=True)
-    assert np.linalg.norm(a @ x - b) <= 1e-10 * np.linalg.norm(b)
-
-
-def test_cg_deterministic(grid4):
-    p_space = femspace.build_space(grid4, 1, 1)
-    s = assembly.assemble_pressure_stiffness(p_space)
-    rng = np.random.default_rng(7)
-    b = rng.standard_normal(p_space.num_dofs)
-    b -= b.mean()
-    x1, _ = sparsela.cg_solve(s, b, project_out_constants=True)
-    x2, _ = sparsela.cg_solve(s, b, project_out_constants=True)
-    assert np.array_equal(x1, x2)
-
-
 # --- direct solvers ----------------------------------------------------------
 
 
@@ -316,11 +178,3 @@ def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
     assert info.value.report.relative_residual > 1e-10
     assert not info.value.report.converged
 
-
-def test_is_canonical_csr():
-    good = sparse.csr_array(np.eye(3))
-    assert sparsela.is_canonical_csr(good)
-    bad = sparse.csr_array(
-        (np.array([1.0, 2.0]), np.array([1, 0]), np.array([0, 2, 2, 2])), shape=(3, 3)
-    )
-    assert not sparsela.is_canonical_csr(bad)
