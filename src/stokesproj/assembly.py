@@ -216,30 +216,6 @@ def assemble_load(space, f, t=None, quad_degree=6, restrict=True):
     return out
 
 
-def assemble_gradient_load(space, grad_f, quad_degree=6, restrict=True):
-    """Load vector (grad f, grad phi_i) from an analytic gradient field.
-
-    For scalar spaces ``grad_f(x, y)`` returns shape (2, ...); for vector
-    spaces shape (2, 2, ...) with [c][a] = d f_c / d x_a.
-    """
-    rule = femspace.quadrature(quad_degree)
-    _, grads, det = _physical_gradients(space, rule)
-    xq = quadrature_points_physical(space.mesh, rule)
-    gv = np.asarray(grad_f(xq[..., 0], xq[..., 1]), dtype=float)
-    ns = space.num_scalar_dofs
-    out = np.zeros(space.num_dofs)
-    if space.components == 1:
-        elem = np.einsum("q,atq,tqia,t->ti", rule.weights, gv, grads, det)
-        np.add.at(out, space.element_dofs, elem)
-    else:
-        for c in range(2):
-            elem = np.einsum("q,atq,tqia,t->ti", rule.weights, gv[c], grads, det)
-            np.add.at(out, c * ns + space.element_dofs, elem)
-    if restrict and space.components == 2:
-        return space.restrict(out)
-    return out
-
-
 def basis_integrals(space):
     """Integrals of every scalar basis function; the weights defining the
     discrete mean value of a pressure field."""

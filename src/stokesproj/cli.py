@@ -113,13 +113,21 @@ _KIND_KEYS = {
     | {"rho_values", "delta_h2", "dt_ratios", "step_budget", "energy_ceiling"},
 }
 
+
+def _finite(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
+
+
 _PARSERS = {
-    "nu": float,
-    "tol": float,
-    "delta_h2": float,
-    "dt": float,
-    "T": float,
-    "energy_ceiling": float,
+    "nu": _finite,
+    "tol": _finite,
+    "delta_h2": _finite,
+    "dt": _finite,
+    "T": _finite,
+    "energy_ceiling": _finite,
     "step_budget": int,
     "record_every": int,
     "dt_law": str,
@@ -128,8 +136,8 @@ _PARSERS = {
     "out": str,
     "n_values": lambda s: tuple(int(tok) for tok in s.split()),
     "degrees": lambda s: tuple(int(tok) for tok in s.split()),
-    "rho_values": lambda s: tuple(float(tok) for tok in s.split()),
-    "dt_ratios": lambda s: tuple(float(tok) for tok in s.split()),
+    "rho_values": lambda s: tuple(_finite(tok) for tok in s.split()),
+    "dt_ratios": lambda s: tuple(_finite(tok) for tok in s.split()),
     "inits": lambda s: tuple(s.split()),
     "allow_unstable": lambda s: {"true": True, "false": False}[s.lower()],
 }
@@ -206,6 +214,11 @@ def validate_config(config):
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
     if config.nu <= 0:
         raise ConfigError("nu must be positive")
+    if config.tol <= 0:
+        raise ConfigError("tol must be positive")
+    if config.energy_ceiling < 1:
+        # a multiple of the initial energy: below 1 flags decaying runs
+        raise ConfigError("energy_ceiling must be >= 1")
     if not config.n_values or any(n < 1 for n in config.n_values):
         raise ConfigError("n_values must be positive integers")
     if any(d not in (1, 2) for d in config.degrees):
@@ -315,16 +328,18 @@ def run_steady_sweep(config):
             v_space, p_space = disc.v_space, disc.p_space
             ops = steady.SteadyOperators(disc)
             rhs_v = ops.load(case.steady_forcing)
-            v_norms = metrics.SpaceNorms(disc, v_space)
-            p_norms = metrics.SpaceNorms(disc, p_space)
             interp_v = femspace.interpolate(v_space, case.steady_velocity)
             interp_p = femspace.interpolate(p_space, case.steady_pressure)
             for rho, delta in _resolve_deltas(config, n):
                 try:
                     sol = ops.solve(config.nu, delta, rhs_v, tol=config.tol)
                     errors = {
-                        "vel_l2_interp": v_norms.l2_diff(sol.velocity, interp_v),
-                        "pres_l2_interp": p_norms.l2_diff(sol.pressure, interp_p),
+                        "vel_l2_interp": metrics.fe_norm_diff(
+                            v_space, sol.velocity, interp_v, matrix=disc.mass
+                        ),
+                        "pres_l2_interp": metrics.fe_norm_diff(
+                            p_space, sol.pressure, interp_p, matrix=disc.mass
+                        ),
                         "vel_l2_exact": metrics.error_vs_exact(
                             v_space, sol.velocity, case.steady_velocity
                         ),
@@ -500,7 +515,6 @@ def run_stability_probe(config):
                     case,
                     disc,
                     energy_ceiling=config.energy_ceiling,
-                    max_steps=config.step_budget,
                     initial_state=initial,
                 )
             for step, energy in enumerate(result.energies):

@@ -3,14 +3,14 @@
 Two complementary evaluation routes exist.  ``fe_norm_diff`` measures
 coefficient differences through the assembled (pre-elimination) mass or
 stiffness matrix, which is the natural norm for discrete-vs-interpolant
-errors.  ``error_vs_exact`` integrates |u_h - u|^2 (or the gradient
-analogue) elementwise with the degree-6 rule against an analytic field.
+errors.  ``error_vs_exact`` integrates |u_h - u|^2 elementwise with the
+degree-6 rule against an analytic field.
 
-``TransientErrorTracker`` is a per-step observer for time loops; because
-the manufactured solution separates as (spatial field) * cos(t), every
-vs-exact norm reduces to a quadratic form in the coefficients plus two
-precomputed moments, so recording a full ErrorRecord costs a few sparse
-products per step.
+``TransientErrorTracker`` is a per-step observer for time loops that
+records the four L2 errors the transient studies report; because the
+manufactured solution separates as (spatial field) * cos(t), each of
+them reduces to a quadratic form in the coefficients plus precomputed
+moments, so recording an ErrorRecord costs two sparse products per step.
 """
 
 from dataclasses import dataclass
@@ -29,12 +29,8 @@ class ErrorRecord:
     t: float
     vel_l2_interp: float
     vel_l2_exact: float
-    vel_h1_exact: float
     pres_l2_interp: float
     pres_l2_exact: float
-    pres_h1_exact: float
-    velocity_energy: float
-    divergence_norm: float
 
 
 def _norm_key(norm):
@@ -61,48 +57,24 @@ def fe_norm_diff(space, a, b, norm="l2", matrix=None):
     return float(np.sqrt(max(d @ componentwise(matrix, d), 0.0)))
 
 
-class SpaceNorms:
-    """Repeated L2 norm queries on ``space``, one of the spaces of ``disc``,
-    through the discretization's shared scalar mass."""
+def error_vs_exact(space, coeffs, exact, quad_degree=6):
+    """Quadrature L2 norm of u_h - u against an analytic field.
 
-    def __init__(self, disc, space):
-        self.disc = disc
-        self.space = space
-
-    def l2_diff(self, a, b):
-        return fe_norm_diff(self.space, a, b, "l2", self.disc.mass)
-
-
-def error_vs_exact(space, coeffs, exact, norm="l2", quad_degree=6):
-    """Quadrature norm of u_h - u against an analytic field.
-
-    For norm 'h1semi', ``exact`` must be the gradient field: shape
-    (2, ...) for scalar spaces, (2, 2, ...) with [c][a] = d u_c / d x_a
-    for vector spaces.  Time-dependent fields should be bound to a fixed
-    t by the caller.
+    Time-dependent fields should be bound to a fixed t by the caller.
     """
-    key = _norm_key(norm)
     coeffs = np.asarray(coeffs, dtype=float)
     rule = femspace.quadrature(quad_degree)
     xq = assembly.quadrature_points_physical(space.mesh, rule)
-    if key == "l2":
-        _, det, _ = assembly._geometry(space.mesh)
-        vals, _ = space.reference.eval(rule.reference_points())
-    else:
-        _, grads, det = assembly._physical_gradients(space, rule)
+    _, det, _ = assembly._geometry(space.mesh)
+    vals, _ = space.reference.eval(rule.reference_points())
     ue = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
     ns = space.num_scalar_dofs
     acc = 0.0
     for c in range(space.components):
         ce = coeffs[c * ns + space.element_dofs]  # (nt, nb)
         uc = ue[c] if space.components == 2 else ue
-        if key == "l2":
-            diff2 = (np.einsum("qi,ti->tq", vals, ce) - uc) ** 2
-            acc += np.einsum("q,tq,t->", rule.weights, diff2, det)
-        else:
-            guh = np.einsum("tqia,ti->tqa", grads, ce)
-            diff2 = (guh - np.moveaxis(uc, 0, -1)) ** 2
-            acc += np.einsum("q,tqa,t->", rule.weights, diff2, det)
+        diff2 = (np.einsum("qi,ti->tq", vals, ce) - uc) ** 2
+        acc += np.einsum("q,tq,t->", rule.weights, diff2, det)
     return float(np.sqrt(max(acc, 0.0)))
 
 
@@ -143,81 +115,55 @@ class TransientErrorTracker:
     case (spatial fields modulated by cos(t)).
 
     Every norm is evaluated from precomputed moments: for any coefficient
-    vector u and bilinear form B,
+    vector u,
 
-        |u_h - c w|_B^2 = u^T B u - 2 c u^T (B-load of w) + c^2 |w|_B^2
+        |u_h - c w|_M^2 = u^T M u - 2 c u^T (M-load of w) + c^2 |w|_M^2
 
-    with c = cos(t), so one sparse product per form suffices per step.
+    with c = cos(t), so one mass product per field suffices per step.
     The moment route is validated against the direct quadrature route in
     the test suite.
     """
 
     def __init__(self, disc, case):
         v_space, p_space = disc.v_space, disc.p_space
-        self.v_space = v_space
         self.records = []
 
         self.M = disc.mass
-        self.A = disc.stiffness
 
-        self.interp_v = femspace.interpolate(v_space, case.steady_velocity)
-        self.interp_p = femspace.interpolate(p_space, case.steady_pressure)
-        self.m_interp_v = componentwise(self.M, self.interp_v)
-        self.interp_v_sq = float(self.interp_v @ self.m_interp_v)
-        self.m_interp_p = self.M @ self.interp_p
-        self.interp_p_sq = float(self.interp_p @ self.m_interp_p)
+        interp_v = femspace.interpolate(v_space, case.steady_velocity)
+        interp_p = femspace.interpolate(p_space, case.steady_pressure)
+        self.m_interp_v = componentwise(self.M, interp_v)
+        self.interp_v_sq = float(interp_v @ self.m_interp_v)
+        self.m_interp_p = self.M @ interp_p
+        self.interp_p_sq = float(interp_p @ self.m_interp_p)
 
         zeros_v = np.zeros(v_space.num_dofs)
         zeros_p = np.zeros(p_space.num_dofs)
         self.load_v = assembly.assemble_load(v_space, case.steady_velocity, restrict=False)
         self.norm_v_sq = error_vs_exact(v_space, zeros_v, case.steady_velocity) ** 2
-        self.gload_v = assembly.assemble_gradient_load(
-            v_space, case.steady_velocity_gradient, restrict=False
-        )
-        self.norm_gv_sq = (
-            error_vs_exact(v_space, zeros_v, case.steady_velocity_gradient, "h1semi") ** 2
-        )
         self.load_p = assembly.assemble_load(p_space, case.steady_pressure, restrict=False)
         self.norm_p_sq = error_vs_exact(p_space, zeros_p, case.steady_pressure) ** 2
-        self.gload_p = assembly.assemble_gradient_load(
-            p_space, case.steady_pressure_gradient, restrict=False
-        )
-        self.norm_gp_sq = (
-            error_vs_exact(p_space, zeros_p, case.steady_pressure_gradient, "h1semi") ** 2
-        )
 
     @staticmethod
     def _moment_norm(quad, cross, const, c):
         return float(np.sqrt(max(quad - 2.0 * c * cross + c * c * const, 0.0)))
 
-    def __call__(self, state, ops):
+    def __call__(self, state):
         v, q = state.velocity, state.pressure
         c = float(np.cos(state.t))
         vmv = float(v @ componentwise(self.M, v))
-        vel_l2_interp = self._moment_norm(vmv, float(v @ self.m_interp_v), self.interp_v_sq, c)
-        vel_l2_exact = self._moment_norm(vmv, float(v @ self.load_v), self.norm_v_sq, c)
-        vel_h1_exact = self._moment_norm(
-            float(v @ componentwise(self.A, v)), float(v @ self.gload_v), self.norm_gv_sq, c
-        )
         qmq = float(q @ (self.M @ q))
-        pres_l2_interp = self._moment_norm(qmq, float(q @ self.m_interp_p), self.interp_p_sq, c)
-        pres_l2_exact = self._moment_norm(qmq, float(q @ self.load_p), self.norm_p_sq, c)
-        pres_h1_exact = self._moment_norm(
-            float(q @ (self.A @ q)), float(q @ self.gload_p), self.norm_gp_sq, c
-        )
-        div_norm = float(np.linalg.norm(ops.G.T @ self.v_space.restrict(v)))
         self.records.append(
             ErrorRecord(
                 step=state.step,
                 t=state.t,
-                vel_l2_interp=vel_l2_interp,
-                vel_l2_exact=vel_l2_exact,
-                vel_h1_exact=vel_h1_exact,
-                pres_l2_interp=pres_l2_interp,
-                pres_l2_exact=pres_l2_exact,
-                pres_h1_exact=pres_h1_exact,
-                velocity_energy=vmv,
-                divergence_norm=div_norm,
+                vel_l2_interp=self._moment_norm(
+                    vmv, float(v @ self.m_interp_v), self.interp_v_sq, c
+                ),
+                vel_l2_exact=self._moment_norm(vmv, float(v @ self.load_v), self.norm_v_sq, c),
+                pres_l2_interp=self._moment_norm(
+                    qmq, float(q @ self.m_interp_p), self.interp_p_sq, c
+                ),
+                pres_l2_exact=self._moment_norm(qmq, float(q @ self.load_p), self.norm_p_sq, c),
             )
         )
-

@@ -278,21 +278,17 @@ class RunResult:
     energies: np.ndarray
 
 
-def run(params, case, disc, observers=(), energy_ceiling=None, max_steps=None,
-        initial_state=None):
+def run(params, case, disc, observers=(), energy_ceiling=None, initial_state=None):
     """Execute the configured scheme on ``disc`` with forcing from ``case``.
 
-    Observers are callables ``observer(state, ops)`` invoked on the
-    initial state and after every step.  When ``energy_ceiling`` is set,
+    Observers are callables ``observer(state)`` invoked on the initial
+    state and after every step.  When ``energy_ceiling`` is set,
     the run stops and is marked diverged once the velocity energy exceeds
     ceiling * max(initial energy, 1e-300) or stops being finite.  A given
     ``initial_state`` (left unmodified) replaces ``initialize``.  Returns a
     RunResult; per-step records live in the observers.
     """
     params = params.resolved()
-    n_steps = params.num_steps()
-    if max_steps is not None:
-        n_steps = min(n_steps, max_steps)
     ops = SchemeOperators(disc, params)
     ops.set_forcing_terms(case.forcing_terms())
     state = initialize(params, case, disc) if initial_state is None else initial_state
@@ -302,9 +298,9 @@ def run(params, case, disc, observers=(), energy_ceiling=None, max_steps=None,
     energies = [ops.velocity_energy(state.velocity)] if track_energy else []
     floor = max(energies[0], 1e-300) if track_energy else None
     for obs in observers:
-        obs(state, ops)
+        obs(state)
     diverged = False
-    for _ in range(n_steps):
+    for _ in range(params.num_steps()):
         state = step_fn(state, params, ops, None)
         if track_energy:
             energy = ops.velocity_energy(state.velocity)
@@ -316,7 +312,7 @@ def run(params, case, disc, observers=(), energy_ceiling=None, max_steps=None,
             diverged = True
             break
         for obs in observers:
-            obs(state, ops)
+            obs(state)
     return RunResult(
         params=params,
         final_state=state,

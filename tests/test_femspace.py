@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stokesproj import femspace, mesh, metrics, mms
+from stokesproj import femspace, metrics
 
 
 def exact_monomial_integral(p, q):

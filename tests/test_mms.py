@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from stokesproj import femspace, mms
+from stokesproj import mms
 
 
 def fd_gradient(f, x, y, h=1e-6):

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stokesproj import assembly, femspace, mesh, metrics, mms, schemes, steady
+from stokesproj import assembly, femspace, mesh, schemes, steady
 from stokesproj.assembly import Discretization
 
 
@@ -298,7 +298,7 @@ def test_run_invokes_observers(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
     seen = []
     result = schemes.run(params, case, Discretization(grid4, 1),
-                         observers=(lambda st, ops: seen.append(st.step),))
+                         observers=(lambda st: seen.append(st.step),))
     assert seen == [0, 1, 2, 3, 4, 5]
     assert result.steps_completed == 5
 
@@ -319,8 +319,7 @@ def test_unstable_run_marked_diverged(case):
         nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
         init="stabilized_stokes", allow_unstable=True,
     )
-    result = schemes.run(params, case, Discretization(grid, 1), energy_ceiling=1e12,
-                         max_steps=500)
+    result = schemes.run(params, case, Discretization(grid, 1), energy_ceiling=1e12)
     assert result.diverged
     assert result.steps_completed < 500
 

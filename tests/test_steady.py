@@ -132,12 +132,11 @@ def test_rho_optimum_structure(case):
     rhs = ops.load(case.steady_forcing)
     iv = femspace.interpolate(v_space, case.steady_velocity)
     ip = femspace.interpolate(p_space, case.steady_pressure)
-    vn, pn = metrics.SpaceNorms(disc, v_space), metrics.SpaceNorms(disc, p_space)
     verr, perr = {}, {}
     for rho in (1.0, 10.0, 100.0, 1000.0):
         sol = ops.solve(case.nu, steady.choose_delta(h, case.nu, rho), rhs)
-        verr[rho] = vn.l2_diff(sol.velocity, iv)
-        perr[rho] = pn.l2_diff(sol.pressure, ip)
+        verr[rho] = metrics.fe_norm_diff(v_space, sol.velocity, iv, matrix=disc.mass)
+        perr[rho] = metrics.fe_norm_diff(p_space, sol.pressure, ip, matrix=disc.mass)
     assert perr[10.0] <= perr[1.0] and perr[10.0] <= perr[1000.0]
     assert verr[100.0] <= verr[1.0] and verr[100.0] <= verr[1000.0]
 
