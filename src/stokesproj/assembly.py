@@ -10,6 +10,7 @@ stable sorted reduction, so matrices are bit-reproducible.
 ``Discretization`` assembles each operator once per (mesh, degree) pair.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -241,6 +242,41 @@ def componentwise(matrix, x):
     return (matrix @ x.reshape(-1, matrix.shape[1]).T).T.ravel()
 
 
+def _dissect(lattice, step):
+    """Geometric nested dissection (George 1973) of grid nodes with integer
+    lattice indices ``lattice`` (n, 2).
+
+    The bounding box of a node set is split at the lattice line nearest
+    its middle, in its longer direction; the two halves are ordered
+    first, then the separator line.  Only lines at multiples of ``step``
+    (the mesh lines) separate: no element straddles them.  A set of at
+    most 8 nodes, or one with no such line strictly inside its box, is a
+    leaf.  Returns the (nodes, line) blocks in elimination order, with
+    line = (axis, index) of a separator and None for a leaf.
+    """
+    blocks = []
+
+    def split(nodes):
+        if nodes.size > 8:
+            pts = lattice[nodes]
+            lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+            axis = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1
+            middle = (lo[axis] + hi[axis]) / 2
+            below, above = step * math.floor(middle / step), step * math.ceil(middle / step)
+            lines = [m for m in (below, above) if lo[axis] < m < hi[axis]]
+            if lines:
+                mid = min(lines, key=lambda m: abs(m - middle))
+                coord = pts[:, axis]
+                split(nodes[coord < mid])
+                split(nodes[coord > mid])
+                blocks.append((nodes[coord == mid], (axis, mid)))
+                return
+        blocks.append((nodes, None))
+
+    split(np.lexsort((lattice[:, 0], lattice[:, 1])))
+    return blocks
+
+
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """Spaces and lazily cached operators of one equal-order (mesh, degree)
@@ -294,6 +330,23 @@ class Discretization:
     @cached_property
     def mean_weights(self):
         return basis_integrals(self.p_space)
+
+    @cached_property
+    def saddle_order(self):
+        """Nested-dissection permutation of the pinned steady saddle
+        unknowns (free x-velocities, free y-velocities, pressures
+        1..np-1, as ``sparsela.saddle_solve`` lays them out): sorted by
+        the rank of their node in ``_dissect``, then by field.  A node's
+        lattice index is its coordinates times degree * n, so the mesh
+        lines lie at multiples of the degree."""
+        lattice = np.rint(self.p_space.node_coords * (self.degree * self.mesh.n))
+        blocks = _dissect(lattice.astype(np.int64), self.degree)
+        rank = np.empty(self.p_space.num_scalar_dofs, dtype=np.int64)
+        rank[np.concatenate([nodes for nodes, _ in blocks])] = np.arange(rank.size)
+        fs = self.v_space.free_scalar
+        nodes = np.concatenate([fs, fs, np.arange(1, rank.size)])
+        field = np.repeat([0, 1, 2], [fs.size, fs.size, rank.size - 1])
+        return np.lexsort((field, rank[nodes]))
 
     @cached_property
     def pressure_solver(self):

@@ -578,6 +578,10 @@ def main(argv=None):
     except (sparsela.LinearSolverError, schemes.SchemeStepError) as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"solver error: out of memory{detail}; try smaller n_values", file=sys.stderr)
+        return 1
     if config.out:
         try:
             with open(config.out, "w") as fh:

@@ -1,8 +1,8 @@
 """Error norms and convergence diagnostics.
 
 Two complementary evaluation routes exist.  ``fe_norm_diff`` measures
-coefficient differences through the assembled (pre-elimination) mass or
-stiffness matrix, which is the natural norm for discrete-vs-interpolant
+coefficient differences through a given assembled (pre-elimination) mass
+or stiffness matrix, which is the natural norm for discrete-vs-interpolant
 errors.  ``error_vs_exact`` integrates |u_h - u|^2 elementwise with the
 degree-6 rule against an analytic field.
 
@@ -33,26 +33,15 @@ class ErrorRecord:
     pres_l2_exact: float
 
 
-def _norm_key(norm):
-    key = norm.lower()
-    if key in ("l2", "0"):
-        return "l2"
-    if key in ("h1semi", "h1", "1"):
-        return "h1semi"
-    raise ValueError(f"unknown norm {norm!r}; use 'l2' or 'h1semi'")
-
-
-def fe_norm_diff(space, a, b, norm="l2", matrix=None):
+def fe_norm_diff(space, a, b, matrix):
     """Norm of the difference of two coefficient vectors on one space:
-    sqrt((a-b)^T M (a-b)) for 'l2', with the stiffness matrix for 'h1semi'.
-    A given ``matrix`` may be the scalar one of a vector space."""
+    sqrt((a-b)^T M (a-b)) with M = ``matrix`` (the mass matrix for L2,
+    the stiffness matrix for the H1 seminorm).  ``matrix`` may be the
+    scalar one of a vector space."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     if a.shape != (space.num_dofs,) or b.shape != (space.num_dofs,):
         raise ValueError("coefficient vectors do not match the space")
-    if matrix is None:
-        key = _norm_key(norm)
-        matrix = assembly.assemble_mass(space) if key == "l2" else assembly.assemble_stiffness(space)
     d = a - b
     return float(np.sqrt(max(d @ componentwise(matrix, d), 0.0)))
 

@@ -5,9 +5,12 @@ column indices).  Two direct solver entry points cover everything the
 schemes need:
 
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
-  Stokes block system on the zero-mean pressure subspace;
+  Stokes block system on the zero-mean pressure subspace, factorized in
+  a caller-given fill-reducing ordering (``Discretization.saddle_order``,
+  a geometric nested dissection of the grid);
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
-  reused across the many identical solves of a time loop.
+  of scalar matrices, in SuperLU's minimum-degree ordering, reused
+  across the many identical solves of a time loop.
 
 All solvers are deterministic: identical inputs give bit-identical
 outputs.
@@ -35,31 +38,47 @@ class SolveReport:
     converged: bool
 
 
-def _symmetric_splu(a_csc):
-    """SuperLU in symmetric mode: diagonal pivots only, in a minimum-degree
-    ordering of A + A^T.  Stable for SPD and for symmetric quasi-definite
-    matrices (Vanderbei 1995), and with much sparser factors than the
-    default partial pivoting."""
-    return spla.splu(
+def _symmetric_splu(a_csc, order=None):
+    """SuperLU in symmetric mode (diagonal pivots only); returns the solve
+    function of the factorization.  Stable for SPD and for symmetric
+    quasi-definite matrices (Vanderbei 1995), and with much sparser
+    factors than the default partial pivoting.
+
+    Without ``order`` SuperLU orders by minimum degree on A + A^T.  With
+    a permutation ``order`` it factors ``a[order][:, order]`` as given
+    (``permc_spec="NATURAL"``) and the solve maps back to A's layout."""
+    if order is not None:
+        a_csc = sparse.csc_matrix(a_csc[order][:, order])
+    lu = spla.splu(
         a_csc,
-        permc_spec="MMD_AT_PLUS_A",
+        permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
+    if order is None:
+        return lu.solve
+
+    def solve(b):
+        x = np.empty(b.shape)
+        x[order] = lu.solve(b[order])
+        return x
+
+    return solve
 
 
 def _factorize_spd(a_csc):
-    """LU of an SPD matrix, preferring the symmetric SuperLU mode; falls
-    back to default pivoting if a verification solve is off."""
+    """Solve function of an SPD matrix's LU, preferring the symmetric
+    SuperLU mode; falls back to default pivoting if a verification solve
+    is off."""
     try:
-        lu = _symmetric_splu(a_csc)
+        solve = _symmetric_splu(a_csc)
         probe = np.ones(a_csc.shape[0])
-        x = lu.solve(probe)
+        x = solve(probe)
         if np.linalg.norm(a_csc @ x - probe) <= 1e-8 * np.linalg.norm(probe):
-            return lu
+            return solve
     except RuntimeError:
         pass
-    return spla.splu(a_csc)
+    return spla.splu(a_csc).solve
 
 
 class FactorizedSpd:
@@ -68,10 +87,10 @@ class FactorizedSpd:
 
     def __init__(self, a):
         self.shape = a.shape
-        self._lu = _factorize_spd(sparse.csc_matrix(a))
+        self._solve = _factorize_spd(sparse.csc_matrix(a))
 
     def solve(self, b):
-        return self._lu.solve(np.asarray(b, dtype=float))
+        return self._solve(np.asarray(b, dtype=float))
 
 
 class PinnedSingularSolver:
@@ -89,12 +108,12 @@ class PinnedSingularSolver:
         n = s.shape[0]
         keep = np.arange(1, n)
         self.n = n
-        self._lu = _factorize_spd(sparse.csc_matrix(s.tocsr()[keep][:, keep]))
+        self._solve = _factorize_spd(sparse.csc_matrix(s.tocsr()[keep][:, keep]))
 
     def solve(self, b):
         b = np.asarray(b, dtype=float)
         x = np.zeros(self.n)
-        x[1:] = self._lu.solve(b[1:])
+        x[1:] = self._solve(b[1:])
         return x
 
 
@@ -105,7 +124,7 @@ def project_mean(x, weights=None):
     return x - (weights @ x) / weights.sum()
 
 
-def saddle_solve(a_block, g, s, delta, rhs_v, tol=1e-10, mean_weights=None):
+def saddle_solve(a_block, g, s, delta, rhs_v, *, order, tol=1e-10, mean_weights=None):
     """Solve the symmetric indefinite block system
 
         [ a_block   g     ] [x]   [rhs_v]
@@ -113,10 +132,13 @@ def saddle_solve(a_block, g, s, delta, rhs_v, tol=1e-10, mean_weights=None):
 
     on the zero-mean pressure subspace.  ``a_block`` is the (already
     viscosity-scaled) velocity block on free DOFs.  The pressure is pinned
-    at one DOF for the factorization and afterwards projected to zero
+    at DOF 0 for the factorization and afterwards projected to zero
     weighted mean (``mean_weights``; uniform if omitted).  With the pin
-    the matrix is symmetric quasi-definite, so it is factorized in the
-    symmetric SuperLU mode without pivoting.
+    the matrix is symmetric quasi-definite, so any symmetric ordering is
+    stable: it is factorized in the symmetric SuperLU mode without
+    pivoting, in the ordering ``order``, a permutation of the pinned
+    unknowns (velocities, then pressures 1..np-1) such as the nested
+    dissection ``Discretization.saddle_order``.
 
     The contract is the block residual: both residual norms must not
     exceed tol * ||rhs_v||.  Up to two steps of iterative refinement are
@@ -146,24 +168,24 @@ def saddle_solve(a_block, g, s, delta, rhs_v, tol=1e-10, mean_weights=None):
         r2 = g.T @ x - delta * (s @ z)
         return max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
 
-    def refined_solve(lu):
+    def refined_solve(solve):
         sol = np.zeros(nv + npres)
-        sol[keep] = lu.solve(rhs[keep])
+        sol[keep] = solve(rhs[keep])
         rel = residuals(sol)
         refinements = 0
         while rel > tol and refinements < 2:
             r_full = rhs - k @ sol
-            sol[keep] += lu.solve(r_full[keep])
+            sol[keep] += solve(r_full[keep])
             rel = residuals(sol)
             refinements += 1
         return sol, rel, refinements
 
     try:
-        sol, rel, refinements = refined_solve(_symmetric_splu(k_pinned))
+        sol, rel, refinements = refined_solve(_symmetric_splu(k_pinned, order))
     except RuntimeError:  # a zero pivot in symmetric mode
         rel = np.inf
     if rel > tol:
-        sol, rel, refinements = refined_solve(spla.splu(k_pinned))
+        sol, rel, refinements = refined_solve(spla.splu(k_pinned).solve)
 
     x = sol[:nv]
     z = project_mean(sol[nv:], mean_weights)

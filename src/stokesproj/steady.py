@@ -56,6 +56,7 @@ class SteadyOperators:
         self.g_mat = disc.G
         self.s_mat = disc.stiffness
         self.mean_weights = disc.mean_weights
+        self.order = disc.saddle_order
 
     def load(self, ghat):
         return assembly.assemble_load(self.v_space, ghat, restrict=True)
@@ -71,6 +72,7 @@ class SteadyOperators:
             self.s_mat,
             delta,
             rhs_v,
+            order=self.order,
             tol=tol,
             mean_weights=self.mean_weights,
         )

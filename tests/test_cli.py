@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokesproj
-from stokesproj import cli, steady
+from stokesproj import cli, sparsela, steady
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -423,6 +423,18 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_missing_config_file(tmp_path, capsys):
     assert cli.main(["steady-sweep", "--config", str(tmp_path / "none.cfg")]) == 1
+
+
+def test_main_out_of_memory_is_solver_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("SuperLU: not enough memory")
+
+    monkeypatch.setattr(sparsela.spla, "splu", no_memory)
+    cfg = write(tmp_path, "[steady_sweep]\nn_values = 4\nrho_values = 100\n")
+    assert cli.main(["steady-sweep", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: out of memory")
+    assert "Traceback" not in err
 
 
 def test_main_allow_unstable_flag(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from stokesproj import assembly, cli, femspace, sparsela
+from stokesproj import assembly, cli, femspace, mesh, sparsela
 from stokesproj.assembly import Discretization, componentwise
 
 OPERATORS = (
@@ -43,6 +43,51 @@ def test_componentwise_bit_identical_to_block_product(grid4, degree):
         xs = x[: disc.p_space.num_dofs]
         assert np.array_equal(componentwise(scalar, xs), scalar @ xs)
         assert np.array_equal(componentwise(block, x), block @ x)
+
+
+def pinned_unknown_nodes(disc):
+    """Node and field (0, 1: velocity components, 2: pressure) of every
+    pinned saddle unknown, in the layout of ``sparsela.saddle_solve``."""
+    fs = disc.v_space.free_scalar
+    np_ = disc.p_space.num_scalar_dofs
+    nodes = np.concatenate([fs, fs, np.arange(1, np_)])
+    field = np.repeat([0, 1, 2], [fs.size, fs.size, np_ - 1])
+    return nodes, field
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_saddle_order_groups_each_node_fields(degree, n):
+    disc = Discretization(mesh.build_grid(n), degree)
+    nodes, field = pinned_unknown_nodes(disc)
+    order = disc.saddle_order
+    assert np.array_equal(np.sort(order), np.arange(nodes.size))
+    seq, fields = nodes[order], field[order]
+    starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
+    # one run per node (every node but the pinned corner has a pressure),
+    # its fields in order
+    assert starts.size == disc.p_space.num_scalar_dofs - 1
+    assert np.unique(seq[starts]).size == starts.size
+    same_node = seq[1:] == seq[:-1]
+    assert np.all(fields[1:][same_node] > fields[:-1][same_node])
+
+
+@pytest.mark.parametrize("n", [2, 3, 8])
+def test_p2_separators_lie_on_mesh_lines(n):
+    disc = Discretization(mesh.build_grid(n), 2)
+    lattice = np.rint(disc.p_space.node_coords * 2 * n).astype(np.int64)
+    blocks = assembly._dissect(lattice, 2)
+    all_nodes = np.concatenate([nodes for nodes, _ in blocks])
+    assert np.array_equal(np.sort(all_nodes), np.arange(len(lattice)))
+    separators = [(nodes, line) for nodes, line in blocks if line is not None]
+    assert separators
+    elements = lattice[disc.p_space.element_dofs]  # (nt, 6, 2)
+    for nodes, (axis, index) in separators:
+        assert index % 2 == 0
+        assert np.all(lattice[nodes, axis] == index)
+        # no element has nodes on both sides of the line
+        coord = elements[..., axis]
+        assert not np.any((coord.min(axis=1) < index) & (coord.max(axis=1) > index))
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ def test_identical_vectors_have_zero_norm(grid4):
     space = femspace.build_space(grid4, 1, 1)
     rng = np.random.default_rng(0)
     a = rng.standard_normal(space.num_dofs)
-    assert metrics.fe_norm_diff(space, a, a) == 0.0
+    assert metrics.fe_norm_diff(space, a, a, assembly.assemble_mass(space)) == 0.0
 
 
 def test_constant_difference_l2(grid4):
@@ -19,21 +19,24 @@ def test_constant_difference_l2(grid4):
     a = np.full(space.num_dofs, 2.5)
     b = np.full(space.num_dofs, -0.75)
     # total mass is |domain| = 1, so the L2 norm of a constant equals |c|
-    assert metrics.fe_norm_diff(space, a, b) == pytest.approx(3.25, abs=1e-13)
+    m = assembly.assemble_mass(space)
+    assert metrics.fe_norm_diff(space, a, b, m) == pytest.approx(3.25, abs=1e-13)
 
 
 def test_fe_norm_matches_quadrature(grid4, case):
     space = femspace.build_space(grid4, 1, 1)
     coeffs = femspace.interpolate(space, case.steady_pressure)
     direct = metrics.error_vs_exact(space, coeffs, lambda x, y: np.zeros_like(x))
-    via_matrix = metrics.fe_norm_diff(space, coeffs, np.zeros_like(coeffs))
+    m = assembly.assemble_mass(space)
+    via_matrix = metrics.fe_norm_diff(space, coeffs, np.zeros_like(coeffs), m)
     assert direct == pytest.approx(via_matrix, abs=1e-12)
 
 
 def test_h1_seminorm_matches_quadrature(grid4):
     space = femspace.build_space(grid4, 1, 1)
     coeffs = femspace.interpolate(space, lambda x, y: 2 * x - y)
-    via_matrix = metrics.fe_norm_diff(space, coeffs, np.zeros_like(coeffs), "h1semi")
+    a = assembly.assemble_stiffness(space)
+    via_matrix = metrics.fe_norm_diff(space, coeffs, np.zeros_like(coeffs), a)
     assert via_matrix == pytest.approx(np.sqrt(5.0), rel=1e-13)
 
 
@@ -80,7 +83,7 @@ def test_error_triangle_inequality_sanity(grid4, case):
     coeffs = rng.standard_normal(space.num_dofs)
     interp = femspace.interpolate(space, case.steady_velocity)
     vs_exact = metrics.error_vs_exact(space, coeffs, case.steady_velocity)
-    vs_interp = metrics.fe_norm_diff(space, coeffs, interp)
+    vs_interp = metrics.fe_norm_diff(space, coeffs, interp, assembly.assemble_mass(space))
     interp_err = metrics.error_vs_exact(space, interp, case.steady_velocity)
     assert vs_exact <= vs_interp + interp_err + 1e-12
     assert vs_interp <= vs_exact + interp_err + 1e-12
@@ -150,11 +153,11 @@ def test_tracker_matches_direct_quadrature(grid4, case):
     assert rec.pres_l2_exact == pytest.approx(pres_exact, rel=1e-9)
     interp_p = femspace.interpolate(p_space, lambda x, y: case.pressure(x, y, t))
     assert rec.pres_l2_interp == pytest.approx(
-        metrics.fe_norm_diff(p_space, q, interp_p), rel=1e-9
+        metrics.fe_norm_diff(p_space, q, interp_p, assembly.assemble_mass(p_space)), rel=1e-9
     )
     interp_v = femspace.interpolate(v_space, lambda x, y: case.velocity(x, y, t))
     assert rec.vel_l2_interp == pytest.approx(
-        metrics.fe_norm_diff(v_space, v, interp_v), rel=1e-9
+        metrics.fe_norm_diff(v_space, v, interp_v, assembly.assemble_mass(v_space)), rel=1e-9
     )
 
 

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -43,22 +45,25 @@ def saddle_blocks(grid, degree=1):
     g = assembly.assemble_pressure_gradient(v_space, p_space)
     s = assembly.assemble_pressure_stiffness(p_space)
     w = assembly.basis_integrals(p_space)
-    return v_space, p_space, a, g, s, w
+    order = assembly.Discretization(grid, degree).saddle_order
+    return v_space, p_space, a, g, s, w, order
 
 
 def test_saddle_zero_rhs(grid4):
-    _, _, a, g, s, w = saddle_blocks(grid4)
-    x, z, report = sparsela.saddle_solve(0.01 * a, g, s, 1e-3, np.zeros(a.shape[0]))
+    _, _, a, g, s, w, order = saddle_blocks(grid4)
+    x, z, report = sparsela.saddle_solve(
+        0.01 * a, g, s, 1e-3, np.zeros(a.shape[0]), order=order
+    )
     assert np.array_equal(x, np.zeros(a.shape[0]))
     assert np.array_equal(z, np.zeros(s.shape[0]))
 
 
 def test_saddle_block_residuals(grid4, case):
-    v_space, p_space, a, g, s, w = saddle_blocks(grid4)
+    v_space, p_space, a, g, s, w, order = saddle_blocks(grid4)
     rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
     nu, delta = 0.01, 1e-3
     x, z, report = sparsela.saddle_solve(
-        (nu * a).tocsr(), g, s, delta, rhs, tol=1e-10, mean_weights=w
+        (nu * a).tocsr(), g, s, delta, rhs, order=order, tol=1e-10, mean_weights=w
     )
     scale = np.linalg.norm(rhs)
     r1 = nu * (a @ x) + g @ z - rhs
@@ -69,9 +74,9 @@ def test_saddle_block_residuals(grid4, case):
 
 
 def test_saddle_rejects_nonpositive_delta(grid4):
-    _, _, a, g, s, w = saddle_blocks(grid4)
+    _, _, a, g, s, w, order = saddle_blocks(grid4)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(a, g, s, 0.0, np.ones(a.shape[0]))
+        sparsela.saddle_solve(a, g, s, 0.0, np.ones(a.shape[0]), order=order)
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -85,54 +90,65 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
 
 
 def test_saddle_deterministic(grid4, case):
-    v_space, p_space, a, g, s, w = saddle_blocks(grid4)
+    v_space, p_space, a, g, s, w, order = saddle_blocks(grid4)
     rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
-    out1 = sparsela.saddle_solve((0.01 * a).tocsr(), g, s, 1e-3, rhs, mean_weights=w)
-    out2 = sparsela.saddle_solve((0.01 * a).tocsr(), g, s, 1e-3, rhs, mean_weights=w)
+    a = (0.01 * a).tocsr()
+    out1 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w)
+    out2 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w)
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1], out2[1])
 
 
 def steady_system(case, n, degree, nu=0.01, rho=100.0):
     """The steady saddle system of the acceptance sweeps on a small grid."""
-    v_space, _, a, g, s, w = saddle_blocks(mesh.build_grid(n), degree)
+    v_space, _, a, g, s, w, order = saddle_blocks(mesh.build_grid(n), degree)
     rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
     delta = steady.choose_delta(1.0 / n, nu, rho)
-    return (nu * a).tocsr(), g, s, delta, rhs, w
+    return (nu * a).tocsr(), g, s, delta, rhs, w, order
+
+
+def pinned_matrix(a, g, s, delta):
+    """The block matrix with pressure DOF 0 dropped, as saddle_solve factors it."""
+    nv, npres = a.shape[0], s.shape[0]
+    k = sparse.bmat([[a, g], [g.T, -delta * s]], format="csr")
+    keep = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])
+    return sparse.csc_matrix(k[keep][:, keep])
 
 
 def pivoting_reference(a, g, s, delta, rhs, w):
     """The pinned block system solved by SuperLU with default partial pivoting."""
     nv, npres = a.shape[0], s.shape[0]
-    k = sparse.bmat([[a, g], [g.T, -delta * s]], format="csr")
-    keep = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])
-    sol = np.zeros(nv + npres)
-    lu = spla.splu(sparse.csc_matrix(k[keep][:, keep]))
-    sol[keep] = lu.solve(np.concatenate([rhs, np.zeros(npres)])[keep])
-    return sol[:nv], sparsela.project_mean(sol[nv:], w)
+    sol = spla.splu(pinned_matrix(a, g, s, delta)).solve(
+        np.concatenate([rhs, np.zeros(npres - 1)])
+    )
+    return sol[:nv], sparsela.project_mean(np.concatenate([[0.0], sol[nv:]]), w)
 
 
-def spy_on_splu(monkeypatch):
-    """Record the keyword arguments of every SuperLU factorization."""
-    calls = []
+def spy_on_splu(monkeypatch, symmetric=None):
+    """Record the keyword arguments and results of every SuperLU
+    factorization; ``symmetric`` replaces the symmetric-mode ones."""
+    calls, factors = [], []
     real_splu = spla.splu
 
     def spy(m, **kwargs):
         calls.append(kwargs)
-        return real_splu(m, **kwargs)
+        use = symmetric if symmetric and kwargs.get("options") else real_splu
+        factors.append(use(m, **kwargs))
+        return factors[-1]
 
     monkeypatch.setattr(sparsela.spla, "splu", spy)
-    return calls, real_splu
+    return calls, factors
 
 
 @pytest.mark.parametrize("degree, n", [(1, 12), (2, 6)])
 def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, n):
-    a, g, s, delta, rhs, w = steady_system(case, n, degree)
+    a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
     x_ref, z_ref = pivoting_reference(a, g, s, delta, rhs, w)
     calls, _ = spy_on_splu(monkeypatch)
-    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, mean_weights=w)
-    # one factorization, in symmetric mode, with no fallback
+    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w)
+    # one factorization, in symmetric mode and the given order, with no fallback
     assert len(calls) == 1 and calls[0]["options"] == {"SymmetricMode": True}
+    assert calls[0]["permc_spec"] == "NATURAL"
     assert report.converged
     # both solutions meet the 1e-10 block residual; on these small systems
     # they agree to 1e-9 relative
@@ -140,27 +156,57 @@ def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, 
     assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
 
+@pytest.mark.parametrize("degree, n", [(1, 40), (2, 20)])
+def test_nested_dissection_fills_less_than_minimum_degree(case, monkeypatch, degree, n):
+    a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
+    k_pinned = pinned_matrix(a, g, s, delta)
+    _, factors = spy_on_splu(monkeypatch)
+    sparsela._symmetric_splu(k_pinned)
+    sparsela._symmetric_splu(k_pinned, order)
+    mmd, nested = (lu.L.nnz + lu.U.nnz for lu in factors)
+    # about 0.78 at these sizes; separators off the mesh lines double the fill
+    assert nested < 0.85 * mmd
+
+
+def test_saddle_solve_leaves_no_reference_cycles(case):
+    # the factors are freed as soon as a solve returns, not at the next
+    # cyclic garbage collection
+    disc = assembly.Discretization(mesh.build_grid(8), 2)
+    ops = steady.SteadyOperators(disc)
+    rhs = ops.load(case.steady_forcing)
+    ops.solve(0.01, 1e-3, rhs)
+    gc.collect()
+    gc.disable()
+    try:
+        ops.solve(0.01, 1e-3, rhs)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def diagonal_factor(real_splu):
     """A stand-in for the symmetric factorization that factors only the
     diagonal: two refinement steps from it cannot reach the contract."""
-    return lambda m: real_splu(sparse.diags(m.diagonal()).tocsc())
+    return lambda m, **kwargs: real_splu(sparse.diags(m.diagonal()).tocsc())
 
 
-def zero_pivot(m):
+def zero_pivot(m, **kwargs):
     raise RuntimeError("Factor is exactly singular")
 
 
 @pytest.mark.parametrize("failure", ["misses_contract", "zero_pivot"])
 def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
-    a, g, s, delta, rhs, w = steady_system(case, 8, 1)
+    a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
     x_ref, z_ref = pivoting_reference(a, g, s, delta, rhs, w)
-    calls, real_splu = spy_on_splu(monkeypatch)
-    first = diagonal_factor(real_splu) if failure == "misses_contract" else zero_pivot
-    monkeypatch.setattr(sparsela, "_symmetric_splu", first)
+    first = diagonal_factor(spla.splu) if failure == "misses_contract" else zero_pivot
+    calls, _ = spy_on_splu(monkeypatch, symmetric=first)
     tol = 1e-10
-    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, tol=tol, mean_weights=w)
-    # the fallback is one factorization with default partial pivoting
-    assert calls == [{}]
+    x, z, report = sparsela.saddle_solve(
+        a, g, s, delta, rhs, order=order, tol=tol, mean_weights=w
+    )
+    # the ordered symmetric factorization, then one with default partial pivoting
+    assert [c.get("permc_spec") for c in calls] == ["NATURAL", None]
+    assert calls[1] == {}
     assert report.converged and report.relative_residual <= tol
     scale = np.linalg.norm(rhs)
     assert np.linalg.norm(a @ x + g @ z - rhs) <= tol * scale
@@ -169,12 +215,9 @@ def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
 
 
 def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
-    a, g, s, delta, rhs, w = steady_system(case, 8, 1)
-    real_splu = spla.splu
-    monkeypatch.setattr(sparsela, "_symmetric_splu", diagonal_factor(real_splu))
-    monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(real_splu))
+    a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
+    monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(spla.splu))
     with pytest.raises(sparsela.LinearSolverError) as info:
-        sparsela.saddle_solve(a, g, s, delta, rhs, mean_weights=w)
+        sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w)
     assert info.value.report.relative_residual > 1e-10
     assert not info.value.report.converged
-

@@ -102,7 +102,8 @@ def test_velocity_rate_near_two(case):
         delta = steady.choose_delta(h, case.nu, 100.0)
         sol = steady.solve_stabilized_stokes(grid, 1, case.nu, delta, case.steady_forcing)
         interp = femspace.interpolate(sol.v_space, case.steady_velocity)
-        errs.append(metrics.fe_norm_diff(sol.v_space, sol.velocity, interp))
+        mass = assembly.assemble_mass(sol.v_space)
+        errs.append(metrics.fe_norm_diff(sol.v_space, sol.velocity, interp, mass))
         hs.append(h)
     rate = metrics.observed_rate(errs, hs)
     assert 1.8 <= rate <= 2.4
@@ -117,7 +118,8 @@ def test_rho_1000_pressure_stagnates(case):
         delta = steady.choose_delta(h, case.nu, 1000.0)
         sol = steady.solve_stabilized_stokes(grid, 1, case.nu, delta, case.steady_forcing)
         interp = femspace.interpolate(sol.p_space, case.steady_pressure)
-        errs.append(metrics.fe_norm_diff(sol.p_space, sol.pressure, interp))
+        mass = assembly.assemble_mass(sol.p_space)
+        errs.append(metrics.fe_norm_diff(sol.p_space, sol.pressure, interp, mass))
     assert errs[1] > 0.5 * errs[0]  # barely any decrease under mesh halving
 
 
