@@ -1,7 +1,7 @@
 """Assembly of the sparse matrices and load vectors behind the discrete
 Stokes operators: velocity mass and stiffness, the pressure-gradient
 coupling (grad psi, phi), its integration-by-parts twin (div phi, psi),
-the pressure stiffness, and analytic right-hand sides.
+and analytic right-hand sides.
 
 Dirichlet conditions are homogeneous, so constrained rows/columns are
 simply eliminated; ``restrict``/``extend`` on FeSpace translate between
@@ -86,30 +86,21 @@ def _vector_expand(space, scalar_matrix):
     return sparse.block_diag([scalar_matrix, scalar_matrix], format="csr")
 
 
-def assemble_mass(space, quad_degree=None):
+def assemble_mass(space):
     """Mass matrix (phi_j, phi_i) on the full (pre-elimination) space."""
-    qd = quad_degree or _default_quad_degree(space.degree)
-    rule = femspace.quadrature(qd)
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
     _, det, _ = _geometry(space.mesh)
     vals, _ = space.reference.eval(rule.reference_points())
     elem = np.einsum("q,qi,qj,t->tij", rule.weights, vals, vals, det)
     return _vector_expand(space, _scatter_square(space, elem))
 
 
-def assemble_stiffness(space, quad_degree=None):
+def assemble_stiffness(space):
     """Stiffness matrix (grad phi_j, grad phi_i) on the full space."""
-    qd = quad_degree or _default_quad_degree(space.degree)
-    rule = femspace.quadrature(qd)
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
     _, grads, det = _physical_gradients(space, rule)
     elem = np.einsum("q,tqia,tqja,t->tij", rule.weights, grads, grads, det)
     return _vector_expand(space, _scatter_square(space, elem))
-
-
-def assemble_pressure_stiffness(p_space, quad_degree=None):
-    """Pressure stiffness (grad psi_nu, grad psi_mu); constants span its nullspace."""
-    if p_space.components != 1:
-        raise ValueError("pressure space must be scalar")
-    return assemble_stiffness(p_space, quad_degree)
 
 
 def _check_shared_mesh(v_space, p_space):
@@ -117,15 +108,14 @@ def _check_shared_mesh(v_space, p_space):
         raise ValueError("velocity and pressure spaces must share the mesh")
 
 
-def assemble_pressure_gradient(v_space, p_space, quad_degree=None):
+def assemble_pressure_gradient(v_space, p_space):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
     basis functions phi_i.  Rows span the free velocity DOFs, columns the
     whole pressure space."""
     _check_shared_mesh(v_space, p_space)
     if v_space.components != 2:
         raise ValueError("velocity space must have two components")
-    qd = quad_degree or _default_quad_degree(v_space.degree, p_space.degree)
-    rule = femspace.quadrature(qd)
+    rule = femspace.quadrature(_default_quad_degree(v_space.degree, p_space.degree))
     _, det, _ = _geometry(v_space.mesh)
     v_vals, _ = v_space.reference.eval(rule.reference_points())
     _, p_grads, _ = _physical_gradients(p_space, rule)
@@ -145,13 +135,12 @@ def assemble_pressure_gradient(v_space, p_space, quad_degree=None):
     return full[keep]
 
 
-def assemble_divergence(v_space, p_space, quad_degree=None):
+def assemble_divergence(v_space, p_space):
     """Divergence matrix D with D[mu, i] = (div phi_i, psi_mu) on the free
     velocity DOFs, assembled directly; equals -G^T up to quadrature
     exactness."""
     _check_shared_mesh(v_space, p_space)
-    qd = quad_degree or _default_quad_degree(v_space.degree, p_space.degree)
-    rule = femspace.quadrature(qd)
+    rule = femspace.quadrature(_default_quad_degree(v_space.degree, p_space.degree))
     _, det, _ = _geometry(v_space.mesh)
     p_vals, _ = p_space.reference.eval(rule.reference_points())
     _, v_grads, _ = _physical_gradients(v_space, rule)
@@ -183,26 +172,25 @@ def quadrature_points_physical(mesh, rule):
     )
 
 
-def _eval_field(space, f, xq, t=None):
-    vals = f(xq[..., 0], xq[..., 1]) if t is None else f(xq[..., 0], xq[..., 1], t)
-    vals = np.asarray(vals, dtype=float)
+def _eval_field(space, f, xq):
+    vals = np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float)
     want = (space.components,) + xq.shape[:-1] if space.components == 2 else xq.shape[:-1]
     if vals.shape != want:
         vals = np.broadcast_to(vals, want).astype(float)
     return vals
 
 
-def assemble_load(space, f, t=None, quad_degree=6, restrict=True):
+def assemble_load(space, f, quad_degree=6, restrict=True):
     """Load vector (f, phi_i) with the degree-``quad_degree`` rule.
 
-    ``f`` is an analytic field (optionally time-dependent, evaluated at
-    ``t``).  Dirichlet rows are dropped unless ``restrict`` is False.
+    ``f`` is an analytic spatial field.  Dirichlet rows are dropped unless
+    ``restrict`` is False.
     """
     rule = femspace.quadrature(quad_degree)
     _, det, _ = _geometry(space.mesh)
     vals, _ = space.reference.eval(rule.reference_points())
     xq = quadrature_points_physical(space.mesh, rule)
-    fv = _eval_field(space, f, xq, t)
+    fv = _eval_field(space, f, xq)
     ns = space.num_scalar_dofs
     out = np.zeros(space.num_dofs)
     if space.components == 1:
@@ -224,15 +212,6 @@ def basis_integrals(space):
         raise ValueError("mean weights are defined for scalar spaces")
     return assemble_load(space, lambda x, y: np.ones_like(x),
                          quad_degree=_default_quad_degree(space.degree), restrict=False)
-
-
-def restrict_matrix(space, matrix):
-    """Drop Dirichlet rows and columns of a full-space square matrix."""
-    if space.components == 1:
-        return matrix.tocsr()
-    ns = space.num_scalar_dofs
-    keep = np.concatenate([space.free_scalar, ns + space.free_scalar])
-    return matrix.tocsr()[keep][:, keep].tocsr()
 
 
 def componentwise(matrix, x):

@@ -221,6 +221,9 @@ def validate_config(config):
         raise ConfigError("energy_ceiling must be >= 1")
     if not config.n_values or any(n < 1 for n in config.n_values):
         raise ConfigError("n_values must be positive integers")
+    for key in ("degrees", "rho_values", "dt_ratios"):
+        if not getattr(config, key):
+            raise ConfigError(f"{key} must not be empty")
     if any(d not in (1, 2) for d in config.degrees):
         raise ConfigError("degrees must be chosen from {1, 2}")
     if config.delta_h2 is not None and config.delta_h2 <= 0:
@@ -242,6 +245,10 @@ def validate_config(config):
         raise ConfigError("rho_values must be positive")
     if config.kind == "steady_sweep":
         return
+    if len(config.degrees) != 1:
+        raise ConfigError(f"{config.kind} runs one element degree; give one, not a list")
+    if config.kind == "transient_convergence" and len(config.inits) != 1:
+        raise ConfigError("transient_convergence runs one init; give one, not a list")
     if len(_rho_list(config)) != 1:
         raise ConfigError(
             f"{config.kind} uses a single stabilization law; give one rho "
@@ -402,8 +409,8 @@ def _scheme_params(config, delta, dt, init):
 
 def _scheme_runs(config, n):
     """SchemeParams of every run on mesh ``n``, in run order: one per init
-    (transient_init), one for the first init (transient_convergence), or
-    one per dt/delta ratio (stability_probe)."""
+    (transient_init, transient_convergence) or one per dt/delta ratio
+    (stability_probe)."""
     ((_, delta),) = _resolve_deltas(config, n)
     if config.kind == "stability_probe":
         return [
@@ -411,8 +418,7 @@ def _scheme_runs(config, n):
             for ratio in config.dt_ratios
         ]
     dt = delta if config.dt_law == "equal_delta" else config.dt
-    inits = config.inits if config.kind == "transient_init" else config.inits[:1]
-    return [_scheme_params(config, delta, dt, init) for init in inits]
+    return [_scheme_params(config, delta, dt, init) for init in config.inits]
 
 
 def _recorded(records, every):
@@ -426,13 +432,15 @@ def run_transient_init(config):
     case = berrone_case(config.nu)
     columns = ["init", "N", "n", "t", "pres_l2_interp", "vel_l2_interp"]
     rows = []
-    degree = config.degrees[0]
+    (degree,) = config.degrees
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
+        # its moments depend on the mesh only; each run appends its records
+        tracker = metrics.TransientErrorTracker(disc, case)
         for params in _scheme_runs(config, n):
-            tracker = metrics.TransientErrorTracker(disc, case)
+            start = len(tracker.records)
             schemes.run(params, case, disc, observers=(tracker,))
-            for rec in _recorded(tracker.records, config.record_every):
+            for rec in _recorded(tracker.records[start:], config.record_every):
                 rows.append(
                     [params.init, n, rec.step, rec.t, rec.pres_l2_interp, rec.vel_l2_interp]
                 )
@@ -446,7 +454,7 @@ def run_transient_convergence(config):
         "pres_l2_time_integrated,pres_l2_final,vel_l2_final,status"
     ).split(",")
     rows = []
-    degree = config.degrees[0]
+    (degree,) = config.degrees
     (rho,) = _rho_list(config)
     hs, discrete_errors = [], []
     for n in config.n_values:
@@ -459,7 +467,7 @@ def run_transient_convergence(config):
             result = schemes.run(params, case, disc, observers=(tracker,))
             resolved = result.params
             press = metrics.discrete_time_norm(
-                tracker.records[1:], resolved.dt, "pres_l2_exact"
+                [r.pres_l2_exact for r in tracker.records[1:]], resolved.dt
             )
             final = tracker.records[-1]
             rows.append(
@@ -499,7 +507,7 @@ def run_stability_probe(config):
     case = berrone_case(config.nu)
     columns = ["row", "N", "ratio", "n", "energy", "outcome"]
     rows = []
-    degree = config.degrees[0]
+    (degree,) = config.degrees
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
         initial = None

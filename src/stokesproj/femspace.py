@@ -17,8 +17,6 @@ import numpy as np
 
 from . import mesh as _mesh
 
-_BARY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class ReferenceElement:
@@ -30,10 +28,6 @@ class ReferenceElement:
 
     degree: int
     nodes: np.ndarray
-
-    @property
-    def num_nodes(self):
-        return self.nodes.shape[0]
 
     def eval(self, points):
         """Basis values and reference gradients at reference points.
@@ -102,24 +96,6 @@ def reference_element(degree):
     raise ValueError(f"unsupported element degree {degree}; only 1 and 2")
 
 
-def eval_basis(elem, point):
-    """Evaluate all shape functions of ``elem`` at one barycentric point.
-
-    Returns (values (nb,), gradients (nb, 2)); the gradients are with
-    respect to the reference coordinates and must be pushed through the
-    element Jacobian for physical derivatives.
-    """
-    bary = np.asarray(point, dtype=float)
-    if bary.shape != (3,):
-        raise ValueError("expected a single barycentric triple")
-    if abs(bary.sum() - 1.0) > _BARY_TOL:
-        raise ValueError(f"barycentric coordinates must sum to 1, got {bary.sum()!r}")
-    if np.any(bary < -_BARY_TOL):
-        raise ValueError("point lies outside the closed reference triangle")
-    vals, grads = elem.eval(np.array([[bary[1], bary[2]]]))
-    return vals[0], grads[0]
-
-
 @dataclass(frozen=True)
 class QuadratureRule:
     """Symmetric Gauss rule on the reference triangle.
@@ -130,10 +106,6 @@ class QuadratureRule:
     degree: int
     points: np.ndarray
     weights: np.ndarray
-
-    @property
-    def num_points(self):
-        return self.weights.shape[0]
 
     def reference_points(self):
         """Quadrature points as (xi, eta) pairs."""

@@ -62,10 +62,6 @@ class Mesh:
     def num_triangles(self):
         return self.triangles.shape[0]
 
-    @property
-    def num_edges(self):
-        return self.edges.shape[0]
-
 
 def build_grid(n):
     """Build the structured n x n triangulation of the unit square.
@@ -116,14 +112,6 @@ def build_grid(n):
 def mesh_size(mesh):
     """Cell side h = 1/n (the convention used by all parameter laws)."""
     return 1.0 / mesh.n
-
-
-def triangle_areas(mesh):
-    """Signed areas of all triangles (positive for counterclockwise)."""
-    p = mesh.vertices[mesh.triangles]
-    d1 = p[:, 1] - p[:, 0]
-    d2 = p[:, 2] - p[:, 0]
-    return 0.5 * (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0])
 
 
 def save_mesh(mesh, path):

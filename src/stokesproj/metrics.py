@@ -46,13 +46,13 @@ def fe_norm_diff(space, a, b, matrix):
     return float(np.sqrt(max(d @ componentwise(matrix, d), 0.0)))
 
 
-def error_vs_exact(space, coeffs, exact, quad_degree=6):
+def error_vs_exact(space, coeffs, exact):
     """Quadrature L2 norm of u_h - u against an analytic field.
 
     Time-dependent fields should be bound to a fixed t by the caller.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    rule = femspace.quadrature(quad_degree)
+    rule = femspace.quadrature(6)
     xq = assembly.quadrature_points_physical(space.mesh, rule)
     _, det, _ = assembly._geometry(space.mesh)
     vals, _ = space.reference.eval(rule.reference_points())
@@ -67,14 +67,9 @@ def error_vs_exact(space, coeffs, exact, quad_degree=6):
     return float(np.sqrt(max(acc, 0.0)))
 
 
-def discrete_time_norm(values, dt, selector=None):
-    """Discrete time-integrated norm sqrt(sum_j dt * value_j^2).
-
-    ``values`` is a numeric sequence, or a sequence of records combined
-    with an attribute name ``selector``.
-    """
-    if selector is not None:
-        values = [getattr(r, selector) for r in values]
+def discrete_time_norm(values, dt):
+    """Discrete time-integrated norm sqrt(sum_j dt * value_j^2) of a
+    numeric sequence."""
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError("discrete time norm needs at least one value")
@@ -90,13 +85,6 @@ def observed_rate(errors, hs):
     if np.any(errors <= 0.0) or np.any(hs <= 0.0):
         raise ValueError("errors and mesh sizes must be positive")
     return float(np.polyfit(np.log(hs), np.log(errors), 1)[0])
-
-
-def pairwise_rates(errors, hs):
-    """Convergence rates between consecutive mesh levels."""
-    errors = np.asarray(list(errors), dtype=float)
-    hs = np.asarray(list(hs), dtype=float)
-    return np.log(errors[1:] / errors[:-1]) / np.log(hs[1:] / hs[:-1])
 
 
 class TransientErrorTracker:

@@ -145,21 +145,12 @@ class ManufacturedCase:
     def velocity_t(self, x, y, t):
         return -np.sin(t) * self.steady_velocity(x, y)
 
-    def velocity_gradient(self, x, y, t):
-        return np.cos(t) * self.steady_velocity_gradient(x, y)
-
     def pressure(self, x, y, t):
         return np.cos(t) * self.steady_pressure(x, y)
 
-    def pressure_gradient(self, x, y, t):
-        return np.cos(t) * self.steady_pressure_gradient(x, y)
-
-    def forcing(self, x, y, t):
-        """Momentum forcing g = v_t - nu lap(v) + grad(q)."""
-        return np.cos(t) * self.steady_forcing(x, y) - np.sin(t) * self.steady_velocity(x, y)
-
     def forcing_terms(self):
-        """The forcing as separable (time coefficient, spatial field) pairs."""
+        """The momentum forcing g = v_t - nu lap(v) + grad(q) as separable
+        (time coefficient, spatial field) pairs."""
         return [
             (np.cos, self.steady_forcing),
             (lambda t: -np.sin(t), self.steady_velocity),

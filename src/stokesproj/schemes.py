@@ -139,7 +139,6 @@ class SchemeOperators:
 
     def __init__(self, disc, params):
         self.v_space = disc.v_space
-        self.p_space = disc.p_space
         self.params = params
         self.Ms = disc.mass_free
         self.As = disc.stiffness_free

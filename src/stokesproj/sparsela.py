@@ -117,14 +117,12 @@ class PinnedSingularSolver:
         return x
 
 
-def project_mean(x, weights=None):
-    """Remove the weighted mean: x - (w.x)/(w.1).  Uniform weights by default."""
-    if weights is None:
-        return x - x.mean()
+def project_mean(x, weights):
+    """Remove the weighted mean: x - (w.x)/(w.1)."""
     return x - (weights @ x) / weights.sum()
 
 
-def saddle_solve(a_block, g, s, delta, rhs_v, *, order, tol=1e-10, mean_weights=None):
+def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol=1e-10):
     """Solve the symmetric indefinite block system
 
         [ a_block   g     ] [x]   [rhs_v]
@@ -133,7 +131,7 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, tol=1e-10, mean_weights=
     on the zero-mean pressure subspace.  ``a_block`` is the (already
     viscosity-scaled) velocity block on free DOFs.  The pressure is pinned
     at DOF 0 for the factorization and afterwards projected to zero
-    weighted mean (``mean_weights``; uniform if omitted).  With the pin
+    weighted mean (``mean_weights``).  With the pin
     the matrix is symmetric quasi-definite, so any symmetric ordering is
     stable: it is factorized in the symmetric SuperLU mode without
     pivoting, in the ordering ``order``, a permutation of the pinned

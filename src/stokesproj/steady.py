@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, femspace, sparsela
+from . import assembly, sparsela
 
 
 def choose_delta(h, nu, rho):
@@ -38,11 +38,6 @@ class StokesSolution:
 
     velocity: np.ndarray
     pressure: np.ndarray
-    v_space: femspace.FeSpace
-    p_space: femspace.FeSpace
-    nu: float
-    delta: float
-    report: sparsela.SolveReport
 
 
 class SteadyOperators:
@@ -51,7 +46,6 @@ class SteadyOperators:
 
     def __init__(self, disc):
         self.v_space = disc.v_space
-        self.p_space = disc.p_space
         self.a_free = disc.stiffness_free_vector
         self.g_mat = disc.G
         self.s_mat = disc.stiffness
@@ -66,36 +60,15 @@ class SteadyOperators:
             raise ValueError("viscosity must be positive")
         if delta <= 0.0:
             raise ValueError("stabilization parameter delta must be positive")
-        s_free, z, report = sparsela.saddle_solve(
+        s_free, z, _ = sparsela.saddle_solve(
             (nu * self.a_free).tocsr(),
             self.g_mat,
             self.s_mat,
             delta,
             rhs_v,
             order=self.order,
-            tol=tol,
             mean_weights=self.mean_weights,
+            tol=tol,
         )
-        return StokesSolution(
-            velocity=self.v_space.extend(s_free),
-            pressure=z,
-            v_space=self.v_space,
-            p_space=self.p_space,
-            nu=nu,
-            delta=delta,
-            report=report,
-        )
+        return StokesSolution(velocity=self.v_space.extend(s_free), pressure=z)
 
-
-def solve_stabilized_stokes(mesh, degree, nu, delta, ghat, tol=1e-10):
-    """Solve the stabilized steady Stokes system for analytic data ``ghat``.
-
-    Parameters
-    ----------
-    mesh, degree : discretization (equal-order velocity/pressure)
-    nu, delta : viscosity and stabilization parameter (both positive)
-    ghat : vector field callable, the steady momentum data
-    tol : relative block-residual tolerance of the solve
-    """
-    ops = SteadyOperators(assembly.Discretization(mesh, degree))
-    return ops.solve(nu, delta, ops.load(ghat), tol=tol)

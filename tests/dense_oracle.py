@@ -7,6 +7,10 @@ loop over elements and quadrature points.  Nothing here shares code with
 the package implementation except mesh connectivity and, for load
 vectors, the quadrature rule data (same points, so load comparisons are
 exact rather than quadrature-limited).
+
+It also holds the small helpers that only tests need: the Dirichlet
+restriction of a full-space matrix and the closed-form momentum forcing
+of the manufactured case.
 """
 
 import numpy as np
@@ -125,7 +129,7 @@ def dense_load(space, f, rule, t=None):
     for e in range(mesh.num_triangles):
         p0, b, det, _ = _element_geometry(mesh, e)
         dofs = space.element_dofs[e]
-        for qi in range(rule.num_points):
+        for qi in range(len(rule.weights)):
             xq = p0 + b @ ref[qi]
             fv = f(xq[0], xq[1]) if t is None else f(xq[0], xq[1], t)
             fv = np.atleast_1d(np.asarray(fv, dtype=float))
@@ -142,3 +146,14 @@ def dense_load(space, f, rule, t=None):
 def velocity_free_indices(v_space):
     ns = v_space.num_scalar_dofs
     return np.concatenate([v_space.free_scalar, ns + v_space.free_scalar])
+
+
+def restrict_matrix(v_space, matrix):
+    """Drop the Dirichlet rows and columns of a full-space velocity matrix."""
+    keep = velocity_free_indices(v_space)
+    return matrix.tocsr()[keep][:, keep].tocsr()
+
+
+def forcing(case, x, y, t):
+    """Momentum forcing g = v_t - nu lap(v) + grad(q) of ``case`` at time t."""
+    return np.cos(t) * case.steady_forcing(x, y) - np.sin(t) * case.steady_velocity(x, y)

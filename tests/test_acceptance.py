@@ -83,11 +83,17 @@ def _slope(table, rho, n_values, field):
     return metrics.observed_rate(*_series(table, rho, n_values, field))
 
 
+def _pairwise_rates(errors, hs):
+    """Convergence rates between consecutive mesh levels."""
+    errors, hs = np.asarray(errors), np.asarray(hs)
+    return np.log(errors[1:] / errors[:-1]) / np.log(hs[1:] / hs[:-1])
+
+
 def _velocity_rates(table, n_values):
     """Pairwise rates, the finest of them, whether they strictly decrease,
     and the least-squares slope of the rho=100 velocity error."""
     series = _series(table, 100.0, n_values, "vel")
-    pairwise = metrics.pairwise_rates(*series)
+    pairwise = _pairwise_rates(*series)
     decreasing = bool(np.all(np.diff(pairwise) < 0.0))
     return pairwise, pairwise[-1], decreasing, metrics.observed_rate(*series)
 
@@ -369,10 +375,10 @@ def test_criterion_09_assembly_oracle(grid2):
         p_space = femspace.build_space(grid2, degree, 1)
         dense = dense_oracle.dense_matrices(v_space, p_space)
         free = dense_oracle.velocity_free_indices(v_space)
-        m = assembly.restrict_matrix(v_space, assembly.assemble_mass(v_space))
-        a = assembly.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
+        m = dense_oracle.restrict_matrix(v_space, assembly.assemble_mass(v_space))
+        a = dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
         g = assembly.assemble_pressure_gradient(v_space, p_space)
-        s = assembly.assemble_pressure_stiffness(p_space)
+        s = assembly.assemble_stiffness(p_space)
         d = assembly.assemble_divergence(v_space, p_space)
         worst[degree] = max(
             abs(m.toarray() - dense["M"][np.ix_(free, free)]).max(),
@@ -417,7 +423,7 @@ def test_criterion_10_mms_integrity(mms_case):
         ]
     ) / (2 * hs)
     g_fd = vt - NU * lap + gq
-    g = mms_case.forcing(xs, ys, ts)
+    g = dense_oracle.forcing(mms_case, xs, ys, ts)
     forcing_dev = np.abs(g - g_fd).max() / max(1.0, np.abs(g_fd).max())
 
     pts, wts = np.polynomial.legendre.leggauss(30)
@@ -458,8 +464,9 @@ def inc_convergence(mms_case):
         tracker = metrics.TransientErrorTracker(disc, mms_case)
         result = schemes.run(params, mms_case, disc, observers=(tracker,))
         errs.append(
-            metrics.discrete_time_norm(tracker.records[1:], result.params.dt,
-                                       "pres_l2_exact")
+            metrics.discrete_time_norm(
+                [r.pres_l2_exact for r in tracker.records[1:]], result.params.dt
+            )
         )
         hs.append(h)
     return errs, hs, time.time() - t0

@@ -193,9 +193,21 @@ def test_guard_band_is_config_error(tmp_path, capsys):
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\ndelta_h2 = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = inf\n"),
+        # lists that the runners ignored in part or that left nothing to run
+        ("transient-init",
+         "[transient_init]\ndegrees = 1 2\nn_values = 4\nT = 0.125\ndt_law = fixed\n"
+         "dt = 0.0625\nrho_values = 1\n"),
+        ("transient-init", "[transient_init]\ndegrees =\nn_values = 4\nT = 0.125\n"),
+        ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values =\n"),
+        ("stability-probe", "[stability_probe]\nn_values = 4\ndt_ratios =\n"),
+        ("transient-convergence",
+         "[transient_convergence]\nn_values = 4\nT = 0.125\n"
+         "inits = interpolant stabilized_stokes\n"),
     ],
     ids=["T-not-step-multiple", "T-negative", "rho-zero", "no-inits", "tol-negative",
-         "ceiling-negative", "ceiling-nan", "nu-nan", "rho-nan", "delta_h2-nan", "rho-inf"],
+         "ceiling-negative", "ceiling-nan", "nu-nan", "rho-nan", "delta_h2-nan", "rho-inf",
+         "transient-degrees-list", "degrees-empty", "rho-empty", "dt_ratios-empty",
+         "convergence-inits-list"],
 )
 def test_values_that_failed_at_run_time_are_config_errors(tmp_path, capsys, command, text):
     cfg = write(tmp_path, text)

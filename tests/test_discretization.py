@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
-from stokesproj import assembly, cli, femspace, mesh, sparsela
+import dense_oracle
+from stokesproj import assembly, cli, femspace, mesh, metrics, sparsela
 from stokesproj.assembly import Discretization, componentwise
 
 OPERATORS = (
     "assemble_mass",
     "assemble_stiffness",
-    "assemble_pressure_stiffness",
     "assemble_pressure_gradient",
     "assemble_divergence",
 )
@@ -27,10 +27,10 @@ def test_operators_bit_identical_to_direct_assembly(grid4, degree):
     p_space = femspace.build_space(grid4, degree, 1)
     assert_same_csr(
         disc.stiffness_free_vector,
-        assembly.restrict_matrix(v_space, assembly.assemble_stiffness(v_space)),
+        dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space)),
     )
     assert_same_csr(disc.G, assembly.assemble_pressure_gradient(v_space, p_space))
-    assert_same_csr(disc.stiffness, assembly.assemble_pressure_stiffness(p_space))
+    assert_same_csr(disc.stiffness, assembly.assemble_stiffness(p_space))
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -92,7 +92,8 @@ def test_p2_separators_lie_on_mesh_lines(n):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of every operator assembly, saddle solve and pinned factorization."""
+    """Calls of every operator assembly, saddle solve, pinned factorization
+    and error tracker construction."""
     seen = {}
 
     def counting(owner, name):
@@ -108,6 +109,7 @@ def counts(monkeypatch):
         counting(assembly, name)
     counting(sparsela, "saddle_solve")
     counting(sparsela, "PinnedSingularSolver")
+    counting(metrics, "TransientErrorTracker")
     return seen
 
 
@@ -133,6 +135,25 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts):
     cli.run_steady_sweep(config)
     assert counts["saddle_solve"] == 6
     assert all(counts.get(name, 0) <= 2 for name in OPERATORS), counts
+
+
+def test_transient_init_builds_one_tracker_per_mesh(counts):
+    # dt = delta = h^2 at rho = 10: 1 step at N = 2, 4 at N = 4
+    config = cli.parse_config_text(
+        "[transient_init]\nn_values = 2 4\nT = 0.25\n"
+        "inits = stabilized_stokes interpolant\n",
+        kind="transient_init",
+    )
+    _, rows = cli.run_transient_init(config)
+    assert counts["TransientErrorTracker"] == 2
+    # each run reports its own steps from 0: N = 2 gives 2 rows, N = 4 gives 5
+    steps = [(init, n, step) for init, n, step, *_ in rows]
+    assert steps == [
+        (init, n, step)
+        for n, count in ((2, 2), (4, 5))
+        for init in ("stabilized_stokes", "interpolant")
+        for step in range(count)
+    ]
 
 
 def test_probe_ratio_rows_independent_of_other_ratios():

@@ -1,8 +1,11 @@
 """Source hygiene: no module under src/, tests/ or scripts/ imports a name
 it never uses.  A name listed in the module's ``__all__`` counts as used,
-so package re-exports stay allowed."""
+so package re-exports stay allowed.  And every public function, class,
+method or property of the package is read somewhere in src/ or scripts/
+outside its own definition: code that only tests reach lives under tests/."""
 
 import ast
+import collections
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -63,6 +66,87 @@ def test_checker_flags_only_unused_names():
         "    return numpy.linalg.norm(osp.sep)\n"
     )
     assert unused_imports(source) == [(1, "os"), (4, "c"), (7, "json")]
+
+
+def _references(node):
+    """How often the subtree reads each name, bare or as an attribute."""
+    out = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+    return out
+
+
+def _definitions(tree):
+    """Module-level functions and classes, and the methods (properties
+    included) of those classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef))
+
+
+def unreferenced_definitions(package_sources, other_sources):
+    """Public names defined in ``package_sources`` that no source reads
+    outside the name's own definition.  Names match by spelling only:
+    ``x.solve()`` counts for every method called ``solve``."""
+    trees = [ast.parse(source) for source in package_sources]
+    reads = collections.Counter()
+    for tree in trees + [ast.parse(source) for source in other_sources]:
+        reads += _references(tree)
+    return sorted(
+        node.name
+        for tree in trees
+        for node in _definitions(tree)
+        if not node.name.startswith("_") and reads[node.name] == _references(node)[node.name]
+    )
+
+
+# Public package names that nothing in src/ or scripts/ calls, kept on purpose.
+KEPT_FOR_TESTS = {
+    "assemble_divergence": "criterion 9 checks G = -D^T against the directly assembled D",
+    "noninc_residuals": "criterion 8 checks the two schemes' relations step by step with it",
+    "save_mesh": "the README documents it as the plain-text mesh dump",
+    "steady_divergence": "the oracles check that the manufactured velocity is solenoidal",
+    "velocity_t": "the finite-difference oracles check the manufactured time derivative",
+}
+
+
+def test_checker_flags_unreferenced_definitions():
+    package = (
+        "def used():\n"
+        "    return 1\n"
+        "def planted(n):\n"
+        "    return planted(n - 1) if n else 0\n"
+        "def _private():\n"
+        "    return used()\n"
+        "class Shape:\n"
+        "    def area(self):\n"
+        "        return _private()\n"
+        "    @property\n"
+        "    def sides(self):\n"
+        "        return 3\n"
+    )
+    script = "print(Shape().area())\n"
+    assert unreferenced_definitions([package], [script]) == ["planted", "sides"]
+
+
+def test_package_code_has_callers_outside_tests():
+    package = [path for path in FILES if path.parts[0] == "src"]
+    scripts = [path for path in FILES if path.parts[0] == "scripts"]
+    found = set(
+        unreferenced_definitions(
+            [(ROOT / path).read_text() for path in package],
+            [(ROOT / path).read_text() for path in scripts],
+        )
+    )
+    kept = set(KEPT_FOR_TESTS)
+    assert found == kept, (
+        f"only tests reach {sorted(found - kept)}; kept but now called {sorted(kept - found)}"
+    )
 
 
 def test_no_unused_imports():

@@ -6,6 +6,14 @@ from stokesproj import assembly, femspace, mesh, metrics, steady
 from stokesproj.assembly import Discretization
 
 
+def steady_solve(grid, degree, nu, delta, ghat):
+    """The stabilized steady solve for analytic data ``ghat`` on a fresh
+    Discretization; returns the Discretization and the solution."""
+    disc = Discretization(grid, degree)
+    ops = steady.SteadyOperators(disc)
+    return disc, ops.solve(nu, delta, ops.load(ghat))
+
+
 def test_choose_delta_values():
     assert steady.choose_delta(0.1, 0.01, 10.0) == pytest.approx(0.01, rel=1e-14)
     # rho = 100 at nu = 0.01 gives delta = 0.01 h^2
@@ -17,32 +25,30 @@ def test_choose_delta_values():
 
 
 def test_zero_data_gives_zero_solution(grid4):
-    sol = steady.solve_stabilized_stokes(
-        grid4, 1, 0.01, 1e-3, lambda x, y: np.zeros((2,) + x.shape)
-    )
+    _, sol = steady_solve(grid4, 1, 0.01, 1e-3, lambda x, y: np.zeros((2,) + x.shape))
     assert np.array_equal(sol.velocity, np.zeros_like(sol.velocity))
     assert np.array_equal(sol.pressure, np.zeros_like(sol.pressure))
 
 
 def test_rejects_bad_parameters(grid4, case):
     with pytest.raises(ValueError):
-        steady.solve_stabilized_stokes(grid4, 1, -1.0, 1e-3, case.steady_forcing)
+        steady_solve(grid4, 1, -1.0, 1e-3, case.steady_forcing)
     with pytest.raises(ValueError):
-        steady.solve_stabilized_stokes(grid4, 1, 0.01, 0.0, case.steady_forcing)
+        steady_solve(grid4, 1, 0.01, 0.0, case.steady_forcing)
 
 
 def test_velocity_vanishes_on_dirichlet(grid4, case):
-    sol = steady.solve_stabilized_stokes(grid4, 1, 0.01, 1e-3, case.steady_forcing)
-    assert np.all(sol.velocity[sol.v_space.dirichlet_dofs()] == 0.0)
+    disc, sol = steady_solve(grid4, 1, 0.01, 1e-3, case.steady_forcing)
+    assert np.all(sol.velocity[disc.v_space.dirichlet_dofs()] == 0.0)
 
 
 def test_block_residuals(grid4, case):
     nu, delta = 0.01, 1e-3
-    sol = steady.solve_stabilized_stokes(grid4, 1, nu, delta, case.steady_forcing)
-    v_space, p_space = sol.v_space, sol.p_space
-    a = assembly.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
+    disc, sol = steady_solve(grid4, 1, nu, delta, case.steady_forcing)
+    v_space, p_space = disc.v_space, disc.p_space
+    a = dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
     g = assembly.assemble_pressure_gradient(v_space, p_space)
-    s = assembly.assemble_pressure_stiffness(p_space)
+    s = assembly.assemble_stiffness(p_space)
     rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
     vf = v_space.restrict(sol.velocity)
     scale = np.linalg.norm(rhs)
@@ -56,8 +62,8 @@ def test_solution_matches_independent_dense_solve(case):
     # end-to-end cross-check: oracle matrices + plain dense linear algebra
     grid = mesh.build_grid(4)
     nu, delta = 0.01, 2e-3
-    sol = steady.solve_stabilized_stokes(grid, 1, nu, delta, case.steady_forcing)
-    v_space, p_space = sol.v_space, sol.p_space
+    disc, sol = steady_solve(grid, 1, nu, delta, case.steady_forcing)
+    v_space, p_space = disc.v_space, disc.p_space
 
     dense = dense_oracle.dense_matrices(v_space, p_space)
     free = dense_oracle.velocity_free_indices(v_space)
@@ -87,8 +93,8 @@ def test_solution_matches_independent_dense_solve(case):
 def test_pressure_zero_mean_fine_grid(case):
     grid = mesh.build_grid(20)
     delta = steady.choose_delta(1.0 / 20, 0.01, 100.0)
-    sol = steady.solve_stabilized_stokes(grid, 1, 0.01, delta, case.steady_forcing)
-    w = assembly.basis_integrals(sol.p_space)
+    disc, sol = steady_solve(grid, 1, 0.01, delta, case.steady_forcing)
+    w = assembly.basis_integrals(disc.p_space)
     assert abs(w @ sol.pressure) <= 1e-12
 
 
@@ -100,10 +106,10 @@ def test_velocity_rate_near_two(case):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 100.0)
-        sol = steady.solve_stabilized_stokes(grid, 1, case.nu, delta, case.steady_forcing)
-        interp = femspace.interpolate(sol.v_space, case.steady_velocity)
-        mass = assembly.assemble_mass(sol.v_space)
-        errs.append(metrics.fe_norm_diff(sol.v_space, sol.velocity, interp, mass))
+        disc, sol = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
+        interp = femspace.interpolate(disc.v_space, case.steady_velocity)
+        mass = assembly.assemble_mass(disc.v_space)
+        errs.append(metrics.fe_norm_diff(disc.v_space, sol.velocity, interp, mass))
         hs.append(h)
     rate = metrics.observed_rate(errs, hs)
     assert 1.8 <= rate <= 2.4
@@ -116,10 +122,10 @@ def test_rho_1000_pressure_stagnates(case):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 1000.0)
-        sol = steady.solve_stabilized_stokes(grid, 1, case.nu, delta, case.steady_forcing)
-        interp = femspace.interpolate(sol.p_space, case.steady_pressure)
-        mass = assembly.assemble_mass(sol.p_space)
-        errs.append(metrics.fe_norm_diff(sol.p_space, sol.pressure, interp, mass))
+        disc, sol = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
+        interp = femspace.interpolate(disc.p_space, case.steady_pressure)
+        mass = assembly.assemble_mass(disc.p_space)
+        errs.append(metrics.fe_norm_diff(disc.p_space, sol.pressure, interp, mass))
     assert errs[1] > 0.5 * errs[0]  # barely any decrease under mesh halving
 
 
@@ -151,9 +157,9 @@ def test_small_rho_degrees_agree(case):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 1.0)
-        sol = steady.solve_stabilized_stokes(grid, degree, case.nu, delta, case.steady_forcing)
+        disc, sol = steady_solve(grid, degree, case.nu, delta, case.steady_forcing)
         errors[degree] = metrics.error_vs_exact(
-            sol.v_space, sol.velocity, case.steady_velocity
+            disc.v_space, sol.velocity, case.steady_velocity
         )
     ratio = errors[1] / errors[2]
     assert 1.0 / 1.5 <= ratio <= 1.5
