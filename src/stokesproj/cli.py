@@ -435,19 +435,21 @@ def run_transient_init(config):
     (degree,) = config.degrees
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
-        # its moments depend on the mesh only; each run appends its records
+        # its moments depend on the mesh only, so every run of the mesh shares it
         tracker = metrics.TransientErrorTracker(disc, case)
-        for params in _scheme_runs(config, n):
-            start = len(tracker.records)
-            schemes.run(params, case, disc, observers=(tracker,))
-            for rec in _recorded(tracker.records[start:], config.record_every):
+        for result in schemes.run(_scheme_runs(config, n), case, disc, observe=tracker):
+            for rec in _recorded(result.records, config.record_every):
                 rows.append(
-                    [params.init, n, rec.step, rec.t, rec.pres_l2_interp, rec.vel_l2_interp]
+                    [result.params.init, n, rec.step, rec.t, rec.pres_l2_interp,
+                     rec.vel_l2_interp]
                 )
     return columns, rows
 
 
 def run_transient_convergence(config):
+    """One data row per mesh and a rate row over the meshes whose run
+    completed; a run that failed or diverged is recorded with its status
+    and left out of the rate."""
     case = berrone_case(config.nu)
     columns = (
         "row,scheme,N,h,rho,delta,delta2,dt,steps,"
@@ -464,36 +466,36 @@ def run_transient_convergence(config):
         disc = Discretization(grid, degree)
         tracker = metrics.TransientErrorTracker(disc, case)
         try:
-            result = schemes.run(params, case, disc, observers=(tracker,))
-            resolved = result.params
-            press = metrics.discrete_time_norm(
-                [r.pres_l2_exact for r in tracker.records[1:]], resolved.dt
-            )
-            final = tracker.records[-1]
-            rows.append(
-                [
-                    "data",
-                    resolved.scheme,
-                    n,
-                    h,
-                    rho,
-                    resolved.delta,
-                    "" if resolved.delta2 is None else resolved.delta2,
-                    resolved.dt,
-                    result.steps_completed,
-                    press,
-                    final.pres_l2_exact,
-                    final.vel_l2_exact,
-                    "ok",
-                ]
-            )
+            (result,) = schemes.run([params], case, disc, observe=tracker)
+        except sparsela.LinearSolverError as exc:
+            rows.append(["data", config.scheme, n, h, rho, params.delta, "", params.dt, "", "",
+                         "", "", f"failed: {exc}"])
+            continue
+        resolved = result.params
+        press = metrics.discrete_time_norm(
+            [r.pres_l2_exact for r in result.records[1:]], resolved.dt
+        )
+        final = result.records[-1]
+        rows.append(
+            [
+                "data",
+                resolved.scheme,
+                n,
+                h,
+                rho,
+                resolved.delta,
+                "" if resolved.delta2 is None else resolved.delta2,
+                resolved.dt,
+                result.steps_completed,
+                press,
+                final.pres_l2_exact,
+                final.vel_l2_exact,
+                "diverged" if result.diverged else "ok",
+            ]
+        )
+        if not result.diverged:
             hs.append(h)
             discrete_errors.append(press)
-        except (sparsela.LinearSolverError, schemes.SchemeStepError) as exc:
-            rows.append(
-                ["data", config.scheme, n, h, rho, params.delta, "", params.dt, "", "", "",
-                 "", f"failed: {exc}"]
-            )
     rate_row = ["rate", config.scheme, "", "", "", "", "", "", ""]
     if len(discrete_errors) >= 2:
         rate_row += [metrics.observed_rate(discrete_errors, hs), "", "", "ok"]
@@ -510,21 +512,11 @@ def run_stability_probe(config):
     (degree,) = config.degrees
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
-        initial = None
-        for ratio, params in zip(config.dt_ratios, _scheme_runs(config, n)):
-            if initial is None:
-                # the steady initial state depends on nu, delta, tol and the
-                # data, not on dt, so every ratio starts from this one
-                initial = schemes.initialize(params, case, disc)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                result = schemes.run(
-                    params,
-                    case,
-                    disc,
-                    energy_ceiling=config.energy_ceiling,
-                    initial_state=initial,
-                )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            results = schemes.run(_scheme_runs(config, n), case, disc,
+                                  energy_ceiling=config.energy_ceiling)
+        for ratio, result in zip(config.dt_ratios, results):
             for step, energy in enumerate(result.energies):
                 rows.append(["data", n, ratio, step, energy, ""])
             outcome = "diverged" if result.diverged else "completed"
@@ -583,7 +575,7 @@ def main(argv=None):
         return 1
     try:
         text = run_experiment(config)
-    except (sparsela.LinearSolverError, schemes.SchemeStepError) as exc:
+    except sparsela.LinearSolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

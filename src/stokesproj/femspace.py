@@ -181,14 +181,6 @@ class FeSpace:
     def reference(self):
         return reference_element(self.degree)
 
-    def dirichlet_dofs(self):
-        """Global indices of constrained DOFs (empty for scalar spaces)."""
-        if self.components == 1:
-            return np.empty(0, dtype=np.int64)
-        ns = self.num_scalar_dofs
-        b = np.flatnonzero(self.boundary_scalar)
-        return np.concatenate([b, b + ns])
-
     def restrict(self, coeffs):
         """Drop Dirichlet entries: keep free scalar DOFs of each component."""
         coeffs = np.asarray(coeffs)
@@ -208,7 +200,7 @@ class FeSpace:
         return out
 
 
-def build_space(mesh, degree, components=1):
+def build_space(mesh, degree, components):
     """Construct a degree-1 or degree-2 Lagrange space over ``mesh``."""
     if degree not in (1, 2):
         raise ValueError(f"unsupported element degree {degree}; only 1 and 2")

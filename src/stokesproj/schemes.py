@@ -18,9 +18,12 @@ override), and blows up beyond, which the stability probe exercises on
 purpose.  ``SchemeParams.check_guard`` is the one place that rule is
 written; the CLI validates configs with it.
 
-Pressures are kept at zero discrete mean.  The velocity system matrix is
-block-diagonal over components, so one scalar factorization (and one
-pinned factorization of S) serves every step.
+Velocities are stepped on the free DOFs and pressures are kept at zero
+discrete mean.  The velocity system matrix is block-diagonal over
+components, so one scalar factorization (and one pinned factorization of
+S) serves every step.  ``run`` is the one time loop: it steps every run
+of a mesh on shared forcing loads and initial states, and the experiment
+runners only choose what each step records.
 """
 
 import warnings
@@ -39,10 +42,6 @@ INITS = ("interpolant", "stabilized_stokes", "zero_pressure")
 
 class SchemeGuardError(ValueError):
     """Raised when the time step violates the stability guard."""
-
-
-class SchemeStepError(RuntimeError):
-    """Linear solver failure inside a time step, annotated with the step."""
 
 
 @dataclass(frozen=True)
@@ -123,8 +122,10 @@ class SchemeParams:
 
 @dataclass
 class TimeState:
-    """State after ``step`` steps: velocity/pressure coefficients at
-    t = step * dt.  ``pressure_prev`` is carried by the incremental scheme."""
+    """State after ``step`` steps at t = step * dt: velocity coefficients
+    on the free velocity DOFs (component blocks), pressure coefficients on
+    every pressure DOF.  ``pressure_prev`` is carried by the incremental
+    scheme."""
 
     step: int
     t: float
@@ -134,45 +135,19 @@ class TimeState:
 
 
 class SchemeOperators:
-    """Operators, factorizations and loads for time stepping with ``params``
-    on one Discretization.  Immutable once built; shared by all steps."""
+    """Operators and factorizations for time stepping with ``params`` on
+    one Discretization.  Immutable once built; shared by all steps."""
 
     def __init__(self, disc, params):
-        self.v_space = disc.v_space
-        self.params = params
         self.Ms = disc.mass_free
         self.As = disc.stiffness_free
         self.H = (self.Ms / params.dt + params.nu * self.As).tocsr()
         self.G = disc.G
         self.S = disc.stiffness
         self.mean_weights = disc.mean_weights
-        self.num_free = self.v_space.num_free_scalar
         self._h_solver = sparsela.FactorizedSpd(self.H)
         self._s_solver = disc.pressure_solver
-        self._load_terms = None
 
-    # loads -----------------------------------------------------------------
-    def set_forcing_terms(self, terms):
-        """Precompute load vectors of separable forcing terms
-        [(time_coefficient, spatial_field), ...]."""
-        self._load_terms = [
-            (tf, assembly.assemble_load(self.v_space, sf, restrict=True))
-            for tf, sf in terms
-        ]
-
-    def load(self, g, t):
-        """Load vector on free DOFs at time ``t``: ``g`` itself when it is
-        an array, else the sum of the registered separable terms."""
-        if g is not None:
-            return g
-        if self._load_terms is None:
-            raise ValueError("no forcing terms registered")
-        out = np.zeros(2 * self.num_free)
-        for tf, vec in self._load_terms:
-            out += tf(t) * vec
-        return out
-
-    # solves ----------------------------------------------------------------
     def momentum_solve(self, rhs_block):
         """Solve (M/dt + nu A) per component; rhs and result in block layout."""
         return self._h_solver.solve(rhs_block.reshape(2, -1).T).T.ravel()
@@ -182,8 +157,8 @@ class SchemeOperators:
         q = self._s_solver.solve(rhs / coefficient)
         return sparsela.project_mean(q, self.mean_weights)
 
-    def velocity_energy(self, velocity_full):
-        vf = self.v_space.restrict(velocity_full).reshape(2, -1)
+    def velocity_energy(self, velocity):
+        vf = velocity.reshape(2, -1)
         return float(np.sum(vf * (self.Ms @ vf.T).T))
 
 
@@ -195,6 +170,8 @@ def initialize(params, case, disc):
     stabilized_stokes:  the stabilized steady solve with data
                         g(0) - v_t(0);
     zero_pressure:      interpolated velocity and identically zero pressure.
+
+    The velocity keeps only its free DOFs, so its Dirichlet values are zero.
     """
     v_space, p_space = disc.v_space, disc.p_space
     if params.init == "stabilized_stokes":
@@ -211,59 +188,37 @@ def initialize(params, case, disc):
             )
         else:
             q0 = np.zeros(p_space.num_dofs)
-    v0 = v0.copy()
-    v0[v_space.dirichlet_dofs()] = 0.0
     prev = q0.copy() if params.scheme == "inc" else None
-    return TimeState(step=0, t=0.0, velocity=v0, pressure=q0, pressure_prev=prev)
+    return TimeState(step=0, t=0.0, velocity=v_space.restrict(v0), pressure=q0,
+                     pressure_prev=prev)
 
 
-def _advance(state, params, ops, load_block, pressure_in_momentum):
-    vf = ops.v_space.restrict(state.velocity)
-    rhs = componentwise(ops.Ms, vf) / params.dt + load_block - ops.G @ pressure_in_momentum
-    try:
-        v_new = ops.momentum_solve(rhs)
-    except sparsela.LinearSolverError as exc:
-        raise SchemeStepError(f"momentum solve failed at step {state.step + 1}: {exc}") from exc
-    return v_new
+def _advance(state, params, ops, load, pressure_in_momentum):
+    rhs = componentwise(ops.Ms, state.velocity) / params.dt + load - ops.G @ pressure_in_momentum
+    return ops.momentum_solve(rhs)
 
 
-def step_noninc(state, params, ops, g):
-    """One step of the non-incremental scheme; ``g`` is the load vector at
-    t_{n+1}, or None to use the registered separable terms."""
-    t_next = state.t + params.dt
-    load_block = ops.load(g, t_next)
-    v_new = _advance(state, params, ops, load_block, state.pressure)
-    try:
-        q_new = ops.pressure_solve(ops.G.T @ v_new, params.delta)
-    except sparsela.LinearSolverError as exc:
-        raise SchemeStepError(f"pressure solve failed at step {state.step + 1}: {exc}") from exc
-    return TimeState(
-        step=state.step + 1,
-        t=t_next,
-        velocity=ops.v_space.extend(v_new),
-        pressure=q_new,
-    )
+def step_noninc(state, params, ops, load):
+    """One step of the non-incremental scheme; ``load`` is the load vector
+    at t_{n+1} on the free velocity DOFs."""
+    v_new = _advance(state, params, ops, load, state.pressure)
+    q_new = ops.pressure_solve(ops.G.T @ v_new, params.delta)
+    return TimeState(step=state.step + 1, t=state.t + params.dt, velocity=v_new, pressure=q_new)
 
 
-def step_inc(state, params, ops, g):
+def step_inc(state, params, ops, load):
     """One step of the incremental scheme with pressure extrapolation
     2 q^n - q^{n-1} in the momentum equation."""
     if params.delta2 is None:
         raise ValueError("incremental step needs delta2 resolved (params.resolved)")
-    t_next = state.t + params.dt
-    load_block = ops.load(g, t_next)
     q_hat = 2.0 * state.pressure - state.pressure_prev
-    v_new = _advance(state, params, ops, load_block, q_hat)
+    v_new = _advance(state, params, ops, load, q_hat)
     rhs_p = params.delta * (ops.S @ state.pressure) + ops.G.T @ v_new
-    try:
-        q_new = ops.pressure_solve(rhs_p, params.delta + params.delta2)
-    except sparsela.LinearSolverError as exc:
-        raise SchemeStepError(f"pressure solve failed at step {state.step + 1}: {exc}") from exc
     return TimeState(
         step=state.step + 1,
-        t=t_next,
-        velocity=ops.v_space.extend(v_new),
-        pressure=q_new,
+        t=state.t + params.dt,
+        velocity=v_new,
+        pressure=ops.pressure_solve(rhs_p, params.delta + params.delta2),
         pressure_prev=state.pressure.copy(),
     )
 
@@ -275,58 +230,63 @@ class RunResult:
     diverged: bool
     steps_completed: int
     energies: np.ndarray
+    records: list
 
 
-def run(params, case, disc, observers=(), energy_ceiling=None, initial_state=None):
-    """Execute the configured scheme on ``disc`` with forcing from ``case``.
+def run(runs, case, disc, observe=None, energy_ceiling=None):
+    """Step every SchemeParams of ``runs`` on ``disc`` with forcing from
+    ``case``; returns one RunResult per run, in order.
 
-    Observers are callables ``observer(state)`` invoked on the initial
-    state and after every step.  When ``energy_ceiling`` is set,
-    the run stops and is marked diverged once the velocity energy exceeds
-    ceiling * max(initial energy, 1e-300) or stops being finite.  A given
-    ``initial_state`` (left unmodified) replaces ``initialize``.  Returns a
-    RunResult; per-step records live in the observers.
+    The runs share the forcing loads, and the runs with the same (init,
+    nu, delta, tol, scheme) share one initial state.  ``observe(state)``
+    is called on the initial state and after every step, and its return
+    values are the run's ``records``.  A run stops and is marked diverged
+    once its velocity stops being finite or, when ``energy_ceiling`` is
+    set, once its velocity energy exceeds ceiling * max(initial energy,
+    1e-300); ``energies`` holds that history.
     """
-    params = params.resolved()
-    ops = SchemeOperators(disc, params)
-    ops.set_forcing_terms(case.forcing_terms())
-    state = initialize(params, case, disc) if initial_state is None else initial_state
-    step_fn = step_noninc if params.scheme == "noninc" else step_inc
+    loads = [(tf, assembly.assemble_load(disc.v_space, sf)) for tf, sf in case.forcing_terms()]
+    initial = {}
+    results = []
+    for params in runs:
+        params = params.resolved()
+        key = (params.init, params.nu, params.delta, params.tol, params.scheme)
+        if key not in initial:
+            initial[key] = initialize(params, case, disc)
+        results.append(_run_one(params, disc, initial[key], loads, observe, energy_ceiling))
+    return results
 
+
+def _run_one(params, disc, state, loads, observe, energy_ceiling):
+    """Step one resolved run from ``state``; see ``run``.  Its operators
+    and factorization are freed on return, before the next run's."""
+    ops = SchemeOperators(disc, params)
+    step = step_noninc if params.scheme == "noninc" else step_inc
     track_energy = energy_ceiling is not None
     energies = [ops.velocity_energy(state.velocity)] if track_energy else []
     floor = max(energies[0], 1e-300) if track_energy else None
-    for obs in observers:
-        obs(state)
+    records = [] if observe is None else [observe(state)]
     diverged = False
     for _ in range(params.num_steps()):
-        state = step_fn(state, params, ops, None)
+        t_next = state.t + params.dt
+        state = step(state, params, ops, sum(tf(t_next) * vec for tf, vec in loads))
         if track_energy:
             energy = ops.velocity_energy(state.velocity)
             energies.append(energy)
-            if not np.isfinite(energy) or energy > energy_ceiling * floor:
-                diverged = True
-                break
-        elif not np.isfinite(state.velocity @ state.velocity):
-            diverged = True
+            diverged = not np.isfinite(energy) or energy > energy_ceiling * floor
+        else:
+            diverged = not np.isfinite(state.velocity @ state.velocity)
+        if diverged:
             break
-        for obs in observers:
-            obs(state)
-    return RunResult(
-        params=params,
-        final_state=state,
-        diverged=diverged,
-        steps_completed=state.step,
-        energies=np.asarray(energies),
-    )
+        if observe is not None:
+            records.append(observe(state))
+    return RunResult(params, state, diverged, state.step, np.asarray(energies), records)
 
 
-def noninc_residuals(params, ops, v_old_full, v_new_full, q_momentum, q_new, load_block):
+def noninc_residuals(params, ops, v_old, v_new, q_momentum, q_new, load_block):
     """Residual norms of the two non-incremental relations for a completed
     step, relative to their right-hand-side scales.  Used by equivalence
     and consistency checks."""
-    v_old = ops.v_space.restrict(v_old_full)
-    v_new = ops.v_space.restrict(v_new_full)
     mom_rhs = componentwise(ops.Ms, v_old) / params.dt + load_block
     lhs = (
         componentwise(ops.Ms, v_new) / params.dt

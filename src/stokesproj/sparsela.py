@@ -122,7 +122,7 @@ def project_mean(x, weights):
     return x - (weights @ x) / weights.sum()
 
 
-def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol=1e-10):
+def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
     """Solve the symmetric indefinite block system
 
         [ a_block   g     ] [x]   [rhs_v]

@@ -55,7 +55,7 @@ class SteadyOperators:
     def load(self, ghat):
         return assembly.assemble_load(self.v_space, ghat, restrict=True)
 
-    def solve(self, nu, delta, rhs_v, tol=1e-10):
+    def solve(self, nu, delta, rhs_v, tol):
         if nu <= 0.0:
             raise ValueError("viscosity must be positive")
         if delta <= 0.0:

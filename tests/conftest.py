@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from stokesproj import femspace, mesh, mms
+from stokesproj import assembly, femspace, mesh, mms
 
 
 @pytest.fixture(scope="session")
@@ -21,6 +21,19 @@ def grid4():
 @pytest.fixture(scope="session")
 def case():
     return mms.berrone_case(0.01)
+
+
+@pytest.fixture(scope="session")
+def load_at():
+    """``load_at(case, disc)`` is a function of t: the forcing load of
+    ``case`` at time t on the free velocity DOFs, summed from the separable
+    terms as ``schemes.run`` sums them."""
+
+    def build(case, disc):
+        terms = [(tf, assembly.assemble_load(disc.v_space, sf)) for tf, sf in case.forcing_terms()]
+        return lambda t: sum(tf(t) * vec for tf, vec in terms)
+
+    return build
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,9 @@ the package implementation except mesh connectivity and, for load
 vectors, the quadrature rule data (same points, so load comparisons are
 exact rather than quadrature-limited).
 
-It also holds the small helpers that only tests need: the Dirichlet
-restriction of a full-space matrix and the closed-form momentum forcing
-of the manufactured case.
+It also holds the small helpers that only tests need: the Dirichlet DOFs
+of a velocity space, the Dirichlet restriction of a full-space matrix and
+the closed-form momentum forcing of the manufactured case.
 """
 
 import numpy as np
@@ -141,6 +141,13 @@ def dense_load(space, f, rule, t=None):
                     for c in range(2):
                         out[c * ns + gi] += w * fv[c] * vals[qi, i]
     return out
+
+
+def dirichlet_dofs(v_space):
+    """Indices of the constrained (boundary) DOFs of a velocity space."""
+    ns = v_space.num_scalar_dofs
+    b = np.flatnonzero(v_space.boundary_scalar)
+    return np.concatenate([b, b + ns])
 
 
 def velocity_free_indices(v_space):

@@ -2,6 +2,7 @@ import contextlib
 import io
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tempfile
@@ -391,19 +392,41 @@ def test_stability_probe_rows():
     assert summaries[4.0] == "diverged"
 
 
-DATA = pathlib.Path(__file__).parent / "data"
-
-
-@pytest.mark.parametrize("kind", cli.KINDS)
-def test_csv_matches_reference(capsys, kind):
-    # tests/data/<kind>.csv is the exact stdout of
-    #   PYTHONPATH=src python -m stokesproj <command> --config tests/data/<kind>.cfg
-    # written by an earlier commit; a refactor must reproduce it byte for byte
-    command = kind.replace("_", "-")
+def test_transient_convergence_reports_divergence(tmp_path, capsys):
+    # dt = 0.05 is 3.2 delta at N = 8: that run blows up before T, so its
+    # row says so and the rate, with one completed mesh left, is not taken
+    cfg = write(
+        tmp_path,
+        "allow_unstable = true\n[transient_convergence]\nn_values = 4 8\nrho_values = 10\n"
+        "dt_law = fixed\ndt = 0.05\nT = 30\n",
+    )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        assert cli.main([command, "--config", str(DATA / f"{kind}.cfg")]) == 0
-    assert capsys.readouterr().out == (DATA / f"{kind}.csv").read_text()
+        assert cli.main(["transient-convergence", "--config", str(cfg)]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-3:]]
+    assert [(row[0], row[2], row[-1]) for row in rows] == [
+        ("data", "4", "ok"),
+        ("data", "8", "diverged"),
+        ("rate", "", "insufficient data for a rate"),
+    ]
+    assert int(rows[1][8]) < 600
+
+
+DATA = pathlib.Path(__file__).parent / "data"
+REFERENCES = sorted(DATA.glob("*.cfg"))
+
+
+@pytest.mark.parametrize("cfg", REFERENCES, ids=[path.stem for path in REFERENCES])
+def test_csv_matches_reference(capsys, cfg):
+    # tests/data/<name>.csv is the exact stdout of
+    #   PYTHONPATH=src python -m stokesproj <command> --config tests/data/<name>.cfg
+    # with <command> the file's [section], written by an earlier commit; a
+    # refactor must reproduce it byte for byte
+    (kind,) = re.findall(r"^\[(\w+)\]", cfg.read_text(), flags=re.MULTILINE)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert cli.main([kind.replace("_", "-"), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == cfg.with_suffix(".csv").read_text()
 
 
 # --- command line ------------------------------------------------------------

@@ -92,8 +92,8 @@ def test_p2_separators_lie_on_mesh_lines(n):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of every operator assembly, saddle solve, pinned factorization
-    and error tracker construction."""
+    """Calls of every operator assembly, load assembly, saddle solve,
+    pinned factorization and error tracker construction."""
     seen = {}
 
     def counting(owner, name):
@@ -105,7 +105,7 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in OPERATORS:
+    for name in OPERATORS + ("assemble_load",):
         counting(assembly, name)
     counting(sparsela, "saddle_solve")
     counting(sparsela, "PinnedSingularSolver")
@@ -124,6 +124,8 @@ def probe_config(ratios):
 def test_probe_builds_initial_state_and_operators_once(counts):
     cli.run_stability_probe(probe_config("0.5 1 4"))
     assert counts["saddle_solve"] == 1
+    # two forcing terms, the steady initial data and the mean weights
+    assert counts["assemble_load"] == 4
     assert counts["PinnedSingularSolver"] == 1
     assert all(counts.get(name, 0) <= 1 for name in OPERATORS), counts
 
@@ -139,19 +141,23 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts):
 
 def test_transient_init_builds_one_tracker_per_mesh(counts):
     # dt = delta = h^2 at rho = 10: 1 step at N = 2, 4 at N = 4
+    inits = ("stabilized_stokes", "interpolant", "zero_pressure")
     config = cli.parse_config_text(
-        "[transient_init]\nn_values = 2 4\nT = 0.25\n"
-        "inits = stabilized_stokes interpolant\n",
+        f"[transient_init]\nn_values = 2 4\nT = 0.25\ninits = {' '.join(inits)}\n",
         kind="transient_init",
     )
     _, rows = cli.run_transient_init(config)
     assert counts["TransientErrorTracker"] == 2
+    # per mesh: two forcing terms, two tracker moments, the steady initial
+    # data and the mean weights; one steady solve for stabilized_stokes
+    assert counts["assemble_load"] == 12
+    assert counts["saddle_solve"] == 2
     # each run reports its own steps from 0: N = 2 gives 2 rows, N = 4 gives 5
     steps = [(init, n, step) for init, n, step, *_ in rows]
     assert steps == [
         (init, n, step)
         for n, count in ((2, 2), (4, 5))
-        for init in ("stabilized_stokes", "interpolant")
+        for init in inits
         for step in range(count)
     ]
 

@@ -15,12 +15,8 @@ def make_params(**kw):
 
 
 def random_velocity(v_space, rng, scale=1.0):
-    v = np.zeros(v_space.num_dofs)
-    free = np.concatenate(
-        [v_space.free_scalar, v_space.num_scalar_dofs + v_space.free_scalar]
-    )
-    v[free] = scale * rng.standard_normal(free.size)
-    return v
+    """Random velocity on the free DOFs."""
+    return scale * rng.standard_normal(2 * v_space.num_free_scalar)
 
 
 # --- parameter guards --------------------------------------------------------
@@ -103,10 +99,10 @@ def test_interpolant_init_reproduces_linear_field(grid4):
     params = make_params(init="interpolant").resolved()
     state = schemes.initialize(params, LinearCase(), Discretization(grid4, 1))
     v_space = femspace.build_space(grid4, 1, 2)
-    ns = v_space.num_scalar_dofs
-    expected = v_space.node_coords[:, 0].copy()
-    expected[v_space.boundary_scalar] = 0.0  # Dirichlet rows zeroed
-    assert np.allclose(state.velocity[:ns], expected, atol=1e-14)
+    nf = v_space.num_free_scalar
+    expected = v_space.node_coords[v_space.free_scalar, 0]  # Dirichlet rows dropped
+    assert np.allclose(state.velocity[:nf], expected, atol=1e-14)
+    assert np.array_equal(state.velocity[nf:], np.zeros(nf))
 
 
 def test_interpolant_init_pressure_mean_subtracted(grid4, case):
@@ -148,8 +144,8 @@ def test_zero_trajectory(grid4, case):
     disc = Discretization(grid4, 1)
     v_space, p_space = disc.v_space, disc.p_space
     ops = schemes.SchemeOperators(disc, params)
-    zero = np.zeros(2 * ops.num_free)
-    state = schemes.TimeState(0, 0.0, np.zeros(v_space.num_dofs), np.zeros(p_space.num_dofs))
+    zero = np.zeros(2 * v_space.num_free_scalar)
+    state = schemes.TimeState(0, 0.0, zero, np.zeros(p_space.num_dofs))
     for _ in range(3):
         state = schemes.step_noninc(state, params, ops, zero)
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
@@ -157,8 +153,7 @@ def test_zero_trajectory(grid4, case):
     # incremental scheme too
     pi = make_params(scheme="inc").resolved()
     ops_i = schemes.SchemeOperators(disc, pi)
-    st = schemes.TimeState(0, 0.0, np.zeros(v_space.num_dofs),
-                           np.zeros(p_space.num_dofs), np.zeros(p_space.num_dofs))
+    st = schemes.TimeState(0, 0.0, zero, np.zeros(p_space.num_dofs), np.zeros(p_space.num_dofs))
     for _ in range(3):
         st = schemes.step_inc(st, pi, ops_i, zero)
     assert np.array_equal(st.velocity, np.zeros_like(st.velocity))
@@ -174,7 +169,7 @@ def test_free_decay_energy_monotone(grid4, scheme):
     v0 = random_velocity(v_space, rng)
     zero_q = np.zeros(p_space.num_dofs)
     state = schemes.TimeState(0, 0.0, v0, zero_q, zero_q.copy())
-    zero = np.zeros(2 * ops.num_free)
+    zero = np.zeros(2 * v_space.num_free_scalar)
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
     energy = ops.velocity_energy(state.velocity)
     for _ in range(100):
@@ -184,30 +179,29 @@ def test_free_decay_energy_monotone(grid4, scheme):
         energy = new_energy
 
 
+def states(params, case, disc):
+    """The initial state and the state after every step of one run."""
+    (result,) = schemes.run([params], case, disc, observe=lambda state: state)
+    return result.records
+
+
 def test_pressure_zero_mean_every_step(grid4, case):
-    params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2).resolved()
+    params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2)
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
-    ops = schemes.SchemeOperators(disc, params)
-    ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, disc)
-    w = assembly.basis_integrals(p_space)
-    for _ in range(10):
-        state = schemes.step_noninc(state, params, ops, None)
+    w = assembly.basis_integrals(disc.p_space)
+    trajectory = states(params, case, disc)
+    assert len(trajectory) == 11
+    for state in trajectory[1:]:
         assert abs(w @ state.pressure) <= 1e-11
-        assert np.all(state.velocity[v_space.dirichlet_dofs()] == 0.0)
+        assert state.velocity.shape == (2 * disc.v_space.num_free_scalar,)
 
 
 def test_pressure_equation_residual_each_step(grid4, case):
     params = make_params(init="stabilized_stokes").resolved()
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
     ops = schemes.SchemeOperators(disc, params)
-    ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, disc)
-    for _ in range(10):
-        state = schemes.step_noninc(state, params, ops, None)
-        rhs = ops.G.T @ v_space.restrict(state.velocity)
+    for state in states(params, case, disc)[1:]:
+        rhs = ops.G.T @ state.velocity
         res = params.delta * (ops.S @ state.pressure) - rhs
         assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
 
@@ -215,59 +209,48 @@ def test_pressure_equation_residual_each_step(grid4, case):
 def test_incremental_pressure_update_residual(grid4, case):
     params = make_params(scheme="inc", init="stabilized_stokes").resolved()
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
     ops = schemes.SchemeOperators(disc, params)
-    ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, disc)
-    for _ in range(10):
-        prev = state
-        state = schemes.step_inc(state, params, ops, None)
-        rhs = params.delta * (ops.S @ prev.pressure) + ops.G.T @ v_space.restrict(
-            state.velocity
-        )
+    trajectory = states(params, case, disc)
+    for prev, state in zip(trajectory, trajectory[1:]):
+        rhs = params.delta * (ops.S @ prev.pressure) + ops.G.T @ state.velocity
         lhs = (params.delta + params.delta2) * (ops.S @ state.pressure)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1e-300)
 
 
-def test_incremental_extrapolation_satisfies_noninc_relations(case):
+def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     # delta2 = delta: (v, 2q^n - q^{n-1}) solves the non-incremental relations
     grid = mesh.build_grid(8)
     params = make_params(scheme="inc", init="stabilized_stokes",
                          dt=1e-3, delta=1e-3, T=2e-2).resolved()
     disc = Discretization(grid, 1)
-    v_space, p_space = disc.v_space, disc.p_space
     ops = schemes.SchemeOperators(disc, params)
-    ops.set_forcing_terms(case.forcing_terms())
-    state = schemes.initialize(params, case, disc)
-    for _ in range(20):
-        prev = state
-        state = schemes.step_inc(state, params, ops, None)
+    load = load_at(case, disc)
+    trajectory = states(params, case, disc)
+    assert len(trajectory) == 21
+    for prev, state in zip(trajectory, trajectory[1:]):
         q_hat_old = 2 * prev.pressure - prev.pressure_prev
         q_hat_new = 2 * state.pressure - state.pressure_prev
         mom, div = schemes.noninc_residuals(
-            params, ops, prev.velocity, state.velocity, q_hat_old, q_hat_new,
-            ops.load(None, state.t),
+            params, ops, prev.velocity, state.velocity, q_hat_old, q_hat_new, load(state.t)
         )
         assert mom <= 1e-9
         assert div <= 1e-9
 
 
-def test_classical_form_identity(grid4, case):
+def test_classical_form_identity(grid4, case, load_at):
     # delta = dt: stepping the pre-elimination form that carries the
     # projected end-of-step velocity reproduces the eliminated update
     dt = 1e-3
     params = make_params(dt=dt, delta=dt, init="stabilized_stokes").resolved()
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
     ops = schemes.SchemeOperators(disc, params)
-    ops.set_forcing_terms(case.forcing_terms())
+    load_of = load_at(case, disc)
     s0 = schemes.initialize(params, case, disc)
 
     state_a = s0
-    vb, qb = v_space.restrict(s0.velocity), s0.pressure.copy()
+    vb, qb = s0.velocity.copy(), s0.pressure.copy()
     for k in range(10):
-        t_next = (k + 1) * dt
-        load = ops.load(None, t_next)
+        load = load_of((k + 1) * dt)
         state_a = schemes.step_noninc(state_a, params, ops, load)
         # (momentum against the projected velocity) M (v~ - v^n)/dt with
         # v^n = v~^n - delta grad q^n, i.e. M v^n = M v~^n - delta G q^n
@@ -275,7 +258,7 @@ def test_classical_form_identity(grid4, case):
             - (params.delta / dt) * (ops.G @ qb) + load
         vb = ops.momentum_solve(rhs)
         qb = ops.pressure_solve(ops.G.T @ vb, params.delta)
-        assert np.linalg.norm(v_space.restrict(state_a.velocity) - vb) <= 1e-12 * max(
+        assert np.linalg.norm(state_a.velocity - vb) <= 1e-12 * max(
             np.linalg.norm(vb), 1e-300
         )
         assert np.linalg.norm(state_a.pressure - qb) <= 1e-12 * max(
@@ -288,7 +271,7 @@ def test_classical_form_identity(grid4, case):
 
 def test_run_single_step(grid4, case):
     params = make_params(T=1e-3, init="stabilized_stokes")
-    result = schemes.run(params, case, Discretization(grid4, 1))
+    (result,) = schemes.run([params], case, Discretization(grid4, 1))
     assert result.steps_completed == 1
     assert result.final_state.t == pytest.approx(1e-3)
     assert not result.diverged
@@ -296,17 +279,16 @@ def test_run_single_step(grid4, case):
 
 def test_run_invokes_observers(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
-    seen = []
-    result = schemes.run(params, case, Discretization(grid4, 1),
-                         observers=(lambda st: seen.append(st.step),))
-    assert seen == [0, 1, 2, 3, 4, 5]
+    (result,) = schemes.run([params], case, Discretization(grid4, 1),
+                            observe=lambda st: st.step)
+    assert result.records == [0, 1, 2, 3, 4, 5]
     assert result.steps_completed == 5
 
 
 def test_run_deterministic(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
-    r1 = schemes.run(params, case, Discretization(grid4, 1))
-    r2 = schemes.run(params, case, Discretization(grid4, 1))
+    (r1,) = schemes.run([params], case, Discretization(grid4, 1))
+    (r2,) = schemes.run([params], case, Discretization(grid4, 1))
     assert np.array_equal(r1.final_state.velocity, r2.final_state.velocity)
     assert np.array_equal(r1.final_state.pressure, r2.final_state.pressure)
 
@@ -319,7 +301,7 @@ def test_unstable_run_marked_diverged(case):
         nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
         init="stabilized_stokes", allow_unstable=True,
     )
-    result = schemes.run(params, case, Discretization(grid, 1), energy_ceiling=1e12)
+    (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
     assert result.diverged
     assert result.steps_completed < 500
 
@@ -331,6 +313,6 @@ def test_stable_run_keeps_energy_bounded(case):
         nu=case.nu, dt=0.5 * delta, T=100 * 0.5 * delta, delta=delta,
         scheme="noninc", init="stabilized_stokes",
     )
-    result = schemes.run(params, case, Discretization(grid, 1), energy_ceiling=1e12)
+    (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
     assert not result.diverged
     assert result.energies.max() <= 10.0 * result.energies[0]

@@ -53,7 +53,7 @@ def saddle_blocks(grid, degree=1):
 def test_saddle_zero_rhs(grid4):
     _, _, a, g, s, w, order = saddle_blocks(grid4)
     x, z, report = sparsela.saddle_solve(
-        0.01 * a, g, s, 1e-3, np.zeros(a.shape[0]), order=order, mean_weights=w
+        0.01 * a, g, s, 1e-3, np.zeros(a.shape[0]), order=order, mean_weights=w, tol=1e-10
     )
     assert np.array_equal(x, np.zeros(a.shape[0]))
     assert np.array_equal(z, np.zeros(s.shape[0]))
@@ -77,7 +77,8 @@ def test_saddle_block_residuals(grid4, case):
 def test_saddle_rejects_nonpositive_delta(grid4):
     _, _, a, g, s, w, order = saddle_blocks(grid4)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(a, g, s, 0.0, np.ones(a.shape[0]), order=order, mean_weights=w)
+        sparsela.saddle_solve(a, g, s, 0.0, np.ones(a.shape[0]), order=order, mean_weights=w,
+                              tol=1e-10)
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -87,7 +88,7 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
     delta = steady.choose_delta(1.0 / 20, 0.01, 100.0)
     disc = assembly.Discretization(grid, 1)
     ops = steady.SteadyOperators(disc)
-    sol = ops.solve(0.01, delta, ops.load(case.steady_forcing))
+    sol = ops.solve(0.01, delta, ops.load(case.steady_forcing), tol=1e-10)
     w = assembly.basis_integrals(disc.p_space)
     assert abs(w @ sol.pressure) <= 1e-12
 
@@ -96,8 +97,8 @@ def test_saddle_deterministic(grid4, case):
     v_space, p_space, a, g, s, w, order = saddle_blocks(grid4)
     rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
     a = (0.01 * a).tocsr()
-    out1 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w)
-    out2 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w)
+    out1 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w, tol=1e-10)
+    out2 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w, tol=1e-10)
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1], out2[1])
 
@@ -148,7 +149,9 @@ def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, 
     a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
     x_ref, z_ref = pivoting_reference(a, g, s, delta, rhs, w)
     calls, _ = spy_on_splu(monkeypatch)
-    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w)
+    x, z, report = sparsela.saddle_solve(
+        a, g, s, delta, rhs, order=order, mean_weights=w, tol=1e-10
+    )
     # one factorization, in symmetric mode and the given order, with no fallback
     assert len(calls) == 1 and calls[0]["options"] == {"SymmetricMode": True}
     assert calls[0]["permc_spec"] == "NATURAL"
@@ -177,11 +180,11 @@ def test_saddle_solve_leaves_no_reference_cycles(case):
     disc = assembly.Discretization(mesh.build_grid(8), 2)
     ops = steady.SteadyOperators(disc)
     rhs = ops.load(case.steady_forcing)
-    ops.solve(0.01, 1e-3, rhs)
+    ops.solve(0.01, 1e-3, rhs, tol=1e-10)
     gc.collect()
     gc.disable()
     try:
-        ops.solve(0.01, 1e-3, rhs)
+        ops.solve(0.01, 1e-3, rhs, tol=1e-10)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -221,6 +224,6 @@ def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
     a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
     monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(spla.splu))
     with pytest.raises(sparsela.LinearSolverError) as info:
-        sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w)
+        sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w, tol=1e-10)
     assert info.value.report.relative_residual > 1e-10
     assert not info.value.report.converged
