@@ -3,9 +3,12 @@ Stokes operators: velocity mass and stiffness, the pressure-gradient
 coupling (grad psi, phi), its integration-by-parts twin (div phi, psi),
 and analytic right-hand sides.
 
-Dirichlet conditions are homogeneous, so constrained rows/columns are
-simply eliminated; ``restrict``/``extend`` on FeSpace translate between
-full and free coefficient vectors.  Accumulation is element-major with a
+One scalar space carries both fields: a velocity is two coefficient
+blocks on it, a pressure one, and the velocity operators are built
+block by block from the scalar basis.  Dirichlet conditions are
+homogeneous, so constrained rows/columns are simply eliminated;
+``restrict``/``extend`` on FeSpace translate between full and free
+coefficient vectors.  Accumulation is element-major with a
 stable sorted reduction, so matrices are bit-reproducible.
 ``Discretization`` assembles each operator once per (mesh, degree) pair.
 """
@@ -21,8 +24,8 @@ from . import femspace, sparsela
 from .mesh import Mesh
 
 
-def _default_quad_degree(*degrees):
-    return 2 if max(degrees) == 1 else 4
+def _default_quad_degree(degree):
+    return 2 if degree == 1 else 4
 
 
 def _geometry(mesh):
@@ -76,14 +79,7 @@ def _scatter_square(space, elem_mats):
     nb = dofs.shape[1]
     rows = np.repeat(dofs, nb, axis=1)
     cols = np.tile(dofs, (1, nb))
-    ns = space.num_scalar_dofs
-    return _csr_from_coo(rows, cols, elem_mats, (ns, ns))
-
-
-def _vector_expand(space, scalar_matrix):
-    if space.components == 1:
-        return scalar_matrix
-    return sparse.block_diag([scalar_matrix, scalar_matrix], format="csr")
+    return _csr_from_coo(rows, cols, elem_mats, (space.num_dofs, space.num_dofs))
 
 
 def assemble_mass(space):
@@ -92,7 +88,7 @@ def assemble_mass(space):
     _, det, _ = _geometry(space.mesh)
     vals, _ = space.reference.eval(rule.reference_points())
     elem = np.einsum("q,qi,qj,t->tij", rule.weights, vals, vals, det)
-    return _vector_expand(space, _scatter_square(space, elem))
+    return _scatter_square(space, elem)
 
 
 def assemble_stiffness(space):
@@ -100,65 +96,39 @@ def assemble_stiffness(space):
     rule = femspace.quadrature(_default_quad_degree(space.degree))
     _, grads, det = _physical_gradients(space, rule)
     elem = np.einsum("q,tqia,tqja,t->tij", rule.weights, grads, grads, det)
-    return _vector_expand(space, _scatter_square(space, elem))
+    return _scatter_square(space, elem)
 
 
-def _check_shared_mesh(v_space, p_space):
-    if v_space.mesh is not p_space.mesh and v_space.mesh.n != p_space.mesh.n:
-        raise ValueError("velocity and pressure spaces must share the mesh")
-
-
-def assemble_pressure_gradient(v_space, p_space):
+def assemble_pressure_gradient(space):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
-    basis functions phi_i.  Rows span the free velocity DOFs, columns the
-    whole pressure space."""
-    _check_shared_mesh(v_space, p_space)
-    if v_space.components != 2:
-        raise ValueError("velocity space must have two components")
-    rule = femspace.quadrature(_default_quad_degree(v_space.degree, p_space.degree))
-    _, det, _ = _geometry(v_space.mesh)
-    v_vals, _ = v_space.reference.eval(rule.reference_points())
-    _, p_grads, _ = _physical_gradients(p_space, rule)
-
-    ns = v_space.num_scalar_dofs
-    np_ = p_space.num_scalar_dofs
-    nbv, nbp = v_vals.shape[1], p_space.element_dofs.shape[1]
-    vd, pd = v_space.element_dofs, p_space.element_dofs
-    rows = np.repeat(vd, nbp, axis=1)
-    cols = np.tile(pd, (1, nbv))
+    basis functions phi_i (x block, then y block).  Rows span the free
+    velocity DOFs, columns every pressure DOF."""
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
+    vals, grads, det = _physical_gradients(space, rule)
+    n, nb = space.num_dofs, space.element_dofs.shape[1]
+    rows = np.repeat(space.element_dofs, nb, axis=1)
+    cols = np.tile(space.element_dofs, (1, nb))
     blocks = []
     for axis in range(2):
-        elem = np.einsum("q,tqm,qi,t->tim", rule.weights, p_grads[..., axis], v_vals, det)
-        blocks.append(_csr_from_coo(rows, cols, elem, (ns, np_)))
-    full = sparse.vstack(blocks, format="csr")
-    keep = np.concatenate([v_space.free_scalar, ns + v_space.free_scalar])
-    return full[keep]
+        elem = np.einsum("q,tqm,qi,t->tim", rule.weights, grads[..., axis], vals, det)
+        blocks.append(_csr_from_coo(rows, cols, elem, (n, n))[space.free_scalar])
+    return sparse.vstack(blocks, format="csr")
 
 
-def assemble_divergence(v_space, p_space):
+def assemble_divergence(space):
     """Divergence matrix D with D[mu, i] = (div phi_i, psi_mu) on the free
     velocity DOFs, assembled directly; equals -G^T up to quadrature
     exactness."""
-    _check_shared_mesh(v_space, p_space)
-    rule = femspace.quadrature(_default_quad_degree(v_space.degree, p_space.degree))
-    _, det, _ = _geometry(v_space.mesh)
-    p_vals, _ = p_space.reference.eval(rule.reference_points())
-    _, v_grads, _ = _physical_gradients(v_space, rule)
-
-    ns = v_space.num_scalar_dofs
-    np_ = p_space.num_scalar_dofs
-    nbv = v_space.element_dofs.shape[1]
-    nbp = p_vals.shape[1]
-    vd, pd = v_space.element_dofs, p_space.element_dofs
-    rows = np.repeat(pd, nbv, axis=1)
-    cols = np.tile(vd, (1, nbp))
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
+    vals, grads, det = _physical_gradients(space, rule)
+    n, nb = space.num_dofs, space.element_dofs.shape[1]
+    rows = np.repeat(space.element_dofs, nb, axis=1)
+    cols = np.tile(space.element_dofs, (1, nb))
     blocks = []
     for axis in range(2):
-        elem = np.einsum("q,qm,tqi,t->tmi", rule.weights, p_vals, v_grads[..., axis], det)
-        blocks.append(_csr_from_coo(rows, cols, elem, (np_, ns)))
-    full = sparse.hstack(blocks, format="csr")
-    keep = np.concatenate([v_space.free_scalar, ns + v_space.free_scalar])
-    return full[:, keep].tocsr()
+        elem = np.einsum("q,qm,tqi,t->tmi", rule.weights, vals, grads[..., axis], det)
+        blocks.append(_csr_from_coo(rows, cols, elem, (n, n))[:, space.free_scalar])
+    return sparse.hstack(blocks, format="csr")
 
 
 def quadrature_points_physical(mesh, rule):
@@ -172,46 +142,27 @@ def quadrature_points_physical(mesh, rule):
     )
 
 
-def _eval_field(space, f, xq):
-    vals = np.asarray(f(xq[..., 0], xq[..., 1]), dtype=float)
-    want = (space.components,) + xq.shape[:-1] if space.components == 2 else xq.shape[:-1]
-    if vals.shape != want:
-        vals = np.broadcast_to(vals, want).astype(float)
-    return vals
-
-
-def assemble_load(space, f, quad_degree=6, restrict=True):
-    """Load vector (f, phi_i) with the degree-``quad_degree`` rule.
-
-    ``f`` is an analytic spatial field.  Dirichlet rows are dropped unless
-    ``restrict`` is False.
-    """
+def assemble_load(space, f, quad_degree=6):
+    """Load vector (f, phi_i) with the degree-``quad_degree`` rule on the
+    full space: one block for a scalar field ``f``, two for a vector one.
+    ``f`` is an analytic spatial field."""
     rule = femspace.quadrature(quad_degree)
     _, det, _ = _geometry(space.mesh)
     vals, _ = space.reference.eval(rule.reference_points())
     xq = quadrature_points_physical(space.mesh, rule)
-    fv = _eval_field(space, f, xq)
-    ns = space.num_scalar_dofs
-    out = np.zeros(space.num_dofs)
-    if space.components == 1:
-        elem = np.einsum("q,tq,qi,t->ti", rule.weights, fv, vals, det)
-        np.add.at(out, space.element_dofs, elem)
-    else:
-        for c in range(2):
-            elem = np.einsum("q,tq,qi,t->ti", rule.weights, fv[c], vals, det)
-            np.add.at(out, c * ns + space.element_dofs, elem)
-    if restrict and space.components == 2:
-        return space.restrict(out)
+    fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
+    out = np.zeros(fv.shape[0] * space.num_dofs)
+    for c, block in enumerate(fv):
+        elem = np.einsum("q,tq,qi,t->ti", rule.weights, block, vals, det)
+        np.add.at(out, c * space.num_dofs + space.element_dofs, elem)
     return out
 
 
 def basis_integrals(space):
     """Integrals of every scalar basis function; the weights defining the
     discrete mean value of a pressure field."""
-    if space.components != 1:
-        raise ValueError("mean weights are defined for scalar spaces")
     return assemble_load(space, lambda x, y: np.ones_like(x),
-                         quad_degree=_default_quad_degree(space.degree), restrict=False)
+                         quad_degree=_default_quad_degree(space.degree))
 
 
 def componentwise(matrix, x):
@@ -258,43 +209,40 @@ def _dissect(lattice, step):
 
 @dataclass(frozen=True, eq=False)
 class Discretization:
-    """Spaces and lazily cached operators of one equal-order (mesh, degree)
-    pair; runners build one per mesh and every consumer shares it.
+    """The one scalar space and lazily cached operators of an equal-order
+    (mesh, degree) pair; runners build one per mesh and every consumer
+    shares it.
 
-    The pressure space is also the scalar velocity space, so ``mass`` and
-    ``stiffness`` serve both fields (velocity operators are block-diagonal
-    and act through ``componentwise``); ``stiffness`` is the pressure
-    stiffness S and ``pressure_solver`` its pinned factorization.  ``_free``
-    marks blocks on the free scalar velocity DOFs; ``G`` has free vector
-    velocity rows."""
+    A pressure is one coefficient block on ``space`` and a velocity two,
+    so ``mass`` and ``stiffness`` serve both fields (velocity operators are
+    block-diagonal and act through ``componentwise``); ``stiffness`` is the
+    pressure stiffness S and ``pressure_solver`` its pinned factorization.
+    ``_free`` marks blocks on the free DOFs of one velocity component;
+    ``G`` has free vector velocity rows."""
 
     mesh: Mesh
     degree: int
 
     @cached_property
-    def v_space(self):
-        return femspace.build_space(self.mesh, self.degree, components=2)
-
-    @cached_property
-    def p_space(self):
-        return femspace.build_space(self.mesh, self.degree, components=1)
+    def space(self):
+        return femspace.build_space(self.mesh, self.degree)
 
     @cached_property
     def mass(self):
-        return assemble_mass(self.p_space)
+        return assemble_mass(self.space)
 
     @cached_property
     def stiffness(self):
-        return assemble_stiffness(self.p_space)
+        return assemble_stiffness(self.space)
 
     @cached_property
     def mass_free(self):
-        fs = self.v_space.free_scalar
+        fs = self.space.free_scalar
         return self.mass[fs][:, fs].tocsr()
 
     @cached_property
     def stiffness_free(self):
-        fs = self.v_space.free_scalar
+        fs = self.space.free_scalar
         return self.stiffness[fs][:, fs].tocsr()
 
     @cached_property
@@ -304,11 +252,11 @@ class Discretization:
 
     @cached_property
     def G(self):
-        return assemble_pressure_gradient(self.v_space, self.p_space)
+        return assemble_pressure_gradient(self.space)
 
     @cached_property
     def mean_weights(self):
-        return basis_integrals(self.p_space)
+        return basis_integrals(self.space)
 
     @cached_property
     def saddle_order(self):
@@ -318,11 +266,11 @@ class Discretization:
         the rank of their node in ``_dissect``, then by field.  A node's
         lattice index is its coordinates times degree * n, so the mesh
         lines lie at multiples of the degree."""
-        lattice = np.rint(self.p_space.node_coords * (self.degree * self.mesh.n))
+        lattice = np.rint(self.space.node_coords * (self.degree * self.mesh.n))
         blocks = _dissect(lattice.astype(np.int64), self.degree)
-        rank = np.empty(self.p_space.num_scalar_dofs, dtype=np.int64)
+        rank = np.empty(self.space.num_dofs, dtype=np.int64)
         rank[np.concatenate([nodes for nodes, _ in blocks])] = np.arange(rank.size)
-        fs = self.v_space.free_scalar
+        fs = self.space.free_scalar
         nodes = np.concatenate([fs, fs, np.arange(1, rank.size)])
         field = np.repeat([0, 1, 2], [fs.size, fs.size, rank.size - 1])
         return np.lexsort((field, rank[nodes]))

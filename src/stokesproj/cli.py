@@ -71,13 +71,9 @@ class ExperimentConfig:
 
 
 _KIND_DEFAULTS = {
-    "steady_sweep": {"rho_values": (100.0,)},
     "transient_init": {
         "n_values": (20, 40, 80),
         "rho_values": (10.0,),
-        "T": 6.0,
-        "scheme": "noninc",
-        "inits": ("stabilized_stokes", "interpolant"),
     },
     "transient_convergence": {
         "n_values": (20, 40, 80),
@@ -332,26 +328,26 @@ def run_steady_sweep(config):
             grid = build_grid(n)
             h = mesh_size(grid)
             disc = Discretization(grid, degree)
-            v_space, p_space = disc.v_space, disc.p_space
+            space = disc.space
             ops = steady.SteadyOperators(disc)
             rhs_v = ops.load(case.steady_forcing)
-            interp_v = femspace.interpolate(v_space, case.steady_velocity)
-            interp_p = femspace.interpolate(p_space, case.steady_pressure)
+            interp_v = femspace.interpolate(space, case.steady_velocity)
+            interp_p = femspace.interpolate(space, case.steady_pressure)
             for rho, delta in _resolve_deltas(config, n):
                 try:
                     sol = ops.solve(config.nu, delta, rhs_v, tol=config.tol)
                     errors = {
                         "vel_l2_interp": metrics.fe_norm_diff(
-                            v_space, sol.velocity, interp_v, matrix=disc.mass
+                            sol.velocity, interp_v, matrix=disc.mass
                         ),
                         "pres_l2_interp": metrics.fe_norm_diff(
-                            p_space, sol.pressure, interp_p, matrix=disc.mass
+                            sol.pressure, interp_p, matrix=disc.mass
                         ),
                         "vel_l2_exact": metrics.error_vs_exact(
-                            v_space, sol.velocity, case.steady_velocity
+                            space, sol.velocity, case.steady_velocity
                         ),
                         "pres_l2_exact": metrics.error_vs_exact(
-                            p_space, sol.pressure, case.steady_pressure
+                            space, sol.pressure, case.steady_pressure
                         ),
                     }
                     status = "ok"
@@ -486,7 +482,7 @@ def run_transient_convergence(config):
                 resolved.delta,
                 "" if resolved.delta2 is None else resolved.delta2,
                 resolved.dt,
-                result.steps_completed,
+                final.step,
                 press,
                 final.pres_l2_exact,
                 final.vel_l2_exact,

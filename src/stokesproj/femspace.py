@@ -1,14 +1,15 @@
 """Lagrange finite elements on triangles: reference P1/P2 bases,
 symmetric Gauss rules, and global DOF spaces.
 
-Scalar degrees of freedom are numbered vertices first (mesh order) and,
-for P2, edge midpoints after them (edge-table order).  A space with two
-components (velocity) stores one coefficient block per component:
-``u[0:ns]`` are the x-component coefficients and ``u[ns:2*ns]`` the
-y-component ones, where ns is the scalar DOF count.
+A space is scalar: its degrees of freedom are numbered vertices first
+(mesh order) and, for P2, edge midpoints after them (edge-table order).
+Pressure is one coefficient block on it and a velocity two:
+``u[0:n]`` are the x-component coefficients and ``u[n:2*n]`` the
+y-component ones, where n is the DOF count.
 
 Vector-valued analytic fields are callables ``f(x, y) -> array`` whose
-leading axis is the component, broadcasting over point arrays.
+leading axis of length 2 is the component, broadcasting over point
+arrays; ``field_blocks`` evaluates scalar and vector fields alike.
 """
 
 from dataclasses import dataclass, field
@@ -148,64 +149,48 @@ def quadrature(degree):
 
 @dataclass(frozen=True)
 class FeSpace:
-    """Global Lagrange space on a mesh.
+    """Global scalar Lagrange space on a mesh.
 
-    ``components`` is 1 for pressure-like scalars and 2 for velocities.
-    Velocity spaces carry the homogeneous Dirichlet DOF set (every DOF
-    whose node lies on the domain boundary, both components); scalar
-    spaces have no constrained DOFs, the pressure nullspace being handled
+    Every field is a whole number of coefficient blocks on it: one for a
+    pressure, two for a velocity.  ``free_scalar`` lists the DOFs whose
+    node lies inside the domain; ``restrict``/``extend`` apply the
+    homogeneous Dirichlet condition of a velocity to each of its blocks.
+    Pressures have no constrained DOFs, the nullspace being handled
     algebraically by the solvers.
     """
 
     mesh: _mesh.Mesh
     degree: int
-    components: int
     element_dofs: np.ndarray
     node_coords: np.ndarray
     boundary_scalar: np.ndarray
     free_scalar: np.ndarray = field(repr=False)
 
     @property
-    def num_scalar_dofs(self):
-        return self.node_coords.shape[0]
-
-    @property
     def num_dofs(self):
-        return self.components * self.num_scalar_dofs
-
-    @property
-    def num_free_scalar(self):
-        return self.free_scalar.shape[0]
+        return self.node_coords.shape[0]
 
     @property
     def reference(self):
         return reference_element(self.degree)
 
     def restrict(self, coeffs):
-        """Drop Dirichlet entries: keep free scalar DOFs of each component."""
-        coeffs = np.asarray(coeffs)
-        if self.components == 1:
-            return coeffs.copy()
-        ns = self.num_scalar_dofs
-        return np.concatenate([coeffs[self.free_scalar], coeffs[ns + self.free_scalar]])
+        """Drop Dirichlet entries: keep the free DOFs of every block."""
+        blocks = np.asarray(coeffs).reshape(-1, self.num_dofs)
+        return blocks[:, self.free_scalar].ravel()
 
     def extend(self, coeffs_free):
-        """Inverse of restrict: insert zeros at Dirichlet DOFs."""
-        if self.components == 1:
-            return np.asarray(coeffs_free).copy()
-        ns, nf = self.num_scalar_dofs, self.num_free_scalar
-        out = np.zeros(self.num_dofs)
-        out[self.free_scalar] = coeffs_free[:nf]
-        out[ns + self.free_scalar] = coeffs_free[nf:]
-        return out
+        """Inverse of restrict: insert zeros at the Dirichlet DOFs of every block."""
+        blocks = np.asarray(coeffs_free).reshape(-1, self.free_scalar.size)
+        out = np.zeros((blocks.shape[0], self.num_dofs))
+        out[:, self.free_scalar] = blocks
+        return out.ravel()
 
 
-def build_space(mesh, degree, components):
+def build_space(mesh, degree):
     """Construct a degree-1 or degree-2 Lagrange space over ``mesh``."""
     if degree not in (1, 2):
         raise ValueError(f"unsupported element degree {degree}; only 1 and 2")
-    if components not in (1, 2):
-        raise ValueError(f"components must be 1 or 2, got {components}")
     if degree == 1:
         element_dofs = mesh.triangles.copy()
         node_coords = mesh.vertices.copy()
@@ -223,7 +208,6 @@ def build_space(mesh, degree, components):
     return FeSpace(
         mesh=mesh,
         degree=degree,
-        components=components,
         element_dofs=element_dofs,
         node_coords=node_coords,
         boundary_scalar=boundary_scalar,
@@ -231,18 +215,20 @@ def build_space(mesh, degree, components):
     )
 
 
-def interpolate(space, f):
-    """Nodal Lagrange interpolant: coefficient i equals f at node i.
-
-    For two-component spaces ``f`` must return an array with leading
-    axis of length 2; the result uses the component-block layout.
-    """
-    x, y = space.node_coords[:, 0], space.node_coords[:, 1]
+def field_blocks(f, x, y):
+    """Values of the analytic field ``f`` at the points (x, y), one block
+    per component: shape (1,) + x.shape for a scalar field (constants
+    broadcast) and (2,) + x.shape for a vector field."""
     vals = np.asarray(f(x, y), dtype=float)
-    if space.components == 1:
-        if vals.shape != x.shape:
-            vals = np.broadcast_to(vals, x.shape).astype(float)
-        return vals.copy()
-    if vals.shape != (2,) + x.shape:
-        vals = np.broadcast_to(vals, (2,) + x.shape).astype(float)
-    return vals.reshape(-1).copy()
+    want = (2,) + x.shape if vals.ndim > x.ndim else (1,) + x.shape
+    if vals.shape != want:
+        vals = np.broadcast_to(vals, want).astype(float)
+    return vals
+
+
+def interpolate(space, f):
+    """Nodal Lagrange interpolant: coefficient i of each block equals that
+    component of f at node i; one block for a scalar ``f``, two for a
+    vector one."""
+    x, y = space.node_coords[:, 0], space.node_coords[:, 1]
+    return field_blocks(f, x, y).reshape(-1).copy()

@@ -34,21 +34,22 @@ class ErrorRecord:
     pres_l2_exact: float
 
 
-def fe_norm_diff(space, a, b, matrix):
+def fe_norm_diff(a, b, matrix):
     """Norm of the difference of two coefficient vectors on one space:
     sqrt((a-b)^T M (a-b)) with M = ``matrix`` (the mass matrix for L2,
-    the stiffness matrix for the H1 seminorm).  ``matrix`` may be the
-    scalar one of a vector space."""
+    the stiffness matrix for the H1 seminorm), applied to every
+    coefficient block of a and b."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != (space.num_dofs,) or b.shape != (space.num_dofs,):
-        raise ValueError("coefficient vectors do not match the space")
+    if a.ndim != 1 or a.shape != b.shape or a.size % matrix.shape[1]:
+        raise ValueError("coefficient vectors do not match the matrix")
     d = a - b
     return float(np.sqrt(max(d @ componentwise(matrix, d), 0.0)))
 
 
 def error_vs_exact(space, coeffs, exact):
-    """Quadrature L2 norm of u_h - u against an analytic field.
+    """Quadrature L2 norm of u_h - u against an analytic field: one
+    coefficient block of ``coeffs`` per component of ``exact``.
 
     Time-dependent fields should be bound to a fixed t by the caller.
     """
@@ -57,12 +58,10 @@ def error_vs_exact(space, coeffs, exact):
     xq = assembly.quadrature_points_physical(space.mesh, rule)
     _, det, _ = assembly._geometry(space.mesh)
     vals, _ = space.reference.eval(rule.reference_points())
-    ue = np.asarray(exact(xq[..., 0], xq[..., 1]), dtype=float)
-    ns = space.num_scalar_dofs
+    ue = femspace.field_blocks(exact, xq[..., 0], xq[..., 1])
     acc = 0.0
-    for c in range(space.components):
-        ce = coeffs[c * ns + space.element_dofs]  # (nt, nb)
-        uc = ue[c] if space.components == 2 else ue
+    for c, uc in enumerate(ue):
+        ce = coeffs[c * space.num_dofs + space.element_dofs]  # (nt, nb)
         diff2 = (np.einsum("qi,ti->tq", vals, ce) - uc) ** 2
         acc += np.einsum("q,tq,t->", rule.weights, diff2, det)
     return float(np.sqrt(max(acc, 0.0)))
@@ -103,24 +102,20 @@ class TransientErrorTracker:
     """
 
     def __init__(self, disc, case):
-        v_space, p_space = disc.v_space, disc.p_space
-        self.v_space = v_space
-
+        space = self.space = disc.space
         self.M = disc.mass
 
-        interp_v = femspace.interpolate(v_space, case.steady_velocity)
-        interp_p = femspace.interpolate(p_space, case.steady_pressure)
+        interp_v = femspace.interpolate(space, case.steady_velocity)
+        interp_p = femspace.interpolate(space, case.steady_pressure)
         self.m_interp_v = componentwise(self.M, interp_v)
         self.interp_v_sq = float(interp_v @ self.m_interp_v)
         self.m_interp_p = self.M @ interp_p
         self.interp_p_sq = float(interp_p @ self.m_interp_p)
 
-        zeros_v = np.zeros(v_space.num_dofs)
-        zeros_p = np.zeros(p_space.num_dofs)
-        self.load_v = assembly.assemble_load(v_space, case.steady_velocity, restrict=False)
-        self.norm_v_sq = error_vs_exact(v_space, zeros_v, case.steady_velocity) ** 2
-        self.load_p = assembly.assemble_load(p_space, case.steady_pressure, restrict=False)
-        self.norm_p_sq = error_vs_exact(p_space, zeros_p, case.steady_pressure) ** 2
+        self.load_v = assembly.assemble_load(space, case.steady_velocity)
+        self.norm_v_sq = error_vs_exact(space, np.zeros_like(interp_v), case.steady_velocity) ** 2
+        self.load_p = assembly.assemble_load(space, case.steady_pressure)
+        self.norm_p_sq = error_vs_exact(space, np.zeros_like(interp_p), case.steady_pressure) ** 2
 
     @staticmethod
     def _moment_norm(quad, cross, const, c):
@@ -128,7 +123,7 @@ class TransientErrorTracker:
 
     def __call__(self, state):
         """The ErrorRecord of ``state`` (velocity on the free DOFs)."""
-        v, q = self.v_space.extend(state.velocity), state.pressure
+        v, q = self.space.extend(state.velocity), state.pressure
         c = float(np.cos(state.t))
         vmv = float(v @ componentwise(self.M, v))
         qmq = float(q @ (self.M @ q))

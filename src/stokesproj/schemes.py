@@ -19,11 +19,11 @@ purpose.  ``SchemeParams.check_guard`` is the one place that rule is
 written; the CLI validates configs with it.
 
 Velocities are stepped on the free DOFs and pressures are kept at zero
-discrete mean.  The velocity system matrix is block-diagonal over
-components, so one scalar factorization (and one pinned factorization of
-S) serves every step.  ``run`` is the one time loop: it steps every run
-of a mesh on shared forcing loads and initial states, and the experiment
-runners only choose what each step records.
+discrete mean.  The velocity system matrix has one scalar block per
+velocity component, so one scalar factorization (and one pinned
+factorization of S) serves every step.  ``run`` is the one time loop:
+it steps every run of a mesh on shared forcing loads and initial states,
+and the experiment runners only choose what each step records.
 """
 
 import warnings
@@ -173,23 +173,23 @@ def initialize(params, case, disc):
 
     The velocity keeps only its free DOFs, so its Dirichlet values are zero.
     """
-    v_space, p_space = disc.v_space, disc.p_space
+    space = disc.space
     if params.init == "stabilized_stokes":
         ops = steady.SteadyOperators(disc)
         sol = ops.solve(params.nu, params.delta, ops.load(case.steady_data(0.0)),
                         tol=params.tol)
         v0, q0 = sol.velocity, sol.pressure
     else:
-        v0 = femspace.interpolate(v_space, lambda x, y: case.velocity(x, y, 0.0))
+        v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":
             q0 = sparsela.project_mean(
-                femspace.interpolate(p_space, lambda x, y: case.pressure(x, y, 0.0)),
+                femspace.interpolate(space, lambda x, y: case.pressure(x, y, 0.0)),
                 disc.mean_weights,
             )
         else:
-            q0 = np.zeros(p_space.num_dofs)
+            q0 = np.zeros(space.num_dofs)
     prev = q0.copy() if params.scheme == "inc" else None
-    return TimeState(step=0, t=0.0, velocity=v_space.restrict(v0), pressure=q0,
+    return TimeState(step=0, t=0.0, velocity=space.restrict(v0), pressure=q0,
                      pressure_prev=prev)
 
 
@@ -245,7 +245,9 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     set, once its velocity energy exceeds ceiling * max(initial energy,
     1e-300); ``energies`` holds that history.
     """
-    loads = [(tf, assembly.assemble_load(disc.v_space, sf)) for tf, sf in case.forcing_terms()]
+    space = disc.space
+    loads = [(tf, space.restrict(assembly.assemble_load(space, sf)))
+             for tf, sf in case.forcing_terms()]
     initial = {}
     results = []
     for params in runs:

@@ -38,32 +38,21 @@ class SolveReport:
     converged: bool
 
 
-def _symmetric_splu(a_csc, order=None):
+def _symmetric_splu(a_csc, permc_spec):
     """SuperLU in symmetric mode (diagonal pivots only); returns the solve
     function of the factorization.  Stable for SPD and for symmetric
     quasi-definite matrices (Vanderbei 1995), and with much sparser
-    factors than the default partial pivoting.
-
-    Without ``order`` SuperLU orders by minimum degree on A + A^T.  With
-    a permutation ``order`` it factors ``a[order][:, order]`` as given
-    (``permc_spec="NATURAL"``) and the solve maps back to A's layout."""
-    if order is not None:
-        a_csc = sparse.csc_matrix(a_csc[order][:, order])
+    factors than the default partial pivoting.  ``permc_spec`` is
+    SuperLU's column ordering: ``"MMD_AT_PLUS_A"`` (minimum degree on
+    A + A^T) or ``"NATURAL"`` for a matrix already permuted by the
+    caller."""
     lu = spla.splu(
         a_csc,
-        permc_spec="MMD_AT_PLUS_A" if order is None else "NATURAL",
+        permc_spec=permc_spec,
         diag_pivot_thresh=0.0,
         options=dict(SymmetricMode=True),
     )
-    if order is None:
-        return lu.solve
-
-    def solve(b):
-        x = np.empty(b.shape)
-        x[order] = lu.solve(b[order])
-        return x
-
-    return solve
+    return lu.solve
 
 
 def _factorize_spd(a_csc):
@@ -71,7 +60,7 @@ def _factorize_spd(a_csc):
     SuperLU mode; falls back to default pivoting if a verification solve
     is off."""
     try:
-        solve = _symmetric_splu(a_csc)
+        solve = _symmetric_splu(a_csc, "MMD_AT_PLUS_A")
         probe = np.ones(a_csc.shape[0])
         x = solve(probe)
         if np.linalg.norm(a_csc @ x - probe) <= 1e-8 * np.linalg.norm(probe):
@@ -155,8 +144,9 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
         return np.zeros(nv), np.zeros(npres), SolveReport(0, 0.0, True)
 
     k = sparse.bmat([[a_block, g], [g.T, -delta * s]], format="csr")
-    keep = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])
-    k_pinned = sparse.csc_matrix(k[keep][:, keep])
+    # the pinned unknowns in factorization order, as indices into k
+    perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
+    k_pinned = sparse.csc_matrix(k[perm][:, perm])
     rhs = np.concatenate([rhs_v, np.zeros(npres)])
     scale = np.linalg.norm(rhs_v)
 
@@ -168,18 +158,18 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
 
     def refined_solve(solve):
         sol = np.zeros(nv + npres)
-        sol[keep] = solve(rhs[keep])
+        sol[perm] = solve(rhs[perm])
         rel = residuals(sol)
         refinements = 0
         while rel > tol and refinements < 2:
             r_full = rhs - k @ sol
-            sol[keep] += solve(r_full[keep])
+            sol[perm] += solve(r_full[perm])
             rel = residuals(sol)
             refinements += 1
         return sol, rel, refinements
 
     try:
-        sol, rel, refinements = refined_solve(_symmetric_splu(k_pinned, order))
+        sol, rel, refinements = refined_solve(_symmetric_splu(k_pinned, "NATURAL"))
     except RuntimeError:  # a zero pivot in symmetric mode
         rel = np.inf
     if rel > tol:

@@ -32,7 +32,7 @@ def choose_delta(h, nu, rho):
 class StokesSolution:
     """Velocity/pressure coefficients of one stabilized steady solve.
 
-    ``velocity`` lives on the full velocity space (zeros at Dirichlet
+    ``velocity`` holds both full blocks on the space (zeros at Dirichlet
     DOFs); ``pressure`` has zero discrete mean.
     """
 
@@ -45,7 +45,7 @@ class SteadyOperators:
     sweeps share the assembly across delta values."""
 
     def __init__(self, disc):
-        self.v_space = disc.v_space
+        self.space = disc.space
         self.a_free = disc.stiffness_free_vector
         self.g_mat = disc.G
         self.s_mat = disc.stiffness
@@ -53,7 +53,7 @@ class SteadyOperators:
         self.order = disc.saddle_order
 
     def load(self, ghat):
-        return assembly.assemble_load(self.v_space, ghat, restrict=True)
+        return self.space.restrict(assembly.assemble_load(self.space, ghat))
 
     def solve(self, nu, delta, rhs_v, tol):
         if nu <= 0.0:
@@ -70,5 +70,5 @@ class SteadyOperators:
             mean_weights=self.mean_weights,
             tol=tol,
         )
-        return StokesSolution(velocity=self.v_space.extend(s_free), pressure=z)
+        return StokesSolution(velocity=self.space.extend(s_free), pressure=z)
 

@@ -30,15 +30,14 @@ def load_at():
     terms as ``schemes.run`` sums them."""
 
     def build(case, disc):
-        terms = [(tf, assembly.assemble_load(disc.v_space, sf)) for tf, sf in case.forcing_terms()]
+        space = disc.space
+        terms = [(tf, space.restrict(assembly.assemble_load(space, sf)))
+                 for tf, sf in case.forcing_terms()]
         return lambda t: sum(tf(t) * vec for tf, vec in terms)
 
     return build
 
 
 @pytest.fixture(scope="session")
-def spaces_p1_grid4(grid4):
-    return (
-        femspace.build_space(grid4, 1, components=2),
-        femspace.build_space(grid4, 1, components=1),
-    )
+def space_p1_grid4(grid4):
+    return femspace.build_space(grid4, 1)

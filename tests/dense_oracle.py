@@ -9,11 +9,13 @@ vectors, the quadrature rule data (same points, so load comparisons are
 exact rather than quadrature-limited).
 
 It also holds the small helpers that only tests need: the Dirichlet DOFs
-of a velocity space, the Dirichlet restriction of a full-space matrix and
-the closed-form momentum forcing of the manufactured case.
+of a velocity, the block-diagonal vector matrix of a scalar one and its
+Dirichlet restriction, and the closed-form momentum forcing of the
+manufactured case.
 """
 
 import numpy as np
+import scipy.sparse as sparse
 
 _NODES = {
     1: np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
@@ -76,56 +78,53 @@ def _element_geometry(mesh, e):
     return p[0], b, det, inv_t
 
 
-def dense_matrices(v_space, p_space, order=8):
-    """Dense M, A (velocity), S (pressure), G and D (couplings), full
-    spaces; Dirichlet restriction is up to the caller."""
-    mesh = v_space.mesh
-    dv, dp = v_space.degree, p_space.degree
+def dense_matrices(space, order=8):
+    """Dense M, A (velocity), S (pressure), G and D (couplings) of the
+    equal-order pair on ``space``, full spaces; Dirichlet restriction is
+    up to the caller."""
+    mesh = space.mesh
     pts, wts = duffy_rule(order)
-    vals_v, grads_v = eval_basis(dv, pts)
-    vals_p, grads_p = eval_basis(dp, pts)
-    nsv, nsp = v_space.num_scalar_dofs, p_space.num_scalar_dofs
-    m = np.zeros((2 * nsv, 2 * nsv))
-    a = np.zeros((2 * nsv, 2 * nsv))
-    s = np.zeros((nsp, nsp))
-    g = np.zeros((2 * nsv, nsp))
-    d = np.zeros((nsp, 2 * nsv))
+    vals, grads = eval_basis(space.degree, pts)
+    n = space.num_dofs
+    m = np.zeros((2 * n, 2 * n))
+    a = np.zeros((2 * n, 2 * n))
+    s = np.zeros((n, n))
+    g = np.zeros((2 * n, n))
+    d = np.zeros((n, 2 * n))
     for e in range(mesh.num_triangles):
         _, _, det, inv_t = _element_geometry(mesh, e)
-        vdofs = v_space.element_dofs[e]
-        pdofs = p_space.element_dofs[e]
+        vdofs = pdofs = space.element_dofs[e]
         for qi in range(len(wts)):
             w = wts[qi] * det
-            phi = vals_v[qi]
-            gphi = grads_v[qi] @ inv_t.T  # physical gradients (nb, 2)
-            psi = vals_p[qi]
-            gpsi = grads_p[qi] @ inv_t.T
+            phi = psi = vals[qi]
+            gphi = gpsi = grads[qi] @ inv_t.T  # physical gradients (nb, 2)
             for i, gi in enumerate(vdofs):
                 for j, gj in enumerate(vdofs):
                     mij = w * phi[i] * phi[j]
                     aij = w * (gphi[i] @ gphi[j])
                     for c in range(2):
-                        m[c * nsv + gi, c * nsv + gj] += mij
-                        a[c * nsv + gi, c * nsv + gj] += aij
+                        m[c * n + gi, c * n + gj] += mij
+                        a[c * n + gi, c * n + gj] += aij
             for i, gi in enumerate(pdofs):
                 for j, gj in enumerate(pdofs):
                     s[gi, gj] += w * (gpsi[i] @ gpsi[j])
             for i, gi in enumerate(vdofs):
                 for mu, gmu in enumerate(pdofs):
                     for c in range(2):
-                        g[c * nsv + gi, gmu] += w * gpsi[mu][c] * phi[i]
-                        d[gmu, c * nsv + gi] += w * psi[mu] * gphi[i][c]
+                        g[c * n + gi, gmu] += w * gpsi[mu][c] * phi[i]
+                        d[gmu, c * n + gi] += w * psi[mu] * gphi[i][c]
     return {"M": m, "A": a, "S": s, "G": g, "D": d}
 
 
 def dense_load(space, f, rule, t=None):
     """Dense load vector using the package's quadrature rule data but an
-    independent basis/geometry/evaluation path."""
+    independent basis/geometry/evaluation path: one block per component
+    of ``f``."""
     mesh = space.mesh
     ref = rule.points[:, 1:3]
     vals, _ = eval_basis(space.degree, ref)
-    ns = space.num_scalar_dofs
-    out = np.zeros(space.components * ns)
+    out = np.zeros((2, space.num_dofs))
+    blocks = 1
     for e in range(mesh.num_triangles):
         p0, b, det, _ = _element_geometry(mesh, e)
         dofs = space.element_dofs[e]
@@ -133,32 +132,36 @@ def dense_load(space, f, rule, t=None):
             xq = p0 + b @ ref[qi]
             fv = f(xq[0], xq[1]) if t is None else f(xq[0], xq[1], t)
             fv = np.atleast_1d(np.asarray(fv, dtype=float))
+            blocks = fv.size
             w = rule.weights[qi] * det
             for i, gi in enumerate(dofs):
-                if space.components == 1:
-                    out[gi] += w * fv[0] * vals[qi, i]
-                else:
-                    for c in range(2):
-                        out[c * ns + gi] += w * fv[c] * vals[qi, i]
-    return out
+                for c in range(blocks):
+                    out[c, gi] += w * fv[c] * vals[qi, i]
+    return out[:blocks].ravel()
 
 
-def dirichlet_dofs(v_space):
-    """Indices of the constrained (boundary) DOFs of a velocity space."""
-    ns = v_space.num_scalar_dofs
-    b = np.flatnonzero(v_space.boundary_scalar)
+def dirichlet_dofs(space):
+    """Indices of the constrained (boundary) DOFs of a velocity on ``space``."""
+    ns = space.num_dofs
+    b = np.flatnonzero(space.boundary_scalar)
     return np.concatenate([b, b + ns])
 
 
-def velocity_free_indices(v_space):
-    ns = v_space.num_scalar_dofs
-    return np.concatenate([v_space.free_scalar, ns + v_space.free_scalar])
+def velocity_free_indices(space):
+    ns = space.num_dofs
+    return np.concatenate([space.free_scalar, ns + space.free_scalar])
 
 
-def restrict_matrix(v_space, matrix):
-    """Drop the Dirichlet rows and columns of a full-space velocity matrix."""
-    keep = velocity_free_indices(v_space)
-    return matrix.tocsr()[keep][:, keep].tocsr()
+def vector_matrix(matrix):
+    """The velocity matrix of a scalar one: one copy per component block."""
+    return sparse.block_diag([matrix, matrix], format="csr")
+
+
+def restrict_matrix(space, matrix):
+    """The velocity matrix of the scalar full-space ``matrix`` without its
+    Dirichlet rows and columns."""
+    keep = velocity_free_indices(space)
+    return vector_matrix(matrix)[keep][:, keep].tocsr()
 
 
 def forcing(case, x, y, t):

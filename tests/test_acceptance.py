@@ -41,21 +41,18 @@ def _steady_table(case, degree, n_values, rho_values):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         disc = Discretization(grid, degree)
-        v_space, p_space = disc.v_space, disc.p_space
         ops = steady.SteadyOperators(disc)
         rhs = ops.load(case.steady_forcing)
-        interp_v = femspace.interpolate(v_space, case.steady_velocity)
-        interp_p = femspace.interpolate(p_space, case.steady_pressure)
+        interp_v = femspace.interpolate(disc.space, case.steady_velocity)
+        interp_p = femspace.interpolate(disc.space, case.steady_pressure)
         setup = time.time() - t0
         for rho in rho_values:
             t1 = time.time()
             sol = ops.solve(NU, steady.choose_delta(h, NU, rho), rhs, tol=1e-10)
             table[(n, rho)] = {
                 "h": h,
-                "vel": metrics.fe_norm_diff(v_space, sol.velocity, interp_v,
-                                            matrix=disc.mass),
-                "pres": metrics.fe_norm_diff(p_space, sol.pressure, interp_p,
-                                             matrix=disc.mass),
+                "vel": metrics.fe_norm_diff(sol.velocity, interp_v, matrix=disc.mass),
+                "pres": metrics.fe_norm_diff(sol.pressure, interp_p, matrix=disc.mass),
             }
             timings[rho] += time.time() - t1 + setup  # setup charged to every rho
     return table, timings
@@ -292,8 +289,7 @@ def test_criterion_07_free_decay_monotonicity():
     delta = steady.choose_delta(1.0 / 20, NU, 10.0)
     rng = np.random.default_rng(2024)
     disc = Discretization(grid, 1)
-    v_space, p_space = disc.v_space, disc.p_space
-    v0 = rng.standard_normal(2 * v_space.num_free_scalar)  # free DOFs only
+    v0 = rng.standard_normal(2 * disc.space.free_scalar.size)  # free DOFs only
     worst = {}
     for scheme in ("noninc", "inc"):
         params = schemes.SchemeParams(
@@ -301,7 +297,7 @@ def test_criterion_07_free_decay_monotonicity():
             init="zero_pressure",
         ).resolved()
         ops = schemes.SchemeOperators(disc, params)
-        zero_q = np.zeros(p_space.num_dofs)
+        zero_q = np.zeros(disc.space.num_dofs)
         state = schemes.TimeState(0, 0.0, v0.copy(), zero_q.copy(), zero_q.copy())
         step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
         zero_load = np.zeros(v0.size)
@@ -367,15 +363,14 @@ def test_criterion_08_scheme_equivalence(mms_case, load_at):
 def test_criterion_09_assembly_oracle(grid2):
     worst = {}
     for degree in (1, 2):
-        v_space = femspace.build_space(grid2, degree, 2)
-        p_space = femspace.build_space(grid2, degree, 1)
-        dense = dense_oracle.dense_matrices(v_space, p_space)
-        free = dense_oracle.velocity_free_indices(v_space)
-        m = dense_oracle.restrict_matrix(v_space, assembly.assemble_mass(v_space))
-        a = dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
-        g = assembly.assemble_pressure_gradient(v_space, p_space)
-        s = assembly.assemble_stiffness(p_space)
-        d = assembly.assemble_divergence(v_space, p_space)
+        space = femspace.build_space(grid2, degree)
+        dense = dense_oracle.dense_matrices(space)
+        free = dense_oracle.velocity_free_indices(space)
+        m = dense_oracle.restrict_matrix(space, assembly.assemble_mass(space))
+        a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
+        g = assembly.assemble_pressure_gradient(space)
+        s = assembly.assemble_stiffness(space)
+        d = assembly.assemble_divergence(space)
         worst[degree] = max(
             abs(m.toarray() - dense["M"][np.ix_(free, free)]).max(),
             abs(a.toarray() - dense["A"][np.ix_(free, free)]).max(),

@@ -7,22 +7,18 @@ from stokesproj import assembly, femspace, mesh
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["P1", "P2"])
-def pair_grid2(request, grid2):
-    degree = request.param
-    return (
-        femspace.build_space(grid2, degree, components=2),
-        femspace.build_space(grid2, degree, components=1),
-    )
+def space_grid2(request, grid2):
+    return femspace.build_space(grid2, request.param)
 
 
 def test_mass_total_is_domain_measure(grid4):
     for degree in (1, 2):
-        space = femspace.build_space(grid4, degree, 1)
+        space = femspace.build_space(grid4, degree)
         assert assembly.assemble_mass(space).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mass_constant_vector(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     m = assembly.assemble_mass(space)
     assert (m @ np.ones(space.num_dofs)).sum() == pytest.approx(1.0, abs=1e-14)
 
@@ -30,7 +26,7 @@ def test_mass_constant_vector(grid4):
 def test_p1_element_mass_matrix():
     # single-element mass = (area/12) [[2,1,1],[1,2,1],[1,1,2]]
     m = mesh.build_grid(1)
-    space = femspace.build_space(m, 1, 1)
+    space = femspace.build_space(m, 1)
     rule = femspace.quadrature(2)
     _, det, _ = assembly._geometry(m)
     vals, _ = space.reference.eval(rule.reference_points())
@@ -42,7 +38,7 @@ def test_p1_element_mass_matrix():
 
 def test_stiffness_kills_constants(grid4):
     for degree in (1, 2):
-        space = femspace.build_space(grid4, degree, 1)
+        space = femspace.build_space(grid4, degree)
         a = assembly.assemble_stiffness(space)
         assert np.max(np.abs(a @ np.ones(space.num_dofs))) <= 1e-13
 
@@ -50,7 +46,7 @@ def test_stiffness_kills_constants(grid4):
 def test_p1_unit_right_triangle_stiffness():
     # reference-style right triangle gives (1/2) [[2,-1,-1],[-1,1,0],[-1,0,1]]
     m = mesh.build_grid(1)
-    space = femspace.build_space(m, 1, 1)
+    space = femspace.build_space(m, 1)
     rule = femspace.quadrature(2)
     vals, grads, det = assembly._physical_gradients(space, rule)
     elem = np.einsum("q,tqia,tqja,t->tij", rule.weights, grads, grads, det)[0]
@@ -60,22 +56,20 @@ def test_p1_unit_right_triangle_stiffness():
 
 
 def test_free_stiffness_positive_definite(grid4):
-    space = femspace.build_space(grid4, 1, 2)
+    space = femspace.build_space(grid4, 1)
     a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
     eigs = np.linalg.eigvalsh(a.toarray())
     assert eigs.min() > 0
 
 
-def test_gradient_of_constant_pressure_is_zero(spaces_p1_grid4):
-    v_space, p_space = spaces_p1_grid4
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    assert np.max(np.abs(g @ np.ones(p_space.num_dofs))) <= 1e-14
+def test_gradient_of_constant_pressure_is_zero(space_p1_grid4):
+    g = assembly.assemble_pressure_gradient(space_p1_grid4)
+    assert np.max(np.abs(g @ np.ones(space_p1_grid4.num_dofs))) <= 1e-14
 
 
-def test_divergence_theorem_compatibility(spaces_p1_grid4):
+def test_divergence_theorem_compatibility(space_p1_grid4):
     # sum over pressure DOFs of G^T v vanishes for any v with zero trace
-    v_space, p_space = spaces_p1_grid4
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
+    g = assembly.assemble_pressure_gradient(space_p1_grid4)
     rng = np.random.default_rng(5)
     for _ in range(5):
         v = rng.standard_normal(g.shape[0])
@@ -84,41 +78,32 @@ def test_divergence_theorem_compatibility(spaces_p1_grid4):
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_gradient_equals_minus_divergence_transpose(grid2, degree):
-    v_space = femspace.build_space(grid2, degree, 2)
-    p_space = femspace.build_space(grid2, degree, 1)
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    d = assembly.assemble_divergence(v_space, p_space)
+    space = femspace.build_space(grid2, degree)
+    g = assembly.assemble_pressure_gradient(space)
+    d = assembly.assemble_divergence(space)
     assert abs(g + d.T).max() <= 1e-13
 
 
-def test_mismatched_meshes_rejected(grid2, grid4):
-    v_space = femspace.build_space(grid4, 1, 2)
-    p_space = femspace.build_space(grid2, 1, 1)
-    with pytest.raises(ValueError):
-        assembly.assemble_pressure_gradient(v_space, p_space)
-
-
 def test_pressure_stiffness_singular_with_constants(grid2):
-    p_space = femspace.build_space(grid2, 1, 1)
-    s = assembly.assemble_stiffness(p_space)
-    assert np.max(np.abs(s @ np.ones(p_space.num_dofs))) <= 1e-13
+    space = femspace.build_space(grid2, 1)
+    s = assembly.assemble_stiffness(space)
+    assert np.max(np.abs(s @ np.ones(space.num_dofs))) <= 1e-13
     assert abs(s - s.T).max() <= 1e-14
-    assert np.linalg.matrix_rank(s.toarray()) == p_space.num_dofs - 1
+    assert np.linalg.matrix_rank(s.toarray()) == space.num_dofs - 1
 
 
-def test_zero_load(spaces_p1_grid4, case):
-    v_space, _ = spaces_p1_grid4
-    load = assembly.assemble_load(v_space, lambda x, y: np.zeros((2,) + x.shape))
+def test_zero_load(space_p1_grid4, case):
+    space = space_p1_grid4
+    load = space.restrict(assembly.assemble_load(space, lambda x, y: np.zeros((2,) + x.shape)))
     assert np.all(load == 0.0)
 
 
 def test_unit_load_partition_of_unity(grid4):
-    v_space = femspace.build_space(grid4, 1, 2)
+    space = femspace.build_space(grid4, 1)
     load = assembly.assemble_load(
-        v_space, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)]),
-        restrict=False,
+        space, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)])
     )
-    ns = v_space.num_scalar_dofs
+    ns = space.num_dofs
     assert load[:ns].sum() == pytest.approx(1.0, abs=1e-14)
     assert np.allclose(load[ns:], 0.0)
 
@@ -126,16 +111,16 @@ def test_unit_load_partition_of_unity(grid4):
 # --- dense oracle cross-checks ----------------------------------------------
 
 
-def test_matrices_match_dense_oracle(pair_grid2):
-    v_space, p_space = pair_grid2
-    dense = dense_oracle.dense_matrices(v_space, p_space)
-    free = dense_oracle.velocity_free_indices(v_space)
+def test_matrices_match_dense_oracle(space_grid2):
+    space = space_grid2
+    dense = dense_oracle.dense_matrices(space)
+    free = dense_oracle.velocity_free_indices(space)
 
-    m = dense_oracle.restrict_matrix(v_space, assembly.assemble_mass(v_space))
-    a = dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    s = assembly.assemble_stiffness(p_space)
-    d = assembly.assemble_divergence(v_space, p_space)
+    m = dense_oracle.restrict_matrix(space, assembly.assemble_mass(space))
+    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
+    g = assembly.assemble_pressure_gradient(space)
+    s = assembly.assemble_stiffness(space)
+    d = assembly.assemble_divergence(space)
 
     assert abs(m.toarray() - dense["M"][np.ix_(free, free)]).max() <= 1e-13
     assert abs(a.toarray() - dense["A"][np.ix_(free, free)]).max() <= 1e-13
@@ -146,23 +131,23 @@ def test_matrices_match_dense_oracle(pair_grid2):
 
 
 def test_load_matches_dense_oracle(grid2, case):
-    v_space = femspace.build_space(grid2, 1, 2)
+    space = femspace.build_space(grid2, 1)
     rule = femspace.quadrature(6)
-    ours = assembly.assemble_load(v_space, case.steady_forcing, restrict=False)
+    ours = assembly.assemble_load(space, case.steady_forcing)
 
     def pointwise(x, y):
         return case.steady_forcing(np.asarray(x), np.asarray(y))
 
-    theirs = dense_oracle.dense_load(v_space, pointwise, rule)
+    theirs = dense_oracle.dense_load(space, pointwise, rule)
     assert abs(ours - theirs).max() <= 1e-13
 
 
-def test_symmetry(spaces_p1_grid4):
-    v_space, p_space = spaces_p1_grid4
+def test_symmetry(space_p1_grid4):
+    space = space_p1_grid4
     for mat in (
-        assembly.assemble_mass(v_space),
-        assembly.assemble_stiffness(v_space),
-        assembly.assemble_stiffness(p_space),
+        dense_oracle.vector_matrix(assembly.assemble_mass(space)),
+        dense_oracle.vector_matrix(assembly.assemble_stiffness(space)),
+        assembly.assemble_stiffness(space),
     ):
         assert abs(mat - mat.T).max() <= 1e-14
 
@@ -186,11 +171,11 @@ def test_is_canonical_csr():
     assert not is_canonical_csr(bad)
 
 
-def test_matrices_are_canonical_csr(spaces_p1_grid4):
-    v_space, p_space = spaces_p1_grid4
+def test_matrices_are_canonical_csr(space_p1_grid4):
+    space = space_p1_grid4
     for mat in (
-        assembly.assemble_mass(v_space),
-        assembly.assemble_pressure_gradient(v_space, p_space),
+        dense_oracle.vector_matrix(assembly.assemble_mass(space)),
+        assembly.assemble_pressure_gradient(space),
     ):
         assert is_canonical_csr(mat)
 
@@ -211,7 +196,7 @@ def test_accumulation_matches_sequential_sum():
 
 
 def test_assembly_bit_reproducible(grid4):
-    space = femspace.build_space(grid4, 2, 1)
+    space = femspace.build_space(grid4, 2)
     a1 = assembly.assemble_stiffness(space)
     a2 = assembly.assemble_stiffness(space)
     assert np.array_equal(a1.data, a2.data)
@@ -220,7 +205,31 @@ def test_assembly_bit_reproducible(grid4):
 
 def test_basis_integrals_sum_to_measure(grid4):
     for degree in (1, 2):
-        space = femspace.build_space(grid4, degree, 1)
+        space = femspace.build_space(grid4, degree)
         w = assembly.basis_integrals(space)
         assert w.sum() == pytest.approx(1.0, abs=1e-13)
 
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_vector_load_is_its_component_loads(grid4, case, degree):
+    # a vector field gives two blocks, each bit-identical to the scalar
+    # load of that component
+    space = femspace.build_space(grid4, degree)
+    vector = assembly.assemble_load(space, case.steady_forcing)
+    parts = [
+        assembly.assemble_load(space, lambda x, y, c=c: case.steady_forcing(x, y)[c])
+        for c in range(2)
+    ]
+    assert np.array_equal(vector, np.concatenate(parts))
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_vector_interpolant_is_its_component_interpolants(grid4, case, degree):
+    space = femspace.build_space(grid4, degree)
+    vector = femspace.interpolate(space, case.steady_velocity)
+    parts = [
+        femspace.interpolate(space, lambda x, y, c=c: case.steady_velocity(x, y)[c])
+        for c in range(2)
+    ]
+    assert np.array_equal(vector, np.concatenate(parts))

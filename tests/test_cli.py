@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokesproj
-from stokesproj import cli, sparsela, steady
+from stokesproj import cli, metrics, sparsela, steady
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -392,9 +392,18 @@ def test_stability_probe_rows():
     assert summaries[4.0] == "diverged"
 
 
-def test_transient_convergence_reports_divergence(tmp_path, capsys):
+def test_transient_convergence_reports_divergence(tmp_path, capsys, monkeypatch):
     # dt = 0.05 is 3.2 delta at N = 8: that run blows up before T, so its
     # row says so and the rate, with one completed mesh left, is not taken
+    observed = []
+
+    class Tracker(metrics.TransientErrorTracker):
+        def __call__(self, state):
+            record = super().__call__(state)
+            observed.append(record.step)
+            return record
+
+    monkeypatch.setattr(metrics, "TransientErrorTracker", Tracker)
     cfg = write(
         tmp_path,
         "allow_unstable = true\n[transient_convergence]\nn_values = 4 8\nrho_values = 10\n"
@@ -410,6 +419,9 @@ def test_transient_convergence_reports_divergence(tmp_path, capsys):
         ("rate", "", "insufficient data for a rate"),
     ]
     assert int(rows[1][8]) < 600
+    # the row's step count is the step of the errors it reports, those of
+    # the N = 8 run's last record
+    assert int(rows[1][8]) == observed[-1]
 
 
 DATA = pathlib.Path(__file__).parent / "data"

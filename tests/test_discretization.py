@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.sparse as sparse
 
 import dense_oracle
 from stokesproj import assembly, cli, femspace, mesh, metrics, sparsela
@@ -23,24 +22,23 @@ def assert_same_csr(a, b):
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_operators_bit_identical_to_direct_assembly(grid4, degree):
     disc = Discretization(grid4, degree)
-    v_space = femspace.build_space(grid4, degree, 2)
-    p_space = femspace.build_space(grid4, degree, 1)
+    space = femspace.build_space(grid4, degree)
     assert_same_csr(
         disc.stiffness_free_vector,
-        dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space)),
+        dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space)),
     )
-    assert_same_csr(disc.G, assembly.assemble_pressure_gradient(v_space, p_space))
-    assert_same_csr(disc.stiffness, assembly.assemble_stiffness(p_space))
+    assert_same_csr(disc.G, assembly.assemble_pressure_gradient(space))
+    assert_same_csr(disc.stiffness, assembly.assemble_stiffness(space))
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_componentwise_bit_identical_to_block_product(grid4, degree):
     disc = Discretization(grid4, degree)
-    x = np.random.default_rng(3).standard_normal(disc.v_space.num_dofs)
+    x = np.random.default_rng(3).standard_normal(2 * disc.space.num_dofs)
     for scalar in (disc.mass, disc.stiffness):
-        block = sparse.block_diag([scalar, scalar], format="csr")
+        block = dense_oracle.vector_matrix(scalar)
         assert np.array_equal(componentwise(scalar, x), block @ x)
-        xs = x[: disc.p_space.num_dofs]
+        xs = x[: disc.space.num_dofs]
         assert np.array_equal(componentwise(scalar, xs), scalar @ xs)
         assert np.array_equal(componentwise(block, x), block @ x)
 
@@ -48,8 +46,8 @@ def test_componentwise_bit_identical_to_block_product(grid4, degree):
 def pinned_unknown_nodes(disc):
     """Node and field (0, 1: velocity components, 2: pressure) of every
     pinned saddle unknown, in the layout of ``sparsela.saddle_solve``."""
-    fs = disc.v_space.free_scalar
-    np_ = disc.p_space.num_scalar_dofs
+    fs = disc.space.free_scalar
+    np_ = disc.space.num_dofs
     nodes = np.concatenate([fs, fs, np.arange(1, np_)])
     field = np.repeat([0, 1, 2], [fs.size, fs.size, np_ - 1])
     return nodes, field
@@ -66,7 +64,7 @@ def test_saddle_order_groups_each_node_fields(degree, n):
     starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
     # one run per node (every node but the pinned corner has a pressure),
     # its fields in order
-    assert starts.size == disc.p_space.num_scalar_dofs - 1
+    assert starts.size == disc.space.num_dofs - 1
     assert np.unique(seq[starts]).size == starts.size
     same_node = seq[1:] == seq[:-1]
     assert np.all(fields[1:][same_node] > fields[:-1][same_node])
@@ -75,13 +73,13 @@ def test_saddle_order_groups_each_node_fields(degree, n):
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_p2_separators_lie_on_mesh_lines(n):
     disc = Discretization(mesh.build_grid(n), 2)
-    lattice = np.rint(disc.p_space.node_coords * 2 * n).astype(np.int64)
+    lattice = np.rint(disc.space.node_coords * 2 * n).astype(np.int64)
     blocks = assembly._dissect(lattice, 2)
     all_nodes = np.concatenate([nodes for nodes, _ in blocks])
     assert np.array_equal(np.sort(all_nodes), np.arange(len(lattice)))
     separators = [(nodes, line) for nodes, line in blocks if line is not None]
     assert separators
-    elements = lattice[disc.p_space.element_dofs]  # (nt, 6, 2)
+    elements = lattice[disc.space.element_dofs]  # (nt, 6, 2)
     for nodes, (axis, index) in separators:
         assert index % 2 == 0
         assert np.all(lattice[nodes, axis] == index)
@@ -92,8 +90,9 @@ def test_p2_separators_lie_on_mesh_lines(n):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of every operator assembly, load assembly, saddle solve,
-    pinned factorization and error tracker construction."""
+    """Calls of every space construction, operator assembly, load
+    assembly, saddle solve, pinned factorization and error tracker
+    construction."""
     seen = {}
 
     def counting(owner, name):
@@ -107,6 +106,7 @@ def counts(monkeypatch):
 
     for name in OPERATORS + ("assemble_load",):
         counting(assembly, name)
+    counting(femspace, "build_space")
     counting(sparsela, "saddle_solve")
     counting(sparsela, "PinnedSingularSolver")
     counting(metrics, "TransientErrorTracker")
@@ -123,6 +123,7 @@ def probe_config(ratios):
 
 def test_probe_builds_initial_state_and_operators_once(counts):
     cli.run_stability_probe(probe_config("0.5 1 4"))
+    assert counts["build_space"] == 1
     assert counts["saddle_solve"] == 1
     # two forcing terms, the steady initial data and the mean weights
     assert counts["assemble_load"] == 4
@@ -135,6 +136,8 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts):
         "[steady_sweep]\nn_values = 4 6\nrho_values = 1 10 100\n", kind="steady_sweep"
     )
     cli.run_steady_sweep(config)
+    # one space per mesh
+    assert counts["build_space"] == 2
     assert counts["saddle_solve"] == 6
     assert all(counts.get(name, 0) <= 2 for name in OPERATORS), counts
 

@@ -109,39 +109,39 @@ def test_quadrature_random_polynomials(degree):
 
 
 def test_space_dof_counts(grid2):
-    assert femspace.build_space(grid2, 1, 1).num_dofs == 9
-    vel = femspace.build_space(grid2, 1, 2)
-    assert vel.num_dofs == 18
-    assert dense_oracle.dirichlet_dofs(vel).size == 16
-    assert femspace.build_space(grid2, 2, 1).num_dofs == 25  # 9 vertices + 16 edges
+    space = femspace.build_space(grid2, 1)
+    assert space.num_dofs == 9
+    assert femspace.interpolate(space, lambda x, y: np.stack([x, y])).size == 18
+    assert dense_oracle.dirichlet_dofs(space).size == 16
+    assert femspace.build_space(grid2, 2).num_dofs == 25  # 9 vertices + 16 edges
 
 
 def test_pressure_space_has_no_dirichlet(grid2):
     # every pressure DOF, boundary nodes included, is an unknown: the
     # gradient keeps a column for each and a row for each free velocity DOF
     disc = Discretization(grid2, 1)
-    assert disc.G.shape == (2 * disc.v_space.num_free_scalar, disc.p_space.num_dofs)
+    assert disc.G.shape == (2 * disc.space.free_scalar.size, disc.space.num_dofs)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_every_dof_referenced(grid4, degree):
-    space = femspace.build_space(grid4, degree, 1)
+    space = femspace.build_space(grid4, degree)
     assert np.array_equal(
-        np.unique(space.element_dofs), np.arange(space.num_scalar_dofs)
+        np.unique(space.element_dofs), np.arange(space.num_dofs)
     )
 
 
 def test_p2_boundary_midpoints(grid2):
-    space = femspace.build_space(grid2, 2, 1)
+    space = femspace.build_space(grid2, 2)
     x, y = space.node_coords[:, 0], space.node_coords[:, 1]
     geometric = (x == 0) | (x == 1) | (y == 0) | (y == 1)
     assert np.array_equal(space.boundary_scalar, geometric)
 
 
 def test_restrict_extend_roundtrip(grid4):
-    space = femspace.build_space(grid4, 1, 2)
+    space = femspace.build_space(grid4, 1)
     rng = np.random.default_rng(3)
-    full = rng.standard_normal(space.num_dofs)
+    full = rng.standard_normal(2 * space.num_dofs)
     full[dense_oracle.dirichlet_dofs(space)] = 0.0
     assert np.array_equal(space.extend(space.restrict(full)), full)
 
@@ -150,13 +150,13 @@ def test_restrict_extend_roundtrip(grid4):
 
 
 def test_interpolate_constant(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     coeffs = femspace.interpolate(space, lambda x, y: 3.25)
     assert np.allclose(coeffs, 3.25)
 
 
 def test_interpolate_linear_exact(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     coeffs = femspace.interpolate(space, lambda x, y: x)
     assert np.allclose(coeffs, space.node_coords[:, 0], atol=1e-15)
     err = metrics.error_vs_exact(space, coeffs, lambda x, y: x)
@@ -164,7 +164,7 @@ def test_interpolate_linear_exact(grid4):
 
 
 def test_interpolate_manufactured_pressure_value(grid2, case):
-    space = femspace.build_space(grid2, 1, 1)
+    space = femspace.build_space(grid2, 1)
     coeffs = femspace.interpolate(space, case.steady_pressure)
     center = np.flatnonzero(
         (space.node_coords[:, 0] == 0.5) & (space.node_coords[:, 1] == 0.5)
@@ -176,7 +176,7 @@ def test_interpolate_manufactured_pressure_value(grid2, case):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_interpolation_reproduces_polynomials(grid4, degree):
     rng = np.random.default_rng(11)
-    space = femspace.build_space(grid4, degree, 1)
+    space = femspace.build_space(grid4, degree)
     for _ in range(5):
         c = rng.standard_normal(6)
 
@@ -191,9 +191,9 @@ def test_interpolation_reproduces_polynomials(grid4, degree):
 
 
 def test_vector_interpolation_block_layout(grid2, case):
-    space = femspace.build_space(grid2, 1, 2)
+    space = femspace.build_space(grid2, 1)
     coeffs = femspace.interpolate(space, case.steady_velocity)
-    ns = space.num_scalar_dofs
+    ns = space.num_dofs
     vals = case.steady_velocity(space.node_coords[:, 0], space.node_coords[:, 1])
     assert np.allclose(coeffs[:ns], vals[0], atol=1e-15)
     assert np.allclose(coeffs[ns:], vals[1], atol=1e-15)

@@ -1,8 +1,11 @@
 """Source hygiene: no module under src/, tests/ or scripts/ imports a name
 it never uses.  A name listed in the module's ``__all__`` counts as used,
-so package re-exports stay allowed.  And every public function, class,
+so package re-exports stay allowed.  Every public function, class,
 method or property of the package is read somewhere in src/ or scripts/
-outside its own definition: code that only tests reach lives under tests/."""
+outside its own definition: code that only tests reach lives under tests/.
+And every defaulted parameter of a public package function or method is
+passed by some call in src/ or scripts/: a default that nothing
+overrides is a constant."""
 
 import ast
 import collections
@@ -156,3 +159,119 @@ def test_no_unused_imports():
         for line, name in unused_imports((ROOT / path).read_text())
     ]
     assert not found, "unused imports: " + ", ".join(found)
+
+
+def _calls(trees):
+    """For every called name, bare or as an attribute: the most positional
+    arguments of one call and the keywords passed, with ``*args`` and
+    ``**kwargs`` counting as every positional and every keyword."""
+    positional = collections.defaultdict(int)
+    keywords = collections.defaultdict(set)
+    for tree in trees:
+        for call in ast.walk(tree):
+            if not isinstance(call, ast.Call):
+                continue
+            func = call.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+            positional[name] = max(positional[name], float("inf") if starred else len(call.args))
+            keywords[name] |= {kw.arg or "**" for kw in call.keywords}
+    return positional, keywords
+
+
+def _defaulted(tree):
+    """(called name, label, parameter, positional index or None) of every
+    defaulted parameter of a public module-level function, or of a public
+    method or ``__init__`` of a public class; an ``__init__`` is called by
+    its class name, and a method's index skips ``self``."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield from _defaulted_args(node, node.name, node.name, skip=0)
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for method in node.body:
+                if not isinstance(method, ast.FunctionDef):
+                    continue
+                static = any(getattr(d, "id", None) == "staticmethod"
+                             for d in method.decorator_list)
+                if method.name == "__init__":
+                    yield from _defaulted_args(method, node.name, node.name, skip=1)
+                elif not method.name.startswith("_"):
+                    label = f"{node.name}.{method.name}"
+                    yield from _defaulted_args(method, method.name, label, skip=0 if static else 1)
+
+
+def _defaulted_args(func, called, label, skip):
+    args = func.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for index, arg in enumerate(positional[first:], start=first):
+        yield called, label, arg.arg, index - skip
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield called, label, arg.arg, None
+
+
+def unset_defaults(package_sources, other_sources):
+    """``label(parameter)`` of every defaulted parameter of a public
+    package function or method that no call in the sources passes, by
+    keyword or by position.  Calls match by spelling only."""
+    trees = [ast.parse(source) for source in package_sources]
+    positional, keywords = _calls(trees + [ast.parse(source) for source in other_sources])
+    return sorted(
+        f"{label}({param})"
+        for tree in trees
+        for called, label, param, index in _defaulted(tree)
+        if not (
+            param in keywords[called]
+            or "**" in keywords[called]
+            or (index is not None and positional[called] > index)
+        )
+    )
+
+
+# Defaulted parameters that nothing in src/ or scripts/ sets, kept on purpose.
+KEPT_DEFAULTS = {
+    "berrone_case(divergence_free)": "the non-solenoidal variant stays for comparison runs",
+}
+
+
+def test_checker_flags_unset_defaults():
+    package = (
+        "def solve(a, tol=1e-10, *, maxiter=5, verbose=False):\n"
+        "    return a\n"
+        "def _helper(x=0):\n"
+        "    return x\n"
+        "class Grid:\n"
+        "    def __init__(self, n, spacing=1.0, origin=0.0):\n"
+        "        self.n = n\n"
+        "    def refine(self, factor=2, keep=True):\n"
+        "        return Grid(self.n * factor)\n"
+        "    @staticmethod\n"
+        "    def unit(scale=1.0):\n"
+        "        return Grid(1, scale)\n"
+    )
+    script = "solve(1, 1e-8, verbose=True)\nGrid.unit().refine(3)\n"
+    assert unset_defaults([package], [script]) == [
+        "Grid(origin)",
+        "Grid.refine(keep)",
+        "Grid.unit(scale)",
+        "solve(maxiter)",
+    ]
+    # star arguments may pass any parameter
+    flagged = unset_defaults([package], ["solve(*args, **kwargs)\n"])
+    assert not any(name.startswith("solve(") for name in flagged)
+
+
+def test_package_defaults_are_set_by_some_caller():
+    package = [path for path in FILES if path.parts[0] == "src"]
+    scripts = [path for path in FILES if path.parts[0] == "scripts"]
+    found = set(
+        unset_defaults(
+            [(ROOT / path).read_text() for path in package],
+            [(ROOT / path).read_text() for path in scripts],
+        )
+    )
+    kept = set(KEPT_DEFAULTS)
+    assert found == kept, (
+        f"no caller sets {sorted(found - kept)}; kept but now set {sorted(kept - found)}"
+    )

@@ -3,69 +3,70 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dense_oracle
 from stokesproj import assembly, femspace, metrics
 from stokesproj.assembly import Discretization
 
 
 def test_identical_vectors_have_zero_norm(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     rng = np.random.default_rng(0)
     a = rng.standard_normal(space.num_dofs)
-    assert metrics.fe_norm_diff(space, a, a, assembly.assemble_mass(space)) == 0.0
+    assert metrics.fe_norm_diff(a, a, assembly.assemble_mass(space)) == 0.0
 
 
 def test_constant_difference_l2(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     a = np.full(space.num_dofs, 2.5)
     b = np.full(space.num_dofs, -0.75)
     # total mass is |domain| = 1, so the L2 norm of a constant equals |c|
     m = assembly.assemble_mass(space)
-    assert metrics.fe_norm_diff(space, a, b, m) == pytest.approx(3.25, abs=1e-13)
+    assert metrics.fe_norm_diff(a, b, m) == pytest.approx(3.25, abs=1e-13)
 
 
 def test_fe_norm_matches_quadrature(grid4, case):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     coeffs = femspace.interpolate(space, case.steady_pressure)
     direct = metrics.error_vs_exact(space, coeffs, lambda x, y: np.zeros_like(x))
     m = assembly.assemble_mass(space)
-    via_matrix = metrics.fe_norm_diff(space, coeffs, np.zeros_like(coeffs), m)
+    via_matrix = metrics.fe_norm_diff(coeffs, np.zeros_like(coeffs), m)
     assert direct == pytest.approx(via_matrix, abs=1e-12)
 
 
 def test_h1_seminorm_matches_quadrature(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     coeffs = femspace.interpolate(space, lambda x, y: 2 * x - y)
     a = assembly.assemble_stiffness(space)
-    via_matrix = metrics.fe_norm_diff(space, coeffs, np.zeros_like(coeffs), a)
+    via_matrix = metrics.fe_norm_diff(coeffs, np.zeros_like(coeffs), a)
     assert via_matrix == pytest.approx(np.sqrt(5.0), rel=1e-13)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_norm_properties(seed):
-    space = femspace.build_space(metrics_grid, 1, 1)
+    space = femspace.build_space(metrics_grid, 1)
     rng = np.random.default_rng(seed)
     a, b, c = rng.standard_normal((3, space.num_dofs))
     m = metrics_mass
-    ab = metrics.fe_norm_diff(space, a, b, matrix=m)
+    ab = metrics.fe_norm_diff(a, b, matrix=m)
     assert ab >= 0.0
-    assert metrics.fe_norm_diff(space, 2 * a, 2 * b, matrix=m) == pytest.approx(
+    assert metrics.fe_norm_diff(2 * a, 2 * b, matrix=m) == pytest.approx(
         2 * ab, rel=1e-12
     )
-    ac = metrics.fe_norm_diff(space, a, c, matrix=m)
-    cb = metrics.fe_norm_diff(space, c, b, matrix=m)
+    ac = metrics.fe_norm_diff(a, c, matrix=m)
+    cb = metrics.fe_norm_diff(c, b, matrix=m)
     assert ab <= ac + cb + 1e-12
 
 
 def test_error_vs_exact_zero_for_interpolated_member(grid4):
-    space = femspace.build_space(grid4, 2, 1)
+    space = femspace.build_space(grid4, 2)
     f = lambda x, y: 1.0 + x - 2 * y + 0.5 * x * y
     coeffs = femspace.interpolate(space, f)
     assert metrics.error_vs_exact(space, coeffs, f) <= 1e-12
 
 
 def test_error_vs_exact_zero_coeffs_gives_norm(grid4, case):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     zero = np.zeros(space.num_dofs)
     got = metrics.error_vs_exact(space, zero, case.steady_pressure)
     # |z|_L2 with fine tensor Gauss quadrature
@@ -78,12 +79,13 @@ def test_error_vs_exact_zero_coeffs_gives_norm(grid4, case):
 
 
 def test_error_triangle_inequality_sanity(grid4, case):
-    space = femspace.build_space(grid4, 1, 2)
+    space = femspace.build_space(grid4, 1)
     rng = np.random.default_rng(1)
-    coeffs = rng.standard_normal(space.num_dofs)
+    coeffs = rng.standard_normal(2 * space.num_dofs)
     interp = femspace.interpolate(space, case.steady_velocity)
     vs_exact = metrics.error_vs_exact(space, coeffs, case.steady_velocity)
-    vs_interp = metrics.fe_norm_diff(space, coeffs, interp, assembly.assemble_mass(space))
+    mass = dense_oracle.vector_matrix(assembly.assemble_mass(space))
+    vs_interp = metrics.fe_norm_diff(coeffs, interp, mass)
     interp_err = metrics.error_vs_exact(space, interp, case.steady_velocity)
     assert vs_exact <= vs_interp + interp_err + 1e-12
     assert vs_interp <= vs_exact + interp_err + 1e-12
@@ -117,7 +119,7 @@ def test_interpolation_rate_of_manufactured_velocity(case):
 
     errs, hs = [], []
     for n in (20, 40, 80, 160):
-        space = femspace.build_space(mesh.build_grid(n), 1, 2)
+        space = femspace.build_space(mesh.build_grid(n), 1)
         coeffs = femspace.interpolate(space, case.steady_velocity)
         errs.append(metrics.error_vs_exact(space, coeffs, case.steady_velocity))
         hs.append(1.0 / n)
@@ -129,33 +131,32 @@ def test_tracker_matches_direct_quadrature(grid4, case):
     from stokesproj import schemes
 
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
+    space = disc.space
     tracker = metrics.TransientErrorTracker(disc, case)
     rng = np.random.default_rng(2)
-    v = np.zeros(v_space.num_dofs)
-    free = np.concatenate(
-        [v_space.free_scalar, v_space.num_scalar_dofs + v_space.free_scalar]
-    )
+    v = np.zeros(2 * space.num_dofs)
+    free = dense_oracle.velocity_free_indices(space)
     v[free] = 0.05 * rng.standard_normal(free.size)
-    q = rng.standard_normal(p_space.num_dofs)
+    q = rng.standard_normal(space.num_dofs)
     t = 0.8
-    rec = tracker(schemes.TimeState(step=4, t=t, velocity=v_space.restrict(v), pressure=q))
+    rec = tracker(schemes.TimeState(step=4, t=t, velocity=space.restrict(v), pressure=q))
 
     vel_exact = metrics.error_vs_exact(
-        v_space, v, lambda x, y: case.velocity(x, y, t)
+        space, v, lambda x, y: case.velocity(x, y, t)
     )
     assert rec.vel_l2_exact == pytest.approx(vel_exact, rel=1e-9)
     pres_exact = metrics.error_vs_exact(
-        p_space, q, lambda x, y: case.pressure(x, y, t)
+        space, q, lambda x, y: case.pressure(x, y, t)
     )
     assert rec.pres_l2_exact == pytest.approx(pres_exact, rel=1e-9)
-    interp_p = femspace.interpolate(p_space, lambda x, y: case.pressure(x, y, t))
+    mass = assembly.assemble_mass(space)
+    interp_p = femspace.interpolate(space, lambda x, y: case.pressure(x, y, t))
     assert rec.pres_l2_interp == pytest.approx(
-        metrics.fe_norm_diff(p_space, q, interp_p, assembly.assemble_mass(p_space)), rel=1e-9
+        metrics.fe_norm_diff(q, interp_p, mass), rel=1e-9
     )
-    interp_v = femspace.interpolate(v_space, lambda x, y: case.velocity(x, y, t))
+    interp_v = femspace.interpolate(space, lambda x, y: case.velocity(x, y, t))
     assert rec.vel_l2_interp == pytest.approx(
-        metrics.fe_norm_diff(v_space, v, interp_v, assembly.assemble_mass(v_space)), rel=1e-9
+        metrics.fe_norm_diff(v, interp_v, dense_oracle.vector_matrix(mass)), rel=1e-9
     )
 
 
@@ -163,4 +164,4 @@ def test_tracker_matches_direct_quadrature(grid4, case):
 from stokesproj import mesh as _mesh_mod
 
 metrics_grid = _mesh_mod.build_grid(3)
-metrics_mass = assembly.assemble_mass(femspace.build_space(metrics_grid, 1, 1))
+metrics_mass = assembly.assemble_mass(femspace.build_space(metrics_grid, 1))

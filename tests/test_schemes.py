@@ -14,9 +14,9 @@ def make_params(**kw):
     return schemes.SchemeParams(**base)
 
 
-def random_velocity(v_space, rng, scale=1.0):
+def random_velocity(space, rng, scale=1.0):
     """Random velocity on the free DOFs."""
-    return scale * rng.standard_normal(2 * v_space.num_free_scalar)
+    return scale * rng.standard_normal(2 * space.free_scalar.size)
 
 
 # --- parameter guards --------------------------------------------------------
@@ -98,9 +98,9 @@ def test_interpolant_init_reproduces_linear_field(grid4):
 
     params = make_params(init="interpolant").resolved()
     state = schemes.initialize(params, LinearCase(), Discretization(grid4, 1))
-    v_space = femspace.build_space(grid4, 1, 2)
-    nf = v_space.num_free_scalar
-    expected = v_space.node_coords[v_space.free_scalar, 0]  # Dirichlet rows dropped
+    space = femspace.build_space(grid4, 1)
+    nf = space.free_scalar.size
+    expected = space.node_coords[space.free_scalar, 0]  # Dirichlet rows dropped
     assert np.allclose(state.velocity[:nf], expected, atol=1e-14)
     assert np.array_equal(state.velocity[nf:], np.zeros(nf))
 
@@ -108,8 +108,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
 def test_interpolant_init_pressure_mean_subtracted(grid4, case):
     params = make_params(init="interpolant").resolved()
     state = schemes.initialize(params, case, Discretization(grid4, 1))
-    p_space = femspace.build_space(grid4, 1, 1)
-    w = assembly.basis_integrals(p_space)
+    w = assembly.basis_integrals(femspace.build_space(grid4, 1))
     assert abs(w @ state.pressure) <= 1e-13
 
 
@@ -142,10 +141,10 @@ def test_incremental_init_copies_pressure(grid4, case):
 def test_zero_trajectory(grid4, case):
     params = make_params().resolved()
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
+    space = disc.space
     ops = schemes.SchemeOperators(disc, params)
-    zero = np.zeros(2 * v_space.num_free_scalar)
-    state = schemes.TimeState(0, 0.0, zero, np.zeros(p_space.num_dofs))
+    zero = np.zeros(2 * space.free_scalar.size)
+    state = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs))
     for _ in range(3):
         state = schemes.step_noninc(state, params, ops, zero)
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
@@ -153,7 +152,7 @@ def test_zero_trajectory(grid4, case):
     # incremental scheme too
     pi = make_params(scheme="inc").resolved()
     ops_i = schemes.SchemeOperators(disc, pi)
-    st = schemes.TimeState(0, 0.0, zero, np.zeros(p_space.num_dofs), np.zeros(p_space.num_dofs))
+    st = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs), np.zeros(space.num_dofs))
     for _ in range(3):
         st = schemes.step_inc(st, pi, ops_i, zero)
     assert np.array_equal(st.velocity, np.zeros_like(st.velocity))
@@ -163,13 +162,13 @@ def test_zero_trajectory(grid4, case):
 def test_free_decay_energy_monotone(grid4, scheme):
     params = make_params(scheme=scheme, dt=5e-4, delta=5e-4, T=5e-2).resolved()
     disc = Discretization(grid4, 1)
-    v_space, p_space = disc.v_space, disc.p_space
+    space = disc.space
     ops = schemes.SchemeOperators(disc, params)
     rng = np.random.default_rng(12)
-    v0 = random_velocity(v_space, rng)
-    zero_q = np.zeros(p_space.num_dofs)
+    v0 = random_velocity(space, rng)
+    zero_q = np.zeros(space.num_dofs)
     state = schemes.TimeState(0, 0.0, v0, zero_q, zero_q.copy())
-    zero = np.zeros(2 * v_space.num_free_scalar)
+    zero = np.zeros(2 * space.free_scalar.size)
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
     energy = ops.velocity_energy(state.velocity)
     for _ in range(100):
@@ -188,12 +187,12 @@ def states(params, case, disc):
 def test_pressure_zero_mean_every_step(grid4, case):
     params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2)
     disc = Discretization(grid4, 1)
-    w = assembly.basis_integrals(disc.p_space)
+    w = assembly.basis_integrals(disc.space)
     trajectory = states(params, case, disc)
     assert len(trajectory) == 11
     for state in trajectory[1:]:
         assert abs(w @ state.pressure) <= 1e-11
-        assert state.velocity.shape == (2 * disc.v_space.num_free_scalar,)
+        assert state.velocity.shape == (2 * disc.space.free_scalar.size,)
 
 
 def test_pressure_equation_residual_each_step(grid4, case):

@@ -13,7 +13,7 @@ from stokesproj import assembly, femspace, mesh, sparsela, steady
 
 
 def test_factorized_spd_multi_rhs(grid4):
-    space = femspace.build_space(grid4, 1, 1)
+    space = femspace.build_space(grid4, 1)
     m = assembly.assemble_mass(space)
     lu = sparsela.FactorizedSpd(m)
     rng = np.random.default_rng(8)
@@ -23,10 +23,9 @@ def test_factorized_spd_multi_rhs(grid4):
 
 
 def test_pinned_singular_solver(grid4):
-    p_space = femspace.build_space(grid4, 1, 1)
-    v_space = femspace.build_space(grid4, 1, 2)
-    s = assembly.assemble_stiffness(p_space)
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
+    space = femspace.build_space(grid4, 1)
+    s = assembly.assemble_stiffness(space)
+    g = assembly.assemble_pressure_gradient(space)
     rng = np.random.default_rng(9)
     b = g.T @ rng.standard_normal(g.shape[0])
     solver = sparsela.PinnedSingularSolver(s)
@@ -40,18 +39,17 @@ def test_pinned_singular_solver(grid4):
 
 
 def saddle_blocks(grid, degree=1):
-    v_space = femspace.build_space(grid, degree, 2)
-    p_space = femspace.build_space(grid, degree, 1)
-    a = dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    s = assembly.assemble_stiffness(p_space)
-    w = assembly.basis_integrals(p_space)
+    space = femspace.build_space(grid, degree)
+    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
+    g = assembly.assemble_pressure_gradient(space)
+    s = assembly.assemble_stiffness(space)
+    w = assembly.basis_integrals(space)
     order = assembly.Discretization(grid, degree).saddle_order
-    return v_space, p_space, a, g, s, w, order
+    return space, a, g, s, w, order
 
 
 def test_saddle_zero_rhs(grid4):
-    _, _, a, g, s, w, order = saddle_blocks(grid4)
+    _, a, g, s, w, order = saddle_blocks(grid4)
     x, z, report = sparsela.saddle_solve(
         0.01 * a, g, s, 1e-3, np.zeros(a.shape[0]), order=order, mean_weights=w, tol=1e-10
     )
@@ -60,8 +58,8 @@ def test_saddle_zero_rhs(grid4):
 
 
 def test_saddle_block_residuals(grid4, case):
-    v_space, p_space, a, g, s, w, order = saddle_blocks(grid4)
-    rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
+    space, a, g, s, w, order = saddle_blocks(grid4)
+    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
     nu, delta = 0.01, 1e-3
     x, z, report = sparsela.saddle_solve(
         (nu * a).tocsr(), g, s, delta, rhs, order=order, tol=1e-10, mean_weights=w
@@ -75,7 +73,7 @@ def test_saddle_block_residuals(grid4, case):
 
 
 def test_saddle_rejects_nonpositive_delta(grid4):
-    _, _, a, g, s, w, order = saddle_blocks(grid4)
+    _, a, g, s, w, order = saddle_blocks(grid4)
     with pytest.raises(ValueError):
         sparsela.saddle_solve(a, g, s, 0.0, np.ones(a.shape[0]), order=order, mean_weights=w,
                               tol=1e-10)
@@ -89,13 +87,13 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
     disc = assembly.Discretization(grid, 1)
     ops = steady.SteadyOperators(disc)
     sol = ops.solve(0.01, delta, ops.load(case.steady_forcing), tol=1e-10)
-    w = assembly.basis_integrals(disc.p_space)
+    w = assembly.basis_integrals(disc.space)
     assert abs(w @ sol.pressure) <= 1e-12
 
 
 def test_saddle_deterministic(grid4, case):
-    v_space, p_space, a, g, s, w, order = saddle_blocks(grid4)
-    rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
+    space, a, g, s, w, order = saddle_blocks(grid4)
+    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
     a = (0.01 * a).tocsr()
     out1 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w, tol=1e-10)
     out2 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w, tol=1e-10)
@@ -105,8 +103,8 @@ def test_saddle_deterministic(grid4, case):
 
 def steady_system(case, n, degree, nu=0.01, rho=100.0):
     """The steady saddle system of the acceptance sweeps on a small grid."""
-    v_space, _, a, g, s, w, order = saddle_blocks(mesh.build_grid(n), degree)
-    rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
+    space, a, g, s, w, order = saddle_blocks(mesh.build_grid(n), degree)
+    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
     delta = steady.choose_delta(1.0 / n, nu, rho)
     return (nu * a).tocsr(), g, s, delta, rhs, w, order
 
@@ -167,8 +165,8 @@ def test_nested_dissection_fills_less_than_minimum_degree(case, monkeypatch, deg
     a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
     k_pinned = pinned_matrix(a, g, s, delta)
     _, factors = spy_on_splu(monkeypatch)
-    sparsela._symmetric_splu(k_pinned)
-    sparsela._symmetric_splu(k_pinned, order)
+    sparsela._symmetric_splu(k_pinned, "MMD_AT_PLUS_A")
+    sparsela._symmetric_splu(sparse.csc_matrix(k_pinned[order][:, order]), "NATURAL")
     mmd, nested = (lu.L.nnz + lu.U.nnz for lu in factors)
     # about 0.78 at these sizes; separators off the mesh lines double the fill
     assert nested < 0.85 * mmd

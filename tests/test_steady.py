@@ -39,18 +39,18 @@ def test_rejects_bad_parameters(grid4, case):
 
 def test_velocity_vanishes_on_dirichlet(grid4, case):
     disc, sol = steady_solve(grid4, 1, 0.01, 1e-3, case.steady_forcing)
-    assert np.all(sol.velocity[dense_oracle.dirichlet_dofs(disc.v_space)] == 0.0)
+    assert np.all(sol.velocity[dense_oracle.dirichlet_dofs(disc.space)] == 0.0)
 
 
 def test_block_residuals(grid4, case):
     nu, delta = 0.01, 1e-3
     disc, sol = steady_solve(grid4, 1, nu, delta, case.steady_forcing)
-    v_space, p_space = disc.v_space, disc.p_space
-    a = dense_oracle.restrict_matrix(v_space, assembly.assemble_stiffness(v_space))
-    g = assembly.assemble_pressure_gradient(v_space, p_space)
-    s = assembly.assemble_stiffness(p_space)
-    rhs = assembly.assemble_load(v_space, case.steady_forcing, restrict=True)
-    vf = v_space.restrict(sol.velocity)
+    space = disc.space
+    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
+    g = assembly.assemble_pressure_gradient(space)
+    s = assembly.assemble_stiffness(space)
+    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
+    vf = space.restrict(sol.velocity)
     scale = np.linalg.norm(rhs)
     r1 = nu * (a @ vf) + g @ sol.pressure - rhs
     r2 = g.T @ vf - delta * (s @ sol.pressure)
@@ -63,16 +63,16 @@ def test_solution_matches_independent_dense_solve(case):
     grid = mesh.build_grid(4)
     nu, delta = 0.01, 2e-3
     disc, sol = steady_solve(grid, 1, nu, delta, case.steady_forcing)
-    v_space, p_space = disc.v_space, disc.p_space
+    space = disc.space
 
-    dense = dense_oracle.dense_matrices(v_space, p_space)
-    free = dense_oracle.velocity_free_indices(v_space)
+    dense = dense_oracle.dense_matrices(space)
+    free = dense_oracle.velocity_free_indices(space)
     a = dense["A"][np.ix_(free, free)]
     g = dense["G"][free]
     s = dense["S"]
     rule = femspace.quadrature(6)
     rhs = dense_oracle.dense_load(
-        v_space, lambda x, y: case.steady_forcing(np.asarray(x), np.asarray(y)), rule
+        space, lambda x, y: case.steady_forcing(np.asarray(x), np.asarray(y)), rule
     )[free]
     nv, npres = a.shape[0], s.shape[0]
     k = np.zeros((nv + npres, nv + npres))
@@ -83,10 +83,10 @@ def test_solution_matches_independent_dense_solve(case):
     keep = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])
     x = np.zeros(nv + npres)
     x[keep] = np.linalg.solve(k[np.ix_(keep, keep)], np.concatenate([rhs, np.zeros(npres)])[keep])
-    w = assembly.basis_integrals(p_space)
+    w = assembly.basis_integrals(space)
     z = x[nv:] - (w @ x[nv:]) / w.sum()
 
-    assert np.abs(v_space.restrict(sol.velocity) - x[:nv]).max() <= 1e-10
+    assert np.abs(space.restrict(sol.velocity) - x[:nv]).max() <= 1e-10
     assert np.abs(sol.pressure - z).max() <= 1e-10
 
 
@@ -99,9 +99,9 @@ def test_velocity_rate_near_two(case):
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 100.0)
         disc, sol = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
-        interp = femspace.interpolate(disc.v_space, case.steady_velocity)
-        mass = assembly.assemble_mass(disc.v_space)
-        errs.append(metrics.fe_norm_diff(disc.v_space, sol.velocity, interp, mass))
+        interp = femspace.interpolate(disc.space, case.steady_velocity)
+        mass = dense_oracle.vector_matrix(assembly.assemble_mass(disc.space))
+        errs.append(metrics.fe_norm_diff(sol.velocity, interp, mass))
         hs.append(h)
     rate = metrics.observed_rate(errs, hs)
     assert 1.8 <= rate <= 2.4
@@ -115,9 +115,9 @@ def test_rho_1000_pressure_stagnates(case):
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 1000.0)
         disc, sol = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
-        interp = femspace.interpolate(disc.p_space, case.steady_pressure)
-        mass = assembly.assemble_mass(disc.p_space)
-        errs.append(metrics.fe_norm_diff(disc.p_space, sol.pressure, interp, mass))
+        interp = femspace.interpolate(disc.space, case.steady_pressure)
+        mass = assembly.assemble_mass(disc.space)
+        errs.append(metrics.fe_norm_diff(sol.pressure, interp, mass))
     assert errs[1] > 0.5 * errs[0]  # barely any decrease under mesh halving
 
 
@@ -127,16 +127,15 @@ def test_rho_optimum_structure(case):
     grid = mesh.build_grid(80)
     h = mesh.mesh_size(grid)
     disc = Discretization(grid, 1)
-    v_space, p_space = disc.v_space, disc.p_space
     ops = steady.SteadyOperators(disc)
     rhs = ops.load(case.steady_forcing)
-    iv = femspace.interpolate(v_space, case.steady_velocity)
-    ip = femspace.interpolate(p_space, case.steady_pressure)
+    iv = femspace.interpolate(disc.space, case.steady_velocity)
+    ip = femspace.interpolate(disc.space, case.steady_pressure)
     verr, perr = {}, {}
     for rho in (1.0, 10.0, 100.0, 1000.0):
         sol = ops.solve(case.nu, steady.choose_delta(h, case.nu, rho), rhs, tol=1e-10)
-        verr[rho] = metrics.fe_norm_diff(v_space, sol.velocity, iv, matrix=disc.mass)
-        perr[rho] = metrics.fe_norm_diff(p_space, sol.pressure, ip, matrix=disc.mass)
+        verr[rho] = metrics.fe_norm_diff(sol.velocity, iv, matrix=disc.mass)
+        perr[rho] = metrics.fe_norm_diff(sol.pressure, ip, matrix=disc.mass)
     assert perr[10.0] <= perr[1.0] and perr[10.0] <= perr[1000.0]
     assert verr[100.0] <= verr[1.0] and verr[100.0] <= verr[1000.0]
 
@@ -151,7 +150,7 @@ def test_small_rho_degrees_agree(case):
         delta = steady.choose_delta(h, case.nu, 1.0)
         disc, sol = steady_solve(grid, degree, case.nu, delta, case.steady_forcing)
         errors[degree] = metrics.error_vs_exact(
-            disc.v_space, sol.velocity, case.steady_velocity
+            disc.space, sol.velocity, case.steady_velocity
         )
     ratio = errors[1] / errors[2]
     assert 1.0 / 1.5 <= ratio <= 1.5
