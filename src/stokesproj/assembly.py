@@ -166,10 +166,11 @@ def basis_integrals(space):
 
 
 def componentwise(matrix, x):
-    """``matrix @ x`` applied to every component block of ``x``; for a
-    scalar matrix and a vector field, bit-identical to the product with
-    the block-diagonal vector matrix."""
-    return (matrix @ x.reshape(-1, matrix.shape[1]).T).T.ravel()
+    """``matrix @ x`` applied to every component block of ``x``, one
+    single-vector product per block; for a scalar matrix and a vector
+    field, bit-identical to the product with the block-diagonal vector
+    matrix."""
+    return np.concatenate([matrix @ block for block in x.reshape(-1, matrix.shape[1])])
 
 
 def _dissect(lattice, step):
@@ -216,9 +217,11 @@ class Discretization:
     A pressure is one coefficient block on ``space`` and a velocity two,
     so ``mass`` and ``stiffness`` serve both fields (velocity operators are
     block-diagonal and act through ``componentwise``); ``stiffness`` is the
-    pressure stiffness S and ``pressure_solver`` its pinned factorization.
+    pressure stiffness S and ``pressure_solver`` its solver: the
+    factor-free DCT-I solve for P1, the pinned factorization for P2.
     ``_free`` marks blocks on the free DOFs of one velocity component;
-    ``G`` has free vector velocity rows."""
+    ``G`` has free vector velocity rows and ``GT`` is its transpose in
+    CSR form."""
 
     mesh: Mesh
     degree: int
@@ -255,6 +258,10 @@ class Discretization:
         return assemble_pressure_gradient(self.space)
 
     @cached_property
+    def GT(self):
+        return self.G.T.tocsr()
+
+    @cached_property
     def mean_weights(self):
         return basis_integrals(self.space)
 
@@ -277,4 +284,6 @@ class Discretization:
 
     @cached_property
     def pressure_solver(self):
+        if self.degree == 1:
+            return sparsela.GridNeumannSolver(self.mesh.n)
         return sparsela.PinnedSingularSolver(self.stiffness)

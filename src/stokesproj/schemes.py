@@ -20,8 +20,9 @@ written; the CLI validates configs with it.
 
 Velocities are stepped on the free DOFs and pressures are kept at zero
 discrete mean.  The velocity system matrix has one scalar block per
-velocity component, so one scalar factorization (and one pinned
-factorization of S) serves every step.  ``run`` is the one time loop:
+velocity component, so one scalar factorization serves every step; the
+pressure solve is the Discretization's, factor-free for P1 and one
+pinned factorization of S for P2.  ``run`` is the one time loop:
 it steps every run of a mesh on shared forcing loads and initial states,
 and the experiment runners only choose what each step records.
 """
@@ -143,6 +144,7 @@ class SchemeOperators:
         self.As = disc.stiffness_free
         self.H = (self.Ms / params.dt + params.nu * self.As).tocsr()
         self.G = disc.G
+        self.GT = disc.GT
         self.S = disc.stiffness
         self.mean_weights = disc.mean_weights
         self._h_solver = sparsela.FactorizedSpd(self.H)
@@ -158,8 +160,7 @@ class SchemeOperators:
         return sparsela.project_mean(q, self.mean_weights)
 
     def velocity_energy(self, velocity):
-        vf = velocity.reshape(2, -1)
-        return float(np.sum(vf * (self.Ms @ vf.T).T))
+        return float(np.sum(velocity * componentwise(self.Ms, velocity)))
 
 
 def initialize(params, case, disc):
@@ -202,7 +203,7 @@ def step_noninc(state, params, ops, load):
     """One step of the non-incremental scheme; ``load`` is the load vector
     at t_{n+1} on the free velocity DOFs."""
     v_new = _advance(state, params, ops, load, state.pressure)
-    q_new = ops.pressure_solve(ops.G.T @ v_new, params.delta)
+    q_new = ops.pressure_solve(ops.GT @ v_new, params.delta)
     return TimeState(step=state.step + 1, t=state.t + params.dt, velocity=v_new, pressure=q_new)
 
 
@@ -213,7 +214,7 @@ def step_inc(state, params, ops, load):
         raise ValueError("incremental step needs delta2 resolved (params.resolved)")
     q_hat = 2.0 * state.pressure - state.pressure_prev
     v_new = _advance(state, params, ops, load, q_hat)
-    rhs_p = params.delta * (ops.S @ state.pressure) + ops.G.T @ v_new
+    rhs_p = params.delta * (ops.S @ state.pressure) + ops.GT @ v_new
     return TimeState(
         step=state.step + 1,
         t=state.t + params.dt,
@@ -297,7 +298,7 @@ def noninc_residuals(params, ops, v_old, v_new, q_momentum, q_new, load_block):
     )
     mom_scale = max(np.linalg.norm(mom_rhs), 1e-300)
     mom_res = np.linalg.norm(lhs - mom_rhs) / mom_scale
-    div_rhs = ops.G.T @ v_new
+    div_rhs = ops.GT @ v_new
     div_scale = max(np.linalg.norm(div_rhs), 1e-300)
     div_res = np.linalg.norm(params.delta * (ops.S @ q_new) - div_rhs) / div_scale
     return mom_res, div_res

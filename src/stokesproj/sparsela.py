@@ -1,7 +1,7 @@
 """Sparse linear algebra for the schemes.
 
 Matrices are scipy CSR arrays in canonical form (sorted, duplicate-free
-column indices).  Two direct solver entry points cover everything the
+column indices).  Three direct solver entry points cover everything the
 schemes need:
 
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
@@ -10,7 +10,9 @@ schemes need:
   a geometric nested dissection of the grid);
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
-  across the many identical solves of a time loop.
+  across the many identical solves of a time loop;
+- ``GridNeumannSolver``: the factor-free solve of the P1 pressure
+  stiffness of the structured grid by fast diagonalization (DCT-I).
 
 All solvers are deterministic: identical inputs give bit-identical
 outputs.
@@ -104,6 +106,45 @@ class PinnedSingularSolver:
         x = np.zeros(self.n)
         x[1:] = self._solve(b[1:])
         return x
+
+
+def _dct1(x, axis):
+    """Unnormalized DCT-I of a 2D array along ``axis`` (applied twice it
+    is 2n times the identity, n + 1 the length): the real part of the FFT
+    of the even extension [x_0..x_n, x_{n-1}..x_1]."""
+    inner = x[-2:0:-1] if axis == 0 else x[:, -2:0:-1]
+    return np.fft.rfft(np.concatenate([x, inner], axis=axis), axis=axis).real
+
+
+class GridNeumannSolver:
+    """Factor-free solver for S x = b with S the P1 stiffness of the
+    structured n x n grid of the unit square (``mesh.build_grid``).
+
+    With 1D Neumann stiffness L and trapezoid weights W, S = W(x)L + L(x)W
+    on the y-major vertex numbering, and the DCT-I diagonalizes
+    K = W^-1 L with eigenvalues mu_k = (2 - 2 cos(k pi / n)) n^2 (fast
+    diagonalization, Lynch, Rice & Thomas 1964), so
+
+        x = DCT1_2(DCT1_2((W^-1 (x) W^-1) b) / (mu_k + mu_l)) / (2n)^2.
+
+    The constant (0, 0) mode, the nullspace of S, is set to zero; callers
+    fix the additive constant afterwards (discrete zero mean), as with
+    ``PinnedSingularSolver``.
+    """
+
+    def __init__(self, n):
+        mu = (2.0 - 2.0 * np.cos(np.pi * np.arange(n + 1) / n)) * n * n
+        eig = mu[:, None] + mu[None, :]
+        eig[0, 0] = np.inf
+        self._scale = 1.0 / (eig * (2 * n) ** 2)
+        w_inv = np.full(n + 1, float(n))
+        w_inv[[0, -1]] = 2.0 * n
+        self._w_inv = np.outer(w_inv, w_inv)
+
+    def solve(self, b):
+        r = np.asarray(b, dtype=float).reshape(self._w_inv.shape) * self._w_inv
+        modes = _dct1(_dct1(r, 0), 1) * self._scale
+        return _dct1(_dct1(modes, 0), 1).ravel()
 
 
 def project_mean(x, weights):

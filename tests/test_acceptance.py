@@ -453,12 +453,8 @@ def inc_convergence(mms_case):
         )
         disc = Discretization(grid, 1)
         tracker = metrics.TransientErrorTracker(disc, mms_case)
-        (result,) = schemes.run([params], mms_case, disc, observe=tracker)
-        errs.append(
-            metrics.discrete_time_norm(
-                [r.pres_l2_exact for r in result.records[1:]], result.params.dt
-            )
-        )
+        (result,) = schemes.run([params], mms_case, disc, observe=tracker.pres_l2_exact)
+        errs.append(metrics.discrete_time_norm(result.records[1:], result.params.dt))
         hs.append(h)
     return errs, hs, time.time() - t0
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import dense_oracle
 from stokesproj import assembly, cli, femspace, mesh, metrics, sparsela
@@ -29,6 +30,14 @@ def test_operators_bit_identical_to_direct_assembly(grid4, degree):
     )
     assert_same_csr(disc.G, assembly.assemble_pressure_gradient(space))
     assert_same_csr(disc.stiffness, assembly.assemble_stiffness(space))
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_cached_gradient_transpose_bit_identical(grid4, degree):
+    disc = Discretization(grid4, degree)
+    assert_same_csr(disc.GT, sparse.csr_array(disc.G.T))
+    v = np.random.default_rng(5).standard_normal(disc.G.shape[0])
+    assert np.array_equal(disc.GT @ v, disc.G.T @ v)
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -91,7 +100,7 @@ def test_p2_separators_lie_on_mesh_lines(n):
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of every space construction, operator assembly, load
-    assembly, saddle solve, pinned factorization and error tracker
+    assembly, saddle solve, pressure solver and error tracker
     construction."""
     seen = {}
 
@@ -109,14 +118,15 @@ def counts(monkeypatch):
     counting(femspace, "build_space")
     counting(sparsela, "saddle_solve")
     counting(sparsela, "PinnedSingularSolver")
+    counting(sparsela, "GridNeumannSolver")
     counting(metrics, "TransientErrorTracker")
     return seen
 
 
-def probe_config(ratios):
+def probe_config(ratios, degree=1):
     return cli.parse_config_text(
         f"allow_unstable = true\n[stability_probe]\nn_values = 6\ndt_ratios = {ratios}\n"
-        "step_budget = 20\n",
+        f"step_budget = 20\ndegrees = {degree}\n",
         kind="stability_probe",
     )
 
@@ -127,8 +137,16 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     assert counts["saddle_solve"] == 1
     # two forcing terms, the steady initial data and the mean weights
     assert counts["assemble_load"] == 4
-    assert counts["PinnedSingularSolver"] == 1
+    # P1 solves the pressure factor-free
+    assert counts["GridNeumannSolver"] == 1
+    assert counts.get("PinnedSingularSolver", 0) == 0
     assert all(counts.get(name, 0) <= 1 for name in OPERATORS), counts
+
+
+def test_p2_probe_factorizes_pressure_stiffness_once(counts):
+    cli.run_stability_probe(probe_config("0.5 1 4", degree=2))
+    assert counts["PinnedSingularSolver"] == 1
+    assert counts.get("GridNeumannSolver", 0) == 0
 
 
 def test_steady_sweep_assembles_each_operator_once_per_mesh(counts):

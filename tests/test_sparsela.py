@@ -35,6 +35,17 @@ def test_pinned_singular_solver(grid4):
     assert x[0] == 0.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 40])
+def test_grid_neumann_solver_matches_pinned_factorization(n):
+    disc = assembly.Discretization(mesh.build_grid(n), 1)
+    s, w = disc.stiffness, disc.mean_weights
+    b = s @ np.random.default_rng(n).standard_normal(s.shape[0])
+    x = sparsela.project_mean(sparsela.GridNeumannSolver(n).solve(b), w)
+    ref = sparsela.project_mean(sparsela.PinnedSingularSolver(s).solve(b), w)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    assert np.linalg.norm(s @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 # --- saddle solver -----------------------------------------------------------
 
 
