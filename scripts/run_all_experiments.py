@@ -3,9 +3,11 @@
 
 Usage: python scripts/run_all_experiments.py [output_dir]
 
-The full set takes a while at desk scale (the N = 320 steady solve and
-the T = 6 initialization study dominate); individual configs can be run
-directly with the CLI, e.g.
+Each ``scripts/*.cfg`` runs, in name order, under the subcommand of its
+own ``experiment`` key and writes ``<config stem>.csv``.  The full set
+takes a while at desk scale (the N = 320 steady solve and the T = 6
+initialization study dominate); individual configs can be run directly
+with the CLI, e.g.
 
     stokesproj steady-sweep --config scripts/fig1_linear.cfg --out fig1.csv
 """
@@ -16,24 +18,21 @@ import time
 
 from stokesproj import cli
 
-EXPERIMENTS = [
-    ("steady-sweep", "fig1_linear.cfg", "fig1_linear.csv"),
-    ("steady-sweep", "fig1_quadratic.cfg", "fig1_quadratic.csv"),
-    ("transient-init", "fig2_init.cfg", "fig2_init.csv"),
-    ("transient-convergence", "transient_convergence.cfg", "transient_convergence.csv"),
-    ("stability-probe", "stability_probe.cfg", "stability_probe.csv"),
-]
-
 
 def main(argv):
     here = pathlib.Path(__file__).parent
     out_dir = pathlib.Path(argv[1]) if len(argv) > 1 else here.parent / "results"
     out_dir.mkdir(parents=True, exist_ok=True)
-    for command, config, out_name in EXPERIMENTS:
-        out = out_dir / out_name
-        print(f"== {command} ({config}) -> {out}")
+    for config in sorted(here.glob("*.cfg")):
+        try:
+            command = cli.parse_config(config).kind.replace("_", "-")
+        except cli.ConfigError as exc:
+            print(f"config error in {config.name}: {exc}", file=sys.stderr)
+            return 2
+        out = out_dir / f"{config.stem}.csv"
+        print(f"== {command} ({config.name}) -> {out}")
         t0 = time.time()
-        code = cli.main([command, "--config", str(here / config), "--out", str(out)])
+        code = cli.main([command, "--config", str(config), "--out", str(out)])
         print(f"   exit {code} in {time.time() - t0:.1f}s")
         if code != 0:
             return code

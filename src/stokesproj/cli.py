@@ -17,8 +17,11 @@ Config files are plain text: ``key = value`` lines, ``#`` comments, and
 optional ``[experiment_kind]`` sections.  Keys before any section apply
 to every kind; section keys apply to that kind only.  Unknown keys,
 malformed values and duplicate keys are rejected with line numbers.
-Lists are space separated.  The full grammar and all defaults are
-documented in the README.
+Lists are space separated.  Each key is declared once, as a field of
+``ExperimentConfig`` whose metadata holds its parser, the kinds that
+accept it, its per-kind defaults and its rules; parsing, validation and
+the CSV header all read those fields.  The full grammar and all defaults
+are documented in the README.
 
 Every run writes CSV: ``#``-prefixed lines with the resolved
 configuration, one column-name row, then data rows.  Output is
@@ -30,7 +33,7 @@ solver or I/O failures.
 import argparse
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -40,74 +43,11 @@ from .mesh import build_grid, mesh_size
 from .mms import berrone_case
 
 KINDS = ("steady_sweep", "transient_init", "transient_convergence", "stability_probe")
+_TRANSIENT = ("transient_init", "transient_convergence")
+
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully resolved experiment description; see module docstring."""
-
-    kind: str = "steady_sweep"
-    nu: float = 0.01
-    tol: float = 1e-10
-    n_values: tuple = (20, 40, 80, 160)
-    degrees: tuple = (1,)
-    rho_values: tuple = (100.0,)
-    delta_h2: float = None
-    dt_law: str = "equal_delta"
-    dt: float = None
-    T: float = 6.0
-    scheme: str = "noninc"
-    delta2_law: str = "equal_delta"
-    inits: tuple = ("stabilized_stokes", "interpolant")
-    out: str = None
-    allow_unstable: bool = False
-    dt_ratios: tuple = (0.5, 1.0, 4.0)
-    step_budget: int = 500
-    energy_ceiling: float = 1e12
-    record_every: int = 1
-
-
-_KIND_DEFAULTS = {
-    "transient_init": {
-        "n_values": (20, 40, 80),
-        "rho_values": (10.0,),
-    },
-    "transient_convergence": {
-        "n_values": (20, 40, 80),
-        "rho_values": (10.0,),
-        "T": 0.5,
-        "scheme": "inc",
-        "inits": ("stabilized_stokes",),
-    },
-    "stability_probe": {
-        "n_values": (40,),
-        "rho_values": (10.0,),
-    },
-}
-
-_COMMON_KEYS = {"nu", "tol", "n_values", "degrees", "out", "allow_unstable"}
-_KIND_KEYS = {
-    "steady_sweep": _COMMON_KEYS | {"rho_values", "delta_h2"},
-    "transient_init": _COMMON_KEYS
-    | {"rho_values", "delta_h2", "dt_law", "dt", "T", "scheme", "inits", "record_every"},
-    "transient_convergence": _COMMON_KEYS
-    | {
-        "rho_values",
-        "delta_h2",
-        "dt_law",
-        "dt",
-        "T",
-        "scheme",
-        "delta2_law",
-        "inits",
-        "record_every",
-    },
-    "stability_probe": _COMMON_KEYS
-    | {"rho_values", "delta_h2", "dt_ratios", "step_budget", "energy_ceiling"},
-}
 
 
 def _finite(text):
@@ -117,26 +57,87 @@ def _finite(text):
     return value
 
 
-_PARSERS = {
-    "nu": _finite,
-    "tol": _finite,
-    "delta_h2": _finite,
-    "dt": _finite,
-    "T": _finite,
-    "energy_ceiling": _finite,
-    "step_budget": int,
-    "record_every": int,
-    "dt_law": str,
-    "scheme": str,
-    "delta2_law": str,
-    "out": str,
-    "n_values": lambda s: tuple(int(tok) for tok in s.split()),
-    "degrees": lambda s: tuple(int(tok) for tok in s.split()),
-    "rho_values": lambda s: tuple(_finite(tok) for tok in s.split()),
-    "dt_ratios": lambda s: tuple(_finite(tok) for tok in s.split()),
-    "inits": lambda s: tuple(s.split()),
-    "allow_unstable": lambda s: {"true": True, "false": False}[s.lower()],
-}
+def _boolean(text):
+    return {"true": True, "false": False}[text.lower()]
+
+
+_POSITIVE = (lambda v: v > 0, "{key} must be positive")
+_AT_LEAST_ONE = (lambda v: v >= 1, "{key} must be >= 1")
+
+
+def _one_of(choices):
+    return (lambda v: v in choices, "unknown {key} {value!r}; choose from " + str(choices))
+
+
+def _each(rule):
+    ok, message = rule
+    return (lambda values: all(ok(v) for v in values), message)
+
+
+def _key(default, parse, kinds=KINDS, top=False, rules=(), **kind_defaults):
+    """One config key.  ``parse`` reads its text; the sections of
+    ``kinds`` accept it, and so does the top level if ``top``; a kind
+    named in ``kind_defaults`` defaults to that value instead of
+    ``default``; each (ok, message) rule must hold for a set value."""
+    meta = {"parse": parse, "kinds": kinds, "top": top, "rules": rules,
+            "defaults": kind_defaults}
+    return field(default=default, metadata=meta)
+
+
+def _list_key(default, item, kinds=KINDS, top=False, rules=(), **kind_defaults):
+    """A space-separated list key: it must not be empty or repeat an entry."""
+    rules = (
+        (bool, "{key} must not be empty"),
+        (lambda v: len(set(v)) == len(v), "{key} = {value} repeats an entry"),
+    ) + tuple(rules)
+    return _key(default, lambda s: tuple(item(tok) for tok in s.split()), kinds, top, rules,
+                **kind_defaults)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully resolved experiment description; see module docstring.
+
+    Every field but ``kind`` is a config key, declared once here: its
+    parser, the kinds that accept it, its defaults and its rules.
+    """
+
+    kind: str = "steady_sweep"
+    nu: float = _key(0.01, _finite, top=True, rules=(_POSITIVE,))
+    tol: float = _key(1e-10, _finite, top=True, rules=(_POSITIVE,))
+    n_values: tuple = _list_key(
+        (20, 40, 80, 160), int, top=True, rules=(_each(_POSITIVE),),
+        transient_init=(20, 40, 80), transient_convergence=(20, 40, 80), stability_probe=(40,),
+    )
+    degrees: tuple = _list_key((1,), int, top=True, rules=(_each(_one_of((1, 2))),))
+    rho_values: tuple = _list_key(
+        (100.0,), _finite, rules=(_each(_POSITIVE),),
+        transient_init=(10.0,), transient_convergence=(10.0,), stability_probe=(10.0,),
+    )
+    # delta_h2 = c means delta = c h^2, equivalent to rho = 1/sqrt(nu c)
+    delta_h2: float = _key(None, _finite, rules=(_POSITIVE,))
+    dt_law: str = _key("equal_delta", str, _TRANSIENT, rules=(_one_of(("equal_delta", "fixed")),))
+    dt: float = _key(None, _finite, _TRANSIENT)
+    T: float = _key(6.0, _finite, _TRANSIENT, transient_convergence=0.5)
+    scheme: str = _key("noninc", str, _TRANSIENT, rules=(_one_of(schemes.SCHEMES),),
+                       transient_convergence="inc")
+    delta2_law: str = _key("equal_delta", str, ("transient_convergence",),
+                           rules=(_one_of(("equal_delta", "zero")),))
+    inits: tuple = _list_key(
+        ("stabilized_stokes", "interpolant"), str, _TRANSIENT,
+        rules=(_each(_one_of(schemes.INITS)),),
+        transient_convergence=("stabilized_stokes",),
+    )
+    out: str = _key(None, str, top=True)
+    allow_unstable: bool = _key(False, _boolean, top=True)
+    dt_ratios: tuple = _list_key((0.5, 1.0, 4.0), _finite, ("stability_probe",))
+    step_budget: int = _key(500, int, ("stability_probe",), rules=(_AT_LEAST_ONE,))
+    # a multiple of the initial energy: below 1 flags decaying runs
+    energy_ceiling: float = _key(1e12, _finite, ("stability_probe",), rules=(_AT_LEAST_ONE,))
+    record_every: int = _key(1, int, _TRANSIENT, rules=(_AT_LEAST_ONE,))
+
+
+_KEYS = {f.name: f.metadata for f in fields(ExperimentConfig) if f.metadata}
 
 
 def _parse_lines(text):
@@ -174,30 +175,33 @@ def parse_config_text(text, kind=None, overrides=None):
     file_kind = None
     top = {}
     sections = {k: {} for k in KINDS}
-    seen = set()
     for lineno, section, key, value in _parse_lines(text):
         if section is None and key == "experiment":
             if value not in KINDS:
                 raise ConfigError(f"line {lineno}: unknown experiment kind {value!r}")
             file_kind = value
             continue
-        scope_keys = _COMMON_KEYS if section is None else _KIND_KEYS[section]
-        if key not in scope_keys:
+        meta = _KEYS.get(key)
+        if meta is None or not (meta["top"] if section is None else section in meta["kinds"]):
             where = "top level" if section is None else f"section [{section}]"
             raise ConfigError(f"line {lineno}: unknown key {key!r} in {where}")
-        if (section, key) in seen:
+        scope = top if section is None else sections[section]
+        if key in scope:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen.add((section, key))
         try:
-            parsed = _PARSERS[key](value)
+            scope[key] = meta["parse"](value)
         except (ValueError, KeyError) as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
-        (top if section is None else sections[section])[key] = parsed
 
     resolved_kind = kind or file_kind or "steady_sweep"
-    values = dict(_KIND_DEFAULTS.get(resolved_kind, {}))
+    given = sections.get(resolved_kind, {})
+    if "rho_values" in given and "delta_h2" in given:
+        # delta_h2 sets the one rho; a list beside it would not run
+        raise ConfigError("rho_values and delta_h2 both set the stabilization; give one")
+    values = {key: meta["defaults"][resolved_kind] for key, meta in _KEYS.items()
+              if resolved_kind in meta["defaults"]}
     values.update(top)
-    values.update(sections[resolved_kind])
+    values.update(given)
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     config = replace(ExperimentConfig(kind=resolved_kind), **values)
@@ -208,37 +212,18 @@ def parse_config_text(text, kind=None, overrides=None):
 def validate_config(config):
     if config.kind not in KINDS:
         raise ConfigError(f"unknown experiment kind {config.kind!r}")
-    if config.nu <= 0:
-        raise ConfigError("nu must be positive")
-    if config.tol <= 0:
-        raise ConfigError("tol must be positive")
-    if config.energy_ceiling < 1:
-        # a multiple of the initial energy: below 1 flags decaying runs
-        raise ConfigError("energy_ceiling must be >= 1")
-    if not config.n_values or any(n < 1 for n in config.n_values):
-        raise ConfigError("n_values must be positive integers")
-    for key in ("degrees", "rho_values", "dt_ratios"):
-        if not getattr(config, key):
-            raise ConfigError(f"{key} must not be empty")
-    if any(d not in (1, 2) for d in config.degrees):
-        raise ConfigError("degrees must be chosen from {1, 2}")
-    if config.delta_h2 is not None and config.delta_h2 <= 0:
-        # delta_h2 = c means delta = c h^2, equivalent to rho = 1/sqrt(nu c)
-        raise ConfigError("delta_h2 must be positive")
-    if config.dt_law not in ("equal_delta", "fixed"):
-        raise ConfigError(f"unknown dt law {config.dt_law!r}")
+    for key, meta in _KEYS.items():
+        value = getattr(config, key)
+        for ok, message in meta["rules"]:
+            if value is not None and not ok(value):
+                raise ConfigError(message.format(key=key, value=value))
     if config.dt_law == "fixed" and (config.dt is None or config.dt <= 0):
         raise ConfigError("dt law 'fixed' needs a positive dt")
-    if config.scheme not in schemes.SCHEMES:
-        raise ConfigError(f"unknown scheme {config.scheme!r}")
-    if config.delta2_law not in ("equal_delta", "zero"):
-        raise ConfigError(f"unknown delta2 law {config.delta2_law!r}")
-    if not config.inits or any(i not in schemes.INITS for i in config.inits):
-        raise ConfigError(f"inits must be chosen from {schemes.INITS}")
-    if config.record_every < 1 or config.step_budget < 1:
-        raise ConfigError("record_every and step_budget must be >= 1")
-    if any(rho <= 0 for rho in config.rho_values):
-        raise ConfigError("rho_values must be positive")
+    if config.dt_law == "equal_delta" and config.dt is not None:
+        raise ConfigError(
+            f"dt = {config.dt!r} is unused: dt law 'equal_delta' steps with dt = delta; "
+            "set dt_law = fixed to use it"
+        )
     if config.kind == "steady_sweep":
         return
     if len(config.degrees) != 1:
@@ -285,11 +270,13 @@ def _fmt(value):
 
 
 def serialize_config(config):
-    """Round-trippable textual form of a config (parse_config_text inverse)."""
+    """Round-trippable textual form of a config (parse_config_text inverse):
+    every key the kind accepts, in name order, less the unset ones and the
+    rho_values that a delta_h2 replaces."""
     lines = [f"experiment = {config.kind}", f"[{config.kind}]"]
-    for key in sorted(_KIND_KEYS[config.kind]):
+    for key in sorted(k for k, meta in _KEYS.items() if config.kind in meta["kinds"]):
         value = getattr(config, key)
-        if value is None:
+        if value is None or (key == "rho_values" and config.delta_h2 is not None):
             continue
         lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
@@ -397,8 +384,7 @@ def _scheme_params(config, delta, dt, init):
         delta2=0.0 if scheme == "inc" and config.delta2_law == "zero" else None,
         scheme=scheme,
         init=init,
-        allow_dt_up_to_2delta=probe or config.allow_unstable,
-        allow_unstable=config.allow_unstable,
+        max_dt_ratio=np.inf if config.allow_unstable else 2.0 if probe else 1.0,
         tol=config.tol,
     )
 

@@ -9,10 +9,7 @@ velocity with a zero-mean trigonometric pressure on the unit square:
 
 s2 is the unique companion of s1 with s2(x, 0) = 0 satisfying
 d_y s2 = -d_x s1, so div s = 0 identically and s vanishes on the whole
-boundary.  A historical variant of the second component,
--2 x (1 + 3x + 2x^2) sin^2(pi y), is not solenoidal; it is kept behind
-``divergence_free=False`` purely for comparison runs and must not be
-used for convergence measurements.
+boundary.
 
 The transient case modulates both fields by cos(t):
 
@@ -47,40 +44,21 @@ def _poly_dd(x):
     return 12.0 * x - 6.0
 
 
-def _poly_legacy(x):
-    # the non-solenoidal variant's polynomial factor x (1 + 3x + 2x^2)
-    return x * (1.0 + 3.0 * x + 2.0 * x * x)
-
-
-def _poly_legacy_d(x):
-    return 1.0 + 6.0 * x + 6.0 * x * x
-
-
-def _poly_legacy_dd(x):
-    return 12.0 * x + 6.0
-
-
 @dataclass(frozen=True)
 class ManufacturedCase:
     """Analytic Stokes solution with every derivative the schemes need.
 
-    ``nu`` is bound into the forcing terms.  ``divergence_free`` selects
-    the solenoidal second velocity component (default) or the legacy
-    non-solenoidal variant.
+    ``nu`` is bound into the forcing terms.
     """
 
     nu: float
-    divergence_free: bool = True
 
     # spatial velocity s ---------------------------------------------------
     def steady_velocity(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         s1 = x * x * (1.0 - x) ** 2 * np.sin(2.0 * _PI * y)
-        if self.divergence_free:
-            s2 = -(2.0 / _PI) * _poly(x) * np.sin(_PI * y) ** 2
-        else:
-            s2 = -2.0 * _poly_legacy(x) * np.sin(_PI * y) ** 2
+        s2 = -(2.0 / _PI) * _poly(x) * np.sin(_PI * y) ** 2
         return np.stack([s1, s2])
 
     def steady_velocity_gradient(self, x, y):
@@ -91,12 +69,8 @@ class ManufacturedCase:
         s1x = 2.0 * _poly(x) * s2py
         s1y = 2.0 * _PI * x * x * (1.0 - x) ** 2 * c2py
         spy2 = np.sin(_PI * y) ** 2
-        if self.divergence_free:
-            s2x = -(2.0 / _PI) * _poly_d(x) * spy2
-            s2y = -2.0 * _poly(x) * s2py
-        else:
-            s2x = -2.0 * _poly_legacy_d(x) * spy2
-            s2y = -2.0 * _PI * _poly_legacy(x) * s2py
+        s2x = -(2.0 / _PI) * _poly_d(x) * spy2
+        s2y = -2.0 * _poly(x) * s2py
         return np.stack([np.stack([s1x, s1y]), np.stack([s2x, s2y])])
 
     def steady_velocity_laplacian(self, x, y):
@@ -107,13 +81,7 @@ class ManufacturedCase:
         lap1 = (2.0 * _poly_d(x) - 4.0 * _PI * _PI * px2) * s2py
         spy2 = np.sin(_PI * y) ** 2
         c2py = np.cos(2.0 * _PI * y)
-        if self.divergence_free:
-            lap2 = -(2.0 / _PI) * _poly_dd(x) * spy2 - 4.0 * _PI * _poly(x) * c2py
-        else:
-            lap2 = (
-                -2.0 * _poly_legacy_dd(x) * spy2
-                - 4.0 * _PI * _PI * _poly_legacy(x) * c2py
-            )
+        lap2 = -(2.0 / _PI) * _poly_dd(x) * spy2 - 4.0 * _PI * _poly(x) * c2py
         return np.stack([lap1, lap2])
 
     def steady_divergence(self, x, y):
@@ -166,8 +134,8 @@ class ManufacturedCase:
         return field
 
 
-def berrone_case(nu, divergence_free=True):
+def berrone_case(nu):
     """The manufactured case used by all experiments."""
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
-    return ManufacturedCase(nu=float(nu), divergence_free=divergence_free)
+    return ManufacturedCase(nu=float(nu))

@@ -13,10 +13,11 @@ Incremental scheme with second stabilization weight delta2:
 
 For delta = dt the non-incremental scheme is the classical first-order
 pressure-projection update; with delta decoupled from dt it remains
-stable under dt <= delta (accepted up to dt <= 2 delta with an explicit
-override), and blows up beyond, which the stability probe exercises on
-purpose.  ``SchemeParams.check_guard`` is the one place that rule is
-written; the CLI validates configs with it.
+stable under dt <= delta and blows up beyond 2 delta, which the stability
+probe exercises on purpose.  ``SchemeParams.max_dt_ratio`` is the
+largest dt/delta a run accepts (1 by default, 2 for the probe, ``inf``
+on request); ``SchemeParams.check_guard`` enforces it and is the one
+place that rule is written; the CLI validates configs with it.
 
 Velocities are stepped on the free DOFs and pressures are kept at zero
 discrete mean.  The velocity system matrix has one scalar block per
@@ -50,9 +51,9 @@ class SchemeParams:
     """Time-stepping configuration.
 
     ``delta2`` (incremental scheme only) defaults to delta, the analyzed
-    case.  The time-step guard refuses dt > delta unless
-    ``allow_dt_up_to_2delta`` is set, and refuses dt > 2 delta unless
-    ``allow_unstable`` is set (stability-probe mode).
+    case.  ``max_dt_ratio`` is the largest dt/delta that the time-step
+    guard accepts: 1, the stable range, by default; 2 for the stability
+    probe; ``inf`` to run any dt, unstable ones included.
     """
 
     nu: float
@@ -62,8 +63,7 @@ class SchemeParams:
     delta2: float = None
     scheme: str = "noninc"
     init: str = "stabilized_stokes"
-    allow_dt_up_to_2delta: bool = False
-    allow_unstable: bool = False
+    max_dt_ratio: float = 1.0
     tol: float = 1e-10
 
     def __post_init__(self):
@@ -98,19 +98,13 @@ class SchemeParams:
         return params
 
     def check_guard(self):
-        """Raise SchemeGuardError when dt breaches the guard for the flags set."""
-        if self.dt > 2.0 * self.delta * _GUARD_SLACK:
-            if not self.allow_unstable:
-                raise SchemeGuardError(
-                    f"dt = {self.dt:g} exceeds twice the stabilization parameter "
-                    f"2*delta = {2 * self.delta:g}; the scheme is unstable there"
-                )
-        elif self.dt > self.delta * _GUARD_SLACK:
-            if not (self.allow_dt_up_to_2delta or self.allow_unstable):
-                raise SchemeGuardError(
-                    f"dt = {self.dt:g} exceeds delta = {self.delta:g}; steps up to "
-                    "2*delta are accepted only on request"
-                )
+        """Raise SchemeGuardError when dt > max_dt_ratio * delta."""
+        if self.dt > self.max_dt_ratio * self.delta * _GUARD_SLACK:
+            raise SchemeGuardError(
+                f"dt = {self.dt:g} exceeds {self.max_dt_ratio:g}*delta = "
+                f"{self.max_dt_ratio * self.delta:g}; the scheme is stable for dt <= delta, "
+                "runs up to 2*delta only on request and is unstable beyond"
+            )
 
     def num_steps(self):
         n = int(round(self.T / self.dt))

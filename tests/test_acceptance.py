@@ -251,7 +251,7 @@ def test_criterion_06_stability_threshold(mms_case):
     runs = [
         schemes.SchemeParams(
             nu=NU, dt=ratio * delta, T=500 * (ratio * delta), delta=delta, scheme="noninc",
-            init="stabilized_stokes", allow_dt_up_to_2delta=True, allow_unstable=True,
+            init="stabilized_stokes", max_dt_ratio=np.inf,
         )
         for ratio in ratios
     ]

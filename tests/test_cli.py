@@ -1,4 +1,6 @@
 import contextlib
+import dataclasses
+import importlib.util
 import io
 import os
 import pathlib
@@ -257,19 +259,88 @@ def test_equal_delta_law_sets_dt_to_delta():
     assert delta == pytest.approx((1.0 / n) ** 2, rel=1e-12)
 
 
-def test_config_roundtrip():
-    text = """
-experiment = transient_convergence
-nu = 0.02
-[transient_convergence]
-n_values = 10 20
-rho_values = 100
-T = 0.01
-scheme = inc
-"""
-    config = cli.parse_config_text(text)
+_ROUNDTRIP_SET = {
+    "steady_sweep": "nu = 0.02\nout = x.csv\n[steady_sweep]\nn_values = 10 20\n"
+                    "degrees = 1 2\ndelta_h2 = 3\n",
+    "transient_init": "tol = 1e-8\n[transient_init]\nn_values = 10\nrho_values = 1\n"
+                      "dt_law = fixed\ndt = 0.01\nT = 0.1\nscheme = inc\n"
+                      "inits = zero_pressure interpolant\nrecord_every = 3\n",
+    "transient_convergence": "nu = 0.02\n[transient_convergence]\nn_values = 10 20\n"
+                             "rho_values = 100\nT = 0.01\nscheme = noninc\n"
+                             "delta2_law = zero\ninits = interpolant\n",
+    "stability_probe": "allow_unstable = true\n[stability_probe]\nn_values = 8\ndegrees = 2\n"
+                       "dt_ratios = 0.25 3\nstep_budget = 7\nenergy_ceiling = 100\n",
+}
+
+
+@pytest.mark.parametrize("values", ["defaults", "set"])
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_config_roundtrip(kind, values):
+    # the probe's default ratio 4 needs allow_unstable
+    text = {"defaults": "allow_unstable = true\n" if kind == "stability_probe" else "",
+            "set": _ROUNDTRIP_SET[kind]}[values]
+    config = cli.parse_config_text(text, kind=kind)
     again = cli.parse_config_text(cli.serialize_config(config))
     assert again == config
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # dt_law = equal_delta steps with dt = delta = 0.0625 at N = 4, not dt
+        "[transient_convergence]\nn_values = 4\nT = 0.125\ndt = 0.001\n",
+        # delta_h2 = 2 sets the one rho = 1/sqrt(nu * 2), so the list would not run
+        "[transient_convergence]\nn_values = 4\nT = 0.125\nrho_values = 1 10\ndelta_h2 = 2\n",
+        "[steady_sweep]\nn_values = 4\nrho_values = 10\ndelta_h2 = 2\n",
+    ],
+    ids=["dt-under-equal_delta", "rho-list-with-delta_h2", "steady-rho-with-delta_h2"],
+)
+def test_keys_a_run_would_ignore_are_config_errors(tmp_path, capsys, text):
+    (kind,) = re.findall(r"^\[(\w+)\]", text, flags=re.MULTILINE)
+    assert cli.main([kind.replace("_", "-"), "--config", str(write(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert ("dt_law" in err) if "dt =" in text else ("delta_h2" in err and "rho_values" in err)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[steady_sweep]\nn_values = 4 4\n",
+        "[steady_sweep]\nn_values = 4\ndegrees = 1 1\n",
+        "[steady_sweep]\nn_values = 4\nrho_values = 10 10.0\n",
+        "[stability_probe]\nn_values = 4\ndt_ratios = 0.5 0.5\n",
+        "[transient_init]\nn_values = 4\nT = 0.125\ninits = interpolant interpolant\n",
+    ],
+    ids=["n_values", "degrees", "rho_values", "dt_ratios", "inits"],
+)
+def test_repeated_list_entry_is_config_error(tmp_path, capsys, text):
+    # a repeated entry ran twice and wrote duplicate rows (and, for n_values,
+    # a rate row fitted from a single mesh size)
+    (kind,) = re.findall(r"^\[(\w+)\]", text, flags=re.MULTILINE)
+    key = text.splitlines()[-1].split(" =")[0]
+    assert cli.main([kind.replace("_", "-"), "--config", str(write(tmp_path, text))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+
+
+def test_readme_key_table_matches_key_table():
+    # README "Config files": one row per key, naming the kinds whose sections
+    # accept it and whether the top level does
+    readme = (pathlib.Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("### Config files")[1].split("\n### ")[0]
+    rows = re.findall(r"^\| `(\w+)` \| ([^|]*) \|", section, flags=re.MULTILINE)
+    listed = {}
+    for key, cell in rows:
+        kinds = set(re.findall(r"`(\w+)`", cell))
+        if "every kind" in cell:
+            kinds |= set(cli.KINDS)
+        listed[key] = (kinds, "top level" in cell)
+    keys = {
+        f.name: (set(f.metadata["kinds"]), f.metadata["top"])
+        for f in dataclasses.fields(cli.ExperimentConfig) if f.metadata
+    }
+    assert listed == keys
 
 
 # --- experiment runners ------------------------------------------------------
@@ -319,6 +390,23 @@ def test_experiment_script_configs_parse():
         "probe-p2": "stability_probe",
         "steady-p1": "steady_sweep",
     }
+
+
+def test_run_all_experiments_runs_every_script_config(tmp_path, monkeypatch, capsys):
+    # the driver takes each subcommand from the config's own experiment key
+    scripts = pathlib.Path(__file__).parent.parent / "scripts"
+    spec = importlib.util.spec_from_file_location("run_all", scripts / "run_all_experiments.py")
+    run_all = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run_all)
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda argv: calls.append(argv) or 0)
+    assert run_all.main(["run_all_experiments.py", str(tmp_path)]) == 0
+    configs = sorted(scripts.glob("*.cfg"))
+    assert [pathlib.Path(argv[2]) for argv in calls] == configs
+    for argv, cfg in zip(calls, configs):
+        (kind,) = re.findall(r"^experiment = (\w+)", cfg.read_text(), flags=re.MULTILINE)
+        assert argv[0] == kind.replace("_", "-")
+        assert argv[4] == str(tmp_path / f"{cfg.stem}.csv")
 
 
 def test_steady_sweep_rate_rows():

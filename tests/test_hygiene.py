@@ -230,9 +230,7 @@ def unset_defaults(package_sources, other_sources):
 
 
 # Defaulted parameters that nothing in src/ or scripts/ sets, kept on purpose.
-KEPT_DEFAULTS = {
-    "berrone_case(divergence_free)": "the non-solenoidal variant stays for comparison runs",
-}
+KEPT_DEFAULTS = {}
 
 
 def test_checker_flags_unset_defaults():

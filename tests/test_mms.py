@@ -29,12 +29,6 @@ def test_divergence_free_everywhere(case):
     assert np.abs(case.steady_divergence(x, y)).max() <= 1e-12
 
 
-def test_legacy_variant_is_not_divergence_free():
-    legacy = mms.berrone_case(0.01, divergence_free=False)
-    x, y = np.array([0.3]), np.array([0.4])
-    assert abs(legacy.steady_divergence(x, y)[0]) > 0.1
-
-
 def test_velocity_vanishes_on_boundary(case):
     rng = np.random.default_rng(1)
     line = rng.random(100)
@@ -65,9 +59,7 @@ def test_pressure_gradient_vs_finite_differences(case):
     assert np.abs(grad[1] - gy).max() <= 1e-8
 
 
-@pytest.mark.parametrize("divergence_free", [True, False])
-def test_velocity_derivatives_vs_finite_differences(divergence_free):
-    case = mms.berrone_case(0.01, divergence_free=divergence_free)
+def test_velocity_derivatives_vs_finite_differences(case):
     rng = np.random.default_rng(3)
     x, y = 0.1 + 0.8 * rng.random(40), 0.1 + 0.8 * rng.random(40)
     h = 1e-5

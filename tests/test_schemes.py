@@ -33,7 +33,7 @@ def test_guard_edge_at_two_delta(slack, accepted):
     # doubling is exact, so dt = 2 delta (1 + 1e-12) lies exactly on the
     # guard's slackened edge
     dt = 2.0 * (1.0 + slack) * 1e-3
-    params = make_params(dt=dt, delta=1e-3, T=10 * dt, allow_dt_up_to_2delta=True)
+    params = make_params(dt=dt, delta=1e-3, T=10 * dt, max_dt_ratio=2.0)
     if accepted:
         with pytest.warns(UserWarning):
             params.resolved()
@@ -50,15 +50,15 @@ def test_guard_refuses_dt_above_delta_without_flag():
 def test_guard_band_accepted_with_override():
     with pytest.warns(UserWarning):
         make_params(dt=1.5e-3, delta=1e-3, T=1.5e-2,
-                    allow_dt_up_to_2delta=True).resolved()
+                    max_dt_ratio=2.0).resolved()
 
 
 def test_guard_refuses_beyond_two_delta():
     with pytest.raises(schemes.SchemeGuardError):
         make_params(dt=4e-3, delta=1e-3, T=4e-2,
-                    allow_dt_up_to_2delta=True).resolved()
+                    max_dt_ratio=2.0).resolved()
     # probe mode lets it through
-    make_params(dt=4e-3, delta=1e-3, T=4e-2, allow_unstable=True).resolved()
+    make_params(dt=4e-3, delta=1e-3, T=4e-2, max_dt_ratio=np.inf).resolved()
 
 
 def test_t_must_be_step_multiple():
@@ -298,7 +298,7 @@ def test_unstable_run_marked_diverged(case):
     dt = 4 * delta
     params = schemes.SchemeParams(
         nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
-        init="stabilized_stokes", allow_unstable=True,
+        init="stabilized_stokes", max_dt_ratio=np.inf,
     )
     (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
     assert result.diverged
