@@ -8,7 +8,7 @@ Subpackages/modules:
 - ``femspace``: P1/P2 Lagrange elements, quadrature, DOF spaces
 - ``assembly``: sparse matrices and load vectors for all bilinear forms
 - ``sparsela``: sparse linear algebra (saddle-point direct solve,
-  cached factorizations)
+  cached factorizations, the factor-free DCT-I P1 pressure solve)
 - ``steady``: the stabilized steady Stokes solver
 - ``mms``: manufactured solutions and consistent forcing terms
 - ``schemes``: non-incremental and incremental projection time steppers

@@ -287,3 +287,7 @@ class Discretization:
         if self.degree == 1:
             return sparsela.GridNeumannSolver(self.mesh.n)
         return sparsela.PinnedSingularSolver(self.stiffness)
+
+    def free_load(self, f):
+        """Load vector of the analytic field ``f`` on the free DOFs."""
+        return self.space.restrict(assemble_load(self.space, f))

@@ -316,25 +316,24 @@ def run_steady_sweep(config):
             h = mesh_size(grid)
             disc = Discretization(grid, degree)
             space = disc.space
-            ops = steady.SteadyOperators(disc)
-            rhs_v = ops.load(case.steady_forcing)
+            rhs_v = disc.free_load(case.steady_forcing)
             interp_v = femspace.interpolate(space, case.steady_velocity)
             interp_p = femspace.interpolate(space, case.steady_pressure)
             for rho, delta in _resolve_deltas(config, n):
                 try:
-                    sol = ops.solve(config.nu, delta, rhs_v, tol=config.tol)
+                    velocity, pressure = steady.solve(disc, config.nu, delta, rhs_v, config.tol)
                     errors = {
                         "vel_l2_interp": metrics.fe_norm_diff(
-                            sol.velocity, interp_v, matrix=disc.mass
+                            velocity, interp_v, matrix=disc.mass
                         ),
                         "pres_l2_interp": metrics.fe_norm_diff(
-                            sol.pressure, interp_p, matrix=disc.mass
+                            pressure, interp_p, matrix=disc.mass
                         ),
                         "vel_l2_exact": metrics.error_vs_exact(
-                            space, sol.velocity, case.steady_velocity
+                            space, velocity, case.steady_velocity
                         ),
                         "pres_l2_exact": metrics.error_vs_exact(
-                            space, sol.pressure, case.steady_pressure
+                            space, pressure, case.steady_pressure
                         ),
                     }
                     status = "ok"
@@ -447,23 +446,16 @@ def run_transient_convergence(config):
         (params,) = _scheme_runs(config, n)
         disc = Discretization(grid, degree)
         tracker = metrics.TransientErrorTracker(disc, case)
-        last = []
-
-        def pressure_error(state):
-            last[:] = [state]
-            return tracker.pres_l2_exact(state)
-
         try:
-            (result,) = schemes.run([params], case, disc, observe=pressure_error)
+            (result,) = schemes.run([params], case, disc, observe=tracker.pres_l2_exact)
         except sparsela.LinearSolverError as exc:
             rows.append(["data", config.scheme, n, h, rho, params.delta, "", params.dt, "", "",
                          "", "", f"failed: {exc}"])
             continue
         resolved = result.params
         press = metrics.discrete_time_norm(result.records[1:], resolved.dt)
-        # the full errors of the last state observed: a diverged run's
-        # last finite one
-        final = tracker(last[0])
+        # a diverged run's final state is its last finite one
+        final = tracker(result.final_state)
         rows.append(
             [
                 "data",
@@ -532,13 +524,8 @@ def main(argv=None):
         description="Stokes projection-scheme experiments (CSV output)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, kind in (
-        ("steady-sweep", "steady_sweep"),
-        ("transient-init", "transient_init"),
-        ("transient-convergence", "transient_convergence"),
-        ("stability-probe", "stability_probe"),
-    ):
-        p = sub.add_parser(command, help=f"run the {kind} experiment")
+    for kind in KINDS:
+        p = sub.add_parser(kind.replace("_", "-"), help=f"run the {kind} experiment")
         p.set_defaults(kind=kind)
         p.add_argument("--config", help="config file path")
         p.add_argument("--out", help="output CSV path (default: stdout)")

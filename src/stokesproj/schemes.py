@@ -21,11 +21,13 @@ place that rule is written; the CLI validates configs with it.
 
 Velocities are stepped on the free DOFs and pressures are kept at zero
 discrete mean.  The velocity system matrix has one scalar block per
-velocity component, so one scalar factorization serves every step; the
-pressure solve is the Discretization's, factor-free for P1 and one
-pinned factorization of S for P2.  ``run`` is the one time loop:
-it steps every run of a mesh on shared forcing loads and initial states,
-and the experiment runners only choose what each step records.
+velocity component, so one scalar factorization serves every step, and
+``SchemeOperators`` holds only that factor.  The steps read every other
+operator from the Discretization, the pressure solve too: factor-free
+for P1 and one pinned factorization of S for P2.  ``run`` is the one
+time loop: it steps every run of a mesh on shared forcing loads and
+initial states, and the experiment runners only choose what each step
+records.
 """
 
 import warnings
@@ -33,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import assembly, femspace, sparsela, steady
+from . import femspace, sparsela, steady
 from .assembly import componentwise
 
 _GUARD_SLACK = 1.0 + 1e-12
@@ -130,19 +132,14 @@ class TimeState:
 
 
 class SchemeOperators:
-    """Operators and factorizations for time stepping with ``params`` on
-    one Discretization.  Immutable once built; shared by all steps."""
+    """The momentum factorization for time stepping with ``params`` on
+    ``disc``; the steps read every other operator, and the pressure
+    solver, from ``disc``.  Immutable once built; shared by all steps."""
 
     def __init__(self, disc, params):
-        self.Ms = disc.mass_free
-        self.As = disc.stiffness_free
-        self.H = (self.Ms / params.dt + params.nu * self.As).tocsr()
-        self.G = disc.G
-        self.GT = disc.GT
-        self.S = disc.stiffness
-        self.mean_weights = disc.mean_weights
-        self._h_solver = sparsela.FactorizedSpd(self.H)
-        self._s_solver = disc.pressure_solver
+        self.disc = disc
+        h = (disc.mass_free / params.dt + params.nu * disc.stiffness_free).tocsr()
+        self._h_solver = sparsela.FactorizedSpd(h)
 
     def momentum_solve(self, rhs_block):
         """Solve (M/dt + nu A) per component; rhs and result in block layout."""
@@ -150,11 +147,11 @@ class SchemeOperators:
 
     def pressure_solve(self, rhs, coefficient):
         """Solve coefficient * S q = rhs on the zero-mean subspace."""
-        q = self._s_solver.solve(rhs / coefficient)
-        return sparsela.project_mean(q, self.mean_weights)
+        q = self.disc.pressure_solver.solve(rhs / coefficient)
+        return sparsela.project_mean(q, self.disc.mean_weights)
 
     def velocity_energy(self, velocity):
-        return float(np.sum(velocity * componentwise(self.Ms, velocity)))
+        return float(np.sum(velocity * componentwise(self.disc.mass_free, velocity)))
 
 
 def initialize(params, case, disc):
@@ -170,10 +167,8 @@ def initialize(params, case, disc):
     """
     space = disc.space
     if params.init == "stabilized_stokes":
-        ops = steady.SteadyOperators(disc)
-        sol = ops.solve(params.nu, params.delta, ops.load(case.steady_data(0.0)),
-                        tol=params.tol)
-        v0, q0 = sol.velocity, sol.pressure
+        v0, q0 = steady.solve(disc, params.nu, params.delta,
+                              disc.free_load(case.steady_data(0.0)), params.tol)
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":
@@ -189,15 +184,15 @@ def initialize(params, case, disc):
 
 
 def _advance(state, params, ops, load, pressure_in_momentum):
-    rhs = componentwise(ops.Ms, state.velocity) / params.dt + load - ops.G @ pressure_in_momentum
-    return ops.momentum_solve(rhs)
+    rhs = componentwise(ops.disc.mass_free, state.velocity) / params.dt + load
+    return ops.momentum_solve(rhs - ops.disc.G @ pressure_in_momentum)
 
 
 def step_noninc(state, params, ops, load):
     """One step of the non-incremental scheme; ``load`` is the load vector
     at t_{n+1} on the free velocity DOFs."""
     v_new = _advance(state, params, ops, load, state.pressure)
-    q_new = ops.pressure_solve(ops.GT @ v_new, params.delta)
+    q_new = ops.pressure_solve(ops.disc.GT @ v_new, params.delta)
     return TimeState(step=state.step + 1, t=state.t + params.dt, velocity=v_new, pressure=q_new)
 
 
@@ -208,7 +203,7 @@ def step_inc(state, params, ops, load):
         raise ValueError("incremental step needs delta2 resolved (params.resolved)")
     q_hat = 2.0 * state.pressure - state.pressure_prev
     v_new = _advance(state, params, ops, load, q_hat)
-    rhs_p = params.delta * (ops.S @ state.pressure) + ops.GT @ v_new
+    rhs_p = params.delta * (ops.disc.stiffness @ state.pressure) + ops.disc.GT @ v_new
     return TimeState(
         step=state.step + 1,
         t=state.t + params.dt,
@@ -238,11 +233,11 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     values are the run's ``records``.  A run stops and is marked diverged
     once its velocity stops being finite or, when ``energy_ceiling`` is
     set, once its velocity energy exceeds ceiling * max(initial energy,
-    1e-300); ``energies`` holds that history.
+    1e-300); ``energies`` holds that history.  ``final_state`` is the last
+    state that passed this test; ``steps_completed`` counts the diverged
+    step too.
     """
-    space = disc.space
-    loads = [(tf, space.restrict(assembly.assemble_load(space, sf)))
-             for tf, sf in case.forcing_terms()]
+    loads = [(tf, disc.free_load(sf)) for tf, sf in case.forcing_terms()]
     initial = {}
     results = []
     for params in runs:
@@ -266,33 +261,36 @@ def _run_one(params, disc, state, loads, observe, energy_ceiling):
     diverged = False
     for _ in range(params.num_steps()):
         t_next = state.t + params.dt
-        state = step(state, params, ops, sum(tf(t_next) * vec for tf, vec in loads))
+        new = step(state, params, ops, sum(tf(t_next) * vec for tf, vec in loads))
         if track_energy:
-            energy = ops.velocity_energy(state.velocity)
+            energy = ops.velocity_energy(new.velocity)
             energies.append(energy)
             diverged = not np.isfinite(energy) or energy > energy_ceiling * floor
         else:
-            diverged = not np.isfinite(state.velocity @ state.velocity)
+            diverged = not np.isfinite(new.velocity @ new.velocity)
         if diverged:
             break
+        state = new
         if observe is not None:
             records.append(observe(state))
-    return RunResult(params, state, diverged, state.step, np.asarray(energies), records)
+    steps = state.step + 1 if diverged else state.step
+    return RunResult(params, state, diverged, steps, np.asarray(energies), records)
 
 
 def noninc_residuals(params, ops, v_old, v_new, q_momentum, q_new, load_block):
     """Residual norms of the two non-incremental relations for a completed
     step, relative to their right-hand-side scales.  Used by equivalence
     and consistency checks."""
-    mom_rhs = componentwise(ops.Ms, v_old) / params.dt + load_block
+    disc = ops.disc
+    mom_rhs = componentwise(disc.mass_free, v_old) / params.dt + load_block
     lhs = (
-        componentwise(ops.Ms, v_new) / params.dt
-        + params.nu * componentwise(ops.As, v_new)
-        + ops.G @ q_momentum
+        componentwise(disc.mass_free, v_new) / params.dt
+        + params.nu * componentwise(disc.stiffness_free, v_new)
+        + disc.G @ q_momentum
     )
     mom_scale = max(np.linalg.norm(mom_rhs), 1e-300)
     mom_res = np.linalg.norm(lhs - mom_rhs) / mom_scale
-    div_rhs = ops.GT @ v_new
+    div_rhs = disc.GT @ v_new
     div_scale = max(np.linalg.norm(div_rhs), 1e-300)
-    div_res = np.linalg.norm(params.delta * (ops.S @ q_new) - div_rhs) / div_scale
+    div_res = np.linalg.norm(params.delta * (disc.stiffness @ q_new) - div_rhs) / div_scale
     return mom_res, div_res

@@ -77,7 +77,6 @@ class FactorizedSpd:
     several right-hand sides (columns)."""
 
     def __init__(self, a):
-        self.shape = a.shape
         self._solve = _factorize_spd(sparse.csc_matrix(a))
 
     def solve(self, b):

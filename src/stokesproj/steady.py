@@ -8,16 +8,14 @@ Find (s_h, z_h) in V_h x Q_h with
 which is well posed for equal-order pairs whenever delta > 0.  The
 discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
+``solve`` assembles nothing: it reads the cached operators and the
+saddle ordering of a ``Discretization``.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
 """
 
-from dataclasses import dataclass
-
-import numpy as np
-
-from . import assembly, sparsela
+from . import sparsela
 
 
 def choose_delta(h, nu, rho):
@@ -28,47 +26,24 @@ def choose_delta(h, nu, rho):
     return h * h / (nu * rho * rho)
 
 
-@dataclass
-class StokesSolution:
-    """Velocity/pressure coefficients of one stabilized steady solve.
+def solve(disc, nu, delta, rhs_v, tol):
+    """The stabilized steady solve on the operators of ``disc`` for the
+    load ``rhs_v`` on the free velocity DOFs (``disc.free_load``).
 
-    ``velocity`` holds both full blocks on the space (zeros at Dirichlet
-    DOFs); ``pressure`` has zero discrete mean.
+    Returns (velocity, pressure): both full velocity blocks on the space
+    (zeros at Dirichlet DOFs) and a pressure with zero discrete mean.
+    Parameter sweeps share the assembly by passing one ``disc``.
     """
-
-    velocity: np.ndarray
-    pressure: np.ndarray
-
-
-class SteadyOperators:
-    """The steady system's operators on one Discretization; lets parameter
-    sweeps share the assembly across delta values."""
-
-    def __init__(self, disc):
-        self.space = disc.space
-        self.a_free = disc.stiffness_free_vector
-        self.g_mat = disc.G
-        self.s_mat = disc.stiffness
-        self.mean_weights = disc.mean_weights
-        self.order = disc.saddle_order
-
-    def load(self, ghat):
-        return self.space.restrict(assembly.assemble_load(self.space, ghat))
-
-    def solve(self, nu, delta, rhs_v, tol):
-        if nu <= 0.0:
-            raise ValueError("viscosity must be positive")
-        if delta <= 0.0:
-            raise ValueError("stabilization parameter delta must be positive")
-        s_free, z, _ = sparsela.saddle_solve(
-            (nu * self.a_free).tocsr(),
-            self.g_mat,
-            self.s_mat,
-            delta,
-            rhs_v,
-            order=self.order,
-            mean_weights=self.mean_weights,
-            tol=tol,
-        )
-        return StokesSolution(velocity=self.space.extend(s_free), pressure=z)
-
+    if nu <= 0.0:
+        raise ValueError("viscosity must be positive")
+    s_free, z, _ = sparsela.saddle_solve(
+        (nu * disc.stiffness_free_vector).tocsr(),
+        disc.G,
+        disc.stiffness,
+        delta,
+        rhs_v,
+        order=disc.saddle_order,
+        mean_weights=disc.mean_weights,
+        tol=tol,
+    )
+    return disc.space.extend(s_free), z

@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from stokesproj import assembly, femspace, mesh, mms
+from stokesproj import femspace, mesh, mms
 
 
 @pytest.fixture(scope="session")
@@ -30,9 +30,7 @@ def load_at():
     terms as ``schemes.run`` sums them."""
 
     def build(case, disc):
-        space = disc.space
-        terms = [(tf, space.restrict(assembly.assemble_load(space, sf)))
-                 for tf, sf in case.forcing_terms()]
+        terms = [(tf, disc.free_load(sf)) for tf, sf in case.forcing_terms()]
         return lambda t: sum(tf(t) * vec for tf, vec in terms)
 
     return build

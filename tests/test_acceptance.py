@@ -41,18 +41,18 @@ def _steady_table(case, degree, n_values, rho_values):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         disc = Discretization(grid, degree)
-        ops = steady.SteadyOperators(disc)
-        rhs = ops.load(case.steady_forcing)
+        rhs = disc.free_load(case.steady_forcing)
         interp_v = femspace.interpolate(disc.space, case.steady_velocity)
         interp_p = femspace.interpolate(disc.space, case.steady_pressure)
         setup = time.time() - t0
         for rho in rho_values:
             t1 = time.time()
-            sol = ops.solve(NU, steady.choose_delta(h, NU, rho), rhs, tol=1e-10)
+            velocity, pressure = steady.solve(disc, NU, steady.choose_delta(h, NU, rho), rhs,
+                                              tol=1e-10)
             table[(n, rho)] = {
                 "h": h,
-                "vel": metrics.fe_norm_diff(sol.velocity, interp_v, matrix=disc.mass),
-                "pres": metrics.fe_norm_diff(sol.pressure, interp_p, matrix=disc.mass),
+                "vel": metrics.fe_norm_diff(velocity, interp_v, matrix=disc.mass),
+                "pres": metrics.fe_norm_diff(pressure, interp_p, matrix=disc.mass),
             }
             timings[rho] += time.time() - t1 + setup  # setup charged to every rho
     return table, timings

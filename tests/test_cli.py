@@ -164,7 +164,7 @@ def test_guard_band_is_config_error(tmp_path, capsys):
     cfg = write(tmp_path, text)
     assert cli.main(["transient-init", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert "allow_unstable" in err and "allow_dt_up_to_2delta" not in err
+    assert "allow_unstable" in err and "N = 4: dt = 0.09375 exceeds 1*delta = 0.0625" in err
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # validation only checks, never warns
         cli.parse_config_text(text, kind="transient_init",

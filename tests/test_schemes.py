@@ -200,8 +200,8 @@ def test_pressure_equation_residual_each_step(grid4, case):
     disc = Discretization(grid4, 1)
     ops = schemes.SchemeOperators(disc, params)
     for state in states(params, case, disc)[1:]:
-        rhs = ops.G.T @ state.velocity
-        res = params.delta * (ops.S @ state.pressure) - rhs
+        rhs = disc.G.T @ state.velocity
+        res = params.delta * (disc.stiffness @ state.pressure) - rhs
         assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
 
 
@@ -211,8 +211,8 @@ def test_incremental_pressure_update_residual(grid4, case):
     ops = schemes.SchemeOperators(disc, params)
     trajectory = states(params, case, disc)
     for prev, state in zip(trajectory, trajectory[1:]):
-        rhs = params.delta * (ops.S @ prev.pressure) + ops.G.T @ state.velocity
-        lhs = (params.delta + params.delta2) * (ops.S @ state.pressure)
+        rhs = params.delta * (disc.stiffness @ prev.pressure) + disc.G.T @ state.velocity
+        lhs = (params.delta + params.delta2) * (disc.stiffness @ state.pressure)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1e-300)
 
 
@@ -253,10 +253,10 @@ def test_classical_form_identity(grid4, case, load_at):
         state_a = schemes.step_noninc(state_a, params, ops, load)
         # (momentum against the projected velocity) M (v~ - v^n)/dt with
         # v^n = v~^n - delta grad q^n, i.e. M v^n = M v~^n - delta G q^n
-        rhs = (ops.Ms @ vb.reshape(2, -1).T).T.ravel() / dt \
-            - (params.delta / dt) * (ops.G @ qb) + load
+        rhs = (disc.mass_free @ vb.reshape(2, -1).T).T.ravel() / dt \
+            - (params.delta / dt) * (disc.G @ qb) + load
         vb = ops.momentum_solve(rhs)
-        qb = ops.pressure_solve(ops.G.T @ vb, params.delta)
+        qb = ops.pressure_solve(disc.G.T @ vb, params.delta)
         assert np.linalg.norm(state_a.velocity - vb) <= 1e-12 * max(
             np.linalg.norm(vb), 1e-300
         )
@@ -303,6 +303,9 @@ def test_unstable_run_marked_diverged(case):
     (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
     assert result.diverged
     assert result.steps_completed < 500
+    # the final state is the last one that passed the divergence test
+    assert result.final_state.step == result.steps_completed - 1
+    assert np.all(np.isfinite(result.final_state.velocity))
 
 
 def test_stable_run_keeps_energy_bounded(case):

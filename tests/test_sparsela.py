@@ -96,10 +96,10 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
     grid = mesh_mod.build_grid(20)
     delta = steady.choose_delta(1.0 / 20, 0.01, 100.0)
     disc = assembly.Discretization(grid, 1)
-    ops = steady.SteadyOperators(disc)
-    sol = ops.solve(0.01, delta, ops.load(case.steady_forcing), tol=1e-10)
+    _, pressure = steady.solve(disc, 0.01, delta, disc.free_load(case.steady_forcing),
+                               tol=1e-10)
     w = assembly.basis_integrals(disc.space)
-    assert abs(w @ sol.pressure) <= 1e-12
+    assert abs(w @ pressure) <= 1e-12
 
 
 def test_saddle_deterministic(grid4, case):
@@ -187,13 +187,12 @@ def test_saddle_solve_leaves_no_reference_cycles(case):
     # the factors are freed as soon as a solve returns, not at the next
     # cyclic garbage collection
     disc = assembly.Discretization(mesh.build_grid(8), 2)
-    ops = steady.SteadyOperators(disc)
-    rhs = ops.load(case.steady_forcing)
-    ops.solve(0.01, 1e-3, rhs, tol=1e-10)
+    rhs = disc.free_load(case.steady_forcing)
+    steady.solve(disc, 0.01, 1e-3, rhs, tol=1e-10)
     gc.collect()
     gc.disable()
     try:
-        ops.solve(0.01, 1e-3, rhs, tol=1e-10)
+        steady.solve(disc, 0.01, 1e-3, rhs, tol=1e-10)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -8,10 +8,9 @@ from stokesproj.assembly import Discretization
 
 def steady_solve(grid, degree, nu, delta, ghat):
     """The stabilized steady solve for analytic data ``ghat`` on a fresh
-    Discretization; returns the Discretization and the solution."""
+    Discretization; returns the Discretization, velocity and pressure."""
     disc = Discretization(grid, degree)
-    ops = steady.SteadyOperators(disc)
-    return disc, ops.solve(nu, delta, ops.load(ghat), tol=1e-10)
+    return (disc, *steady.solve(disc, nu, delta, disc.free_load(ghat), tol=1e-10))
 
 
 def test_choose_delta_values():
@@ -25,9 +24,9 @@ def test_choose_delta_values():
 
 
 def test_zero_data_gives_zero_solution(grid4):
-    _, sol = steady_solve(grid4, 1, 0.01, 1e-3, lambda x, y: np.zeros((2,) + x.shape))
-    assert np.array_equal(sol.velocity, np.zeros_like(sol.velocity))
-    assert np.array_equal(sol.pressure, np.zeros_like(sol.pressure))
+    _, velocity, pressure = steady_solve(grid4, 1, 0.01, 1e-3, lambda x, y: np.zeros((2,) + x.shape))
+    assert np.array_equal(velocity, np.zeros_like(velocity))
+    assert np.array_equal(pressure, np.zeros_like(pressure))
 
 
 def test_rejects_bad_parameters(grid4, case):
@@ -38,22 +37,22 @@ def test_rejects_bad_parameters(grid4, case):
 
 
 def test_velocity_vanishes_on_dirichlet(grid4, case):
-    disc, sol = steady_solve(grid4, 1, 0.01, 1e-3, case.steady_forcing)
-    assert np.all(sol.velocity[dense_oracle.dirichlet_dofs(disc.space)] == 0.0)
+    disc, velocity, pressure = steady_solve(grid4, 1, 0.01, 1e-3, case.steady_forcing)
+    assert np.all(velocity[dense_oracle.dirichlet_dofs(disc.space)] == 0.0)
 
 
 def test_block_residuals(grid4, case):
     nu, delta = 0.01, 1e-3
-    disc, sol = steady_solve(grid4, 1, nu, delta, case.steady_forcing)
+    disc, velocity, pressure = steady_solve(grid4, 1, nu, delta, case.steady_forcing)
     space = disc.space
     a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
     g = assembly.assemble_pressure_gradient(space)
     s = assembly.assemble_stiffness(space)
     rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
-    vf = space.restrict(sol.velocity)
+    vf = space.restrict(velocity)
     scale = np.linalg.norm(rhs)
-    r1 = nu * (a @ vf) + g @ sol.pressure - rhs
-    r2 = g.T @ vf - delta * (s @ sol.pressure)
+    r1 = nu * (a @ vf) + g @ pressure - rhs
+    r2 = g.T @ vf - delta * (s @ pressure)
     assert np.linalg.norm(r1) <= 1e-9 * scale
     assert np.linalg.norm(r2) <= 1e-9 * scale
 
@@ -62,7 +61,7 @@ def test_solution_matches_independent_dense_solve(case):
     # end-to-end cross-check: oracle matrices + plain dense linear algebra
     grid = mesh.build_grid(4)
     nu, delta = 0.01, 2e-3
-    disc, sol = steady_solve(grid, 1, nu, delta, case.steady_forcing)
+    disc, velocity, pressure = steady_solve(grid, 1, nu, delta, case.steady_forcing)
     space = disc.space
 
     dense = dense_oracle.dense_matrices(space)
@@ -86,8 +85,8 @@ def test_solution_matches_independent_dense_solve(case):
     w = assembly.basis_integrals(space)
     z = x[nv:] - (w @ x[nv:]) / w.sum()
 
-    assert np.abs(space.restrict(sol.velocity) - x[:nv]).max() <= 1e-10
-    assert np.abs(sol.pressure - z).max() <= 1e-10
+    assert np.abs(space.restrict(velocity) - x[:nv]).max() <= 1e-10
+    assert np.abs(pressure - z).max() <= 1e-10
 
 
 @pytest.mark.slow
@@ -98,10 +97,10 @@ def test_velocity_rate_near_two(case):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 100.0)
-        disc, sol = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
+        disc, velocity, pressure = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
         interp = femspace.interpolate(disc.space, case.steady_velocity)
         mass = dense_oracle.vector_matrix(assembly.assemble_mass(disc.space))
-        errs.append(metrics.fe_norm_diff(sol.velocity, interp, mass))
+        errs.append(metrics.fe_norm_diff(velocity, interp, mass))
         hs.append(h)
     rate = metrics.observed_rate(errs, hs)
     assert 1.8 <= rate <= 2.4
@@ -114,10 +113,10 @@ def test_rho_1000_pressure_stagnates(case):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 1000.0)
-        disc, sol = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
+        disc, velocity, pressure = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
         interp = femspace.interpolate(disc.space, case.steady_pressure)
         mass = assembly.assemble_mass(disc.space)
-        errs.append(metrics.fe_norm_diff(sol.pressure, interp, mass))
+        errs.append(metrics.fe_norm_diff(pressure, interp, mass))
     assert errs[1] > 0.5 * errs[0]  # barely any decrease under mesh halving
 
 
@@ -127,15 +126,15 @@ def test_rho_optimum_structure(case):
     grid = mesh.build_grid(80)
     h = mesh.mesh_size(grid)
     disc = Discretization(grid, 1)
-    ops = steady.SteadyOperators(disc)
-    rhs = ops.load(case.steady_forcing)
+    rhs = disc.free_load(case.steady_forcing)
     iv = femspace.interpolate(disc.space, case.steady_velocity)
     ip = femspace.interpolate(disc.space, case.steady_pressure)
     verr, perr = {}, {}
     for rho in (1.0, 10.0, 100.0, 1000.0):
-        sol = ops.solve(case.nu, steady.choose_delta(h, case.nu, rho), rhs, tol=1e-10)
-        verr[rho] = metrics.fe_norm_diff(sol.velocity, iv, matrix=disc.mass)
-        perr[rho] = metrics.fe_norm_diff(sol.pressure, ip, matrix=disc.mass)
+        velocity, pressure = steady.solve(disc, case.nu, steady.choose_delta(h, case.nu, rho),
+                                          rhs, tol=1e-10)
+        verr[rho] = metrics.fe_norm_diff(velocity, iv, matrix=disc.mass)
+        perr[rho] = metrics.fe_norm_diff(pressure, ip, matrix=disc.mass)
     assert perr[10.0] <= perr[1.0] and perr[10.0] <= perr[1000.0]
     assert verr[100.0] <= verr[1.0] and verr[100.0] <= verr[1000.0]
 
@@ -148,9 +147,9 @@ def test_small_rho_degrees_agree(case):
         grid = mesh.build_grid(n)
         h = mesh.mesh_size(grid)
         delta = steady.choose_delta(h, case.nu, 1.0)
-        disc, sol = steady_solve(grid, degree, case.nu, delta, case.steady_forcing)
+        disc, velocity, pressure = steady_solve(grid, degree, case.nu, delta, case.steady_forcing)
         errors[degree] = metrics.error_vs_exact(
-            disc.space, sol.velocity, case.steady_velocity
+            disc.space, velocity, case.steady_velocity
         )
     ratio = errors[1] / errors[2]
     assert 1.0 / 1.5 <= ratio <= 1.5
