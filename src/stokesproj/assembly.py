@@ -151,11 +151,13 @@ def assemble_load(space, f, quad_degree=6):
     vals, _ = space.reference.eval(rule.reference_points())
     xq = quadrature_points_physical(space.mesh, rule)
     fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
-    out = np.zeros(fv.shape[0] * space.num_dofs)
-    for c, block in enumerate(fv):
+    dofs = space.element_dofs.ravel()
+    out = []
+    for block in fv:
         elem = np.einsum("q,tq,qi,t->ti", rule.weights, block, vals, det)
-        np.add.at(out, c * space.num_dofs + space.element_dofs, elem)
-    return out
+        # a sequential element-major sum per DOF
+        out.append(np.bincount(dofs, weights=elem.ravel(), minlength=space.num_dofs))
+    return np.concatenate(out)
 
 
 def basis_integrals(space):
@@ -247,11 +249,6 @@ class Discretization:
     def stiffness_free(self):
         fs = self.space.free_scalar
         return self.stiffness[fs][:, fs].tocsr()
-
-    @cached_property
-    def stiffness_free_vector(self):
-        """Vector stiffness on free velocity DOFs (the steady saddle block)."""
-        return sparse.block_diag([self.stiffness_free] * 2, format="csr")
 
     @cached_property
     def G(self):

@@ -94,7 +94,10 @@ def build_grid(n):
         [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
     )
     local_sorted = np.sort(local, axis=1)
-    edges, inverse = np.unique(local_sorted, axis=0, return_inverse=True)
+    # one int64 key per sorted pair; keys sort as the pairs do
+    nv = vertices.shape[0]
+    keys, inverse = np.unique(local_sorted[:, 0] * nv + local_sorted[:, 1], return_inverse=True)
+    edges = np.column_stack([keys // nv, keys % nv])
     triangle_edges = inverse.reshape(3, -1).T.copy()
     edge_triangle_count = np.bincount(inverse, minlength=edges.shape[0])
 

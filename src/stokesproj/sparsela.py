@@ -7,7 +7,10 @@ schemes need:
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
   Stokes block system on the zero-mean pressure subspace, factorized in
   a caller-given fill-reducing ordering (``Discretization.saddle_order``,
-  a geometric nested dissection of the grid);
+  a geometric nested dissection of the grid); the pinned, ordered matrix
+  is built once, straight from the scalar velocity block, ``G``, ``G^T``
+  and ``-delta S``, and is the only copy of the system alive while it is
+  factorized;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -151,21 +154,73 @@ def project_mean(x, weights):
     return x - (weights @ x) / weights.sum()
 
 
+def _csr_rows(m):
+    """Row index of every stored entry of the CSR matrix ``m``."""
+    return np.repeat(np.arange(m.shape[0], dtype=np.int32), np.diff(m.indptr))
+
+
+def _pinned_saddle_csc(a_block, g, s, delta, perm):
+    """The pinned saddle matrix of ``saddle_solve`` in the order ``perm``,
+    as one CSC built straight from its blocks.
+
+    ``perm`` lists the pinned unknowns in factorization order as indices
+    into the unpinned ones (x-velocities, y-velocities, pressures).  The
+    stored entries of ``a_block`` (twice), ``g``, ``g^T`` and
+    ``-delta*s``, less those of the pinned pressure, are mapped through
+    the inverse of ``perm`` into int32 row and column arrays of the
+    final size, and one COO -> CSC conversion sorts them.  Entry for
+    entry this is ``csc(bmat([[A (+) A, g], [g^T, -delta*s]])[perm][:, perm])``,
+    explicit zeros included, without ever holding that block matrix.
+    """
+    na, nv = a_block.shape[0], g.shape[0]
+    pos = np.full(nv + s.shape[0], -1, dtype=np.int32)
+    pos[perm] = np.arange(perm.size, dtype=np.int32)
+    g_keep = g.indices != 0
+    s_rows = _csr_rows(s)
+    s_keep = (s_rows != 0) & (s.indices != 0)
+    nnz = 2 * a_block.nnz + 2 * np.count_nonzero(g_keep) + np.count_nonzero(s_keep)
+
+    def blocks():
+        """(rows, columns, values) of each block, in unpinned indices;
+        one block's temporaries are alive at a time."""
+        a_rows = _csr_rows(a_block)
+        yield a_rows, a_block.indices, a_block.data
+        yield a_rows + na, a_block.indices + na, a_block.data
+        g_rows, g_cols = _csr_rows(g)[g_keep], nv + g.indices[g_keep]
+        yield g_rows, g_cols, g.data[g_keep]
+        yield g_cols, g_rows, g.data[g_keep]
+        yield nv + s_rows[s_keep], nv + s.indices[s_keep], -delta * s.data[s_keep]
+
+    rows = np.empty(nnz, dtype=np.int32)
+    cols = np.empty(nnz, dtype=np.int32)
+    data = np.empty(nnz)
+    start = 0
+    for r, c, v in blocks():
+        end = start + v.size
+        rows[start:end], cols[start:end], data[start:end] = pos[r], pos[c], v
+        start = end
+    return sparse.coo_matrix((data, (rows, cols)), shape=(perm.size,) * 2).tocsc()
+
+
 def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
     """Solve the symmetric indefinite block system
 
-        [ a_block   g     ] [x]   [rhs_v]
-        [ g^T    -delta*s ] [z] = [  0  ]
+        [ diag(A, A)      g     ] [x]   [rhs_v]
+        [    g^T      -delta*s  ] [z] = [  0  ]
 
-    on the zero-mean pressure subspace.  ``a_block`` is the (already
-    viscosity-scaled) velocity block on free DOFs.  The pressure is pinned
-    at DOF 0 for the factorization and afterwards projected to zero
-    weighted mean (``mean_weights``).  With the pin
-    the matrix is symmetric quasi-definite, so any symmetric ordering is
-    stable: it is factorized in the symmetric SuperLU mode without
-    pivoting, in the ordering ``order``, a permutation of the pinned
-    unknowns (velocities, then pressures 1..np-1) such as the nested
-    dissection ``Discretization.saddle_order``.
+    on the zero-mean pressure subspace, where A = ``a_block`` is the
+    (already viscosity-scaled) scalar velocity block on free DOFs and
+    acts on both velocity components.  The pressure is pinned at DOF 0
+    for the factorization and afterwards projected to zero weighted mean
+    (``mean_weights``).  With the pin the matrix is symmetric
+    quasi-definite, so any symmetric ordering is stable: it is factorized
+    in the symmetric SuperLU mode without pivoting, in the ordering
+    ``order``, a permutation of the pinned unknowns (x-velocities,
+    y-velocities, then pressures 1..np-1) such as the nested dissection
+    ``Discretization.saddle_order``.  The ordered pinned matrix is built
+    once from the blocks (``_pinned_saddle_csc``), and while it is
+    factorized nothing else of its size is alive; residuals are formed
+    from the blocks.
 
     The contract is the block residual: both residual norms must not
     exceed tol * ||rhs_v||.  Up to two steps of iterative refinement are
@@ -175,7 +230,7 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
     """
     if delta <= 0.0:
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
-    nv = a_block.shape[0]
+    nv = 2 * a_block.shape[0]
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
     if rhs_v.shape != (nv,):
@@ -183,28 +238,27 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
     if np.linalg.norm(rhs_v) == 0.0:
         return np.zeros(nv), np.zeros(npres), SolveReport(0, 0.0, True)
 
-    k = sparse.bmat([[a_block, g], [g.T, -delta * s]], format="csr")
-    # the pinned unknowns in factorization order, as indices into k
+    # the pinned unknowns in factorization order, as unpinned indices
     perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
-    k_pinned = sparse.csc_matrix(k[perm][:, perm])
-    rhs = np.concatenate([rhs_v, np.zeros(npres)])
+    k_pinned = _pinned_saddle_csc(a_block, g, s, delta, perm)
     scale = np.linalg.norm(rhs_v)
 
-    def residuals(vec):
-        x, z = vec[:nv], vec[nv:]
-        r1 = a_block @ x + g @ z - rhs_v
-        r2 = g.T @ x - delta * (s @ z)
-        return max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
+    def residual(sol):
+        """rhs - k @ sol, block by block, and its relative block norm."""
+        x, z = sol[:nv], sol[nv:]
+        ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
+        r1 = rhs_v - (ax + g @ z)
+        r2 = delta * (s @ z) - g.T @ x
+        return np.concatenate([r1, r2]), max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
 
     def refined_solve(solve):
         sol = np.zeros(nv + npres)
-        sol[perm] = solve(rhs[perm])
-        rel = residuals(sol)
+        sol[perm] = solve(np.concatenate([rhs_v, np.zeros(npres)])[perm])
+        r, rel = residual(sol)
         refinements = 0
         while rel > tol and refinements < 2:
-            r_full = rhs - k @ sol
-            sol[perm] += solve(r_full[perm])
-            rel = residuals(sol)
+            sol[perm] += solve(r[perm])
+            r, rel = residual(sol)
             refinements += 1
         return sol, rel, refinements
 

@@ -9,7 +9,9 @@ which is well posed for equal-order pairs whenever delta > 0.  The
 discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
 ``solve`` assembles nothing: it reads the cached operators and the
-saddle ordering of a ``Discretization``.
+saddle ordering of a ``Discretization`` and hands the saddle solver the
+scalar velocity block nu A on the free DOFs, which acts on both
+components, so no vector copy of A is built.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -37,7 +39,7 @@ def solve(disc, nu, delta, rhs_v, tol):
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
     s_free, z, _ = sparsela.saddle_solve(
-        (nu * disc.stiffness_free_vector).tocsr(),
+        nu * disc.stiffness_free,
         disc.G,
         disc.stiffness,
         delta,

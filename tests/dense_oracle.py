@@ -10,8 +10,9 @@ exact rather than quadrature-limited).
 
 It also holds the small helpers that only tests need: the Dirichlet DOFs
 of a velocity, the block-diagonal vector matrix of a scalar one and its
-Dirichlet restriction, and the closed-form momentum forcing of the
-manufactured case.
+Dirichlet restriction, the closed-form momentum forcing of the
+manufactured case, and the reference construction and solve of the
+pinned steady saddle system from its assembled block matrix.
 """
 
 import numpy as np
@@ -167,3 +168,44 @@ def restrict_matrix(space, matrix):
 def forcing(case, x, y, t):
     """Momentum forcing g = v_t - nu lap(v) + grad(q) of ``case`` at time t."""
     return np.cos(t) * case.steady_forcing(x, y) - np.sin(t) * case.steady_velocity(x, y)
+
+
+def pinned_saddle_matrix(a, g, s, delta, order):
+    """The reference construction of the ordered, pinned steady saddle
+    matrix: ``csc(bmat([[A (+) A, G], [G^T, -delta S]])[perm][:, perm])``
+    for the scalar velocity block ``a``, with ``perm`` the pinned unknowns
+    (pressure DOF 0 dropped) in the order ``order``.  Returns the CSC, the
+    unpinned block matrix in CSR form and ``perm``."""
+    nv, npres = 2 * a.shape[0], s.shape[0]
+    k = sparse.bmat([[vector_matrix(a), g], [g.T, -delta * s]], format="csr")
+    perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
+    return sparse.csc_matrix(k[perm][:, perm]), k, perm
+
+
+
+def saddle_reference(a, g, s, delta, rhs_v, order, solve_of, tol):
+    """The pinned saddle system of the reference matrix solved by the
+    factorization ``solve_of(csc)``: the relative block residual is
+    formed block by block, and up to two refinement steps correct with
+    the residual ``rhs - k @ sol`` of the assembled block matrix.
+    Returns the unpinned solution (pressure DOF 0 zero), its relative
+    block residual and the number of refinement steps."""
+    k_pinned, k, perm = pinned_saddle_matrix(a, g, s, delta, order)
+    nv = 2 * a.shape[0]
+    a_vector = vector_matrix(a)
+    rhs = np.concatenate([rhs_v, np.zeros(s.shape[0])])
+    solve = solve_of(k_pinned)
+
+    def relative_residual(sol):
+        x, z = sol[:nv], sol[nv:]
+        r1 = a_vector @ x + g @ z - rhs_v
+        r2 = g.T @ x - delta * (s @ z)
+        return max(np.linalg.norm(r1), np.linalg.norm(r2)) / np.linalg.norm(rhs_v)
+
+    sol = np.zeros(rhs.size)
+    sol[perm] = solve(rhs[perm])
+    rel, refinements = relative_residual(sol), 0
+    while rel > tol and refinements < 2:
+        sol[perm] += solve((rhs - k @ sol)[perm])
+        rel, refinements = relative_residual(sol), refinements + 1
+    return sol, rel, refinements

@@ -195,6 +195,24 @@ def test_accumulation_matches_sequential_sum():
     assert np.array_equal(out, seq)
 
 
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
+    # reference: the same element loads summed by np.add.at, a sequential
+    # element-major sum
+    space = femspace.build_space(grid4, degree)
+    rule = femspace.quadrature(6)
+    vals, _ = space.reference.eval(rule.reference_points())
+    _, det, _ = assembly._geometry(space.mesh)
+    xq = assembly.quadrature_points_physical(space.mesh, rule)
+    for f in (case.steady_forcing, case.steady_pressure):
+        fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
+        ref = np.zeros(fv.shape[0] * space.num_dofs)
+        for c, block in enumerate(fv):
+            elem = np.einsum("q,tq,qi,t->ti", rule.weights, block, vals, det)
+            np.add.at(ref, c * space.num_dofs + space.element_dofs, elem)
+        assert np.array_equal(assembly.assemble_load(space, f), ref)
+
+
 def test_assembly_bit_reproducible(grid4):
     space = femspace.build_space(grid4, 2)
     a1 = assembly.assemble_stiffness(space)

@@ -25,7 +25,7 @@ def test_operators_bit_identical_to_direct_assembly(grid4, degree):
     disc = Discretization(grid4, degree)
     space = femspace.build_space(grid4, degree)
     assert_same_csr(
-        disc.stiffness_free_vector,
+        dense_oracle.vector_matrix(disc.stiffness_free),
         dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space)),
     )
     assert_same_csr(disc.G, assembly.assemble_pressure_gradient(space))

@@ -109,3 +109,17 @@ def test_mesh_dump_format(tmp_path):
     assert np.allclose(coords, m.vertices)
     tris = np.array([[int(t) for t in line.split()] for line in lines[1 + nv :]])
     assert np.array_equal(tris, m.triangles)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_edges_match_row_unique_of_the_vertex_pairs(n):
+    # reference: the lexicographic row-unique of the sorted local edges
+    m = mesh.build_grid(n)
+    local = np.concatenate(
+        [m.triangles[:, [0, 1]], m.triangles[:, [1, 2]], m.triangles[:, [2, 0]]], axis=0
+    )
+    edges, inverse = np.unique(np.sort(local, axis=1), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    assert np.array_equal(m.edges, edges) and m.edges.dtype == edges.dtype
+    assert np.array_equal(m.triangle_edges, inverse.reshape(3, -1).T)
+    assert np.array_equal(m.edge_triangle_count, np.bincount(inverse, minlength=len(edges)))

@@ -216,6 +216,52 @@ def test_incremental_pressure_update_residual(grid4, case):
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * max(np.linalg.norm(rhs), 1e-300)
 
 
+def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_factor=None):
+    """The steady state at ``steady_factor * delta`` for the constant
+    steady load, and one step of ``scheme`` from it with that load; delta
+    is the rho = 10 value of the mesh, delta2 = ``delta2_factor * delta``
+    and dt = ``dt_ratio * delta``."""
+    delta = steady.choose_delta(1.0 / disc.mesh.n, case.nu, 10.0)
+    delta2 = None if delta2_factor is None else delta2_factor * delta
+    params = schemes.SchemeParams(nu=case.nu, dt=dt_ratio * delta, T=dt_ratio * delta,
+                                  delta=delta, delta2=delta2, scheme=scheme).resolved()
+    load = disc.free_load(case.steady_forcing)
+    velocity, pressure = steady.solve(disc, case.nu, steady_factor * delta, load, params.tol)
+    state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
+    step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
+    return state, step(state, params, schemes.SchemeOperators(disc, params), load)
+
+
+def relative_change(new, old):
+    return np.linalg.norm(new - old) / np.linalg.norm(old)
+
+
+@pytest.mark.parametrize("dt_ratio", [1.0, 0.01])
+@pytest.mark.parametrize("degree, n", [(1, 8), (1, 20), (2, 8)])
+@pytest.mark.parametrize("scheme, delta2_factor", [("noninc", None), ("inc", 1.0), ("inc", 0.5)])
+def test_steady_state_is_a_fixed_point_of_one_step(case, degree, n, dt_ratio, scheme,
+                                                   delta2_factor):
+    # with a constant load, a fixed point of the non-incremental step
+    # solves the stabilized steady system at delta, and one of the
+    # incremental step the same system at delta2, whatever dt
+    disc = Discretization(mesh.build_grid(n), degree)
+    start, end = one_step_from_steady(case, disc, scheme, dt_ratio,
+                                      steady_factor=delta2_factor or 1.0,
+                                      delta2_factor=delta2_factor)
+    assert relative_change(end.velocity, start.velocity) <= 1e-12
+    assert relative_change(end.pressure, start.pressure) <= 1e-11
+
+
+def test_incremental_step_leaves_the_steady_state_at_another_delta2(case):
+    # control: the steady state at delta is no fixed point of the
+    # incremental step with delta2 = delta / 2 (measured: the pressure
+    # moves by 0.33 relative)
+    disc = Discretization(mesh.build_grid(20), 1)
+    start, end = one_step_from_steady(case, disc, "inc", 1.0, steady_factor=1.0,
+                                      delta2_factor=0.5)
+    assert relative_change(end.pressure, start.pressure) > 0.1
+
+
 def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     # delta2 = delta: (v, 2q^n - q^{n-1}) solves the non-incremental relations
     grid = mesh.build_grid(8)

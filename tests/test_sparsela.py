@@ -1,4 +1,6 @@
+import functools
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import scipy.sparse.linalg as spla
 
 import dense_oracle
 from stokesproj import assembly, femspace, mesh, sparsela, steady
+from stokesproj.assembly import componentwise
 
 
 # --- direct solvers ----------------------------------------------------------
@@ -50,10 +53,12 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 
 
 def saddle_blocks(grid, degree=1):
+    """The scalar free stiffness, G, S, the mean weights and the saddle
+    ordering, each assembled directly."""
     space = femspace.build_space(grid, degree)
-    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
-    g = assembly.assemble_pressure_gradient(space)
     s = assembly.assemble_stiffness(space)
+    a = s[space.free_scalar][:, space.free_scalar].tocsr()
+    g = assembly.assemble_pressure_gradient(space)
     w = assembly.basis_integrals(space)
     order = assembly.Discretization(grid, degree).saddle_order
     return space, a, g, s, w, order
@@ -62,9 +67,9 @@ def saddle_blocks(grid, degree=1):
 def test_saddle_zero_rhs(grid4):
     _, a, g, s, w, order = saddle_blocks(grid4)
     x, z, report = sparsela.saddle_solve(
-        0.01 * a, g, s, 1e-3, np.zeros(a.shape[0]), order=order, mean_weights=w, tol=1e-10
+        0.01 * a, g, s, 1e-3, np.zeros(2 * a.shape[0]), order=order, mean_weights=w, tol=1e-10
     )
-    assert np.array_equal(x, np.zeros(a.shape[0]))
+    assert np.array_equal(x, np.zeros(2 * a.shape[0]))
     assert np.array_equal(z, np.zeros(s.shape[0]))
 
 
@@ -76,7 +81,7 @@ def test_saddle_block_residuals(grid4, case):
         (nu * a).tocsr(), g, s, delta, rhs, order=order, tol=1e-10, mean_weights=w
     )
     scale = np.linalg.norm(rhs)
-    r1 = nu * (a @ x) + g @ z - rhs
+    r1 = nu * componentwise(a, x) + g @ z - rhs
     r2 = g.T @ x - delta * (s @ z)
     assert np.linalg.norm(r1) <= 1e-10 * scale
     assert np.linalg.norm(r2) <= 1e-10 * scale
@@ -86,8 +91,8 @@ def test_saddle_block_residuals(grid4, case):
 def test_saddle_rejects_nonpositive_delta(grid4):
     _, a, g, s, w, order = saddle_blocks(grid4)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(a, g, s, 0.0, np.ones(a.shape[0]), order=order, mean_weights=w,
-                              tol=1e-10)
+        sparsela.saddle_solve(a, g, s, 0.0, np.ones(2 * a.shape[0]), order=order,
+                              mean_weights=w, tol=1e-10)
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -117,20 +122,19 @@ def steady_system(case, n, degree, nu=0.01, rho=100.0):
     space, a, g, s, w, order = saddle_blocks(mesh.build_grid(n), degree)
     rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
     delta = steady.choose_delta(1.0 / n, nu, rho)
-    return (nu * a).tocsr(), g, s, delta, rhs, w, order
+    return nu * a, g, s, delta, rhs, w, order
 
 
 def pinned_matrix(a, g, s, delta):
-    """The block matrix with pressure DOF 0 dropped, as saddle_solve factors it."""
-    nv, npres = a.shape[0], s.shape[0]
-    k = sparse.bmat([[a, g], [g.T, -delta * s]], format="csr")
-    keep = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])
-    return sparse.csc_matrix(k[keep][:, keep])
+    """The block matrix with pressure DOF 0 dropped, in the unknowns'
+    own order."""
+    natural = np.arange(2 * a.shape[0] + s.shape[0] - 1)
+    return dense_oracle.pinned_saddle_matrix(a, g, s, delta, natural)[0]
 
 
 def pivoting_reference(a, g, s, delta, rhs, w):
     """The pinned block system solved by SuperLU with default partial pivoting."""
-    nv, npres = a.shape[0], s.shape[0]
+    nv, npres = 2 * a.shape[0], s.shape[0]
     sol = spla.splu(pinned_matrix(a, g, s, delta)).solve(
         np.concatenate([rhs, np.zeros(npres - 1)])
     )
@@ -174,13 +178,95 @@ def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, 
 @pytest.mark.parametrize("degree, n", [(1, 40), (2, 20)])
 def test_nested_dissection_fills_less_than_minimum_degree(case, monkeypatch, degree, n):
     a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
-    k_pinned = pinned_matrix(a, g, s, delta)
     _, factors = spy_on_splu(monkeypatch)
-    sparsela._symmetric_splu(k_pinned, "MMD_AT_PLUS_A")
-    sparsela._symmetric_splu(sparse.csc_matrix(k_pinned[order][:, order]), "NATURAL")
+    sparsela._symmetric_splu(pinned_matrix(a, g, s, delta), "MMD_AT_PLUS_A")
+    sparsela._symmetric_splu(dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)[0],
+                             "NATURAL")
     mmd, nested = (lu.L.nnz + lu.U.nnz for lu in factors)
     # about 0.78 at these sizes; separators off the mesh lines double the fill
     assert nested < 0.85 * mmd
+
+
+def spy_on_factor_input(monkeypatch, on_entry=lambda m: m):
+    """Record ``on_entry(matrix)`` for every matrix handed to the
+    symmetric factorization."""
+    seen = []
+    real = sparsela._symmetric_splu
+
+    def spy(m, permc_spec):
+        seen.append(on_entry(m))
+        return real(m, permc_spec)
+
+    monkeypatch.setattr(sparsela, "_symmetric_splu", spy)
+    return seen
+
+
+# the symmetric factorization of an ordered matrix, taken before any spy
+symmetric_solve = functools.partial(sparsela._symmetric_splu, permc_spec="NATURAL")
+
+
+@pytest.mark.parametrize("rho", [1.0, 1000.0])
+@pytest.mark.parametrize("degree, n", [(1, 3), (1, 8), (2, 3), (2, 8)])
+def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, degree, n, rho):
+    a, g, s, delta, rhs, w, order = steady_system(case, n, degree, rho=rho)
+    seen = spy_on_factor_input(monkeypatch)
+    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w,
+                                         tol=1e-10)
+    reference, _, _ = dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)
+    (matrix,) = seen
+    assert matrix.format == "csc" and matrix.shape == reference.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(matrix, attr), getattr(reference, attr)), attr
+    # no refinement step runs here, so the solve is the reference's bit for bit
+    sol, rel, refinements = dense_oracle.saddle_reference(a, g, s, delta, rhs, order,
+                                                          symmetric_solve, 1e-10)
+    assert refinements == 0
+    assert report == sparsela.SolveReport(0, rel, True)
+    assert np.array_equal(x, sol[: x.size])
+    assert np.array_equal(z, sparsela.project_mean(sol[x.size:], w))
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_refined_saddle_solve_matches_block_matrix_reference(case, degree):
+    # at rho = 1000 the first solve misses 1e-14 and one refinement step
+    # meets it; its residual sums block by block, in another order than
+    # rhs - k @ sol, so the two agree to rounding only
+    a, g, s, delta, rhs, w, order = steady_system(case, 8, degree, rho=1000.0)
+    tol = 1e-14
+    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w,
+                                         tol=tol)
+    sol, rel, refinements = dense_oracle.saddle_reference(a, g, s, delta, rhs, order,
+                                                          symmetric_solve, tol)
+    assert report.converged and report.iterations >= 1 and refinements >= 1
+    assert rel <= tol
+    z_ref = sparsela.project_mean(sol[x.size:], w)
+    assert np.linalg.norm(x - sol[: x.size]) <= 1e-12 * np.linalg.norm(x)
+    assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z)
+
+
+def matrix_bytes(m):
+    return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
+
+
+@pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
+def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
+    # the steady solve holds no copy of the saddle matrix, ordered or
+    # not, while SuperLU factors it: apart from the matrix, only the
+    # viscosity-scaled scalar block and vectors are live
+    disc = assembly.Discretization(mesh.build_grid(n), degree)
+    rhs = disc.free_load(case.steady_forcing)
+    delta = steady.choose_delta(1.0 / n, 0.01, 100.0)
+    steady.solve(disc, 0.01, delta, rhs, tol=1e-10)  # warms every cached operator
+    seen = spy_on_factor_input(
+        monkeypatch, lambda m: (tracemalloc.get_traced_memory()[0], matrix_bytes(m))
+    )
+    tracemalloc.start()
+    try:
+        steady.solve(disc, 0.01, delta, rhs, tol=1e-10)
+    finally:
+        tracemalloc.stop()
+    ((live, held),) = seen
+    assert live <= 1.5 * held
 
 
 def test_saddle_solve_leaves_no_reference_cycles(case):
@@ -223,7 +309,7 @@ def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
     assert calls[1] == {}
     assert report.converged and report.relative_residual <= tol
     scale = np.linalg.norm(rhs)
-    assert np.linalg.norm(a @ x + g @ z - rhs) <= tol * scale
+    assert np.linalg.norm(componentwise(a, x) + g @ z - rhs) <= tol * scale
     assert np.linalg.norm(g.T @ x - delta * (s @ z)) <= tol * scale
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
