@@ -16,7 +16,9 @@ Subpackages/modules:
 - ``cli``: experiment driver emitting CSV
 """
 
-from . import assembly, cli, femspace, mesh, metrics, mms, schemes, sparsela, steady
+# ``cli`` is left to be imported on use, so that ``python -m stokesproj.cli``
+# runs it once, as ``__main__``.
+from . import assembly, femspace, mesh, metrics, mms, schemes, sparsela, steady
 
 __all__ = [
     "assembly",

@@ -1,7 +1,9 @@
 """Assembly of the sparse matrices and load vectors behind the discrete
 Stokes operators: velocity mass and stiffness, the pressure-gradient
-coupling (grad psi, phi), its integration-by-parts twin (div phi, psi),
-and analytic right-hand sides.
+coupling (grad psi, phi), whose negative transpose is the divergence
+form (div phi, psi), and analytic right-hand sides.
+``quadrature_on_triangles`` evaluates a Gauss rule on every triangle for
+the mass matrix, the loads and the error norms of ``metrics``.
 
 One scalar space carries both fields: a velocity is two coefficient
 blocks on it, a pressure one, and the velocity operators are built
@@ -58,9 +60,9 @@ def _csr_from_coo(rows, cols, vals, shape):
     starts = np.flatnonzero(first)
     data = np.add.reduceat(v, starts)
     rr, cc = r[starts], c[starts]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int64)
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rr, minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_array((data, cc, indptr), shape=shape)
+    return sparse.csr_array((data, cc.astype(np.int32), indptr), shape=shape)
 
 
 def _physical_gradients(space, rule):
@@ -69,7 +71,7 @@ def _physical_gradients(space, rule):
     Returns (vals (nq, nb), grads (nt, nq, nb, 2), det (nt,)).
     """
     _, det, inv_t = _geometry(space.mesh)
-    vals, gref = space.reference.eval(rule.reference_points())
+    vals, gref = space.reference.eval(rule.points)
     grads = np.einsum("tab,qib->tqia", inv_t, gref)
     return vals, grads, det
 
@@ -82,12 +84,26 @@ def _scatter_square(space, elem_mats):
     return _csr_from_coo(rows, cols, elem_mats, (space.num_dofs, space.num_dofs))
 
 
+def quadrature_on_triangles(space, degree):
+    """The degree-``degree`` rule on every triangle of the space's mesh:
+    (weights (nq,), basis values (nq, nb), determinants (nt,), physical
+    points (nt, nq, 2))."""
+    rule = femspace.quadrature(degree)
+    ref = rule.points
+    p, det, _ = _geometry(space.mesh)
+    vals, _ = space.reference.eval(ref)
+    xq = (
+        p[:, None, 0, :]
+        + ref[None, :, 0, None] * (p[:, None, 1, :] - p[:, None, 0, :])
+        + ref[None, :, 1, None] * (p[:, None, 2, :] - p[:, None, 0, :])
+    )
+    return rule.weights, vals, det, xq
+
+
 def assemble_mass(space):
     """Mass matrix (phi_j, phi_i) on the full (pre-elimination) space."""
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    _, det, _ = _geometry(space.mesh)
-    vals, _ = space.reference.eval(rule.reference_points())
-    elem = np.einsum("q,qi,qj,t->tij", rule.weights, vals, vals, det)
+    w, vals, det, _ = quadrature_on_triangles(space, _default_quad_degree(space.degree))
+    elem = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)
     return _scatter_square(space, elem)
 
 
@@ -102,59 +118,27 @@ def assemble_stiffness(space):
 def assemble_pressure_gradient(space):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
     basis functions phi_i (x block, then y block).  Rows span the free
-    velocity DOFs, columns every pressure DOF."""
+    velocity DOFs, columns every pressure DOF; the divergence form
+    (div phi_i, psi_mu) is -G^T."""
     rule = femspace.quadrature(_default_quad_degree(space.degree))
     vals, grads, det = _physical_gradients(space, rule)
-    n, nb = space.num_dofs, space.element_dofs.shape[1]
-    rows = np.repeat(space.element_dofs, nb, axis=1)
-    cols = np.tile(space.element_dofs, (1, nb))
     blocks = []
     for axis in range(2):
         elem = np.einsum("q,tqm,qi,t->tim", rule.weights, grads[..., axis], vals, det)
-        blocks.append(_csr_from_coo(rows, cols, elem, (n, n))[space.free_scalar])
+        blocks.append(_scatter_square(space, elem)[space.free_scalar])
     return sparse.vstack(blocks, format="csr")
-
-
-def assemble_divergence(space):
-    """Divergence matrix D with D[mu, i] = (div phi_i, psi_mu) on the free
-    velocity DOFs, assembled directly; equals -G^T up to quadrature
-    exactness."""
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    vals, grads, det = _physical_gradients(space, rule)
-    n, nb = space.num_dofs, space.element_dofs.shape[1]
-    rows = np.repeat(space.element_dofs, nb, axis=1)
-    cols = np.tile(space.element_dofs, (1, nb))
-    blocks = []
-    for axis in range(2):
-        elem = np.einsum("q,qm,tqi,t->tmi", rule.weights, vals, grads[..., axis], det)
-        blocks.append(_csr_from_coo(rows, cols, elem, (n, n))[:, space.free_scalar])
-    return sparse.hstack(blocks, format="csr")
-
-
-def quadrature_points_physical(mesh, rule):
-    """Physical coordinates of the rule's points on every triangle: (nt, nq, 2)."""
-    p, _, _ = _geometry(mesh)
-    ref = rule.reference_points()
-    return (
-        p[:, None, 0, :]
-        + ref[None, :, 0, None] * (p[:, None, 1, :] - p[:, None, 0, :])
-        + ref[None, :, 1, None] * (p[:, None, 2, :] - p[:, None, 0, :])
-    )
 
 
 def assemble_load(space, f, quad_degree=6):
     """Load vector (f, phi_i) with the degree-``quad_degree`` rule on the
     full space: one block for a scalar field ``f``, two for a vector one.
     ``f`` is an analytic spatial field."""
-    rule = femspace.quadrature(quad_degree)
-    _, det, _ = _geometry(space.mesh)
-    vals, _ = space.reference.eval(rule.reference_points())
-    xq = quadrature_points_physical(space.mesh, rule)
+    w, vals, det, xq = quadrature_on_triangles(space, quad_degree)
     fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
     dofs = space.element_dofs.ravel()
     out = []
     for block in fv:
-        elem = np.einsum("q,tq,qi,t->ti", rule.weights, block, vals, det)
+        elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
         # a sequential element-major sum per DOF
         out.append(np.bincount(dofs, weights=elem.ravel(), minlength=space.num_dofs))
     return np.concatenate(out)

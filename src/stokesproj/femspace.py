@@ -1,5 +1,6 @@
-"""Lagrange finite elements on triangles: reference P1/P2 bases,
-symmetric Gauss rules, and global DOF spaces.
+"""Lagrange finite elements on triangles: reference P1/P2 bases written
+in barycentric coordinates, symmetric Gauss rules with their points in
+reference coordinates (xi, eta), and global DOF spaces.
 
 A space is scalar: its degrees of freedom are numbered vertices first
 (mesh order) and, for P2, edge midpoints after them (edge-table order).
@@ -33,56 +34,30 @@ class ReferenceElement:
     def eval(self, points):
         """Basis values and reference gradients at reference points.
 
+        Both follow from the barycentric coordinates
+        lam = (1 - xi - eta, xi, eta) and their constant gradients: P1 is
+        lam; P2 has the vertex functions lam (2 lam - 1) and, as local
+        nodes 3, 4, 5, the edge functions 4 lam_i lam_j on the edges
+        (0,1), (1,2), (2,0).
+
         points: (npts, 2) array of (xi, eta).
         Returns (values (npts, nb), gradients (npts, nb, 2)).
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
-        xi, eta = pts[:, 0], pts[:, 1]
-        lam0 = 1.0 - xi - eta
+        lam = np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+        dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
         if self.degree == 1:
-            vals = np.stack([lam0, xi, eta], axis=1)
-            grads = np.broadcast_to(
-                np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]]),
-                (pts.shape[0], 3, 2),
-            ).copy()
-            return vals, grads
-        # P2: vertex functions lam*(2 lam - 1), edge functions 4 lam_i lam_j
-        # local nodes 3, 4, 5 sit on edges (0,1), (1,2), (2,0)
-        vals = np.stack(
+            return lam, np.broadcast_to(dlam, (lam.shape[0], 3, 2)).copy()
+        i, j = [0, 1, 2], [1, 2, 0]
+        vals = np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]])
+        grads = np.concatenate(
             [
-                lam0 * (2.0 * lam0 - 1.0),
-                xi * (2.0 * xi - 1.0),
-                eta * (2.0 * eta - 1.0),
-                4.0 * lam0 * xi,
-                4.0 * xi * eta,
-                4.0 * eta * lam0,
+                (4.0 * lam - 1.0)[:, :, None] * dlam,
+                4.0 * (lam[:, j, None] * dlam[i] + lam[:, i, None] * dlam[j]),
             ],
             axis=1,
         )
-        zero = np.zeros_like(xi)
-        gx = np.stack(
-            [
-                1.0 - 4.0 * lam0,
-                4.0 * xi - 1.0,
-                zero,
-                4.0 * (lam0 - xi),
-                4.0 * eta,
-                -4.0 * eta,
-            ],
-            axis=1,
-        )
-        gy = np.stack(
-            [
-                1.0 - 4.0 * lam0,
-                zero,
-                4.0 * eta - 1.0,
-                -4.0 * xi,
-                4.0 * xi,
-                4.0 * (lam0 - eta),
-            ],
-            axis=1,
-        )
-        return vals, np.stack([gx, gy], axis=2)
+        return vals, grads
 
 
 _P1_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
@@ -101,16 +76,12 @@ def reference_element(degree):
 class QuadratureRule:
     """Symmetric Gauss rule on the reference triangle.
 
-    ``points`` are barycentric, ``weights`` sum to the reference area 1/2.
+    ``points`` are (xi, eta) pairs, ``weights`` sum to the reference area 1/2.
     """
 
     degree: int
     points: np.ndarray
     weights: np.ndarray
-
-    def reference_points(self):
-        """Quadrature points as (xi, eta) pairs."""
-        return self.points[:, 1:3].copy()
 
 
 def _orbit3(a):
@@ -144,7 +115,8 @@ def quadrature(degree):
         )
     else:
         raise ValueError(f"unsupported quadrature degree {degree}; choose 2, 4 or 6")
-    return QuadratureRule(degree, np.array(pts), np.array(wts))
+    # the orbits are barycentric (lam0, xi, eta)
+    return QuadratureRule(degree, np.array(pts)[:, 1:].copy(), np.array(wts))
 
 
 @dataclass(frozen=True)

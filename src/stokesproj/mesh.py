@@ -58,10 +58,6 @@ class Mesh:
     def num_vertices(self):
         return self.vertices.shape[0]
 
-    @property
-    def num_triangles(self):
-        return self.triangles.shape[0]
-
 
 def build_grid(n):
     """Build the structured n x n triangulation of the unit square.
@@ -115,15 +111,3 @@ def build_grid(n):
 def mesh_size(mesh):
     """Cell side h = 1/n (the convention used by all parameter laws)."""
     return 1.0 / mesh.n
-
-
-def save_mesh(mesh, path):
-    """Dump a mesh as plain text: header ``nv nt``, vertex lines ``x y``,
-    then triangle lines ``i j k`` with 0-based indices."""
-    lines = [f"{mesh.num_vertices} {mesh.num_triangles}"]
-    for x, y in mesh.vertices:
-        lines.append(f"{float(x)!r} {float(y)!r}")
-    for i, j, k in mesh.triangles:
-        lines.append(f"{i} {j} {k}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -56,16 +56,13 @@ def error_vs_exact(space, coeffs, exact):
     Time-dependent fields should be bound to a fixed t by the caller.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    rule = femspace.quadrature(6)
-    xq = assembly.quadrature_points_physical(space.mesh, rule)
-    _, det, _ = assembly._geometry(space.mesh)
-    vals, _ = space.reference.eval(rule.reference_points())
+    w, vals, det, xq = assembly.quadrature_on_triangles(space, 6)
     ue = femspace.field_blocks(exact, xq[..., 0], xq[..., 1])
     acc = 0.0
     for c, uc in enumerate(ue):
         ce = coeffs[c * space.num_dofs + space.element_dofs]  # (nt, nb)
         diff2 = (np.einsum("qi,ti->tq", vals, ce) - uc) ** 2
-        acc += np.einsum("q,tq,t->", rule.weights, diff2, det)
+        acc += np.einsum("q,tq,t->", w, diff2, det)
     return float(np.sqrt(max(acc, 0.0)))
 
 

@@ -92,7 +92,7 @@ def dense_matrices(space, order=8):
     s = np.zeros((n, n))
     g = np.zeros((2 * n, n))
     d = np.zeros((n, 2 * n))
-    for e in range(mesh.num_triangles):
+    for e in range(len(mesh.triangles)):
         _, _, det, inv_t = _element_geometry(mesh, e)
         vdofs = pdofs = space.element_dofs[e]
         for qi in range(len(wts)):
@@ -122,11 +122,11 @@ def dense_load(space, f, rule, t=None):
     independent basis/geometry/evaluation path: one block per component
     of ``f``."""
     mesh = space.mesh
-    ref = rule.points[:, 1:3]
+    ref = rule.points
     vals, _ = eval_basis(space.degree, ref)
     out = np.zeros((2, space.num_dofs))
     blocks = 1
-    for e in range(mesh.num_triangles):
+    for e in range(len(mesh.triangles)):
         p0, b, det, _ = _element_geometry(mesh, e)
         dofs = space.element_dofs[e]
         for qi in range(len(rule.weights)):

@@ -27,10 +27,8 @@ def test_p1_element_mass_matrix():
     # single-element mass = (area/12) [[2,1,1],[1,2,1],[1,1,2]]
     m = mesh.build_grid(1)
     space = femspace.build_space(m, 1)
-    rule = femspace.quadrature(2)
-    _, det, _ = assembly._geometry(m)
-    vals, _ = space.reference.eval(rule.reference_points())
-    elem = np.einsum("q,qi,qj,t->tij", rule.weights, vals, vals, det)[0]
+    w, vals, det, _ = assembly.quadrature_on_triangles(space, 2)
+    elem = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)[0]
     area = 0.5
     expected = (area / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
     assert np.abs(elem - expected).max() <= 1e-15
@@ -76,20 +74,26 @@ def test_divergence_theorem_compatibility(space_p1_grid4):
         assert abs((g.T @ v).sum()) <= 1e-12 * np.linalg.norm(v)
 
 
-@pytest.mark.parametrize("degree", [1, 2])
-def test_gradient_equals_minus_divergence_transpose(grid2, degree):
-    space = femspace.build_space(grid2, degree)
-    g = assembly.assemble_pressure_gradient(space)
-    d = assembly.assemble_divergence(space)
-    assert abs(g + d.T).max() <= 1e-13
-
-
 def test_pressure_stiffness_singular_with_constants(grid2):
     space = femspace.build_space(grid2, 1)
     s = assembly.assemble_stiffness(space)
     assert np.max(np.abs(s @ np.ones(space.num_dofs))) <= 1e-13
     assert abs(s - s.T).max() <= 1e-14
     assert np.linalg.matrix_rank(s.toarray()) == space.num_dofs - 1
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_quadrature_on_triangles_integrates_monomials(grid4, degree):
+    # the degree-6 rule mapped to every triangle integrates x^p y^q with
+    # p + q <= 6 over the unit square exactly: 1 / ((p+1)(q+1))
+    space = femspace.build_space(grid4, degree)
+    w, vals, det, xq = assembly.quadrature_on_triangles(space, 6)
+    assert vals.shape == (len(w), space.element_dofs.shape[1])
+    assert det.shape == (len(space.mesh.triangles),)
+    assert xq.shape == (len(space.mesh.triangles), len(w), 2)
+    for p, q in [(0, 0), (1, 0), (0, 1), (2, 3), (6, 0), (3, 3)]:
+        got = np.einsum("q,tq,t->", w, xq[..., 0] ** p * xq[..., 1] ** q, det)
+        assert got == pytest.approx(1.0 / ((p + 1) * (q + 1)), rel=1e-13)
 
 
 def test_zero_load(space_p1_grid4, case):
@@ -120,13 +124,11 @@ def test_matrices_match_dense_oracle(space_grid2):
     a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
     g = assembly.assemble_pressure_gradient(space)
     s = assembly.assemble_stiffness(space)
-    d = assembly.assemble_divergence(space)
 
     assert abs(m.toarray() - dense["M"][np.ix_(free, free)]).max() <= 1e-13
     assert abs(a.toarray() - dense["A"][np.ix_(free, free)]).max() <= 1e-13
     assert abs(g.toarray() - dense["G"][free]).max() <= 1e-13
     assert abs(s.toarray() - dense["S"]).max() <= 1e-13
-    assert abs(d.toarray() - dense["D"][:, free]).max() <= 1e-13
     assert abs(g.toarray() + dense["D"][:, free].T).max() <= 1e-13
 
 
@@ -200,15 +202,12 @@ def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
     # reference: the same element loads summed by np.add.at, a sequential
     # element-major sum
     space = femspace.build_space(grid4, degree)
-    rule = femspace.quadrature(6)
-    vals, _ = space.reference.eval(rule.reference_points())
-    _, det, _ = assembly._geometry(space.mesh)
-    xq = assembly.quadrature_points_physical(space.mesh, rule)
+    w, vals, det, xq = assembly.quadrature_on_triangles(space, 6)
     for f in (case.steady_forcing, case.steady_pressure):
         fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
         ref = np.zeros(fv.shape[0] * space.num_dofs)
         for c, block in enumerate(fv):
-            elem = np.einsum("q,tq,qi,t->ti", rule.weights, block, vals, det)
+            elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
             np.add.at(ref, c * space.num_dofs + space.element_dofs, elem)
         assert np.array_equal(assembly.assemble_load(space, f), ref)
 

@@ -598,14 +598,29 @@ def test_main_probe_divergence_still_exit_zero(tmp_path):
                      str(tmp_path / "x.csv")]) == 0
 
 
-def test_python_m_stokesproj_runs_cleanly(tmp_path):
+def run_module(tmp_path, module):
+    """``python -m <module> steady-sweep`` on a small config, in a fresh
+    interpreter."""
     cfg = write(tmp_path, "[steady_sweep]\nn_values = 4\nrho_values = 100\n")
     src = os.path.dirname(os.path.dirname(stokesproj.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run(
-        [sys.executable, "-m", "stokesproj", "steady-sweep", "--config", str(cfg)],
+    return subprocess.run(
+        [sys.executable, "-m", module, "steady-sweep", "--config", str(cfg)],
         capture_output=True, text=True, env=env, timeout=120,
     )
+
+
+def test_python_m_stokesproj_runs_cleanly(tmp_path):
+    proc = run_module(tmp_path, "stokesproj")
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "row,degree,N" in proc.stdout
+
+
+def test_python_m_stokesproj_cli_runs_cleanly(tmp_path):
+    # perfbench/README.md regenerates its references this way; importing
+    # the package must not import cli before runpy executes it
+    proc = run_module(tmp_path, "stokesproj.cli")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout == run_module(tmp_path, "stokesproj").stdout

@@ -49,6 +49,17 @@ def test_partition_of_unity_and_kronecker(degree):
     assert np.max(np.abs(nodal - np.eye(len(elem.nodes)))) <= 1e-13
 
 
+@pytest.mark.parametrize("degree", [1, 2])
+def test_eval_matches_vandermonde_basis(degree):
+    # the barycentric formulas against the oracle's basis from inverting
+    # the monomial Vandermonde system at the nodes
+    points = np.random.default_rng(11).dirichlet(np.ones(3), size=50)[:, 1:3]
+    vals, grads = femspace.reference_element(degree).eval(points)
+    ref_vals, ref_grads = dense_oracle.eval_basis(degree, points)
+    assert np.max(np.abs(vals - ref_vals)) <= 1e-13
+    assert np.max(np.abs(grads - ref_grads)) <= 1e-13
+
+
 # --- quadrature --------------------------------------------------------------
 
 
@@ -67,7 +78,7 @@ def test_constant_integrates_to_half(degree):
 
 def test_degree6_exactness_x2y2():
     rule = femspace.quadrature(6)
-    ref = rule.reference_points()
+    ref = rule.points
     val = np.sum(rule.weights * ref[:, 0] ** 2 * ref[:, 1] ** 2)
     assert val == pytest.approx(1.0 / 180.0, rel=1e-13)
 
@@ -84,7 +95,7 @@ def test_quadrature_monomial_exactness(p, q):
         if p + q > degree:
             continue
         rule = femspace.quadrature(degree)
-        ref = rule.reference_points()
+        ref = rule.points
         val = np.sum(rule.weights * ref[:, 0] ** p * ref[:, 1] ** q)
         assert val == pytest.approx(exact_monomial_integral(p, q), rel=1e-13)
 
@@ -93,7 +104,7 @@ def test_quadrature_monomial_exactness(p, q):
 def test_quadrature_random_polynomials(degree):
     rng = np.random.default_rng(degree)
     rule = femspace.quadrature(degree)
-    ref = rule.reference_points()
+    ref = rule.points
     exps = [(p, q) for p in range(degree + 1) for q in range(degree + 1 - p)]
     for _ in range(10):
         coeffs = rng.standard_normal(len(exps))

@@ -110,9 +110,7 @@ def unreferenced_definitions(package_sources, other_sources):
 
 # Public package names that nothing in src/ or scripts/ calls, kept on purpose.
 KEPT_FOR_TESTS = {
-    "assemble_divergence": "criterion 9 checks G = -D^T against the directly assembled D",
     "noninc_residuals": "criterion 8 checks the two schemes' relations step by step with it",
-    "save_mesh": "the README documents it as the plain-text mesh dump",
     "steady_divergence": "the oracles check that the manufactured velocity is solenoidal",
     "velocity_t": "the finite-difference oracles check the manufactured time derivative",
 }

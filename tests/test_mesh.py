@@ -17,14 +17,14 @@ def triangle_areas(m):
 def test_smallest_grid():
     m = mesh.build_grid(1)
     assert m.num_vertices == 4
-    assert m.num_triangles == 2
+    assert len(m.triangles) == 2
     assert m.boundary_vertex.all()
 
 
 def test_grid2_counts():
     m = mesh.build_grid(2)
     assert m.num_vertices == 9
-    assert m.num_triangles == 8
+    assert len(m.triangles) == 8
     assert m.boundary_vertex.sum() == 8
     interior = m.vertices[~m.boundary_vertex]
     assert interior.shape == (1, 2)
@@ -35,7 +35,7 @@ def test_grid20_matches_coarsest_experiment_resolution():
     m = mesh.build_grid(20)
     assert mesh.mesh_size(m) == pytest.approx(1.0 / 20)
     assert m.num_vertices == 21 * 21
-    assert m.num_triangles == 2 * 400
+    assert len(m.triangles) == 2 * 400
 
 
 @pytest.mark.parametrize("n,expected", [(10, 0.1), (160, 0.00625), (1, 1.0)])
@@ -54,7 +54,7 @@ def test_rejects_bad_resolution(bad):
 def test_grid_invariants(n):
     m = mesh.build_grid(n)
     assert m.num_vertices == (n + 1) ** 2
-    assert m.num_triangles == 2 * n * n
+    assert len(m.triangles) == 2 * n * n
     assert len(m.edges) == 3 * n * n + 2 * n
     areas = triangle_areas(m)
     assert np.all(areas > 0)
@@ -95,20 +95,6 @@ def test_vertex_ordering_row_major():
     # y-major, x-minor: index j*(n+1)+i holds (i/n, j/n)
     assert np.allclose(m.vertices[1], [0.5, 0.0])
     assert np.allclose(m.vertices[3], [0.0, 0.5])
-
-
-def test_mesh_dump_format(tmp_path):
-    m = mesh.build_grid(2)
-    path = tmp_path / "grid.txt"
-    mesh.save_mesh(m, path)
-    lines = path.read_text().strip().splitlines()
-    nv, nt = (int(tok) for tok in lines[0].split())
-    assert (nv, nt) == (9, 8)
-    assert len(lines) == 1 + nv + nt
-    coords = np.array([[float(t) for t in line.split()] for line in lines[1 : 1 + nv]])
-    assert np.allclose(coords, m.vertices)
-    tris = np.array([[int(t) for t in line.split()] for line in lines[1 + nv :]])
-    assert np.array_equal(tris, m.triangles)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

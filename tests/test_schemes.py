@@ -1,9 +1,11 @@
+import dataclasses
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 
-from stokesproj import assembly, femspace, mesh, schemes, steady
+from stokesproj import assembly, cli, femspace, mesh, schemes, steady
 from stokesproj.assembly import Discretization
 
 
@@ -364,3 +366,22 @@ def test_stable_run_keeps_energy_bounded(case):
     (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
     assert not result.diverged
     assert result.energies.max() <= 10.0 * result.energies[0]
+
+
+@pytest.mark.slow
+def test_incremental_pressure_converges_only_with_delta2():
+    # P1, rho = 10, T = 0.5, N = 10, 20, 40: with delta2 = delta the final
+    # pressure error falls about 3x per halving of h; with delta2 = 0 it
+    # stalls near 3e-3 (1.25x, then 1.06x)
+    root = pathlib.Path(__file__).parent.parent
+    zero = cli.parse_config(root / "scripts" / "transient_convergence_delta2_zero.cfg")
+    assert (zero.degrees, zero.n_values, zero.rho_values, zero.T, zero.scheme) == (
+        (1,), (10, 20, 40), (10.0,), 0.5, "inc")
+    ratios = {}
+    for law in ("equal_delta", "zero"):
+        columns, rows = cli.run_transient_convergence(dataclasses.replace(zero, delta2_law=law))
+        errors = np.array([row[columns.index("pres_l2_final")] for row in rows
+                           if row[0] == "data"])
+        ratios[law] = errors[:-1] / errors[1:]
+    assert np.all(ratios["equal_delta"] >= 2.5), ratios
+    assert np.all(ratios["zero"] < 1.5), ratios
