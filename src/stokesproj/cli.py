@@ -32,7 +32,6 @@ solver or I/O failures.
 
 import argparse
 import sys
-import warnings
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -114,8 +113,6 @@ class ExperimentConfig:
         (100.0,), _finite, rules=(_each(_POSITIVE),),
         transient_init=(10.0,), transient_convergence=(10.0,), stability_probe=(10.0,),
     )
-    # delta_h2 = c means delta = c h^2, equivalent to rho = 1/sqrt(nu c)
-    delta_h2: float = _key(None, _finite, rules=(_POSITIVE,))
     dt_law: str = _key("equal_delta", str, _TRANSIENT, rules=(_one_of(("equal_delta", "fixed")),))
     dt: float = _key(None, _finite, _TRANSIENT)
     T: float = _key(6.0, _finite, _TRANSIENT, transient_convergence=0.5)
@@ -194,14 +191,10 @@ def parse_config_text(text, kind=None, overrides=None):
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {value!r}") from exc
 
     resolved_kind = kind or file_kind or "steady_sweep"
-    given = sections.get(resolved_kind, {})
-    if "rho_values" in given and "delta_h2" in given:
-        # delta_h2 sets the one rho; a list beside it would not run
-        raise ConfigError("rho_values and delta_h2 both set the stabilization; give one")
     values = {key: meta["defaults"][resolved_kind] for key, meta in _KEYS.items()
               if resolved_kind in meta["defaults"]}
     values.update(top)
-    values.update(given)
+    values.update(sections.get(resolved_kind, {}))
     if overrides:
         values.update({k: v for k, v in overrides.items() if v is not None})
     config = replace(ExperimentConfig(kind=resolved_kind), **values)
@@ -230,18 +223,21 @@ def validate_config(config):
         raise ConfigError(f"{config.kind} runs one element degree; give one, not a list")
     if config.kind == "transient_convergence" and len(config.inits) != 1:
         raise ConfigError("transient_convergence runs one init; give one, not a list")
-    if len(_rho_list(config)) != 1:
+    if len(config.rho_values) != 1:
         raise ConfigError(
-            f"{config.kind} uses a single stabilization law; give one rho "
-            "(or delta_h2), not a list"
+            f"{config.kind} uses a single stabilization law; give one rho, not a list"
         )
-    # the runners step with exactly these parameters, so a config that
-    # passes here cannot fail the guard or the T/dt check at run time
+    if config.kind == "transient_convergence" and config.record_every != 1:
+        raise ConfigError(
+            f"record_every = {config.record_every} is unused: transient_convergence "
+            "records every step"
+        )
+    # the runners step with exactly these parameters, and making them runs
+    # the guard and the T/dt check, so a config that passes here cannot
+    # fail them at run time
     for n in config.n_values:
         try:
-            for params in _scheme_runs(config, n):
-                params.check_guard()
-                params.num_steps()
+            _scheme_runs(config, n)
         except schemes.SchemeGuardError as exc:
             raise ConfigError(
                 f"N = {n}: {exc}. Set allow_unstable (or pass --allow-unstable) "
@@ -249,12 +245,6 @@ def validate_config(config):
             ) from exc
         except ValueError as exc:
             raise ConfigError(f"N = {n}: {exc}") from exc
-
-
-def _rho_list(config):
-    if config.delta_h2 is not None:
-        return (1.0 / np.sqrt(config.nu * config.delta_h2),)
-    return config.rho_values
 
 
 def _fmt(value):
@@ -271,12 +261,11 @@ def _fmt(value):
 
 def serialize_config(config):
     """Round-trippable textual form of a config (parse_config_text inverse):
-    every key the kind accepts, in name order, less the unset ones and the
-    rho_values that a delta_h2 replaces."""
+    every key the kind accepts, in name order, less the unset ones."""
     lines = [f"experiment = {config.kind}", f"[{config.kind}]"]
     for key in sorted(k for k, meta in _KEYS.items() if config.kind in meta["kinds"]):
         value = getattr(config, key)
-        if value is None or (key == "rho_values" and config.delta_h2 is not None):
+        if value is None:
             continue
         lines.append(f"{key} = {_fmt(value)}")
     return "\n".join(lines) + "\n"
@@ -293,7 +282,7 @@ def _csv_text(config, columns, rows):
 def _resolve_deltas(config, n):
     h = 1.0 / n
     out = []
-    for rho in _rho_list(config):
+    for rho in config.rho_values:
         out.append((rho, steady.choose_delta(h, config.nu, rho)))
     return out
 
@@ -350,7 +339,7 @@ def run_steady_sweep(config):
 
     rate_rows = []
     for degree in config.degrees:
-        for rho in _rho_list(config):
+        for rho in config.rho_values:
             pts = series.get((degree, rho), [])
             row = ["rate", degree, "", "", rho, ""]
             if len(pts) >= 2:
@@ -438,7 +427,7 @@ def run_transient_convergence(config):
     ).split(",")
     rows = []
     (degree,) = config.degrees
-    (rho,) = _rho_list(config)
+    (rho,) = config.rho_values
     hs, discrete_errors = [], []
     for n in config.n_values:
         grid = build_grid(n)
@@ -452,20 +441,19 @@ def run_transient_convergence(config):
             rows.append(["data", config.scheme, n, h, rho, params.delta, "", params.dt, "", "",
                          "", "", f"failed: {exc}"])
             continue
-        resolved = result.params
-        press = metrics.discrete_time_norm(result.records[1:], resolved.dt)
+        press = metrics.discrete_time_norm(result.records[1:], params.dt)
         # a diverged run's final state is its last finite one
         final = tracker(result.final_state)
         rows.append(
             [
                 "data",
-                resolved.scheme,
+                params.scheme,
                 n,
                 h,
                 rho,
-                resolved.delta,
-                "" if resolved.delta2 is None else resolved.delta2,
-                resolved.dt,
+                params.delta,
+                params.delta2,  # None, an empty cell, for the non-incremental scheme
+                params.dt,
                 final.step,
                 press,
                 final.pres_l2_exact,
@@ -492,10 +480,8 @@ def run_stability_probe(config):
     (degree,) = config.degrees
     for n in config.n_values:
         disc = Discretization(build_grid(n), degree)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            results = schemes.run(_scheme_runs(config, n), case, disc,
-                                  energy_ceiling=config.energy_ceiling)
+        results = schemes.run(_scheme_runs(config, n), case, disc,
+                              energy_ceiling=config.energy_ceiling)
         for ratio, result in zip(config.dt_ratios, results):
             for step, energy in enumerate(result.energies):
                 rows.append(["data", n, ratio, step, energy, ""])

@@ -16,8 +16,10 @@ pressure-projection update; with delta decoupled from dt it remains
 stable under dt <= delta and blows up beyond 2 delta, which the stability
 probe exercises on purpose.  ``SchemeParams.max_dt_ratio`` is the
 largest dt/delta a run accepts (1 by default, 2 for the probe, ``inf``
-on request); ``SchemeParams.check_guard`` enforces it and is the one
-place that rule is written; the CLI validates configs with it.
+on request); ``SchemeParams.check_guard`` is the one place that rule
+is written, and it runs when a SchemeParams is made, so parameters that
+exist have passed it and the T/dt check; the CLI validates configs by
+making them.
 
 Velocities are stepped on the free DOFs and pressures are kept at zero
 discrete mean.  The velocity system matrix has one scalar block per
@@ -30,8 +32,7 @@ initial states, and the experiment runners only choose what each step
 records.
 """
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,12 +51,14 @@ class SchemeGuardError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time-stepping configuration.
+    """Time-stepping configuration, checked when it is made.
 
     ``delta2`` (incremental scheme only) defaults to delta, the analyzed
     case.  ``max_dt_ratio`` is the largest dt/delta that the time-step
     guard accepts: 1, the stable range, by default; 2 for the stability
-    probe; ``inf`` to run any dt, unstable ones included.
+    probe; ``inf`` to run any dt, unstable ones included.  Construction
+    raises SchemeGuardError beyond it and ValueError for any other bad
+    value, T not a multiple of dt included.
     """
 
     nu: float
@@ -83,21 +86,10 @@ class SchemeParams:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
         if self.init not in INITS:
             raise ValueError(f"unknown init {self.init!r}; choose from {INITS}")
-
-    def resolved(self):
-        """Default delta2 to delta for the incremental scheme and run all
-        guards; warns when dt lies in the delta < dt <= 2 delta band."""
-        params = self
         if self.scheme == "inc" and self.delta2 is None:
-            params = replace(self, delta2=self.delta)
-        params.check_guard()
-        if params.delta * _GUARD_SLACK < params.dt <= 2.0 * params.delta * _GUARD_SLACK:
-            warnings.warn(
-                "running with delta < dt <= 2*delta, outside the default guard",
-                stacklevel=2,
-            )
-        params.num_steps()
-        return params
+            object.__setattr__(self, "delta2", self.delta)  # the dataclass is frozen
+        self.check_guard()
+        self.num_steps()
 
     def check_guard(self):
         """Raise SchemeGuardError when dt > max_dt_ratio * delta."""
@@ -199,8 +191,6 @@ def step_noninc(state, params, ops, load):
 def step_inc(state, params, ops, load):
     """One step of the incremental scheme with pressure extrapolation
     2 q^n - q^{n-1} in the momentum equation."""
-    if params.delta2 is None:
-        raise ValueError("incremental step needs delta2 resolved (params.resolved)")
     q_hat = 2.0 * state.pressure - state.pressure_prev
     v_new = _advance(state, params, ops, load, q_hat)
     rhs_p = params.delta * (ops.disc.stiffness @ state.pressure) + ops.disc.GT @ v_new
@@ -241,7 +231,6 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     initial = {}
     results = []
     for params in runs:
-        params = params.resolved()
         key = (params.init, params.nu, params.delta, params.tol, params.scheme)
         if key not in initial:
             initial[key] = initialize(params, case, disc)
@@ -250,7 +239,7 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
 
 
 def _run_one(params, disc, state, loads, observe, energy_ceiling):
-    """Step one resolved run from ``state``; see ``run``.  Its operators
+    """Step one run from ``state``; see ``run``.  Its operators
     and factorization are freed on return, before the next run's."""
     ops = SchemeOperators(disc, params)
     step = step_noninc if params.scheme == "noninc" else step_inc

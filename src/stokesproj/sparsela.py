@@ -60,27 +60,22 @@ def _symmetric_splu(a_csc, permc_spec):
     return lu.solve
 
 
-def _factorize_spd(a_csc):
-    """Solve function of an SPD matrix's LU, preferring the symmetric
-    SuperLU mode; falls back to default pivoting if a verification solve
-    is off."""
-    try:
-        solve = _symmetric_splu(a_csc, "MMD_AT_PLUS_A")
-        probe = np.ones(a_csc.shape[0])
-        x = solve(probe)
-        if np.linalg.norm(a_csc @ x - probe) <= 1e-8 * np.linalg.norm(probe):
-            return solve
-    except RuntimeError:
-        pass
-    return spla.splu(a_csc).solve
-
-
 class FactorizedSpd:
     """Cached sparse LU of a fixed SPD matrix; ``solve`` accepts one or
-    several right-hand sides (columns)."""
+    several right-hand sides (columns).  The symmetric SuperLU mode is
+    preferred; default pivoting is the fallback if a verification solve
+    is off."""
 
     def __init__(self, a):
-        self._solve = _factorize_spd(sparse.csc_matrix(a))
+        a = sparse.csc_matrix(a)
+        try:
+            self._solve = _symmetric_splu(a, "MMD_AT_PLUS_A")
+            probe = np.ones(a.shape[0])
+            if np.linalg.norm(a @ self._solve(probe) - probe) <= 1e-8 * np.linalg.norm(probe):
+                return
+        except RuntimeError:
+            pass
+        self._solve = spla.splu(a).solve
 
     def solve(self, b):
         return self._solve(np.asarray(b, dtype=float))
@@ -98,15 +93,12 @@ class PinnedSingularSolver:
     """
 
     def __init__(self, s):
-        n = s.shape[0]
-        keep = np.arange(1, n)
-        self.n = n
-        self._solve = _factorize_spd(sparse.csc_matrix(s.tocsr()[keep][:, keep]))
+        self.n = s.shape[0]
+        self._reduced = FactorizedSpd(s.tocsr()[1:, 1:])
 
     def solve(self, b):
-        b = np.asarray(b, dtype=float)
         x = np.zeros(self.n)
-        x[1:] = self._solve(b[1:])
+        x[1:] = self._reduced.solve(np.asarray(b, dtype=float)[1:])
         return x
 
 

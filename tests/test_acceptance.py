@@ -295,7 +295,7 @@ def test_criterion_07_free_decay_monotonicity():
         params = schemes.SchemeParams(
             nu=NU, dt=delta, T=100 * delta, delta=delta, scheme=scheme,
             init="zero_pressure",
-        ).resolved()
+        )
         ops = schemes.SchemeOperators(disc, params)
         zero_q = np.zeros(disc.space.num_dofs)
         state = schemes.TimeState(0, 0.0, v0.copy(), zero_q.copy(), zero_q.copy())
@@ -330,7 +330,7 @@ def test_criterion_08_scheme_equivalence(mms_case, load_at):
     params = schemes.SchemeParams(
         nu=NU, dt=delta, T=50 * delta, delta=delta, scheme="inc",
         init="stabilized_stokes",
-    ).resolved()
+    )
     disc = Discretization(grid, 1)
     ops = schemes.SchemeOperators(disc, params)
     load = load_at(mms_case, disc)

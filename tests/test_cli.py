@@ -87,13 +87,14 @@ def test_bad_value_rejected():
 
 @pytest.mark.parametrize("value", ["nan", "-inf"])
 @pytest.mark.parametrize(
-    "key", ["nu", "tol", "delta_h2", "dt", "T", "energy_ceiling", "rho_values", "dt_ratios"]
+    "key", ["nu", "tol", "dt", "T", "energy_ceiling", "rho_values", "dt_ratios"]
 )
 def test_non_finite_float_rejected(key, value):
     kind = "transient_init" if key in ("dt", "T") else "stability_probe"
     with pytest.raises(cli.ConfigError) as err:
         cli.parse_config_text(f"# comment\n[{kind}]\n{key} = {value}\n", kind=kind)
-    assert "line 3" in str(err.value)
+    # an unknown key is refused on its line too, so name the value error
+    assert "line 3" in str(err.value) and f"bad value for {key!r}" in str(err.value)
 
 
 def test_duplicate_key_rejected():
@@ -170,10 +171,8 @@ def test_guard_band_is_config_error(tmp_path, capsys):
         cli.parse_config_text(text, kind="transient_init",
                               overrides={"allow_unstable": True})
     out = tmp_path / "band.csv"
-    with pytest.warns(UserWarning, match="delta < dt <= 2"):
-        code = cli.main(["transient-init", "--config", str(cfg), "--allow-unstable",
-                         "--out", str(out)])
-    assert code == 0
+    assert cli.main(["transient-init", "--config", str(cfg), "--allow-unstable",
+                     "--out", str(out)]) == 0
     assert "init,N,n,t" in out.read_text()
 
 
@@ -194,7 +193,6 @@ def test_guard_band_is_config_error(tmp_path, capsys):
          "step_budget = 5\nenergy_ceiling = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nnu = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = nan\n"),
-        ("steady-sweep", "[steady_sweep]\nn_values = 4\ndelta_h2 = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = inf\n"),
         # lists that the runners ignored in part or that left nothing to run
         ("transient-init",
@@ -208,7 +206,7 @@ def test_guard_band_is_config_error(tmp_path, capsys):
          "inits = interpolant stabilized_stokes\n"),
     ],
     ids=["T-not-step-multiple", "T-negative", "rho-zero", "no-inits", "tol-negative",
-         "ceiling-negative", "ceiling-nan", "nu-nan", "rho-nan", "delta_h2-nan", "rho-inf",
+         "ceiling-negative", "ceiling-nan", "nu-nan", "rho-nan", "rho-inf",
          "transient-degrees-list", "degrees-empty", "rho-empty", "dt_ratios-empty",
          "convergence-inits-list"],
 )
@@ -238,11 +236,9 @@ def test_parsed_transient_configs_run(ratio, k, allow_unstable):
     )
     with tempfile.TemporaryDirectory() as tmp:
         cfg = write(pathlib.Path(tmp), text)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # the delta < dt <= 2 delta band warns
-            with contextlib.redirect_stderr(io.StringIO()):
-                code = cli.main(["transient-init", "--config", str(cfg),
-                                 "--out", os.path.join(tmp, "out.csv")])
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(["transient-init", "--config", str(cfg),
+                             "--out", os.path.join(tmp, "out.csv")])
     assert code in (0, 2)
     if allow_unstable or ratio <= 1.0:
         assert code == 0
@@ -261,7 +257,7 @@ def test_equal_delta_law_sets_dt_to_delta():
 
 _ROUNDTRIP_SET = {
     "steady_sweep": "nu = 0.02\nout = x.csv\n[steady_sweep]\nn_values = 10 20\n"
-                    "degrees = 1 2\ndelta_h2 = 3\n",
+                    "degrees = 1 2\nrho_values = 1 10\n",
     "transient_init": "tol = 1e-8\n[transient_init]\nn_values = 10\nrho_values = 1\n"
                       "dt_law = fixed\ndt = 0.01\nT = 0.1\nscheme = inc\n"
                       "inits = zero_pressure interpolant\nrecord_every = 3\n",
@@ -285,22 +281,21 @@ def test_config_roundtrip(kind, values):
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text, named",
     [
         # dt_law = equal_delta steps with dt = delta = 0.0625 at N = 4, not dt
-        "[transient_convergence]\nn_values = 4\nT = 0.125\ndt = 0.001\n",
-        # delta_h2 = 2 sets the one rho = 1/sqrt(nu * 2), so the list would not run
-        "[transient_convergence]\nn_values = 4\nT = 0.125\nrho_values = 1 10\ndelta_h2 = 2\n",
-        "[steady_sweep]\nn_values = 4\nrho_values = 10\ndelta_h2 = 2\n",
+        ("[transient_convergence]\nn_values = 4\nT = 0.125\ndt = 0.001\n", "dt_law"),
+        # the convergence study integrates the error over every step
+        ("[transient_convergence]\nn_values = 4\nT = 0.125\nrecord_every = 5\n",
+         "record_every = 5 is unused"),
     ],
-    ids=["dt-under-equal_delta", "rho-list-with-delta_h2", "steady-rho-with-delta_h2"],
+    ids=["dt-under-equal_delta", "record_every-under-convergence"],
 )
-def test_keys_a_run_would_ignore_are_config_errors(tmp_path, capsys, text):
+def test_keys_a_run_would_ignore_are_config_errors(tmp_path, capsys, text, named):
     (kind,) = re.findall(r"^\[(\w+)\]", text, flags=re.MULTILINE)
     assert cli.main([kind.replace("_", "-"), "--config", str(write(tmp_path, text))]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:")
-    assert ("dt_law" in err) if "dt =" in text else ("delta_h2" in err and "rho_values" in err)
+    assert err.startswith("config error:") and named in err
 
 
 @pytest.mark.parametrize(
@@ -498,7 +493,7 @@ def test_transient_convergence_reports_divergence(tmp_path, capsys, monkeypatch)
         "dt_law = fixed\ndt = 0.05\nT = 30\n",
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")  # the diverging run overflows numpy's dot product
         assert cli.main(["transient-convergence", "--config", str(cfg)]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-3:]]
     assert [(row[0], row[2], row[-1]) for row in rows] == [
@@ -524,7 +519,7 @@ def test_csv_matches_reference(capsys, cfg):
     # refactor must reproduce it byte for byte
     (kind,) = re.findall(r"^\[(\w+)\]", cfg.read_text(), flags=re.MULTILINE)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
+        warnings.simplefilter("ignore")  # a diverging run overflows numpy's dot product
         assert cli.main([kind.replace("_", "-"), "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == cfg.with_suffix(".csv").read_text()
 

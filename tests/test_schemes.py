@@ -27,7 +27,7 @@ def random_velocity(space, rng, scale=1.0):
 def test_guard_accepts_dt_equal_delta():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        make_params(dt=1e-3, delta=1e-3).resolved()
+        make_params(dt=1e-3, delta=1e-3)
 
 
 @pytest.mark.parametrize("slack, accepted", [(1e-12, True), (1e-9, False)])
@@ -35,42 +35,39 @@ def test_guard_edge_at_two_delta(slack, accepted):
     # doubling is exact, so dt = 2 delta (1 + 1e-12) lies exactly on the
     # guard's slackened edge
     dt = 2.0 * (1.0 + slack) * 1e-3
-    params = make_params(dt=dt, delta=1e-3, T=10 * dt, max_dt_ratio=2.0)
     if accepted:
-        with pytest.warns(UserWarning):
-            params.resolved()
+        make_params(dt=dt, delta=1e-3, T=10 * dt, max_dt_ratio=2.0)
     else:
         with pytest.raises(schemes.SchemeGuardError):
-            params.resolved()
+            make_params(dt=dt, delta=1e-3, T=10 * dt, max_dt_ratio=2.0)
 
 
 def test_guard_refuses_dt_above_delta_without_flag():
     with pytest.raises(schemes.SchemeGuardError):
-        make_params(dt=1.5e-3, delta=1e-3).resolved()
+        make_params(dt=1.5e-3, delta=1e-3)
 
 
 def test_guard_band_accepted_with_override():
-    with pytest.warns(UserWarning):
-        make_params(dt=1.5e-3, delta=1e-3, T=1.5e-2,
-                    max_dt_ratio=2.0).resolved()
+    make_params(dt=1.5e-3, delta=1e-3, T=1.5e-2, max_dt_ratio=2.0)
 
 
 def test_guard_refuses_beyond_two_delta():
     with pytest.raises(schemes.SchemeGuardError):
-        make_params(dt=4e-3, delta=1e-3, T=4e-2,
-                    max_dt_ratio=2.0).resolved()
+        make_params(dt=4e-3, delta=1e-3, T=4e-2, max_dt_ratio=2.0)
     # probe mode lets it through
-    make_params(dt=4e-3, delta=1e-3, T=4e-2, max_dt_ratio=np.inf).resolved()
+    make_params(dt=4e-3, delta=1e-3, T=4e-2, max_dt_ratio=np.inf)
 
 
 def test_t_must_be_step_multiple():
-    with pytest.raises(ValueError):
-        make_params(T=1.05e-3).resolved()
+    with pytest.raises(ValueError, match="not an integer multiple"):
+        make_params(T=1.05e-3)
 
 
 def test_incremental_delta2_defaults_to_delta():
-    p = make_params(scheme="inc").resolved()
+    p = make_params(scheme="inc")
     assert p.delta2 == p.delta
+    assert make_params(scheme="inc", delta2=0.0).delta2 == 0.0
+    assert make_params().delta2 is None
 
 
 def test_rejects_unknown_enum_values():
@@ -84,7 +81,7 @@ def test_rejects_unknown_enum_values():
 
 
 def test_zero_pressure_init(grid4, case):
-    params = make_params(init="zero_pressure").resolved()
+    params = make_params(init="zero_pressure")
     state = schemes.initialize(params, case, Discretization(grid4, 1))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     assert state.step == 0 and state.t == 0.0
@@ -98,7 +95,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
         def pressure(self, x, y, t):
             return np.zeros_like(x)
 
-    params = make_params(init="interpolant").resolved()
+    params = make_params(init="interpolant")
     state = schemes.initialize(params, LinearCase(), Discretization(grid4, 1))
     space = femspace.build_space(grid4, 1)
     nf = space.free_scalar.size
@@ -108,7 +105,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
 
 
 def test_interpolant_init_pressure_mean_subtracted(grid4, case):
-    params = make_params(init="interpolant").resolved()
+    params = make_params(init="interpolant")
     state = schemes.initialize(params, case, Discretization(grid4, 1))
     w = assembly.basis_integrals(femspace.build_space(grid4, 1))
     assert abs(w @ state.pressure) <= 1e-13
@@ -125,14 +122,14 @@ def test_stabilized_stokes_init_zero_case(grid4):
         def steady_data(self, t):
             return lambda x, y: np.zeros((2,) + x.shape)
 
-    params = make_params(init="stabilized_stokes").resolved()
+    params = make_params(init="stabilized_stokes")
     state = schemes.initialize(params, NullCase(), Discretization(grid4, 1))
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
 
 
 def test_incremental_init_copies_pressure(grid4, case):
-    params = make_params(scheme="inc", init="interpolant").resolved()
+    params = make_params(scheme="inc", init="interpolant")
     state = schemes.initialize(params, case, Discretization(grid4, 1))
     assert np.array_equal(state.pressure_prev, state.pressure)
 
@@ -141,7 +138,7 @@ def test_incremental_init_copies_pressure(grid4, case):
 
 
 def test_zero_trajectory(grid4, case):
-    params = make_params().resolved()
+    params = make_params()
     disc = Discretization(grid4, 1)
     space = disc.space
     ops = schemes.SchemeOperators(disc, params)
@@ -152,7 +149,7 @@ def test_zero_trajectory(grid4, case):
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     # incremental scheme too
-    pi = make_params(scheme="inc").resolved()
+    pi = make_params(scheme="inc")
     ops_i = schemes.SchemeOperators(disc, pi)
     st = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs), np.zeros(space.num_dofs))
     for _ in range(3):
@@ -162,7 +159,7 @@ def test_zero_trajectory(grid4, case):
 
 @pytest.mark.parametrize("scheme", ["noninc", "inc"])
 def test_free_decay_energy_monotone(grid4, scheme):
-    params = make_params(scheme=scheme, dt=5e-4, delta=5e-4, T=5e-2).resolved()
+    params = make_params(scheme=scheme, dt=5e-4, delta=5e-4, T=5e-2)
     disc = Discretization(grid4, 1)
     space = disc.space
     ops = schemes.SchemeOperators(disc, params)
@@ -198,7 +195,7 @@ def test_pressure_zero_mean_every_step(grid4, case):
 
 
 def test_pressure_equation_residual_each_step(grid4, case):
-    params = make_params(init="stabilized_stokes").resolved()
+    params = make_params(init="stabilized_stokes")
     disc = Discretization(grid4, 1)
     ops = schemes.SchemeOperators(disc, params)
     for state in states(params, case, disc)[1:]:
@@ -208,7 +205,7 @@ def test_pressure_equation_residual_each_step(grid4, case):
 
 
 def test_incremental_pressure_update_residual(grid4, case):
-    params = make_params(scheme="inc", init="stabilized_stokes").resolved()
+    params = make_params(scheme="inc", init="stabilized_stokes")
     disc = Discretization(grid4, 1)
     ops = schemes.SchemeOperators(disc, params)
     trajectory = states(params, case, disc)
@@ -226,7 +223,7 @@ def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_fac
     delta = steady.choose_delta(1.0 / disc.mesh.n, case.nu, 10.0)
     delta2 = None if delta2_factor is None else delta2_factor * delta
     params = schemes.SchemeParams(nu=case.nu, dt=dt_ratio * delta, T=dt_ratio * delta,
-                                  delta=delta, delta2=delta2, scheme=scheme).resolved()
+                                  delta=delta, delta2=delta2, scheme=scheme)
     load = disc.free_load(case.steady_forcing)
     velocity, pressure = steady.solve(disc, case.nu, steady_factor * delta, load, params.tol)
     state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
@@ -268,7 +265,7 @@ def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     # delta2 = delta: (v, 2q^n - q^{n-1}) solves the non-incremental relations
     grid = mesh.build_grid(8)
     params = make_params(scheme="inc", init="stabilized_stokes",
-                         dt=1e-3, delta=1e-3, T=2e-2).resolved()
+                         dt=1e-3, delta=1e-3, T=2e-2)
     disc = Discretization(grid, 1)
     ops = schemes.SchemeOperators(disc, params)
     load = load_at(case, disc)
@@ -288,7 +285,7 @@ def test_classical_form_identity(grid4, case, load_at):
     # delta = dt: stepping the pre-elimination form that carries the
     # projected end-of-step velocity reproduces the eliminated update
     dt = 1e-3
-    params = make_params(dt=dt, delta=dt, init="stabilized_stokes").resolved()
+    params = make_params(dt=dt, delta=dt, init="stabilized_stokes")
     disc = Discretization(grid4, 1)
     ops = schemes.SchemeOperators(disc, params)
     load_of = load_at(case, disc)
