@@ -1,6 +1,7 @@
 """Experiment driver.
 
-Subcommands (also usable programmatically through ``run_experiment``):
+Subcommands (also usable programmatically through ``run_experiment``); all
+four walk one mesh loop, ``_meshes``, and differ only in the rows they record:
 
 - ``steady-sweep``: steady solves over (degree, N, rho) grids with
   vs-interpolant and vs-exact errors plus per-(degree, rho) observed
@@ -158,9 +159,9 @@ def _parse_lines(text):
 def parse_config(path, kind=None, overrides=None):
     """Parse a config file into a validated ExperimentConfig.
 
-    ``kind`` (e.g. from the CLI subcommand) overrides the file's
-    ``experiment`` key; ``overrides`` is a mapping of final field
-    overrides (CLI flags).  An empty file yields the all-defaults
+    ``kind`` (e.g. from the CLI subcommand) must agree with the file's
+    ``experiment`` key, if it has one; ``overrides`` is a mapping of final
+    field overrides (CLI flags).  An empty file yields the all-defaults
     steady_sweep configuration.
     """
     with open(path) as fh:
@@ -176,6 +177,8 @@ def parse_config_text(text, kind=None, overrides=None):
         if section is None and key == "experiment":
             if value not in KINDS:
                 raise ConfigError(f"line {lineno}: unknown experiment kind {value!r}")
+            if kind not in (None, value):
+                raise ConfigError(f"line {lineno}: experiment = {value} conflicts with {kind}")
             file_kind = value
             continue
         meta = _KEYS.get(key)
@@ -232,12 +235,12 @@ def validate_config(config):
             f"record_every = {config.record_every} is unused: transient_convergence "
             "records every step"
         )
-    # the runners step with exactly these parameters, and making them runs
-    # the guard and the T/dt check, so a config that passes here cannot
-    # fail them at run time
+    # the runners step with exactly these parameters (h = 1/N, mesh_size of
+    # the grid), and making them runs the guard and the T/dt check, so a
+    # config that passes here cannot fail them at run time
     for n in config.n_values:
         try:
-            _scheme_runs(config, n)
+            _scheme_runs(config, 1.0 / n)
         except schemes.SchemeGuardError as exc:
             raise ConfigError(
                 f"N = {n}: {exc}. Set allow_unstable (or pass --allow-unstable) "
@@ -279,12 +282,22 @@ def _csv_text(config, columns, rows):
     return "\n".join(lines) + "\n"
 
 
-def _resolve_deltas(config, n):
-    h = 1.0 / n
-    out = []
-    for rho in config.rho_values:
-        out.append((rho, steady.choose_delta(h, config.nu, rho)))
-    return out
+def _meshes(config):
+    """(degree, N, h, Discretization) of every mesh of the run, in run
+    order: each degree, then each N.  The time kinds run one degree."""
+    for degree in config.degrees:
+        for n in config.n_values:
+            grid = build_grid(n)
+            yield degree, n, mesh_size(grid), Discretization(grid, degree)
+
+
+def _rates(done, cols):
+    """The observed rate of each error column in ``cols`` over the data rows
+    ``done`` of the completed meshes (h is column 3), and the status cell."""
+    if len(done) < 2:
+        return [""] * len(cols), "insufficient data for a rate"
+    hs = [row[3] for row in done]
+    return [metrics.observed_rate([row[c] for row in done], hs) for c in cols], "ok"
 
 
 # ---------------------------------------------------------------------------
@@ -297,60 +310,33 @@ def run_steady_sweep(config):
         "row,degree,N,h,rho,delta,vel_l2_interp,pres_l2_interp,"
         "vel_l2_exact,pres_l2_exact,status"
     ).split(",")
-    data_rows = []
-    series = {}
-    for degree in config.degrees:
-        for n in config.n_values:
-            grid = build_grid(n)
-            h = mesh_size(grid)
-            disc = Discretization(grid, degree)
-            space = disc.space
-            rhs_v = disc.free_load(case.steady_forcing)
-            interp_v = femspace.interpolate(space, case.steady_velocity)
-            interp_p = femspace.interpolate(space, case.steady_pressure)
-            for rho, delta in _resolve_deltas(config, n):
-                try:
-                    velocity, pressure = steady.solve(disc, config.nu, delta, rhs_v, config.tol)
-                    errors = {
-                        "vel_l2_interp": metrics.fe_norm_diff(
-                            velocity, interp_v, matrix=disc.mass
-                        ),
-                        "pres_l2_interp": metrics.fe_norm_diff(
-                            pressure, interp_p, matrix=disc.mass
-                        ),
-                        "vel_l2_exact": metrics.error_vs_exact(
-                            space, velocity, case.steady_velocity
-                        ),
-                        "pres_l2_exact": metrics.error_vs_exact(
-                            space, pressure, case.steady_pressure
-                        ),
-                    }
-                    status = "ok"
-                except sparsela.LinearSolverError as exc:
-                    errors = None
-                    status = f"failed: {exc}"
-                row = ["data", degree, n, h, rho, delta]
-                if errors is None:
-                    row += ["", "", "", ""]
-                else:
-                    row += [errors[c] for c in columns[6:10]]
-                    series.setdefault((degree, rho), []).append((h, errors))
-                data_rows.append(row + [status])
-
-    rate_rows = []
+    rows = []
+    for degree, n, h, disc in _meshes(config):
+        rhs_v = disc.free_load(case.steady_forcing)
+        interp_v = femspace.interpolate(disc.space, case.steady_velocity)
+        interp_p = femspace.interpolate(disc.space, case.steady_pressure)
+        for rho in config.rho_values:
+            delta = steady.choose_delta(h, config.nu, rho)
+            head = ["data", degree, n, h, rho, delta]
+            try:
+                velocity, pressure = steady.solve(disc, config.nu, delta, rhs_v, config.tol)
+            except sparsela.LinearSolverError as exc:
+                rows.append(head + ["", "", "", "", f"failed: {exc}"])
+                continue
+            rows.append(head + [
+                metrics.fe_norm_diff(velocity, interp_v, matrix=disc.mass),
+                metrics.fe_norm_diff(pressure, interp_p, matrix=disc.mass),
+                metrics.error_vs_exact(disc.space, velocity, case.steady_velocity),
+                metrics.error_vs_exact(disc.space, pressure, case.steady_pressure),
+                "ok",
+            ])
+    done = [row for row in rows if row[-1] == "ok"]
     for degree in config.degrees:
         for rho in config.rho_values:
-            pts = series.get((degree, rho), [])
-            row = ["rate", degree, "", "", rho, ""]
-            if len(pts) >= 2:
-                hs = [h for h, _ in pts]
-                for col in columns[6:10]:
-                    row.append(metrics.observed_rate([e[col] for _, e in pts], hs))
-                row.append("ok")
-            else:
-                row += ["", "", "", "", "insufficient data for a rate"]
-            rate_rows.append(row)
-    return columns, data_rows + rate_rows
+            series = [row for row in done if row[1] == degree and row[4] == rho]
+            rates, status = _rates(series, range(6, 10))
+            rows.append(["rate", degree, "", "", rho, "", *rates, status])
+    return columns, rows
 
 
 # ---------------------------------------------------------------------------
@@ -377,11 +363,12 @@ def _scheme_params(config, delta, dt, init):
     )
 
 
-def _scheme_runs(config, n):
-    """SchemeParams of every run on mesh ``n``, in run order: one per init
-    (transient_init, transient_convergence) or one per dt/delta ratio
-    (stability_probe)."""
-    ((_, delta),) = _resolve_deltas(config, n)
+def _scheme_runs(config, h):
+    """SchemeParams of every run on the mesh of size ``h``, in run order:
+    one per init (transient_init, transient_convergence) or one per dt/delta
+    ratio (stability_probe)."""
+    (rho,) = config.rho_values
+    delta = steady.choose_delta(h, config.nu, rho)
     if config.kind == "stability_probe":
         return [
             _scheme_params(config, delta, ratio * delta, "stabilized_stokes")
@@ -391,28 +378,19 @@ def _scheme_runs(config, n):
     return [_scheme_params(config, delta, dt, init) for init in config.inits]
 
 
-def _recorded(records, every):
-    last = len(records) - 1
-    for i, rec in enumerate(records):
-        if i <= 1 or i == last or i % every == 0:
-            yield rec
-
-
 def run_transient_init(config):
     case = berrone_case(config.nu)
     columns = ["init", "N", "n", "t", "pres_l2_interp", "vel_l2_interp"]
     rows = []
-    (degree,) = config.degrees
-    for n in config.n_values:
-        disc = Discretization(build_grid(n), degree)
+    for _, n, h, disc in _meshes(config):
         # its moments depend on the mesh only, so every run of the mesh shares it
         tracker = metrics.TransientErrorTracker(disc, case)
-        for result in schemes.run(_scheme_runs(config, n), case, disc, observe=tracker):
-            for rec in _recorded(result.records, config.record_every):
-                rows.append(
-                    [result.params.init, n, rec.step, rec.t, rec.pres_l2_interp,
-                     rec.vel_l2_interp]
-                )
+        for result in schemes.run(_scheme_runs(config, h), case, disc, observe=tracker):
+            last = len(result.records) - 1
+            for i, rec in enumerate(result.records):
+                if i <= 1 or i == last or i % config.record_every == 0:
+                    rows.append([result.params.init, n, rec.step, rec.t, rec.pres_l2_interp,
+                                 rec.vel_l2_interp])
     return columns, rows
 
 
@@ -426,14 +404,9 @@ def run_transient_convergence(config):
         "pres_l2_time_integrated,pres_l2_final,vel_l2_final,status"
     ).split(",")
     rows = []
-    (degree,) = config.degrees
     (rho,) = config.rho_values
-    hs, discrete_errors = [], []
-    for n in config.n_values:
-        grid = build_grid(n)
-        h = mesh_size(grid)
-        (params,) = _scheme_runs(config, n)
-        disc = Discretization(grid, degree)
+    for _, n, h, disc in _meshes(config):
+        (params,) = _scheme_runs(config, h)
         tracker = metrics.TransientErrorTracker(disc, case)
         try:
             (result,) = schemes.run([params], case, disc, observe=tracker.pres_l2_exact)
@@ -461,15 +434,8 @@ def run_transient_convergence(config):
                 "diverged" if result.diverged else "ok",
             ]
         )
-        if not result.diverged:
-            hs.append(h)
-            discrete_errors.append(press)
-    rate_row = ["rate", config.scheme, "", "", "", "", "", "", ""]
-    if len(discrete_errors) >= 2:
-        rate_row += [metrics.observed_rate(discrete_errors, hs), "", "", "ok"]
-    else:
-        rate_row += ["", "", "", "insufficient data for a rate"]
-    rows.append(rate_row)
+    (rate,), status = _rates([row for row in rows if row[-1] == "ok"], [9])
+    rows.append(["rate", config.scheme, *[""] * 7, rate, "", "", status])
     return columns, rows
 
 
@@ -477,10 +443,8 @@ def run_stability_probe(config):
     case = berrone_case(config.nu)
     columns = ["row", "N", "ratio", "n", "energy", "outcome"]
     rows = []
-    (degree,) = config.degrees
-    for n in config.n_values:
-        disc = Discretization(build_grid(n), degree)
-        results = schemes.run(_scheme_runs(config, n), case, disc,
+    for _, n, h, disc in _meshes(config):
+        results = schemes.run(_scheme_runs(config, h), case, disc,
                               energy_ceiling=config.energy_ceiling)
         for ratio, result in zip(config.dt_ratios, results):
             for step, energy in enumerate(result.energies):

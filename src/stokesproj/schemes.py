@@ -256,7 +256,8 @@ def _run_one(params, disc, state, loads, observe, energy_ceiling):
             energies.append(energy)
             diverged = not np.isfinite(energy) or energy > energy_ceiling * floor
         else:
-            diverged = not np.isfinite(new.velocity @ new.velocity)
+            with np.errstate(over="ignore"):  # an overflow is the divergence it detects
+                diverged = not np.isfinite(new.velocity @ new.velocity)
         if diverged:
             break
         state = new

@@ -319,6 +319,20 @@ def test_repeated_list_entry_is_config_error(tmp_path, capsys, text):
     assert err.startswith("config error:") and key in err
 
 
+def test_experiment_key_other_than_the_command_is_config_error(tmp_path, capsys):
+    # the steady sweep would ignore every key of the probe's section
+    text = "experiment = stability_probe\n[stability_probe]\nn_values = 8\n"
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config_text(text, kind="steady_sweep")
+    assert "line 1" in str(err.value)
+    assert "stability_probe" in str(err.value) and "steady_sweep" in str(err.value)
+    same = cli.parse_config_text(text + "dt_ratios = 0.5\n", kind="stability_probe")
+    assert same.n_values == (8,)
+    probe = pathlib.Path(__file__).parent.parent / "scripts" / "stability_probe.cfg"
+    assert cli.main(["steady-sweep", "--config", str(probe)]) == 2
+    assert capsys.readouterr().err.startswith("config error: line 3:")
+
+
 def test_readme_key_table_matches_key_table():
     # README "Config files": one row per key, naming the kinds whose sections
     # accept it and whether the top level does
@@ -493,7 +507,7 @@ def test_transient_convergence_reports_divergence(tmp_path, capsys, monkeypatch)
         "dt_law = fixed\ndt = 0.05\nT = 30\n",
     )
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the diverging run overflows numpy's dot product
+        warnings.simplefilter("error")  # the divergence is recorded, not warned about
         assert cli.main(["transient-convergence", "--config", str(cfg)]) == 0
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[-3:]]
     assert [(row[0], row[2], row[-1]) for row in rows] == [
@@ -505,6 +519,49 @@ def test_transient_convergence_reports_divergence(tmp_path, capsys, monkeypatch)
     # the row's step count is the step of the errors it reports, those of
     # the N = 8 run's last record
     assert int(rows[1][8]) == observed[-1]
+
+
+@pytest.mark.parametrize(
+    "kind, extra, empty, rated",
+    [
+        ("steady_sweep", "",
+         ["vel_l2_interp", "pres_l2_interp", "vel_l2_exact", "pres_l2_exact"],
+         ["vel_l2_interp", "pres_l2_interp", "vel_l2_exact", "pres_l2_exact"]),
+        ("transient_convergence", "T = 0.0625\n",
+         ["steps", "pres_l2_time_integrated", "pres_l2_final", "vel_l2_final"],
+         ["pres_l2_time_integrated"]),
+    ],
+    ids=["steady_sweep", "transient_convergence"],
+)
+def test_failed_mesh_is_recorded_and_left_out_of_the_rate(
+    tmp_path, capsys, monkeypatch, kind, extra, empty, rated
+):
+    # the steady solve fails at N = 8 (the transient run's initial state is
+    # one): the run goes on, that row says why, and the rate is fitted to
+    # N = 4 and 16 only
+    solve = steady.solve
+
+    def failing(disc, *args, **kwargs):
+        if disc.mesh.n == 8:
+            raise sparsela.LinearSolverError("planted failure")
+        return solve(disc, *args, **kwargs)
+
+    monkeypatch.setattr(steady, "solve", failing)
+    cfg = write(tmp_path, f"[{kind}]\nn_values = 4 8 16\nrho_values = 10\n{extra}")
+    assert cli.main([kind.replace("_", "-"), "--config", str(cfg)]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if not line.startswith("#")]
+    rows = [dict(zip(lines[0].split(","), line.split(","))) for line in lines[1:]]
+    data = [row for row in rows if row["row"] == "data"]
+    assert [row["N"] for row in data] == ["4", "8", "16"]
+    assert data[1]["status"] == "failed: planted failure"
+    assert all(data[1][column] == "" for column in empty)
+    assert data[0]["status"] == data[2]["status"] == "ok"
+    (rate,) = [row for row in rows if row["row"] == "rate"]
+    assert rate["status"] == "ok"
+    hs = [float(data[i]["h"]) for i in (0, 2)]
+    for column in rated:
+        errors = [float(data[i][column]) for i in (0, 2)]
+        assert float(rate[column]) == metrics.observed_rate(errors, hs)
 
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -519,7 +576,7 @@ def test_csv_matches_reference(capsys, cfg):
     # refactor must reproduce it byte for byte
     (kind,) = re.findall(r"^\[(\w+)\]", cfg.read_text(), flags=re.MULTILINE)
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # a diverging run overflows numpy's dot product
+        warnings.simplefilter("error")  # a diverging run is recorded, not warned about
         assert cli.main([kind.replace("_", "-"), "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == cfg.with_suffix(".csv").read_text()
 

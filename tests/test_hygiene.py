@@ -5,7 +5,7 @@ method or property of the package is read somewhere in src/ or scripts/
 outside its own definition: code that only tests reach lives under tests/.
 And every defaulted parameter of a public package function or method is
 passed by some call in src/ or scripts/: a default that nothing
-overrides is a constant."""
+overrides is a constant.  No line under src/ is longer than 99 characters."""
 
 import ast
 import collections
@@ -148,6 +148,18 @@ def test_package_code_has_callers_outside_tests():
     assert found == kept, (
         f"only tests reach {sorted(found - kept)}; kept but now called {sorted(kept - found)}"
     )
+
+
+def test_package_lines_fit_99_columns():
+    # a line count of src/ measures its size only while no line is packed longer
+    long = [
+        f"{path}:{number} has {len(line)} characters"
+        for path in FILES
+        if path.parts[0] == "src"
+        for number, line in enumerate((ROOT / path).read_text().splitlines(), start=1)
+        if len(line) > 99
+    ]
+    assert not long, "lines over 99 characters: " + ", ".join(long)
 
 
 def test_no_unused_imports():

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stokesproj import assembly, cli, femspace, mesh, schemes, steady
+from stokesproj import assembly, cli, femspace, mesh, metrics, schemes, steady
 from stokesproj.assembly import Discretization
 
 
@@ -382,3 +382,26 @@ def test_incremental_pressure_converges_only_with_delta2():
         ratios[law] = errors[:-1] / errors[1:]
     assert np.all(ratios["equal_delta"] >= 2.5), ratios
     assert np.all(ratios["zero"] < 1.5), ratios
+
+
+def test_modified_scheme_keeps_its_pressure_as_dt_falls(case):
+    # the paper's central claim.  The modified scheme fixes delta by the mesh
+    # (rho = 10: delta = h^2/(100 nu)) and steps with any dt <= delta; the
+    # classical scheme has delta = dt, so its stabilization fades as dt falls.
+    # P1, N = 20, T = 0.05: the final pressure error is 1.0166e-3 for both at
+    # dt = delta, and at dt = delta/64 it is 1.0076e-3 (modified) against
+    # 2.4721e-3 (classical)
+    disc = Discretization(mesh.build_grid(20), 1)
+    delta = steady.choose_delta(1.0 / 20, case.nu, 10.0)
+
+    def params(dt, delta):
+        return schemes.SchemeParams(nu=case.nu, dt=dt, T=0.05, delta=delta, scheme="noninc",
+                                    init="interpolant")
+
+    runs = [params(delta, delta), params(delta / 64, delta), params(delta / 64, delta / 64)]
+    tracker = metrics.TransientErrorTracker(disc, case)
+    both, modified, classical = (
+        tracker(result.final_state).pres_l2_exact for result in schemes.run(runs, case, disc)
+    )
+    assert abs(modified / both - 1.0) < 0.01, (both, modified)
+    assert classical >= 2.0 * both, (both, classical)
