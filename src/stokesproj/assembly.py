@@ -2,8 +2,8 @@
 Stokes operators: velocity mass and stiffness, the pressure-gradient
 coupling (grad psi, phi), whose negative transpose is the divergence
 form (div phi, psi), and analytic right-hand sides.
-``quadrature_on_triangles`` evaluates a Gauss rule on every triangle for
-the mass matrix, the loads and the error norms of ``metrics``.
+``quadrature_on_triangles`` evaluates a Gauss rule on every triangle:
+weights, basis values, determinants and physical points.
 
 One scalar space carries both fields: a velocity is two coefficient
 blocks on it, a pressure one, and the velocity operators are built
@@ -12,7 +12,8 @@ homogeneous, so constrained rows/columns are simply eliminated;
 ``restrict``/``extend`` on FeSpace translate between full and free
 coefficient vectors.  Accumulation is element-major with a
 stable sorted reduction, so matrices are bit-reproducible.
-``Discretization`` assembles each operator once per (mesh, degree) pair.
+``Discretization`` assembles each operator once per (mesh, degree) pair,
+and each load once per analytic field.
 """
 
 import math
@@ -65,15 +66,17 @@ def _csr_from_coo(rows, cols, vals, shape):
     return sparse.csr_array((data, cc.astype(np.int32), indptr), shape=shape)
 
 
-def _physical_gradients(space, rule):
-    """Basis values and physical gradients at quadrature points.
+def _physical_gradients(space):
+    """Basis values and physical gradients at the points of the operator
+    rule, the one evaluation that the stiffness and ``G`` share.
 
-    Returns (vals (nq, nb), grads (nt, nq, nb, 2), det (nt,)).
+    Returns (weights (nq,), vals (nq, nb), grads (nt, nq, nb, 2), det (nt,)).
     """
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
     _, det, inv_t = _geometry(space.mesh)
     vals, gref = space.reference.eval(rule.points)
     grads = np.einsum("tab,qib->tqia", inv_t, gref)
-    return vals, grads, det
+    return rule.weights, vals, grads, det
 
 
 def _scatter_square(space, elem_mats):
@@ -84,56 +87,82 @@ def _scatter_square(space, elem_mats):
     return _csr_from_coo(rows, cols, elem_mats, (space.num_dofs, space.num_dofs))
 
 
+def _basis_on_triangles(space, rule):
+    """(weights (nq,), basis values (nq, nb), determinants (nt,)) of the
+    reference rule ``rule`` on every triangle of the space's mesh."""
+    _, det, _ = _geometry(space.mesh)
+    vals, _ = space.reference.eval(rule.points)
+    return rule.weights, vals, det
+
+
+def _physical_points(mesh, ref):
+    """The reference points ``ref`` (nq, 2) mapped to every triangle:
+    (nt, nq, 2)."""
+    p = mesh.vertices[mesh.triangles]
+    return (
+        p[:, None, 0, :]
+        + ref[None, :, 0, None] * (p[:, None, 1, :] - p[:, None, 0, :])
+        + ref[None, :, 1, None] * (p[:, None, 2, :] - p[:, None, 0, :])
+    )
+
+
 def quadrature_on_triangles(space, degree):
     """The degree-``degree`` rule on every triangle of the space's mesh:
     (weights (nq,), basis values (nq, nb), determinants (nt,), physical
     points (nt, nq, 2))."""
     rule = femspace.quadrature(degree)
-    ref = rule.points
-    p, det, _ = _geometry(space.mesh)
-    vals, _ = space.reference.eval(ref)
-    xq = (
-        p[:, None, 0, :]
-        + ref[None, :, 0, None] * (p[:, None, 1, :] - p[:, None, 0, :])
-        + ref[None, :, 1, None] * (p[:, None, 2, :] - p[:, None, 0, :])
-    )
-    return rule.weights, vals, det, xq
+    return (*_basis_on_triangles(space, rule), _physical_points(space.mesh, rule.points))
 
 
 def assemble_mass(space):
     """Mass matrix (phi_j, phi_i) on the full (pre-elimination) space."""
-    w, vals, det, _ = quadrature_on_triangles(space, _default_quad_degree(space.degree))
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
+    w, vals, det = _basis_on_triangles(space, rule)
     elem = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)
     return _scatter_square(space, elem)
 
 
-def assemble_stiffness(space):
-    """Stiffness matrix (grad phi_j, grad phi_i) on the full space."""
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    _, grads, det = _physical_gradients(space, rule)
-    elem = np.einsum("q,tqia,tqja,t->tij", rule.weights, grads, grads, det)
+def assemble_stiffness(space, gradients=None):
+    """Stiffness matrix (grad phi_j, grad phi_i) on the full space;
+    ``gradients`` is ``_physical_gradients(space)``, evaluated here if
+    not given."""
+    w, _, grads, det = gradients or _physical_gradients(space)
+    elem = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)
     return _scatter_square(space, elem)
 
 
-def assemble_pressure_gradient(space):
+def assemble_pressure_gradient(space, gradients=None):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
     basis functions phi_i (x block, then y block).  Rows span the free
     velocity DOFs, columns every pressure DOF; the divergence form
-    (div phi_i, psi_mu) is -G^T."""
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    vals, grads, det = _physical_gradients(space, rule)
+    (div phi_i, psi_mu) is -G^T.  ``gradients`` as for
+    ``assemble_stiffness``.
+
+    Only element rows of free DOFs are scattered.  Renumbering the free
+    DOFs keeps their order, so every sum runs over the same terms in the
+    same order as in the full matrix, and G is bit-identical to the free
+    rows of the two full blocks."""
+    w, vals, grads, det = gradients or _physical_gradients(space)
+    dofs = space.element_dofs
+    nb, nf = dofs.shape[1], space.free_scalar.size
+    free_row = np.full(space.num_dofs, -1)
+    free_row[space.free_scalar] = np.arange(nf)
+    rows = np.repeat(free_row[dofs], nb, axis=1).ravel()
+    keep = rows >= 0
+    rows, cols = rows[keep], np.tile(dofs, (1, nb)).ravel()[keep]
     blocks = []
     for axis in range(2):
-        elem = np.einsum("q,tqm,qi,t->tim", rule.weights, grads[..., axis], vals, det)
-        blocks.append(_scatter_square(space, elem)[space.free_scalar])
+        elem = np.einsum("q,tqm,qi,t->tim", w, grads[..., axis], vals, det)
+        blocks.append(_csr_from_coo(rows, cols, elem.ravel()[keep], (nf, space.num_dofs)))
     return sparse.vstack(blocks, format="csr")
 
 
-def assemble_load(space, f, quad_degree=6):
-    """Load vector (f, phi_i) with the degree-``quad_degree`` rule on the
-    full space: one block for a scalar field ``f``, two for a vector one.
-    ``f`` is an analytic spatial field."""
-    w, vals, det, xq = quadrature_on_triangles(space, quad_degree)
+def assemble_load(space, f, rule):
+    """Load vector (f, phi_i) on the full space with ``rule``, the
+    ``quadrature_on_triangles`` of the space: one block for a scalar
+    field ``f``, two for a vector one.  ``f`` is an analytic spatial
+    field."""
+    w, vals, det, xq = rule
     fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
     dofs = space.element_dofs.ravel()
     out = []
@@ -147,8 +176,8 @@ def assemble_load(space, f, quad_degree=6):
 def basis_integrals(space):
     """Integrals of every scalar basis function; the weights defining the
     discrete mean value of a pressure field."""
-    return assemble_load(space, lambda x, y: np.ones_like(x),
-                         quad_degree=_default_quad_degree(space.degree))
+    rule = quadrature_on_triangles(space, _default_quad_degree(space.degree))
+    return assemble_load(space, lambda x, y: np.ones_like(x), rule)
 
 
 def componentwise(matrix, x):
@@ -207,7 +236,18 @@ class Discretization:
     factor-free DCT-I solve for P1, the pinned factorization for P2.
     ``_free`` marks blocks on the free DOFs of one velocity component;
     ``G`` has free vector velocity rows and ``GT`` is its transpose in
-    CSR form."""
+    CSR form.  ``stiffness`` and ``G`` come from one evaluation of the
+    physical basis gradients.
+
+    Every per-mesh quantity is computed once: ``quadrature`` is the
+    degree-6 rule on the triangles behind the loads and
+    ``metrics.error_vs_exact``; ``load`` assembles each analytic field
+    once; ``saddle_system`` keeps the steady saddle matrix of one
+    viscosity, so the solves for several delta build it once.  The one
+    exception is the physical points of the degree-6 rule: as large as a
+    field's values, they are mapped anew for each field evaluated there
+    (``at_quadrature_points``), so that none are held while a saddle
+    matrix is factored."""
 
     mesh: Mesh
     degree: int
@@ -221,8 +261,18 @@ class Discretization:
         return assemble_mass(self.space)
 
     @cached_property
+    def _gradient_operators(self):
+        gradients = _physical_gradients(self.space)
+        return (assemble_stiffness(self.space, gradients),
+                assemble_pressure_gradient(self.space, gradients))
+
+    @property
     def stiffness(self):
-        return assemble_stiffness(self.space)
+        return self._gradient_operators[0]
+
+    @property
+    def G(self):
+        return self._gradient_operators[1]
 
     @cached_property
     def mass_free(self):
@@ -235,16 +285,46 @@ class Discretization:
         return self.stiffness[fs][:, fs].tocsr()
 
     @cached_property
-    def G(self):
-        return assemble_pressure_gradient(self.space)
-
-    @cached_property
     def GT(self):
         return self.G.T.tocsr()
 
     @cached_property
     def mean_weights(self):
         return basis_integrals(self.space)
+
+    @cached_property
+    def quadrature(self):
+        """(weights (nq,), basis values (nq, nb), determinants (nt,)) of
+        the degree-6 rule on every triangle: ``quadrature_on_triangles``
+        less its points."""
+        return _basis_on_triangles(self.space, femspace.quadrature(6))
+
+    def _points(self):
+        return _physical_points(self.mesh, femspace.quadrature(6).points)
+
+    def at_quadrature_points(self, f):
+        """Values of the analytic field ``f`` at the points of
+        ``quadrature``, one block per component."""
+        xq = self._points()
+        return femspace.field_blocks(f, xq[..., 0], xq[..., 1])
+
+    @cached_property
+    def _loads(self):
+        return {}
+
+    def load(self, f):
+        """Load vector of the analytic field ``f`` on the full space, with
+        the degree-6 rule; assembled at the first request for ``f`` and
+        shared, read-only, by every later one."""
+        if f not in self._loads:
+            vec = assemble_load(self.space, f, (*self.quadrature, self._points()))
+            vec.flags.writeable = False
+            self._loads[f] = vec
+        return self._loads[f]
+
+    def free_load(self, f):
+        """Load vector of the analytic field ``f`` on the free DOFs."""
+        return self.space.restrict(self.load(f))
 
     @cached_property
     def saddle_order(self):
@@ -264,11 +344,24 @@ class Discretization:
         return np.lexsort((field, rank[nodes]))
 
     @cached_property
+    def _saddle_systems(self):
+        return {}
+
+    def saddle_system(self, nu):
+        """The steady saddle system (``sparsela.SaddleSystem``) of the
+        viscosity ``nu`` in ``saddle_order``: made at the first request
+        for ``nu`` and shared by the solves for every delta.  Only the
+        latest viscosity is kept, since the matrix is the size of the
+        factor input."""
+        systems = self._saddle_systems
+        if nu not in systems:
+            systems.clear()
+            systems[nu] = sparsela.SaddleSystem(nu * self.stiffness_free, self.G,
+                                                self.stiffness, self.saddle_order)
+        return systems[nu]
+
+    @cached_property
     def pressure_solver(self):
         if self.degree == 1:
             return sparsela.GridNeumannSolver(self.mesh.n)
         return sparsela.PinnedSingularSolver(self.stiffness)
-
-    def free_load(self, f):
-        """Load vector of the analytic field ``f`` on the free DOFs."""
-        return self.space.restrict(assemble_load(self.space, f))

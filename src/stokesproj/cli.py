@@ -179,6 +179,8 @@ def parse_config_text(text, kind=None, overrides=None):
                 raise ConfigError(f"line {lineno}: unknown experiment kind {value!r}")
             if kind not in (None, value):
                 raise ConfigError(f"line {lineno}: experiment = {value} conflicts with {kind}")
+            if file_kind is not None:
+                raise ConfigError(f"line {lineno}: duplicate key 'experiment'")
             file_kind = value
             continue
         meta = _KEYS.get(key)
@@ -304,6 +306,36 @@ def _rates(done, cols):
 # steady sweep
 
 
+def _steady_rows(config, case, degree, n, h, disc):
+    """The data rows of one mesh of the steady sweep: a solve per rho,
+    then each exact field once, evaluated after the solves, so that its
+    values at the quadrature points are not held while a saddle matrix
+    is factored."""
+    rhs_v = disc.free_load(case.steady_forcing)
+    solves = []
+    for rho in config.rho_values:
+        delta = steady.choose_delta(h, config.nu, rho)
+        try:
+            solution = steady.solve(disc, config.nu, delta, rhs_v, config.tol)
+        except sparsela.LinearSolverError as exc:
+            solution = exc
+        solves.append((["data", degree, n, h, rho, delta], solution))
+    fields = (case.steady_velocity, case.steady_pressure)
+    interps = [femspace.interpolate(disc.space, f) for f in fields]
+    exacts = [disc.at_quadrature_points(f) for f in fields]
+    rows = []
+    for head, solution in solves:
+        if isinstance(solution, sparsela.LinearSolverError):
+            rows.append(head + ["", "", "", "", f"failed: {solution}"])
+            continue
+        rows.append(head + [
+            *(metrics.fe_norm_diff(u, i, matrix=disc.mass) for u, i in zip(solution, interps)),
+            *(metrics.error_vs_exact(disc, u, e) for u, e in zip(solution, exacts)),
+            "ok",
+        ])
+    return rows
+
+
 def run_steady_sweep(config):
     case = berrone_case(config.nu)
     columns = (
@@ -312,24 +344,7 @@ def run_steady_sweep(config):
     ).split(",")
     rows = []
     for degree, n, h, disc in _meshes(config):
-        rhs_v = disc.free_load(case.steady_forcing)
-        interp_v = femspace.interpolate(disc.space, case.steady_velocity)
-        interp_p = femspace.interpolate(disc.space, case.steady_pressure)
-        for rho in config.rho_values:
-            delta = steady.choose_delta(h, config.nu, rho)
-            head = ["data", degree, n, h, rho, delta]
-            try:
-                velocity, pressure = steady.solve(disc, config.nu, delta, rhs_v, config.tol)
-            except sparsela.LinearSolverError as exc:
-                rows.append(head + ["", "", "", "", f"failed: {exc}"])
-                continue
-            rows.append(head + [
-                metrics.fe_norm_diff(velocity, interp_v, matrix=disc.mass),
-                metrics.fe_norm_diff(pressure, interp_p, matrix=disc.mass),
-                metrics.error_vs_exact(disc.space, velocity, case.steady_velocity),
-                metrics.error_vs_exact(disc.space, pressure, case.steady_pressure),
-                "ok",
-            ])
+        rows += _steady_rows(config, case, degree, n, h, disc)
     done = [row for row in rows if row[-1] == "ok"]
     for degree in config.degrees:
         for rho in config.rho_values:

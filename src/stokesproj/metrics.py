@@ -4,7 +4,9 @@ Two complementary evaluation routes exist.  ``fe_norm_diff`` measures
 coefficient differences through a given assembled (pre-elimination) mass
 or stiffness matrix, which is the natural norm for discrete-vs-interpolant
 errors.  ``error_vs_exact`` integrates |u_h - u|^2 elementwise with the
-degree-6 rule against an analytic field.
+degree-6 rule of a ``Discretization`` against the values of an analytic
+field at its points, which a caller evaluates once per mesh and field
+(``Discretization.at_quadrature_points``).
 
 ``TransientErrorTracker`` is a per-step observer for ``schemes.run``
 that returns the four L2 errors the transient studies report as an
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import assembly, femspace
+from . import femspace
 from .assembly import componentwise
 
 
@@ -49,17 +51,17 @@ def fe_norm_diff(a, b, matrix):
     return float(np.sqrt(max(d @ componentwise(matrix, d), 0.0)))
 
 
-def error_vs_exact(space, coeffs, exact):
-    """Quadrature L2 norm of u_h - u against an analytic field: one
-    coefficient block of ``coeffs`` per component of ``exact``.
-
-    Time-dependent fields should be bound to a fixed t by the caller.
+def error_vs_exact(disc, coeffs, exact):
+    """Quadrature L2 norm of u_h - u on ``disc``: ``exact`` holds the
+    values of u at the points of ``disc.quadrature``, one block per
+    component (``disc.at_quadrature_points``), and ``coeffs`` one
+    coefficient block per component.
     """
     coeffs = np.asarray(coeffs, dtype=float)
-    w, vals, det, xq = assembly.quadrature_on_triangles(space, 6)
-    ue = femspace.field_blocks(exact, xq[..., 0], xq[..., 1])
+    space = disc.space
+    w, vals, det = disc.quadrature
     acc = 0.0
-    for c, uc in enumerate(ue):
+    for c, uc in enumerate(exact):
         ce = coeffs[c * space.num_dofs + space.element_dofs]  # (nt, nb)
         diff2 = (np.einsum("qi,ti->tq", vals, ce) - uc) ** 2
         acc += np.einsum("q,tq,t->", w, diff2, det)
@@ -111,10 +113,17 @@ class TransientErrorTracker:
         self.m_interp_p = self.M @ interp_p
         self.interp_p_sq = float(interp_p @ self.m_interp_p)
 
-        self.load_v = assembly.assemble_load(space, case.steady_velocity)
-        self.norm_v_sq = error_vs_exact(space, np.zeros_like(interp_v), case.steady_velocity) ** 2
-        self.load_p = assembly.assemble_load(space, case.steady_pressure)
-        self.norm_p_sq = error_vs_exact(space, np.zeros_like(interp_p), case.steady_pressure) ** 2
+        # load_v is the load of the forcing term s, which the time run shares
+        self.load_v = disc.load(case.steady_velocity)
+        self.norm_v_sq = self._norm_sq(disc, case.steady_velocity)
+        self.load_p = disc.load(case.steady_pressure)
+        self.norm_p_sq = self._norm_sq(disc, case.steady_pressure)
+
+    @staticmethod
+    def _norm_sq(disc, field):
+        """|field|^2 in the degree-6 quadrature: the error of zero coefficients."""
+        exact = disc.at_quadrature_points(field)
+        return error_vs_exact(disc, np.zeros(exact.shape[0] * disc.space.num_dofs), exact) ** 2
 
     @staticmethod
     def _moment_norm(quad, cross, const, c):

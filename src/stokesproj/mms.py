@@ -125,13 +125,11 @@ class ManufacturedCase:
         ]
 
     def steady_data(self, t):
-        """The steady-problem data at time t: g(t) - v_t(t), bound as a
-        spatial field (used by the stabilized-Stokes initialization)."""
-
-        def field(x, y, _c=np.cos(t)):
-            return _c * self.steady_forcing(x, y)
-
-        return field
+        """The steady-problem data at time t, g(t) - v_t(t) = cos(t) *
+        steady_forcing, as (coefficient, spatial field); its load is the
+        coefficient times the load of the first forcing term (used by the
+        stabilized-Stokes initialization)."""
+        return float(np.cos(t)), self.steady_forcing
 
 
 def berrone_case(nu):

@@ -159,8 +159,9 @@ def initialize(params, case, disc):
     """
     space = disc.space
     if params.init == "stabilized_stokes":
+        coefficient, field = case.steady_data(0.0)
         v0, q0 = steady.solve(disc, params.nu, params.delta,
-                              disc.free_load(case.steady_data(0.0)), params.tol)
+                              coefficient * disc.free_load(field), params.tol)
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":

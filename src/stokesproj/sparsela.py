@@ -5,12 +5,13 @@ column indices).  Three direct solver entry points cover everything the
 schemes need:
 
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
-  Stokes block system on the zero-mean pressure subspace, factorized in
-  a caller-given fill-reducing ordering (``Discretization.saddle_order``,
-  a geometric nested dissection of the grid); the pinned, ordered matrix
-  is built once, straight from the scalar velocity block, ``G``, ``G^T``
-  and ``-delta S``, and is the only copy of the system alive while it is
-  factorized;
+  Stokes block system of a ``SaddleSystem`` on the zero-mean pressure
+  subspace, factorized in a caller-given fill-reducing ordering
+  (``Discretization.saddle_order``, a geometric nested dissection of the
+  grid); the pinned, ordered matrix is built once per system, straight
+  from the scalar velocity block, ``G``, ``G^T`` and ``-delta S``, each
+  delta only rewrites its ``-delta S`` entries, and it is the only copy
+  of the system alive while it is factorized;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -151,17 +152,22 @@ def _csr_rows(m):
     return np.repeat(np.arange(m.shape[0], dtype=np.int32), np.diff(m.indptr))
 
 
-def _pinned_saddle_csc(a_block, g, s, delta, perm):
+def _pinned_saddle_csc(a_block, g, s, perm):
     """The pinned saddle matrix of ``saddle_solve`` in the order ``perm``,
-    as one CSC built straight from its blocks.
+    as one CSC built straight from its blocks.  Returns (matrix, s_slots,
+    s_values): the pressure block holds the entries ``s_values`` of ``s``
+    at the positions ``s_slots`` until ``matrix.data[s_slots] = -delta *
+    s_values`` sets it for a delta.
 
     ``perm`` lists the pinned unknowns in factorization order as indices
     into the unpinned ones (x-velocities, y-velocities, pressures).  The
-    stored entries of ``a_block`` (twice), ``g``, ``g^T`` and
-    ``-delta*s``, less those of the pinned pressure, are mapped through
-    the inverse of ``perm`` into int32 row and column arrays of the
-    final size, and one COO -> CSC conversion sorts them.  Entry for
-    entry this is ``csc(bmat([[A (+) A, g], [g^T, -delta*s]])[perm][:, perm])``,
+    stored entries of ``a_block`` (twice), ``g``, ``g^T`` and ``s``, less
+    those of the pinned pressure, are mapped through the inverse of
+    ``perm`` into int32 row and column arrays of the final size, and one
+    COO -> CSC conversion sorts them.  No two blocks share a position, so
+    the pressure block is exactly the entries whose row and column are
+    both pressures, and with them set to ``-delta*s`` this is, entry for
+    entry, ``csc(bmat([[A (+) A, g], [g^T, -delta*s]])[perm][:, perm])``,
     explicit zeros included, without ever holding that block matrix.
     """
     na, nv = a_block.shape[0], g.shape[0]
@@ -181,7 +187,7 @@ def _pinned_saddle_csc(a_block, g, s, delta, perm):
         g_rows, g_cols = _csr_rows(g)[g_keep], nv + g.indices[g_keep]
         yield g_rows, g_cols, g.data[g_keep]
         yield g_cols, g_rows, g.data[g_keep]
-        yield nv + s_rows[s_keep], nv + s.indices[s_keep], -delta * s.data[s_keep]
+        yield nv + s_rows[s_keep], nv + s.indices[s_keep], s.data[s_keep]
 
     rows = np.empty(nnz, dtype=np.int32)
     cols = np.empty(nnz, dtype=np.int32)
@@ -191,28 +197,59 @@ def _pinned_saddle_csc(a_block, g, s, delta, perm):
         end = start + v.size
         rows[start:end], cols[start:end], data[start:end] = pos[r], pos[c], v
         start = end
-    return sparse.coo_matrix((data, (rows, cols)), shape=(perm.size,) * 2).tocsc()
+    matrix = sparse.coo_matrix((data, (rows, cols)), shape=(perm.size,) * 2).tocsc()
+    pressure = perm >= nv
+    s_slots = np.flatnonzero(pressure[matrix.indices]
+                             & np.repeat(pressure, np.diff(matrix.indptr)))
+    return matrix, s_slots, matrix.data[s_slots]
 
 
-def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
-    """Solve the symmetric indefinite block system
+class SaddleSystem:
+    """The steady saddle system of ``saddle_solve`` for one scalar
+    velocity block ``a_block`` (already viscosity-scaled, on free DOFs),
+    coupling ``g`` and pressure stiffness ``s``, factorized in the order
+    ``order``: a permutation of the pinned unknowns (x-velocities,
+    y-velocities, then pressures 1..np-1) such as the nested dissection
+    ``Discretization.saddle_order``.
+
+    Only the ``-delta*s`` block depends on delta.  The pinned, ordered
+    matrix is built at the first solve and kept, and every solve
+    rewrites its ``-delta*s`` entries in place, so solves for several
+    delta share one build (``Discretization.saddle_system``)."""
+
+    def __init__(self, a_block, g, s, order):
+        self.a_block, self.g, self.s = a_block, g, s
+        nv, npres = 2 * a_block.shape[0], s.shape[0]
+        # the pinned unknowns in factorization order, as unpinned indices
+        self.perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
+        self._built = None
+
+    def matrix(self, delta):
+        """The pinned, ordered CSC with the ``-delta*s`` entries of ``delta``."""
+        if self._built is None:
+            self._built = _pinned_saddle_csc(self.a_block, self.g, self.s, self.perm)
+        matrix, s_slots, s_values = self._built
+        matrix.data[s_slots] = -delta * s_values
+        return matrix
+
+
+def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
+    """Solve the symmetric indefinite block system of the SaddleSystem
+    ``system``
 
         [ diag(A, A)      g     ] [x]   [rhs_v]
         [    g^T      -delta*s  ] [z] = [  0  ]
 
-    on the zero-mean pressure subspace, where A = ``a_block`` is the
-    (already viscosity-scaled) scalar velocity block on free DOFs and
-    acts on both velocity components.  The pressure is pinned at DOF 0
-    for the factorization and afterwards projected to zero weighted mean
+    on the zero-mean pressure subspace, where A = ``system.a_block`` acts
+    on both velocity components.  The pressure is pinned at DOF 0 for
+    the factorization and afterwards projected to zero weighted mean
     (``mean_weights``).  With the pin the matrix is symmetric
     quasi-definite, so any symmetric ordering is stable: it is factorized
-    in the symmetric SuperLU mode without pivoting, in the ordering
-    ``order``, a permutation of the pinned unknowns (x-velocities,
-    y-velocities, then pressures 1..np-1) such as the nested dissection
-    ``Discretization.saddle_order``.  The ordered pinned matrix is built
-    once from the blocks (``_pinned_saddle_csc``), and while it is
-    factorized nothing else of its size is alive; residuals are formed
-    from the blocks.
+    in the symmetric SuperLU mode without pivoting, in the system's
+    ordering.  The ordered pinned matrix is built from the blocks
+    (``_pinned_saddle_csc``) at the system's first solve and rewritten in
+    place for later ones; while it is factorized nothing else of its
+    size is alive, and residuals are formed from the blocks.
 
     The contract is the block residual: both residual norms must not
     exceed tol * ||rhs_v||.  Up to two steps of iterative refinement are
@@ -222,6 +259,7 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
     """
     if delta <= 0.0:
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
+    a_block, g, s, perm = system.a_block, system.g, system.s, system.perm
     nv = 2 * a_block.shape[0]
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
@@ -230,9 +268,7 @@ def saddle_solve(a_block, g, s, delta, rhs_v, *, order, mean_weights, tol):
     if np.linalg.norm(rhs_v) == 0.0:
         return np.zeros(nv), np.zeros(npres), SolveReport(0, 0.0, True)
 
-    # the pinned unknowns in factorization order, as unpinned indices
-    perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
-    k_pinned = _pinned_saddle_csc(a_block, g, s, delta, perm)
+    k_pinned = system.matrix(delta)
     scale = np.linalg.norm(rhs_v)
 
     def residual(sol):

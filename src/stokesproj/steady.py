@@ -8,10 +8,10 @@ Find (s_h, z_h) in V_h x Q_h with
 which is well posed for equal-order pairs whenever delta > 0.  The
 discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
-``solve`` assembles nothing: it reads the cached operators and the
-saddle ordering of a ``Discretization`` and hands the saddle solver the
-scalar velocity block nu A on the free DOFs, which acts on both
-components, so no vector copy of A is built.
+``solve`` assembles nothing: it hands the saddle solver the cached
+``Discretization.saddle_system`` of nu, whose scalar velocity block nu A
+on the free DOFs acts on both components, so no vector copy of A is
+built, and whose pinned matrix is built once for all delta.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -34,18 +34,12 @@ def solve(disc, nu, delta, rhs_v, tol):
 
     Returns (velocity, pressure): both full velocity blocks on the space
     (zeros at Dirichlet DOFs) and a pressure with zero discrete mean.
-    Parameter sweeps share the assembly by passing one ``disc``.
+    Parameter sweeps share the assembly and the saddle matrix by
+    passing one ``disc``.
     """
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
     s_free, z, _ = sparsela.saddle_solve(
-        nu * disc.stiffness_free,
-        disc.G,
-        disc.stiffness,
-        delta,
-        rhs_v,
-        order=disc.saddle_order,
-        mean_weights=disc.mean_weights,
-        tol=tol,
+        disc.saddle_system(nu), delta, rhs_v, mean_weights=disc.mean_weights, tol=tol
     )
     return disc.space.extend(s_free), z

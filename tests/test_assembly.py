@@ -11,6 +11,11 @@ def space_grid2(request, grid2):
     return femspace.build_space(grid2, request.param)
 
 
+def load6(space, f):
+    """The load of ``f`` with the degree-6 rule, as every runner assembles it."""
+    return assembly.assemble_load(space, f, assembly.quadrature_on_triangles(space, 6))
+
+
 def test_mass_total_is_domain_measure(grid4):
     for degree in (1, 2):
         space = femspace.build_space(grid4, degree)
@@ -45,9 +50,8 @@ def test_p1_unit_right_triangle_stiffness():
     # reference-style right triangle gives (1/2) [[2,-1,-1],[-1,1,0],[-1,0,1]]
     m = mesh.build_grid(1)
     space = femspace.build_space(m, 1)
-    rule = femspace.quadrature(2)
-    vals, grads, det = assembly._physical_gradients(space, rule)
-    elem = np.einsum("q,tqia,tqja,t->tij", rule.weights, grads, grads, det)[0]
+    w, _, grads, det = assembly._physical_gradients(space)
+    elem = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)[0]
     # triangle 0 has vertices SW, SE, NE: right angle at SE
     expected = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
     assert np.allclose(elem, expected, atol=1e-14)
@@ -98,13 +102,13 @@ def test_quadrature_on_triangles_integrates_monomials(grid4, degree):
 
 def test_zero_load(space_p1_grid4, case):
     space = space_p1_grid4
-    load = space.restrict(assembly.assemble_load(space, lambda x, y: np.zeros((2,) + x.shape)))
+    load = space.restrict(load6(space, lambda x, y: np.zeros((2,) + x.shape)))
     assert np.all(load == 0.0)
 
 
 def test_unit_load_partition_of_unity(grid4):
     space = femspace.build_space(grid4, 1)
-    load = assembly.assemble_load(
+    load = load6(
         space, lambda x, y: np.stack([np.ones_like(x), np.zeros_like(x)])
     )
     ns = space.num_dofs
@@ -135,7 +139,7 @@ def test_matrices_match_dense_oracle(space_grid2):
 def test_load_matches_dense_oracle(grid2, case):
     space = femspace.build_space(grid2, 1)
     rule = femspace.quadrature(6)
-    ours = assembly.assemble_load(space, case.steady_forcing)
+    ours = load6(space, case.steady_forcing)
 
     def pointwise(x, y):
         return case.steady_forcing(np.asarray(x), np.asarray(y))
@@ -209,7 +213,7 @@ def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
         for c, block in enumerate(fv):
             elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
             np.add.at(ref, c * space.num_dofs + space.element_dofs, elem)
-        assert np.array_equal(assembly.assemble_load(space, f), ref)
+        assert np.array_equal(load6(space, f), ref)
 
 
 def test_assembly_bit_reproducible(grid4):
@@ -233,9 +237,9 @@ def test_vector_load_is_its_component_loads(grid4, case, degree):
     # a vector field gives two blocks, each bit-identical to the scalar
     # load of that component
     space = femspace.build_space(grid4, degree)
-    vector = assembly.assemble_load(space, case.steady_forcing)
+    vector = load6(space, case.steady_forcing)
     parts = [
-        assembly.assemble_load(space, lambda x, y, c=c: case.steady_forcing(x, y)[c])
+        load6(space, lambda x, y, c=c: case.steady_forcing(x, y)[c])
         for c in range(2)
     ]
     assert np.array_equal(vector, np.concatenate(parts))

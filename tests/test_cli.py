@@ -333,6 +333,17 @@ def test_experiment_key_other_than_the_command_is_config_error(tmp_path, capsys)
     assert capsys.readouterr().err.startswith("config error: line 3:")
 
 
+def test_repeated_experiment_key_is_config_error(tmp_path, capsys):
+    # the last of two experiment lines used to win without complaint
+    with pytest.raises(cli.ConfigError) as err:
+        cli.parse_config_text("experiment = stability_probe\nexperiment = steady_sweep\n")
+    assert str(err.value) == "line 2: duplicate key 'experiment'"
+    # the same kind twice too, through the CLI
+    path = write(tmp_path, "experiment = steady_sweep\nexperiment = steady_sweep\n")
+    assert cli.main(["steady-sweep", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == "config error: line 2: duplicate key 'experiment'\n"
+
+
 def test_readme_key_table_matches_key_table():
     # README "Config files": one row per key, naming the kinds whose sections
     # accept it and whether the top level does

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sparse
 
 import dense_oracle
-from stokesproj import assembly, cli, femspace, mesh, metrics, sparsela
+from stokesproj import assembly, cli, femspace, mesh, metrics, mms, sparsela
 from stokesproj.assembly import Discretization, componentwise
 
 OPERATORS = (
@@ -61,6 +61,16 @@ def test_componentwise_bit_identical_to_block_product(grid4, degree):
         xs = x[: disc.space.num_dofs]
         assert np.array_equal(componentwise(scalar, xs), scalar @ xs)
         assert np.array_equal(componentwise(block, x), block @ x)
+
+
+def test_saddle_system_is_kept_for_the_latest_viscosity(grid4):
+    disc = Discretization(grid4, 1)
+    first = disc.saddle_system(0.01)
+    assert disc.saddle_system(0.01) is first
+    other = disc.saddle_system(0.02)
+    assert other is not first
+    assert_same_csr(other.a_block, 0.02 * disc.stiffness_free)
+    assert disc.saddle_system(0.01) is not first  # only the latest is kept
 
 
 def pinned_unknown_nodes(disc):
@@ -128,6 +138,7 @@ def counts(monkeypatch):
         counting(assembly, name)
     counting(femspace, "build_space")
     counting(sparsela, "saddle_solve")
+    counting(sparsela, "_pinned_saddle_csc")
     counting(sparsela, "PinnedSingularSolver")
     counting(sparsela, "GridNeumannSolver")
     counting(metrics, "TransientErrorTracker")
@@ -146,8 +157,9 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     cli.run_stability_probe(probe_config("0.5 1 4"))
     assert counts["build_space"] == 1
     assert counts["saddle_solve"] == 1
-    # two forcing terms, the steady initial data and the mean weights
-    assert counts["assemble_load"] == 4
+    # two forcing terms and the mean weights; the steady initial data is
+    # 1.0 times the first forcing load
+    assert counts["assemble_load"] == 3
     # P1 solves the pressure factor-free
     assert counts["GridNeumannSolver"] == 1
     assert counts.get("PinnedSingularSolver", 0) == 0
@@ -160,7 +172,19 @@ def test_p2_probe_factorizes_pressure_stiffness_once(counts):
     assert counts.get("GridNeumannSolver", 0) == 0
 
 
-def test_steady_sweep_assembles_each_operator_once_per_mesh(counts):
+def test_steady_sweep_assembles_each_operator_once_per_mesh(counts, monkeypatch):
+    # evaluations of the exact fields at the quadrature points (2D point
+    # arrays); the interpolants evaluate them at the nodes (1D)
+    evaluations = []
+    for name in ("steady_velocity", "steady_pressure"):
+        original = getattr(mms.ManufacturedCase, name)
+
+        def spy(self, x, y, name=name, original=original):
+            if np.ndim(x) == 2:
+                evaluations.append((name, np.shape(x)))
+            return original(self, x, y)
+
+        monkeypatch.setattr(mms.ManufacturedCase, name, spy)
     config = cli.parse_config_text(
         "[steady_sweep]\nn_values = 4 6\nrho_values = 1 10 100\n", kind="steady_sweep"
     )
@@ -168,7 +192,15 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts):
     # one space per mesh
     assert counts["build_space"] == 2
     assert counts["saddle_solve"] == 6
+    # one saddle matrix per mesh, rewritten in place for each rho
+    assert counts["_pinned_saddle_csc"] == 2
     assert all(counts.get(name, 0) <= 2 for name in OPERATORS), counts
+    # per mesh: the forcing load and the mean weights
+    assert counts["assemble_load"] == 4
+    # each exact field once per mesh (32 and 72 triangles of 12 points)
+    assert sorted(evaluations) == [
+        (name, (nt, 12)) for name in ("steady_pressure", "steady_velocity") for nt in (32, 72)
+    ]
 
 
 def test_transient_init_builds_one_tracker_per_mesh(counts):
@@ -180,9 +212,11 @@ def test_transient_init_builds_one_tracker_per_mesh(counts):
     )
     _, rows = cli.run_transient_init(config)
     assert counts["TransientErrorTracker"] == 2
-    # per mesh: two forcing terms, two tracker moments, the steady initial
-    # data and the mean weights; one steady solve for stabilized_stokes
-    assert counts["assemble_load"] == 12
+    # per mesh: two forcing terms, the tracker's pressure moment and the
+    # mean weights; the tracker's velocity moment is the load of the second
+    # forcing term and the steady initial data 1.0 times the first one
+    assert counts["assemble_load"] == 8
+    # one steady solve for stabilized_stokes
     assert counts["saddle_solve"] == 2
     # each run reports its own steps from 0: N = 2 gives 2 rows, N = 4 gives 5
     steps = [(init, n, step) for init, n, step, *_ in rows]

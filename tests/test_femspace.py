@@ -167,10 +167,11 @@ def test_interpolate_constant(grid4):
 
 
 def test_interpolate_linear_exact(grid4):
-    space = femspace.build_space(grid4, 1)
+    disc = Discretization(grid4, 1)
+    space = disc.space
     coeffs = femspace.interpolate(space, lambda x, y: x)
     assert np.allclose(coeffs, space.node_coords[:, 0], atol=1e-15)
-    err = metrics.error_vs_exact(space, coeffs, lambda x, y: x)
+    err = metrics.error_vs_exact(disc, coeffs, disc.at_quadrature_points(lambda x, y: x))
     assert err <= 1e-13
 
 
@@ -187,7 +188,8 @@ def test_interpolate_manufactured_pressure_value(grid2, case):
 @pytest.mark.parametrize("degree", [1, 2])
 def test_interpolation_reproduces_polynomials(grid4, degree):
     rng = np.random.default_rng(11)
-    space = femspace.build_space(grid4, degree)
+    disc = Discretization(grid4, degree)
+    space = disc.space
     for _ in range(5):
         c = rng.standard_normal(6)
 
@@ -198,7 +200,7 @@ def test_interpolation_reproduces_polynomials(grid4, degree):
             return out
 
         coeffs = femspace.interpolate(space, poly)
-        assert metrics.error_vs_exact(space, coeffs, poly) <= 1e-13
+        assert metrics.error_vs_exact(disc, coeffs, disc.at_quadrature_points(poly)) <= 1e-13
 
 
 def test_vector_interpolation_block_layout(grid2, case):

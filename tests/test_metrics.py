@@ -24,10 +24,16 @@ def test_constant_difference_l2(grid4):
     assert metrics.fe_norm_diff(a, b, m) == pytest.approx(3.25, abs=1e-13)
 
 
+def exact_error(disc, coeffs, f):
+    """``metrics.error_vs_exact`` against the analytic field ``f``."""
+    return metrics.error_vs_exact(disc, coeffs, disc.at_quadrature_points(f))
+
+
 def test_fe_norm_matches_quadrature(grid4, case):
-    space = femspace.build_space(grid4, 1)
+    disc = Discretization(grid4, 1)
+    space = disc.space
     coeffs = femspace.interpolate(space, case.steady_pressure)
-    direct = metrics.error_vs_exact(space, coeffs, lambda x, y: np.zeros_like(x))
+    direct = exact_error(disc, coeffs, lambda x, y: np.zeros_like(x))
     m = assembly.assemble_mass(space)
     via_matrix = metrics.fe_norm_diff(coeffs, np.zeros_like(coeffs), m)
     assert direct == pytest.approx(via_matrix, abs=1e-12)
@@ -59,16 +65,16 @@ def test_norm_properties(seed):
 
 
 def test_error_vs_exact_zero_for_interpolated_member(grid4):
-    space = femspace.build_space(grid4, 2)
+    disc = Discretization(grid4, 2)
     f = lambda x, y: 1.0 + x - 2 * y + 0.5 * x * y
-    coeffs = femspace.interpolate(space, f)
-    assert metrics.error_vs_exact(space, coeffs, f) <= 1e-12
+    coeffs = femspace.interpolate(disc.space, f)
+    assert exact_error(disc, coeffs, f) <= 1e-12
 
 
 def test_error_vs_exact_zero_coeffs_gives_norm(grid4, case):
-    space = femspace.build_space(grid4, 1)
-    zero = np.zeros(space.num_dofs)
-    got = metrics.error_vs_exact(space, zero, case.steady_pressure)
+    disc = Discretization(grid4, 1)
+    zero = np.zeros(disc.space.num_dofs)
+    got = exact_error(disc, zero, case.steady_pressure)
     # |z|_L2 with fine tensor Gauss quadrature
     pts, wts = np.polynomial.legendre.leggauss(24)
     x = 0.5 * (pts + 1.0)
@@ -79,14 +85,15 @@ def test_error_vs_exact_zero_coeffs_gives_norm(grid4, case):
 
 
 def test_error_triangle_inequality_sanity(grid4, case):
-    space = femspace.build_space(grid4, 1)
+    disc = Discretization(grid4, 1)
+    space = disc.space
     rng = np.random.default_rng(1)
     coeffs = rng.standard_normal(2 * space.num_dofs)
     interp = femspace.interpolate(space, case.steady_velocity)
-    vs_exact = metrics.error_vs_exact(space, coeffs, case.steady_velocity)
+    vs_exact = exact_error(disc, coeffs, case.steady_velocity)
     mass = dense_oracle.vector_matrix(assembly.assemble_mass(space))
     vs_interp = metrics.fe_norm_diff(coeffs, interp, mass)
-    interp_err = metrics.error_vs_exact(space, interp, case.steady_velocity)
+    interp_err = exact_error(disc, interp, case.steady_velocity)
     assert vs_exact <= vs_interp + interp_err + 1e-12
     assert vs_interp <= vs_exact + interp_err + 1e-12
 
@@ -119,9 +126,9 @@ def test_interpolation_rate_of_manufactured_velocity(case):
 
     errs, hs = [], []
     for n in (20, 40, 80, 160):
-        space = femspace.build_space(mesh.build_grid(n), 1)
-        coeffs = femspace.interpolate(space, case.steady_velocity)
-        errs.append(metrics.error_vs_exact(space, coeffs, case.steady_velocity))
+        disc = Discretization(mesh.build_grid(n), 1)
+        coeffs = femspace.interpolate(disc.space, case.steady_velocity)
+        errs.append(exact_error(disc, coeffs, case.steady_velocity))
         hs.append(1.0 / n)
     rate = metrics.observed_rate(errs, hs)
     assert 1.9 <= rate <= 2.1
@@ -144,13 +151,9 @@ def test_tracker_matches_direct_quadrature(grid4, case):
     # the pressure-only observer of convergence studies gives the same float
     assert tracker.pres_l2_exact(state) == rec.pres_l2_exact
 
-    vel_exact = metrics.error_vs_exact(
-        space, v, lambda x, y: case.velocity(x, y, t)
-    )
+    vel_exact = exact_error(disc, v, lambda x, y: case.velocity(x, y, t))
     assert rec.vel_l2_exact == pytest.approx(vel_exact, rel=1e-9)
-    pres_exact = metrics.error_vs_exact(
-        space, q, lambda x, y: case.pressure(x, y, t)
-    )
+    pres_exact = exact_error(disc, q, lambda x, y: case.pressure(x, y, t))
     assert rec.pres_l2_exact == pytest.approx(pres_exact, rel=1e-9)
     mass = assembly.assemble_mass(space)
     interp_p = femspace.interpolate(space, lambda x, y: case.pressure(x, y, t))

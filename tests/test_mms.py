@@ -120,10 +120,12 @@ def test_steady_data_matches_forcing_minus_vt(case):
     x, y = rng.random(30), rng.random(30)
     for t in (0.0, 0.9, 2.4):
         expected = dense_oracle.forcing(case, x, y, t) - case.velocity_t(x, y, t)
-        got = case.steady_data(t)(x, y)
+        coefficient, field = case.steady_data(t)
+        got = coefficient * field(x, y)
         assert np.abs(got - expected).max() <= 1e-13
     # at t = 0 this is exactly the steady forcing
-    assert np.allclose(case.steady_data(0.0)(x, y), case.steady_forcing(x, y))
+    coefficient, field = case.steady_data(0.0)
+    assert coefficient == 1.0 and field == case.steady_forcing
 
 
 def test_forcing_terms_reconstruct_forcing(case):

@@ -120,7 +120,7 @@ def test_stabilized_stokes_init_zero_case(grid4):
             return np.zeros_like(x)
 
         def steady_data(self, t):
-            return lambda x, y: np.zeros((2,) + x.shape)
+            return 1.0, lambda x, y: np.zeros((2,) + x.shape)
 
     params = make_params(init="stabilized_stokes")
     state = schemes.initialize(params, NullCase(), Discretization(grid4, 1))

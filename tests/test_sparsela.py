@@ -25,6 +25,29 @@ def test_factorized_spd_multi_rhs(grid4):
     assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
 
 
+@pytest.mark.parametrize("failure", ["zero_pivot", "misses_verification"])
+def test_factorized_spd_falls_back_to_pivoting_splu(grid4, monkeypatch, failure):
+    # the symmetric factorization either fails or gives a solve that misses
+    # the verification probe; the fallback is SuperLU with default pivoting
+    space = femspace.build_space(grid4, 2)
+    m = assembly.assemble_mass(space)
+    b = np.random.default_rng(10).standard_normal(space.num_dofs)
+    direct = spla.splu(sparse.csc_matrix(m)).solve(b)
+    real_splu = spla.splu
+
+    def symmetric(a, permc_spec):
+        if failure == "zero_pivot":
+            return zero_pivot(a)
+        return real_splu(sparse.diags(a.diagonal()).tocsc()).solve  # the diagonal alone
+
+    monkeypatch.setattr(sparsela, "_symmetric_splu", symmetric)
+    calls, _ = spy_on_splu(monkeypatch)
+    x = sparsela.FactorizedSpd(m).solve(b)
+    assert calls == [{}]
+    assert np.array_equal(x, direct)
+    assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
+
+
 def test_pinned_singular_solver(grid4):
     space = femspace.build_space(grid4, 1)
     s = assembly.assemble_stiffness(space)
@@ -64,10 +87,17 @@ def saddle_blocks(grid, degree=1):
     return space, a, g, s, w, order
 
 
+def free_forcing(space, case):
+    """The steady forcing load on the free DOFs, with the degree-6 rule."""
+    rule = assembly.quadrature_on_triangles(space, 6)
+    return space.restrict(assembly.assemble_load(space, case.steady_forcing, rule))
+
+
 def test_saddle_zero_rhs(grid4):
     _, a, g, s, w, order = saddle_blocks(grid4)
     x, z, report = sparsela.saddle_solve(
-        0.01 * a, g, s, 1e-3, np.zeros(2 * a.shape[0]), order=order, mean_weights=w, tol=1e-10
+        sparsela.SaddleSystem(0.01 * a, g, s, order), 1e-3, np.zeros(2 * a.shape[0]),
+        mean_weights=w, tol=1e-10,
     )
     assert np.array_equal(x, np.zeros(2 * a.shape[0]))
     assert np.array_equal(z, np.zeros(s.shape[0]))
@@ -75,10 +105,11 @@ def test_saddle_zero_rhs(grid4):
 
 def test_saddle_block_residuals(grid4, case):
     space, a, g, s, w, order = saddle_blocks(grid4)
-    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
+    rhs = free_forcing(space, case)
     nu, delta = 0.01, 1e-3
     x, z, report = sparsela.saddle_solve(
-        (nu * a).tocsr(), g, s, delta, rhs, order=order, tol=1e-10, mean_weights=w
+        sparsela.SaddleSystem((nu * a).tocsr(), g, s, order), delta, rhs, tol=1e-10,
+        mean_weights=w,
     )
     scale = np.linalg.norm(rhs)
     r1 = nu * componentwise(a, x) + g @ z - rhs
@@ -91,8 +122,8 @@ def test_saddle_block_residuals(grid4, case):
 def test_saddle_rejects_nonpositive_delta(grid4):
     _, a, g, s, w, order = saddle_blocks(grid4)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(a, g, s, 0.0, np.ones(2 * a.shape[0]), order=order,
-                              mean_weights=w, tol=1e-10)
+        sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), 0.0,
+                              np.ones(2 * a.shape[0]), mean_weights=w, tol=1e-10)
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -109,10 +140,12 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
 
 def test_saddle_deterministic(grid4, case):
     space, a, g, s, w, order = saddle_blocks(grid4)
-    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
+    rhs = free_forcing(space, case)
     a = (0.01 * a).tocsr()
-    out1 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w, tol=1e-10)
-    out2 = sparsela.saddle_solve(a, g, s, 1e-3, rhs, order=order, mean_weights=w, tol=1e-10)
+    out1 = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), 1e-3, rhs,
+                                 mean_weights=w, tol=1e-10)
+    out2 = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), 1e-3, rhs,
+                                 mean_weights=w, tol=1e-10)
     assert np.array_equal(out1[0], out2[0])
     assert np.array_equal(out1[1], out2[1])
 
@@ -120,7 +153,7 @@ def test_saddle_deterministic(grid4, case):
 def steady_system(case, n, degree, nu=0.01, rho=100.0):
     """The steady saddle system of the acceptance sweeps on a small grid."""
     space, a, g, s, w, order = saddle_blocks(mesh.build_grid(n), degree)
-    rhs = space.restrict(assembly.assemble_load(space, case.steady_forcing))
+    rhs = free_forcing(space, case)
     delta = steady.choose_delta(1.0 / n, nu, rho)
     return nu * a, g, s, delta, rhs, w, order
 
@@ -163,7 +196,7 @@ def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, 
     x_ref, z_ref = pivoting_reference(a, g, s, delta, rhs, w)
     calls, _ = spy_on_splu(monkeypatch)
     x, z, report = sparsela.saddle_solve(
-        a, g, s, delta, rhs, order=order, mean_weights=w, tol=1e-10
+        sparsela.SaddleSystem(a, g, s, order), delta, rhs, mean_weights=w, tol=1e-10
     )
     # one factorization, in symmetric mode and the given order, with no fallback
     assert len(calls) == 1 and calls[0]["options"] == {"SymmetricMode": True}
@@ -210,8 +243,8 @@ symmetric_solve = functools.partial(sparsela._symmetric_splu, permc_spec="NATURA
 def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, degree, n, rho):
     a, g, s, delta, rhs, w, order = steady_system(case, n, degree, rho=rho)
     seen = spy_on_factor_input(monkeypatch)
-    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w,
-                                         tol=1e-10)
+    x, z, report = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
+                                         mean_weights=w, tol=1e-10)
     reference, _, _ = dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)
     (matrix,) = seen
     assert matrix.format == "csc" and matrix.shape == reference.shape
@@ -226,6 +259,29 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
     assert np.array_equal(z, sparsela.project_mean(sol[x.size:], w))
 
 
+@pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
+def test_saddle_system_rewrites_delta_in_place(case, monkeypatch, degree, n):
+    # one system solved for several delta factors, bit for bit, the matrix
+    # of the reference construction for each delta and gives the solution
+    # of a fresh system
+    a, g, s, _, rhs, w, order = steady_system(case, n, degree)
+    system = sparsela.SaddleSystem(a, g, s, order)
+    seen = spy_on_factor_input(monkeypatch, lambda m: (m, m.copy()))
+    for rho in (1.0, 1000.0, 10.0):
+        delta = steady.choose_delta(1.0 / n, 0.01, rho)
+        x, z, _ = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
+        fresh = sparsela.SaddleSystem(a, g, s, order)
+        x_ref, z_ref, _ = sparsela.saddle_solve(fresh, delta, rhs, mean_weights=w, tol=1e-10)
+        assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
+        reference, _, _ = dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)
+        (_, shared), (_, built) = seen[-2:]
+        for matrix in (shared, built):
+            for attr in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(matrix, attr), getattr(reference, attr)), attr
+    # the shared system handed SuperLU one matrix object throughout
+    assert len({id(m) for m, _ in seen[::2]}) == 1
+
+
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_refined_saddle_solve_matches_block_matrix_reference(case, degree):
     # at rho = 1000 the first solve misses 1e-14 and one refinement step
@@ -233,8 +289,8 @@ def test_refined_saddle_solve_matches_block_matrix_reference(case, degree):
     # rhs - k @ sol, so the two agree to rounding only
     a, g, s, delta, rhs, w, order = steady_system(case, 8, degree, rho=1000.0)
     tol = 1e-14
-    x, z, report = sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w,
-                                         tol=tol)
+    x, z, report = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
+                                         mean_weights=w, tol=tol)
     sol, rel, refinements = dense_oracle.saddle_reference(a, g, s, delta, rhs, order,
                                                           symmetric_solve, tol)
     assert report.converged and report.iterations >= 1 and refinements >= 1
@@ -302,7 +358,7 @@ def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
     calls, _ = spy_on_splu(monkeypatch, symmetric=first)
     tol = 1e-10
     x, z, report = sparsela.saddle_solve(
-        a, g, s, delta, rhs, order=order, tol=tol, mean_weights=w
+        sparsela.SaddleSystem(a, g, s, order), delta, rhs, tol=tol, mean_weights=w
     )
     # the ordered symmetric factorization, then one with default partial pivoting
     assert [c.get("permc_spec") for c in calls] == ["NATURAL", None]
@@ -318,6 +374,7 @@ def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
     a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
     monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(spla.splu))
     with pytest.raises(sparsela.LinearSolverError) as info:
-        sparsela.saddle_solve(a, g, s, delta, rhs, order=order, mean_weights=w, tol=1e-10)
+        sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
+                              mean_weights=w, tol=1e-10)
     assert info.value.report.relative_residual > 1e-10
     assert not info.value.report.converged
