@@ -1,9 +1,11 @@
 """Assembly of the sparse matrices and load vectors behind the discrete
 Stokes operators: velocity mass and stiffness, the pressure-gradient
 coupling (grad psi, phi), whose negative transpose is the divergence
-form (div phi, psi), and analytic right-hand sides.
-``quadrature_on_triangles`` evaluates a Gauss rule on every triangle:
-weights, basis values, determinants and physical points.
+form (div phi, psi), and load vectors.  A Gauss rule on every triangle
+is the triple (weights, basis values, determinants) that the mass
+matrix, the loads and ``metrics.error_vs_exact`` read; a load is
+assembled from a field's values at the rule's points, which
+``Discretization.at_quadrature_points`` evaluates for an analytic field.
 
 One scalar space carries both fields: a velocity is two coefficient
 blocks on it, a pressure one, and the velocity operators are built
@@ -74,7 +76,7 @@ def _physical_gradients(space):
     """
     rule = femspace.quadrature(_default_quad_degree(space.degree))
     _, det, inv_t = _geometry(space.mesh)
-    vals, gref = space.reference.eval(rule.points)
+    vals, gref = femspace.basis(space.degree, rule.points)
     grads = np.einsum("tab,qib->tqia", inv_t, gref)
     return rule.weights, vals, grads, det
 
@@ -91,27 +93,8 @@ def _basis_on_triangles(space, rule):
     """(weights (nq,), basis values (nq, nb), determinants (nt,)) of the
     reference rule ``rule`` on every triangle of the space's mesh."""
     _, det, _ = _geometry(space.mesh)
-    vals, _ = space.reference.eval(rule.points)
+    vals, _ = femspace.basis(space.degree, rule.points)
     return rule.weights, vals, det
-
-
-def _physical_points(mesh, ref):
-    """The reference points ``ref`` (nq, 2) mapped to every triangle:
-    (nt, nq, 2)."""
-    p = mesh.vertices[mesh.triangles]
-    return (
-        p[:, None, 0, :]
-        + ref[None, :, 0, None] * (p[:, None, 1, :] - p[:, None, 0, :])
-        + ref[None, :, 1, None] * (p[:, None, 2, :] - p[:, None, 0, :])
-    )
-
-
-def quadrature_on_triangles(space, degree):
-    """The degree-``degree`` rule on every triangle of the space's mesh:
-    (weights (nq,), basis values (nq, nb), determinants (nt,), physical
-    points (nt, nq, 2))."""
-    rule = femspace.quadrature(degree)
-    return (*_basis_on_triangles(space, rule), _physical_points(space.mesh, rule.points))
 
 
 def assemble_mass(space):
@@ -122,16 +105,15 @@ def assemble_mass(space):
     return _scatter_square(space, elem)
 
 
-def assemble_stiffness(space, gradients=None):
+def assemble_stiffness(space, gradients):
     """Stiffness matrix (grad phi_j, grad phi_i) on the full space;
-    ``gradients`` is ``_physical_gradients(space)``, evaluated here if
-    not given."""
-    w, _, grads, det = gradients or _physical_gradients(space)
+    ``gradients`` is ``_physical_gradients(space)``."""
+    w, _, grads, det = gradients
     elem = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)
     return _scatter_square(space, elem)
 
 
-def assemble_pressure_gradient(space, gradients=None):
+def assemble_pressure_gradient(space, gradients):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
     basis functions phi_i (x block, then y block).  Rows span the free
     velocity DOFs, columns every pressure DOF; the divergence form
@@ -142,7 +124,7 @@ def assemble_pressure_gradient(space, gradients=None):
     DOFs keeps their order, so every sum runs over the same terms in the
     same order as in the full matrix, and G is bit-identical to the free
     rows of the two full blocks."""
-    w, vals, grads, det = gradients or _physical_gradients(space)
+    w, vals, grads, det = gradients
     dofs = space.element_dofs
     nb, nf = dofs.shape[1], space.free_scalar.size
     free_row = np.full(space.num_dofs, -1)
@@ -157,16 +139,15 @@ def assemble_pressure_gradient(space, gradients=None):
     return sparse.vstack(blocks, format="csr")
 
 
-def assemble_load(space, f, rule):
+def assemble_load(space, values, rule):
     """Load vector (f, phi_i) on the full space with ``rule``, the
-    ``quadrature_on_triangles`` of the space: one block for a scalar
-    field ``f``, two for a vector one.  ``f`` is an analytic spatial
-    field."""
-    w, vals, det, xq = rule
-    fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
+    (weights, basis values, determinants) of a Gauss rule on the space's
+    triangles: ``values`` holds one block of f per component, each
+    (nt, nq) at the rule's points, and the load has a block for each."""
+    w, vals, det = rule
     dofs = space.element_dofs.ravel()
     out = []
-    for block in fv:
+    for block in values:
         elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
         # a sequential element-major sum per DOF
         out.append(np.bincount(dofs, weights=elem.ravel(), minlength=space.num_dofs))
@@ -176,8 +157,9 @@ def assemble_load(space, f, rule):
 def basis_integrals(space):
     """Integrals of every scalar basis function; the weights defining the
     discrete mean value of a pressure field."""
-    rule = quadrature_on_triangles(space, _default_quad_degree(space.degree))
-    return assemble_load(space, lambda x, y: np.ones_like(x), rule)
+    rule = femspace.quadrature(_default_quad_degree(space.degree))
+    w, vals, det = _basis_on_triangles(space, rule)
+    return assemble_load(space, np.ones((1, det.size, w.size)), (w, vals, det))
 
 
 def componentwise(matrix, x):
@@ -246,8 +228,9 @@ class Discretization:
     viscosity, so the solves for several delta build it once.  The one
     exception is the physical points of the degree-6 rule: as large as a
     field's values, they are mapped anew for each field evaluated there
-    (``at_quadrature_points``), so that none are held while a saddle
-    matrix is factored."""
+    (``at_quadrature_points``, the one place that maps points and
+    evaluates a field), so that none are held while a saddle matrix is
+    factored."""
 
     mesh: Mesh
     degree: int
@@ -295,18 +278,19 @@ class Discretization:
     @cached_property
     def quadrature(self):
         """(weights (nq,), basis values (nq, nb), determinants (nt,)) of
-        the degree-6 rule on every triangle: ``quadrature_on_triangles``
-        less its points."""
+        the degree-6 rule on every triangle."""
         return _basis_on_triangles(self.space, femspace.quadrature(6))
-
-    def _points(self):
-        return _physical_points(self.mesh, femspace.quadrature(6).points)
 
     def at_quadrature_points(self, f):
         """Values of the analytic field ``f`` at the points of
-        ``quadrature``, one block per component."""
-        xq = self._points()
-        return femspace.field_blocks(f, xq[..., 0], xq[..., 1])
+        ``quadrature``, one block per component: the reference points
+        (xi, eta) mapped to every triangle as p0 + xi (p1 - p0) +
+        eta (p2 - p0), one coordinate at a time."""
+        xi, eta = femspace.quadrature(6).points.T
+        # per coordinate, the three corners of every triangle as (nt, 1) columns
+        corners = self.mesh.vertices[self.mesh.triangles].transpose(2, 1, 0)[..., None]
+        x, y = (p0 + xi * (p1 - p0) + eta * (p2 - p0) for p0, p1, p2 in corners)
+        return femspace.field_blocks(f, x, y)
 
     @cached_property
     def _loads(self):
@@ -317,7 +301,7 @@ class Discretization:
         the degree-6 rule; assembled at the first request for ``f`` and
         shared, read-only, by every later one."""
         if f not in self._loads:
-            vec = assemble_load(self.space, f, (*self.quadrature, self._points()))
+            vec = assemble_load(self.space, self.at_quadrature_points(f), self.quadrature)
             vec.flags.writeable = False
             self._loads[f] = vec
         return self._loads[f]
@@ -328,10 +312,10 @@ class Discretization:
 
     @cached_property
     def saddle_order(self):
-        """Nested-dissection permutation of the pinned steady saddle
-        unknowns (free x-velocities, free y-velocities, pressures
-        1..np-1, as ``sparsela.saddle_solve`` lays them out): sorted by
-        the rank of their node in ``_dissect``, then by field.  A node's
+        """Nested-dissection permutation of the steady saddle unknowns
+        (free x-velocities, free y-velocities, pressures, as
+        ``sparsela.saddle_solve`` lays them out): sorted by the rank of
+        their node in ``_dissect``, then by field.  A node's
         lattice index is its coordinates times degree * n, so the mesh
         lines lie at multiples of the degree."""
         lattice = np.rint(self.space.node_coords * (self.degree * self.mesh.n))
@@ -339,8 +323,8 @@ class Discretization:
         rank = np.empty(self.space.num_dofs, dtype=np.int64)
         rank[np.concatenate([nodes for nodes, _ in blocks])] = np.arange(rank.size)
         fs = self.space.free_scalar
-        nodes = np.concatenate([fs, fs, np.arange(1, rank.size)])
-        field = np.repeat([0, 1, 2], [fs.size, fs.size, rank.size - 1])
+        nodes = np.concatenate([fs, fs, np.arange(rank.size)])
+        field = np.repeat([0, 1, 2], [fs.size, fs.size, rank.size])
         return np.lexsort((field, rank[nodes]))
 
     @cached_property

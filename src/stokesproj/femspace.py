@@ -1,6 +1,6 @@
-"""Lagrange finite elements on triangles: reference P1/P2 bases written
-in barycentric coordinates, symmetric Gauss rules with their points in
-reference coordinates (xi, eta), and global DOF spaces.
+"""Lagrange finite elements on triangles: the reference P1/P2 basis
+written in barycentric coordinates, symmetric Gauss rules with their
+points in reference coordinates (xi, eta), and global DOF spaces.
 
 A space is scalar: its degrees of freedom are numbered vertices first
 (mesh order) and, for P2, edge midpoints after them (edge-table order).
@@ -20,56 +20,34 @@ import numpy as np
 from . import mesh as _mesh
 
 
-@dataclass(frozen=True)
-class ReferenceElement:
-    """Reference triangle element of degree 1 or 2.
+def basis(degree, points):
+    """Values and reference gradients of the degree-1 or degree-2 basis
+    at the reference points ``points`` (npts, 2) of (xi, eta) on the
+    triangle {xi >= 0, eta >= 0, xi + eta <= 1}.
 
-    ``nodes`` holds the Lagrange nodes in reference coordinates (xi, eta)
-    on the triangle {xi >= 0, eta >= 0, xi + eta <= 1}.
+    Both follow from the barycentric coordinates
+    lam = (1 - xi - eta, xi, eta) and their constant gradients: P1 is
+    lam, with its nodes at the vertices; P2 has the vertex functions
+    lam (2 lam - 1) and, as local nodes 3, 4, 5, the edge functions
+    4 lam_i lam_j of the midpoints of the edges (0,1), (1,2), (2,0).
+
+    Returns (values (npts, nb), gradients (npts, nb, 2)).
     """
-
-    degree: int
-    nodes: np.ndarray
-
-    def eval(self, points):
-        """Basis values and reference gradients at reference points.
-
-        Both follow from the barycentric coordinates
-        lam = (1 - xi - eta, xi, eta) and their constant gradients: P1 is
-        lam; P2 has the vertex functions lam (2 lam - 1) and, as local
-        nodes 3, 4, 5, the edge functions 4 lam_i lam_j on the edges
-        (0,1), (1,2), (2,0).
-
-        points: (npts, 2) array of (xi, eta).
-        Returns (values (npts, nb), gradients (npts, nb, 2)).
-        """
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        lam = np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
-        dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-        if self.degree == 1:
-            return lam, np.broadcast_to(dlam, (lam.shape[0], 3, 2)).copy()
-        i, j = [0, 1, 2], [1, 2, 0]
-        vals = np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]])
-        grads = np.concatenate(
-            [
-                (4.0 * lam - 1.0)[:, :, None] * dlam,
-                4.0 * (lam[:, j, None] * dlam[i] + lam[:, i, None] * dlam[j]),
-            ],
-            axis=1,
-        )
-        return vals, grads
-
-
-_P1_NODES = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-_P2_NODES = np.vstack([_P1_NODES, [[0.5, 0.0], [0.5, 0.5], [0.0, 0.5]]])
-
-
-def reference_element(degree):
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    lam = np.column_stack([1.0 - pts[:, 0] - pts[:, 1], pts[:, 0], pts[:, 1]])
+    dlam = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
     if degree == 1:
-        return ReferenceElement(1, _P1_NODES)
-    if degree == 2:
-        return ReferenceElement(2, _P2_NODES)
-    raise ValueError(f"unsupported element degree {degree}; only 1 and 2")
+        return lam, np.broadcast_to(dlam, (lam.shape[0], 3, 2)).copy()
+    i, j = [0, 1, 2], [1, 2, 0]
+    vals = np.hstack([lam * (2.0 * lam - 1.0), 4.0 * lam[:, i] * lam[:, j]])
+    grads = np.concatenate(
+        [
+            (4.0 * lam - 1.0)[:, :, None] * dlam,
+            4.0 * (lam[:, j, None] * dlam[i] + lam[:, i, None] * dlam[j]),
+        ],
+        axis=1,
+    )
+    return vals, grads
 
 
 @dataclass(frozen=True)
@@ -79,7 +57,6 @@ class QuadratureRule:
     ``points`` are (xi, eta) pairs, ``weights`` sum to the reference area 1/2.
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
@@ -116,7 +93,7 @@ def quadrature(degree):
     else:
         raise ValueError(f"unsupported quadrature degree {degree}; choose 2, 4 or 6")
     # the orbits are barycentric (lam0, xi, eta)
-    return QuadratureRule(degree, np.array(pts)[:, 1:].copy(), np.array(wts))
+    return QuadratureRule(np.array(pts)[:, 1:].copy(), np.array(wts))
 
 
 @dataclass(frozen=True)
@@ -135,16 +112,11 @@ class FeSpace:
     degree: int
     element_dofs: np.ndarray
     node_coords: np.ndarray
-    boundary_scalar: np.ndarray
     free_scalar: np.ndarray = field(repr=False)
 
     @property
     def num_dofs(self):
         return self.node_coords.shape[0]
-
-    @property
-    def reference(self):
-        return reference_element(self.degree)
 
     def restrict(self, coeffs):
         """Drop Dirichlet entries: keep the free DOFs of every block."""
@@ -166,24 +138,20 @@ def build_space(mesh, degree):
     if degree == 1:
         element_dofs = mesh.triangles.copy()
         node_coords = mesh.vertices.copy()
-        boundary_scalar = mesh.boundary_vertex.copy()
+        boundary = mesh.boundary_vertex
     else:
         nv = mesh.num_vertices
         element_dofs = np.hstack([mesh.triangles, nv + mesh.triangle_edges])
         midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
         node_coords = np.vstack([mesh.vertices, midpoints])
         # midpoint nodes of boundary edges (edges owned by a single triangle)
-        boundary_scalar = np.concatenate(
-            [mesh.boundary_vertex, mesh.edge_triangle_count == 1]
-        )
-    free_scalar = np.flatnonzero(~boundary_scalar)
+        boundary = np.concatenate([mesh.boundary_vertex, mesh.edge_triangle_count == 1])
     return FeSpace(
         mesh=mesh,
         degree=degree,
         element_dofs=element_dofs,
         node_coords=node_coords,
-        boundary_scalar=boundary_scalar,
-        free_scalar=free_scalar,
+        free_scalar=np.flatnonzero(~boundary),
     )
 
 

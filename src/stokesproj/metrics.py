@@ -6,7 +6,8 @@ or stiffness matrix, which is the natural norm for discrete-vs-interpolant
 errors.  ``error_vs_exact`` integrates |u_h - u|^2 elementwise with the
 degree-6 rule of a ``Discretization`` against the values of an analytic
 field at its points, which a caller evaluates once per mesh and field
-(``Discretization.at_quadrature_points``).
+(``Discretization.at_quadrature_points``, the values that the loads are
+assembled from).
 
 ``TransientErrorTracker`` is a per-step observer for ``schemes.run``
 that returns the four L2 errors the transient studies report as an

@@ -124,13 +124,6 @@ class ManufacturedCase:
             (lambda t: -np.sin(t), self.steady_velocity),
         ]
 
-    def steady_data(self, t):
-        """The steady-problem data at time t, g(t) - v_t(t) = cos(t) *
-        steady_forcing, as (coefficient, spatial field); its load is the
-        coefficient times the load of the first forcing term (used by the
-        stabilized-Stokes initialization)."""
-        return float(np.cos(t)), self.steady_forcing
-
 
 def berrone_case(nu):
     """The manufactured case used by all experiments."""

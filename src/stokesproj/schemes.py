@@ -152,16 +152,15 @@ def initialize(params, case, disc):
     interpolant:        nodal interpolants of v(0) and q(0), the pressure
                         shifted to zero discrete mean;
     stabilized_stokes:  the stabilized steady solve with data
-                        g(0) - v_t(0);
+                        g(0) - v_t(0), which is the steady forcing;
     zero_pressure:      interpolated velocity and identically zero pressure.
 
     The velocity keeps only its free DOFs, so its Dirichlet values are zero.
     """
     space = disc.space
     if params.init == "stabilized_stokes":
-        coefficient, field = case.steady_data(0.0)
         v0, q0 = steady.solve(disc, params.nu, params.delta,
-                              coefficient * disc.free_load(field), params.tol)
+                              disc.free_load(case.steady_forcing), params.tol)
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":

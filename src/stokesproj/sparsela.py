@@ -208,9 +208,10 @@ class SaddleSystem:
     """The steady saddle system of ``saddle_solve`` for one scalar
     velocity block ``a_block`` (already viscosity-scaled, on free DOFs),
     coupling ``g`` and pressure stiffness ``s``, factorized in the order
-    ``order``: a permutation of the pinned unknowns (x-velocities,
-    y-velocities, then pressures 1..np-1) such as the nested dissection
-    ``Discretization.saddle_order``.
+    ``order``: a permutation of the unknowns (x-velocities, y-velocities,
+    then pressures) such as the nested dissection
+    ``Discretization.saddle_order``.  The system drops the pinned
+    pressure DOF 0 from it; ``perm`` keeps the rest in their order.
 
     Only the ``-delta*s`` block depends on delta.  The pinned, ordered
     matrix is built at the first solve and kept, and every solve
@@ -219,9 +220,8 @@ class SaddleSystem:
 
     def __init__(self, a_block, g, s, order):
         self.a_block, self.g, self.s = a_block, g, s
-        nv, npres = 2 * a_block.shape[0], s.shape[0]
         # the pinned unknowns in factorization order, as unpinned indices
-        self.perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
+        self.perm = order[order != 2 * a_block.shape[0]]
         self._built = None
 
     def matrix(self, delta):

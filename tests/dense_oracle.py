@@ -144,7 +144,7 @@ def dense_load(space, f, rule, t=None):
 def dirichlet_dofs(space):
     """Indices of the constrained (boundary) DOFs of a velocity on ``space``."""
     ns = space.num_dofs
-    b = np.flatnonzero(space.boundary_scalar)
+    b = np.setdiff1d(np.arange(ns), space.free_scalar)
     return np.concatenate([b, b + ns])
 
 
@@ -173,12 +173,12 @@ def forcing(case, x, y, t):
 def pinned_saddle_matrix(a, g, s, delta, order):
     """The reference construction of the ordered, pinned steady saddle
     matrix: ``csc(bmat([[A (+) A, G], [G^T, -delta S]])[perm][:, perm])``
-    for the scalar velocity block ``a``, with ``perm`` the pinned unknowns
-    (pressure DOF 0 dropped) in the order ``order``.  Returns the CSC, the
+    for the scalar velocity block ``a``, with ``perm`` the unknowns in the
+    order ``order`` less the pinned pressure DOF 0.  Returns the CSC, the
     unpinned block matrix in CSR form and ``perm``."""
-    nv, npres = 2 * a.shape[0], s.shape[0]
+    nv = 2 * a.shape[0]
     k = sparse.bmat([[vector_matrix(a), g], [g.T, -delta * s]], format="csr")
-    perm = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])[order]
+    perm = order[order != nv]
     return sparse.csc_matrix(k[perm][:, perm]), k, perm
 
 

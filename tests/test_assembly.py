@@ -4,6 +4,7 @@ import scipy.sparse as sparse
 
 import dense_oracle
 from stokesproj import assembly, femspace, mesh
+from stokesproj.assembly import Discretization
 
 
 @pytest.fixture(scope="module", params=[1, 2], ids=["P1", "P2"])
@@ -13,7 +14,8 @@ def space_grid2(request, grid2):
 
 def load6(space, f):
     """The load of ``f`` with the degree-6 rule, as every runner assembles it."""
-    return assembly.assemble_load(space, f, assembly.quadrature_on_triangles(space, 6))
+    disc = Discretization(space.mesh, space.degree)
+    return assembly.assemble_load(space, disc.at_quadrature_points(f), disc.quadrature)
 
 
 def test_mass_total_is_domain_measure(grid4):
@@ -32,7 +34,7 @@ def test_p1_element_mass_matrix():
     # single-element mass = (area/12) [[2,1,1],[1,2,1],[1,1,2]]
     m = mesh.build_grid(1)
     space = femspace.build_space(m, 1)
-    w, vals, det, _ = assembly.quadrature_on_triangles(space, 2)
+    w, vals, det = assembly._basis_on_triangles(space, femspace.quadrature(2))
     elem = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)[0]
     area = 0.5
     expected = (area / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
@@ -42,7 +44,7 @@ def test_p1_element_mass_matrix():
 def test_stiffness_kills_constants(grid4):
     for degree in (1, 2):
         space = femspace.build_space(grid4, degree)
-        a = assembly.assemble_stiffness(space)
+        a = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
         assert np.max(np.abs(a @ np.ones(space.num_dofs))) <= 1e-13
 
 
@@ -59,19 +61,21 @@ def test_p1_unit_right_triangle_stiffness():
 
 def test_free_stiffness_positive_definite(grid4):
     space = femspace.build_space(grid4, 1)
-    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
+    a = dense_oracle.restrict_matrix(
+        space, assembly.assemble_stiffness(space, assembly._physical_gradients(space))
+    )
     eigs = np.linalg.eigvalsh(a.toarray())
     assert eigs.min() > 0
 
 
 def test_gradient_of_constant_pressure_is_zero(space_p1_grid4):
-    g = assembly.assemble_pressure_gradient(space_p1_grid4)
+    g = Discretization(space_p1_grid4.mesh, 1).G
     assert np.max(np.abs(g @ np.ones(space_p1_grid4.num_dofs))) <= 1e-14
 
 
 def test_divergence_theorem_compatibility(space_p1_grid4):
     # sum over pressure DOFs of G^T v vanishes for any v with zero trace
-    g = assembly.assemble_pressure_gradient(space_p1_grid4)
+    g = Discretization(space_p1_grid4.mesh, 1).G
     rng = np.random.default_rng(5)
     for _ in range(5):
         v = rng.standard_normal(g.shape[0])
@@ -80,24 +84,43 @@ def test_divergence_theorem_compatibility(space_p1_grid4):
 
 def test_pressure_stiffness_singular_with_constants(grid2):
     space = femspace.build_space(grid2, 1)
-    s = assembly.assemble_stiffness(space)
+    s = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
     assert np.max(np.abs(s @ np.ones(space.num_dofs))) <= 1e-13
     assert abs(s - s.T).max() <= 1e-14
     assert np.linalg.matrix_rank(s.toarray()) == space.num_dofs - 1
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
-def test_quadrature_on_triangles_integrates_monomials(grid4, degree):
+def test_quadrature_integrates_monomials(grid4, degree):
     # the degree-6 rule mapped to every triangle integrates x^p y^q with
     # p + q <= 6 over the unit square exactly: 1 / ((p+1)(q+1))
-    space = femspace.build_space(grid4, degree)
-    w, vals, det, xq = assembly.quadrature_on_triangles(space, 6)
-    assert vals.shape == (len(w), space.element_dofs.shape[1])
-    assert det.shape == (len(space.mesh.triangles),)
-    assert xq.shape == (len(space.mesh.triangles), len(w), 2)
+    disc = Discretization(grid4, degree)
+    w, vals, det = disc.quadrature
+    nt = len(grid4.triangles)
+    assert vals.shape == (len(w), disc.space.element_dofs.shape[1])
+    assert det.shape == (nt,)
     for p, q in [(0, 0), (1, 0), (0, 1), (2, 3), (6, 0), (3, 3)]:
-        got = np.einsum("q,tq,t->", w, xq[..., 0] ** p * xq[..., 1] ** q, det)
+        (values,) = disc.at_quadrature_points(lambda x, y: x**p * y**q)
+        assert values.shape == (nt, len(w))
+        got = np.einsum("q,tq,t->", w, values, det)
         assert got == pytest.approx(1.0 / ((p + 1) * (q + 1)), rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_quadrature_points_are_the_affine_map(degree, n):
+    # the points where a field is evaluated are the reference points
+    # (xi, eta) mapped as p0 + xi (p1 - p0) + eta (p2 - p0), bit for bit
+    grid = mesh.build_grid(n)
+    disc = Discretization(grid, degree)
+    ref = femspace.quadrature(6).points
+    p = grid.vertices[grid.triangles]
+    expected = np.empty((2, len(p), len(ref)))
+    for t, (p0, p1, p2) in enumerate(p):
+        for k, (xi, eta) in enumerate(ref):
+            expected[:, t, k] = p0 + xi * (p1 - p0) + eta * (p2 - p0)
+    got = disc.at_quadrature_points(lambda x, y: np.stack([x, y]))
+    assert got.tobytes() == expected.tobytes()
 
 
 def test_zero_load(space_p1_grid4, case):
@@ -124,10 +147,11 @@ def test_matrices_match_dense_oracle(space_grid2):
     dense = dense_oracle.dense_matrices(space)
     free = dense_oracle.velocity_free_indices(space)
 
+    grads = assembly._physical_gradients(space)
     m = dense_oracle.restrict_matrix(space, assembly.assemble_mass(space))
-    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space))
-    g = assembly.assemble_pressure_gradient(space)
-    s = assembly.assemble_stiffness(space)
+    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space, grads))
+    g = assembly.assemble_pressure_gradient(space, grads)
+    s = assembly.assemble_stiffness(space, grads)
 
     assert abs(m.toarray() - dense["M"][np.ix_(free, free)]).max() <= 1e-13
     assert abs(a.toarray() - dense["A"][np.ix_(free, free)]).max() <= 1e-13
@@ -150,10 +174,11 @@ def test_load_matches_dense_oracle(grid2, case):
 
 def test_symmetry(space_p1_grid4):
     space = space_p1_grid4
+    stiffness = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
     for mat in (
         dense_oracle.vector_matrix(assembly.assemble_mass(space)),
-        dense_oracle.vector_matrix(assembly.assemble_stiffness(space)),
-        assembly.assemble_stiffness(space),
+        dense_oracle.vector_matrix(stiffness),
+        stiffness,
     ):
         assert abs(mat - mat.T).max() <= 1e-14
 
@@ -181,7 +206,7 @@ def test_matrices_are_canonical_csr(space_p1_grid4):
     space = space_p1_grid4
     for mat in (
         dense_oracle.vector_matrix(assembly.assemble_mass(space)),
-        assembly.assemble_pressure_gradient(space),
+        assembly.assemble_pressure_gradient(space, assembly._physical_gradients(space)),
     ):
         assert is_canonical_csr(mat)
 
@@ -206,9 +231,10 @@ def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
     # reference: the same element loads summed by np.add.at, a sequential
     # element-major sum
     space = femspace.build_space(grid4, degree)
-    w, vals, det, xq = assembly.quadrature_on_triangles(space, 6)
+    disc = Discretization(grid4, degree)
+    w, vals, det = disc.quadrature
     for f in (case.steady_forcing, case.steady_pressure):
-        fv = femspace.field_blocks(f, xq[..., 0], xq[..., 1])
+        fv = disc.at_quadrature_points(f)
         ref = np.zeros(fv.shape[0] * space.num_dofs)
         for c, block in enumerate(fv):
             elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
@@ -218,8 +244,8 @@ def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
 
 def test_assembly_bit_reproducible(grid4):
     space = femspace.build_space(grid4, 2)
-    a1 = assembly.assemble_stiffness(space)
-    a2 = assembly.assemble_stiffness(space)
+    a1 = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
+    a2 = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
     assert np.array_equal(a1.data, a2.data)
     assert np.array_equal(a1.indices, a2.indices)
 

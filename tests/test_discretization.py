@@ -23,12 +23,13 @@ def assert_same_csr(a, b):
 def test_operators_bit_identical_to_direct_assembly(grid4, degree):
     disc = Discretization(grid4, degree)
     space = femspace.build_space(grid4, degree)
+    grads = assembly._physical_gradients(space)
     assert_same_csr(
         dense_oracle.vector_matrix(disc.stiffness_free),
-        dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space)),
+        dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space, grads)),
     )
-    assert_same_csr(disc.G, assembly.assemble_pressure_gradient(space))
-    assert_same_csr(disc.stiffness, assembly.assemble_stiffness(space))
+    assert_same_csr(disc.G, assembly.assemble_pressure_gradient(space, grads))
+    assert_same_csr(disc.stiffness, assembly.assemble_stiffness(space, grads))
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -73,13 +74,13 @@ def test_saddle_system_is_kept_for_the_latest_viscosity(grid4):
     assert disc.saddle_system(0.01) is not first  # only the latest is kept
 
 
-def pinned_unknown_nodes(disc):
+def saddle_unknown_nodes(disc):
     """Node and field (0, 1: velocity components, 2: pressure) of every
-    pinned saddle unknown, in the layout of ``sparsela.saddle_solve``."""
+    saddle unknown, in the layout of ``sparsela.saddle_solve``."""
     fs = disc.space.free_scalar
     np_ = disc.space.num_dofs
-    nodes = np.concatenate([fs, fs, np.arange(1, np_)])
-    field = np.repeat([0, 1, 2], [fs.size, fs.size, np_ - 1])
+    nodes = np.concatenate([fs, fs, np.arange(np_)])
+    field = np.repeat([0, 1, 2], [fs.size, fs.size, np_])
     return nodes, field
 
 
@@ -87,14 +88,13 @@ def pinned_unknown_nodes(disc):
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_saddle_order_groups_each_node_fields(degree, n):
     disc = Discretization(mesh.build_grid(n), degree)
-    nodes, field = pinned_unknown_nodes(disc)
+    nodes, field = saddle_unknown_nodes(disc)
     order = disc.saddle_order
     assert np.array_equal(np.sort(order), np.arange(nodes.size))
     seq, fields = nodes[order], field[order]
     starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
-    # one run per node (every node but the pinned corner has a pressure),
-    # its fields in order
-    assert starts.size == disc.space.num_dofs - 1
+    # one run per node (every node has a pressure), its fields in order
+    assert starts.size == disc.space.num_dofs
     assert np.unique(seq[starts]).size == starts.size
     same_node = seq[1:] == seq[:-1]
     assert np.all(fields[1:][same_node] > fields[:-1][same_node])
@@ -158,7 +158,7 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     assert counts["build_space"] == 1
     assert counts["saddle_solve"] == 1
     # two forcing terms and the mean weights; the steady initial data is
-    # 1.0 times the first forcing load
+    # the steady forcing, whose load is the first forcing load
     assert counts["assemble_load"] == 3
     # P1 solves the pressure factor-free
     assert counts["GridNeumannSolver"] == 1
@@ -214,7 +214,7 @@ def test_transient_init_builds_one_tracker_per_mesh(counts):
     assert counts["TransientErrorTracker"] == 2
     # per mesh: two forcing terms, the tracker's pressure moment and the
     # mean weights; the tracker's velocity moment is the load of the second
-    # forcing term and the steady initial data 1.0 times the first one
+    # forcing term and the steady initial data that of the first one
     assert counts["assemble_load"] == 8
     # one steady solve for stabilized_stokes
     assert counts["saddle_solve"] == 2

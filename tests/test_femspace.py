@@ -15,38 +15,35 @@ def exact_monomial_integral(p, q):
     return math.factorial(p) * math.factorial(q) / math.factorial(p + q + 2)
 
 
-# --- reference elements ------------------------------------------------------
+# --- reference basis ---------------------------------------------------------
 
 
 def test_p1_barycenter_values():
-    elem = femspace.reference_element(1)
-    vals, _ = elem.eval([(1 / 3, 1 / 3)])
+    vals, _ = femspace.basis(1, [(1 / 3, 1 / 3)])
     assert np.allclose(vals[0], [1 / 3, 1 / 3, 1 / 3], atol=1e-15)
 
 
 def test_p1_gradient_sum_zero():
-    elem = femspace.reference_element(1)
-    _, grads = elem.eval([(0.5, 0.3)])
+    _, grads = femspace.basis(1, [(0.5, 0.3)])
     assert np.allclose(grads[0].sum(axis=0), 0.0, atol=1e-15)
 
 
 def test_p2_vertex_function_vanishes_where_factor_does():
-    elem = femspace.reference_element(2)
     # basis 1 is lam1 (2 lam1 - 1) = xi (2 xi - 1); any point with xi = 0
-    vals, _ = elem.eval([(0.0, 0.3)])
+    vals, _ = femspace.basis(2, [(0.0, 0.3)])
     assert vals[0, 1] == pytest.approx(0.0, abs=1e-15)
 
 
 @pytest.mark.parametrize("degree", [1, 2])
 def test_partition_of_unity_and_kronecker(degree):
-    elem = femspace.reference_element(degree)
     rng = np.random.default_rng(7)
     b = rng.dirichlet(np.ones(3), size=100)
-    vals, grads = elem.eval(b[:, 1:3])
+    vals, grads = femspace.basis(degree, b[:, 1:3])
     assert np.max(np.abs(vals.sum(axis=1) - 1.0)) <= 1e-13
     assert np.max(np.abs(grads.sum(axis=1))) <= 1e-13
-    nodal, _ = elem.eval(elem.nodes)
-    assert np.max(np.abs(nodal - np.eye(len(elem.nodes)))) <= 1e-13
+    nodes = dense_oracle._NODES[degree]
+    nodal, _ = femspace.basis(degree, nodes)
+    assert np.max(np.abs(nodal - np.eye(len(nodes)))) <= 1e-13
 
 
 @pytest.mark.parametrize("degree", [1, 2])
@@ -54,7 +51,7 @@ def test_eval_matches_vandermonde_basis(degree):
     # the barycentric formulas against the oracle's basis from inverting
     # the monomial Vandermonde system at the nodes
     points = np.random.default_rng(11).dirichlet(np.ones(3), size=50)[:, 1:3]
-    vals, grads = femspace.reference_element(degree).eval(points)
+    vals, grads = femspace.basis(degree, points)
     ref_vals, ref_grads = dense_oracle.eval_basis(degree, points)
     assert np.max(np.abs(vals - ref_vals)) <= 1e-13
     assert np.max(np.abs(grads - ref_grads)) <= 1e-13
@@ -146,7 +143,9 @@ def test_p2_boundary_midpoints(grid2):
     space = femspace.build_space(grid2, 2)
     x, y = space.node_coords[:, 0], space.node_coords[:, 1]
     geometric = (x == 0) | (x == 1) | (y == 0) | (y == 1)
-    assert np.array_equal(space.boundary_scalar, geometric)
+    boundary = np.ones(space.num_dofs, dtype=bool)
+    boundary[space.free_scalar] = False
+    assert np.array_equal(boundary, geometric)
 
 
 def test_restrict_extend_roundtrip(grid4):

@@ -5,7 +5,10 @@ method or property of the package is read somewhere in src/ or scripts/
 outside its own definition: code that only tests reach lives under tests/.
 And every defaulted parameter of a public package function or method is
 passed by some call in src/ or scripts/: a default that nothing
-overrides is a constant.  No line under src/ is longer than 99 characters."""
+overrides is a constant.  Every field of a package dataclass is read as
+an attribute in src/, scripts/ or the benchmark harness perfbench/*.py:
+a field that nothing reads is carried for nothing.  No line under src/
+is longer than 99 characters."""
 
 import ast
 import collections
@@ -17,6 +20,7 @@ FILES = sorted(
     for folder in ("src", "tests", "scripts")
     for path in (ROOT / folder).rglob("*.py")
 )
+HARNESS = sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _bound_names(node):
@@ -282,4 +286,87 @@ def test_package_defaults_are_set_by_some_caller():
     kept = set(KEPT_DEFAULTS)
     assert found == kept, (
         f"no caller sets {sorted(found - kept)}; kept but now set {sorted(kept - found)}"
+    )
+
+
+def _is_dataclass(node):
+    for decorator in node.decorator_list:
+        func = getattr(decorator, "func", decorator)
+        if getattr(func, "id", getattr(func, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(package_sources, other_sources):
+    """``Class.field`` of every field of a package dataclass that no
+    source reads as an attribute.  Fields match by spelling only:
+    ``x.degree`` counts for every field called ``degree``."""
+    trees = [ast.parse(source) for source in package_sources]
+    reads = {
+        node.attr
+        for tree in trees + [ast.parse(source) for source in other_sources]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return sorted(
+        f"{node.name}.{item.target.id}"
+        for tree in trees
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and _is_dataclass(node)
+        for item in node.body
+        if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+        and item.target.id not in reads
+    )
+
+
+# Dataclass fields that nothing in src/, scripts/ or perfbench/ reads, kept on purpose.
+KEPT_FIELDS = {
+    "SolveReport.relative_residual": (
+        "the residual of a failed solve, carried by LinearSolverError.report; tests assert it"
+    ),
+}
+
+
+def test_checker_flags_unread_fields():
+    package = (
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Rule:\n"
+        "    degree: int\n"
+        "    points: list\n"
+        "    weights: list\n"
+        "    def total(self):\n"
+        "        return sum(self.weights)\n"
+        "@dataclass\n"
+        "class Report:\n"
+        "    steps: int\n"
+        "    residual: float = 0.0\n"
+        "class Plain:\n"
+        "    unread: int = 0\n"
+        "def make(degree):\n"
+        "    report = Report(steps=degree)\n"
+        "    report.residual = 1.0\n"
+        "    return Rule(degree, [], [])\n"
+    )
+    script = "print(make(1).points)\n"
+    # keywords, stores and bare names are not reads; a plain class has no fields
+    assert unread_fields([package], [script]) == [
+        "Report.residual",
+        "Report.steps",
+        "Rule.degree",
+    ]
+
+
+def test_package_dataclass_fields_are_read():
+    package = [ROOT / path for path in FILES if path.parts[0] == "src"]
+    readers = [ROOT / path for path in FILES if path.parts[0] == "scripts"] + HARNESS
+    found = set(
+        unread_fields(
+            [path.read_text() for path in package],
+            [path.read_text() for path in readers],
+        )
+    )
+    kept = set(KEPT_FIELDS)
+    assert found == kept, (
+        f"nothing reads {sorted(found - kept)}; kept but now read {sorted(kept - found)}"
     )

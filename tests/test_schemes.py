@@ -119,8 +119,8 @@ def test_stabilized_stokes_init_zero_case(grid4):
         def pressure(self, x, y, t):
             return np.zeros_like(x)
 
-        def steady_data(self, t):
-            return 1.0, lambda x, y: np.zeros((2,) + x.shape)
+        def steady_forcing(self, x, y):
+            return np.zeros((2,) + x.shape)
 
     params = make_params(init="stabilized_stokes")
     state = schemes.initialize(params, NullCase(), Discretization(grid4, 1))

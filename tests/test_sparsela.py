@@ -50,8 +50,9 @@ def test_factorized_spd_falls_back_to_pivoting_splu(grid4, monkeypatch, failure)
 
 def test_pinned_singular_solver(grid4):
     space = femspace.build_space(grid4, 1)
-    s = assembly.assemble_stiffness(space)
-    g = assembly.assemble_pressure_gradient(space)
+    grads = assembly._physical_gradients(space)
+    s = assembly.assemble_stiffness(space, grads)
+    g = assembly.assemble_pressure_gradient(space, grads)
     rng = np.random.default_rng(9)
     b = g.T @ rng.standard_normal(g.shape[0])
     solver = sparsela.PinnedSingularSolver(s)
@@ -79,9 +80,10 @@ def saddle_blocks(grid, degree=1):
     """The scalar free stiffness, G, S, the mean weights and the saddle
     ordering, each assembled directly."""
     space = femspace.build_space(grid, degree)
-    s = assembly.assemble_stiffness(space)
+    grads = assembly._physical_gradients(space)
+    s = assembly.assemble_stiffness(space, grads)
     a = s[space.free_scalar][:, space.free_scalar].tocsr()
-    g = assembly.assemble_pressure_gradient(space)
+    g = assembly.assemble_pressure_gradient(space, grads)
     w = assembly.basis_integrals(space)
     order = assembly.Discretization(grid, degree).saddle_order
     return space, a, g, s, w, order
@@ -89,8 +91,7 @@ def saddle_blocks(grid, degree=1):
 
 def free_forcing(space, case):
     """The steady forcing load on the free DOFs, with the degree-6 rule."""
-    rule = assembly.quadrature_on_triangles(space, 6)
-    return space.restrict(assembly.assemble_load(space, case.steady_forcing, rule))
+    return assembly.Discretization(space.mesh, space.degree).free_load(case.steady_forcing)
 
 
 def test_saddle_zero_rhs(grid4):
@@ -161,7 +162,7 @@ def steady_system(case, n, degree, nu=0.01, rho=100.0):
 def pinned_matrix(a, g, s, delta):
     """The block matrix with pressure DOF 0 dropped, in the unknowns'
     own order."""
-    natural = np.arange(2 * a.shape[0] + s.shape[0] - 1)
+    natural = np.arange(2 * a.shape[0] + s.shape[0])
     return dense_oracle.pinned_saddle_matrix(a, g, s, delta, natural)[0]
 
 
