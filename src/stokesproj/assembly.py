@@ -1,21 +1,22 @@
 """Assembly of the sparse matrices and load vectors behind the discrete
 Stokes operators: velocity mass and stiffness, the pressure-gradient
 coupling (grad psi, phi), whose negative transpose is the divergence
-form (div phi, psi), and load vectors.  A Gauss rule on every triangle
-is the triple (weights, basis values, determinants) that the mass
-matrix, the loads and ``metrics.error_vs_exact`` read; a load is
-assembled from a field's values at the rule's points, which
-``Discretization.at_quadrature_points`` evaluates for an analytic field.
+form (div phi, psi), and load vectors.  The operators of a space share
+one evaluation of the operator rule (``_operator_rule``) and one sorted
+pattern of the element DOF pairs (``_element_pattern``), on which every
+element matrix is reduced in a fixed order (``_scatter``), so matrices
+are bit-reproducible.  A load is assembled from a field's values at the
+points of a Gauss rule and the rule's (weights, basis values,
+determinants), which the loads and ``metrics.error_vs_exact`` read;
+``Discretization.at_quadrature_points`` evaluates an analytic field.
 
 One scalar space carries both fields: a velocity is two coefficient
 blocks on it, a pressure one, and the velocity operators are built
 block by block from the scalar basis.  Dirichlet conditions are
 homogeneous, so constrained rows/columns are simply eliminated;
 ``restrict``/``extend`` on FeSpace translate between full and free
-coefficient vectors.  Accumulation is element-major with a
-stable sorted reduction, so matrices are bit-reproducible.
-``Discretization`` assembles each operator once per (mesh, degree) pair,
-and each load once per analytic field.
+coefficient vectors.  ``Discretization`` assembles the operators once
+per (mesh, degree) pair, and each load once per analytic field.
 """
 
 import math
@@ -29,12 +30,8 @@ from . import femspace, sparsela
 from .mesh import Mesh
 
 
-def _default_quad_degree(degree):
-    return 2 if degree == 1 else 4
-
-
 def _geometry(mesh):
-    """Per-triangle affine data: Jacobians, determinants, inverse transposes."""
+    """Per-triangle affine data: Jacobian determinants and inverse transposes."""
     p = mesh.vertices[mesh.triangles]  # (nt, 3, 2)
     jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # columns are edges
     det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
@@ -44,99 +41,79 @@ def _geometry(mesh):
     inv_t[:, 1, 0] = -jac[:, 0, 1]
     inv_t[:, 1, 1] = jac[:, 0, 0]
     inv_t /= det[:, None, None]
-    return p, det, inv_t
+    return det, inv_t
 
 
-def _csr_from_coo(rows, cols, vals, shape):
-    """Deterministic COO -> CSR: stable sort by (row, col), then a left-to-right
-    reduction of duplicates, which reproduces the sequential element-major sum."""
-    rows = np.asarray(rows).ravel()
-    cols = np.asarray(cols).ravel()
-    vals = np.asarray(vals, dtype=float).ravel()
-    if rows.size == 0:
-        return sparse.csr_array(shape)
-    order = np.lexsort((cols, rows))
-    r, c, v = rows[order], cols[order], vals[order]
-    first = np.empty(r.size, dtype=bool)
-    first[0] = True
-    first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-    starts = np.flatnonzero(first)
-    data = np.add.reduceat(v, starts)
-    rr, cc = r[starts], c[starts]
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rr, minlength=shape[0]), out=indptr[1:])
-    return sparse.csr_array((data, cc.astype(np.int32), indptr), shape=shape)
-
-
-def _physical_gradients(space):
-    """Basis values and physical gradients at the points of the operator
-    rule, the one evaluation that the stiffness and ``G`` share.
-
-    Returns (weights (nq,), vals (nq, nb), grads (nt, nq, nb, 2), det (nt,)).
-    """
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    _, det, inv_t = _geometry(space.mesh)
+def _operator_rule(space):
+    """The one evaluation behind every operator of ``space``: (weights
+    (nq,), basis values (nq, nb), physical gradients (nt, nq, nb, 2),
+    determinants (nt,)) of the degree-2 (P1) or degree-4 (P2) rule."""
+    rule = femspace.quadrature(2 if space.degree == 1 else 4)
+    det, inv_t = _geometry(space.mesh)
     vals, gref = femspace.basis(space.degree, rule.points)
     grads = np.einsum("tab,qib->tqia", inv_t, gref)
     return rule.weights, vals, grads, det
 
 
-def _scatter_square(space, elem_mats):
+def _element_pattern(space):
+    """The element DOF pairs (row, column) of ``space``, element-major,
+    sorted once for every square operator: (order, starts, indices,
+    indptr), where ``order`` is the stable sort by (row, column),
+    ``starts`` the sorted position where each distinct pair begins, and
+    ``indices``/``indptr`` the int32 CSR structure of the distinct pairs."""
     dofs = space.element_dofs
     nb = dofs.shape[1]
-    rows = np.repeat(dofs, nb, axis=1)
-    cols = np.tile(dofs, (1, nb))
-    return _csr_from_coo(rows, cols, elem_mats, (space.num_dofs, space.num_dofs))
+    rows = np.repeat(dofs, nb, axis=1).ravel()
+    cols = np.tile(dofs, (1, nb)).ravel()
+    order = np.lexsort((cols, rows))
+    r, c = rows[order], cols[order]
+    starts = np.flatnonzero(np.r_[True, (r[1:] != r[:-1]) | (c[1:] != c[:-1])])
+    indptr = np.zeros(space.num_dofs + 1, dtype=np.int32)
+    np.cumsum(np.bincount(r[starts], minlength=space.num_dofs), out=indptr[1:])
+    return order, starts, c[starts].astype(np.int32), indptr
 
 
-def _basis_on_triangles(space, rule):
-    """(weights (nq,), basis values (nq, nb), determinants (nt,)) of the
-    reference rule ``rule`` on every triangle of the space's mesh."""
-    _, det, _ = _geometry(space.mesh)
-    vals, _ = femspace.basis(space.degree, rule.points)
-    return rule.weights, vals, det
+def _scatter(pattern, elem):
+    """The square CSR matrix of the element matrices ``elem`` (nt, nb, nb)
+    on the ``_element_pattern`` ``pattern``.  ``np.add.reduceat`` sums
+    the terms a0, a1, ... of an entry, in element order, as the first
+    plus the left-to-right sum of the rest, a0 + ((a1 + a2) + ...), not
+    sequentially: [1, 1e16, -1e16] gives 1, where ((a0 + a1) + a2) is 0.
+    (From nine terms on, numpy sums the rest pairwise; an entry of these
+    meshes has at most six.)"""
+    order, starts, indices, indptr = pattern
+    data = np.add.reduceat(elem.ravel()[order], starts)
+    return sparse.csr_array((data, indices, indptr), shape=(indptr.size - 1,) * 2)
 
 
-def assemble_mass(space):
-    """Mass matrix (phi_j, phi_i) on the full (pre-elimination) space."""
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    w, vals, det = _basis_on_triangles(space, rule)
-    elem = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)
-    return _scatter_square(space, elem)
+def assemble_mass(rule, pattern):
+    """Mass matrix (phi_j, phi_i) on the full (pre-elimination) space, from
+    ``_operator_rule`` and ``_element_pattern`` of the space."""
+    w, vals, _, det = rule
+    return _scatter(pattern, np.einsum("q,qi,qj,t->tij", w, vals, vals, det))
 
 
-def assemble_stiffness(space, gradients):
-    """Stiffness matrix (grad phi_j, grad phi_i) on the full space;
-    ``gradients`` is ``_physical_gradients(space)``."""
-    w, _, grads, det = gradients
-    elem = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)
-    return _scatter_square(space, elem)
+def assemble_stiffness(rule, pattern):
+    """Stiffness matrix (grad phi_j, grad phi_i) on the full space; the
+    arguments as for ``assemble_mass``."""
+    w, _, grads, det = rule
+    return _scatter(pattern, np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det))
 
 
-def assemble_pressure_gradient(space, gradients):
+def assemble_pressure_gradient(space, rule, pattern):
     """Coupling G with G[i, mu] = (grad psi_mu, phi_i) for vector velocity
     basis functions phi_i (x block, then y block).  Rows span the free
     velocity DOFs, columns every pressure DOF; the divergence form
-    (div phi_i, psi_mu) is -G^T.  ``gradients`` as for
-    ``assemble_stiffness``.
-
-    Only element rows of free DOFs are scattered.  Renumbering the free
-    DOFs keeps their order, so every sum runs over the same terms in the
-    same order as in the full matrix, and G is bit-identical to the free
-    rows of the two full blocks."""
-    w, vals, grads, det = gradients
-    dofs = space.element_dofs
-    nb, nf = dofs.shape[1], space.free_scalar.size
-    free_row = np.full(space.num_dofs, -1)
-    free_row[space.free_scalar] = np.arange(nf)
-    rows = np.repeat(free_row[dofs], nb, axis=1).ravel()
-    keep = rows >= 0
-    rows, cols = rows[keep], np.tile(dofs, (1, nb)).ravel()[keep]
-    blocks = []
-    for axis in range(2):
-        elem = np.einsum("q,tqm,qi,t->tim", w, grads[..., axis], vals, det)
-        blocks.append(_csr_from_coo(rows, cols, elem.ravel()[keep], (nf, space.num_dofs)))
-    return sparse.vstack(blocks, format="csr")
+    (div phi_i, psi_mu) is -G^T.  ``rule`` and ``pattern`` as for
+    ``assemble_mass``: each axis block is scattered on the square
+    pattern, and its free rows are kept."""
+    w, vals, grads, det = rule
+    fs = space.free_scalar
+    return sparse.vstack(
+        [_scatter(pattern, np.einsum("q,tqm,qi,t->tim", w, grads[..., axis], vals, det))[fs]
+         for axis in range(2)],
+        format="csr",
+    )
 
 
 def assemble_load(space, values, rule):
@@ -152,14 +129,6 @@ def assemble_load(space, values, rule):
         # a sequential element-major sum per DOF
         out.append(np.bincount(dofs, weights=elem.ravel(), minlength=space.num_dofs))
     return np.concatenate(out)
-
-
-def basis_integrals(space):
-    """Integrals of every scalar basis function; the weights defining the
-    discrete mean value of a pressure field."""
-    rule = femspace.quadrature(_default_quad_degree(space.degree))
-    w, vals, det = _basis_on_triangles(space, rule)
-    return assemble_load(space, np.ones((1, det.size, w.size)), (w, vals, det))
 
 
 def componentwise(matrix, x):
@@ -218,8 +187,8 @@ class Discretization:
     factor-free DCT-I solve for P1, the pinned factorization for P2.
     ``_free`` marks blocks on the free DOFs of one velocity component;
     ``G`` has free vector velocity rows and ``GT`` is its transpose in
-    CSR form.  ``stiffness`` and ``G`` come from one evaluation of the
-    physical basis gradients.
+    CSR form.  ``mass``, ``stiffness``, ``G`` and ``mean_weights`` are
+    built together (``_operators``).
 
     Every per-mesh quantity is computed once: ``quadrature`` is the
     degree-6 rule on the triangles behind the loads and
@@ -240,22 +209,33 @@ class Discretization:
         return femspace.build_space(self.mesh, self.degree)
 
     @cached_property
-    def mass(self):
-        return assemble_mass(self.space)
+    def _operators(self):
+        """(mass, stiffness, G, mean weights), built from one evaluation of
+        the operator rule and one sorted element pattern, which are
+        dropped once the four are built."""
+        rule, pattern = _operator_rule(self.space), _element_pattern(self.space)
+        w, vals, _, det = rule
+        return (assemble_mass(rule, pattern), assemble_stiffness(rule, pattern),
+                assemble_pressure_gradient(self.space, rule, pattern),
+                assemble_load(self.space, np.ones((1, det.size, w.size)), (w, vals, det)))
 
-    @cached_property
-    def _gradient_operators(self):
-        gradients = _physical_gradients(self.space)
-        return (assemble_stiffness(self.space, gradients),
-                assemble_pressure_gradient(self.space, gradients))
+    @property
+    def mass(self):
+        return self._operators[0]
 
     @property
     def stiffness(self):
-        return self._gradient_operators[0]
+        return self._operators[1]
 
     @property
     def G(self):
-        return self._gradient_operators[1]
+        return self._operators[2]
+
+    @property
+    def mean_weights(self):
+        """Integrals of every basis function: the load of the constant 1,
+        the weights defining the discrete mean value of a pressure."""
+        return self._operators[3]
 
     @cached_property
     def mass_free(self):
@@ -272,14 +252,12 @@ class Discretization:
         return self.G.T.tocsr()
 
     @cached_property
-    def mean_weights(self):
-        return basis_integrals(self.space)
-
-    @cached_property
     def quadrature(self):
         """(weights (nq,), basis values (nq, nb), determinants (nt,)) of
         the degree-6 rule on every triangle."""
-        return _basis_on_triangles(self.space, femspace.quadrature(6))
+        rule = femspace.quadrature(6)
+        vals, _ = femspace.basis(self.degree, rule.points)
+        return rule.weights, vals, _geometry(self.mesh)[0]
 
     def at_quadrature_points(self, f):
         """Values of the analytic field ``f`` at the points of

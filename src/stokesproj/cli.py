@@ -164,7 +164,7 @@ def parse_config(path, kind=None, overrides=None):
     field overrides (CLI flags).  An empty file yields the all-defaults
     steady_sweep configuration.
     """
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         text = fh.read()
     return parse_config_text(text, kind=kind, overrides=overrides)
 
@@ -222,6 +222,12 @@ def validate_config(config):
             f"dt = {config.dt!r} is unused: dt law 'equal_delta' steps with dt = delta; "
             "set dt_law = fixed to use it"
         )
+    for n in config.n_values:
+        for rho in config.rho_values:
+            try:
+                steady.choose_delta(1.0 / n, config.nu, rho)
+            except ValueError as exc:
+                raise ConfigError(f"N = {n}, rho = {rho!r}: {exc}") from exc
     if config.kind == "steady_sweep":
         return
     if len(config.degrees) != 1:
@@ -507,7 +513,7 @@ def main(argv=None):
             config = parse_config(args.config, kind=args.kind, overrides=overrides)
         else:
             config = parse_config_text("", kind=args.kind, overrides=overrides)
-    except ConfigError as exc:
+    except (ConfigError, UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

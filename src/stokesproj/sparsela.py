@@ -61,11 +61,20 @@ def _symmetric_splu(a_csc, permc_spec):
     return lu.solve
 
 
+def _pivoting_splu(a_csc):
+    """The solve function of SuperLU with default partial pivoting, the
+    fallback of the symmetric mode; a singular matrix is a LinearSolverError."""
+    try:
+        return spla.splu(a_csc).solve
+    except RuntimeError as exc:
+        raise LinearSolverError(f"pivoting factorization failed: {exc}") from exc
+
+
 class FactorizedSpd:
     """Cached sparse LU of a fixed SPD matrix; ``solve`` accepts one or
     several right-hand sides (columns).  The symmetric SuperLU mode is
     preferred; default pivoting is the fallback if a verification solve
-    is off."""
+    is off, and a singular matrix is a LinearSolverError."""
 
     def __init__(self, a):
         a = sparse.csc_matrix(a)
@@ -76,7 +85,7 @@ class FactorizedSpd:
                 return
         except RuntimeError:
             pass
-        self._solve = spla.splu(a).solve
+        self._solve = _pivoting_splu(a)
 
     def solve(self, b):
         return self._solve(np.asarray(b, dtype=float))
@@ -255,7 +264,7 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
     exceed tol * ||rhs_v||.  Up to two steps of iterative refinement are
     applied if needed; if the contract is still missed, the system is
     refactorized with default partial pivoting and solved again, and if
-    that misses too, LinearSolverError is raised.
+    that misses too or is singular, LinearSolverError is raised.
     """
     if delta <= 0.0:
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
@@ -295,7 +304,7 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
     except RuntimeError:  # a zero pivot in symmetric mode
         rel = np.inf
     if rel > tol:
-        sol, rel, refinements = refined_solve(spla.splu(k_pinned).solve)
+        sol, rel, refinements = refined_solve(_pivoting_splu(k_pinned))
 
     x = sol[:nv]
     z = project_mean(sol[nv:], mean_weights)

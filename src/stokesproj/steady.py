@@ -25,7 +25,10 @@ def choose_delta(h, nu, rho):
     delta = h^2 / (nu rho^2)."""
     if h <= 0.0 or nu <= 0.0 or rho <= 0.0:
         raise ValueError("h, nu and rho must all be positive")
-    return h * h / (nu * rho * rho)
+    delta = h * h / (nu * rho * rho) if nu * rho * rho > 0.0 else float("inf")
+    if not 0.0 < delta < float("inf"):
+        raise ValueError(f"delta = h^2/(nu rho^2) = {delta!r} is not positive and finite")
+    return delta
 
 
 def solve(disc, nu, delta, rhs_v, tol):

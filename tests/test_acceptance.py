@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from stokesproj import assembly, femspace, mesh, metrics, mms, schemes, steady
+from stokesproj import femspace, mesh, metrics, mms, schemes, steady
 from stokesproj.assembly import Discretization
 
 NU = 0.01
@@ -363,14 +363,13 @@ def test_criterion_08_scheme_equivalence(mms_case, load_at):
 def test_criterion_09_assembly_oracle(grid2):
     worst = {}
     for degree in (1, 2):
-        space = femspace.build_space(grid2, degree)
+        disc = Discretization(grid2, degree)
+        space = disc.space
         dense = dense_oracle.dense_matrices(space)
         free = dense_oracle.velocity_free_indices(space)
-        m = dense_oracle.restrict_matrix(space, assembly.assemble_mass(space))
-        grads = assembly._physical_gradients(space)
-        a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space, grads))
-        g = assembly.assemble_pressure_gradient(space, grads)
-        s = assembly.assemble_stiffness(space, grads)
+        m = dense_oracle.restrict_matrix(space, disc.mass)
+        a = dense_oracle.restrict_matrix(space, disc.stiffness)
+        g, s = disc.G, disc.stiffness
         worst[degree] = max(
             abs(m.toarray() - dense["M"][np.ix_(free, free)]).max(),
             abs(a.toarray() - dense["A"][np.ix_(free, free)]).max(),

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -20,50 +22,47 @@ def load6(space, f):
 
 def test_mass_total_is_domain_measure(grid4):
     for degree in (1, 2):
-        space = femspace.build_space(grid4, degree)
-        assert assembly.assemble_mass(space).sum() == pytest.approx(1.0, abs=1e-14)
+        assert Discretization(grid4, degree).mass.sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_mass_constant_vector(grid4):
-    space = femspace.build_space(grid4, 1)
-    m = assembly.assemble_mass(space)
-    assert (m @ np.ones(space.num_dofs)).sum() == pytest.approx(1.0, abs=1e-14)
+    m = Discretization(grid4, 1).mass
+    assert (m @ np.ones(m.shape[0])).sum() == pytest.approx(1.0, abs=1e-14)
 
 
 def test_p1_element_mass_matrix():
-    # single-element mass = (area/12) [[2,1,1],[1,2,1],[1,1,2]]
-    m = mesh.build_grid(1)
-    space = femspace.build_space(m, 1)
-    w, vals, det = assembly._basis_on_triangles(space, femspace.quadrature(2))
-    elem = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)[0]
-    area = 0.5
-    expected = (area / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
-    assert np.abs(elem - expected).max() <= 1e-15
+    # the two triangles of the unit square, each with element mass
+    # (area/12) [[2,1,1],[1,2,1],[1,1,2]] at area 1/2
+    grid = mesh.build_grid(1)
+    elem = (0.5 / 12.0) * np.array([[2.0, 1, 1], [1, 2, 1], [1, 1, 2]])
+    expected = np.zeros((4, 4))
+    for tri in grid.triangles:
+        expected[np.ix_(tri, tri)] += elem
+    assert np.abs(Discretization(grid, 1).mass.toarray() - expected).max() <= 1e-15
 
 
 def test_stiffness_kills_constants(grid4):
     for degree in (1, 2):
-        space = femspace.build_space(grid4, degree)
-        a = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
-        assert np.max(np.abs(a @ np.ones(space.num_dofs))) <= 1e-13
+        a = Discretization(grid4, degree).stiffness
+        assert np.max(np.abs(a @ np.ones(a.shape[0]))) <= 1e-13
 
 
 def test_p1_unit_right_triangle_stiffness():
-    # reference-style right triangle gives (1/2) [[2,-1,-1],[-1,1,0],[-1,0,1]]
-    m = mesh.build_grid(1)
-    space = femspace.build_space(m, 1)
-    w, _, grads, det = assembly._physical_gradients(space)
-    elem = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)[0]
-    # triangle 0 has vertices SW, SE, NE: right angle at SE
-    expected = 0.5 * np.array([[1.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 1.0]])
-    assert np.allclose(elem, expected, atol=1e-14)
+    # the unit square cut along its SW-NE diagonal into two right triangles:
+    # by the cotangent formula every side couples its ends with -1/2, the
+    # diagonal (facing two right angles) with 0, and each row sums to 0
+    grid = mesh.build_grid(1)
+    index = {tuple(v): i for i, v in enumerate(grid.vertices.tolist())}
+    sw, se, nw, ne = (index[corner] for corner in ((0, 0), (1, 0), (0, 1), (1, 1)))
+    expected = np.eye(4)
+    for i, j in ((sw, se), (se, ne), (ne, nw), (nw, sw)):
+        expected[i, j] = expected[j, i] = -0.5
+    assert np.allclose(Discretization(grid, 1).stiffness.toarray(), expected, atol=1e-14)
 
 
 def test_free_stiffness_positive_definite(grid4):
-    space = femspace.build_space(grid4, 1)
-    a = dense_oracle.restrict_matrix(
-        space, assembly.assemble_stiffness(space, assembly._physical_gradients(space))
-    )
+    disc = Discretization(grid4, 1)
+    a = dense_oracle.restrict_matrix(disc.space, disc.stiffness)
     eigs = np.linalg.eigvalsh(a.toarray())
     assert eigs.min() > 0
 
@@ -83,11 +82,10 @@ def test_divergence_theorem_compatibility(space_p1_grid4):
 
 
 def test_pressure_stiffness_singular_with_constants(grid2):
-    space = femspace.build_space(grid2, 1)
-    s = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
-    assert np.max(np.abs(s @ np.ones(space.num_dofs))) <= 1e-13
+    s = Discretization(grid2, 1).stiffness
+    assert np.max(np.abs(s @ np.ones(s.shape[0]))) <= 1e-13
     assert abs(s - s.T).max() <= 1e-14
-    assert np.linalg.matrix_rank(s.toarray()) == space.num_dofs - 1
+    assert np.linalg.matrix_rank(s.toarray()) == s.shape[0] - 1
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -147,11 +145,10 @@ def test_matrices_match_dense_oracle(space_grid2):
     dense = dense_oracle.dense_matrices(space)
     free = dense_oracle.velocity_free_indices(space)
 
-    grads = assembly._physical_gradients(space)
-    m = dense_oracle.restrict_matrix(space, assembly.assemble_mass(space))
-    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space, grads))
-    g = assembly.assemble_pressure_gradient(space, grads)
-    s = assembly.assemble_stiffness(space, grads)
+    disc = Discretization(space.mesh, space.degree)
+    m = dense_oracle.restrict_matrix(space, disc.mass)
+    a = dense_oracle.restrict_matrix(space, disc.stiffness)
+    g, s = disc.G, disc.stiffness
 
     assert abs(m.toarray() - dense["M"][np.ix_(free, free)]).max() <= 1e-13
     assert abs(a.toarray() - dense["A"][np.ix_(free, free)]).max() <= 1e-13
@@ -173,12 +170,11 @@ def test_load_matches_dense_oracle(grid2, case):
 
 
 def test_symmetry(space_p1_grid4):
-    space = space_p1_grid4
-    stiffness = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
+    disc = Discretization(space_p1_grid4.mesh, 1)
     for mat in (
-        dense_oracle.vector_matrix(assembly.assemble_mass(space)),
-        dense_oracle.vector_matrix(stiffness),
-        stiffness,
+        dense_oracle.vector_matrix(disc.mass),
+        dense_oracle.vector_matrix(disc.stiffness),
+        disc.stiffness,
     ):
         assert abs(mat - mat.T).max() <= 1e-14
 
@@ -203,27 +199,30 @@ def test_is_canonical_csr():
 
 
 def test_matrices_are_canonical_csr(space_p1_grid4):
-    space = space_p1_grid4
-    for mat in (
-        dense_oracle.vector_matrix(assembly.assemble_mass(space)),
-        assembly.assemble_pressure_gradient(space, assembly._physical_gradients(space)),
-    ):
+    disc = Discretization(space_p1_grid4.mesh, 1)
+    for mat in (dense_oracle.vector_matrix(disc.mass), disc.G):
         assert is_canonical_csr(mat)
 
 
-def test_accumulation_matches_sequential_sum():
-    # the stable sorted reduction must reproduce a plain element-major loop
-    rows = np.array([0, 1, 0, 0, 1, 0])
-    cols = np.array([0, 1, 0, 1, 1, 0])
-    vals = np.array([1e16, 2.0, 1.0, 3.0, -2.0, -1e16])
-    out = assembly._csr_from_coo(rows, cols, vals, (2, 2)).toarray()
-    seq = np.zeros((2, 2))
-    acc = {}
-    for r, c, v in zip(rows, cols, vals):
-        acc[(r, c)] = acc.get((r, c), 0.0) + v
-    for (r, c), v in acc.items():
-        seq[r, c] = v
-    assert np.array_equal(out, seq)
+def test_accumulation_is_first_term_plus_the_rest():
+    # four elements on the same two DOFs: each entry sums one term per
+    # element, in element order, as a0 + ((a1 + a2) + a3); on the three
+    # entries below, the sequential sum ((a0 + a1) + a2) + a3, which
+    # np.bincount gives, differs
+    space = SimpleNamespace(element_dofs=np.array([[0, 1]] * 4), num_dofs=2)
+    terms = np.array([
+        [[1.0, 1e16], [1.0, 0.0]],
+        [[1e16, 1.0], [1e16, 0.0]],
+        [[-1e16, 1.0], [-1e16, 0.0]],
+        [[1.0, -1e16], [0.0, 0.0]],
+    ])
+    out = assembly._scatter(assembly._element_pattern(space), terms).toarray()
+    # [1, 1e16, -1e16, 1], [1e16, 1, 1, -1e16] and [1, 1e16, -1e16, 0]
+    assert out.tolist() == [[2.0, 2.0], [1.0, 0.0]]
+    sequential = np.zeros((2, 2))
+    for elem in terms:
+        sequential += elem
+    assert sequential.tolist() == [[1.0, 0.0], [0.0, 0.0]]
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -243,17 +242,15 @@ def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
 
 
 def test_assembly_bit_reproducible(grid4):
-    space = femspace.build_space(grid4, 2)
-    a1 = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
-    a2 = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
+    a1 = Discretization(grid4, 2).stiffness
+    a2 = Discretization(grid4, 2).stiffness
     assert np.array_equal(a1.data, a2.data)
     assert np.array_equal(a1.indices, a2.indices)
 
 
 def test_basis_integrals_sum_to_measure(grid4):
     for degree in (1, 2):
-        space = femspace.build_space(grid4, degree)
-        w = assembly.basis_integrals(space)
+        w = Discretization(grid4, degree).mean_weights
         assert w.sum() == pytest.approx(1.0, abs=1e-13)
 
 

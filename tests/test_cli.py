@@ -194,6 +194,10 @@ def test_guard_band_is_config_error(tmp_path, capsys):
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nnu = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = nan\n"),
         ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = inf\n"),
+        # delta = h^2/(nu rho^2) that is not a positive finite number
+        ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = 10 1e-200\n"),
+        ("transient-init", "[transient_init]\nn_values = 4\nrho_values = 1e-200\n"),
+        ("steady-sweep", "[steady_sweep]\nn_values = 4\nrho_values = 1e200\n"),
         # lists that the runners ignored in part or that left nothing to run
         ("transient-init",
          "[transient_init]\ndegrees = 1 2\nn_values = 4\nT = 0.125\ndt_law = fixed\n"
@@ -207,6 +211,7 @@ def test_guard_band_is_config_error(tmp_path, capsys):
     ],
     ids=["T-not-step-multiple", "T-negative", "rho-zero", "no-inits", "tol-negative",
          "ceiling-negative", "ceiling-nan", "nu-nan", "rho-nan", "rho-inf",
+         "delta-inf", "transient-delta-inf", "delta-zero",
          "transient-degrees-list", "degrees-empty", "rho-empty", "dt_ratios-empty",
          "convergence-inits-list"],
 )
@@ -621,6 +626,33 @@ def test_main_config_error_exit_code(tmp_path, capsys):
 
 def test_main_missing_config_file(tmp_path, capsys):
     assert cli.main(["steady-sweep", "--config", str(tmp_path / "none.cfg")]) == 1
+
+
+def test_config_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_bytes(b"[steady_sweep]\nn_values = 4 # \xff\n")
+    assert cli.main(["steady-sweep", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "can't decode byte 0xff" in err
+
+
+def test_delta_out_of_range_names_mesh_and_rho(tmp_path, capsys):
+    cfg = write(tmp_path, "[steady_sweep]\nn_values = 4 8\nrho_values = 10 1e-200\n")
+    assert cli.main(["steady-sweep", "--config", str(cfg)]) == 2
+    assert "N = 4, rho = 1e-200: delta" in capsys.readouterr().err
+
+
+def test_singular_saddle_matrix_is_a_failed_row(tmp_path, capsys, monkeypatch):
+    # both the symmetric and the pivoting factorization find it singular
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(sparsela.spla, "splu", singular)
+    cfg = write(tmp_path, "[steady_sweep]\nn_values = 4\nrho_values = 10\n")
+    assert cli.main(["steady-sweep", "--config", str(cfg)]) == 0
+    out, err = capsys.readouterr()
+    assert "failed: pivoting factorization failed: Factor is exactly singular" in out
+    assert err == ""
 
 
 def test_main_out_of_memory_is_solver_error(tmp_path, capsys, monkeypatch):

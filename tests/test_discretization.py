@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -19,17 +22,55 @@ def assert_same_csr(a, b):
         assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
 
 
+def entrywise_reference(dofs, elem, keep_rows):
+    """The CSR matrix of the element matrices ``elem`` (nt, nb, nb) on the
+    element DOFs ``dofs``, gathered entry by entry in a Python loop and
+    summed in the documented order: the first term plus the left-to-right
+    sum of the rest.  Only the rows ``keep_rows`` are kept, renumbered."""
+    terms = {}
+    for t, row_dofs in enumerate(dofs):
+        for i, row in enumerate(row_dofs):
+            for j, col in enumerate(row_dofs):
+                terms.setdefault((row, col), []).append(elem[t, i, j])
+    new_row = {row: k for k, row in enumerate(keep_rows)}
+    entries = [(new_row[row], col, first + functools.reduce(operator.add, rest, -0.0))
+               for (row, col), (first, *rest) in terms.items() if row in new_row]
+    rows, cols, vals = zip(*entries)
+    shape = (len(keep_rows), int(dofs.max()) + 1)
+    return sparse.csr_array((vals, (rows, cols)), shape=shape)
+
+
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
-def test_operators_bit_identical_to_direct_assembly(grid4, degree):
-    disc = Discretization(grid4, degree)
-    space = femspace.build_space(grid4, degree)
-    grads = assembly._physical_gradients(space)
-    assert_same_csr(
-        dense_oracle.vector_matrix(disc.stiffness_free),
-        dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space, grads)),
-    )
-    assert_same_csr(disc.G, assembly.assemble_pressure_gradient(space, grads))
-    assert_same_csr(disc.stiffness, assembly.assemble_stiffness(space, grads))
+def test_operators_bit_identical_to_direct_assembly(degree):
+    # the element matrices of the operator rule from the public basis and
+    # quadrature, on Jacobians formed here, then summed entry by entry; at
+    # N = 6 a sequential sum would change 5 to 20 entries of the mass and the
+    # stiffness
+    grid = mesh.build_grid(6)
+    disc = Discretization(grid, degree)
+    space = disc.space
+    rule = femspace.quadrature(2 if degree == 1 else 4)
+    w = rule.weights
+    vals, gref = femspace.basis(degree, rule.points)
+    p = grid.vertices[grid.triangles]
+    jac = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    det = jac[:, 0, 0] * jac[:, 1, 1] - jac[:, 0, 1] * jac[:, 1, 0]
+    adj_t = np.stack([jac[:, 1, 1], -jac[:, 1, 0], -jac[:, 0, 1], jac[:, 0, 0]], axis=1)
+    inv_t = adj_t.reshape(-1, 2, 2) / det[:, None, None]
+    grads = np.einsum("tab,qib->tqia", inv_t, gref)
+    every, fs = np.arange(space.num_dofs), space.free_scalar
+    dofs = space.element_dofs
+    mass = np.einsum("q,qi,qj,t->tij", w, vals, vals, det)
+    stiffness = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)
+    assert_same_csr(disc.mass, entrywise_reference(dofs, mass, every))
+    assert_same_csr(disc.stiffness, entrywise_reference(dofs, stiffness, every))
+    assert_same_csr(disc.stiffness_free, entrywise_reference(dofs, stiffness, fs)[:, fs])
+    g_blocks = [entrywise_reference(dofs, np.einsum("q,tqm,qi,t->tim", w, grads[..., axis],
+                                                    vals, det), fs) for axis in range(2)]
+    assert_same_csr(disc.G, sparse.vstack(g_blocks, format="csr"))
+    mean = np.zeros(space.num_dofs)
+    np.add.at(mean, dofs, np.einsum("q,tq,qi,t->ti", w, np.ones((len(det), len(w))), vals, det))
+    assert np.array_equal(disc.mean_weights, mean)
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -120,9 +161,10 @@ def test_p2_separators_lie_on_mesh_lines(n):
 
 @pytest.fixture
 def counts(monkeypatch):
-    """Calls of every space construction, operator assembly, load
-    assembly, saddle solve, pressure solver and error tracker
-    construction."""
+    """Calls of every space construction, operator-rule evaluation, element
+    pattern sort, operator assembly, load assembly, saddle solve, pressure
+    solver and error tracker construction, and of the geometry and basis
+    evaluations behind the rules."""
     seen = {}
 
     def counting(owner, name):
@@ -134,9 +176,11 @@ def counts(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    for name in OPERATORS + ("assemble_load",):
+    for name in OPERATORS + ("assemble_load", "_operator_rule", "_element_pattern",
+                             "_geometry"):
         counting(assembly, name)
     counting(femspace, "build_space")
+    counting(femspace, "basis")
     counting(sparsela, "saddle_solve")
     counting(sparsela, "_pinned_saddle_csc")
     counting(sparsela, "PinnedSingularSolver")
@@ -163,7 +207,11 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     # P1 solves the pressure factor-free
     assert counts["GridNeumannSolver"] == 1
     assert counts.get("PinnedSingularSolver", 0) == 0
-    assert all(counts.get(name, 0) <= 1 for name in OPERATORS), counts
+    # one rule evaluation and one pattern sort for all the operators; the
+    # degree-6 rule is the other geometry and basis evaluation
+    assert all(counts[name] == 1 for name in OPERATORS), counts
+    assert counts["_operator_rule"] == counts["_element_pattern"] == 1
+    assert counts["_geometry"] == counts["basis"] == 2
 
 
 def test_p2_probe_factorizes_pressure_stiffness_once(counts):
@@ -194,7 +242,9 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts, monkeypatch)
     assert counts["saddle_solve"] == 6
     # one saddle matrix per mesh, rewritten in place for each rho
     assert counts["_pinned_saddle_csc"] == 2
-    assert all(counts.get(name, 0) <= 2 for name in OPERATORS), counts
+    assert all(counts[name] == 2 for name in OPERATORS), counts
+    assert counts["_operator_rule"] == counts["_element_pattern"] == 2
+    assert counts["_geometry"] == counts["basis"] == 4
     # per mesh: the forcing load and the mean weights
     assert counts["assemble_load"] == 4
     # each exact field once per mesh (32 and 72 triangles of 12 points)

@@ -8,10 +8,13 @@ passed by some call in src/ or scripts/: a default that nothing
 overrides is a constant.  Every field of a package dataclass is read as
 an attribute in src/, scripts/ or the benchmark harness perfbench/*.py:
 a field that nothing reads is carried for nothing.  No line under src/
-is longer than 99 characters."""
+is longer than 99 characters.  Every span pattern of a benchmark layer
+(perfbench/layers.py) matches a name that the benchmark's tracer wraps:
+a layer that matches nothing reads 0."""
 
 import ast
 import collections
+import importlib.util
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -369,4 +372,55 @@ def test_package_dataclass_fields_are_read():
     kept = set(KEPT_FIELDS)
     assert found == kept, (
         f"nothing reads {sorted(found - kept)}; kept but now read {sorted(kept - found)}"
+    )
+
+
+def _harness_module(name):
+    """``perfbench/<name>.py`` loaded, read-only, as a module of its own."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", ROOT / "perfbench" / f"{name}.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def unmatched_patterns(groups, span_names, matches):
+    """Every pattern of the layer ``groups`` that matches none of
+    ``span_names`` under ``matches(name, patterns)``."""
+    return sorted(
+        pattern
+        for patterns in groups.values()
+        for pattern in patterns
+        if not any(matches(name, (pattern,)) for name in span_names)
+    )
+
+
+# Layer patterns that match no code at the time of writing, kept on
+# purpose: only a change to the benchmark may edit perfbench/.
+KEPT_STALE_PATTERNS = {
+    pattern: "ROADMAP item 1 mends them in a benchmark PR"
+    for pattern in (
+        "assembly.assemble_pressure_stiffness",
+        "assembly.assemble_gradient_load",
+        "steady.SteadyOperators.__init__",
+        "metrics.SpaceNorms.*",
+    )
+}
+
+
+def test_checker_flags_unmatched_patterns():
+    layers = _harness_module("layers")
+    groups = {"a": ("mod.f", "mod.Shape.*"), "b": ("mod.gone", "old.Shape.*", "mod.f")}
+    names = ["mod.f", "mod.Shape.area", "mod.fg"]
+    assert unmatched_patterns(groups, names, layers._matches) == ["mod.gone", "old.Shape.*"]
+
+
+def test_benchmark_layer_patterns_match_code():
+    layers, tracer = _harness_module("layers"), _harness_module("tracer")
+    names = {name for _, _, name in tracer._targets()}
+    found = set(unmatched_patterns(layers.GROUPS, names, layers._matches))
+    kept = set(KEPT_STALE_PATTERNS)
+    assert found == kept, (
+        f"no code matches {sorted(found - kept)}; kept but not stale {sorted(kept - found)}"
     )

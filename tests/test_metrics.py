@@ -4,23 +4,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from stokesproj import assembly, femspace, metrics
+from stokesproj import femspace, metrics
 from stokesproj.assembly import Discretization
 
 
 def test_identical_vectors_have_zero_norm(grid4):
-    space = femspace.build_space(grid4, 1)
+    disc = Discretization(grid4, 1)
     rng = np.random.default_rng(0)
-    a = rng.standard_normal(space.num_dofs)
-    assert metrics.fe_norm_diff(a, a, assembly.assemble_mass(space)) == 0.0
+    a = rng.standard_normal(disc.space.num_dofs)
+    assert metrics.fe_norm_diff(a, a, disc.mass) == 0.0
 
 
 def test_constant_difference_l2(grid4):
-    space = femspace.build_space(grid4, 1)
-    a = np.full(space.num_dofs, 2.5)
-    b = np.full(space.num_dofs, -0.75)
+    disc = Discretization(grid4, 1)
+    a = np.full(disc.space.num_dofs, 2.5)
+    b = np.full(disc.space.num_dofs, -0.75)
     # total mass is |domain| = 1, so the L2 norm of a constant equals |c|
-    m = assembly.assemble_mass(space)
+    m = disc.mass
     assert metrics.fe_norm_diff(a, b, m) == pytest.approx(3.25, abs=1e-13)
 
 
@@ -34,15 +34,15 @@ def test_fe_norm_matches_quadrature(grid4, case):
     space = disc.space
     coeffs = femspace.interpolate(space, case.steady_pressure)
     direct = exact_error(disc, coeffs, lambda x, y: np.zeros_like(x))
-    m = assembly.assemble_mass(space)
+    m = disc.mass
     via_matrix = metrics.fe_norm_diff(coeffs, np.zeros_like(coeffs), m)
     assert direct == pytest.approx(via_matrix, abs=1e-12)
 
 
 def test_h1_seminorm_matches_quadrature(grid4):
-    space = femspace.build_space(grid4, 1)
-    coeffs = femspace.interpolate(space, lambda x, y: 2 * x - y)
-    a = assembly.assemble_stiffness(space, assembly._physical_gradients(space))
+    disc = Discretization(grid4, 1)
+    coeffs = femspace.interpolate(disc.space, lambda x, y: 2 * x - y)
+    a = disc.stiffness
     via_matrix = metrics.fe_norm_diff(coeffs, np.zeros_like(coeffs), a)
     assert via_matrix == pytest.approx(np.sqrt(5.0), rel=1e-13)
 
@@ -91,7 +91,7 @@ def test_error_triangle_inequality_sanity(grid4, case):
     coeffs = rng.standard_normal(2 * space.num_dofs)
     interp = femspace.interpolate(space, case.steady_velocity)
     vs_exact = exact_error(disc, coeffs, case.steady_velocity)
-    mass = dense_oracle.vector_matrix(assembly.assemble_mass(space))
+    mass = dense_oracle.vector_matrix(disc.mass)
     vs_interp = metrics.fe_norm_diff(coeffs, interp, mass)
     interp_err = exact_error(disc, interp, case.steady_velocity)
     assert vs_exact <= vs_interp + interp_err + 1e-12
@@ -155,7 +155,7 @@ def test_tracker_matches_direct_quadrature(grid4, case):
     assert rec.vel_l2_exact == pytest.approx(vel_exact, rel=1e-9)
     pres_exact = exact_error(disc, q, lambda x, y: case.pressure(x, y, t))
     assert rec.pres_l2_exact == pytest.approx(pres_exact, rel=1e-9)
-    mass = assembly.assemble_mass(space)
+    mass = disc.mass
     interp_p = femspace.interpolate(space, lambda x, y: case.pressure(x, y, t))
     assert rec.pres_l2_interp == pytest.approx(
         metrics.fe_norm_diff(q, interp_p, mass), rel=1e-9
@@ -170,4 +170,4 @@ def test_tracker_matches_direct_quadrature(grid4, case):
 from stokesproj import mesh as _mesh_mod
 
 metrics_grid = _mesh_mod.build_grid(3)
-metrics_mass = assembly.assemble_mass(femspace.build_space(metrics_grid, 1))
+metrics_mass = Discretization(metrics_grid, 1).mass

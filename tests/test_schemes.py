@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from stokesproj import assembly, cli, femspace, mesh, metrics, schemes, steady
+from stokesproj import cli, femspace, mesh, metrics, schemes, steady
 from stokesproj.assembly import Discretization
 
 
@@ -107,7 +107,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
 def test_interpolant_init_pressure_mean_subtracted(grid4, case):
     params = make_params(init="interpolant")
     state = schemes.initialize(params, case, Discretization(grid4, 1))
-    w = assembly.basis_integrals(femspace.build_space(grid4, 1))
+    w = Discretization(grid4, 1).mean_weights
     assert abs(w @ state.pressure) <= 1e-13
 
 
@@ -186,7 +186,7 @@ def states(params, case, disc):
 def test_pressure_zero_mean_every_step(grid4, case):
     params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2)
     disc = Discretization(grid4, 1)
-    w = assembly.basis_integrals(disc.space)
+    w = disc.mean_weights
     trajectory = states(params, case, disc)
     assert len(trajectory) == 11
     for state in trajectory[1:]:

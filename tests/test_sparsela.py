@@ -8,7 +8,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 import dense_oracle
-from stokesproj import assembly, femspace, mesh, sparsela, steady
+from stokesproj import assembly, mesh, sparsela, steady
 from stokesproj.assembly import componentwise
 
 
@@ -16,11 +16,10 @@ from stokesproj.assembly import componentwise
 
 
 def test_factorized_spd_multi_rhs(grid4):
-    space = femspace.build_space(grid4, 1)
-    m = assembly.assemble_mass(space)
+    m = assembly.Discretization(grid4, 1).mass
     lu = sparsela.FactorizedSpd(m)
     rng = np.random.default_rng(8)
-    b = rng.standard_normal((space.num_dofs, 2))
+    b = rng.standard_normal((m.shape[0], 2))
     x = lu.solve(b)
     assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
 
@@ -29,9 +28,8 @@ def test_factorized_spd_multi_rhs(grid4):
 def test_factorized_spd_falls_back_to_pivoting_splu(grid4, monkeypatch, failure):
     # the symmetric factorization either fails or gives a solve that misses
     # the verification probe; the fallback is SuperLU with default pivoting
-    space = femspace.build_space(grid4, 2)
-    m = assembly.assemble_mass(space)
-    b = np.random.default_rng(10).standard_normal(space.num_dofs)
+    m = assembly.Discretization(grid4, 2).mass
+    b = np.random.default_rng(10).standard_normal(m.shape[0])
     direct = spla.splu(sparse.csc_matrix(m)).solve(b)
     real_splu = spla.splu
 
@@ -49,10 +47,8 @@ def test_factorized_spd_falls_back_to_pivoting_splu(grid4, monkeypatch, failure)
 
 
 def test_pinned_singular_solver(grid4):
-    space = femspace.build_space(grid4, 1)
-    grads = assembly._physical_gradients(space)
-    s = assembly.assemble_stiffness(space, grads)
-    g = assembly.assemble_pressure_gradient(space, grads)
+    disc = assembly.Discretization(grid4, 1)
+    s, g = disc.stiffness, disc.G
     rng = np.random.default_rng(9)
     b = g.T @ rng.standard_normal(g.shape[0])
     solver = sparsela.PinnedSingularSolver(s)
@@ -77,16 +73,11 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 
 
 def saddle_blocks(grid, degree=1):
-    """The scalar free stiffness, G, S, the mean weights and the saddle
-    ordering, each assembled directly."""
-    space = femspace.build_space(grid, degree)
-    grads = assembly._physical_gradients(space)
-    s = assembly.assemble_stiffness(space, grads)
-    a = s[space.free_scalar][:, space.free_scalar].tocsr()
-    g = assembly.assemble_pressure_gradient(space, grads)
-    w = assembly.basis_integrals(space)
-    order = assembly.Discretization(grid, degree).saddle_order
-    return space, a, g, s, w, order
+    """The space, the scalar free stiffness, G, S, the mean weights and
+    the saddle ordering of a fresh Discretization."""
+    disc = assembly.Discretization(grid, degree)
+    return (disc.space, disc.stiffness_free, disc.G, disc.stiffness, disc.mean_weights,
+            disc.saddle_order)
 
 
 def free_forcing(space, case):
@@ -135,7 +126,7 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
     disc = assembly.Discretization(grid, 1)
     _, pressure = steady.solve(disc, 0.01, delta, disc.free_load(case.steady_forcing),
                                tol=1e-10)
-    w = assembly.basis_integrals(disc.space)
+    w = disc.mean_weights
     assert abs(w @ pressure) <= 1e-12
 
 
@@ -369,6 +360,17 @@ def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
     assert np.linalg.norm(componentwise(a, x) + g @ z - rhs) <= tol * scale
     assert np.linalg.norm(g.T @ x - delta * (s @ z)) <= tol * scale
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
+
+
+def test_singular_pivoting_fallback_is_solver_error(case, monkeypatch):
+    # the symmetric factorization and its pivoting fallback both fail
+    a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
+    monkeypatch.setattr(sparsela.spla, "splu", zero_pivot)
+    with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
+        sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
+                              mean_weights=w, tol=1e-10)
+    with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
+        sparsela.FactorizedSpd(a)
 
 
 def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):

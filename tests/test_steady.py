@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
-from stokesproj import assembly, femspace, mesh, metrics, steady
+from stokesproj import femspace, mesh, metrics, steady
 from stokesproj.assembly import Discretization
 
 
@@ -45,10 +45,8 @@ def test_block_residuals(grid4, case):
     nu, delta = 0.01, 1e-3
     disc, velocity, pressure = steady_solve(grid4, 1, nu, delta, case.steady_forcing)
     space = disc.space
-    grads = assembly._physical_gradients(space)
-    a = dense_oracle.restrict_matrix(space, assembly.assemble_stiffness(space, grads))
-    g = assembly.assemble_pressure_gradient(space, grads)
-    s = assembly.assemble_stiffness(space, grads)
+    a = dense_oracle.restrict_matrix(space, disc.stiffness)
+    g, s = disc.G, disc.stiffness
     rhs = disc.free_load(case.steady_forcing)
     vf = space.restrict(velocity)
     scale = np.linalg.norm(rhs)
@@ -83,7 +81,7 @@ def test_solution_matches_independent_dense_solve(case):
     keep = np.concatenate([np.arange(nv), nv + np.arange(1, npres)])
     x = np.zeros(nv + npres)
     x[keep] = np.linalg.solve(k[np.ix_(keep, keep)], np.concatenate([rhs, np.zeros(npres)])[keep])
-    w = assembly.basis_integrals(space)
+    w = disc.mean_weights
     z = x[nv:] - (w @ x[nv:]) / w.sum()
 
     assert np.abs(space.restrict(velocity) - x[:nv]).max() <= 1e-10
@@ -100,7 +98,7 @@ def test_velocity_rate_near_two(case):
         delta = steady.choose_delta(h, case.nu, 100.0)
         disc, velocity, pressure = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
         interp = femspace.interpolate(disc.space, case.steady_velocity)
-        mass = dense_oracle.vector_matrix(assembly.assemble_mass(disc.space))
+        mass = dense_oracle.vector_matrix(disc.mass)
         errs.append(metrics.fe_norm_diff(velocity, interp, mass))
         hs.append(h)
     rate = metrics.observed_rate(errs, hs)
@@ -116,7 +114,7 @@ def test_rho_1000_pressure_stagnates(case):
         delta = steady.choose_delta(h, case.nu, 1000.0)
         disc, velocity, pressure = steady_solve(grid, 1, case.nu, delta, case.steady_forcing)
         interp = femspace.interpolate(disc.space, case.steady_pressure)
-        mass = assembly.assemble_mass(disc.space)
+        mass = disc.mass
         errs.append(metrics.fe_norm_diff(pressure, interp, mass))
     assert errs[1] > 0.5 * errs[0]  # barely any decrease under mesh halving
 
