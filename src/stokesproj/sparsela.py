@@ -6,12 +6,16 @@ schemes need:
 
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
   Stokes block system of a ``SaddleSystem`` on the zero-mean pressure
-  subspace, factorized in a caller-given fill-reducing ordering
-  (``Discretization.saddle_order``, a geometric nested dissection of the
-  grid); the pinned, ordered matrix is built once per system, straight
-  from the scalar velocity block, ``G``, ``G^T`` and ``-delta S``, each
-  delta only rewrites its ``-delta S`` entries, and it is the only copy
-  of the system alive while it is factorized;
+  subspace, one symmetry block at a time: the grid's reflection x <-> y
+  and half-turn split the system into four blocks, one per character of
+  their Klein four-group (``SaddleOrbits``, from
+  ``Discretization.saddle_orbits``), each ordered by a geometric nested
+  dissection of the fundamental triangle; the four pinned blocks are
+  built once per system, straight from the scalar velocity block, ``G``,
+  ``G^T`` and ``S``, each delta only rewrites their ``-delta S``
+  entries, and each block is factorized, solved, refined and its factor
+  dropped before the next, so one quarter-size factor is alive at a
+  time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -161,85 +165,176 @@ def _csr_rows(m):
     return np.repeat(np.arange(m.shape[0], dtype=np.int32), np.diff(m.indptr))
 
 
-def _pinned_saddle_csc(a_block, g, s, perm):
-    """The pinned saddle matrix of ``saddle_solve`` in the order ``perm``,
-    as one CSC built straight from its blocks.  Returns (matrix, s_slots,
-    s_values): the pressure block holds the entries ``s_values`` of ``s``
-    at the positions ``s_slots`` until ``matrix.data[s_slots] = -delta *
-    s_values`` sets it for a delta.
+@dataclass(frozen=True)
+class SaddleOrbits:
+    """Orbit tables of the steady saddle unknowns (free x-velocities,
+    free y-velocities, pressures) under the symmetry group of the grid:
+    the reflection x <-> y, which maps (u_x, u_y)(x, y) to
+    (u_y, u_x)(y, x), the half-turn about (1/2, 1/2), which maps
+    (u_x, u_y)(x, y) to -(u_x, u_y)(1 - x, 1 - y), and their product.
+    Pressures map as scalars.  Built by ``Discretization.saddle_orbits``.
 
-    ``perm`` lists the pinned unknowns in factorization order as indices
-    into the unpinned ones (x-velocities, y-velocities, pressures).  The
-    stored entries of ``a_block`` (twice), ``g``, ``g^T`` and ``s``, less
-    those of the pinned pressure, are mapped through the inverse of
-    ``perm`` into int32 row and column arrays of the final size, and one
-    COO -> CSC conversion sorts them.  No two blocks share a position, so
-    the pressure block is exactly the entries whose row and column are
-    both pressures, and with them set to ``-delta*s`` this is, entry for
-    entry, ``csc(bmat([[A (+) A, g], [g^T, -delta*s]])[perm][:, perm])``,
-    explicit zeros included, without ever holding that block matrix.
+    Each character chi of this Klein four-group has a block.  Character
+    k takes the value -1 on the reflection if bit 0 of k is set and on
+    the half-turn if bit 1 is set, so block 0 is the trivial one.  An
+    orbit a of n_a unknowns (1, 2 or 4) with representative r_a spans
+    in block k the vector with entries ``weight[k, i]`` (+1 or -1) on
+    its unknowns i, and none if its stabilizer rules the character out
+    (``weight`` is 0 there).
+
+    orbit : (n,) orbit of every unknown; orbits are numbered in
+        factorization order, so every block lists its orbits in
+        increasing order
+    rep : (n_orbits,) the representative unknown of each orbit, the one
+        whose node lies in the fundamental triangle y <= x, x + y <= 1
+        (the x-velocity where both components of a node are members)
+    size : (n_orbits,) n_a
+    weight : (4, n) the entries of the symmetry-adapted vectors
+    blocks : per character, the orbits of its block in factorization
+        order
     """
-    na, nv = a_block.shape[0], g.shape[0]
-    pos = np.full(nv + s.shape[0], -1, dtype=np.int32)
-    pos[perm] = np.arange(perm.size, dtype=np.int32)
-    g_keep = g.indices != 0
-    s_rows = _csr_rows(s)
-    s_keep = (s_rows != 0) & (s.indices != 0)
-    nnz = 2 * a_block.nnz + 2 * np.count_nonzero(g_keep) + np.count_nonzero(s_keep)
 
-    def blocks():
-        """(rows, columns, values) of each block, in unpinned indices;
-        one block's temporaries are alive at a time."""
+    orbit: np.ndarray
+    rep: np.ndarray
+    size: np.ndarray
+    weight: np.ndarray
+    blocks: tuple
+
+
+def _symmetry_blocks(a_block, g, s, orbits, blocks):
+    """The symmetry blocks of the steady saddle matrix: for each list
+    of orbits in ``blocks`` (in order), the CSC of
+
+        K_chi[a, b] = (4 / n_b) sum_{j in b} weight[chi, j] K[r_a, j]
+
+    where K = [[A (+) A, g], [g^T, s]] is the unpinned saddle matrix with
+    the pressure block ``s`` in place of ``-delta s``.  This is
+    V_chi^T K V_chi for the basis V_chi[i, a] = (2 / n_a) weight[chi, i],
+    read off the rows of the representatives: K commutes with the
+    group, so K V_chi = V_chi C and row r_a of K V_chi gives C[a, :].
+    Returns (matrix, s_slots, s_values) per block: its pressure block
+    holds the entries ``s_values`` of s at the positions ``s_slots``
+    until ``matrix.data[s_slots] = -delta * s_values`` sets it.
+
+    Only the stored entries in the rows of representatives, about a
+    quarter of K, are gathered; each is scaled exactly (by a sign and a
+    power of two) and mapped to its block position.  The terms of a
+    block entry are summed sequentially in the column order of K, as a
+    sparse product ``K[r] @ V_chi`` sums them, and entries that sum to
+    zero are not stored.
+    """
+    nf, nv = a_block.shape[0], g.shape[0]
+    is_rep = np.zeros(orbits.orbit.size, dtype=bool)
+    is_rep[orbits.rep] = True
+
+    def entries():
+        """(rows, columns, values) of each block of K in the rows of
+        representatives, in unknown indices."""
         a_rows = _csr_rows(a_block)
-        yield a_rows, a_block.indices, a_block.data
-        yield a_rows + na, a_block.indices + na, a_block.data
-        g_rows, g_cols = _csr_rows(g)[g_keep], nv + g.indices[g_keep]
-        yield g_rows, g_cols, g.data[g_keep]
-        yield g_cols, g_rows, g.data[g_keep]
-        yield nv + s_rows[s_keep], nv + s.indices[s_keep], s.data[s_keep]
+        for offset in (0, nf):
+            keep = is_rep[offset + a_rows]
+            yield offset + a_rows[keep], offset + a_block.indices[keep], a_block.data[keep]
+        g_rows, g_cols = _csr_rows(g), nv + g.indices
+        keep = is_rep[g_rows]
+        yield g_rows[keep], g_cols[keep], g.data[keep]
+        keep = is_rep[g_cols]
+        yield g_cols[keep], g_rows[keep], g.data[keep]
+        s_rows = nv + _csr_rows(s)
+        keep = is_rep[s_rows]
+        yield s_rows[keep], nv + s.indices[keep], s.data[keep]
 
-    rows = np.empty(nnz, dtype=np.int32)
-    cols = np.empty(nnz, dtype=np.int32)
-    data = np.empty(nnz)
-    start = 0
-    for r, c, v in blocks():
-        end = start + v.size
-        rows[start:end], cols[start:end], data[start:end] = pos[r], pos[c], v
-        start = end
-    matrix = sparse.coo_matrix((data, (rows, cols)), shape=(perm.size,) * 2).tocsc()
-    pressure = perm >= nv
-    s_slots = np.flatnonzero(pressure[matrix.indices]
-                             & np.repeat(pressure, np.diff(matrix.indptr)))
-    return matrix, s_slots, matrix.data[s_slots]
+    rows, cols, values = (np.concatenate(part) for part in zip(*entries()))
+    row_orbit, col_orbit = orbits.orbit[rows], orbits.orbit[cols]
+    # orbits are numbered in factorization order, so one sort by block
+    # column, block row and column of K orders the entries of every block
+    sort = np.lexsort((cols, col_orbit * orbits.rep.size + row_orbit))
+    cols, row_orbit, col_orbit = cols[sort], row_orbit[sort], col_orbit[sort]
+    values = values[sort] * (4.0 / orbits.size[col_orbit])
+    out = []
+    for k, order in enumerate(blocks):
+        pos = np.full(orbits.rep.size, -1, dtype=np.int32)
+        pos[order] = np.arange(order.size, dtype=np.int32)
+        r, c = pos[row_orbit], pos[col_orbit]
+        kept = np.flatnonzero((r >= 0) & (c >= 0))
+        r, c = r[kept], c[kept]
+        first = np.ones(r.size, dtype=bool)
+        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
+        # each entry sums its terms sequentially, in the column order of K
+        terms = values[kept] * orbits.weight[k, cols[kept]]
+        data = np.bincount(np.cumsum(first) - 1, weights=terms)
+        nonzero = data != 0.0
+        r, c = r[first][nonzero], c[first][nonzero]
+        indptr = np.zeros(order.size + 1, dtype=np.int32)
+        np.cumsum(np.bincount(c, minlength=order.size), out=indptr[1:])
+        matrix = sparse.csc_matrix((data[nonzero], r, indptr), shape=(order.size,) * 2)
+        pressure = orbits.rep[order] >= nv
+        s_slots = np.flatnonzero(pressure[r] & pressure[c])
+        out.append((matrix, s_slots, matrix.data[s_slots]))
+    return out
 
 
 class SaddleSystem:
     """The steady saddle system of ``saddle_solve`` for one scalar
     velocity block ``a_block`` (already viscosity-scaled, on free DOFs),
-    coupling ``g`` and pressure stiffness ``s``, factorized in the order
-    ``order``: a permutation of the unknowns (x-velocities, y-velocities,
-    then pressures) such as the nested dissection
-    ``Discretization.saddle_order``.  The system drops the pinned
-    pressure DOF 0 from it; ``perm`` keeps the rest in their order.
+    coupling ``g`` and pressure stiffness ``s``, split by the orbit
+    tables ``orbits`` (``Discretization.saddle_orbits``) into four
+    symmetry blocks, each in the factorization order of its orbits.
 
-    Only the ``-delta*s`` block depends on delta.  The pinned, ordered
-    matrix is built at the first solve and kept, and every solve
-    rewrites its ``-delta*s`` entries in place, so solves for several
-    delta share one build (``Discretization.saddle_system``)."""
+    The pin lives here: the trivial block drops the pressure orbit of
+    DOF 0.  The constants, the nullspace of the saddle matrix, lie in
+    the trivial block and have a nonzero entry on that orbit, so every
+    pinned block is nonsingular.
 
-    def __init__(self, a_block, g, s, order):
-        self.a_block, self.g, self.s = a_block, g, s
-        # the pinned unknowns in factorization order, as unpinned indices
-        self.perm = order[order != 2 * a_block.shape[0]]
+    Only the ``-delta*s`` entries depend on delta.  The four blocks are
+    built at the first solve (``_symmetry_blocks``) and kept, and every
+    solve rewrites their ``-delta*s`` entries in place, so solves for
+    several delta share one build (``Discretization.saddle_system``)."""
+
+    def __init__(self, a_block, g, s, orbits):
+        self.a_block, self.g, self.s, self.orbits = a_block, g, s, orbits
+        pinned = orbits.orbit[2 * a_block.shape[0]]
+        trivial, *rest = orbits.blocks
+        self.blocks = (trivial[trivial != pinned], *rest)
         self._built = None
 
-    def matrix(self, delta):
-        """The pinned, ordered CSC with the ``-delta*s`` entries of ``delta``."""
+    def matrices(self, delta):
+        """The four pinned, ordered block CSCs with the ``-delta*s``
+        entries of ``delta``."""
         if self._built is None:
-            self._built = _pinned_saddle_csc(self.a_block, self.g, self.s, self.perm)
-        matrix, s_slots, s_values = self._built
-        matrix.data[s_slots] = -delta * s_values
-        return matrix
+            self._built = _symmetry_blocks(self.a_block, self.g, self.s, self.orbits,
+                                           self.blocks)
+        for matrix, s_slots, s_values in self._built:
+            matrix.data[s_slots] = -delta * s_values
+        return [matrix for matrix, _, _ in self._built]
+
+
+def _block_solve(matrix, f, pressure, scale, tol):
+    """Solve one symmetry block ``matrix`` y = f: factorized in symmetric
+    mode in the block's order, then refined against the block at least
+    once and at most twice, until the relative norm of the velocity and
+    of the pressure part (``pressure`` marks it) of its residual is at
+    most ``tol``, both relative to ``scale``.  If the factorization
+    fails or the refined solve misses, the block alone is factorized
+    with partial pivoting and solved again.  The factor is dropped on
+    return.  Returns (y, refinements)."""
+
+    def refined(solve):
+        y, steps = solve(f), 0
+        while True:
+            r = f - matrix @ y
+            rel = max(np.linalg.norm(r[~pressure]), np.linalg.norm(r[pressure])) / scale
+            if steps == 2 or (steps and rel <= tol):
+                return y, rel, steps
+            y = y + solve(r)
+            steps += 1
+
+    try:
+        y, rel, steps = refined(_symmetric_splu(matrix, "NATURAL"))
+    except RuntimeError:  # a zero pivot in symmetric mode
+        rel = np.inf
+    if not rel <= tol:
+        y, _, steps = refined(_pivoting_splu(matrix))
+    return y, steps
 
 
 def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
@@ -250,67 +345,62 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
         [    g^T      -delta*s  ] [z] = [  0  ]
 
     on the zero-mean pressure subspace, where A = ``system.a_block`` acts
-    on both velocity components.  The pressure is pinned at DOF 0 for
-    the factorization and afterwards projected to zero weighted mean
-    (``mean_weights``).  With the pin the matrix is symmetric
-    quasi-definite, so any symmetric ordering is stable: it is factorized
-    in the symmetric SuperLU mode without pivoting, in the system's
-    ordering.  The ordered pinned matrix is built from the blocks
-    (``_pinned_saddle_csc``) at the system's first solve and rewritten in
-    place for later ones; while it is factorized nothing else of its
-    size is alive, and residuals are formed from the blocks.
+    on both velocity components, one symmetry block at a time.  The
+    matrix commutes with the signed permutations of the grid's symmetry
+    group (``SaddleOrbits``), so in the symmetry-adapted basis V it is
+    block diagonal: each block's right-hand side is V_chi^T rhs, its
+    solution y_chi adds V_chi y_chi to the solution, and the blocks are
+    solved in turn (``_block_solve``), each factor dropped before the
+    next block is factorized, so one quarter-size factor is alive at a
+    time.  With the pin of ``SaddleSystem`` every block is symmetric
+    quasi-definite, so its symmetric ordering is stable without
+    pivoting.  The pressure is afterwards projected to zero weighted
+    mean (``mean_weights``).
 
-    The contract is the block residual: both residual norms must not
-    exceed tol * ||rhs_v||.  Up to two steps of iterative refinement are
-    applied if needed; if the contract is still missed, the system is
-    refactorized with default partial pivoting and solved again, and if
-    that misses too or is singular, LinearSolverError is raised.
+    Each block is refined against itself to half of ``tol``: the basis
+    vectors are orthogonal with squared norms 1, 2 or 4, so the four
+    block residuals bound the residual of the assembled solution.  The
+    contract is checked on that assembled solution, formed from the
+    blocks of the system: both block residual norms must not exceed
+    tol * ||rhs_v||, else LinearSolverError is raised.  The report's
+    ``iterations`` is the number of refinement steps over the four
+    blocks.
     """
     if delta <= 0.0:
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
-    a_block, g, s, perm = system.a_block, system.g, system.s, system.perm
+    a_block, g, s, orbits = system.a_block, system.g, system.s, system.orbits
     nv = 2 * a_block.shape[0]
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
     if rhs_v.shape != (nv,):
         raise ValueError(f"rhs has shape {rhs_v.shape}, expected ({nv},)")
-    if np.linalg.norm(rhs_v) == 0.0:
+    scale = np.linalg.norm(rhs_v)
+    if scale == 0.0:
         return np.zeros(nv), np.zeros(npres), SolveReport(0, 0.0, True)
 
-    k_pinned = system.matrix(delta)
-    scale = np.linalg.norm(rhs_v)
+    rhs = np.concatenate([rhs_v, np.zeros(npres)])
+    share = 2.0 / orbits.size[orbits.orbit]  # V_chi[i, a] = share[i] * weight[chi, i]
+    sol = np.zeros(nv + npres)
+    refinements = 0
+    for k, (order, matrix) in enumerate(zip(system.blocks, system.matrices(delta))):
+        if order.size == 0:
+            continue
+        basis = share * orbits.weight[k]
+        f = np.bincount(orbits.orbit, weights=basis * rhs, minlength=orbits.rep.size)[order]
+        y, steps = _block_solve(matrix, f, orbits.rep[order] >= nv, scale, tol / 2)
+        refinements += steps
+        coef = np.zeros(orbits.rep.size)
+        coef[order] = y
+        sol += basis * coef[orbits.orbit]
 
-    def residual(sol):
-        """rhs - k @ sol, block by block, and its relative block norm."""
-        x, z = sol[:nv], sol[nv:]
-        ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
-        r1 = rhs_v - (ax + g @ z)
-        r2 = delta * (s @ z) - g.T @ x
-        return np.concatenate([r1, r2]), max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
-
-    def refined_solve(solve):
-        sol = np.zeros(nv + npres)
-        sol[perm] = solve(np.concatenate([rhs_v, np.zeros(npres)])[perm])
-        r, rel = residual(sol)
-        refinements = 0
-        while rel > tol and refinements < 2:
-            sol[perm] += solve(r[perm])
-            r, rel = residual(sol)
-            refinements += 1
-        return sol, rel, refinements
-
-    try:
-        sol, rel, refinements = refined_solve(_symmetric_splu(k_pinned, "NATURAL"))
-    except RuntimeError:  # a zero pivot in symmetric mode
-        rel = np.inf
-    if rel > tol:
-        sol, rel, refinements = refined_solve(_pivoting_splu(k_pinned))
-
-    x = sol[:nv]
-    z = project_mean(sol[nv:], mean_weights)
+    x, z = sol[:nv], sol[nv:]
+    ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
+    r1 = rhs_v - (ax + g @ z)
+    r2 = delta * (s @ z) - g.T @ x
+    rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
     report = SolveReport(refinements, float(rel), rel <= tol)
     if not report.converged:
         raise LinearSolverError(
             f"saddle solve residual {rel:.3e} exceeds tol={tol}", report
         )
-    return x, z, report
+    return x, project_mean(z, mean_weights), report

@@ -11,7 +11,8 @@ discrete system is the symmetric indefinite block form solved by
 ``solve`` assembles nothing: it hands the saddle solver the cached
 ``Discretization.saddle_system`` of nu, whose scalar velocity block nu A
 on the free DOFs acts on both components, so no vector copy of A is
-built, and whose pinned matrix is built once for all delta.
+built, and whose four pinned symmetry blocks are built once for all
+delta.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).

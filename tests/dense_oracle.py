@@ -12,7 +12,8 @@ It also holds the small helpers that only tests need: the Dirichlet DOFs
 of a velocity, the block-diagonal vector matrix of a scalar one and its
 Dirichlet restriction, the closed-form momentum forcing of the
 manufactured case, and the reference construction and solve of the
-pinned steady saddle system from its assembled block matrix.
+symmetry blocks of the steady saddle system from its assembled block
+matrix and the symmetry-adapted basis.
 """
 
 import numpy as np
@@ -170,42 +171,77 @@ def forcing(case, x, y, t):
     return np.cos(t) * case.steady_forcing(x, y) - np.sin(t) * case.steady_velocity(x, y)
 
 
-def pinned_saddle_matrix(a, g, s, delta, order):
-    """The reference construction of the ordered, pinned steady saddle
-    matrix: ``csc(bmat([[A (+) A, G], [G^T, -delta S]])[perm][:, perm])``
-    for the scalar velocity block ``a``, with ``perm`` the unknowns in the
-    order ``order`` less the pinned pressure DOF 0.  Returns the CSC, the
-    unpinned block matrix in CSR form and ``perm``."""
-    nv = 2 * a.shape[0]
-    k = sparse.bmat([[vector_matrix(a), g], [g.T, -delta * s]], format="csr")
-    perm = order[order != nv]
-    return sparse.csc_matrix(k[perm][:, perm]), k, perm
+def saddle_matrix(a, g, s, pressure_block):
+    """The unpinned steady saddle matrix [[A (+) A, G], [G^T, pressure_block]]
+    of the scalar velocity block ``a``, in canonical CSR form."""
+    k = sparse.bmat([[vector_matrix(a), g], [g.T, pressure_block]], format="csr")
+    k.sort_indices()
+    return k
 
 
+def symmetry_basis(orbits, chi, order):
+    """The symmetry-adapted basis V_chi of block ``chi`` on the orbits
+    ``order`` of the ``sparsela.SaddleOrbits`` ``orbits``, as a sparse
+    (unknowns, len(order)) matrix: V[i, a] = (2 / n_a) weight[chi, i]
+    for every unknown i of orbit ``order[a]``."""
+    pos = np.full(orbits.rep.size, -1)
+    pos[order] = np.arange(order.size)
+    col = pos[orbits.orbit]
+    vals = 2.0 / orbits.size[orbits.orbit] * orbits.weight[chi]
+    keep = (col >= 0) & (vals != 0.0)
+    return sparse.csr_matrix((vals[keep], (np.flatnonzero(keep), col[keep])),
+                             shape=(orbits.orbit.size, order.size))
 
-def saddle_reference(a, g, s, delta, rhs_v, order, solve_of, tol):
-    """The pinned saddle system of the reference matrix solved by the
-    factorization ``solve_of(csc)``: the relative block residual is
-    formed block by block, and up to two refinement steps correct with
-    the residual ``rhs - k @ sol`` of the assembled block matrix.
-    Returns the unpinned solution (pressure DOF 0 zero), its relative
-    block residual and the number of refinement steps."""
-    k_pinned, k, perm = pinned_saddle_matrix(a, g, s, delta, order)
-    nv = 2 * a.shape[0]
-    a_vector = vector_matrix(a)
+
+def symmetry_blocks(system, delta):
+    """The reference construction of the pinned symmetry blocks of the
+    ``sparsela.SaddleSystem`` ``system``: twice the rows of the orbit
+    representatives of the saddle matrix with pressure block S, times
+    the basis V_chi (a sparse product), with the entries whose row and
+    column are both pressures then scaled by -delta.  Returns (CSC, V_chi)
+    for each block."""
+    k = saddle_matrix(system.a_block, system.g, system.s, system.s)
+    nv, out = system.g.shape[0], []
+    for chi, order in enumerate(system.blocks):
+        v = symmetry_basis(system.orbits, chi, order)
+        block = sparse.csc_matrix(2.0 * (k[system.orbits.rep[order]] @ v))
+        pressure = system.orbits.rep[order] >= nv
+        columns = np.repeat(np.arange(order.size), np.diff(block.indptr))
+        block.data[pressure[block.indices] & pressure[columns]] *= -delta
+        out.append((block, v))
+    return out
+
+
+def saddle_reference(system, delta, rhs_v, solve_of, tol):
+    """The steady saddle system solved block by block on the reference
+    blocks (``symmetry_blocks``): each block's right-hand side is
+    V_chi^T rhs, its factorization ``solve_of(csc)``, its solution is
+    refined against the block once, and once more if the relative norm
+    of the velocity or the pressure part of its residual exceeds tol/2,
+    and V_chi y_chi is added to the solution.  Returns the unpinned
+    solution (pressure not yet of zero mean), the relative block
+    residual of that solution and the number of refinement steps."""
+    a, g, s = system.a_block, system.g, system.s
+    nv = g.shape[0]
     rhs = np.concatenate([rhs_v, np.zeros(s.shape[0])])
-    solve = solve_of(k_pinned)
-
-    def relative_residual(sol):
-        x, z = sol[:nv], sol[nv:]
-        r1 = a_vector @ x + g @ z - rhs_v
-        r2 = g.T @ x - delta * (s @ z)
-        return max(np.linalg.norm(r1), np.linalg.norm(r2)) / np.linalg.norm(rhs_v)
-
-    sol = np.zeros(rhs.size)
-    sol[perm] = solve(rhs[perm])
-    rel, refinements = relative_residual(sol), 0
-    while rel > tol and refinements < 2:
-        sol[perm] += solve((rhs - k @ sol)[perm])
-        rel, refinements = relative_residual(sol), refinements + 1
+    scale = np.linalg.norm(rhs_v)
+    sol, refinements = np.zeros(rhs.size), 0
+    for (block, v), order in zip(symmetry_blocks(system, delta), system.blocks):
+        if order.size == 0:
+            continue
+        pressure = system.orbits.rep[order] >= nv
+        f = v.T @ rhs
+        solve = solve_of(block)
+        y = solve(f)
+        for step in (1, 2):
+            y = y + solve(f - block @ y)
+            r = f - block @ y
+            if max(np.linalg.norm(r[~pressure]), np.linalg.norm(r[pressure])) / scale <= tol / 2:
+                break
+        refinements += step
+        sol = sol + v @ y
+    x, z = sol[:nv], sol[nv:]
+    r1 = vector_matrix(a) @ x + g @ z - rhs_v
+    r2 = g.T @ x - delta * (s @ z)
+    rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
     return sol, rel, refinements

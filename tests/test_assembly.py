@@ -228,17 +228,19 @@ def test_accumulation_is_first_term_plus_the_rest():
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_load_accumulation_matches_unbuffered_add(grid4, case, degree):
     # reference: the same element loads summed by np.add.at, a sequential
-    # element-major sum
-    space = femspace.build_space(grid4, degree)
-    disc = Discretization(grid4, degree)
-    w, vals, det = disc.quadrature
-    for f in (case.steady_forcing, case.steady_pressure):
-        fv = disc.at_quadrature_points(f)
-        ref = np.zeros(fv.shape[0] * space.num_dofs)
-        for c, block in enumerate(fv):
-            elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
-            np.add.at(ref, c * space.num_dofs + space.element_dofs, elem)
-        assert np.array_equal(load6(space, f), ref)
+    # element-major sum; on the 4 x 4 grid and on a 6 x 6 one, where the
+    # order of a sum shows in more entries than on power-of-two grids
+    for grid in (grid4, mesh.build_grid(6)):
+        space = femspace.build_space(grid, degree)
+        disc = Discretization(grid, degree)
+        w, vals, det = disc.quadrature
+        for f in (case.steady_forcing, case.steady_pressure):
+            fv = disc.at_quadrature_points(f)
+            ref = np.zeros(fv.shape[0] * space.num_dofs)
+            for c, block in enumerate(fv):
+                elem = np.einsum("q,tq,qi,t->ti", w, block, vals, det)
+                np.add.at(ref, c * space.num_dofs + space.element_dofs, elem)
+            assert np.array_equal(load6(space, f), ref)
 
 
 def test_assembly_bit_reproducible(grid4):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import operator
 
@@ -128,17 +129,134 @@ def saddle_unknown_nodes(disc):
 @pytest.mark.parametrize("n", [1, 2, 3, 8])
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_saddle_order_groups_each_node_fields(degree, n):
+    # every block lists its orbits by the node of their representative,
+    # the fields of a node together and in order
     disc = Discretization(mesh.build_grid(n), degree)
+    orbits = disc.saddle_orbits
     nodes, field = saddle_unknown_nodes(disc)
-    order = disc.saddle_order
-    assert np.array_equal(np.sort(order), np.arange(nodes.size))
-    seq, fields = nodes[order], field[order]
-    starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
-    # one run per node (every node has a pressure), its fields in order
-    assert starts.size == disc.space.num_dofs
-    assert np.unique(seq[starts]).size == starts.size
-    same_node = seq[1:] == seq[:-1]
-    assert np.all(fields[1:][same_node] > fields[:-1][same_node])
+    assert np.array_equal(orbits.orbit[orbits.rep], np.arange(orbits.rep.size))
+    assert np.array_equal(orbits.size, np.bincount(orbits.orbit))
+    # one symmetry-adapted vector per unknown over the four blocks
+    assert sum(block.size for block in orbits.blocks) == nodes.size
+    lattice = np.rint(disc.space.node_coords * degree * n)
+    fundamental = (lattice[:, 1] <= lattice[:, 0]) & (lattice.sum(axis=1) <= degree * n)
+    for k, block in enumerate(orbits.blocks):
+        if block.size == 0:  # at N = 1, a character that no orbit admits
+            continue
+        assert np.all(np.diff(block) > 0)
+        seq, fields = nodes[orbits.rep[block]], field[orbits.rep[block]]
+        assert np.all(fundamental[seq])
+        starts = np.flatnonzero(np.r_[True, seq[1:] != seq[:-1]])
+        assert np.unique(seq[starts]).size == starts.size
+        same_node = seq[1:] == seq[:-1]
+        assert np.all(fields[1:][same_node] > fields[:-1][same_node])
+        if k == 0:
+            # one run per node of the fundamental triangle (each has a pressure)
+            assert starts.size == np.count_nonzero(fundamental)
+
+
+def grid_symmetries(disc):
+    """The signed permutations of the saddle unknowns under the reflection
+    x <-> y, which maps (u_x, u_y)(x, y) to (u_y, u_x)(y, x), and the
+    half-turn about (1/2, 1/2), which maps (u_x, u_y)(x, y) to
+    -(u_x, u_y)(1 - x, 1 - y), found from the node coordinates: a
+    (velocity, pressure) pair of sparse matrices for each."""
+    m = disc.degree * disc.mesh.n
+    coords = disc.space.node_coords
+    index = {p: i for i, p in enumerate(map(tuple, np.rint(coords * m).astype(int).tolist()))}
+
+    def node_map(f):
+        return np.array([index[tuple(np.rint(np.array(f(x, y)) * m).astype(int).tolist())]
+                         for x, y in coords])
+
+    fs = disc.space.free_scalar
+    nf, nn = fs.size, coords.shape[0]
+    free_pos = np.full(nn, -1)
+    free_pos[fs] = np.arange(nf)
+    comp = np.repeat([0, 1], nf)
+    out = []
+    for f, swap, sign in ((lambda x, y: (y, x), True, 1.0),
+                          (lambda x, y: (1 - x, 1 - y), False, -1.0)):
+        perm = node_map(f)
+        rows = (1 - comp if swap else comp) * nf + free_pos[perm[np.tile(fs, 2)]]
+        velocity = sparse.csr_matrix((np.full(2 * nf, sign), (rows, np.arange(2 * nf))),
+                                     shape=(2 * nf,) * 2)
+        pressure = sparse.csr_matrix((np.ones(nn), (perm, np.arange(nn))), shape=(nn,) * 2)
+        out.append((velocity, pressure))
+    return out
+
+
+EPS = np.finfo(float).eps
+SYMMETRY_SIZES = [1, 2, 3, 5, 6, 8]
+
+
+@pytest.mark.parametrize("n", SYMMETRY_SIZES)
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_operators_commute_with_grid_symmetries(degree, n):
+    # the elements of an entry are summed in another order after a
+    # symmetry, so the operators commute to a few ulps (exactly on the
+    # power-of-two grids); at odd N no node sits at the centre, and at N = 1
+    # the velocity blocks are empty
+    disc = Discretization(mesh.build_grid(n), degree)
+    a = dense_oracle.vector_matrix(0.01 * disc.stiffness_free)
+    for pv, pp in grid_symmetries(disc):
+        for matrix, left, right in ((a, pv, pv), (disc.G, pv, pp), (disc.stiffness, pp, pp)):
+            dense = matrix.toarray()
+            moved = (left @ matrix @ right.T).toarray()
+            tol = 8 * EPS * np.abs(dense).max(initial=0.0)
+            assert np.abs(moved - dense).max(initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("n", SYMMETRY_SIZES)
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
+    # in the symmetry-adapted basis V the saddle matrix K is block diagonal
+    # to round-off, the pinned blocks of the system are its diagonal blocks
+    # (the trivial one less the pinned orbit), and with that orbit's row
+    # and column restored they give back K = V D^-1 B D^-1 V^T, D = V^T V
+    disc = Discretization(mesh.build_grid(n), degree)
+    system = disc.saddle_system(0.01)
+    delta = 1.0 / (n * n)
+    orbits = system.orbits
+    k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s,
+                                   -delta * system.s).toarray()
+    v = np.hstack([dense_oracle.symmetry_basis(orbits, chi, order).toarray()
+                   for chi, order in enumerate(orbits.blocks)])
+    assert v.shape == k.shape
+    galerkin = v.T @ k @ v
+    label = np.repeat(np.arange(4), [order.size for order in orbits.blocks])
+    tol = 8 * EPS * np.abs(k).max()
+    assert np.abs(galerkin[label[:, None] != label[None, :]]).max(initial=0.0) <= tol
+    unpinned = orbits.blocks[0] != orbits.orbit[system.g.shape[0]]
+    assert np.count_nonzero(~unpinned) == 1
+    restored = np.zeros_like(galerkin)
+    for chi, matrix in enumerate(system.matrices(delta)):
+        inside = label == chi
+        block = galerkin[np.ix_(inside, inside)]
+        if chi == 0:
+            assert np.abs(matrix.toarray() - block[np.ix_(unpinned, unpinned)]).max() <= tol
+            pinned = np.flatnonzero(~unpinned)
+            block[np.ix_(unpinned, unpinned)] = matrix.toarray()
+        elif block.size:
+            assert np.abs(matrix.toarray() - block).max() <= tol
+            block = matrix.toarray()
+        restored[np.ix_(inside, inside)] = block
+    assert pinned.size == 1
+    d_inv = 1.0 / (v * v).sum(axis=0)
+    assert np.abs(v @ (d_inv[:, None] * restored * d_inv) @ v.T - k).max() <= tol
+
+
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_orbit_tables_need_a_symmetric_mesh(degree):
+    # one cell's diagonal flipped from SW-NE to SE-NW
+    grid = mesh.build_grid(4)
+    triangles = grid.triangles.copy()
+    sw, se, ne = triangles[0]
+    nw = triangles[1, 2]
+    triangles[0], triangles[1] = (sw, se, nw), (se, ne, nw)
+    flipped = dataclasses.replace(grid, triangles=triangles)
+    with pytest.raises(ValueError, match="not symmetric"):
+        Discretization(flipped, degree).saddle_orbits
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
@@ -162,9 +280,10 @@ def test_p2_separators_lie_on_mesh_lines(n):
 @pytest.fixture
 def counts(monkeypatch):
     """Calls of every space construction, operator-rule evaluation, element
-    pattern sort, operator assembly, load assembly, saddle solve, pressure
-    solver and error tracker construction, and of the geometry and basis
-    evaluations behind the rules."""
+    pattern sort, operator assembly, load assembly, saddle solve, orbit
+    table and symmetry block construction, pressure solver and error
+    tracker construction, and of the geometry and basis evaluations
+    behind the rules."""
     seen = {}
 
     def counting(owner, name):
@@ -182,7 +301,8 @@ def counts(monkeypatch):
     counting(femspace, "build_space")
     counting(femspace, "basis")
     counting(sparsela, "saddle_solve")
-    counting(sparsela, "_pinned_saddle_csc")
+    counting(sparsela, "_symmetry_blocks")
+    counting(assembly, "_saddle_orbits")
     counting(sparsela, "PinnedSingularSolver")
     counting(sparsela, "GridNeumannSolver")
     counting(metrics, "TransientErrorTracker")
@@ -240,8 +360,9 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts, monkeypatch)
     # one space per mesh
     assert counts["build_space"] == 2
     assert counts["saddle_solve"] == 6
-    # one saddle matrix per mesh, rewritten in place for each rho
-    assert counts["_pinned_saddle_csc"] == 2
+    # one set of orbit tables and symmetry blocks per mesh, the blocks
+    # rewritten in place for each rho
+    assert counts["_saddle_orbits"] == counts["_symmetry_blocks"] == 2
     assert all(counts[name] == 2 for name in OPERATORS), counts
     assert counts["_operator_rule"] == counts["_element_pattern"] == 2
     assert counts["_geometry"] == counts["basis"] == 4

@@ -1,6 +1,7 @@
 import functools
 import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -72,39 +73,30 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 # --- saddle solver -----------------------------------------------------------
 
 
-def saddle_blocks(grid, degree=1):
-    """The space, the scalar free stiffness, G, S, the mean weights and
-    the saddle ordering of a fresh Discretization."""
+def fresh_system(grid, degree=1, nu=0.01):
+    """A fresh Discretization and its steady saddle system of ``nu``."""
     disc = assembly.Discretization(grid, degree)
-    return (disc.space, disc.stiffness_free, disc.G, disc.stiffness, disc.mean_weights,
-            disc.saddle_order)
-
-
-def free_forcing(space, case):
-    """The steady forcing load on the free DOFs, with the degree-6 rule."""
-    return assembly.Discretization(space.mesh, space.degree).free_load(case.steady_forcing)
+    return disc, disc.saddle_system(nu)
 
 
 def test_saddle_zero_rhs(grid4):
-    _, a, g, s, w, order = saddle_blocks(grid4)
+    disc, system = fresh_system(grid4)
+    nv = system.g.shape[0]
     x, z, report = sparsela.saddle_solve(
-        sparsela.SaddleSystem(0.01 * a, g, s, order), 1e-3, np.zeros(2 * a.shape[0]),
-        mean_weights=w, tol=1e-10,
+        system, 1e-3, np.zeros(nv), mean_weights=disc.mean_weights, tol=1e-10,
     )
-    assert np.array_equal(x, np.zeros(2 * a.shape[0]))
-    assert np.array_equal(z, np.zeros(s.shape[0]))
+    assert np.array_equal(x, np.zeros(nv))
+    assert np.array_equal(z, np.zeros(system.s.shape[0]))
 
 
 def test_saddle_block_residuals(grid4, case):
-    space, a, g, s, w, order = saddle_blocks(grid4)
-    rhs = free_forcing(space, case)
-    nu, delta = 0.01, 1e-3
-    x, z, report = sparsela.saddle_solve(
-        sparsela.SaddleSystem((nu * a).tocsr(), g, s, order), delta, rhs, tol=1e-10,
-        mean_weights=w,
-    )
+    disc, system = fresh_system(grid4)
+    a, g, s, w = system.a_block, system.g, system.s, disc.mean_weights
+    rhs = disc.free_load(case.steady_forcing)
+    delta = 1e-3
+    x, z, report = sparsela.saddle_solve(system, delta, rhs, tol=1e-10, mean_weights=w)
     scale = np.linalg.norm(rhs)
-    r1 = nu * componentwise(a, x) + g @ z - rhs
+    r1 = componentwise(a, x) + g @ z - rhs
     r2 = g.T @ x - delta * (s @ z)
     assert np.linalg.norm(r1) <= 1e-10 * scale
     assert np.linalg.norm(r2) <= 1e-10 * scale
@@ -112,10 +104,10 @@ def test_saddle_block_residuals(grid4, case):
 
 
 def test_saddle_rejects_nonpositive_delta(grid4):
-    _, a, g, s, w, order = saddle_blocks(grid4)
+    disc, system = fresh_system(grid4, nu=1.0)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), 0.0,
-                              np.ones(2 * a.shape[0]), mean_weights=w, tol=1e-10)
+        sparsela.saddle_solve(system, 0.0, np.ones(system.g.shape[0]),
+                              mean_weights=disc.mean_weights, tol=1e-10)
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -131,36 +123,35 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
 
 
 def test_saddle_deterministic(grid4, case):
-    space, a, g, s, w, order = saddle_blocks(grid4)
-    rhs = free_forcing(space, case)
-    a = (0.01 * a).tocsr()
-    out1 = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), 1e-3, rhs,
-                                 mean_weights=w, tol=1e-10)
-    out2 = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), 1e-3, rhs,
-                                 mean_weights=w, tol=1e-10)
-    assert np.array_equal(out1[0], out2[0])
-    assert np.array_equal(out1[1], out2[1])
+    out = []
+    for _ in range(2):
+        disc, system = fresh_system(grid4)
+        out.append(sparsela.saddle_solve(system, 1e-3, disc.free_load(case.steady_forcing),
+                                         mean_weights=disc.mean_weights, tol=1e-10))
+    assert np.array_equal(out[0][0], out[1][0])
+    assert np.array_equal(out[0][1], out[1][1])
 
 
 def steady_system(case, n, degree, nu=0.01, rho=100.0):
-    """The steady saddle system of the acceptance sweeps on a small grid."""
-    space, a, g, s, w, order = saddle_blocks(mesh.build_grid(n), degree)
-    rhs = free_forcing(space, case)
+    """The steady saddle system of the acceptance sweeps on a small grid:
+    (system, delta, load on the free DOFs, mean weights)."""
+    disc, system = fresh_system(mesh.build_grid(n), degree, nu)
     delta = steady.choose_delta(1.0 / n, nu, rho)
-    return nu * a, g, s, delta, rhs, w, order
+    return system, delta, disc.free_load(case.steady_forcing), disc.mean_weights
 
 
-def pinned_matrix(a, g, s, delta):
-    """The block matrix with pressure DOF 0 dropped, in the unknowns'
-    own order."""
-    natural = np.arange(2 * a.shape[0] + s.shape[0])
-    return dense_oracle.pinned_saddle_matrix(a, g, s, delta, natural)[0]
+def pinned_matrix(system, delta):
+    """The whole saddle matrix with pressure DOF 0 dropped, in the
+    unknowns' own order."""
+    k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s, -delta * system.s)
+    keep = np.flatnonzero(np.arange(k.shape[0]) != system.g.shape[0])
+    return sparse.csc_matrix(k[keep][:, keep])
 
 
-def pivoting_reference(a, g, s, delta, rhs, w):
-    """The pinned block system solved by SuperLU with default partial pivoting."""
-    nv, npres = 2 * a.shape[0], s.shape[0]
-    sol = spla.splu(pinned_matrix(a, g, s, delta)).solve(
+def pivoting_reference(system, delta, rhs, w):
+    """The pinned whole system solved by SuperLU with default partial pivoting."""
+    nv, npres = system.g.shape[0], system.s.shape[0]
+    sol = spla.splu(pinned_matrix(system, delta)).solve(
         np.concatenate([rhs, np.zeros(npres - 1)])
     )
     return sol[:nv], sparsela.project_mean(np.concatenate([[0.0], sol[nv:]]), w)
@@ -184,15 +175,15 @@ def spy_on_splu(monkeypatch, symmetric=None):
 
 @pytest.mark.parametrize("degree, n", [(1, 12), (2, 6)])
 def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, n):
-    a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
-    x_ref, z_ref = pivoting_reference(a, g, s, delta, rhs, w)
+    system, delta, rhs, w = steady_system(case, n, degree)
+    x_ref, z_ref = pivoting_reference(system, delta, rhs, w)
     calls, _ = spy_on_splu(monkeypatch)
-    x, z, report = sparsela.saddle_solve(
-        sparsela.SaddleSystem(a, g, s, order), delta, rhs, mean_weights=w, tol=1e-10
-    )
-    # one factorization, in symmetric mode and the given order, with no fallback
-    assert len(calls) == 1 and calls[0]["options"] == {"SymmetricMode": True}
-    assert calls[0]["permc_spec"] == "NATURAL"
+    x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
+    # one factorization per block, in symmetric mode and the block's order,
+    # with no fallback
+    assert len(calls) == 4
+    assert all(c["options"] == {"SymmetricMode": True} for c in calls)
+    assert all(c["permc_spec"] == "NATURAL" for c in calls)
     assert report.converged
     # both solutions meet the 1e-10 block residual; on these small systems
     # they agree to 1e-9 relative
@@ -200,16 +191,23 @@ def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, 
     assert np.linalg.norm(z - z_ref) <= 1e-9 * np.linalg.norm(z_ref)
 
 
+def fill(matrix, permc_spec):
+    """L + U entries of the symmetric-mode factor of ``matrix``."""
+    lu = spla.splu(matrix, permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                   options=dict(SymmetricMode=True))
+    return lu.L.nnz + lu.U.nnz
+
+
 @pytest.mark.parametrize("degree, n", [(1, 40), (2, 20)])
-def test_nested_dissection_fills_less_than_minimum_degree(case, monkeypatch, degree, n):
-    a, g, s, delta, rhs, w, order = steady_system(case, n, degree)
-    _, factors = spy_on_splu(monkeypatch)
-    sparsela._symmetric_splu(pinned_matrix(a, g, s, delta), "MMD_AT_PLUS_A")
-    sparsela._symmetric_splu(dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)[0],
-                             "NATURAL")
-    mmd, nested = (lu.L.nnz + lu.U.nnz for lu in factors)
-    # about 0.78 at these sizes; separators off the mesh lines double the fill
-    assert nested < 0.85 * mmd
+def test_nested_dissection_fills_less_than_minimum_degree(case, degree, n):
+    # the four nested-dissection block factors together against the
+    # minimum-degree factor of the whole pinned matrix: about 0.55 and
+    # 0.59 at these sizes, and the largest block about 0.14 and 0.15
+    system, delta, _, _ = steady_system(case, n, degree)
+    whole = fill(pinned_matrix(system, delta), "MMD_AT_PLUS_A")
+    blocks = [fill(block, "NATURAL") for block in system.matrices(delta)]
+    assert sum(blocks) < 0.85 * whole
+    assert max(blocks) < 0.25 * whole
 
 
 def spy_on_factor_input(monkeypatch, on_entry=lambda m: m):
@@ -230,66 +228,97 @@ def spy_on_factor_input(monkeypatch, on_entry=lambda m: m):
 symmetric_solve = functools.partial(sparsela._symmetric_splu, permc_spec="NATURAL")
 
 
-@pytest.mark.parametrize("rho", [1.0, 1000.0])
-@pytest.mark.parametrize("degree, n", [(1, 3), (1, 8), (2, 3), (2, 8)])
-def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, degree, n, rho):
-    a, g, s, delta, rhs, w, order = steady_system(case, n, degree, rho=rho)
-    seen = spy_on_factor_input(monkeypatch)
-    x, z, report = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
-                                         mean_weights=w, tol=1e-10)
-    reference, _, _ = dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)
-    (matrix,) = seen
+def assert_same_csc(matrix, reference):
     assert matrix.format == "csc" and matrix.shape == reference.shape
     for attr in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(matrix, attr), getattr(reference, attr)), attr
-    # no refinement step runs here, so the solve is the reference's bit for bit
-    sol, rel, refinements = dense_oracle.saddle_reference(a, g, s, delta, rhs, order,
+
+
+@pytest.mark.parametrize("rho", [1.0, 1000.0])
+@pytest.mark.parametrize("degree, n", [(1, 3), (1, 8), (2, 3), (2, 8)])
+def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, degree, n, rho):
+    # every factor input is, entry for entry, the reference construction
+    # of its block from the assembled block matrix and the symmetry basis,
+    # and the solve is the reference's block by block solve bit for bit
+    system, delta, rhs, w = steady_system(case, n, degree, rho=rho)
+    seen = spy_on_factor_input(monkeypatch)
+    x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
+    references = dense_oracle.symmetry_blocks(system, delta)
+    assert len(seen) == len(references) == 4
+    for matrix, (reference, _) in zip(seen, references):
+        assert_same_csc(matrix, reference)
+    sol, rel, refinements = dense_oracle.saddle_reference(system, delta, rhs,
                                                           symmetric_solve, 1e-10)
-    assert refinements == 0
-    assert report == sparsela.SolveReport(0, rel, True)
+    # every block is refined at least once
+    assert refinements >= 4
+    assert report == sparsela.SolveReport(refinements, rel, True)
     assert np.array_equal(x, sol[: x.size])
     assert np.array_equal(z, sparsela.project_mean(sol[x.size:], w))
 
 
 @pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
 def test_saddle_system_rewrites_delta_in_place(case, monkeypatch, degree, n):
-    # one system solved for several delta factors, bit for bit, the matrix
+    # one system solved for several delta factors, bit for bit, the blocks
     # of the reference construction for each delta and gives the solution
     # of a fresh system
-    a, g, s, _, rhs, w, order = steady_system(case, n, degree)
-    system = sparsela.SaddleSystem(a, g, s, order)
+    system, _, rhs, w = steady_system(case, n, degree)
     seen = spy_on_factor_input(monkeypatch, lambda m: (m, m.copy()))
     for rho in (1.0, 1000.0, 10.0):
         delta = steady.choose_delta(1.0 / n, 0.01, rho)
         x, z, _ = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-        fresh = sparsela.SaddleSystem(a, g, s, order)
+        fresh = sparsela.SaddleSystem(system.a_block, system.g, system.s, system.orbits)
         x_ref, z_ref, _ = sparsela.saddle_solve(fresh, delta, rhs, mean_weights=w, tol=1e-10)
         assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
-        reference, _, _ = dense_oracle.pinned_saddle_matrix(a, g, s, delta, order)
-        (_, shared), (_, built) = seen[-2:]
-        for matrix in (shared, built):
-            for attr in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(matrix, attr), getattr(reference, attr)), attr
-    # the shared system handed SuperLU one matrix object throughout
-    assert len({id(m) for m, _ in seen[::2]}) == 1
+        references = dense_oracle.symmetry_blocks(system, delta)
+        shared, built = seen[-8:-4], seen[-4:]
+        for (_, matrix), (_, fresh_matrix), (reference, _) in zip(shared, built, references):
+            assert_same_csc(matrix, reference)
+            assert_same_csc(fresh_matrix, reference)
+    # the shared system handed SuperLU the same four matrix objects throughout
+    assert len(seen) == 24
+    assert len({id(m) for step in range(3) for m, _ in seen[8 * step: 8 * step + 4]}) == 4
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_refined_saddle_solve_matches_block_matrix_reference(case, degree):
-    # at rho = 1000 the first solve misses 1e-14 and one refinement step
-    # meets it; its residual sums block by block, in another order than
-    # rhs - k @ sol, so the two agree to rounding only
-    a, g, s, delta, rhs, w, order = steady_system(case, 8, degree, rho=1000.0)
+    # at rho = 1000 the first solve of a block misses 1e-14 and a refinement
+    # step meets it; the contract is checked on the assembled solution, and
+    # the solve is the reference's block by block solve
+    system, delta, rhs, w = steady_system(case, 8, degree, rho=1000.0)
     tol = 1e-14
-    x, z, report = sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
-                                         mean_weights=w, tol=tol)
-    sol, rel, refinements = dense_oracle.saddle_reference(a, g, s, delta, rhs, order,
+    x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=tol)
+    sol, rel, refinements = dense_oracle.saddle_reference(system, delta, rhs,
                                                           symmetric_solve, tol)
-    assert report.converged and report.iterations >= 1 and refinements >= 1
+    assert report.converged and report.iterations >= 4 and refinements >= 4
     assert rel <= tol
     z_ref = sparsela.project_mean(sol[x.size:], w)
     assert np.linalg.norm(x - sol[: x.size]) <= 1e-12 * np.linalg.norm(x)
     assert np.linalg.norm(z - z_ref) <= 1e-12 * np.linalg.norm(z)
+
+
+def test_velocity_at_rho_1000_matches_refined_pivoting_reference(case):
+    # at nu = 0.01 and rho = 1000 the first solve already meets 1e-10; the
+    # refinement that every block takes brings the velocity to round-off
+    # of a minimum-degree pivoting factorization of the whole pinned
+    # matrix refined three times (without it, 1.5e-11 relative)
+    n, nu = 40, 0.01
+    disc = assembly.Discretization(mesh.build_grid(n), 1)
+    delta = steady.choose_delta(1.0 / n, nu, 1000.0)
+    rhs = disc.free_load(case.steady_forcing)
+    velocity, _ = steady.solve(disc, nu, delta, rhs, tol=1e-10)
+    system = disc.saddle_system(nu)
+    matrix = pinned_matrix(system, delta)
+    nv = system.g.shape[0]
+    k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s, -delta * system.s)
+    keep = np.flatnonzero(np.arange(k.shape[0]) != nv)
+    full_rhs = np.concatenate([rhs, np.zeros(system.s.shape[0])])
+    solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
+    sol = np.zeros(full_rhs.size)
+    sol[keep] = solve(full_rhs[keep])
+    for _ in range(3):
+        sol[keep] += solve((full_rhs - k @ sol)[keep])
+    reference = disc.space.extend(sol[:nv])
+    assert np.linalg.norm(velocity - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
 def matrix_bytes(m):
@@ -298,23 +327,51 @@ def matrix_bytes(m):
 
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
-    # the steady solve holds no copy of the saddle matrix, ordered or
-    # not, while SuperLU factors it: apart from the matrix, only the
-    # viscosity-scaled scalar block and vectors are live
+    # the steady solve holds no copy of the saddle matrix, whole or in
+    # blocks, while SuperLU factors a block: apart from the four blocks of
+    # the system, only the viscosity-scaled scalar block and vectors are
+    # live
     disc = assembly.Discretization(mesh.build_grid(n), degree)
     rhs = disc.free_load(case.steady_forcing)
     delta = steady.choose_delta(1.0 / n, 0.01, 100.0)
     steady.solve(disc, 0.01, delta, rhs, tol=1e-10)  # warms every cached operator
-    seen = spy_on_factor_input(
-        monkeypatch, lambda m: (tracemalloc.get_traced_memory()[0], matrix_bytes(m))
-    )
+    seen = spy_on_factor_input(monkeypatch, lambda m: tracemalloc.get_traced_memory()[0])
     tracemalloc.start()
     try:
         steady.solve(disc, 0.01, delta, rhs, tol=1e-10)
     finally:
         tracemalloc.stop()
-    ((live, held),) = seen
-    assert live <= 1.5 * held
+    held = sum(matrix_bytes(m) for m in disc.saddle_system(0.01).matrices(delta))
+    assert len(seen) == 4
+    assert max(seen) <= 1.5 * held
+
+
+class TrackedFactor:
+    """A SuperLU factor whose liveness a weak reference can follow."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def solve(self, b):
+        return self._lu.solve(b)
+
+
+def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
+    # each block's factor is dropped before the next block is factorized
+    system, delta, rhs, w = steady_system(case, 8, 2)
+    alive = []
+    real_splu = spla.splu
+
+    def spy(m, **kwargs):
+        assert all(ref() is None for ref in alive)
+        factor = TrackedFactor(real_splu(m, **kwargs))
+        alive.append(weakref.ref(factor))
+        return factor
+
+    monkeypatch.setattr(sparsela.spla, "splu", spy)
+    sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
+    assert len(alive) == 4
+    assert all(ref() is None for ref in alive)
 
 
 def test_saddle_solve_leaves_no_reference_cycles(case):
@@ -344,19 +401,19 @@ def zero_pivot(m, **kwargs):
 
 @pytest.mark.parametrize("failure", ["misses_contract", "zero_pivot"])
 def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
-    a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
-    x_ref, z_ref = pivoting_reference(a, g, s, delta, rhs, w)
+    system, delta, rhs, w = steady_system(case, 8, 1)
+    x_ref, z_ref = pivoting_reference(system, delta, rhs, w)
     first = diagonal_factor(spla.splu) if failure == "misses_contract" else zero_pivot
     calls, _ = spy_on_splu(monkeypatch, symmetric=first)
     tol = 1e-10
-    x, z, report = sparsela.saddle_solve(
-        sparsela.SaddleSystem(a, g, s, order), delta, rhs, tol=tol, mean_weights=w
-    )
-    # the ordered symmetric factorization, then one with default partial pivoting
-    assert [c.get("permc_spec") for c in calls] == ["NATURAL", None]
-    assert calls[1] == {}
+    x, z, report = sparsela.saddle_solve(system, delta, rhs, tol=tol, mean_weights=w)
+    # for each block, the ordered symmetric factorization, then one with
+    # default partial pivoting
+    assert [c.get("permc_spec") for c in calls] == ["NATURAL", None] * 4
+    assert calls[1::2] == [{}] * 4
     assert report.converged and report.relative_residual <= tol
     scale = np.linalg.norm(rhs)
+    a, g, s = system.a_block, system.g, system.s
     assert np.linalg.norm(componentwise(a, x) + g @ z - rhs) <= tol * scale
     assert np.linalg.norm(g.T @ x - delta * (s @ z)) <= tol * scale
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
@@ -364,20 +421,18 @@ def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
 
 def test_singular_pivoting_fallback_is_solver_error(case, monkeypatch):
     # the symmetric factorization and its pivoting fallback both fail
-    a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
+    system, delta, rhs, w = steady_system(case, 8, 1)
     monkeypatch.setattr(sparsela.spla, "splu", zero_pivot)
     with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
-        sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
-                              mean_weights=w, tol=1e-10)
+        sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
     with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
-        sparsela.FactorizedSpd(a)
+        sparsela.FactorizedSpd(system.a_block)
 
 
 def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
-    a, g, s, delta, rhs, w, order = steady_system(case, 8, 1)
+    system, delta, rhs, w = steady_system(case, 8, 1)
     monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(spla.splu))
     with pytest.raises(sparsela.LinearSolverError) as info:
-        sparsela.saddle_solve(sparsela.SaddleSystem(a, g, s, order), delta, rhs,
-                              mean_weights=w, tol=1e-10)
+        sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
     assert info.value.report.relative_residual > 1e-10
     assert not info.value.report.converged
