@@ -283,7 +283,8 @@ class Discretization:
     unknowns under the grid's reflection x <-> y and half-turn, which
     split the saddle system into four symmetry blocks; ``saddle_system``
     keeps the steady saddle system of one viscosity, so the solves for
-    several delta build its blocks once.  The one
+    several delta build its blocks once, until ``drop_saddle_system``
+    frees it.  The one
     exception is the physical points of the degree-6 rule: as large as a
     field's values, they are mapped anew for each field evaluated there
     (``at_quadrature_points``, the one place that maps points and
@@ -400,6 +401,11 @@ class Discretization:
             systems[nu] = sparsela.SaddleSystem(nu * self.stiffness_free, self.G,
                                                 self.stiffness, self.saddle_orbits)
         return systems[nu]
+
+    def drop_saddle_system(self):
+        """Free the kept steady saddle system, for a caller done with
+        steady solves on this mesh."""
+        self._saddle_systems.clear()
 
     @cached_property
     def pressure_solver(self):

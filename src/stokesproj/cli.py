@@ -222,6 +222,9 @@ def validate_config(config):
             f"dt = {config.dt!r} is unused: dt law 'equal_delta' steps with dt = delta; "
             "set dt_law = fixed to use it"
         )
+    if 1 in config.degrees and 1 in config.n_values:
+        raise ConfigError("N = 1, degree 1: the grid has no interior velocity node; "
+                          "P1 needs N >= 2")
     for n in config.n_values:
         for rho in config.rho_values:
             try:

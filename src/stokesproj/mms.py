@@ -61,18 +61,6 @@ class ManufacturedCase:
         s2 = -(2.0 / _PI) * _poly(x) * np.sin(_PI * y) ** 2
         return np.stack([s1, s2])
 
-    def steady_velocity_gradient(self, x, y):
-        """d s_c / d x_a as an array of shape (2, 2, ...)."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        s2py, c2py = np.sin(2.0 * _PI * y), np.cos(2.0 * _PI * y)
-        s1x = 2.0 * _poly(x) * s2py
-        s1y = 2.0 * _PI * x * x * (1.0 - x) ** 2 * c2py
-        spy2 = np.sin(_PI * y) ** 2
-        s2x = -(2.0 / _PI) * _poly_d(x) * spy2
-        s2y = -2.0 * _poly(x) * s2py
-        return np.stack([np.stack([s1x, s1y]), np.stack([s2x, s2y])])
-
     def steady_velocity_laplacian(self, x, y):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
@@ -83,10 +71,6 @@ class ManufacturedCase:
         c2py = np.cos(2.0 * _PI * y)
         lap2 = -(2.0 / _PI) * _poly_dd(x) * spy2 - 4.0 * _PI * _poly(x) * c2py
         return np.stack([lap1, lap2])
-
-    def steady_divergence(self, x, y):
-        g = self.steady_velocity_gradient(x, y)
-        return g[0, 0] + g[1, 1]
 
     # spatial pressure z ---------------------------------------------------
     def steady_pressure(self, x, y):
@@ -109,9 +93,6 @@ class ManufacturedCase:
     # transient fields v = s cos(t), q = z cos(t) --------------------------
     def velocity(self, x, y, t):
         return np.cos(t) * self.steady_velocity(x, y)
-
-    def velocity_t(self, x, y, t):
-        return -np.sin(t) * self.steady_velocity(x, y)
 
     def pressure(self, x, y, t):
         return np.cos(t) * self.steady_pressure(x, y)

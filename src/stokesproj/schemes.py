@@ -152,7 +152,9 @@ def initialize(params, case, disc):
     interpolant:        nodal interpolants of v(0) and q(0), the pressure
                         shifted to zero discrete mean;
     stabilized_stokes:  the stabilized steady solve with data
-                        g(0) - v_t(0), which is the steady forcing;
+                        g(0) - v_t(0), which is the steady forcing; its
+                        saddle system is then dropped, as no time step
+                        solves it;
     zero_pressure:      interpolated velocity and identically zero pressure.
 
     The velocity keeps only its free DOFs, so its Dirichlet values are zero.
@@ -161,6 +163,7 @@ def initialize(params, case, disc):
     if params.init == "stabilized_stokes":
         v0, q0 = steady.solve(disc, params.nu, params.delta,
                               disc.free_load(case.steady_forcing), params.tol)
+        disc.drop_saddle_system()
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":
@@ -265,22 +268,3 @@ def _run_one(params, disc, state, loads, observe, energy_ceiling):
             records.append(observe(state))
     steps = state.step + 1 if diverged else state.step
     return RunResult(params, state, diverged, steps, np.asarray(energies), records)
-
-
-def noninc_residuals(params, ops, v_old, v_new, q_momentum, q_new, load_block):
-    """Residual norms of the two non-incremental relations for a completed
-    step, relative to their right-hand-side scales.  Used by equivalence
-    and consistency checks."""
-    disc = ops.disc
-    mom_rhs = componentwise(disc.mass_free, v_old) / params.dt + load_block
-    lhs = (
-        componentwise(disc.mass_free, v_new) / params.dt
-        + params.nu * componentwise(disc.stiffness_free, v_new)
-        + disc.G @ q_momentum
-    )
-    mom_scale = max(np.linalg.norm(mom_rhs), 1e-300)
-    mom_res = np.linalg.norm(lhs - mom_rhs) / mom_scale
-    div_rhs = disc.GT @ v_new
-    div_scale = max(np.linalg.norm(div_rhs), 1e-300)
-    div_res = np.linalg.norm(params.delta * (disc.stiffness @ q_new) - div_rhs) / div_scale
-    return mom_res, div_res

@@ -10,12 +10,13 @@ schemes need:
   and half-turn split the system into four blocks, one per character of
   their Klein four-group (``SaddleOrbits``, from
   ``Discretization.saddle_orbits``), each ordered by a geometric nested
-  dissection of the fundamental triangle; the four pinned blocks are
-  built once per system, straight from the scalar velocity block, ``G``,
-  ``G^T`` and ``S``, each delta only rewrites their ``-delta S``
-  entries, and each block is factorized, solved, refined and its factor
-  dropped before the next, so one quarter-size factor is alive at a
-  time;
+  dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
+  the rows of the orbit representatives, sliced from the scalar velocity
+  block, ``G``, ``G^T`` and ``S``, times its sparse basis V_chi; the
+  blocks are built once per system and each delta only rewrites their
+  ``-delta S`` entries.  Each block is solved for V_chi^T rhs and its
+  factor dropped before the next, so one quarter-size factor is alive
+  at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -160,11 +161,6 @@ def project_mean(x, weights):
     return x - (weights @ x) / weights.sum()
 
 
-def _csr_rows(m):
-    """Row index of every stored entry of the CSR matrix ``m``."""
-    return np.repeat(np.arange(m.shape[0], dtype=np.int32), np.diff(m.indptr))
-
-
 @dataclass(frozen=True)
 class SaddleOrbits:
     """Orbit tables of the steady saddle unknowns (free x-velocities,
@@ -180,7 +176,8 @@ class SaddleOrbits:
     orbit a of n_a unknowns (1, 2 or 4) with representative r_a spans
     in block k the vector with entries ``weight[k, i]`` (+1 or -1) on
     its unknowns i, and none if its stabilizer rules the character out
-    (``weight`` is 0 there).
+    (``weight`` is 0 there).  Scaled by 2 / n_a, these vectors are the
+    columns of the block's basis V_chi (``_symmetry_basis``).
 
     orbit : (n,) orbit of every unknown; orbits are numbered in
         factorization order, so every block lists its orbits in
@@ -201,74 +198,54 @@ class SaddleOrbits:
     blocks: tuple
 
 
+def _symmetry_basis(orbits, k, order):
+    """The symmetry-adapted basis V_chi of block ``k`` on its orbits
+    ``order`` (a ``SaddleOrbits`` block, possibly pinned): the sparse
+    (unknowns, len(order)) CSR with V_chi[i, a] = (2 / n_a) weight[k, i]
+    for every unknown i of orbit ``order[a]``, so one entry per row at
+    most."""
+    pos = np.full(orbits.rep.size, -1, dtype=np.int32)
+    pos[order] = np.arange(order.size, dtype=np.int32)
+    col = pos[orbits.orbit]
+    kept = col >= 0
+    indptr = np.zeros(col.size + 1, dtype=np.int32)
+    np.cumsum(kept, out=indptr[1:])
+    values = 2.0 / orbits.size[orbits.orbit[kept]] * orbits.weight[k, kept]
+    return sparse.csr_matrix((values, col[kept], indptr), shape=(col.size, order.size))
+
+
 def _symmetry_blocks(a_block, g, s, orbits, blocks):
     """The symmetry blocks of the steady saddle matrix: for each list
-    of orbits in ``blocks`` (in order), the CSC of
+    of orbits ``order`` in ``blocks``, the sorted CSC of
 
-        K_chi[a, b] = (4 / n_b) sum_{j in b} weight[chi, j] K[r_a, j]
+        K_chi = 2 K_r[order] V_chi
 
     where K = [[A (+) A, g], [g^T, s]] is the unpinned saddle matrix with
-    the pressure block ``s`` in place of ``-delta s``.  This is
-    V_chi^T K V_chi for the basis V_chi[i, a] = (2 / n_a) weight[chi, i],
-    read off the rows of the representatives: K commutes with the
-    group, so K V_chi = V_chi C and row r_a of K V_chi gives C[a, :].
-    Returns (matrix, s_slots, s_values) per block: its pressure block
-    holds the entries ``s_values`` of s at the positions ``s_slots``
-    until ``matrix.data[s_slots] = -delta * s_values`` sets it.
-
-    Only the stored entries in the rows of representatives, about a
-    quarter of K, are gathered; each is scaled exactly (by a sign and a
-    power of two) and mapped to its block position.  The terms of a
-    block entry are summed sequentially in the column order of K, as a
-    sparse product ``K[r] @ V_chi`` sums them, and entries that sum to
-    zero are not stored.
+    the pressure block ``s`` in place of ``-delta s``, K_r its rows at the
+    orbit representatives in orbit order and V_chi the block's basis
+    (``_symmetry_basis``).  This is V_chi^T K V_chi: K commutes with the
+    group, so K V_chi = V_chi C for some C, and both are diag(4 / n_a) C.
+    K_r, about a quarter of K, is gathered once by row-slicing A, g, g^T
+    and s; K itself is never formed.  Returns (matrix, s_slots, s_values)
+    per block: its pressure block, the entries whose row and column are
+    both pressures, holds the values ``s_values`` of s at the positions
+    ``s_slots`` until ``matrix.data[s_slots] = -delta * s_values`` sets
+    it.
     """
     nf, nv = a_block.shape[0], g.shape[0]
-    is_rep = np.zeros(orbits.orbit.size, dtype=bool)
-    is_rep[orbits.rep] = True
-
-    def entries():
-        """(rows, columns, values) of each block of K in the rows of
-        representatives, in unknown indices."""
-        a_rows = _csr_rows(a_block)
-        for offset in (0, nf):
-            keep = is_rep[offset + a_rows]
-            yield offset + a_rows[keep], offset + a_block.indices[keep], a_block.data[keep]
-        g_rows, g_cols = _csr_rows(g), nv + g.indices
-        keep = is_rep[g_rows]
-        yield g_rows[keep], g_cols[keep], g.data[keep]
-        keep = is_rep[g_cols]
-        yield g_cols[keep], g_rows[keep], g.data[keep]
-        s_rows = nv + _csr_rows(s)
-        keep = is_rep[s_rows]
-        yield s_rows[keep], nv + s.indices[keep], s.data[keep]
-
-    rows, cols, values = (np.concatenate(part) for part in zip(*entries()))
-    row_orbit, col_orbit = orbits.orbit[rows], orbits.orbit[cols]
-    # orbits are numbered in factorization order, so one sort by block
-    # column, block row and column of K orders the entries of every block
-    sort = np.lexsort((cols, col_orbit * orbits.rep.size + row_orbit))
-    cols, row_orbit, col_orbit = cols[sort], row_orbit[sort], col_orbit[sort]
-    values = values[sort] * (4.0 / orbits.size[col_orbit])
+    field = np.searchsorted([nf, nv], orbits.rep, side="right")  # x, y, pressure
+    rx, ry, rp = (orbits.rep[field == f] - f * nf for f in range(3))
+    gt = g[:, rp].T
+    k_r = sparse.bmat([[a_block[rx], None, g[rx]],
+                       [None, a_block[ry], g[nf + ry]],
+                       [gt[:, :nf], gt[:, nf:], s[rp]]], format="csr")
+    k_r = 2.0 * k_r[np.argsort(np.argsort(field, kind="stable"))]
     out = []
     for k, order in enumerate(blocks):
-        pos = np.full(orbits.rep.size, -1, dtype=np.int32)
-        pos[order] = np.arange(order.size, dtype=np.int32)
-        r, c = pos[row_orbit], pos[col_orbit]
-        kept = np.flatnonzero((r >= 0) & (c >= 0))
-        r, c = r[kept], c[kept]
-        first = np.ones(r.size, dtype=bool)
-        first[1:] = (r[1:] != r[:-1]) | (c[1:] != c[:-1])
-        # each entry sums its terms sequentially, in the column order of K
-        terms = values[kept] * orbits.weight[k, cols[kept]]
-        data = np.bincount(np.cumsum(first) - 1, weights=terms)
-        nonzero = data != 0.0
-        r, c = r[first][nonzero], c[first][nonzero]
-        indptr = np.zeros(order.size + 1, dtype=np.int32)
-        np.cumsum(np.bincount(c, minlength=order.size), out=indptr[1:])
-        matrix = sparse.csc_matrix((data[nonzero], r, indptr), shape=(order.size,) * 2)
+        matrix = sparse.csc_matrix(k_r[order] @ _symmetry_basis(orbits, k, order))
         pressure = orbits.rep[order] >= nv
-        s_slots = np.flatnonzero(pressure[r] & pressure[c])
+        columns = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
+        s_slots = np.flatnonzero(pressure[matrix.indices] & pressure[columns])
         out.append((matrix, s_slots, matrix.data[s_slots]))
     return out
 
@@ -285,10 +262,11 @@ class SaddleSystem:
     the trivial block and have a nonzero entry on that orbit, so every
     pinned block is nonsingular.
 
-    Only the ``-delta*s`` entries depend on delta.  The four blocks are
-    built at the first solve (``_symmetry_blocks``) and kept, and every
-    solve rewrites their ``-delta*s`` entries in place, so solves for
-    several delta share one build (``Discretization.saddle_system``)."""
+    Only the ``-delta*s`` entries depend on delta.  The four blocks,
+    each 2 K_r V_chi (``_symmetry_blocks``), are built at the first solve
+    and kept, and every solve rewrites their ``-delta*s`` entries in
+    place, so solves for several delta share one build
+    (``Discretization.saddle_system``); the bases V_chi are not kept."""
 
     def __init__(self, a_block, g, s, orbits):
         self.a_block, self.g, self.s, self.orbits = a_block, g, s, orbits
@@ -348,14 +326,14 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
     on both velocity components, one symmetry block at a time.  The
     matrix commutes with the signed permutations of the grid's symmetry
     group (``SaddleOrbits``), so in the symmetry-adapted basis V it is
-    block diagonal: each block's right-hand side is V_chi^T rhs, its
-    solution y_chi adds V_chi y_chi to the solution, and the blocks are
-    solved in turn (``_block_solve``), each factor dropped before the
-    next block is factorized, so one quarter-size factor is alive at a
-    time.  With the pin of ``SaddleSystem`` every block is symmetric
-    quasi-definite, so its symmetric ordering is stable without
-    pivoting.  The pressure is afterwards projected to zero weighted
-    mean (``mean_weights``).
+    block diagonal: the blocks are solved in turn (``_block_solve``),
+    each for the right-hand side V_chi^T rhs with its basis V_chi built
+    for it (``_symmetry_basis``), and V_chi y_chi adds its solution.
+    Each basis and factor is dropped before the next block is
+    factorized, so one quarter-size factor is alive at a time.  With the
+    pin of ``SaddleSystem`` every block is symmetric quasi-definite, so
+    its symmetric ordering is stable without pivoting.  The pressure is
+    afterwards projected to zero weighted mean (``mean_weights``).
 
     Each block is refined against itself to half of ``tol``: the basis
     vectors are orthogonal with squared norms 1, 2 or 4, so the four
@@ -379,19 +357,15 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
         return np.zeros(nv), np.zeros(npres), SolveReport(0, 0.0, True)
 
     rhs = np.concatenate([rhs_v, np.zeros(npres)])
-    share = 2.0 / orbits.size[orbits.orbit]  # V_chi[i, a] = share[i] * weight[chi, i]
     sol = np.zeros(nv + npres)
     refinements = 0
     for k, (order, matrix) in enumerate(zip(system.blocks, system.matrices(delta))):
         if order.size == 0:
             continue
-        basis = share * orbits.weight[k]
-        f = np.bincount(orbits.orbit, weights=basis * rhs, minlength=orbits.rep.size)[order]
-        y, steps = _block_solve(matrix, f, orbits.rep[order] >= nv, scale, tol / 2)
+        basis = _symmetry_basis(orbits, k, order)
+        y, steps = _block_solve(matrix, basis.T @ rhs, orbits.rep[order] >= nv, scale, tol / 2)
         refinements += steps
-        coef = np.zeros(orbits.rep.size)
-        coef[order] = y
-        sol += basis * coef[orbits.orbit]
+        sol += basis @ y
 
     x, z = sol[:nv], sol[nv:]
     ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])

@@ -642,6 +642,30 @@ def test_delta_out_of_range_names_mesh_and_rho(tmp_path, capsys):
     assert "N = 4, rho = 1e-200: delta" in capsys.readouterr().err
 
 
+ONE_CELL_CONFIGS = {
+    "steady-sweep": "[steady_sweep]\nn_values = 1 2\ndegrees = {degree}\n",
+    "transient-init": "[transient_init]\nn_values = 1 2\ndegrees = {degree}\nT = 2\n",
+    "transient-convergence": "[transient_convergence]\nn_values = 1 2\ndegrees = {degree}\nT = 2\n",
+    "stability-probe": (
+        "[stability_probe]\nn_values = 1 2\ndegrees = {degree}\ndt_ratios = 1\nstep_budget = 20\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(ONE_CELL_CONFIGS))
+def test_p1_on_one_cell_grid_is_config_error_and_p2_runs(tmp_path, capsys, command):
+    # the P1 grid of N = 1 has no interior velocity node, so a config with
+    # it is refused; the P2 one has the midpoint of the diagonal and runs
+    p1 = write(tmp_path, ONE_CELL_CONFIGS[command].format(degree=1), "p1.cfg")
+    assert cli.main([command, "--config", str(p1)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: N = 1, degree 1: the grid has no interior velocity node")
+    p2 = write(tmp_path, ONE_CELL_CONFIGS[command].format(degree=2), "p2.cfg")
+    out = tmp_path / "p2.csv"
+    assert cli.main([command, "--config", str(p2), "--out", str(out)]) == 0
+    assert "failed" not in out.read_text() and capsys.readouterr().err == ""
+
+
 def test_singular_saddle_matrix_is_a_failed_row(tmp_path, capsys, monkeypatch):
     # both the symmetric and the pivoting factorization find it singular
     def singular(*args, **kwargs):

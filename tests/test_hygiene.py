@@ -115,14 +115,6 @@ def unreferenced_definitions(package_sources, other_sources):
     )
 
 
-# Public package names that nothing in src/ or scripts/ calls, kept on purpose.
-KEPT_FOR_TESTS = {
-    "noninc_residuals": "criterion 8 checks the two schemes' relations step by step with it",
-    "steady_divergence": "the oracles check that the manufactured velocity is solenoidal",
-    "velocity_t": "the finite-difference oracles check the manufactured time derivative",
-}
-
-
 def test_checker_flags_unreferenced_definitions():
     package = (
         "def used():\n"
@@ -151,10 +143,7 @@ def test_package_code_has_callers_outside_tests():
             [(ROOT / path).read_text() for path in scripts],
         )
     )
-    kept = set(KEPT_FOR_TESTS)
-    assert found == kept, (
-        f"only tests reach {sorted(found - kept)}; kept but now called {sorted(kept - found)}"
-    )
+    assert not found, f"only tests reach {sorted(found)}"
 
 
 def test_package_lines_fit_99_columns():

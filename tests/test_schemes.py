@@ -1,10 +1,12 @@
 import dataclasses
 import pathlib
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import checks
 from stokesproj import cli, femspace, mesh, metrics, schemes, steady
 from stokesproj.assembly import Discretization
 
@@ -126,6 +128,16 @@ def test_stabilized_stokes_init_zero_case(grid4):
     state = schemes.initialize(params, NullCase(), Discretization(grid4, 1))
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
+
+
+def test_stabilized_stokes_init_drops_the_saddle_system(grid4, case):
+    # no time step solves the steady system, so its blocks are not held
+    # through the run
+    disc = Discretization(grid4, 1)
+    params = make_params(init="stabilized_stokes")
+    system = weakref.ref(disc.saddle_system(params.nu))
+    schemes.initialize(params, case, disc)
+    assert system() is None
 
 
 def test_incremental_init_copies_pressure(grid4, case):
@@ -274,7 +286,7 @@ def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     for prev, state in zip(trajectory, trajectory[1:]):
         q_hat_old = 2 * prev.pressure - prev.pressure_prev
         q_hat_new = 2 * state.pressure - state.pressure_prev
-        mom, div = schemes.noninc_residuals(
+        mom, div = checks.noninc_residuals(
             params, ops, prev.velocity, state.velocity, q_hat_old, q_hat_new, load(state.t)
         )
         assert mom <= 1e-9

@@ -234,19 +234,42 @@ def assert_same_csc(matrix, reference):
         assert np.array_equal(getattr(matrix, attr), getattr(reference, attr)), attr
 
 
+def spy_on_bases(monkeypatch):
+    """Record (block index, its orbits, basis) of every symmetry basis built."""
+    built = []
+    real = sparsela._symmetry_basis
+
+    def spy(orbits, k, order):
+        built.append((k, order, real(orbits, k, order)))
+        return built[-1][2]
+
+    monkeypatch.setattr(sparsela, "_symmetry_basis", spy)
+    return built
+
+
 @pytest.mark.parametrize("rho", [1.0, 1000.0])
-@pytest.mark.parametrize("degree, n", [(1, 3), (1, 8), (2, 3), (2, 8)])
+@pytest.mark.parametrize("degree, n", [(1, 3), (1, 6), (1, 8), (2, 1), (2, 3), (2, 6), (2, 8)])
 def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, degree, n, rho):
     # every factor input is, entry for entry, the reference construction
     # of its block from the assembled block matrix and the symmetry basis,
-    # and the solve is the reference's block by block solve bit for bit
+    # every basis is the reference basis, and the solve is the reference's
+    # block by block solve bit for bit
     system, delta, rhs, w = steady_system(case, n, degree, rho=rho)
     seen = spy_on_factor_input(monkeypatch)
+    bases = spy_on_bases(monkeypatch)
     x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
     references = dense_oracle.symmetry_blocks(system, delta)
     assert len(seen) == len(references) == 4
     for matrix, (reference, _) in zip(seen, references):
         assert_same_csc(matrix, reference)
+    # each block's basis, once for the block build and once for the solve
+    assert [k for k, _, _ in bases] == [0, 1, 2, 3] * 2
+    for k, order, basis in bases:
+        assert order is system.blocks[k]
+        reference = dense_oracle.symmetry_basis(system.orbits, k, order)
+        assert basis.format == "csr" and basis.shape == reference.shape
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(basis, attr), getattr(reference, attr)), attr
     sol, rel, refinements = dense_oracle.saddle_reference(system, delta, rhs,
                                                           symmetric_solve, 1e-10)
     # every block is refined at least once
@@ -328,22 +351,36 @@ def matrix_bytes(m):
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
-    # blocks, while SuperLU factors a block: apart from the four blocks of
-    # the system, only the viscosity-scaled scalar block and vectors are
-    # live
+    # blocks, while SuperLU factors a block.  Traced from before the
+    # system's blocks are built, what is alive beyond what the system
+    # keeps (the four blocks, their -delta*s slots and values and the
+    # scaled block nu*A) is at most nine float vectors of the saddle
+    # unknowns' length (4.9-6.5 measured); keeping the bases of all four
+    # blocks through the block loop adds about six.  A solve on a small
+    # grid warms the code paths first.  Traced over a second solve, only
+    # the viscosity-scaled scalar block and vectors are live
+    small = assembly.Discretization(mesh.build_grid(4), degree)
+    steady.solve(small, 0.01, 1e-3, small.free_load(case.steady_forcing), tol=1e-10)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
     rhs = disc.free_load(case.steady_forcing)
+    for name in ("stiffness_free", "G", "stiffness", "mean_weights", "saddle_orbits"):
+        getattr(disc, name)  # warms the operators and orbit tables, not the system
     delta = steady.choose_delta(1.0 / n, 0.01, 100.0)
-    steady.solve(disc, 0.01, delta, rhs, tol=1e-10)  # warms every cached operator
     seen = spy_on_factor_input(monkeypatch, lambda m: tracemalloc.get_traced_memory()[0])
-    tracemalloc.start()
-    try:
-        steady.solve(disc, 0.01, delta, rhs, tol=1e-10)
-    finally:
-        tracemalloc.stop()
-    held = sum(matrix_bytes(m) for m in disc.saddle_system(0.01).matrices(delta))
-    assert len(seen) == 4
-    assert max(seen) <= 1.5 * held
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            steady.solve(disc, 0.01, delta, rhs, tol=1e-10)
+        finally:
+            tracemalloc.stop()
+    system = disc.saddle_system(0.01)
+    held = sum(matrix_bytes(m) for m in system.matrices(delta))
+    kept = held + matrix_bytes(system.a_block) + sum(
+        slots.nbytes + values.nbytes for _, slots, values in system._built
+    )
+    assert len(seen) == 8
+    assert max(seen[:4]) <= kept + 9 * 8 * system.orbits.orbit.size
+    assert max(seen[4:]) <= 1.5 * held
 
 
 class TrackedFactor:
