@@ -10,9 +10,14 @@ initialization study dominate); individual configs can be run directly
 with the CLI, e.g.
 
     stokesproj steady-sweep --config scripts/fig1_linear.cfg --out fig1.csv
+
+Each config's ``exit`` line also gives the process's peak resident set
+size so far (``ru_maxrss``, KiB on Linux), the memory to weigh before
+adding a config.
 """
 
 import pathlib
+import resource
 import sys
 import time
 
@@ -33,7 +38,8 @@ def main(argv):
         print(f"== {command} ({config.name}) -> {out}")
         t0 = time.time()
         code = cli.main([command, "--config", str(config), "--out", str(out)])
-        print(f"   exit {code} in {time.time() - t0:.1f}s")
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        print(f"   exit {code} in {time.time() - t0:.1f}s, peak RSS so far {peak:.0f} MB")
         if code != 0:
             return code
     return 0

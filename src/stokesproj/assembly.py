@@ -15,8 +15,10 @@ blocks on it, a pressure one, and the velocity operators are built
 block by block from the scalar basis.  Dirichlet conditions are
 homogeneous, so constrained rows/columns are simply eliminated;
 ``restrict``/``extend`` on FeSpace translate between full and free
-coefficient vectors.  ``Discretization`` assembles the operators once
-per (mesh, degree) pair, and each load once per analytic field.
+coefficient vectors.  ``Discretization`` assembles the operators and
+the orbit tables of the steady saddle unknowns once per (mesh, degree)
+pair, and each load once per analytic field; a steady saddle system
+(``steady.system``) belongs to the caller that solves with it.
 """
 
 import math
@@ -281,12 +283,11 @@ class Discretization:
     ``metrics.error_vs_exact``; ``load`` assembles each analytic field
     once; ``saddle_orbits`` holds the orbit tables of the steady saddle
     unknowns under the grid's reflection x <-> y and half-turn, which
-    split the saddle system into four symmetry blocks; ``saddle_system``
-    keeps the steady saddle system of one viscosity, so the solves for
-    several delta build its blocks once, until ``drop_saddle_system``
-    frees it.  The one
-    exception is the physical points of the degree-6 rule: as large as a
-    field's values, they are mapped anew for each field evaluated there
+    split the saddle system into four symmetry blocks.  The saddle
+    system of a viscosity (``steady.system``) is not kept here: it lives
+    as long as the caller that solves with it.  The one exception is
+    the physical points of the degree-6 rule: as large as a field's
+    values, they are mapped anew for each field evaluated there
     (``at_quadrature_points``, the one place that maps points and
     evaluates a field), so that none are held while a saddle matrix is
     factored."""
@@ -384,28 +385,6 @@ class Discretization:
         reflection x <-> y and half-turn (``sparsela.SaddleOrbits``),
         each block's orbits in nested-dissection order."""
         return _saddle_orbits(self.space)
-
-    @cached_property
-    def _saddle_systems(self):
-        return {}
-
-    def saddle_system(self, nu):
-        """The steady saddle system (``sparsela.SaddleSystem``) of the
-        viscosity ``nu`` on ``saddle_orbits``: made at the first request
-        for ``nu`` and shared by the solves for every delta.  Only the
-        latest viscosity is kept, since its four blocks together are the
-        size of the whole saddle matrix."""
-        systems = self._saddle_systems
-        if nu not in systems:
-            systems.clear()
-            systems[nu] = sparsela.SaddleSystem(nu * self.stiffness_free, self.G,
-                                                self.stiffness, self.saddle_orbits)
-        return systems[nu]
-
-    def drop_saddle_system(self):
-        """Free the kept steady saddle system, for a caller done with
-        steady solves on this mesh."""
-        self._saddle_systems.clear()
 
     @cached_property
     def pressure_solver(self):

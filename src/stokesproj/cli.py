@@ -317,25 +317,27 @@ def _rates(done, cols):
 
 def _steady_rows(config, case, degree, n, h, disc):
     """The data rows of one mesh of the steady sweep: a solve per rho,
-    then each exact field once, evaluated after the solves, so that its
-    values at the quadrature points are not held while a saddle matrix
-    is factored."""
+    all of one saddle system, then each exact field once, evaluated
+    after the system is freed, so that its values at the quadrature
+    points are not held with a saddle matrix."""
     rhs_v = disc.free_load(case.steady_forcing)
+    system = steady.system(disc, config.nu)
     solves = []
     for rho in config.rho_values:
         delta = steady.choose_delta(h, config.nu, rho)
         try:
-            solution = steady.solve(disc, config.nu, delta, rhs_v, config.tol)
+            solution = steady.solve(disc, system, delta, rhs_v, config.tol)
         except sparsela.LinearSolverError as exc:
-            solution = exc
+            solution = f"failed: {exc}"  # the message only: a traceback holds the system
         solves.append((["data", degree, n, h, rho, delta], solution))
+    del system
     fields = (case.steady_velocity, case.steady_pressure)
     interps = [femspace.interpolate(disc.space, f) for f in fields]
     exacts = [disc.at_quadrature_points(f) for f in fields]
     rows = []
     for head, solution in solves:
-        if isinstance(solution, sparsela.LinearSolverError):
-            rows.append(head + ["", "", "", "", f"failed: {solution}"])
+        if isinstance(solution, str):
+            rows.append(head + ["", "", "", "", solution])
             continue
         rows.append(head + [
             *(metrics.fe_norm_diff(u, i, matrix=disc.mass) for u, i in zip(solution, interps)),

@@ -153,17 +153,16 @@ def initialize(params, case, disc):
                         shifted to zero discrete mean;
     stabilized_stokes:  the stabilized steady solve with data
                         g(0) - v_t(0), which is the steady forcing; its
-                        saddle system is then dropped, as no time step
-                        solves it;
+                        saddle system is freed on return, as no time
+                        step solves it;
     zero_pressure:      interpolated velocity and identically zero pressure.
 
     The velocity keeps only its free DOFs, so its Dirichlet values are zero.
     """
     space = disc.space
     if params.init == "stabilized_stokes":
-        v0, q0 = steady.solve(disc, params.nu, params.delta,
+        v0, q0 = steady.solve(disc, steady.system(disc, params.nu), params.delta,
                               disc.free_load(case.steady_forcing), params.tol)
-        disc.drop_saddle_system()
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":

@@ -13,10 +13,10 @@ schemes need:
   dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
   the rows of the orbit representatives, sliced from the scalar velocity
   block, ``G``, ``G^T`` and ``S``, times its sparse basis V_chi; the
-  blocks are built once per system and each delta only rewrites their
-  ``-delta S`` entries.  Each block is solved for V_chi^T rhs and its
-  factor dropped before the next, so one quarter-size factor is alive
-  at a time;
+  blocks are built when the system is made and each delta only
+  rewrites their ``-delta S`` entries.  Each block is solved for
+  V_chi^T rhs and its factor dropped before the next, so one
+  quarter-size factor is alive at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -263,24 +263,21 @@ class SaddleSystem:
     pinned block is nonsingular.
 
     Only the ``-delta*s`` entries depend on delta.  The four blocks,
-    each 2 K_r V_chi (``_symmetry_blocks``), are built at the first solve
-    and kept, and every solve rewrites their ``-delta*s`` entries in
-    place, so solves for several delta share one build
-    (``Discretization.saddle_system``); the bases V_chi are not kept."""
+    each 2 K_r V_chi (``_symmetry_blocks``), are built when the system
+    is made, and every solve rewrites their ``-delta*s`` entries in
+    place, so the solves for several delta share one build
+    (``steady.system``); the bases V_chi are not kept."""
 
     def __init__(self, a_block, g, s, orbits):
         self.a_block, self.g, self.s, self.orbits = a_block, g, s, orbits
         pinned = orbits.orbit[2 * a_block.shape[0]]
         trivial, *rest = orbits.blocks
         self.blocks = (trivial[trivial != pinned], *rest)
-        self._built = None
+        self._built = _symmetry_blocks(a_block, g, s, orbits, self.blocks)
 
     def matrices(self, delta):
         """The four pinned, ordered block CSCs with the ``-delta*s``
         entries of ``delta``."""
-        if self._built is None:
-            self._built = _symmetry_blocks(self.a_block, self.g, self.s, self.orbits,
-                                           self.blocks)
         for matrix, s_slots, s_values in self._built:
             matrix.data[s_slots] = -delta * s_values
         return [matrix for matrix, _, _ in self._built]

@@ -8,11 +8,11 @@ Find (s_h, z_h) in V_h x Q_h with
 which is well posed for equal-order pairs whenever delta > 0.  The
 discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
-``solve`` assembles nothing: it hands the saddle solver the cached
-``Discretization.saddle_system`` of nu, whose scalar velocity block nu A
+``system`` makes the saddle system of nu: its scalar velocity block nu A
 on the free DOFs acts on both components, so no vector copy of A is
-built, and whose four pinned symmetry blocks are built once for all
-delta.
+built, and its four pinned symmetry blocks are built once for all
+delta.  The caller holds it for as long as it solves, and ``solve``
+assembles nothing.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -32,18 +32,25 @@ def choose_delta(h, nu, rho):
     return delta
 
 
-def solve(disc, nu, delta, rhs_v, tol):
-    """The stabilized steady solve on the operators of ``disc`` for the
-    load ``rhs_v`` on the free velocity DOFs (``disc.free_load``).
+def system(disc, nu):
+    """The steady saddle system (``sparsela.SaddleSystem``) of the
+    viscosity ``nu`` on the operators and orbit tables of ``disc``."""
+    if nu <= 0.0:
+        raise ValueError("viscosity must be positive")
+    return sparsela.SaddleSystem(nu * disc.stiffness_free, disc.G, disc.stiffness,
+                                 disc.saddle_orbits)
+
+
+def solve(disc, system, delta, rhs_v, tol):
+    """The stabilized steady solve of the saddle system ``system`` (from
+    ``system(disc, nu)``) for the load ``rhs_v`` on the free velocity
+    DOFs (``disc.free_load``).
 
     Returns (velocity, pressure): both full velocity blocks on the space
     (zeros at Dirichlet DOFs) and a pressure with zero discrete mean.
-    Parameter sweeps share the assembly and the saddle matrix by
-    passing one ``disc``.
+    Parameter sweeps share the assembly and the saddle blocks by
+    passing one ``disc`` and one ``system``.
     """
-    if nu <= 0.0:
-        raise ValueError("viscosity must be positive")
-    s_free, z, _ = sparsela.saddle_solve(
-        disc.saddle_system(nu), delta, rhs_v, mean_weights=disc.mean_weights, tol=tol
-    )
-    return disc.space.extend(s_free), z
+    s_free, z, _ = sparsela.saddle_solve(system, delta, rhs_v,
+                                         mean_weights=disc.mean_weights, tol=tol)
+    return disc.space.extend(s_free.reshape(2, -1)), z

@@ -45,10 +45,11 @@ def _steady_table(case, degree, n_values, rho_values):
         rhs = disc.free_load(case.steady_forcing)
         interp_v = femspace.interpolate(disc.space, case.steady_velocity)
         interp_p = femspace.interpolate(disc.space, case.steady_pressure)
+        system = steady.system(disc, NU)
         setup = time.time() - t0
         for rho in rho_values:
             t1 = time.time()
-            velocity, pressure = steady.solve(disc, NU, steady.choose_delta(h, NU, rho), rhs,
+            velocity, pressure = steady.solve(disc, system, steady.choose_delta(h, NU, rho), rhs,
                                               tol=1e-10)
             table[(n, rho)] = {
                 "h": h,

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokesproj
-from stokesproj import cli, metrics, sparsela, steady
+from stokesproj import assembly, cli, metrics, sparsela, steady
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -432,6 +433,11 @@ def test_run_all_experiments_runs_every_script_config(tmp_path, monkeypatch, cap
         (kind,) = re.findall(r"^experiment = (\w+)", cfg.read_text(), flags=re.MULTILINE)
         assert argv[0] == kind.replace("_", "-")
         assert argv[4] == str(tmp_path / f"{cfg.stem}.csv")
+    # each config's exit line gives the peak RSS so far
+    exits = [line for line in capsys.readouterr().out.splitlines() if "exit" in line]
+    assert len(exits) == len(configs)
+    assert all(re.fullmatch(r"   exit 0 in \d+\.\ds, peak RSS so far \d+ MB", line)
+               for line in exits)
 
 
 def test_steady_sweep_rate_rows():
@@ -440,6 +446,30 @@ def test_steady_sweep_rate_rows():
     rates = [r for r in rows if r[0] == "rate"]
     assert len(rates) == 1
     assert isinstance(rates[0][columns.index("vel_l2_interp")], float)
+
+
+def test_steady_sweep_frees_each_saddle_system_before_the_exact_fields(monkeypatch):
+    # one saddle system per mesh, shared by its rho, and none alive when a
+    # field is evaluated at the quadrature points: the forcing load before
+    # the mesh's solves, the two exact fields after them
+    made, alive = [], []
+    real_system = steady.system
+    real_at_points = assembly.Discretization.at_quadrature_points
+
+    def system(disc, nu):
+        saddle = real_system(disc, nu)
+        made.append(weakref.ref(saddle))
+        return saddle
+
+    def at_points(disc, f):
+        alive.append(sum(ref() is not None for ref in made))
+        return real_at_points(disc, f)
+
+    monkeypatch.setattr(steady, "system", system)
+    monkeypatch.setattr(assembly.Discretization, "at_quadrature_points", at_points)
+    cli.run_steady_sweep(steady_csv(nvals="4 6", rhos="1 10"))
+    assert len(made) == 2
+    assert alive == [0] * 6
 
 
 def test_rho_delta_h_consistency():

@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sparse
 
 import dense_oracle
-from stokesproj import assembly, cli, femspace, mesh, metrics, mms, sparsela
+from stokesproj import assembly, cli, femspace, mesh, metrics, mms, sparsela, steady
 from stokesproj.assembly import Discretization, componentwise
 
 OPERATORS = (
@@ -104,16 +104,6 @@ def test_componentwise_bit_identical_to_block_product(grid4, degree):
         xs = x[: disc.space.num_dofs]
         assert np.array_equal(componentwise(scalar, xs), scalar @ xs)
         assert np.array_equal(componentwise(block, x), block @ x)
-
-
-def test_saddle_system_is_kept_for_the_latest_viscosity(grid4):
-    disc = Discretization(grid4, 1)
-    first = disc.saddle_system(0.01)
-    assert disc.saddle_system(0.01) is first
-    other = disc.saddle_system(0.02)
-    assert other is not first
-    assert_same_csr(other.a_block, 0.02 * disc.stiffness_free)
-    assert disc.saddle_system(0.01) is not first  # only the latest is kept
 
 
 def saddle_unknown_nodes(disc):
@@ -215,7 +205,7 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     # (the trivial one less the pinned orbit), and with that orbit's row
     # and column restored they give back K = V D^-1 B D^-1 V^T, D = V^T V
     disc = Discretization(mesh.build_grid(n), degree)
-    system = disc.saddle_system(0.01)
+    system = steady.system(disc, 0.01)
     delta = 1.0 / (n * n)
     orbits = system.orbits
     k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s,

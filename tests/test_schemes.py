@@ -8,7 +8,7 @@ import pytest
 
 import checks
 from stokesproj import cli, femspace, mesh, metrics, schemes, steady
-from stokesproj.assembly import Discretization
+from stokesproj.assembly import Discretization, componentwise
 
 
 def make_params(**kw):
@@ -130,14 +130,21 @@ def test_stabilized_stokes_init_zero_case(grid4):
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
 
 
-def test_stabilized_stokes_init_drops_the_saddle_system(grid4, case):
-    # no time step solves the steady system, so its blocks are not held
-    # through the run
-    disc = Discretization(grid4, 1)
-    params = make_params(init="stabilized_stokes")
-    system = weakref.ref(disc.saddle_system(params.nu))
-    schemes.initialize(params, case, disc)
-    assert system() is None
+def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monkeypatch):
+    # no time step solves the steady system, so its blocks are freed when
+    # the initial state is made, not held through the run
+    made = []
+    real = steady.system
+
+    def spy(disc, nu):
+        system = real(disc, nu)
+        made.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(steady, "system", spy)
+    disc = Discretization(grid4, 1)  # held, as a time run holds it
+    schemes.initialize(make_params(init="stabilized_stokes"), case, disc)
+    assert len(made) == 1 and made[0]() is None
 
 
 def test_incremental_init_copies_pressure(grid4, case):
@@ -189,6 +196,44 @@ def test_free_decay_energy_monotone(grid4, scheme):
         energy = new_energy
 
 
+def test_noninc_energy_identity_and_inherent_stabilization():
+    # with zero load, testing the momentum step with 2 dt v+ and the
+    # pressure step delta S q+ = G^T v+ with q gives, exactly,
+    #   |v+|_M^2 - |v|_M^2 + |dv|_M^2 + 2 dt nu |v+|_A^2
+    #     + dt delta (|q+|_S^2 + |q|_S^2 - |dq|_S^2) = 0.
+    # Once delta S q = G^T v holds at both ends of a step (from step 2 on),
+    # delta |dq|_S <= |dv|_M, so E = |v|_M^2 + dt delta |q|_S^2 does not
+    # grow for dt <= delta: the inherent stabilization of the scheme
+    nu, n = 0.01, 20
+    disc = Discretization(mesh.build_grid(n), 1)
+    delta = steady.choose_delta(1.0 / n, nu, 10.0)
+    v0 = random_velocity(disc.space, np.random.default_rng(22))
+    zero = np.zeros_like(v0)
+
+    def norm2(matrix, x):
+        return float(x @ componentwise(matrix, x))
+
+    for ratio in (0.5, 1.0, 2.0, 4.0):
+        dt = ratio * delta
+        params = schemes.SchemeParams(nu=nu, dt=dt, T=40 * dt, delta=delta,
+                                      max_dt_ratio=np.inf)
+        ops = schemes.SchemeOperators(disc, params)
+        state = schemes.TimeState(0, 0.0, v0, np.zeros(disc.space.num_dofs))
+        energies = [norm2(disc.mass_free, v0)]  # E_0, ..., E_40
+        for _ in range(params.num_steps()):
+            new = schemes.step_noninc(state, params, ops, zero)
+            v, w, q, p = state.velocity, new.velocity, state.pressure, new.pressure
+            terms = [norm2(disc.mass_free, w), -norm2(disc.mass_free, v),
+                     norm2(disc.mass_free, w - v), 2 * dt * nu * norm2(disc.stiffness_free, w),
+                     dt * delta * norm2(disc.stiffness, p), dt * delta * norm2(disc.stiffness, q),
+                     -dt * delta * norm2(disc.stiffness, p - q)]
+            assert abs(sum(terms)) <= 1e-13 * sum(map(abs, terms)), ratio
+            energies.append(norm2(disc.mass_free, w) + dt * delta * norm2(disc.stiffness, p))
+            state = new
+        if ratio <= 1.0:
+            assert all(b <= a for a, b in zip(energies[1:], energies[2:])), ratio
+
+
 def states(params, case, disc):
     """The initial state and the state after every step of one run."""
     (result,) = schemes.run([params], case, disc, observe=lambda state: state)
@@ -237,7 +282,8 @@ def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_fac
     params = schemes.SchemeParams(nu=case.nu, dt=dt_ratio * delta, T=dt_ratio * delta,
                                   delta=delta, delta2=delta2, scheme=scheme)
     load = disc.free_load(case.steady_forcing)
-    velocity, pressure = steady.solve(disc, case.nu, steady_factor * delta, load, params.tol)
+    velocity, pressure = steady.solve(disc, steady.system(disc, case.nu), steady_factor * delta,
+                                      load, params.tol)
     state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
     return state, step(state, params, schemes.SchemeOperators(disc, params), load)

@@ -76,7 +76,7 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 def fresh_system(grid, degree=1, nu=0.01):
     """A fresh Discretization and its steady saddle system of ``nu``."""
     disc = assembly.Discretization(grid, degree)
-    return disc, disc.saddle_system(nu)
+    return disc, steady.system(disc, nu)
 
 
 def test_saddle_zero_rhs(grid4):
@@ -116,8 +116,8 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
     grid = mesh_mod.build_grid(20)
     delta = steady.choose_delta(1.0 / 20, 0.01, 100.0)
     disc = assembly.Discretization(grid, 1)
-    _, pressure = steady.solve(disc, 0.01, delta, disc.free_load(case.steady_forcing),
-                               tol=1e-10)
+    _, pressure = steady.solve(disc, steady.system(disc, 0.01), delta,
+                               disc.free_load(case.steady_forcing), tol=1e-10)
     w = disc.mean_weights
     assert abs(w @ pressure) <= 1e-12
 
@@ -254,15 +254,16 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
     # of its block from the assembled block matrix and the symmetry basis,
     # every basis is the reference basis, and the solve is the reference's
     # block by block solve bit for bit
-    system, delta, rhs, w = steady_system(case, n, degree, rho=rho)
     seen = spy_on_factor_input(monkeypatch)
     bases = spy_on_bases(monkeypatch)
+    system, delta, rhs, w = steady_system(case, n, degree, rho=rho)
     x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
     references = dense_oracle.symmetry_blocks(system, delta)
     assert len(seen) == len(references) == 4
     for matrix, (reference, _) in zip(seen, references):
         assert_same_csc(matrix, reference)
-    # each block's basis, once for the block build and once for the solve
+    # each block's basis, once for the block build when the system is
+    # made and once for the solve
     assert [k for k, _, _ in bases] == [0, 1, 2, 3] * 2
     for k, order, basis in bases:
         assert order is system.blocks[k]
@@ -328,8 +329,8 @@ def test_velocity_at_rho_1000_matches_refined_pivoting_reference(case):
     disc = assembly.Discretization(mesh.build_grid(n), 1)
     delta = steady.choose_delta(1.0 / n, nu, 1000.0)
     rhs = disc.free_load(case.steady_forcing)
-    velocity, _ = steady.solve(disc, nu, delta, rhs, tol=1e-10)
-    system = disc.saddle_system(nu)
+    system = steady.system(disc, nu)
+    velocity, _ = steady.solve(disc, system, delta, rhs, tol=1e-10)
     matrix = pinned_matrix(system, delta)
     nv = system.g.shape[0]
     k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s, -delta * system.s)
@@ -351,29 +352,32 @@ def matrix_bytes(m):
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
-    # blocks, while SuperLU factors a block.  Traced from before the
-    # system's blocks are built, what is alive beyond what the system
-    # keeps (the four blocks, their -delta*s slots and values and the
-    # scaled block nu*A) is at most nine float vectors of the saddle
-    # unknowns' length (4.9-6.5 measured); keeping the bases of all four
-    # blocks through the block loop adds about six.  A solve on a small
-    # grid warms the code paths first.  Traced over a second solve, only
-    # the viscosity-scaled scalar block and vectors are live
+    # blocks, while SuperLU factors a block.  Traced from the system's
+    # construction, what is alive beyond what the system keeps (the four
+    # blocks, their -delta*s slots and values and the scaled block nu*A)
+    # is at most nine float vectors of the saddle unknowns' length
+    # (4.9-6.5 measured); keeping the bases of all four blocks through
+    # the block loop adds about six.  A solve on a small grid warms the
+    # code paths first.  Traced over a second solve of the same system,
+    # only vectors are new
     small = assembly.Discretization(mesh.build_grid(4), degree)
-    steady.solve(small, 0.01, 1e-3, small.free_load(case.steady_forcing), tol=1e-10)
+    steady.solve(small, steady.system(small, 0.01), 1e-3, small.free_load(case.steady_forcing),
+                 tol=1e-10)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
     rhs = disc.free_load(case.steady_forcing)
     for name in ("stiffness_free", "G", "stiffness", "mean_weights", "saddle_orbits"):
         getattr(disc, name)  # warms the operators and orbit tables, not the system
     delta = steady.choose_delta(1.0 / n, 0.01, 100.0)
     seen = spy_on_factor_input(monkeypatch, lambda m: tracemalloc.get_traced_memory()[0])
-    for _ in range(2):
+    tracemalloc.start()
+    try:
+        system = steady.system(disc, 0.01)
+        steady.solve(disc, system, delta, rhs, tol=1e-10)
+        tracemalloc.stop()
         tracemalloc.start()
-        try:
-            steady.solve(disc, 0.01, delta, rhs, tol=1e-10)
-        finally:
-            tracemalloc.stop()
-    system = disc.saddle_system(0.01)
+        steady.solve(disc, system, delta, rhs, tol=1e-10)
+    finally:
+        tracemalloc.stop()
     held = sum(matrix_bytes(m) for m in system.matrices(delta))
     kept = held + matrix_bytes(system.a_block) + sum(
         slots.nbytes + values.nbytes for _, slots, values in system._built
@@ -412,15 +416,15 @@ def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
 
 
 def test_saddle_solve_leaves_no_reference_cycles(case):
-    # the factors are freed as soon as a solve returns, not at the next
-    # cyclic garbage collection
+    # the system and the factors are freed as soon as they are done
+    # with, not at the next cyclic garbage collection
     disc = assembly.Discretization(mesh.build_grid(8), 2)
     rhs = disc.free_load(case.steady_forcing)
-    steady.solve(disc, 0.01, 1e-3, rhs, tol=1e-10)
+    steady.solve(disc, steady.system(disc, 0.01), 1e-3, rhs, tol=1e-10)
     gc.collect()
     gc.disable()
     try:
-        steady.solve(disc, 0.01, 1e-3, rhs, tol=1e-10)
+        steady.solve(disc, steady.system(disc, 0.01), 1e-3, rhs, tol=1e-10)
         assert gc.collect() == 0
     finally:
         gc.enable()

@@ -10,7 +10,8 @@ def steady_solve(grid, degree, nu, delta, ghat):
     """The stabilized steady solve for analytic data ``ghat`` on a fresh
     Discretization; returns the Discretization, velocity and pressure."""
     disc = Discretization(grid, degree)
-    return (disc, *steady.solve(disc, nu, delta, disc.free_load(ghat), tol=1e-10))
+    return (disc, *steady.solve(disc, steady.system(disc, nu), delta, disc.free_load(ghat),
+                                tol=1e-10))
 
 
 def test_choose_delta_values():
@@ -27,6 +28,15 @@ def test_zero_data_gives_zero_solution(grid4):
     _, velocity, pressure = steady_solve(grid4, 1, 0.01, 1e-3, lambda x, y: np.zeros((2,) + x.shape))
     assert np.array_equal(velocity, np.zeros_like(velocity))
     assert np.array_equal(pressure, np.zeros_like(pressure))
+
+
+def test_p1_one_cell_grid_gives_the_zero_solution(case):
+    # P1 on the one-cell grid has no free velocity DOF, so the discrete
+    # solution is a zero velocity and a constant, hence zero-mean, pressure
+    _, velocity, pressure = steady_solve(mesh.build_grid(1), 1, 0.01, 1e-3,
+                                         case.steady_forcing)
+    assert np.array_equal(velocity, np.zeros(2 * 4))
+    assert np.array_equal(pressure, np.zeros(4))
 
 
 def test_rejects_bad_parameters(grid4, case):
@@ -128,9 +138,10 @@ def test_rho_optimum_structure(case):
     rhs = disc.free_load(case.steady_forcing)
     iv = femspace.interpolate(disc.space, case.steady_velocity)
     ip = femspace.interpolate(disc.space, case.steady_pressure)
+    system = steady.system(disc, case.nu)
     verr, perr = {}, {}
     for rho in (1.0, 10.0, 100.0, 1000.0):
-        velocity, pressure = steady.solve(disc, case.nu, steady.choose_delta(h, case.nu, rho),
+        velocity, pressure = steady.solve(disc, system, steady.choose_delta(h, case.nu, rho),
                                           rhs, tol=1e-10)
         verr[rho] = metrics.fe_norm_diff(velocity, iv, matrix=disc.mass)
         perr[rho] = metrics.fe_norm_diff(pressure, ip, matrix=disc.mass)
