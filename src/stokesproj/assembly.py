@@ -31,6 +31,8 @@ import scipy.sparse as sparse
 from . import femspace, sparsela
 from .mesh import Mesh
 
+_FIELD_CHUNK = 1024  # triangles per evaluation of an analytic field
+
 
 def _geometry(mesh):
     """Per-triangle affine data: Jacobian determinants and inverse transposes."""
@@ -287,10 +289,10 @@ class Discretization:
     system of a viscosity (``steady.system``) is not kept here: it lives
     as long as the caller that solves with it.  The one exception is
     the physical points of the degree-6 rule: as large as a field's
-    values, they are mapped anew for each field evaluated there
-    (``at_quadrature_points``, the one place that maps points and
-    evaluates a field), so that none are held while a saddle matrix is
-    factored."""
+    values, they are mapped anew, a chunk of triangles at a time, for
+    each field evaluated there (``at_quadrature_points``, the one place
+    that maps points and evaluates a field), so that none are held
+    while a saddle matrix is factored."""
 
     mesh: Mesh
     degree: int
@@ -352,14 +354,26 @@ class Discretization:
 
     def at_quadrature_points(self, f):
         """Values of the analytic field ``f`` at the points of
-        ``quadrature``, one block per component: the reference points
-        (xi, eta) mapped to every triangle as p0 + xi (p1 - p0) +
-        eta (p2 - p0), one coordinate at a time."""
+        ``quadrature``, one block per component, (blocks, nt, nq): the
+        reference points (xi, eta) mapped to every triangle as
+        p0 + xi (p1 - p0) + eta (p2 - p0), one coordinate at a time.
+        The points are mapped and ``f`` evaluated on ``_FIELD_CHUNK``
+        triangles at a time, written into one array, so the
+        temporaries of ``f`` stay chunk-sized; every value is the one
+        that a single evaluation on all points gives."""
         xi, eta = femspace.quadrature(6).points.T
-        # per coordinate, the three corners of every triangle as (nt, 1) columns
-        corners = self.mesh.vertices[self.mesh.triangles].transpose(2, 1, 0)[..., None]
-        x, y = (p0 + xi * (p1 - p0) + eta * (p2 - p0) for p0, p1, p2 in corners)
-        return femspace.field_blocks(f, x, y)
+        triangles = self.mesh.triangles
+        out = None
+        for lo in range(0, triangles.shape[0], _FIELD_CHUNK):
+            chunk = triangles[lo: lo + _FIELD_CHUNK]
+            # per coordinate, the three corners of every triangle as (chunk, 1) columns
+            corners = self.mesh.vertices[chunk].transpose(2, 1, 0)[..., None]
+            x, y = (p0 + xi * (p1 - p0) + eta * (p2 - p0) for p0, p1, p2 in corners)
+            values = femspace.field_blocks(f, x, y)
+            if out is None:
+                out = np.empty((values.shape[0], triangles.shape[0], xi.size))
+            out[:, lo: lo + chunk.shape[0]] = values
+        return out
 
     @cached_property
     def _loads(self):

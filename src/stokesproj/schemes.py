@@ -24,22 +24,25 @@ making them.
 Velocities are stepped on the free DOFs and pressures are kept at zero
 discrete mean.  The velocity system matrix has one scalar block per
 velocity component, so one scalar factorization serves every step, and
-``SchemeOperators`` holds only that factor.  The steps read every other
-operator from the Discretization, the pressure solve too: factor-free
-for P1 and one pinned factorization of S for P2.  ``run`` is the one
-time loop: it steps every run of a mesh on shared forcing loads and
-initial states, and the experiment runners only choose what each step
-records.
+``SchemeOperators`` holds only that factor; its matrix M/dt + nu A is
+filled in place into one buffer per mesh (``MomentumMatrix``).  The
+steps read every other operator from the Discretization, the pressure
+solve too: factor-free for P1 and one pinned factorization of S for
+P2.  ``run`` is the one time loop: it steps every run of a mesh on
+shared forcing loads, initial states and momentum buffer, and the
+experiment runners only choose what each step records.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sparse
 
 from . import femspace, sparsela, steady
 from .assembly import componentwise
 
 _GUARD_SLACK = 1.0 + 1e-12
+_FILL_CHUNK = 4096  # entries of the momentum matrix filled per scratch pass
 
 SCHEMES = ("noninc", "inc")
 INITS = ("interpolant", "stabilized_stokes", "zero_pressure")
@@ -123,15 +126,55 @@ class TimeState:
     pressure_prev: np.ndarray = None
 
 
+class MomentumMatrix:
+    """One CSC buffer for the momentum matrix M/dt + nu A of ``disc``'s
+    free velocity DOFs, which every run on the mesh fills in place
+    (``fill``) before it factors it.
+
+    The free mass and stiffness share one CSR pattern (both are
+    scattered on the mesh's element pattern), which the buffer holds in
+    CSC form; ``slots`` maps every CSC entry to its CSR position.  A
+    fill writes nu A, then adds M/dt through a scratch array of at most
+    ``_FILL_CHUNK`` entries, so it allocates nothing as large as the
+    matrix.  Its entries are bit for bit those of
+    ``csc_matrix(M/dt + nu A)``, as scipy scales by 1/dt too; the sparse
+    sum would drop an entry that comes out exactly zero, which the
+    buffer keeps stored, but none does on these grids."""
+
+    def __init__(self, disc):
+        m = disc.mass_free
+        slots = sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr), shape=m.shape).tocsc()
+        self.slots = slots.data
+        self.matrix = sparse.csc_matrix((np.empty(m.nnz), slots.indices, slots.indptr),
+                                        shape=m.shape)
+        self._mass, self._stiffness = m.data, disc.stiffness_free.data
+        self._scratch = np.empty(min(_FILL_CHUNK, m.nnz))
+
+    def fill(self, dt, nu):
+        """The buffer, holding M/dt + nu A for ``dt`` and ``nu``."""
+        h = self.matrix.data
+        # mode "clip": with the default "raise", np.take fills a copy of out
+        np.take(self._stiffness, self.slots, out=h, mode="clip")
+        h *= nu
+        for lo in range(0, h.size, _FILL_CHUNK):
+            part = self._scratch[: min(_FILL_CHUNK, h.size - lo)]
+            np.take(self._mass, self.slots[lo: lo + part.size], out=part, mode="clip")
+            part *= 1.0 / dt
+            h[lo: lo + part.size] += part
+        return self.matrix
+
+
 class SchemeOperators:
     """The momentum factorization for time stepping with ``params`` on
-    ``disc``; the steps read every other operator, and the pressure
-    solver, from ``disc``.  Immutable once built; shared by all steps."""
+    ``disc``, of the matrix that ``momentum`` (a ``MomentumMatrix`` of
+    ``disc``) is filled with; the steps read every other operator, and
+    the pressure solver, from ``disc``.  Immutable once built; shared by
+    all steps.  The factor does not read the buffer again, so the next
+    run may refill it."""
 
-    def __init__(self, disc, params):
+    def __init__(self, disc, params, momentum):
         self.disc = disc
-        h = (disc.mass_free / params.dt + params.nu * disc.stiffness_free).tocsr()
-        self._h_solver = sparsela.FactorizedSpd(h)
+        self._h_solver = sparsela.FactorizedSpd(momentum.fill(params.dt, params.nu))
 
     def momentum_solve(self, rhs_block):
         """Solve (M/dt + nu A) per component; rhs and result in block layout."""
@@ -219,8 +262,9 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     """Step every SchemeParams of ``runs`` on ``disc`` with forcing from
     ``case``; returns one RunResult per run, in order.
 
-    The runs share the forcing loads, and the runs with the same (init,
-    nu, delta, tol, scheme) share one initial state.  ``observe(state)``
+    The runs share the forcing loads and one ``MomentumMatrix`` buffer,
+    and the runs with the same (init, nu, delta, tol, scheme) share one
+    initial state; the initial states are made first.  ``observe(state)``
     is called on the initial state and after every step, and its return
     values are the run's ``records``.  A run stops and is marked diverged
     once its velocity stops being finite or, when ``energy_ceiling`` is
@@ -230,20 +274,21 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     step too.
     """
     loads = [(tf, disc.free_load(sf)) for tf, sf in case.forcing_terms()]
+    keys = [(p.init, p.nu, p.delta, p.tol, p.scheme) for p in runs]
     initial = {}
-    results = []
-    for params in runs:
-        key = (params.init, params.nu, params.delta, params.tol, params.scheme)
+    for params, key in zip(runs, keys):
         if key not in initial:
             initial[key] = initialize(params, case, disc)
-        results.append(_run_one(params, disc, initial[key], loads, observe, energy_ceiling))
-    return results
+    momentum = MomentumMatrix(disc)  # made after the steady solves, which do not use it
+    return [_run_one(params, disc, initial[key], loads, momentum, observe, energy_ceiling)
+            for params, key in zip(runs, keys)]
 
 
-def _run_one(params, disc, state, loads, observe, energy_ceiling):
-    """Step one run from ``state``; see ``run``.  Its operators
-    and factorization are freed on return, before the next run's."""
-    ops = SchemeOperators(disc, params)
+def _run_one(params, disc, state, loads, momentum, observe, energy_ceiling):
+    """Step one run from ``state``, its momentum matrix filled into the
+    buffer ``momentum``; see ``run``.  Its operators and factorization
+    are freed on return, before the next run's."""
+    ops = SchemeOperators(disc, params, momentum)
     step = step_noninc if params.scheme == "noninc" else step_inc
     track_energy = energy_ceiling is not None
     energies = [ops.velocity_energy(state.velocity)] if track_energy else []

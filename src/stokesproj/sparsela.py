@@ -12,11 +12,11 @@ schemes need:
   ``Discretization.saddle_orbits``), each ordered by a geometric nested
   dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
   the rows of the orbit representatives, sliced from the scalar velocity
-  block, ``G``, ``G^T`` and ``S``, times its sparse basis V_chi; the
-  blocks are built when the system is made and each delta only
-  rewrites their ``-delta S`` entries.  Each block is solved for
-  V_chi^T rhs and its factor dropped before the next, so one
-  quarter-size factor is alive at a time;
+  block, ``G``, ``G^T`` and ``S``, times its sparse basis V_chi, with
+  its ``-delta S`` entries set.  The system keeps only K_r; each block
+  is built just before it is factorized, solved for V_chi^T rhs and
+  dropped with its factor before the next, so one quarter-size block
+  and factor are alive at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -76,13 +76,13 @@ def _pivoting_splu(a_csc):
 
 
 class FactorizedSpd:
-    """Cached sparse LU of a fixed SPD matrix; ``solve`` accepts one or
-    several right-hand sides (columns).  The symmetric SuperLU mode is
+    """Cached sparse LU of a fixed SPD matrix, given as a CSC and
+    factored as it is, with no copy; ``solve`` accepts one or several
+    right-hand sides (columns).  The symmetric SuperLU mode is
     preferred; default pivoting is the fallback if a verification solve
     is off, and a singular matrix is a LinearSolverError."""
 
     def __init__(self, a):
-        a = sparse.csc_matrix(a)
         try:
             self._solve = _symmetric_splu(a, "MMD_AT_PLUS_A")
             probe = np.ones(a.shape[0])
@@ -109,7 +109,7 @@ class PinnedSingularSolver:
 
     def __init__(self, s):
         self.n = s.shape[0]
-        self._reduced = FactorizedSpd(s.tocsr()[1:, 1:])
+        self._reduced = FactorizedSpd(s.tocsr()[1:, 1:].tocsc())
 
     def solve(self, b):
         x = np.zeros(self.n)
@@ -214,24 +214,11 @@ def _symmetry_basis(orbits, k, order):
     return sparse.csr_matrix((values, col[kept], indptr), shape=(col.size, order.size))
 
 
-def _symmetry_blocks(a_block, g, s, orbits, blocks):
-    """The symmetry blocks of the steady saddle matrix: for each list
-    of orbits ``order`` in ``blocks``, the sorted CSC of
-
-        K_chi = 2 K_r[order] V_chi
-
-    where K = [[A (+) A, g], [g^T, s]] is the unpinned saddle matrix with
-    the pressure block ``s`` in place of ``-delta s``, K_r its rows at the
-    orbit representatives in orbit order and V_chi the block's basis
-    (``_symmetry_basis``).  This is V_chi^T K V_chi: K commutes with the
-    group, so K V_chi = V_chi C for some C, and both are diag(4 / n_a) C.
-    K_r, about a quarter of K, is gathered once by row-slicing A, g, g^T
-    and s; K itself is never formed.  Returns (matrix, s_slots, s_values)
-    per block: its pressure block, the entries whose row and column are
-    both pressures, holds the values ``s_values`` of s at the positions
-    ``s_slots`` until ``matrix.data[s_slots] = -delta * s_values`` sets
-    it.
-    """
+def _representative_rows(a_block, g, s, orbits):
+    """K_r, twice the rows of the orbit representatives of the unpinned
+    saddle matrix K = [[A (+) A, g], [g^T, s]], with the pressure block
+    ``s`` in place of ``-delta s``, in orbit order: gathered by
+    row-slicing A, g, g^T and s, so K itself is never formed."""
     nf, nv = a_block.shape[0], g.shape[0]
     field = np.searchsorted([nf, nv], orbits.rep, side="right")  # x, y, pressure
     rx, ry, rp = (orbits.rep[field == f] - f * nf for f in range(3))
@@ -239,15 +226,7 @@ def _symmetry_blocks(a_block, g, s, orbits, blocks):
     k_r = sparse.bmat([[a_block[rx], None, g[rx]],
                        [None, a_block[ry], g[nf + ry]],
                        [gt[:, :nf], gt[:, nf:], s[rp]]], format="csr")
-    k_r = 2.0 * k_r[np.argsort(np.argsort(field, kind="stable"))]
-    out = []
-    for k, order in enumerate(blocks):
-        matrix = sparse.csc_matrix(k_r[order] @ _symmetry_basis(orbits, k, order))
-        pressure = orbits.rep[order] >= nv
-        columns = np.repeat(np.arange(order.size), np.diff(matrix.indptr))
-        s_slots = np.flatnonzero(pressure[matrix.indices] & pressure[columns])
-        out.append((matrix, s_slots, matrix.data[s_slots]))
-    return out
+    return 2.0 * k_r[np.argsort(np.argsort(field, kind="stable"))]
 
 
 class SaddleSystem:
@@ -262,36 +241,51 @@ class SaddleSystem:
     the trivial block and have a nonzero entry on that orbit, so every
     pinned block is nonsingular.
 
-    Only the ``-delta*s`` entries depend on delta.  The four blocks,
-    each 2 K_r V_chi (``_symmetry_blocks``), are built when the system
-    is made, and every solve rewrites their ``-delta*s`` entries in
-    place, so the solves for several delta share one build
-    (``steady.system``); the bases V_chi are not kept."""
+    The system keeps only the representatives' rows ``k_r``
+    (``_representative_rows``), about a quarter of the saddle matrix,
+    gathered when it is made; ``block`` builds one block from them for
+    one delta, so the solves for several delta share one gather
+    (``steady.system``) and no block outlives its factorization."""
 
     def __init__(self, a_block, g, s, orbits):
         self.a_block, self.g, self.s, self.orbits = a_block, g, s, orbits
         pinned = orbits.orbit[2 * a_block.shape[0]]
         trivial, *rest = orbits.blocks
         self.blocks = (trivial[trivial != pinned], *rest)
-        self._built = _symmetry_blocks(a_block, g, s, orbits, self.blocks)
+        self.k_r = _representative_rows(a_block, g, s, orbits)
 
-    def matrices(self, delta):
-        """The four pinned, ordered block CSCs with the ``-delta*s``
-        entries of ``delta``."""
-        for matrix, s_slots, s_values in self._built:
-            matrix.data[s_slots] = -delta * s_values
-        return [matrix for matrix, _, _ in self._built]
+    def block(self, k, delta):
+        """Block ``k`` for ``delta``: (matrix, basis, pressure), where
+        ``basis`` is its V_chi (``_symmetry_basis``), ``matrix`` the
+        sorted CSC of
+
+            K_chi = 2 K_r[order] V_chi
+
+        with the entries whose row and column are both pressures scaled
+        by -delta, and ``pressure`` marks its pressure unknowns.  This is
+        V_chi^T K V_chi: K commutes with the group, so K V_chi = V_chi C
+        for some C, and both are diag(4 / n_a) C."""
+        order = self.blocks[k]
+        basis = _symmetry_basis(self.orbits, k, order)
+        matrix = sparse.csc_matrix(self.k_r[order] @ basis)
+        pressure = self.orbits.rep[order] >= self.g.shape[0]
+        in_pressure_column = np.repeat(pressure, np.diff(matrix.indptr))
+        matrix.data[pressure[matrix.indices] & in_pressure_column] *= -delta
+        return matrix, basis, pressure
 
 
-def _block_solve(matrix, f, pressure, scale, tol):
-    """Solve one symmetry block ``matrix`` y = f: factorized in symmetric
-    mode in the block's order, then refined against the block at least
-    once and at most twice, until the relative norm of the velocity and
-    of the pressure part (``pressure`` marks it) of its residual is at
-    most ``tol``, both relative to ``scale``.  If the factorization
-    fails or the refined solve misses, the block alone is factorized
-    with partial pivoting and solved again.  The factor is dropped on
-    return.  Returns (y, refinements)."""
+def _block_solve(system, k, delta, rhs, scale, tol):
+    """Solve block ``k`` of ``system`` for ``delta`` (``SaddleSystem.block``)
+    for V_chi^T ``rhs``: factorized in symmetric mode in the block's
+    order, then refined against the block at least once and at most
+    twice, until the relative norm of the velocity and of the pressure
+    part of its residual is at most ``tol``, both relative to ``scale``.
+    If the factorization fails or the refined solve misses, the block
+    alone is factorized with partial pivoting and solved again.  The
+    block, its basis and its factor are dropped on return.  Returns
+    (V_chi y, refinements)."""
+    matrix, basis, pressure = system.block(k, delta)
+    f = basis.T @ rhs
 
     def refined(solve):
         y, steps = solve(f), 0
@@ -309,7 +303,7 @@ def _block_solve(matrix, f, pressure, scale, tol):
         rel = np.inf
     if not rel <= tol:
         y, _, steps = refined(_pivoting_splu(matrix))
-    return y, steps
+    return basis @ y, steps
 
 
 def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
@@ -324,12 +318,13 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
     matrix commutes with the signed permutations of the grid's symmetry
     group (``SaddleOrbits``), so in the symmetry-adapted basis V it is
     block diagonal: the blocks are solved in turn (``_block_solve``),
-    each for the right-hand side V_chi^T rhs with its basis V_chi built
-    for it (``_symmetry_basis``), and V_chi y_chi adds its solution.
-    Each basis and factor is dropped before the next block is
-    factorized, so one quarter-size factor is alive at a time.  With the
-    pin of ``SaddleSystem`` every block is symmetric quasi-definite, so
-    its symmetric ordering is stable without pivoting.  The pressure is
+    each built for its solve with its basis V_chi from the system's rows
+    K_r (``SaddleSystem.block``) and solved for V_chi^T rhs, and
+    V_chi y_chi adds its solution.  Each block, basis and factor is
+    dropped before the next block is built, so one quarter-size block
+    and its factor are alive at a time.  With the pin of
+    ``SaddleSystem`` every block is symmetric quasi-definite, so its
+    symmetric ordering is stable without pivoting.  The pressure is
     afterwards projected to zero weighted mean (``mean_weights``).
 
     Each block is refined against itself to half of ``tol``: the basis
@@ -343,7 +338,7 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
     """
     if delta <= 0.0:
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
-    a_block, g, s, orbits = system.a_block, system.g, system.s, system.orbits
+    a_block, g, s = system.a_block, system.g, system.s
     nv = 2 * a_block.shape[0]
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
@@ -356,13 +351,12 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
     rhs = np.concatenate([rhs_v, np.zeros(npres)])
     sol = np.zeros(nv + npres)
     refinements = 0
-    for k, (order, matrix) in enumerate(zip(system.blocks, system.matrices(delta))):
+    for k, order in enumerate(system.blocks):
         if order.size == 0:
             continue
-        basis = _symmetry_basis(orbits, k, order)
-        y, steps = _block_solve(matrix, basis.T @ rhs, orbits.rep[order] >= nv, scale, tol / 2)
+        part, steps = _block_solve(system, k, delta, rhs, scale, tol / 2)
         refinements += steps
-        sol += basis @ y
+        sol += part
 
     x, z = sol[:nv], sol[nv:]
     ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])

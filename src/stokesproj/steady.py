@@ -10,9 +10,10 @@ discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
 ``system`` makes the saddle system of nu: its scalar velocity block nu A
 on the free DOFs acts on both components, so no vector copy of A is
-built, and its four pinned symmetry blocks are built once for all
-delta.  The caller holds it for as long as it solves, and ``solve``
-assembles nothing.
+built, and the rows of its orbit representatives are gathered once for
+all delta; each solve builds the four pinned symmetry blocks from them,
+one at a time.  The caller holds it for as long as it solves, and
+``solve`` assembles no operator.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -48,7 +49,7 @@ def solve(disc, system, delta, rhs_v, tol):
 
     Returns (velocity, pressure): both full velocity blocks on the space
     (zeros at Dirichlet DOFs) and a pressure with zero discrete mean.
-    Parameter sweeps share the assembly and the saddle blocks by
+    Parameter sweeps share the assembly and the gathered saddle rows by
     passing one ``disc`` and one ``system``.
     """
     s_free, z, _ = sparsela.saddle_solve(system, delta, rhs_v,

@@ -298,7 +298,7 @@ def test_criterion_07_free_decay_monotonicity():
             nu=NU, dt=delta, T=100 * delta, delta=delta, scheme=scheme,
             init="zero_pressure",
         )
-        ops = schemes.SchemeOperators(disc, params)
+        ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
         zero_q = np.zeros(disc.space.num_dofs)
         state = schemes.TimeState(0, 0.0, v0.copy(), zero_q.copy(), zero_q.copy())
         step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
@@ -334,7 +334,7 @@ def test_criterion_08_scheme_equivalence(mms_case, load_at):
         init="stabilized_stokes",
     )
     disc = Discretization(grid, 1)
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     load = load_at(mms_case, disc)
     state = schemes.initialize(params, mms_case, disc)
     worst_mom = worst_div = 0.0

@@ -121,6 +121,26 @@ def test_quadrature_points_are_the_affine_map(degree, n):
     assert got.tobytes() == expected.tobytes()
 
 
+@pytest.mark.parametrize("n", [33, 46])
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_chunked_field_evaluation_matches_one_evaluation(case, degree, n):
+    # a field is evaluated on chunks of triangles; on grids whose triangle
+    # count (2178, 4232) is not a multiple of the chunk, a scalar and a
+    # vector field take, bit for bit, the values of one evaluation on all
+    # the mapped points
+    grid = mesh.build_grid(n)
+    nt = len(grid.triangles)
+    assert nt > assembly._FIELD_CHUNK and nt % assembly._FIELD_CHUNK
+    disc = Discretization(grid, degree)
+    xi, eta = femspace.quadrature(6).points.T
+    p0, p1, p2 = (grid.vertices[grid.triangles[:, i]].T[..., None] for i in range(3))
+    x, y = p0 + xi * (p1 - p0) + eta * (p2 - p0)
+    for f in (case.steady_pressure, case.steady_forcing):
+        got, expected = disc.at_quadrature_points(f), femspace.field_blocks(f, x, y)
+        assert got.shape == expected.shape == (expected.shape[0], nt, xi.size)
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_zero_load(space_p1_grid4, case):
     space = space_p1_grid4
     load = space.restrict(load6(space, lambda x, y: np.zeros((2,) + x.shape)))

@@ -220,7 +220,8 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     unpinned = orbits.blocks[0] != orbits.orbit[system.g.shape[0]]
     assert np.count_nonzero(~unpinned) == 1
     restored = np.zeros_like(galerkin)
-    for chi, matrix in enumerate(system.matrices(delta)):
+    for chi in range(4):
+        matrix = system.block(chi, delta)[0]
         inside = label == chi
         block = galerkin[np.ix_(inside, inside)]
         if chi == 0:
@@ -271,9 +272,10 @@ def test_p2_separators_lie_on_mesh_lines(n):
 def counts(monkeypatch):
     """Calls of every space construction, operator-rule evaluation, element
     pattern sort, operator assembly, load assembly, saddle solve, orbit
-    table and symmetry block construction, pressure solver and error
-    tracker construction, and of the geometry and basis evaluations
-    behind the rules."""
+    table construction, gather of the saddle representatives' rows,
+    symmetry block build, pressure solver and error tracker
+    construction, and of the geometry and basis evaluations behind the
+    rules."""
     seen = {}
 
     def counting(owner, name):
@@ -291,7 +293,8 @@ def counts(monkeypatch):
     counting(femspace, "build_space")
     counting(femspace, "basis")
     counting(sparsela, "saddle_solve")
-    counting(sparsela, "_symmetry_blocks")
+    counting(sparsela, "_representative_rows")
+    counting(sparsela.SaddleSystem, "block")
     counting(assembly, "_saddle_orbits")
     counting(sparsela, "PinnedSingularSolver")
     counting(sparsela, "GridNeumannSolver")
@@ -311,6 +314,9 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     cli.run_stability_probe(probe_config("0.5 1 4"))
     assert counts["build_space"] == 1
     assert counts["saddle_solve"] == 1
+    # the saddle rows gathered once and each symmetry block built once
+    assert counts["_representative_rows"] == 1
+    assert counts["block"] == 4
     # two forcing terms and the mean weights; the steady initial data is
     # the steady forcing, whose load is the first forcing load
     assert counts["assemble_load"] == 3
@@ -350,9 +356,10 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts, monkeypatch)
     # one space per mesh
     assert counts["build_space"] == 2
     assert counts["saddle_solve"] == 6
-    # one set of orbit tables and symmetry blocks per mesh, the blocks
-    # rewritten in place for each rho
-    assert counts["_saddle_orbits"] == counts["_symmetry_blocks"] == 2
+    # one set of orbit tables and saddle rows per mesh, and the four
+    # symmetry blocks built from the rows for each rho
+    assert counts["_saddle_orbits"] == counts["_representative_rows"] == 2
+    assert counts["block"] == 4 * 6
     assert all(counts[name] == 2 for name in OPERATORS), counts
     assert counts["_operator_rule"] == counts["_element_pattern"] == 2
     assert counts["_geometry"] == counts["basis"] == 4

@@ -1,13 +1,15 @@
 import dataclasses
 import pathlib
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 import checks
-from stokesproj import cli, femspace, mesh, metrics, schemes, steady
+from stokesproj import cli, femspace, mesh, metrics, schemes, sparsela, steady
 from stokesproj.assembly import Discretization, componentwise
 
 
@@ -147,6 +149,46 @@ def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monke
     assert len(made) == 1 and made[0]() is None
 
 
+@pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
+def test_momentum_matrix_is_filled_in_place(case, monkeypatch, degree):
+    # the runs of a mesh factor one buffer, filled for each run with the
+    # entries, indices and pointers of csc_matrix(M/dt + nu A), and
+    # filling it for the second run allocates less than one float array
+    # of its entries (the sparse sum allocated four such matrices)
+    disc = Discretization(mesh.build_grid(8), degree)
+    # rho = 3: 1/dt is inexact, so M/dt and M * (1/dt) differ in some bits
+    delta = steady.choose_delta(1.0 / 8, case.nu, 3.0)
+    runs = [make_params(nu=case.nu, dt=ratio * delta, T=2 * ratio * delta, delta=delta,
+                        max_dt_ratio=np.inf) for ratio in (0.5, 2.0)]
+    factored, peaks = [], []
+    real_splu, real_operators = sparsela.spla.splu, schemes.SchemeOperators
+
+    def splu(m, **kwargs):
+        if m.shape == disc.mass_free.shape:  # not the P2 pressure factor
+            peaks.append(tracemalloc.get_traced_memory()[1] if tracemalloc.is_tracing() else None)
+            factored.append((m, m.data.copy(), m.indices.copy(), m.indptr.copy()))
+        return real_splu(m, **kwargs)
+
+    def operators(*args):
+        tracemalloc.start()
+        try:
+            return real_operators(*args)
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(sparsela.spla, "splu", splu)
+    monkeypatch.setattr(schemes, "SchemeOperators", operators)
+    schemes.run(runs, case, disc)
+    assert len(factored) == 2
+    for params, (_, data, indices, indptr) in zip(runs, factored):
+        reference = sparse.csc_matrix(disc.mass_free / params.dt + params.nu * disc.stiffness_free)
+        assert np.array_equal(data, reference.data)
+        assert np.array_equal(indices, reference.indices)
+        assert np.array_equal(indptr, reference.indptr)
+    assert peaks[1] < 8 * factored[1][1].size
+    assert factored[0][0] is factored[1][0]
+
+
 def test_incremental_init_copies_pressure(grid4, case):
     params = make_params(scheme="inc", init="interpolant")
     state = schemes.initialize(params, case, Discretization(grid4, 1))
@@ -160,7 +202,7 @@ def test_zero_trajectory(grid4, case):
     params = make_params()
     disc = Discretization(grid4, 1)
     space = disc.space
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     zero = np.zeros(2 * space.free_scalar.size)
     state = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs))
     for _ in range(3):
@@ -169,7 +211,7 @@ def test_zero_trajectory(grid4, case):
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     # incremental scheme too
     pi = make_params(scheme="inc")
-    ops_i = schemes.SchemeOperators(disc, pi)
+    ops_i = schemes.SchemeOperators(disc, pi, schemes.MomentumMatrix(disc))
     st = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs), np.zeros(space.num_dofs))
     for _ in range(3):
         st = schemes.step_inc(st, pi, ops_i, zero)
@@ -181,7 +223,7 @@ def test_free_decay_energy_monotone(grid4, scheme):
     params = make_params(scheme=scheme, dt=5e-4, delta=5e-4, T=5e-2)
     disc = Discretization(grid4, 1)
     space = disc.space
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     rng = np.random.default_rng(12)
     v0 = random_velocity(space, rng)
     zero_q = np.zeros(space.num_dofs)
@@ -217,7 +259,7 @@ def test_noninc_energy_identity_and_inherent_stabilization():
         dt = ratio * delta
         params = schemes.SchemeParams(nu=nu, dt=dt, T=40 * dt, delta=delta,
                                       max_dt_ratio=np.inf)
-        ops = schemes.SchemeOperators(disc, params)
+        ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
         state = schemes.TimeState(0, 0.0, v0, np.zeros(disc.space.num_dofs))
         energies = [norm2(disc.mass_free, v0)]  # E_0, ..., E_40
         for _ in range(params.num_steps()):
@@ -254,7 +296,7 @@ def test_pressure_zero_mean_every_step(grid4, case):
 def test_pressure_equation_residual_each_step(grid4, case):
     params = make_params(init="stabilized_stokes")
     disc = Discretization(grid4, 1)
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     for state in states(params, case, disc)[1:]:
         rhs = disc.G.T @ state.velocity
         res = params.delta * (disc.stiffness @ state.pressure) - rhs
@@ -264,7 +306,7 @@ def test_pressure_equation_residual_each_step(grid4, case):
 def test_incremental_pressure_update_residual(grid4, case):
     params = make_params(scheme="inc", init="stabilized_stokes")
     disc = Discretization(grid4, 1)
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     trajectory = states(params, case, disc)
     for prev, state in zip(trajectory, trajectory[1:]):
         rhs = params.delta * (disc.stiffness @ prev.pressure) + disc.G.T @ state.velocity
@@ -286,7 +328,8 @@ def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_fac
                                       load, params.tol)
     state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
-    return state, step(state, params, schemes.SchemeOperators(disc, params), load)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
+    return state, step(state, params, ops, load)
 
 
 def relative_change(new, old):
@@ -325,7 +368,7 @@ def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     params = make_params(scheme="inc", init="stabilized_stokes",
                          dt=1e-3, delta=1e-3, T=2e-2)
     disc = Discretization(grid, 1)
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     load = load_at(case, disc)
     trajectory = states(params, case, disc)
     assert len(trajectory) == 21
@@ -345,7 +388,7 @@ def test_classical_form_identity(grid4, case, load_at):
     dt = 1e-3
     params = make_params(dt=dt, delta=dt, init="stabilized_stokes")
     disc = Discretization(grid4, 1)
-    ops = schemes.SchemeOperators(disc, params)
+    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     load_of = load_at(case, disc)
     s0 = schemes.initialize(params, case, disc)
 

@@ -18,7 +18,7 @@ from stokesproj.assembly import componentwise
 
 def test_factorized_spd_multi_rhs(grid4):
     m = assembly.Discretization(grid4, 1).mass
-    lu = sparsela.FactorizedSpd(m)
+    lu = sparsela.FactorizedSpd(m.tocsc())
     rng = np.random.default_rng(8)
     b = rng.standard_normal((m.shape[0], 2))
     x = lu.solve(b)
@@ -41,7 +41,7 @@ def test_factorized_spd_falls_back_to_pivoting_splu(grid4, monkeypatch, failure)
 
     monkeypatch.setattr(sparsela, "_symmetric_splu", symmetric)
     calls, _ = spy_on_splu(monkeypatch)
-    x = sparsela.FactorizedSpd(m).solve(b)
+    x = sparsela.FactorizedSpd(m.tocsc()).solve(b)
     assert calls == [{}]
     assert np.array_equal(x, direct)
     assert np.linalg.norm(m @ x - b) <= 1e-12 * np.linalg.norm(b)
@@ -205,7 +205,7 @@ def test_nested_dissection_fills_less_than_minimum_degree(case, degree, n):
     # 0.59 at these sizes, and the largest block about 0.14 and 0.15
     system, delta, _, _ = steady_system(case, n, degree)
     whole = fill(pinned_matrix(system, delta), "MMD_AT_PLUS_A")
-    blocks = [fill(block, "NATURAL") for block in system.matrices(delta)]
+    blocks = [fill(system.block(k, delta)[0], "NATURAL") for k in range(4)]
     assert sum(blocks) < 0.85 * whole
     assert max(blocks) < 0.25 * whole
 
@@ -262,9 +262,8 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
     assert len(seen) == len(references) == 4
     for matrix, (reference, _) in zip(seen, references):
         assert_same_csc(matrix, reference)
-    # each block's basis, once for the block build when the system is
-    # made and once for the solve
-    assert [k for k, _, _ in bases] == [0, 1, 2, 3] * 2
+    # each block's basis once, built with its block for the solve
+    assert [k for k, _, _ in bases] == [0, 1, 2, 3]
     for k, order, basis in bases:
         assert order is system.blocks[k]
         reference = dense_oracle.symmetry_basis(system.orbits, k, order)
@@ -281,12 +280,16 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
 
 
 @pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
-def test_saddle_system_rewrites_delta_in_place(case, monkeypatch, degree, n):
+def test_saddle_system_builds_its_blocks_for_each_delta(case, monkeypatch, degree, n):
     # one system solved for several delta factors, bit for bit, the blocks
     # of the reference construction for each delta and gives the solution
-    # of a fresh system
+    # of a fresh system; every solve builds its four blocks anew from the
+    # representatives' rows K_r, which the system gathers once and the
+    # builds leave as they are
     system, _, rhs, w = steady_system(case, n, degree)
-    seen = spy_on_factor_input(monkeypatch, lambda m: (m, m.copy()))
+    k_r = system.k_r
+    k_r_arrays = [getattr(k_r, attr).copy() for attr in ("indptr", "indices", "data")]
+    seen = spy_on_factor_input(monkeypatch)
     for rho in (1.0, 1000.0, 10.0):
         delta = steady.choose_delta(1.0 / n, 0.01, rho)
         x, z, _ = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
@@ -295,12 +298,16 @@ def test_saddle_system_rewrites_delta_in_place(case, monkeypatch, degree, n):
         assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
         references = dense_oracle.symmetry_blocks(system, delta)
         shared, built = seen[-8:-4], seen[-4:]
-        for (_, matrix), (_, fresh_matrix), (reference, _) in zip(shared, built, references):
+        for matrix, fresh_matrix, (reference, _) in zip(shared, built, references):
             assert_same_csc(matrix, reference)
             assert_same_csc(fresh_matrix, reference)
-    # the shared system handed SuperLU the same four matrix objects throughout
+    # the shared system handed SuperLU twelve matrices, none of them twice,
+    # and kept the same rows throughout
     assert len(seen) == 24
-    assert len({id(m) for step in range(3) for m, _ in seen[8 * step: 8 * step + 4]}) == 4
+    assert len({id(m) for step in range(3) for m in seen[8 * step: 8 * step + 4]}) == 12
+    assert system.k_r is k_r
+    for attr, array in zip(("indptr", "indices", "data"), k_r_arrays):
+        assert np.array_equal(getattr(k_r, attr), array), attr
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -352,14 +359,15 @@ def matrix_bytes(m):
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
-    # blocks, while SuperLU factors a block.  Traced from the system's
-    # construction, what is alive beyond what the system keeps (the four
-    # blocks, their -delta*s slots and values and the scaled block nu*A)
-    # is at most nine float vectors of the saddle unknowns' length
-    # (4.9-6.5 measured); keeping the bases of all four blocks through
-    # the block loop adds about six.  A solve on a small grid warms the
-    # code paths first.  Traced over a second solve of the same system,
-    # only vectors are new
+    # blocks, and no other block, while SuperLU factors a block.  Traced
+    # from the system's construction, what is alive beyond what the
+    # system keeps (the representatives' rows K_r and the scaled block
+    # nu*A) and the block being factored is at most nine float vectors of
+    # the saddle unknowns' length (5.5-6.9 measured); keeping the bases
+    # of all four blocks through the block loop adds about six.  A solve
+    # on a small grid warms the code paths first.  Traced over a second
+    # solve of the same system, what is alive beyond the block is at most
+    # seven such vectors (4.6-6.1 measured)
     small = assembly.Discretization(mesh.build_grid(4), degree)
     steady.solve(small, steady.system(small, 0.01), 1e-3, small.free_load(case.steady_forcing),
                  tol=1e-10)
@@ -368,7 +376,9 @@ def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree
     for name in ("stiffness_free", "G", "stiffness", "mean_weights", "saddle_orbits"):
         getattr(disc, name)  # warms the operators and orbit tables, not the system
     delta = steady.choose_delta(1.0 / n, 0.01, 100.0)
-    seen = spy_on_factor_input(monkeypatch, lambda m: tracemalloc.get_traced_memory()[0])
+    seen = spy_on_factor_input(
+        monkeypatch, lambda m: tracemalloc.get_traced_memory()[0] - matrix_bytes(m)
+    )
     tracemalloc.start()
     try:
         system = steady.system(disc, 0.01)
@@ -378,13 +388,11 @@ def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree
         steady.solve(disc, system, delta, rhs, tol=1e-10)
     finally:
         tracemalloc.stop()
-    held = sum(matrix_bytes(m) for m in system.matrices(delta))
-    kept = held + matrix_bytes(system.a_block) + sum(
-        slots.nbytes + values.nbytes for _, slots, values in system._built
-    )
+    kept = matrix_bytes(system.k_r) + matrix_bytes(system.a_block)
+    vector = 8 * system.orbits.orbit.size
     assert len(seen) == 8
-    assert max(seen[:4]) <= kept + 9 * 8 * system.orbits.orbit.size
-    assert max(seen[4:]) <= 1.5 * held
+    assert max(seen[:4]) <= kept + 9 * vector
+    assert max(seen[4:]) <= 7 * vector
 
 
 class TrackedFactor:
@@ -398,10 +406,11 @@ class TrackedFactor:
 
 
 def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
-    # each block's factor is dropped before the next block is factorized
+    # each block's factor is dropped before the next block is factorized,
+    # and each block's matrix before the next block is built
     system, delta, rhs, w = steady_system(case, 8, 2)
-    alive = []
-    real_splu = spla.splu
+    alive, matrices = [], []
+    real_splu, real_block = spla.splu, sparsela.SaddleSystem.block
 
     def spy(m, **kwargs):
         assert all(ref() is None for ref in alive)
@@ -409,10 +418,17 @@ def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
         alive.append(weakref.ref(factor))
         return factor
 
+    def block(self, k, delta):
+        assert all(ref() is None for ref in matrices)
+        built = real_block(self, k, delta)
+        matrices.append(weakref.ref(built[0]))
+        return built
+
     monkeypatch.setattr(sparsela.spla, "splu", spy)
+    monkeypatch.setattr(sparsela.SaddleSystem, "block", block)
     sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-    assert len(alive) == 4
-    assert all(ref() is None for ref in alive)
+    assert len(alive) == len(matrices) == 4
+    assert all(ref() is None for ref in alive + matrices)
 
 
 def test_saddle_solve_leaves_no_reference_cycles(case):
@@ -467,7 +483,7 @@ def test_singular_pivoting_fallback_is_solver_error(case, monkeypatch):
     with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
         sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
     with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
-        sparsela.FactorizedSpd(system.a_block)
+        sparsela.FactorizedSpd(system.a_block.tocsc())
 
 
 def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
