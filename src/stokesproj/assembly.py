@@ -17,8 +17,8 @@ homogeneous, so constrained rows/columns are simply eliminated;
 ``restrict``/``extend`` on FeSpace translate between full and free
 coefficient vectors.  ``Discretization`` assembles the operators and
 the orbit tables of the steady saddle unknowns once per (mesh, degree)
-pair, and each load once per analytic field; a steady saddle system
-(``steady.system``) belongs to the caller that solves with it.
+pair, and each load once per analytic field; the saddle blocks live
+only inside a steady solve (``steady.solve``).
 """
 
 import math
@@ -285,9 +285,9 @@ class Discretization:
     ``metrics.error_vs_exact``; ``load`` assembles each analytic field
     once; ``saddle_orbits`` holds the orbit tables of the steady saddle
     unknowns under the grid's reflection x <-> y and half-turn, which
-    split the saddle system into four symmetry blocks.  The saddle
-    system of a viscosity (``steady.system``) is not kept here: it lives
-    as long as the caller that solves with it.  The one exception is
+    split the saddle system into four symmetry blocks.  No saddle data
+    of a viscosity is kept here: it lives only inside one steady solve
+    for all the delta of a mesh (``steady.solve``).  The one exception is
     the physical points of the degree-6 rule: as large as a field's
     values, they are mapped anew, a chunk of triangles at a time, for
     each field evaluated there (``at_quadrature_points``, the one place

@@ -316,28 +316,21 @@ def _rates(done, cols):
 
 
 def _steady_rows(config, case, degree, n, h, disc):
-    """The data rows of one mesh of the steady sweep: a solve per rho,
-    all of one saddle system, then each exact field once, evaluated
-    after the system is freed, so that its values at the quadrature
-    points are not held with a saddle matrix."""
-    rhs_v = disc.free_load(case.steady_forcing)
-    system = steady.system(disc, config.nu)
-    solves = []
-    for rho in config.rho_values:
-        delta = steady.choose_delta(h, config.nu, rho)
-        try:
-            solution = steady.solve(disc, system, delta, rhs_v, config.tol)
-        except sparsela.LinearSolverError as exc:
-            solution = f"failed: {exc}"  # the message only: a traceback holds the system
-        solves.append((["data", degree, n, h, rho, delta], solution))
-    del system
+    """The data rows of one mesh of the steady sweep: one steady solve
+    for all its rho, then each exact field once, evaluated after the
+    solve has returned, so that its values at the quadrature points are
+    not held with a saddle block."""
+    deltas = [steady.choose_delta(h, config.nu, rho) for rho in config.rho_values]
+    solutions = steady.solve(disc, config.nu, deltas, disc.free_load(case.steady_forcing),
+                             config.tol)
     fields = (case.steady_velocity, case.steady_pressure)
     interps = [femspace.interpolate(disc.space, f) for f in fields]
     exacts = [disc.at_quadrature_points(f) for f in fields]
     rows = []
-    for head, solution in solves:
-        if isinstance(solution, str):
-            rows.append(head + ["", "", "", "", solution])
+    for rho, delta, solution in zip(config.rho_values, deltas, solutions):
+        head = ["data", degree, n, h, rho, delta]
+        if isinstance(solution, sparsela.LinearSolverError):
+            rows.append(head + ["", "", "", "", f"failed: {solution}"])
             continue
         rows.append(head + [
             *(metrics.fe_norm_diff(u, i, matrix=disc.mass) for u, i in zip(solution, interps)),

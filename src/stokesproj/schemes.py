@@ -194,18 +194,21 @@ def initialize(params, case, disc):
 
     interpolant:        nodal interpolants of v(0) and q(0), the pressure
                         shifted to zero discrete mean;
-    stabilized_stokes:  the stabilized steady solve with data
-                        g(0) - v_t(0), which is the steady forcing; its
-                        saddle system is freed on return, as no time
-                        step solves it;
+    stabilized_stokes:  the stabilized steady solve at delta with data
+                        g(0) - v_t(0), which is the steady forcing (a
+                        failed solve raises its LinearSolverError); its
+                        saddle blocks live only inside that solve;
     zero_pressure:      interpolated velocity and identically zero pressure.
 
     The velocity keeps only its free DOFs, so its Dirichlet values are zero.
     """
     space = disc.space
     if params.init == "stabilized_stokes":
-        v0, q0 = steady.solve(disc, steady.system(disc, params.nu), params.delta,
-                              disc.free_load(case.steady_forcing), params.tol)
+        (solution,) = steady.solve(disc, params.nu, [params.delta],
+                                   disc.free_load(case.steady_forcing), params.tol)
+        if isinstance(solution, sparsela.LinearSolverError):
+            raise solution
+        v0, q0 = solution
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
         if params.init == "interpolant":

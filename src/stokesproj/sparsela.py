@@ -5,18 +5,18 @@ column indices).  Three direct solver entry points cover everything the
 schemes need:
 
 - ``saddle_solve``: a direct solve of the symmetric indefinite steady
-  Stokes block system of a ``SaddleSystem`` on the zero-mean pressure
-  subspace, one symmetry block at a time: the grid's reflection x <-> y
-  and half-turn split the system into four blocks, one per character of
-  their Klein four-group (``SaddleOrbits``, from
+  Stokes block system on the zero-mean pressure subspace, for every
+  delta of a mesh in one call, one symmetry block at a time: the grid's
+  reflection x <-> y and half-turn split the system into four blocks,
+  one per character of their Klein four-group (``SaddleOrbits``, from
   ``Discretization.saddle_orbits``), each ordered by a geometric nested
   dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
   the rows of the orbit representatives, sliced from the scalar velocity
   block, ``G``, ``G^T`` and ``S``, times its sparse basis V_chi, with
-  its ``-delta S`` entries set.  The system keeps only K_r; each block
-  is built just before it is factorized, solved for V_chi^T rhs and
-  dropped with its factor before the next, so one quarter-size block
-  and factor are alive at a time;
+  its ``-delta S`` entries set.  K_r lives only inside the call; each
+  block is built once, factorized and solved for V_chi^T rhs for each
+  delta, and dropped before the next, so one quarter-size block and one
+  factor are alive at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of scalar matrices, in SuperLU's minimum-degree ordering, reused
   across the many identical solves of a time loop;
@@ -35,18 +35,19 @@ import scipy.sparse.linalg as spla
 
 
 class LinearSolverError(RuntimeError):
-    """Raised when a solver cannot meet its tolerance contract."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Raised when a solver cannot meet its tolerance contract (returned,
+    per delta, by ``steady.solve``)."""
 
 
 @dataclass
 class SolveReport:
+    """What ``saddle_solve`` did: its refinement steps over every block
+    and delta, and per delta the relative residual and the failure
+    message, or None."""
+
     iterations: int
-    relative_residual: float
-    converged: bool
+    relative_residuals: tuple
+    failures: tuple
 
 
 def _symmetric_splu(a_csc, permc_spec):
@@ -229,63 +230,35 @@ def _representative_rows(a_block, g, s, orbits):
     return 2.0 * k_r[np.argsort(np.argsort(field, kind="stable"))]
 
 
-class SaddleSystem:
-    """The steady saddle system of ``saddle_solve`` for one scalar
-    velocity block ``a_block`` (already viscosity-scaled, on free DOFs),
-    coupling ``g`` and pressure stiffness ``s``, split by the orbit
-    tables ``orbits`` (``Discretization.saddle_orbits``) into four
-    symmetry blocks, each in the factorization order of its orbits.
+def _symmetry_block(k_r, orbits, k, order, nv):
+    """Block ``k`` on its orbits ``order``, built from the representatives'
+    rows ``k_r``: (matrix, basis, pressure, slots), where ``basis`` is its
+    V_chi (``_symmetry_basis``), ``matrix`` the sorted CSC of
 
-    The pin lives here: the trivial block drops the pressure orbit of
-    DOF 0.  The constants, the nullspace of the saddle matrix, lie in
-    the trivial block and have a nonzero entry on that orbit, so every
-    pinned block is nonsingular.
+        K_chi = 2 K_r[order] V_chi
 
-    The system keeps only the representatives' rows ``k_r``
-    (``_representative_rows``), about a quarter of the saddle matrix,
-    gathered when it is made; ``block`` builds one block from them for
-    one delta, so the solves for several delta share one gather
-    (``steady.system``) and no block outlives its factorization."""
-
-    def __init__(self, a_block, g, s, orbits):
-        self.a_block, self.g, self.s, self.orbits = a_block, g, s, orbits
-        pinned = orbits.orbit[2 * a_block.shape[0]]
-        trivial, *rest = orbits.blocks
-        self.blocks = (trivial[trivial != pinned], *rest)
-        self.k_r = _representative_rows(a_block, g, s, orbits)
-
-    def block(self, k, delta):
-        """Block ``k`` for ``delta``: (matrix, basis, pressure), where
-        ``basis`` is its V_chi (``_symmetry_basis``), ``matrix`` the
-        sorted CSC of
-
-            K_chi = 2 K_r[order] V_chi
-
-        with the entries whose row and column are both pressures scaled
-        by -delta, and ``pressure`` marks its pressure unknowns.  This is
-        V_chi^T K V_chi: K commutes with the group, so K V_chi = V_chi C
-        for some C, and both are diag(4 / n_a) C."""
-        order = self.blocks[k]
-        basis = _symmetry_basis(self.orbits, k, order)
-        matrix = sparse.csc_matrix(self.k_r[order] @ basis)
-        pressure = self.orbits.rep[order] >= self.g.shape[0]
-        in_pressure_column = np.repeat(pressure, np.diff(matrix.indptr))
-        matrix.data[pressure[matrix.indices] & in_pressure_column] *= -delta
-        return matrix, basis, pressure
+    with S in its pressure-pressure entries, ``pressure`` marks its
+    pressure unknowns (those from ``nv`` on) and ``slots`` the entries of
+    ``matrix.data`` whose row and column are both pressures, which a
+    solve sets to -delta S.  This is V_chi^T K V_chi: K commutes with the
+    group, so K V_chi = V_chi C for some C, and both are diag(4 / n_a) C."""
+    basis = _symmetry_basis(orbits, k, order)
+    matrix = sparse.csc_matrix(k_r[order] @ basis)
+    pressure = orbits.rep[order] >= nv
+    slots = pressure[matrix.indices] & np.repeat(pressure, np.diff(matrix.indptr))
+    return matrix, basis, pressure, slots
 
 
-def _block_solve(system, k, delta, rhs, scale, tol):
-    """Solve block ``k`` of ``system`` for ``delta`` (``SaddleSystem.block``)
-    for V_chi^T ``rhs``: factorized in symmetric mode in the block's
-    order, then refined against the block at least once and at most
-    twice, until the relative norm of the velocity and of the pressure
-    part of its residual is at most ``tol``, both relative to ``scale``.
-    If the factorization fails or the refined solve misses, the block
-    alone is factorized with partial pivoting and solved again.  The
-    block, its basis and its factor are dropped on return.  Returns
-    (V_chi y, refinements)."""
-    matrix, basis, pressure = system.block(k, delta)
-    f = basis.T @ rhs
+def _block_solve(matrix, pressure, f, scale, tol):
+    """Solve the symmetry block ``matrix`` for ``f`` = V_chi^T rhs:
+    factorized in symmetric mode in the block's order, then refined
+    against the block at least once and at most twice, until the
+    relative norm of the velocity and of the pressure part (``pressure``)
+    of its residual is at most ``tol``, both relative to ``scale``.  If
+    the factorization fails or the refined solve misses, the block alone
+    is factorized with partial pivoting and solved again; a singular
+    pivoting factorization is a LinearSolverError.  The factor is
+    dropped on return.  Returns (y, refinements)."""
 
     def refined(solve):
         y, steps = solve(f), 0
@@ -303,42 +276,48 @@ def _block_solve(system, k, delta, rhs, scale, tol):
         rel = np.inf
     if not rel <= tol:
         y, _, steps = refined(_pivoting_splu(matrix))
-    return basis @ y, steps
+    return y, steps
 
 
-def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
-    """Solve the symmetric indefinite block system of the SaddleSystem
-    ``system``
+def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
+    """Solve, for every delta of ``deltas``, the symmetric indefinite
+    block system
 
         [ diag(A, A)      g     ] [x]   [rhs_v]
         [    g^T      -delta*s  ] [z] = [  0  ]
 
-    on the zero-mean pressure subspace, where A = ``system.a_block`` acts
-    on both velocity components, one symmetry block at a time.  The
-    matrix commutes with the signed permutations of the grid's symmetry
-    group (``SaddleOrbits``), so in the symmetry-adapted basis V it is
-    block diagonal: the blocks are solved in turn (``_block_solve``),
-    each built for its solve with its basis V_chi from the system's rows
-    K_r (``SaddleSystem.block``) and solved for V_chi^T rhs, and
-    V_chi y_chi adds its solution.  Each block, basis and factor is
-    dropped before the next block is built, so one quarter-size block
-    and its factor are alive at a time.  With the pin of
-    ``SaddleSystem`` every block is symmetric quasi-definite, so its
-    symmetric ordering is stable without pivoting.  The pressure is
-    afterwards projected to zero weighted mean (``mean_weights``).
+    on the zero-mean pressure subspace, where the scalar velocity block
+    A = ``a_block`` (already viscosity-scaled, on free DOFs) acts on both
+    velocity components, one symmetry block at a time.  The matrix
+    commutes with the signed permutations of the grid's symmetry group
+    (``SaddleOrbits`` ``orbits``), so in the symmetry-adapted basis V it
+    is block diagonal.  Each block is built once from the rows K_r of the
+    orbit representatives (``_symmetry_block``); for each delta its
+    ``-delta S`` entries are set, it is factorized and solved for
+    V_chi^T rhs (``_block_solve``), and V_chi y_chi is added to that
+    delta's solution.  SuperLU copies its input, so one block serves
+    every delta, and it is dropped with its basis before the next is
+    built.  The pin drops the pressure orbit of DOF 0 from the trivial
+    block: the constants, the nullspace of the saddle matrix, lie in
+    that block and have a nonzero entry on that orbit, so every pinned
+    block is symmetric quasi-definite, and its symmetric ordering is
+    stable without pivoting.  Each pressure is afterwards projected to
+    zero weighted mean (``mean_weights``).
 
     Each block is refined against itself to half of ``tol``: the basis
     vectors are orthogonal with squared norms 1, 2 or 4, so the four
     block residuals bound the residual of the assembled solution.  The
-    contract is checked on that assembled solution, formed from the
-    blocks of the system: both block residual norms must not exceed
-    tol * ||rhs_v||, else LinearSolverError is raised.  The report's
-    ``iterations`` is the number of refinement steps over the four
-    blocks.
+    contract is checked on each assembled solution, formed from the
+    scalar blocks: both block residual norms must not exceed
+    tol * ||rhs_v||.
+
+    Returns (x, z, report): one row of x and of z per delta, and a
+    ``SolveReport``; a delta that failed (a singular pivoting
+    factorization or a missed contract) has its message there, and its
+    rows are not a solution.
     """
-    if delta <= 0.0:
+    if not all(delta > 0.0 for delta in deltas):
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
-    a_block, g, s = system.a_block, system.g, system.s
     nv = 2 * a_block.shape[0]
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
@@ -346,26 +325,43 @@ def saddle_solve(system, delta, rhs_v, *, mean_weights, tol):
         raise ValueError(f"rhs has shape {rhs_v.shape}, expected ({nv},)")
     scale = np.linalg.norm(rhs_v)
     if scale == 0.0:
-        return np.zeros(nv), np.zeros(npres), SolveReport(0, 0.0, True)
+        sol = np.zeros((len(deltas), nv + npres))
+        return sol[:, :nv], sol[:, nv:], SolveReport(0, (0.0,) * len(deltas),
+                                                     (None,) * len(deltas))
 
+    k_r = _representative_rows(a_block, g, s, orbits)
     rhs = np.concatenate([rhs_v, np.zeros(npres)])
-    sol = np.zeros(nv + npres)
+    sol = np.zeros((len(deltas), nv + npres))
+    trivial, *rest = orbits.blocks
+    failures = [None] * len(deltas)
     refinements = 0
-    for k, order in enumerate(system.blocks):
+    for k, order in enumerate((trivial[trivial != orbits.orbit[nv]], *rest)):
         if order.size == 0:
             continue
-        part, steps = _block_solve(system, k, delta, rhs, scale, tol / 2)
-        refinements += steps
-        sol += part
+        matrix, basis, pressure, slots = _symmetry_block(k_r, orbits, k, order, nv)
+        s_values, f = matrix.data[slots], basis.T @ rhs
+        for i, delta in enumerate(deltas):
+            if failures[i] is not None:
+                continue
+            matrix.data[slots] = s_values * -delta
+            try:
+                y, steps = _block_solve(matrix, pressure, f, scale, tol / 2)
+            except LinearSolverError as exc:
+                failures[i] = str(exc)
+                continue
+            refinements += steps
+            sol[i] += basis @ y
+        del matrix, basis  # before the next block is built
 
-    x, z = sol[:nv], sol[nv:]
-    ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
-    r1 = rhs_v - (ax + g @ z)
-    r2 = delta * (s @ z) - g.T @ x
-    rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
-    report = SolveReport(refinements, float(rel), rel <= tol)
-    if not report.converged:
-        raise LinearSolverError(
-            f"saddle solve residual {rel:.3e} exceeds tol={tol}", report
-        )
-    return x, project_mean(z, mean_weights), report
+    residuals = []
+    for i, delta in enumerate(deltas):
+        x, z = sol[i, :nv], sol[i, nv:]
+        ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
+        r1 = rhs_v - (ax + g @ z)
+        r2 = delta * (s @ z) - g.T @ x
+        rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
+        residuals.append(float(rel))
+        if failures[i] is None and not rel <= tol:
+            failures[i] = f"saddle solve residual {rel:.3e} exceeds tol={tol}"
+    z = np.array([project_mean(row, mean_weights) for row in sol[:, nv:]])
+    return sol[:, :nv], z, SolveReport(refinements, tuple(residuals), tuple(failures))

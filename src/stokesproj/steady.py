@@ -8,12 +8,11 @@ Find (s_h, z_h) in V_h x Q_h with
 which is well posed for equal-order pairs whenever delta > 0.  The
 discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
-``system`` makes the saddle system of nu: its scalar velocity block nu A
-on the free DOFs acts on both components, so no vector copy of A is
-built, and the rows of its orbit representatives are gathered once for
-all delta; each solve builds the four pinned symmetry blocks from them,
-one at a time.  The caller holds it for as long as it solves, and
-``solve`` assembles no operator.
+``solve`` takes every delta of a mesh at once: the scalar velocity
+block nu A on the free DOFs acts on both components, so no vector copy
+of A is built, and each pinned symmetry block is built once for all
+delta inside that one call, which is the only place the saddle data
+lives; ``solve`` assembles no operator.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -33,25 +32,21 @@ def choose_delta(h, nu, rho):
     return delta
 
 
-def system(disc, nu):
-    """The steady saddle system (``sparsela.SaddleSystem``) of the
-    viscosity ``nu`` on the operators and orbit tables of ``disc``."""
+def solve(disc, nu, deltas, rhs_v, tol):
+    """The stabilized steady solves of the viscosity ``nu`` for each of
+    ``deltas`` on the operators and orbit tables of ``disc``, for the
+    load ``rhs_v`` on the free velocity DOFs (``disc.free_load``).
+
+    Returns, per delta, either (velocity, pressure), both full velocity
+    blocks on the space (zeros at Dirichlet DOFs) and a pressure with
+    zero discrete mean, or the ``sparsela.LinearSolverError`` that ended
+    that delta.
+    """
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
-    return sparsela.SaddleSystem(nu * disc.stiffness_free, disc.G, disc.stiffness,
-                                 disc.saddle_orbits)
-
-
-def solve(disc, system, delta, rhs_v, tol):
-    """The stabilized steady solve of the saddle system ``system`` (from
-    ``system(disc, nu)``) for the load ``rhs_v`` on the free velocity
-    DOFs (``disc.free_load``).
-
-    Returns (velocity, pressure): both full velocity blocks on the space
-    (zeros at Dirichlet DOFs) and a pressure with zero discrete mean.
-    Parameter sweeps share the assembly and the gathered saddle rows by
-    passing one ``disc`` and one ``system``.
-    """
-    s_free, z, _ = sparsela.saddle_solve(system, delta, rhs_v,
+    x, z, report = sparsela.saddle_solve(nu * disc.stiffness_free, disc.G, disc.stiffness,
+                                         disc.saddle_orbits, deltas, rhs_v,
                                          mean_weights=disc.mean_weights, tol=tol)
-    return disc.space.extend(s_free.reshape(2, -1)), z
+    return [sparsela.LinearSolverError(failure) if failure
+            else (disc.space.extend(velocity.reshape(2, -1)), pressure)
+            for velocity, pressure, failure in zip(x, z, report.failures)]

@@ -193,26 +193,34 @@ def symmetry_basis(orbits, chi, order):
                              shape=(orbits.orbit.size, order.size))
 
 
-def symmetry_blocks(system, delta):
+def pinned_blocks(orbits, nv):
+    """The orbits of each symmetry block in factorization order, the
+    trivial block less the orbit of pressure DOF 0 (unknown ``nv``)."""
+    trivial, *rest = orbits.blocks
+    return [trivial[trivial != orbits.orbit[nv]], *rest]
+
+
+def symmetry_blocks(a, g, s, orbits, delta):
     """The reference construction of the pinned symmetry blocks of the
-    ``sparsela.SaddleSystem`` ``system``: twice the rows of the orbit
-    representatives of the saddle matrix with pressure block S, times
-    the basis V_chi (a sparse product), with the entries whose row and
-    column are both pressures then scaled by -delta.  Returns (CSC, V_chi)
-    for each block."""
-    k = saddle_matrix(system.a_block, system.g, system.s, system.s)
-    nv, out = system.g.shape[0], []
-    for chi, order in enumerate(system.blocks):
-        v = symmetry_basis(system.orbits, chi, order)
-        block = sparse.csc_matrix(2.0 * (k[system.orbits.rep[order]] @ v))
-        pressure = system.orbits.rep[order] >= nv
+    saddle system of the scalar velocity block ``a``, coupling ``g`` and
+    pressure stiffness ``s``: twice the rows of the orbit representatives
+    of the saddle matrix with pressure block S, times the basis V_chi (a
+    sparse product), with the entries whose row and column are both
+    pressures then scaled by -delta.  Returns (CSC, V_chi) for each
+    block."""
+    k = saddle_matrix(a, g, s, s)
+    nv, out = g.shape[0], []
+    for chi, order in enumerate(pinned_blocks(orbits, nv)):
+        v = symmetry_basis(orbits, chi, order)
+        block = sparse.csc_matrix(2.0 * (k[orbits.rep[order]] @ v))
+        pressure = orbits.rep[order] >= nv
         columns = np.repeat(np.arange(order.size), np.diff(block.indptr))
         block.data[pressure[block.indices] & pressure[columns]] *= -delta
         out.append((block, v))
     return out
 
 
-def saddle_reference(system, delta, rhs_v, solve_of, tol):
+def saddle_reference(a, g, s, orbits, delta, rhs_v, solve_of, tol):
     """The steady saddle system solved block by block on the reference
     blocks (``symmetry_blocks``): each block's right-hand side is
     V_chi^T rhs, its factorization ``solve_of(csc)``, its solution is
@@ -221,15 +229,15 @@ def saddle_reference(system, delta, rhs_v, solve_of, tol):
     and V_chi y_chi is added to the solution.  Returns the unpinned
     solution (pressure not yet of zero mean), the relative block
     residual of that solution and the number of refinement steps."""
-    a, g, s = system.a_block, system.g, system.s
     nv = g.shape[0]
     rhs = np.concatenate([rhs_v, np.zeros(s.shape[0])])
     scale = np.linalg.norm(rhs_v)
     sol, refinements = np.zeros(rhs.size), 0
-    for (block, v), order in zip(symmetry_blocks(system, delta), system.blocks):
+    for (block, v), order in zip(symmetry_blocks(a, g, s, orbits, delta),
+                                 pinned_blocks(orbits, nv)):
         if order.size == 0:
             continue
-        pressure = system.orbits.rep[order] >= nv
+        pressure = orbits.rep[order] >= nv
         f = v.T @ rhs
         solve = solve_of(block)
         y = solve(f)

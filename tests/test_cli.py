@@ -449,23 +449,24 @@ def test_steady_sweep_rate_rows():
 
 
 def test_steady_sweep_frees_each_saddle_system_before_the_exact_fields(monkeypatch):
-    # one saddle system per mesh, shared by its rho, and none alive when a
-    # field is evaluated at the quadrature points: the forcing load before
-    # the mesh's solves, the two exact fields after them
+    # one steady solve per mesh gathers the representatives' rows K_r once
+    # for all its rho, and none are alive when a field is evaluated at the
+    # quadrature points: the forcing load before the mesh's solve, the two
+    # exact fields after it
     made, alive = [], []
-    real_system = steady.system
+    real_rows = sparsela._representative_rows
     real_at_points = assembly.Discretization.at_quadrature_points
 
-    def system(disc, nu):
-        saddle = real_system(disc, nu)
-        made.append(weakref.ref(saddle))
-        return saddle
+    def rows(*args):
+        k_r = real_rows(*args)
+        made.append(weakref.ref(k_r))
+        return k_r
 
     def at_points(disc, f):
         alive.append(sum(ref() is not None for ref in made))
         return real_at_points(disc, f)
 
-    monkeypatch.setattr(steady, "system", system)
+    monkeypatch.setattr(sparsela, "_representative_rows", rows)
     monkeypatch.setattr(assembly.Discretization, "at_quadrature_points", at_points)
     cli.run_steady_sweep(steady_csv(nvals="4 6", rhos="1 10"))
     assert len(made) == 2
@@ -583,14 +584,14 @@ def test_failed_mesh_is_recorded_and_left_out_of_the_rate(
     tmp_path, capsys, monkeypatch, kind, extra, empty, rated
 ):
     # the steady solve fails at N = 8 (the transient run's initial state is
-    # one): the run goes on, that row says why, and the rate is fitted to
-    # N = 4 and 16 only
+    # one) and returns its error: the run goes on, that row says why, and
+    # the rate is fitted to N = 4 and 16 only
     solve = steady.solve
 
-    def failing(disc, *args, **kwargs):
+    def failing(disc, nu, deltas, *args):
         if disc.mesh.n == 8:
-            raise sparsela.LinearSolverError("planted failure")
-        return solve(disc, *args, **kwargs)
+            return [sparsela.LinearSolverError("planted failure") for _ in deltas]
+        return solve(disc, nu, deltas, *args)
 
     monkeypatch.setattr(steady, "solve", failing)
     cfg = write(tmp_path, f"[{kind}]\nn_values = 4 8 16\nrho_values = 10\n{extra}")
@@ -625,6 +626,26 @@ def test_csv_matches_reference(capsys, cfg):
         warnings.simplefilter("error")  # a diverging run is recorded, not warned about
         assert cli.main([kind.replace("_", "-"), "--config", str(cfg)]) == 0
     assert capsys.readouterr().out == cfg.with_suffix(".csv").read_text()
+
+
+BENCH = pathlib.Path(__file__).parent.parent / "perfbench"
+WORKLOADS = sorted((BENCH / "configs").glob("*.cfg"))
+
+
+@pytest.mark.parametrize("cfg", WORKLOADS, ids=[path.stem for path in WORKLOADS])
+def test_benchmark_workload_passes_the_benchmark_correctness_check(cfg):
+    # the benchmark's check of each workload's CSV, run in-process: with
+    # the output path the benchmark gives it (its "# out =" line), the CSV
+    # has no failed row and matches perfbench/reference within the
+    # tolerances of perfbench/csvcheck.py, loaded read-only; no file is
+    # written
+    spec = importlib.util.spec_from_file_location("perfbench_csvcheck", BENCH / "csvcheck.py")
+    csvcheck = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(csvcheck)
+    config = cli.parse_config(cfg, overrides={"out": f"perfbench/_work/{cfg.stem}.csv"})
+    text = cli.run_experiment(config)
+    assert csvcheck.failed_rows(text) == []
+    assert csvcheck.mismatches(text, (BENCH / "reference" / f"{cfg.stem}.csv").read_text()) == []
 
 
 # --- command line ------------------------------------------------------------

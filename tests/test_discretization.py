@@ -7,7 +7,7 @@ import pytest
 import scipy.sparse as sparse
 
 import dense_oracle
-from stokesproj import assembly, cli, femspace, mesh, metrics, mms, sparsela, steady
+from stokesproj import assembly, cli, femspace, mesh, metrics, mms, sparsela
 from stokesproj.assembly import Discretization, componentwise
 
 OPERATORS = (
@@ -205,11 +205,9 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     # (the trivial one less the pinned orbit), and with that orbit's row
     # and column restored they give back K = V D^-1 B D^-1 V^T, D = V^T V
     disc = Discretization(mesh.build_grid(n), degree)
-    system = steady.system(disc, 0.01)
+    a, g, s, orbits = 0.01 * disc.stiffness_free, disc.G, disc.stiffness, disc.saddle_orbits
     delta = 1.0 / (n * n)
-    orbits = system.orbits
-    k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s,
-                                   -delta * system.s).toarray()
+    k = dense_oracle.saddle_matrix(a, g, s, -delta * s).toarray()
     v = np.hstack([dense_oracle.symmetry_basis(orbits, chi, order).toarray()
                    for chi, order in enumerate(orbits.blocks)])
     assert v.shape == k.shape
@@ -217,11 +215,15 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     label = np.repeat(np.arange(4), [order.size for order in orbits.blocks])
     tol = 8 * EPS * np.abs(k).max()
     assert np.abs(galerkin[label[:, None] != label[None, :]]).max(initial=0.0) <= tol
-    unpinned = orbits.blocks[0] != orbits.orbit[system.g.shape[0]]
+    unpinned = orbits.blocks[0] != orbits.orbit[g.shape[0]]
     assert np.count_nonzero(~unpinned) == 1
+    # the blocks a steady solve of delta factors, built as it builds them
+    k_r = sparsela._representative_rows(a, g, s, orbits)
+    trivial, *rest = orbits.blocks
     restored = np.zeros_like(galerkin)
-    for chi in range(4):
-        matrix = system.block(chi, delta)[0]
+    for chi, order in enumerate((trivial[unpinned], *rest)):
+        matrix, _, _, slots = sparsela._symmetry_block(k_r, orbits, chi, order, g.shape[0])
+        matrix.data[slots] *= -delta
         inside = label == chi
         block = galerkin[np.ix_(inside, inside)]
         if chi == 0:
@@ -294,7 +296,7 @@ def counts(monkeypatch):
     counting(femspace, "basis")
     counting(sparsela, "saddle_solve")
     counting(sparsela, "_representative_rows")
-    counting(sparsela.SaddleSystem, "block")
+    counting(sparsela, "_symmetry_block")
     counting(assembly, "_saddle_orbits")
     counting(sparsela, "PinnedSingularSolver")
     counting(sparsela, "GridNeumannSolver")
@@ -316,7 +318,7 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     assert counts["saddle_solve"] == 1
     # the saddle rows gathered once and each symmetry block built once
     assert counts["_representative_rows"] == 1
-    assert counts["block"] == 4
+    assert counts["_symmetry_block"] == 4
     # two forcing terms and the mean weights; the steady initial data is
     # the steady forcing, whose load is the first forcing load
     assert counts["assemble_load"] == 3
@@ -355,11 +357,12 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts, monkeypatch)
     cli.run_steady_sweep(config)
     # one space per mesh
     assert counts["build_space"] == 2
-    assert counts["saddle_solve"] == 6
+    # one steady solve per mesh for all its rho
+    assert counts["saddle_solve"] == 2
     # one set of orbit tables and saddle rows per mesh, and the four
-    # symmetry blocks built from the rows for each rho
+    # symmetry blocks built from the rows once per mesh
     assert counts["_saddle_orbits"] == counts["_representative_rows"] == 2
-    assert counts["block"] == 4 * 6
+    assert counts["_symmetry_block"] == 4 * 2
     assert all(counts[name] == 2 for name in OPERATORS), counts
     assert counts["_operator_rule"] == counts["_element_pattern"] == 2
     assert counts["_geometry"] == counts["basis"] == 4

@@ -133,17 +133,18 @@ def test_stabilized_stokes_init_zero_case(grid4):
 
 
 def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monkeypatch):
-    # no time step solves the steady system, so its blocks are freed when
-    # the initial state is made, not held through the run
+    # no time step solves the steady system, so its representatives' rows
+    # K_r and its blocks are freed when the initial state is made, not
+    # held through the run
     made = []
-    real = steady.system
+    real = sparsela._representative_rows
 
-    def spy(disc, nu):
-        system = real(disc, nu)
-        made.append(weakref.ref(system))
-        return system
+    def spy(*args):
+        k_r = real(*args)
+        made.append(weakref.ref(k_r))
+        return k_r
 
-    monkeypatch.setattr(steady, "system", spy)
+    monkeypatch.setattr(sparsela, "_representative_rows", spy)
     disc = Discretization(grid4, 1)  # held, as a time run holds it
     schemes.initialize(make_params(init="stabilized_stokes"), case, disc)
     assert len(made) == 1 and made[0]() is None
@@ -282,6 +283,40 @@ def states(params, case, disc):
     return result.records
 
 
+def test_stabilized_initial_data_bounds_the_pressure_jump_from_the_first_step(case):
+    # the pressure step makes delta S q+ = G^T v+, and once that relation
+    # holds at both ends of a step, delta |dq|_S <= |dv|_M (see the energy
+    # identity above).  The stabilized steady initial state satisfies it
+    # (2.4e-14 measured), so the bound holds from step 1 (largest ratio
+    # 2.2e-3 over ten steps at dt = delta); the interpolant misses it, so
+    # its first step breaks the bound (ratio 4.1e6 measured) and the bound
+    # holds from step 2 (largest ratio 0.96)
+    n = 20
+    disc = Discretization(mesh.build_grid(n), 1)
+    delta = steady.choose_delta(1.0 / n, case.nu, 10.0)
+
+    def norm2(matrix, x):
+        return float(x @ componentwise(matrix, x))
+
+    def run(init):
+        params = schemes.SchemeParams(nu=case.nu, dt=delta, T=10 * delta, delta=delta,
+                                      init=init)
+        trajectory = states(params, case, disc)
+        ratios = [delta**2 * norm2(disc.stiffness, new.pressure - old.pressure)
+                  / norm2(disc.mass_free, new.velocity - old.velocity)
+                  for old, new in zip(trajectory, trajectory[1:])]
+        return trajectory[0], ratios
+
+    start, ratios = run("stabilized_stokes")
+    divergence = disc.G.T @ start.velocity
+    mismatch = divergence - delta * (disc.stiffness @ start.pressure)
+    assert np.linalg.norm(mismatch) <= 1e-12 * np.linalg.norm(divergence)
+    assert len(ratios) == 10 and max(ratios) <= 1.0
+    _, ratios = run("interpolant")
+    assert ratios[0] > 1.0
+    assert max(ratios[1:]) <= 1.0
+
+
 def test_pressure_zero_mean_every_step(grid4, case):
     params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2)
     disc = Discretization(grid4, 1)
@@ -324,8 +359,8 @@ def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_fac
     params = schemes.SchemeParams(nu=case.nu, dt=dt_ratio * delta, T=dt_ratio * delta,
                                   delta=delta, delta2=delta2, scheme=scheme)
     load = disc.free_load(case.steady_forcing)
-    velocity, pressure = steady.solve(disc, steady.system(disc, case.nu), steady_factor * delta,
-                                      load, params.tol)
+    ((velocity, pressure),) = steady.solve(disc, case.nu, [steady_factor * delta], load,
+                                           params.tol)
     state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
     ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))

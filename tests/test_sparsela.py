@@ -73,40 +73,54 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 # --- saddle solver -----------------------------------------------------------
 
 
+def saddle_data(disc, nu=0.01):
+    """The steady saddle data of ``nu`` on ``disc`` as ``steady.solve``
+    hands it to ``sparsela.saddle_solve``: (a_block, g, s, orbits)."""
+    return nu * disc.stiffness_free, disc.G, disc.stiffness, disc.saddle_orbits
+
+
 def fresh_system(grid, degree=1, nu=0.01):
-    """A fresh Discretization and its steady saddle system of ``nu``."""
+    """A fresh Discretization and its steady saddle data of ``nu``."""
     disc = assembly.Discretization(grid, degree)
-    return disc, steady.system(disc, nu)
+    return disc, saddle_data(disc, nu)
+
+
+def solve_one(data, delta, rhs, w, tol=1e-10):
+    """``saddle_solve`` of ``data`` for the one ``delta``: (x, z, report)."""
+    x, z, report = sparsela.saddle_solve(*data, [delta], rhs, mean_weights=w, tol=tol)
+    return x[0], z[0], report
 
 
 def test_saddle_zero_rhs(grid4):
-    disc, system = fresh_system(grid4)
-    nv = system.g.shape[0]
+    disc, data = fresh_system(grid4)
+    nv, npres = data[1].shape
     x, z, report = sparsela.saddle_solve(
-        system, 1e-3, np.zeros(nv), mean_weights=disc.mean_weights, tol=1e-10,
+        *data, [1e-3, 1e-2], np.zeros(nv), mean_weights=disc.mean_weights, tol=1e-10,
     )
-    assert np.array_equal(x, np.zeros(nv))
-    assert np.array_equal(z, np.zeros(system.s.shape[0]))
+    assert np.array_equal(x, np.zeros((2, nv)))
+    assert np.array_equal(z, np.zeros((2, npres)))
+    assert report == sparsela.SolveReport(0, (0.0, 0.0), (None, None))
 
 
 def test_saddle_block_residuals(grid4, case):
-    disc, system = fresh_system(grid4)
-    a, g, s, w = system.a_block, system.g, system.s, disc.mean_weights
+    disc, data = fresh_system(grid4)
+    (a, g, s, _), w = data, disc.mean_weights
     rhs = disc.free_load(case.steady_forcing)
     delta = 1e-3
-    x, z, report = sparsela.saddle_solve(system, delta, rhs, tol=1e-10, mean_weights=w)
+    x, z, report = solve_one(data, delta, rhs, w)
     scale = np.linalg.norm(rhs)
     r1 = componentwise(a, x) + g @ z - rhs
     r2 = g.T @ x - delta * (s @ z)
     assert np.linalg.norm(r1) <= 1e-10 * scale
     assert np.linalg.norm(r2) <= 1e-10 * scale
     assert abs(w @ z) <= 1e-12
+    assert report.failures == (None,)
 
 
 def test_saddle_rejects_nonpositive_delta(grid4):
-    disc, system = fresh_system(grid4, nu=1.0)
+    disc, data = fresh_system(grid4, nu=1.0)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(system, 0.0, np.ones(system.g.shape[0]),
+        sparsela.saddle_solve(*data, [1e-3, 0.0], np.ones(data[1].shape[0]),
                               mean_weights=disc.mean_weights, tol=1e-10)
 
 
@@ -116,8 +130,8 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
     grid = mesh_mod.build_grid(20)
     delta = steady.choose_delta(1.0 / 20, 0.01, 100.0)
     disc = assembly.Discretization(grid, 1)
-    _, pressure = steady.solve(disc, steady.system(disc, 0.01), delta,
-                               disc.free_load(case.steady_forcing), tol=1e-10)
+    ((_, pressure),) = steady.solve(disc, 0.01, [delta], disc.free_load(case.steady_forcing),
+                                    tol=1e-10)
     w = disc.mean_weights
     assert abs(w @ pressure) <= 1e-12
 
@@ -125,33 +139,34 @@ def test_saddle_zero_mean_pressure_on_experiment_grid(case):
 def test_saddle_deterministic(grid4, case):
     out = []
     for _ in range(2):
-        disc, system = fresh_system(grid4)
-        out.append(sparsela.saddle_solve(system, 1e-3, disc.free_load(case.steady_forcing),
-                                         mean_weights=disc.mean_weights, tol=1e-10))
+        disc, data = fresh_system(grid4)
+        out.append(solve_one(data, 1e-3, disc.free_load(case.steady_forcing),
+                             disc.mean_weights))
     assert np.array_equal(out[0][0], out[1][0])
     assert np.array_equal(out[0][1], out[1][1])
 
 
 def steady_system(case, n, degree, nu=0.01, rho=100.0):
-    """The steady saddle system of the acceptance sweeps on a small grid:
-    (system, delta, load on the free DOFs, mean weights)."""
-    disc, system = fresh_system(mesh.build_grid(n), degree, nu)
+    """The steady saddle data of the acceptance sweeps on a small grid:
+    (data, delta, load on the free DOFs, mean weights)."""
+    disc, data = fresh_system(mesh.build_grid(n), degree, nu)
     delta = steady.choose_delta(1.0 / n, nu, rho)
-    return system, delta, disc.free_load(case.steady_forcing), disc.mean_weights
+    return data, delta, disc.free_load(case.steady_forcing), disc.mean_weights
 
 
-def pinned_matrix(system, delta):
+def pinned_matrix(data, delta):
     """The whole saddle matrix with pressure DOF 0 dropped, in the
     unknowns' own order."""
-    k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s, -delta * system.s)
-    keep = np.flatnonzero(np.arange(k.shape[0]) != system.g.shape[0])
+    a, g, s, _ = data
+    k = dense_oracle.saddle_matrix(a, g, s, -delta * s)
+    keep = np.flatnonzero(np.arange(k.shape[0]) != g.shape[0])
     return sparse.csc_matrix(k[keep][:, keep])
 
 
-def pivoting_reference(system, delta, rhs, w):
+def pivoting_reference(data, delta, rhs, w):
     """The pinned whole system solved by SuperLU with default partial pivoting."""
-    nv, npres = system.g.shape[0], system.s.shape[0]
-    sol = spla.splu(pinned_matrix(system, delta)).solve(
+    nv, npres = data[1].shape
+    sol = spla.splu(pinned_matrix(data, delta)).solve(
         np.concatenate([rhs, np.zeros(npres - 1)])
     )
     return sol[:nv], sparsela.project_mean(np.concatenate([[0.0], sol[nv:]]), w)
@@ -175,16 +190,16 @@ def spy_on_splu(monkeypatch, symmetric=None):
 
 @pytest.mark.parametrize("degree, n", [(1, 12), (2, 6)])
 def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, n):
-    system, delta, rhs, w = steady_system(case, n, degree)
-    x_ref, z_ref = pivoting_reference(system, delta, rhs, w)
+    data, delta, rhs, w = steady_system(case, n, degree)
+    x_ref, z_ref = pivoting_reference(data, delta, rhs, w)
     calls, _ = spy_on_splu(monkeypatch)
-    x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
+    x, z, report = solve_one(data, delta, rhs, w)
     # one factorization per block, in symmetric mode and the block's order,
     # with no fallback
     assert len(calls) == 4
     assert all(c["options"] == {"SymmetricMode": True} for c in calls)
     assert all(c["permc_spec"] == "NATURAL" for c in calls)
-    assert report.converged
+    assert report.failures == (None,)
     # both solutions meet the 1e-10 block residual; on these small systems
     # they agree to 1e-9 relative
     assert np.linalg.norm(x - x_ref) <= 1e-9 * np.linalg.norm(x_ref)
@@ -203,9 +218,9 @@ def test_nested_dissection_fills_less_than_minimum_degree(case, degree, n):
     # the four nested-dissection block factors together against the
     # minimum-degree factor of the whole pinned matrix: about 0.55 and
     # 0.59 at these sizes, and the largest block about 0.14 and 0.15
-    system, delta, _, _ = steady_system(case, n, degree)
-    whole = fill(pinned_matrix(system, delta), "MMD_AT_PLUS_A")
-    blocks = [fill(system.block(k, delta)[0], "NATURAL") for k in range(4)]
+    data, delta, _, _ = steady_system(case, n, degree)
+    whole = fill(pinned_matrix(data, delta), "MMD_AT_PLUS_A")
+    blocks = [fill(block, "NATURAL") for block, _ in dense_oracle.symmetry_blocks(*data, delta)]
     assert sum(blocks) < 0.85 * whole
     assert max(blocks) < 0.25 * whole
 
@@ -222,6 +237,19 @@ def spy_on_factor_input(monkeypatch, on_entry=lambda m: m):
 
     monkeypatch.setattr(sparsela, "_symmetric_splu", spy)
     return seen
+
+
+def spy_on(monkeypatch, name):
+    """Record the result of every call of ``sparsela.<name>``."""
+    results = []
+    real = getattr(sparsela, name)
+
+    def spy(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(sparsela, name, spy)
+    return results
 
 
 # the symmetric factorization of an ordered matrix, taken before any spy
@@ -256,58 +284,60 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
     # block by block solve bit for bit
     seen = spy_on_factor_input(monkeypatch)
     bases = spy_on_bases(monkeypatch)
-    system, delta, rhs, w = steady_system(case, n, degree, rho=rho)
-    x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-    references = dense_oracle.symmetry_blocks(system, delta)
+    data, delta, rhs, w = steady_system(case, n, degree, rho=rho)
+    x, z, report = solve_one(data, delta, rhs, w)
+    references = dense_oracle.symmetry_blocks(*data, delta)
     assert len(seen) == len(references) == 4
     for matrix, (reference, _) in zip(seen, references):
         assert_same_csc(matrix, reference)
     # each block's basis once, built with its block for the solve
+    _, g, _, orbits = data
     assert [k for k, _, _ in bases] == [0, 1, 2, 3]
-    for k, order, basis in bases:
-        assert order is system.blocks[k]
-        reference = dense_oracle.symmetry_basis(system.orbits, k, order)
+    for (k, order, basis), pinned in zip(bases, dense_oracle.pinned_blocks(orbits, g.shape[0])):
+        assert np.array_equal(order, pinned)
+        reference = dense_oracle.symmetry_basis(orbits, k, order)
         assert basis.format == "csr" and basis.shape == reference.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(basis, attr), getattr(reference, attr)), attr
-    sol, rel, refinements = dense_oracle.saddle_reference(system, delta, rhs,
-                                                          symmetric_solve, 1e-10)
+    sol, rel, refinements = dense_oracle.saddle_reference(*data, delta, rhs, symmetric_solve,
+                                                          1e-10)
     # every block is refined at least once
     assert refinements >= 4
-    assert report == sparsela.SolveReport(refinements, rel, True)
+    assert report == sparsela.SolveReport(refinements, (rel,), (None,))
     assert np.array_equal(x, sol[: x.size])
     assert np.array_equal(z, sparsela.project_mean(sol[x.size:], w))
 
 
 @pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
-def test_saddle_system_builds_its_blocks_for_each_delta(case, monkeypatch, degree, n):
-    # one system solved for several delta factors, bit for bit, the blocks
-    # of the reference construction for each delta and gives the solution
-    # of a fresh system; every solve builds its four blocks anew from the
-    # representatives' rows K_r, which the system gathers once and the
-    # builds leave as they are
-    system, _, rhs, w = steady_system(case, n, degree)
-    k_r = system.k_r
-    k_r_arrays = [getattr(k_r, attr).copy() for attr in ("indptr", "indices", "data")]
-    seen = spy_on_factor_input(monkeypatch)
-    for rho in (1.0, 1000.0, 10.0):
-        delta = steady.choose_delta(1.0 / n, 0.01, rho)
-        x, z, _ = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-        fresh = sparsela.SaddleSystem(system.a_block, system.g, system.s, system.orbits)
-        x_ref, z_ref, _ = sparsela.saddle_solve(fresh, delta, rhs, mean_weights=w, tol=1e-10)
-        assert np.array_equal(x, x_ref) and np.array_equal(z, z_ref)
-        references = dense_oracle.symmetry_blocks(system, delta)
-        shared, built = seen[-8:-4], seen[-4:]
-        for matrix, fresh_matrix, (reference, _) in zip(shared, built, references):
-            assert_same_csc(matrix, reference)
-            assert_same_csc(fresh_matrix, reference)
-    # the shared system handed SuperLU twelve matrices, none of them twice,
-    # and kept the same rows throughout
-    assert len(seen) == 24
-    assert len({id(m) for step in range(3) for m in seen[8 * step: 8 * step + 4]}) == 12
-    assert system.k_r is k_r
-    for attr, array in zip(("indptr", "indices", "data"), k_r_arrays):
-        assert np.array_equal(getattr(k_r, attr), array), attr
+def test_one_solve_builds_each_block_once_for_every_delta(case, monkeypatch, degree, n):
+    # one solve for several delta gathers the representatives' rows K_r
+    # once and builds each block once; for each delta in turn it hands
+    # SuperLU, bit for bit, the reference block of that delta, and it
+    # gives the single-delta solves and reports bit for bit.  Refilling
+    # the -delta S entries leaves K_r as it was gathered
+    data, _, rhs, w = steady_system(case, n, degree)
+    deltas = [steady.choose_delta(1.0 / n, 0.01, rho) for rho in (1.0, 1000.0, 10.0)]
+    singles = [solve_one(data, delta, rhs, w) for delta in deltas]
+    fresh = sparsela._representative_rows(*data).tocsc()
+    gathered = spy_on(monkeypatch, "_representative_rows")
+    built = spy_on(monkeypatch, "_symmetry_block")
+    seen = spy_on_factor_input(monkeypatch, lambda m: m.copy())
+    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, mean_weights=w, tol=1e-10)
+    (k_r,) = gathered
+    assert len(built) == 4 and len(seen) == 12
+    # the blocks outside, the delta inside
+    references = [dense_oracle.symmetry_blocks(*data, delta) for delta in deltas]
+    for k in range(4):
+        for i in range(3):
+            assert_same_csc(seen[3 * k + i], references[i][k][0])
+    assert_same_csc(k_r.tocsc(), fresh)
+    for i, (x_one, z_one, _) in enumerate(singles):
+        assert np.array_equal(x[i], x_one) and np.array_equal(z[i], z_one)
+    assert report == sparsela.SolveReport(
+        sum(one.iterations for *_, one in singles),
+        sum((one.relative_residuals for *_, one in singles), ()),
+        (None,) * 3,
+    )
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -315,12 +345,12 @@ def test_refined_saddle_solve_matches_block_matrix_reference(case, degree):
     # at rho = 1000 the first solve of a block misses 1e-14 and a refinement
     # step meets it; the contract is checked on the assembled solution, and
     # the solve is the reference's block by block solve
-    system, delta, rhs, w = steady_system(case, 8, degree, rho=1000.0)
+    data, delta, rhs, w = steady_system(case, 8, degree, rho=1000.0)
     tol = 1e-14
-    x, z, report = sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=tol)
-    sol, rel, refinements = dense_oracle.saddle_reference(system, delta, rhs,
-                                                          symmetric_solve, tol)
-    assert report.converged and report.iterations >= 4 and refinements >= 4
+    x, z, report = solve_one(data, delta, rhs, w, tol=tol)
+    sol, rel, refinements = dense_oracle.saddle_reference(*data, delta, rhs, symmetric_solve,
+                                                          tol)
+    assert report.failures == (None,) and report.iterations >= 4 and refinements >= 4
     assert rel <= tol
     z_ref = sparsela.project_mean(sol[x.size:], w)
     assert np.linalg.norm(x - sol[: x.size]) <= 1e-12 * np.linalg.norm(x)
@@ -336,14 +366,14 @@ def test_velocity_at_rho_1000_matches_refined_pivoting_reference(case):
     disc = assembly.Discretization(mesh.build_grid(n), 1)
     delta = steady.choose_delta(1.0 / n, nu, 1000.0)
     rhs = disc.free_load(case.steady_forcing)
-    system = steady.system(disc, nu)
-    velocity, _ = steady.solve(disc, system, delta, rhs, tol=1e-10)
-    matrix = pinned_matrix(system, delta)
-    nv = system.g.shape[0]
-    k = dense_oracle.saddle_matrix(system.a_block, system.g, system.s, -delta * system.s)
+    ((velocity, _),) = steady.solve(disc, nu, [delta], rhs, tol=1e-10)
+    data = saddle_data(disc, nu)
+    a, g, s, _ = data
+    nv = g.shape[0]
+    k = dense_oracle.saddle_matrix(a, g, s, -delta * s)
     keep = np.flatnonzero(np.arange(k.shape[0]) != nv)
-    full_rhs = np.concatenate([rhs, np.zeros(system.s.shape[0])])
-    solve = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A").solve
+    full_rhs = np.concatenate([rhs, np.zeros(s.shape[0])])
+    solve = spla.splu(pinned_matrix(data, delta), permc_spec="MMD_AT_PLUS_A").solve
     sol = np.zeros(full_rhs.size)
     sol[keep] = solve(full_rhs[keep])
     for _ in range(3):
@@ -360,39 +390,35 @@ def matrix_bytes(m):
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
     # blocks, and no other block, while SuperLU factors a block.  Traced
-    # from the system's construction, what is alive beyond what the
-    # system keeps (the representatives' rows K_r and the scaled block
-    # nu*A) and the block being factored is at most nine float vectors of
-    # the saddle unknowns' length (5.5-6.9 measured); keeping the bases
-    # of all four blocks through the block loop adds about six.  A solve
-    # on a small grid warms the code paths first.  Traced over a second
-    # solve of the same system, what is alive beyond the block is at most
-    # seven such vectors (4.6-6.1 measured)
+    # over one steady solve, what is alive beyond the representatives'
+    # rows K_r, the scaled block nu*A and the block being factored is at
+    # most nine float vectors of the saddle unknowns' length for one
+    # delta (6.4-7.7 measured), and one more, the second solution, for two
+    # delta (7.4-8.8 measured); keeping the bases of all four blocks
+    # through the block loop adds about six.  A solve on a small grid
+    # warms the code paths first
     small = assembly.Discretization(mesh.build_grid(4), degree)
-    steady.solve(small, steady.system(small, 0.01), 1e-3, small.free_load(case.steady_forcing),
-                 tol=1e-10)
+    steady.solve(small, 0.01, [1e-3], small.free_load(case.steady_forcing), tol=1e-10)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
     rhs = disc.free_load(case.steady_forcing)
     for name in ("stiffness_free", "G", "stiffness", "mean_weights", "saddle_orbits"):
-        getattr(disc, name)  # warms the operators and orbit tables, not the system
-    delta = steady.choose_delta(1.0 / n, 0.01, 100.0)
+        getattr(disc, name)  # warms the operators and orbit tables
+    deltas = [steady.choose_delta(1.0 / n, 0.01, rho) for rho in (100.0, 10.0)]
+    gathered = spy_on(monkeypatch, "_representative_rows")
     seen = spy_on_factor_input(
         monkeypatch, lambda m: tracemalloc.get_traced_memory()[0] - matrix_bytes(m)
     )
-    tracemalloc.start()
-    try:
-        system = steady.system(disc, 0.01)
-        steady.solve(disc, system, delta, rhs, tol=1e-10)
-        tracemalloc.stop()
+    vector = 8 * disc.saddle_orbits.orbit.size
+    for count, bound in ((1, 9), (2, 10)):
+        seen.clear()
         tracemalloc.start()
-        steady.solve(disc, system, delta, rhs, tol=1e-10)
-    finally:
-        tracemalloc.stop()
-    kept = matrix_bytes(system.k_r) + matrix_bytes(system.a_block)
-    vector = 8 * system.orbits.orbit.size
-    assert len(seen) == 8
-    assert max(seen[:4]) <= kept + 9 * vector
-    assert max(seen[4:]) <= 7 * vector
+        try:
+            steady.solve(disc, 0.01, deltas[:count], rhs, tol=1e-10)
+        finally:
+            tracemalloc.stop()
+        kept = matrix_bytes(gathered[-1]) + matrix_bytes(disc.stiffness_free)
+        assert len(seen) == 4 * count
+        assert max(seen) <= kept + bound * vector
 
 
 class TrackedFactor:
@@ -406,41 +432,42 @@ class TrackedFactor:
 
 
 def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
-    # each block's factor is dropped before the next block is factorized,
-    # and each block's matrix before the next block is built
-    system, delta, rhs, w = steady_system(case, 8, 2)
-    alive, matrices = [], []
-    real_splu, real_block = spla.splu, sparsela.SaddleSystem.block
+    # each factor is dropped before the next one is made, for every delta
+    # of every block, and each block's matrix and basis before the next
+    # block is built
+    data, delta, rhs, w = steady_system(case, 8, 2)
+    factors, blocks = [], []
+    real_splu, real_block = spla.splu, sparsela._symmetry_block
 
     def spy(m, **kwargs):
-        assert all(ref() is None for ref in alive)
+        assert all(ref() is None for ref in factors)
         factor = TrackedFactor(real_splu(m, **kwargs))
-        alive.append(weakref.ref(factor))
+        factors.append(weakref.ref(factor))
         return factor
 
-    def block(self, k, delta):
-        assert all(ref() is None for ref in matrices)
-        built = real_block(self, k, delta)
-        matrices.append(weakref.ref(built[0]))
+    def block(*args):
+        assert all(ref() is None for ref in blocks)
+        built = real_block(*args)
+        blocks.extend(weakref.ref(part) for part in built[:2])  # matrix and basis
         return built
 
     monkeypatch.setattr(sparsela.spla, "splu", spy)
-    monkeypatch.setattr(sparsela.SaddleSystem, "block", block)
-    sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-    assert len(alive) == len(matrices) == 4
-    assert all(ref() is None for ref in alive + matrices)
+    monkeypatch.setattr(sparsela, "_symmetry_block", block)
+    sparsela.saddle_solve(*data, [delta, 10 * delta], rhs, mean_weights=w, tol=1e-10)
+    assert len(factors) == 8 and len(blocks) == 8
+    assert all(ref() is None for ref in factors + blocks)
 
 
 def test_saddle_solve_leaves_no_reference_cycles(case):
-    # the system and the factors are freed as soon as they are done
+    # the saddle data and the factors are freed as soon as they are done
     # with, not at the next cyclic garbage collection
     disc = assembly.Discretization(mesh.build_grid(8), 2)
     rhs = disc.free_load(case.steady_forcing)
-    steady.solve(disc, steady.system(disc, 0.01), 1e-3, rhs, tol=1e-10)
+    steady.solve(disc, 0.01, [1e-3, 1e-2], rhs, tol=1e-10)
     gc.collect()
     gc.disable()
     try:
-        steady.solve(disc, steady.system(disc, 0.01), 1e-3, rhs, tol=1e-10)
+        steady.solve(disc, 0.01, [1e-3, 1e-2], rhs, tol=1e-10)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -458,38 +485,66 @@ def zero_pivot(m, **kwargs):
 
 @pytest.mark.parametrize("failure", ["misses_contract", "zero_pivot"])
 def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
-    system, delta, rhs, w = steady_system(case, 8, 1)
-    x_ref, z_ref = pivoting_reference(system, delta, rhs, w)
+    data, delta, rhs, w = steady_system(case, 8, 1)
+    x_ref, z_ref = pivoting_reference(data, delta, rhs, w)
     first = diagonal_factor(spla.splu) if failure == "misses_contract" else zero_pivot
     calls, _ = spy_on_splu(monkeypatch, symmetric=first)
     tol = 1e-10
-    x, z, report = sparsela.saddle_solve(system, delta, rhs, tol=tol, mean_weights=w)
+    x, z, report = solve_one(data, delta, rhs, w, tol=tol)
     # for each block, the ordered symmetric factorization, then one with
     # default partial pivoting
     assert [c.get("permc_spec") for c in calls] == ["NATURAL", None] * 4
     assert calls[1::2] == [{}] * 4
-    assert report.converged and report.relative_residual <= tol
+    assert report.failures == (None,) and report.relative_residuals[0] <= tol
     scale = np.linalg.norm(rhs)
-    a, g, s = system.a_block, system.g, system.s
+    a, g, s, _ = data
     assert np.linalg.norm(componentwise(a, x) + g @ z - rhs) <= tol * scale
     assert np.linalg.norm(g.T @ x - delta * (s @ z)) <= tol * scale
     assert np.linalg.norm(x - x_ref) <= 1e-12 * np.linalg.norm(x_ref)
 
 
 def test_singular_pivoting_fallback_is_solver_error(case, monkeypatch):
-    # the symmetric factorization and its pivoting fallback both fail
-    system, delta, rhs, w = steady_system(case, 8, 1)
+    # the symmetric factorization and its pivoting fallback both fail:
+    # the steady solve returns the error for each delta
+    disc = assembly.Discretization(mesh.build_grid(8), 1)
+    rhs = disc.free_load(case.steady_forcing)
     monkeypatch.setattr(sparsela.spla, "splu", zero_pivot)
+    solutions = steady.solve(disc, 0.01, [1e-3, 1e-2], rhs, tol=1e-10)
+    assert len(solutions) == 2
+    for solution in solutions:
+        assert isinstance(solution, sparsela.LinearSolverError)
+        assert "exactly singular" in str(solution)
     with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
-        sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-    with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
-        sparsela.FactorizedSpd(system.a_block.tocsc())
+        sparsela.FactorizedSpd(disc.stiffness_free.tocsc())
 
 
-def test_saddle_raises_when_fallback_misses_contract(case, monkeypatch):
-    system, delta, rhs, w = steady_system(case, 8, 1)
+def test_saddle_reports_when_fallback_misses_contract(case, monkeypatch):
+    data, delta, rhs, w = steady_system(case, 8, 1)
     monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(spla.splu))
-    with pytest.raises(sparsela.LinearSolverError) as info:
-        sparsela.saddle_solve(system, delta, rhs, mean_weights=w, tol=1e-10)
-    assert info.value.report.relative_residual > 1e-10
-    assert not info.value.report.converged
+    _, _, report = solve_one(data, delta, rhs, w)
+    (rel,) = report.relative_residuals
+    assert rel > 1e-10
+    assert report.failures == (f"saddle solve residual {rel:.3e} exceeds tol=1e-10",)
+
+
+def test_a_failed_delta_ends_alone(case, monkeypatch):
+    # a block solve that fails ends its delta: no later block is solved
+    # for it, and the other delta are solved, bit for bit, as if alone
+    data, delta, rhs, w = steady_system(case, 8, 1)
+    deltas = [delta, 10 * delta, 100 * delta]
+    singles = [solve_one(data, one, rhs, w) for one in deltas]
+    calls = []
+    real = sparsela._block_solve
+
+    def block_solve(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise sparsela.LinearSolverError("planted failure")
+        return real(*args)
+
+    monkeypatch.setattr(sparsela, "_block_solve", block_solve)
+    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, mean_weights=w, tol=1e-10)
+    assert len(calls) == 3 + 3 * 2
+    assert report.failures == (None, "planted failure", None)
+    for i in (0, 2):
+        assert np.array_equal(x[i], singles[i][0]) and np.array_equal(z[i], singles[i][1])

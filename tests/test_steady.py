@@ -10,8 +10,8 @@ def steady_solve(grid, degree, nu, delta, ghat):
     """The stabilized steady solve for analytic data ``ghat`` on a fresh
     Discretization; returns the Discretization, velocity and pressure."""
     disc = Discretization(grid, degree)
-    return (disc, *steady.solve(disc, steady.system(disc, nu), delta, disc.free_load(ghat),
-                                tol=1e-10))
+    ((velocity, pressure),) = steady.solve(disc, nu, [delta], disc.free_load(ghat), tol=1e-10)
+    return disc, velocity, pressure
 
 
 def test_choose_delta_values():
@@ -138,11 +138,11 @@ def test_rho_optimum_structure(case):
     rhs = disc.free_load(case.steady_forcing)
     iv = femspace.interpolate(disc.space, case.steady_velocity)
     ip = femspace.interpolate(disc.space, case.steady_pressure)
-    system = steady.system(disc, case.nu)
+    rhos = (1.0, 10.0, 100.0, 1000.0)
+    solutions = steady.solve(disc, case.nu, [steady.choose_delta(h, case.nu, rho) for rho in rhos],
+                             rhs, tol=1e-10)
     verr, perr = {}, {}
-    for rho in (1.0, 10.0, 100.0, 1000.0):
-        velocity, pressure = steady.solve(disc, system, steady.choose_delta(h, case.nu, rho),
-                                          rhs, tol=1e-10)
+    for rho, (velocity, pressure) in zip(rhos, solutions):
         verr[rho] = metrics.fe_norm_diff(velocity, iv, matrix=disc.mass)
         perr[rho] = metrics.fe_norm_diff(pressure, ip, matrix=disc.mass)
     assert perr[10.0] <= perr[1.0] and perr[10.0] <= perr[1000.0]
