@@ -18,13 +18,14 @@ schemes need:
   delta, and dropped before the next, so one quarter-size block and one
   factor are alive at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
-  of scalar matrices, in SuperLU's minimum-degree ordering, reused
-  across the many identical solves of a time loop;
+  of SPD scalar matrices, in SuperLU's symmetric mode and minimum-degree
+  ordering, reused across the many identical solves of a time loop;
 - ``GridNeumannSolver``: the factor-free solve of the P1 pressure
   stiffness of the structured grid by fast diagonalization (DCT-I).
 
-All solvers are deterministic: identical inputs give bit-identical
-outputs.
+Every factorization is made by ``_splu``, and every failure to solve is
+a ``LinearSolverError``.  All solvers are deterministic: identical
+inputs give bit-identical outputs.
 """
 
 from dataclasses import dataclass
@@ -35,63 +36,58 @@ import scipy.sparse.linalg as spla
 
 
 class LinearSolverError(RuntimeError):
-    """Raised when a solver cannot meet its tolerance contract (returned,
-    per delta, by ``steady.solve``)."""
+    """A direct solve that failed: a singular factorization, a factor
+    that misses its verification probe, or a saddle solve that misses
+    its tolerance contract.  ``saddle_solve`` reports it per delta, and
+    ``steady.solve`` returns it."""
 
 
 @dataclass
 class SolveReport:
     """What ``saddle_solve`` did: its refinement steps over every block
-    and delta, and per delta the relative residual and the failure
-    message, or None."""
+    and delta, and per delta the LinearSolverError that ended it, or
+    None."""
 
     iterations: int
-    relative_residuals: tuple
     failures: tuple
 
 
-def _symmetric_splu(a_csc, permc_spec):
-    """SuperLU in symmetric mode (diagonal pivots only); returns the solve
-    function of the factorization.  Stable for SPD and for symmetric
+def _splu(a_csc, permc_spec=None):
+    """The solve function of SuperLU's factorization of ``a_csc``; the
+    one place that factors.  Given a column ordering ``permc_spec``
+    (``"MMD_AT_PLUS_A"``, minimum degree on A + A^T, or ``"NATURAL"``
+    for a matrix already permuted by the caller) it factors in symmetric
+    mode, with diagonal pivots only: stable for SPD and for symmetric
     quasi-definite matrices (Vanderbei 1995), and with much sparser
-    factors than the default partial pivoting.  ``permc_spec`` is
-    SuperLU's column ordering: ``"MMD_AT_PLUS_A"`` (minimum degree on
-    A + A^T) or ``"NATURAL"`` for a matrix already permuted by the
-    caller."""
-    lu = spla.splu(
-        a_csc,
-        permc_spec=permc_spec,
-        diag_pivot_thresh=0.0,
-        options=dict(SymmetricMode=True),
-    )
-    return lu.solve
-
-
-def _pivoting_splu(a_csc):
-    """The solve function of SuperLU with default partial pivoting, the
-    fallback of the symmetric mode; a singular matrix is a LinearSolverError."""
+    factors than partial pivoting, SuperLU's default, which it uses
+    without one.  A singular matrix is a LinearSolverError, raised apart
+    from SuperLU's error, so that without its traceback it holds no
+    frame."""
+    if permc_spec is None:
+        mode, kwargs = "pivoting", {}
+    else:
+        mode, kwargs = "symmetric", dict(permc_spec=permc_spec, diag_pivot_thresh=0.0,
+                                         options=dict(SymmetricMode=True))
     try:
-        return spla.splu(a_csc).solve
+        return spla.splu(a_csc, **kwargs).solve
     except RuntimeError as exc:
-        raise LinearSolverError(f"pivoting factorization failed: {exc}") from exc
+        message = f"{mode} factorization failed: {exc}"
+    raise LinearSolverError(message)
 
 
 class FactorizedSpd:
     """Cached sparse LU of a fixed SPD matrix, given as a CSC and
-    factored as it is, with no copy; ``solve`` accepts one or several
-    right-hand sides (columns).  The symmetric SuperLU mode is
-    preferred; default pivoting is the fallback if a verification solve
-    is off, and a singular matrix is a LinearSolverError."""
+    factored as it is, with no copy, in SuperLU's symmetric mode and
+    minimum-degree ordering; ``solve`` accepts one or several right-hand
+    sides (columns).  A verification solve of the ones vector checks the
+    factor: a singular matrix or a missed probe is a LinearSolverError."""
 
     def __init__(self, a):
-        try:
-            self._solve = _symmetric_splu(a, "MMD_AT_PLUS_A")
-            probe = np.ones(a.shape[0])
-            if np.linalg.norm(a @ self._solve(probe) - probe) <= 1e-8 * np.linalg.norm(probe):
-                return
-        except RuntimeError:
-            pass
-        self._solve = _pivoting_splu(a)
+        self._solve = _splu(a, "MMD_AT_PLUS_A")
+        probe = np.ones(a.shape[0])
+        miss = np.linalg.norm(a @ self._solve(probe) - probe)
+        if not miss <= 1e-8 * np.linalg.norm(probe):
+            raise LinearSolverError(f"factorization misses its probe by {miss:.3e}")
 
     def solve(self, b):
         return self._solve(np.asarray(b, dtype=float))
@@ -256,9 +252,12 @@ def _block_solve(matrix, pressure, f, scale, tol):
     relative norm of the velocity and of the pressure part (``pressure``)
     of its residual is at most ``tol``, both relative to ``scale``.  If
     the factorization fails or the refined solve misses, the block alone
-    is factorized with partial pivoting and solved again; a singular
-    pivoting factorization is a LinearSolverError.  The factor is
-    dropped on return.  Returns (y, refinements)."""
+    is factorized with partial pivoting and solved again: at nu = 0.01
+    that happens from rho = 1e7 at P1 N=40 and from rho = 1e8 at P1 N=8
+    and P2 N=4, where the pivoting solve meets the contract and a second
+    symmetric one would not.  A
+    singular pivoting factorization is a LinearSolverError.  The factor
+    is dropped on return.  Returns (y, refinements)."""
 
     def refined(solve):
         y, steps = solve(f), 0
@@ -271,11 +270,11 @@ def _block_solve(matrix, pressure, f, scale, tol):
             steps += 1
 
     try:
-        y, rel, steps = refined(_symmetric_splu(matrix, "NATURAL"))
-    except RuntimeError:  # a zero pivot in symmetric mode
+        y, rel, steps = refined(_splu(matrix, "NATURAL"))
+    except LinearSolverError:  # a zero pivot in symmetric mode
         rel = np.inf
     if not rel <= tol:
-        y, _, steps = refined(_pivoting_splu(matrix))
+        y, _, steps = refined(_splu(matrix))
     return y, steps
 
 
@@ -313,8 +312,8 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
 
     Returns (x, z, report): one row of x and of z per delta, and a
     ``SolveReport``; a delta that failed (a singular pivoting
-    factorization or a missed contract) has its message there, and its
-    rows are not a solution.
+    factorization or a missed contract) has its LinearSolverError there,
+    without a traceback, and its rows are not a solution.
     """
     if not all(delta > 0.0 for delta in deltas):
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
@@ -326,8 +325,7 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
     scale = np.linalg.norm(rhs_v)
     if scale == 0.0:
         sol = np.zeros((len(deltas), nv + npres))
-        return sol[:, :nv], sol[:, nv:], SolveReport(0, (0.0,) * len(deltas),
-                                                     (None,) * len(deltas))
+        return sol[:, :nv], sol[:, nv:], SolveReport(0, (None,) * len(deltas))
 
     k_r = _representative_rows(a_block, g, s, orbits)
     rhs = np.concatenate([rhs_v, np.zeros(npres)])
@@ -347,21 +345,19 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
             try:
                 y, steps = _block_solve(matrix, pressure, f, scale, tol / 2)
             except LinearSolverError as exc:
-                failures[i] = str(exc)
+                failures[i] = exc.with_traceback(None)  # which would keep this frame alive
                 continue
             refinements += steps
             sol[i] += basis @ y
         del matrix, basis  # before the next block is built
 
-    residuals = []
     for i, delta in enumerate(deltas):
         x, z = sol[i, :nv], sol[i, nv:]
         ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
         r1 = rhs_v - (ax + g @ z)
         r2 = delta * (s @ z) - g.T @ x
         rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
-        residuals.append(float(rel))
         if failures[i] is None and not rel <= tol:
-            failures[i] = f"saddle solve residual {rel:.3e} exceeds tol={tol}"
+            failures[i] = LinearSolverError(f"saddle solve residual {rel:.3e} exceeds tol={tol}")
     z = np.array([project_mean(row, mean_weights) for row in sol[:, nv:]])
-    return sol[:, :nv], z, SolveReport(refinements, tuple(residuals), tuple(failures))
+    return sol[:, :nv], z, SolveReport(refinements, tuple(failures))

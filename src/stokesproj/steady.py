@@ -40,13 +40,12 @@ def solve(disc, nu, deltas, rhs_v, tol):
     Returns, per delta, either (velocity, pressure), both full velocity
     blocks on the space (zeros at Dirichlet DOFs) and a pressure with
     zero discrete mean, or the ``sparsela.LinearSolverError`` that ended
-    that delta.
+    that delta, as ``saddle_solve`` reports it.
     """
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
     x, z, report = sparsela.saddle_solve(nu * disc.stiffness_free, disc.G, disc.stiffness,
                                          disc.saddle_orbits, deltas, rhs_v,
                                          mean_weights=disc.mean_weights, tol=tol)
-    return [sparsela.LinearSolverError(failure) if failure
-            else (disc.space.extend(velocity.reshape(2, -1)), pressure)
+    return [failure or (disc.space.extend(velocity.reshape(2, -1)), pressure)
             for velocity, pressure, failure in zip(x, z, report.failures)]

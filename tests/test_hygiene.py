@@ -312,11 +312,7 @@ def unread_fields(package_sources, other_sources):
 
 
 # Dataclass fields that nothing in src/, scripts/ or perfbench/ reads, kept on purpose.
-KEPT_FIELDS = {
-    "SolveReport.relative_residuals": (
-        "the per-delta residuals of a saddle solve, reported with its failures; tests assert them"
-    ),
-}
+KEPT_FIELDS = {}
 
 
 def test_checker_flags_unread_fields():
