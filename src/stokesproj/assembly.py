@@ -32,6 +32,7 @@ from . import femspace, sparsela
 from .mesh import Mesh
 
 _FIELD_CHUNK = 1024  # triangles per evaluation of an analytic field
+_FILL_CHUNK = 4096  # entries of the momentum matrix filled per scratch pass
 
 
 def _geometry(mesh):
@@ -278,7 +279,8 @@ class Discretization:
     ``_free`` marks blocks on the free DOFs of one velocity component;
     ``G`` has free vector velocity rows and ``GT`` is its transpose in
     CSR form.  ``mass``, ``stiffness``, ``G`` and ``mean_weights`` are
-    built together (``_operators``).
+    built together (``_operators``).  ``momentum(dt, nu)`` forms a new
+    M/dt + nu A for each time run on one cached pattern.
 
     Every per-mesh quantity is computed once: ``quadrature`` is the
     degree-6 rule on the triangles behind the loads and
@@ -339,6 +341,42 @@ class Discretization:
     def stiffness_free(self):
         fs = self.space.free_scalar
         return self.stiffness[fs][:, fs].tocsr()
+
+    @cached_property
+    def _momentum_pattern(self):
+        """(slots, indices, indptr): the CSC structure that the free mass
+        and stiffness share (both are scattered on the element pattern),
+        and for every CSC entry its position in their CSR data.  Every
+        momentum matrix shares ``indices`` and ``indptr``, so they are
+        read-only; ``slots`` stays writeable, as np.take copies read-only
+        indices."""
+        m = self.mass_free
+        csc = sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr), shape=m.shape).tocsc()
+        csc.indices.flags.writeable = csc.indptr.flags.writeable = False
+        return csc.data, csc.indices, csc.indptr
+
+    def momentum(self, dt, nu):
+        """A fresh CSC of the momentum matrix M/dt + nu A on the free
+        velocity DOFs of one component, the one place it is formed: nu A
+        is gathered on the shared pattern (``_momentum_pattern``), then
+        M/dt is added through a scratch array of at most ``_FILL_CHUNK``
+        entries, so nothing as large as the matrix is allocated beside
+        its entries.  They are bit for bit those of
+        ``csc_matrix(M/dt + nu A)``, as scipy scales by 1/dt too; the
+        sparse sum would drop an entry that comes out exactly zero, which
+        this keeps stored, but none does on these grids."""
+        slots, indices, indptr = self._momentum_pattern
+        h = np.empty(slots.size)
+        # mode "clip": with the default "raise", np.take fills a copy of out
+        np.take(self.stiffness_free.data, slots, out=h, mode="clip")
+        h *= nu
+        scratch = np.empty(min(_FILL_CHUNK, h.size))
+        for lo in range(0, h.size, _FILL_CHUNK):
+            part = scratch[: min(_FILL_CHUNK, h.size - lo)]
+            np.take(self.mass_free.data, slots[lo: lo + part.size], out=part, mode="clip")
+            part *= 1.0 / dt
+            h[lo: lo + part.size] += part
+        return sparse.csc_matrix((h, indices, indptr), shape=self.mass_free.shape)
 
     @cached_property
     def GT(self):

@@ -26,9 +26,11 @@ are documented in the README.
 
 Every run writes CSV: ``#``-prefixed lines with the resolved
 configuration, one column-name row, then data rows.  Output is
-byte-stable for a fixed config.  Exit codes: 0 for a completed run
-(recorded divergences included), 2 for configuration errors, 1 for
-solver or I/O failures.
+byte-stable for a fixed config and a fixed BLAS thread count (the
+benchmark pins one thread): a long dot product may be split across
+BLAS threads, which moves the last digits of a cell.  Exit codes: 0
+for a completed run (recorded divergences included), 2 for
+configuration errors, 1 for solver or I/O failures.
 """
 
 import argparse

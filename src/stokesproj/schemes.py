@@ -23,26 +23,23 @@ making them.
 
 Velocities are stepped on the free DOFs and pressures are kept at zero
 discrete mean.  The velocity system matrix has one scalar block per
-velocity component, so one scalar factorization serves every step, and
-``SchemeOperators`` holds only that factor; its matrix M/dt + nu A is
-filled in place into one buffer per mesh (``MomentumMatrix``).  The
-steps read every other operator from the Discretization, the pressure
-solve too: factor-free for P1 and one pinned factorization of S for
-P2.  ``run`` is the one time loop: it steps every run of a mesh on
-shared forcing loads, initial states and momentum buffer, and the
-experiment runners only choose what each step records.
+velocity component, so one scalar factorization of M/dt + nu A
+(``assembly.Discretization.momentum``) serves every step of a run.  The
+steps take that factor and read every other operator from the
+Discretization, the pressure solve too: factor-free for P1 and one
+pinned factorization of S for P2.  ``run`` is the one time loop: it
+steps every run of a mesh on shared forcing loads and initial states,
+and the experiment runners only choose what each step records.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sparse
 
 from . import femspace, sparsela, steady
 from .assembly import componentwise
 
 _GUARD_SLACK = 1.0 + 1e-12
-_FILL_CHUNK = 4096  # entries of the momentum matrix filled per scratch pass
 
 SCHEMES = ("noninc", "inc")
 INITS = ("interpolant", "stabilized_stokes", "zero_pressure")
@@ -126,69 +123,6 @@ class TimeState:
     pressure_prev: np.ndarray = None
 
 
-class MomentumMatrix:
-    """One CSC buffer for the momentum matrix M/dt + nu A of ``disc``'s
-    free velocity DOFs, which every run on the mesh fills in place
-    (``fill``) before it factors it.
-
-    The free mass and stiffness share one CSR pattern (both are
-    scattered on the mesh's element pattern), which the buffer holds in
-    CSC form; ``slots`` maps every CSC entry to its CSR position.  A
-    fill writes nu A, then adds M/dt through a scratch array of at most
-    ``_FILL_CHUNK`` entries, so it allocates nothing as large as the
-    matrix.  Its entries are bit for bit those of
-    ``csc_matrix(M/dt + nu A)``, as scipy scales by 1/dt too; the sparse
-    sum would drop an entry that comes out exactly zero, which the
-    buffer keeps stored, but none does on these grids."""
-
-    def __init__(self, disc):
-        m = disc.mass_free
-        slots = sparse.csr_matrix((np.arange(m.nnz), m.indices, m.indptr), shape=m.shape).tocsc()
-        self.slots = slots.data
-        self.matrix = sparse.csc_matrix((np.empty(m.nnz), slots.indices, slots.indptr),
-                                        shape=m.shape)
-        self._mass, self._stiffness = m.data, disc.stiffness_free.data
-        self._scratch = np.empty(min(_FILL_CHUNK, m.nnz))
-
-    def fill(self, dt, nu):
-        """The buffer, holding M/dt + nu A for ``dt`` and ``nu``."""
-        h = self.matrix.data
-        # mode "clip": with the default "raise", np.take fills a copy of out
-        np.take(self._stiffness, self.slots, out=h, mode="clip")
-        h *= nu
-        for lo in range(0, h.size, _FILL_CHUNK):
-            part = self._scratch[: min(_FILL_CHUNK, h.size - lo)]
-            np.take(self._mass, self.slots[lo: lo + part.size], out=part, mode="clip")
-            part *= 1.0 / dt
-            h[lo: lo + part.size] += part
-        return self.matrix
-
-
-class SchemeOperators:
-    """The momentum factorization for time stepping with ``params`` on
-    ``disc``, of the matrix that ``momentum`` (a ``MomentumMatrix`` of
-    ``disc``) is filled with; the steps read every other operator, and
-    the pressure solver, from ``disc``.  Immutable once built; shared by
-    all steps.  The factor does not read the buffer again, so the next
-    run may refill it."""
-
-    def __init__(self, disc, params, momentum):
-        self.disc = disc
-        self._h_solver = sparsela.FactorizedSpd(momentum.fill(params.dt, params.nu))
-
-    def momentum_solve(self, rhs_block):
-        """Solve (M/dt + nu A) per component; rhs and result in block layout."""
-        return self._h_solver.solve(rhs_block.reshape(2, -1).T).T.ravel()
-
-    def pressure_solve(self, rhs, coefficient):
-        """Solve coefficient * S q = rhs on the zero-mean subspace."""
-        q = self.disc.pressure_solver.solve(rhs / coefficient)
-        return sparsela.project_mean(q, self.disc.mean_weights)
-
-    def velocity_energy(self, velocity):
-        return float(np.sum(velocity * componentwise(self.disc.mass_free, velocity)))
-
-
 def initialize(params, case, disc):
     """Initial (velocity, pressure) state on ``disc`` for the configured strategy.
 
@@ -223,30 +157,39 @@ def initialize(params, case, disc):
                      pressure_prev=prev)
 
 
-def _advance(state, params, ops, load, pressure_in_momentum):
-    rhs = componentwise(ops.disc.mass_free, state.velocity) / params.dt + load
-    return ops.momentum_solve(rhs - ops.disc.G @ pressure_in_momentum)
+def _advance(state, params, disc, momentum, load, pressure_in_momentum):
+    rhs = componentwise(disc.mass_free, state.velocity) / params.dt + load
+    rhs = rhs - disc.G @ pressure_in_momentum
+    return momentum.solve(rhs.reshape(2, -1).T).T.ravel()
 
 
-def step_noninc(state, params, ops, load):
-    """One step of the non-incremental scheme; ``load`` is the load vector
-    at t_{n+1} on the free velocity DOFs."""
-    v_new = _advance(state, params, ops, load, state.pressure)
-    q_new = ops.pressure_solve(ops.disc.GT @ v_new, params.delta)
+def _pressure_solve(disc, rhs, coefficient):
+    """Solve coefficient * S q = rhs on the zero-mean subspace."""
+    q = disc.pressure_solver.solve(rhs / coefficient)
+    return sparsela.project_mean(q, disc.mean_weights)
+
+
+def step_noninc(state, params, disc, momentum, load):
+    """One step of the non-incremental scheme on ``disc``; ``momentum``
+    is the factor of M/dt + nu A and ``load`` the load vector at t_{n+1}
+    on the free velocity DOFs."""
+    v_new = _advance(state, params, disc, momentum, load, state.pressure)
+    q_new = _pressure_solve(disc, disc.GT @ v_new, params.delta)
     return TimeState(step=state.step + 1, t=state.t + params.dt, velocity=v_new, pressure=q_new)
 
 
-def step_inc(state, params, ops, load):
+def step_inc(state, params, disc, momentum, load):
     """One step of the incremental scheme with pressure extrapolation
-    2 q^n - q^{n-1} in the momentum equation."""
+    2 q^n - q^{n-1} in the momentum equation; the arguments as for
+    ``step_noninc``."""
     q_hat = 2.0 * state.pressure - state.pressure_prev
-    v_new = _advance(state, params, ops, load, q_hat)
-    rhs_p = params.delta * (ops.disc.stiffness @ state.pressure) + ops.disc.GT @ v_new
+    v_new = _advance(state, params, disc, momentum, load, q_hat)
+    rhs_p = params.delta * (disc.stiffness @ state.pressure) + disc.GT @ v_new
     return TimeState(
         step=state.step + 1,
         t=state.t + params.dt,
         velocity=v_new,
-        pressure=ops.pressure_solve(rhs_p, params.delta + params.delta2),
+        pressure=_pressure_solve(disc, rhs_p, params.delta + params.delta2),
         pressure_prev=state.pressure.copy(),
     )
 
@@ -265,16 +208,16 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     """Step every SchemeParams of ``runs`` on ``disc`` with forcing from
     ``case``; returns one RunResult per run, in order.
 
-    The runs share the forcing loads and one ``MomentumMatrix`` buffer,
-    and the runs with the same (init, nu, delta, tol, scheme) share one
-    initial state; the initial states are made first.  ``observe(state)``
-    is called on the initial state and after every step, and its return
-    values are the run's ``records``.  A run stops and is marked diverged
-    once its velocity stops being finite or, when ``energy_ceiling`` is
-    set, once its velocity energy exceeds ceiling * max(initial energy,
-    1e-300); ``energies`` holds that history.  ``final_state`` is the last
-    state that passed this test; ``steps_completed`` counts the diverged
-    step too.
+    The runs share the forcing loads, and the runs with the same (init,
+    nu, delta, tol, scheme) share one initial state; the initial states
+    are made first.  ``observe(state)`` is called on the initial state
+    and after every step, and its return values are the run's
+    ``records``.  A run stops and is marked diverged once its velocity
+    stops being finite or, when ``energy_ceiling`` is set, once its
+    velocity energy exceeds ceiling * max(initial energy, 1e-300);
+    ``energies`` holds that history.  ``final_state`` is the last state
+    that passed this test; ``steps_completed`` counts the diverged step
+    too.
     """
     loads = [(tf, disc.free_load(sf)) for tf, sf in case.forcing_terms()]
     keys = [(p.init, p.nu, p.delta, p.tol, p.scheme) for p in runs]
@@ -282,27 +225,29 @@ def run(runs, case, disc, observe=None, energy_ceiling=None):
     for params, key in zip(runs, keys):
         if key not in initial:
             initial[key] = initialize(params, case, disc)
-    momentum = MomentumMatrix(disc)  # made after the steady solves, which do not use it
-    return [_run_one(params, disc, initial[key], loads, momentum, observe, energy_ceiling)
+    return [_run_one(params, disc, initial[key], loads, observe, energy_ceiling)
             for params, key in zip(runs, keys)]
 
 
-def _run_one(params, disc, state, loads, momentum, observe, energy_ceiling):
-    """Step one run from ``state``, its momentum matrix filled into the
-    buffer ``momentum``; see ``run``.  Its operators and factorization
-    are freed on return, before the next run's."""
-    ops = SchemeOperators(disc, params, momentum)
+def _run_one(params, disc, state, loads, observe, energy_ceiling):
+    """Step one run from ``state``; see ``run``.  Its momentum matrix and
+    factor are freed on return, before the next run's are made."""
+    momentum = sparsela.FactorizedSpd(disc.momentum(params.dt, params.nu))
     step = step_noninc if params.scheme == "noninc" else step_inc
+
+    def energy_of(v):
+        return float(np.sum(v * componentwise(disc.mass_free, v)))
+
     track_energy = energy_ceiling is not None
-    energies = [ops.velocity_energy(state.velocity)] if track_energy else []
+    energies = [energy_of(state.velocity)] if track_energy else []
     floor = max(energies[0], 1e-300) if track_energy else None
     records = [] if observe is None else [observe(state)]
     diverged = False
     for _ in range(params.num_steps()):
         t_next = state.t + params.dt
-        new = step(state, params, ops, sum(tf(t_next) * vec for tf, vec in loads))
+        new = step(state, params, disc, momentum, sum(tf(t_next) * vec for tf, vec in loads))
         if track_energy:
-            energy = ops.velocity_energy(new.velocity)
+            energy = energy_of(new.velocity)
             energies.append(energy)
             diverged = not np.isfinite(energy) or energy > energy_ceiling * floor
         else:

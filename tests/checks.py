@@ -1,7 +1,7 @@
 """Quantities that only the tests evaluate: the velocity gradient,
 divergence and time derivative of the manufactured case of
-``stokesproj.mms``, and the residuals of the two non-incremental
-relations for a completed time step."""
+``stokesproj.mms``, the velocity energy of a state, and the residuals
+of the two non-incremental relations for a completed time step."""
 
 import numpy as np
 
@@ -37,10 +37,15 @@ def velocity_t(case, x, y, t):
     return -np.sin(t) * case.steady_velocity(x, y)
 
 
-def noninc_residuals(params, ops, v_old, v_new, q_momentum, q_new, load_block):
+def velocity_energy(disc, v):
+    """|v|_M^2 of the free velocity ``v`` on ``disc``, as the time loop's
+    divergence test forms it."""
+    return float(np.sum(v * componentwise(disc.mass_free, v)))
+
+
+def noninc_residuals(params, disc, v_old, v_new, q_momentum, q_new, load_block):
     """Residual norms of the two non-incremental relations for a completed
-    step, relative to their right-hand-side scales."""
-    disc = ops.disc
+    step on ``disc``, relative to their right-hand-side scales."""
     mom_rhs = componentwise(disc.mass_free, v_old) / params.dt + load_block
     lhs = (
         componentwise(disc.mass_free, v_new) / params.dt

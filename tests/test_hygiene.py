@@ -10,12 +10,18 @@ an attribute in src/, scripts/ or the benchmark harness perfbench/*.py:
 a field that nothing reads is carried for nothing.  No line under src/
 is longer than 99 characters.  Every span pattern of a benchmark layer
 (perfbench/layers.py) matches a name that the benchmark's tracer wraps:
-a layer that matches nothing reads 0."""
+a layer that matches nothing reads 0.  And every ``module.Name`` or
+class name that the README quotes in backticks, or a src/ docstring in
+double backticks, names an attribute of the package: a renamed or
+deleted name leaves no stale mention behind."""
 
 import ast
+import builtins
 import collections
+import importlib
 import importlib.util
 import pathlib
+import re
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -390,6 +396,7 @@ KEPT_STALE_PATTERNS = {
         "assembly.assemble_gradient_load",
         "steady.SteadyOperators.__init__",
         "metrics.SpaceNorms.*",
+        "schemes.SchemeOperators.__init__",
     )
 }
 
@@ -409,3 +416,73 @@ def test_benchmark_layer_patterns_match_code():
     assert found == kept, (
         f"no code matches {sorted(found - kept)}; kept but not stale {sorted(kept - found)}"
     )
+
+
+MODULES = {path.stem for path in (ROOT / "src" / "stokesproj").glob("[!_]*.py")}
+
+
+def documented_names(text, quote, modules):
+    """Every dotted name that opens a ``quote``-delimited span of
+    ``text`` outside fenced code blocks (alone or before a call's
+    argument list) and starts with one of ``modules`` or with a
+    capitalized word, a class name; an optional ``stokesproj.`` prefix
+    is dropped."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    spans = re.findall(f"{quote}([^`]+?){quote}", text)
+    dotted = re.compile(r"(?:stokesproj\.)?([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*)?", re.S)
+    names = {m.group(1) for m in map(dotted.fullmatch, spans) if m}
+    return sorted(name for name in names
+                  if name.split(".")[0] in modules and "." in name
+                  or re.match(r"[A-Z][a-z]", name))
+
+
+def _has_path(obj, path):
+    """Whether the attributes ``path`` lead from ``obj`` to an object or
+    to a dataclass field."""
+    for attr in path:
+        fields = getattr(obj, "__dataclass_fields__", {})
+        if not hasattr(obj, attr) and attr not in fields:
+            return False
+        obj = getattr(obj, attr, None)
+    return True
+
+
+def _resolves(name):
+    """Whether ``name`` is an attribute path of the package module that
+    it starts with, or else of some package module or the builtins; a
+    dataclass field without a default counts."""
+    head, *path = name.split(".")
+    if head in MODULES:
+        return _has_path(importlib.import_module(f"stokesproj.{head}"), path)
+    owners = [importlib.import_module(f"stokesproj.{module}") for module in MODULES]
+    return any(_has_path(owner, name.split(".")) for owner in owners + [builtins])
+
+
+def test_checker_finds_documented_names():
+    text = ("`mesh.build_grid` and `stokesproj.schemes.run(runs, case)`, `steady.solve`, "
+            "`np.linalg.norm`, `scripts/x.cfg`, `schemes.Gone.attr`, `Gone`, `K_r`, `mesh`\n"
+            "```\nstokesproj `mesh.fenced`\n```\n")
+    assert documented_names(text, "`", {"mesh", "schemes"}) == [
+        "Gone", "mesh.build_grid", "schemes.Gone.attr", "schemes.run"]
+    assert documented_names("``steady.solve`` and ``x.y``", "``", {"steady"}) == ["steady.solve"]
+    assert _resolves("schemes.SchemeParams.nu") and _resolves("Discretization.momentum")
+    assert _resolves("ValueError")
+    assert not _resolves("schemes.Gone") and not _resolves("mesh.build_grid.gone")
+    assert not _resolves("Gone") and not _resolves("Discretization.gone")
+
+
+def test_readme_names_exist():
+    names = documented_names((ROOT / "README.md").read_text(), "`", MODULES)
+    stale = [name for name in names if not _resolves(name)]
+    assert names and not stale, f"README.md names {stale}, which do not exist"
+
+
+def test_docstring_names_exist():
+    stale = []
+    for path in (p for p in FILES if p.parts[0] == "src"):
+        tree = ast.parse((ROOT / path).read_text())
+        docstrings = (ast.get_docstring(node) or "" for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
+        stale += [f"{path}: {name}" for doc in docstrings
+                  for name in documented_names(doc, "``", MODULES) if not _resolves(name)]
+    assert not stale, f"docstrings name {stale}, which do not exist"

@@ -6,6 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sparse
 
 import checks
@@ -18,6 +19,11 @@ def make_params(**kw):
                 init="zero_pressure")
     base.update(kw)
     return schemes.SchemeParams(**base)
+
+
+def momentum_factor(disc, params):
+    """The factor of M/dt + nu A that a run with ``params`` steps with."""
+    return sparsela.FactorizedSpd(disc.momentum(params.dt, params.nu))
 
 
 def random_velocity(space, rng, scale=1.0):
@@ -151,43 +157,57 @@ def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monke
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
-def test_momentum_matrix_is_filled_in_place(case, monkeypatch, degree):
-    # the runs of a mesh factor one buffer, filled for each run with the
-    # entries, indices and pointers of csc_matrix(M/dt + nu A), and
-    # filling it for the second run allocates less than one float array
-    # of its entries (the sparse sum allocated four such matrices)
+def test_each_run_factors_its_own_momentum_matrix(case, monkeypatch, degree):
+    # every run factors the entries, indices and pointers of
+    # csc_matrix(M/dt + nu A), and the previous run's factor is freed
+    # before the next run's matrix is formed
     disc = Discretization(mesh.build_grid(8), degree)
     # rho = 3: 1/dt is inexact, so M/dt and M * (1/dt) differ in some bits
     delta = steady.choose_delta(1.0 / 8, case.nu, 3.0)
     runs = [make_params(nu=case.nu, dt=ratio * delta, T=2 * ratio * delta, delta=delta,
                         max_dt_ratio=np.inf) for ratio in (0.5, 2.0)]
-    factored, peaks = [], []
-    real_splu, real_operators = sparsela.spla.splu, schemes.SchemeOperators
+    factored, factors, alive = [], [], []
+    real_splu, real_momentum = sparsela._splu, Discretization.momentum
 
-    def splu(m, **kwargs):
-        if m.shape == disc.mass_free.shape:  # not the P2 pressure factor
-            peaks.append(tracemalloc.get_traced_memory()[1] if tracemalloc.is_tracing() else None)
-            factored.append((m, m.data.copy(), m.indices.copy(), m.indptr.copy()))
-        return real_splu(m, **kwargs)
+    def splu(a, *args):
+        solve = real_splu(a, *args)
+        if a.shape == disc.mass_free.shape:  # not the P2 pressure factor
+            factored.append((a.data.copy(), a.indices.copy(), a.indptr.copy()))
+            factors.append(weakref.ref(solve))  # the solve holds the SuperLU object
+        return solve
 
-    def operators(*args):
-        tracemalloc.start()
-        try:
-            return real_operators(*args)
-        finally:
-            tracemalloc.stop()
+    def momentum(self, dt, nu):
+        alive.append([factor() is not None for factor in factors])
+        return real_momentum(self, dt, nu)
 
-    monkeypatch.setattr(sparsela.spla, "splu", splu)
-    monkeypatch.setattr(schemes, "SchemeOperators", operators)
+    monkeypatch.setattr(sparsela, "_splu", splu)
+    monkeypatch.setattr(Discretization, "momentum", momentum)
     schemes.run(runs, case, disc)
+    assert alive == [[], [False]]
     assert len(factored) == 2
-    for params, (_, data, indices, indptr) in zip(runs, factored):
+    for params, (data, indices, indptr) in zip(runs, factored):
         reference = sparse.csc_matrix(disc.mass_free / params.dt + params.nu * disc.stiffness_free)
         assert np.array_equal(data, reference.data)
         assert np.array_equal(indices, reference.indices)
         assert np.array_equal(indptr, reference.indptr)
-    assert peaks[1] < 8 * factored[1][1].size
-    assert factored[0][0] is factored[1][0]
+
+
+@pytest.mark.parametrize("degree, n", [(1, 32), (2, 16)], ids=["P1", "P2"])
+def test_momentum_matrix_allocates_little_beside_its_entries(degree, n):
+    # a momentum matrix shares the cached pattern of its mesh and adds
+    # M/dt through a scratch of 4,096 entries, so forming one allocates
+    # its entries, that scratch and a few small objects (86,168 B for
+    # 6,481 entries at P1 N=32, 116,760 B for 10,293 at P2 N=16); the
+    # sparse sum M/dt + nu A allocated four matrices of the entries' size
+    disc = Discretization(mesh.build_grid(n), degree)
+    disc.momentum(1e-3, 0.01)  # caches the pattern and the free operators
+    tracemalloc.start()
+    try:
+        matrix = disc.momentum(1e-3, 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * matrix.nnz + 8 * 4096 + 4096
 
 
 def test_incremental_init_copies_pressure(grid4, case):
@@ -203,19 +223,19 @@ def test_zero_trajectory(grid4, case):
     params = make_params()
     disc = Discretization(grid4, 1)
     space = disc.space
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
+    momentum = momentum_factor(disc, params)
     zero = np.zeros(2 * space.free_scalar.size)
     state = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs))
     for _ in range(3):
-        state = schemes.step_noninc(state, params, ops, zero)
+        state = schemes.step_noninc(state, params, disc, momentum, zero)
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     # incremental scheme too
     pi = make_params(scheme="inc")
-    ops_i = schemes.SchemeOperators(disc, pi, schemes.MomentumMatrix(disc))
+    momentum_i = momentum_factor(disc, pi)
     st = schemes.TimeState(0, 0.0, zero, np.zeros(space.num_dofs), np.zeros(space.num_dofs))
     for _ in range(3):
-        st = schemes.step_inc(st, pi, ops_i, zero)
+        st = schemes.step_inc(st, pi, disc, momentum_i, zero)
     assert np.array_equal(st.velocity, np.zeros_like(st.velocity))
 
 
@@ -224,17 +244,17 @@ def test_free_decay_energy_monotone(grid4, scheme):
     params = make_params(scheme=scheme, dt=5e-4, delta=5e-4, T=5e-2)
     disc = Discretization(grid4, 1)
     space = disc.space
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
+    momentum = momentum_factor(disc, params)
     rng = np.random.default_rng(12)
     v0 = random_velocity(space, rng)
     zero_q = np.zeros(space.num_dofs)
     state = schemes.TimeState(0, 0.0, v0, zero_q, zero_q.copy())
     zero = np.zeros(2 * space.free_scalar.size)
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
-    energy = ops.velocity_energy(state.velocity)
+    energy = checks.velocity_energy(disc, state.velocity)
     for _ in range(100):
-        state = step(state, params, ops, zero)
-        new_energy = ops.velocity_energy(state.velocity)
+        state = step(state, params, disc, momentum, zero)
+        new_energy = checks.velocity_energy(disc, state.velocity)
         assert new_energy <= energy * (1.0 + 1e-12)
         energy = new_energy
 
@@ -260,11 +280,11 @@ def test_noninc_energy_identity_and_inherent_stabilization():
         dt = ratio * delta
         params = schemes.SchemeParams(nu=nu, dt=dt, T=40 * dt, delta=delta,
                                       max_dt_ratio=np.inf)
-        ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
+        momentum = momentum_factor(disc, params)
         state = schemes.TimeState(0, 0.0, v0, np.zeros(disc.space.num_dofs))
         energies = [norm2(disc.mass_free, v0)]  # E_0, ..., E_40
         for _ in range(params.num_steps()):
-            new = schemes.step_noninc(state, params, ops, zero)
+            new = schemes.step_noninc(state, params, disc, momentum, zero)
             v, w, q, p = state.velocity, new.velocity, state.pressure, new.pressure
             terms = [norm2(disc.mass_free, w), -norm2(disc.mass_free, v),
                      norm2(disc.mass_free, w - v), 2 * dt * nu * norm2(disc.stiffness_free, w),
@@ -275,6 +295,51 @@ def test_noninc_energy_identity_and_inherent_stabilization():
             state = new
         if ratio <= 1.0:
             assert all(b <= a for a, b in zip(energies[1:], energies[2:])), ratio
+
+
+def step_map(disc, params):
+    """The zero-load non-incremental step on ``disc`` as a dense matrix
+    acting on (v, q), built one column at a time."""
+    nv = 2 * disc.space.free_scalar.size
+    momentum, zero = momentum_factor(disc, params), np.zeros(nv)
+    columns = []
+    for unit in np.eye(nv + disc.space.num_dofs):
+        new = schemes.step_noninc(schemes.TimeState(0, 0.0, unit[:nv], unit[nv:]), params,
+                                  disc, momentum, zero)
+        columns.append(np.concatenate([new.velocity, new.pressure]))
+    return np.array(columns).T
+
+
+@pytest.mark.parametrize("degree, n", [(1, 6), (2, 4)], ids=["P1", "P2"])
+def test_noninc_stability_threshold_is_two_over_lambda_max(degree, n):
+    # with zero load the non-incremental step is a linear map T of (v, q).
+    # Let lambda_max be the largest generalized eigenvalue of
+    # (G^T M^-1 G, S) on zero-mean pressures; |Gq|_{M^-1} <= |q|_S, so it
+    # is at most 1.  T is stable for every dt/delta <= 2 and, once nu A is
+    # small beside M/dt (large rho), loses stability just past
+    # 2/lambda_max.  Measured: lambda_max 0.923740 (P1 N=6) and 0.995703
+    # (P2 N=4); at nu = 1, rho = 100 the spectral radius is 0.999625 and
+    # 0.999303 at dt/delta = 2, and 1.019761 and 1.019008 at
+    # 1.01 * 2/lambda_max
+    disc = Discretization(mesh.build_grid(n), degree)
+    mass = np.kron(np.eye(2), disc.mass_free.toarray())
+    g, s = disc.G.toarray(), disc.stiffness.toarray()
+    schur = g.T @ np.linalg.solve(mass, g)
+    # both matrices vanish on the constants, so any complement of them,
+    # here the pressures with q_0 = 0, carries the zero-mean eigenvalues
+    lam_max = scipy.linalg.eigh(schur[1:, 1:], s[1:, 1:], eigvals_only=True)[-1]
+    assert lam_max <= 1.0
+
+    def radius(nu, rho, ratio):
+        delta = steady.choose_delta(1.0 / n, nu, rho)
+        params = schemes.SchemeParams(nu=nu, dt=ratio * delta, T=ratio * delta, delta=delta,
+                                      max_dt_ratio=np.inf)
+        return np.abs(np.linalg.eigvals(step_map(disc, params))).max()
+
+    for nu, rho in ((1.0, 100.0), (0.01, 10.0)):
+        for ratio in (0.5, 1.0, 2.0):
+            assert radius(nu, rho, ratio) < 1.0, (nu, rho, ratio)
+    assert radius(1.0, 100.0, 1.01 * 2.0 / lam_max) > 1.0
 
 
 def states(params, case, disc):
@@ -331,7 +396,6 @@ def test_pressure_zero_mean_every_step(grid4, case):
 def test_pressure_equation_residual_each_step(grid4, case):
     params = make_params(init="stabilized_stokes")
     disc = Discretization(grid4, 1)
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     for state in states(params, case, disc)[1:]:
         rhs = disc.G.T @ state.velocity
         res = params.delta * (disc.stiffness @ state.pressure) - rhs
@@ -341,7 +405,6 @@ def test_pressure_equation_residual_each_step(grid4, case):
 def test_incremental_pressure_update_residual(grid4, case):
     params = make_params(scheme="inc", init="stabilized_stokes")
     disc = Discretization(grid4, 1)
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     trajectory = states(params, case, disc)
     for prev, state in zip(trajectory, trajectory[1:]):
         rhs = params.delta * (disc.stiffness @ prev.pressure) + disc.G.T @ state.velocity
@@ -363,8 +426,7 @@ def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_fac
                                            params.tol)
     state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
-    return state, step(state, params, ops, load)
+    return state, step(state, params, disc, momentum_factor(disc, params), load)
 
 
 def relative_change(new, old):
@@ -403,7 +465,6 @@ def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     params = make_params(scheme="inc", init="stabilized_stokes",
                          dt=1e-3, delta=1e-3, T=2e-2)
     disc = Discretization(grid, 1)
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
     load = load_at(case, disc)
     trajectory = states(params, case, disc)
     assert len(trajectory) == 21
@@ -411,7 +472,7 @@ def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
         q_hat_old = 2 * prev.pressure - prev.pressure_prev
         q_hat_new = 2 * state.pressure - state.pressure_prev
         mom, div = checks.noninc_residuals(
-            params, ops, prev.velocity, state.velocity, q_hat_old, q_hat_new, load(state.t)
+            params, disc, prev.velocity, state.velocity, q_hat_old, q_hat_new, load(state.t)
         )
         assert mom <= 1e-9
         assert div <= 1e-9
@@ -423,7 +484,7 @@ def test_classical_form_identity(grid4, case, load_at):
     dt = 1e-3
     params = make_params(dt=dt, delta=dt, init="stabilized_stokes")
     disc = Discretization(grid4, 1)
-    ops = schemes.SchemeOperators(disc, params, schemes.MomentumMatrix(disc))
+    momentum = momentum_factor(disc, params)
     load_of = load_at(case, disc)
     s0 = schemes.initialize(params, case, disc)
 
@@ -431,13 +492,13 @@ def test_classical_form_identity(grid4, case, load_at):
     vb, qb = s0.velocity.copy(), s0.pressure.copy()
     for k in range(10):
         load = load_of((k + 1) * dt)
-        state_a = schemes.step_noninc(state_a, params, ops, load)
+        state_a = schemes.step_noninc(state_a, params, disc, momentum, load)
         # (momentum against the projected velocity) M (v~ - v^n)/dt with
         # v^n = v~^n - delta grad q^n, i.e. M v^n = M v~^n - delta G q^n
         rhs = (disc.mass_free @ vb.reshape(2, -1).T).T.ravel() / dt \
             - (params.delta / dt) * (disc.G @ qb) + load
-        vb = ops.momentum_solve(rhs)
-        qb = ops.pressure_solve(disc.G.T @ vb, params.delta)
+        vb = momentum.solve(rhs.reshape(2, -1).T).T.ravel()
+        qb = schemes._pressure_solve(disc, disc.G.T @ vb, params.delta)
         assert np.linalg.norm(state_a.velocity - vb) <= 1e-12 * max(
             np.linalg.norm(vb), 1e-300
         )

@@ -9,7 +9,7 @@ import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 import dense_oracle
-from stokesproj import assembly, mesh, schemes, sparsela, steady
+from stokesproj import assembly, mesh, sparsela, steady
 from stokesproj.assembly import componentwise
 
 
@@ -48,9 +48,8 @@ def test_factorized_spd_meets_its_probe_without_pivoting(monkeypatch, degree, n)
     # solves a random load to round-off (9.0e-15 at worst measured here,
     # 9.1e-14 over P1 N <= 80 and P2 N <= 40)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
-    momentum = schemes.MomentumMatrix(disc)
     calls, _ = spy_on_splu(monkeypatch)
-    matrices = [momentum.fill(dt, nu).copy()
+    matrices = [disc.momentum(dt, nu)
                 for dt in (1e-12, 1e-8, 1e-4, 1.0, 1e4) for nu in (1e-8, 1e-4, 1.0, 1e4)]
     matrices.append(disc.stiffness.tocsr()[1:, 1:].tocsc())  # as PinnedSingularSolver pins it
     rng = np.random.default_rng(n)
