@@ -221,11 +221,11 @@ def _saddle_orbits(space):
     An orbit's representative is its member of least index whose node
     lies in the fundamental triangle; an unknown's weight in block k is
     chi_k(g) sign[g, i] for the g that maps it to the representative,
-    averaged over all such g, which gives 0 where the stabilizer rules
-    the character out.  Orbits are numbered, and so every block
-    ordered, by the rank of their representatives' nodes in the nested
-    dissection (``_dissect``) of the nodes of the fundamental triangle,
-    and by field within a node.
+    averaged over all such g: +1 or -1, or 0 where the stabilizer rules
+    the character out, stored as int8.  Orbits are numbered, and so
+    every block ordered, by the rank of their representatives' nodes in
+    the nested dissection (``_dissect``) of the nodes of the fundamental
+    triangle, and by field within a node.
     """
     reflect, turn, lattice = _node_symmetries(space)
     m = space.degree * space.mesh.n
@@ -250,7 +250,7 @@ def _saddle_orbits(space):
     rep_of = np.take_along_axis(image, key.argmin(axis=0)[None], axis=0)[0]
     hit = image == rep_of
     chi = np.array([[(-1.0) ** bin(k & g).count("1") for g in range(4)] for k in range(4)])
-    weight = chi @ (hit * sign) / hit.sum(axis=0)
+    weight = (chi @ (hit * sign) / hit.sum(axis=0)).astype(np.int8)
 
     inside = np.flatnonzero(~outside[2 * nf:])  # the nodes of the fundamental triangle
     dissection = np.concatenate([nodes for nodes, _ in _dissect(lattice[inside], space.degree)])

@@ -406,12 +406,18 @@ def run_transient_init(config):
     for _, n, h, disc in _meshes(config):
         # its moments depend on the mesh only, so every run of the mesh shares it
         tracker = metrics.TransientErrorTracker(disc, case)
-        for result in schemes.run(_scheme_runs(config, h), case, disc, observe=tracker):
-            last = len(result.records) - 1
-            for i, rec in enumerate(result.records):
-                if i <= 1 or i == last or i % config.record_every == 0:
-                    rows.append([result.params.init, n, rec.step, rec.t, rec.pres_l2_interp,
-                                 rec.vel_l2_interp])
+
+        def observe(state):  # a record only for the steps written, and the last
+            keep = state.step <= 1 or state.step % config.record_every == 0
+            return tracker(state) if keep else None
+
+        for result in schemes.run(_scheme_runs(config, h), case, disc, observe=observe):
+            records = [rec for rec in result.records if rec is not None]
+            if result.records[-1] is None:
+                records.append(tracker(result.final_state))
+            for rec in records:
+                rows.append([result.params.init, n, rec.step, rec.t, rec.pres_l2_interp,
+                             rec.vel_l2_interp])
     return columns, rows
 
 

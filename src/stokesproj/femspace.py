@@ -3,7 +3,9 @@ written in barycentric coordinates, symmetric Gauss rules with their
 points in reference coordinates (xi, eta), and global DOF spaces.
 
 A space is scalar: its degrees of freedom are numbered vertices first
-(mesh order) and, for P2, edge midpoints after them (edge-table order).
+(mesh order) and, for P2, edge midpoints after them, the edges in
+lexicographic order of their sorted vertex pairs; the P2 space alone
+numbers edges.  A P1 space shares the mesh's read-only arrays.
 Pressure is one coefficient block on it and a velocity two:
 ``u[0:n]`` are the x-component coefficients and ``u[n:2*n]`` the
 y-component ones, where n is the DOF count.
@@ -140,16 +142,19 @@ def build_space(mesh, degree):
     if degree not in (1, 2):
         raise ValueError(f"unsupported element degree {degree}; only 1 and 2")
     if degree == 1:
-        element_dofs = mesh.triangles.copy()
-        node_coords = mesh.vertices.copy()
+        # the mesh's own read-only arrays, not copies
+        element_dofs, node_coords = mesh.triangles, mesh.vertices
         boundary = mesh.boundary_vertex
     else:
-        nv = mesh.num_vertices
-        element_dofs = np.hstack([mesh.triangles, nv + mesh.triangle_edges])
-        midpoints = 0.5 * (mesh.vertices[mesh.edges[:, 0]] + mesh.vertices[mesh.edges[:, 1]])
+        tri, nv = mesh.triangles, mesh.num_vertices
+        local = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+        # one int64 key per sorted vertex pair; keys sort as the pairs do
+        keys, inverse = np.unique(local[:, 0] * nv + local[:, 1], return_inverse=True)
+        element_dofs = np.hstack([tri, nv + inverse.reshape(3, -1).T])
+        midpoints = 0.5 * (mesh.vertices[keys // nv] + mesh.vertices[keys % nv])
         node_coords = np.vstack([mesh.vertices, midpoints])
         # midpoint nodes of boundary edges (edges owned by a single triangle)
-        boundary = np.concatenate([mesh.boundary_vertex, mesh.edge_triangle_count == 1])
+        boundary = np.concatenate([mesh.boundary_vertex, np.bincount(inverse) == 1])
     return FeSpace(
         mesh=mesh,
         degree=degree,

@@ -37,22 +37,16 @@ class Mesh:
         Vertex indices, counterclockwise, nt = 2 n^2.
     boundary_vertex : (nv,) bool array
         True for vertices with a coordinate in {0, 1}.
-    edges : (ne, 2) int array
-        Unique edges as sorted vertex pairs, ne = 3 n^2 + 2 n,
-        lexicographically ordered.
-    triangle_edges : (nt, 3) int array
-        Edge index of the local edges (0,1), (1,2), (2,0) of each triangle.
-    edge_triangle_count : (ne,) int array
-        Number of triangles sharing each edge (1 on the boundary, else 2).
+
+    The arrays are read-only, so a space may share them.  Edges are
+    numbered by the P2 space (``femspace.build_space``), which alone
+    reads them.
     """
 
     n: int
     vertices: np.ndarray
     triangles: np.ndarray
     boundary_vertex: np.ndarray
-    edges: np.ndarray
-    triangle_edges: np.ndarray
-    edge_triangle_count: np.ndarray
 
     @property
     def num_vertices(self):
@@ -86,26 +80,9 @@ def build_grid(n):
     on_boundary = (ivx == 0) | (ivx == n) | (jvx == 0) | (jvx == n)
     boundary_vertex = on_boundary.ravel()
 
-    local = np.concatenate(
-        [triangles[:, [0, 1]], triangles[:, [1, 2]], triangles[:, [2, 0]]], axis=0
-    )
-    local_sorted = np.sort(local, axis=1)
-    # one int64 key per sorted pair; keys sort as the pairs do
-    nv = vertices.shape[0]
-    keys, inverse = np.unique(local_sorted[:, 0] * nv + local_sorted[:, 1], return_inverse=True)
-    edges = np.column_stack([keys // nv, keys % nv])
-    triangle_edges = inverse.reshape(3, -1).T.copy()
-    edge_triangle_count = np.bincount(inverse, minlength=edges.shape[0])
-
-    return Mesh(
-        n=n,
-        vertices=vertices,
-        triangles=triangles,
-        boundary_vertex=boundary_vertex,
-        edges=edges,
-        triangle_edges=triangle_edges,
-        edge_triangle_count=edge_triangle_count,
-    )
+    for array in (vertices, triangles, boundary_vertex):
+        array.flags.writeable = False
+    return Mesh(n=n, vertices=vertices, triangles=triangles, boundary_vertex=boundary_vertex)
 
 
 def mesh_size(mesh):

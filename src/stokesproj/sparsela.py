@@ -11,12 +11,13 @@ schemes need:
   one per character of their Klein four-group (``SaddleOrbits``, from
   ``Discretization.saddle_orbits``), each ordered by a geometric nested
   dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
-  the rows of the orbit representatives, sliced from the scalar velocity
-  block, ``G``, ``G^T`` and ``S``, times its sparse basis V_chi, with
-  its ``-delta S`` entries set.  K_r lives only inside the call; each
-  block is built once, factorized and solved for V_chi^T rhs for each
-  delta, and dropped before the next, so one quarter-size block and one
-  factor are alive at a time;
+  the rows of the orbit representatives, sliced from the scalar
+  stiffness A (scaled by nu as they are sliced), ``G``, ``G^T`` and
+  ``S``, times its sparse basis V_chi, with its ``-delta S`` entries
+  set.  K_r lives only inside the call; each block is built once,
+  factorized and solved for V_chi^T rhs for each delta, and dropped
+  before the next, so one quarter-size block and one factor are alive
+  at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of SPD scalar matrices, in SuperLU's symmetric mode and minimum-degree
   ordering, reused across the many identical solves of a time loop;
@@ -174,7 +175,8 @@ class SaddleOrbits:
     in block k the vector with entries ``weight[k, i]`` (+1 or -1) on
     its unknowns i, and none if its stabilizer rules the character out
     (``weight`` is 0 there).  Scaled by 2 / n_a, these vectors are the
-    columns of the block's basis V_chi (``_symmetry_basis``).
+    columns of the block's basis V_chi (``_symmetry_basis``), which is
+    where the int8 weights become floats.
 
     orbit : (n,) orbit of every unknown; orbits are numbered in
         factorization order, so every block lists its orbits in
@@ -183,7 +185,7 @@ class SaddleOrbits:
         whose node lies in the fundamental triangle y <= x, x + y <= 1
         (the x-velocity where both components of a node are members)
     size : (n_orbits,) n_a
-    weight : (4, n) the entries of the symmetry-adapted vectors
+    weight : (4, n) int8, the entries of the symmetry-adapted vectors
     blocks : per character, the orbits of its block in factorization
         order
     """
@@ -211,17 +213,22 @@ def _symmetry_basis(orbits, k, order):
     return sparse.csr_matrix((values, col[kept], indptr), shape=(col.size, order.size))
 
 
-def _representative_rows(a_block, g, s, orbits):
+def _representative_rows(a, g, s, orbits, nu):
     """K_r, twice the rows of the orbit representatives of the unpinned
-    saddle matrix K = [[A (+) A, g], [g^T, s]], with the pressure block
-    ``s`` in place of ``-delta s``, in orbit order: gathered by
-    row-slicing A, g, g^T and s, so K itself is never formed."""
-    nf, nv = a_block.shape[0], g.shape[0]
+    saddle matrix K = [[nu A (+) nu A, g], [g^T, s]], with the pressure
+    block ``s`` in place of ``-delta s``, in orbit order: gathered by
+    row-slicing A, g, g^T and s, so K itself is never formed.  The rows
+    of A are scaled by ``nu`` as they are sliced, which gives the rows of
+    nu A bit for bit, so no scaled copy of A is made."""
+    nf, nv = a.shape[0], g.shape[0]
     field = np.searchsorted([nf, nv], orbits.rep, side="right")  # x, y, pressure
     rx, ry, rp = (orbits.rep[field == f] - f * nf for f in range(3))
+    ax, ay = a[rx], a[ry]
+    ax.data *= nu
+    ay.data *= nu
     gt = g[:, rp].T
-    k_r = sparse.bmat([[a_block[rx], None, g[rx]],
-                       [None, a_block[ry], g[nf + ry]],
+    k_r = sparse.bmat([[ax, None, g[rx]],
+                       [None, ay, g[nf + ry]],
                        [gt[:, :nf], gt[:, nf:], s[rp]]], format="csr")
     return 2.0 * k_r[np.argsort(np.argsort(field, kind="stable"))]
 
@@ -278,16 +285,16 @@ def _block_solve(matrix, pressure, f, scale, tol):
     return y, steps
 
 
-def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
+def saddle_solve(a, g, s, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
     """Solve, for every delta of ``deltas``, the symmetric indefinite
     block system
 
-        [ diag(A, A)      g     ] [x]   [rhs_v]
-        [    g^T      -delta*s  ] [z] = [  0  ]
+        [ diag(nu A, nu A)    g     ] [x]   [rhs_v]
+        [       g^T       -delta*s  ] [z] = [  0  ]
 
-    on the zero-mean pressure subspace, where the scalar velocity block
-    A = ``a_block`` (already viscosity-scaled, on free DOFs) acts on both
-    velocity components, one symmetry block at a time.  The matrix
+    on the zero-mean pressure subspace, where the scalar stiffness
+    A = ``a`` on the free DOFs, scaled by the viscosity ``nu``, acts on
+    both velocity components, one symmetry block at a time.  The matrix
     commutes with the signed permutations of the grid's symmetry group
     (``SaddleOrbits`` ``orbits``), so in the symmetry-adapted basis V it
     is block diagonal.  Each block is built once from the rows K_r of the
@@ -308,7 +315,8 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
     arithmetic the four block residuals bound the residual of the
     assembled solution.  The contract is checked on each assembled
     solution: its momentum and continuity residuals, recomputed from the
-    scalar blocks, must each have a norm of at most tol * ||rhs_v||.
+    scalar blocks (the momentum one as nu (A x_c) per component), must
+    each have a norm of at most tol * ||rhs_v||.
     That recomputation sums in another order than the blocks and carries
     its own round-off, which scales with the equations' terms and not
     with ||rhs_v||; where the continuity terms are large beside rhs_v
@@ -323,7 +331,7 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
     """
     if not all(delta > 0.0 for delta in deltas):
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
-    nv = 2 * a_block.shape[0]
+    nv = 2 * a.shape[0]
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
     if rhs_v.shape != (nv,):
@@ -333,7 +341,7 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
         sol = np.zeros((len(deltas), nv + npres))
         return sol[:, :nv], sol[:, nv:], SolveReport(0, (None,) * len(deltas))
 
-    k_r = _representative_rows(a_block, g, s, orbits)
+    k_r = _representative_rows(a, g, s, orbits, nu)
     rhs = np.concatenate([rhs_v, np.zeros(npres)])
     sol = np.zeros((len(deltas), nv + npres))
     trivial, *rest = orbits.blocks
@@ -359,7 +367,7 @@ def saddle_solve(a_block, g, s, orbits, deltas, rhs_v, *, mean_weights, tol):
 
     for i, delta in enumerate(deltas):
         x, z = sol[i, :nv], sol[i, nv:]
-        ax = np.concatenate([a_block @ xc for xc in x.reshape(2, -1)])
+        ax = np.concatenate([nu * (a @ xc) for xc in x.reshape(2, -1)])
         r1 = rhs_v - (ax + g @ z)
         r2 = delta * (s @ z) - g.T @ x
         rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 import weakref
 
@@ -471,6 +472,37 @@ def test_steady_sweep_frees_each_saddle_system_before_the_exact_fields(monkeypat
     cli.run_steady_sweep(steady_csv(nvals="4 6", rhos="1 10"))
     assert len(made) == 2
     assert alive == [0] * 6
+
+
+# traced bytes alive when a P1 N=40 steady sweep first factors (measured
+# 1,617,559-1,618,090 B; 2,179,621-2,179,623 B with edge tables on the
+# mesh, copied P1 arrays, a scaled copy of A and float64 orbit weights)
+STEADY_P1_N40_FACTOR_BYTES = 1_618_000
+
+
+def test_steady_sweep_memory_at_its_first_factorization(monkeypatch):
+    # a deterministic guard on what a steady sweep holds while SuperLU
+    # factors, which heap placement does not move as it moves RSS: the
+    # traced bytes alive when a P1 N=40 sweep hands its first symmetry
+    # block to the factorization (the mesh, the space, the operators and
+    # loads, the orbit tables, K_r and the block) stay within 10 % of
+    # the measured value.  A sweep on N=4 warms the code paths first
+    cli.run_steady_sweep(steady_csv(nvals="4"))
+    traced = []
+    real = sparsela._splu
+
+    def spy(m, *args):
+        if not traced:
+            traced.append(tracemalloc.get_traced_memory()[0])
+        return real(m, *args)
+
+    monkeypatch.setattr(sparsela, "_splu", spy)
+    tracemalloc.start()
+    try:
+        cli.run_steady_sweep(steady_csv(nvals="40"))
+    finally:
+        tracemalloc.stop()
+    assert abs(traced[0] - STEADY_P1_N40_FACTOR_BYTES) <= 0.1 * STEADY_P1_N40_FACTOR_BYTES
 
 
 def test_rho_delta_h_consistency():

@@ -218,7 +218,7 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     unpinned = orbits.blocks[0] != orbits.orbit[g.shape[0]]
     assert np.count_nonzero(~unpinned) == 1
     # the blocks a steady solve of delta factors, built as it builds them
-    k_r = sparsela._representative_rows(a, g, s, orbits)
+    k_r = sparsela._representative_rows(disc.stiffness_free, g, s, orbits, 0.01)
     trivial, *rest = orbits.blocks
     restored = np.zeros_like(galerkin)
     for chi, order in enumerate((trivial[unpinned], *rest)):

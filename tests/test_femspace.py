@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dense_oracle
-from stokesproj import femspace, metrics
+from stokesproj import femspace, mesh, metrics
 from stokesproj.assembly import Discretization
 
 
@@ -146,6 +146,49 @@ def test_p2_boundary_midpoints(grid2):
     boundary = np.ones(space.num_dofs, dtype=bool)
     boundary[space.free_scalar] = False
     assert np.array_equal(boundary, geometric)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_p2_numbering_matches_row_unique_of_the_vertex_pairs(n):
+    # the P2 nodes are the vertices in mesh order, then the midpoints of
+    # the 3n^2 + 2n edges in lexicographic order of their sorted vertex
+    # pairs (reference: the row-unique of the triangles' local edges
+    # (0,1), (1,2), (2,0)); every edge bounds one or two triangles, and
+    # the 4n midpoints of the edges of one triangle are the boundary ones
+    m = mesh.build_grid(n)
+    space = femspace.build_space(m, 2)
+    local = np.concatenate(
+        [m.triangles[:, [0, 1]], m.triangles[:, [1, 2]], m.triangles[:, [2, 0]]], axis=0
+    )
+    edges, inverse = np.unique(np.sort(local, axis=1), axis=0, return_inverse=True)
+    inverse, nv = inverse.ravel(), m.num_vertices
+    assert len(edges) == 3 * n * n + 2 * n and space.num_dofs == nv + len(edges)
+    assert np.array_equal(space.node_coords[:nv], m.vertices)
+    midpoints = 0.5 * (m.vertices[edges[:, 0]] + m.vertices[edges[:, 1]])
+    assert np.array_equal(space.node_coords[nv:], midpoints)
+    element_dofs = np.hstack([m.triangles, nv + inverse.reshape(3, -1).T])
+    assert np.array_equal(space.element_dofs, element_dofs)
+    assert space.element_dofs.dtype == element_dofs.dtype
+    triangles_of_edge = np.bincount(inverse, minlength=len(edges))
+    assert set(np.unique(triangles_of_edge)) <= {1, 2}
+    boundary = np.ones(space.num_dofs, dtype=bool)
+    boundary[space.free_scalar] = False
+    assert np.array_equal(boundary[nv:], triangles_of_edge == 1)
+    assert np.count_nonzero(boundary[nv:]) == 4 * n
+    again = femspace.build_space(mesh.build_grid(n), 2)
+    assert np.array_equal(again.element_dofs, space.element_dofs)
+
+
+def test_p1_space_shares_the_read_only_mesh_arrays():
+    # a P1 space holds the mesh's arrays, not copies; the mesh is
+    # immutable, so writing to one of its arrays raises
+    m = mesh.build_grid(3)
+    space = femspace.build_space(m, 1)
+    assert np.shares_memory(space.element_dofs, m.triangles)
+    assert np.shares_memory(space.node_coords, m.vertices)
+    for array in (m.vertices, m.triangles, m.boundary_vertex):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[1]
 
 
 def test_restrict_extend_roundtrip(grid4):

@@ -55,14 +55,10 @@ def test_grid_invariants(n):
     m = mesh.build_grid(n)
     assert m.num_vertices == (n + 1) ** 2
     assert len(m.triangles) == 2 * n * n
-    assert len(m.edges) == 3 * n * n + 2 * n
     areas = triangle_areas(m)
     assert np.all(areas > 0)
     assert np.allclose(areas, 1.0 / (2 * n * n), rtol=1e-13)
     assert abs(areas.sum() - 1.0) <= 1e-14
-    # every edge bounds one (boundary) or two (interior) triangles
-    assert set(np.unique(m.edge_triangle_count)) <= {1, 2}
-    assert (m.edge_triangle_count == 1).sum() == 4 * n
     # boundary flags exactly for vertices with a coordinate in {0, 1}
     x, y = m.vertices[:, 0], m.vertices[:, 1]
     on = (x == 0) | (x == 1) | (y == 0) | (y == 1)
@@ -86,7 +82,6 @@ def test_swne_diagonal_direction():
 def test_connectivity_deterministic():
     a, b = mesh.build_grid(7), mesh.build_grid(7)
     assert np.array_equal(a.triangles, b.triangles)
-    assert np.array_equal(a.edges, b.edges)
     assert np.array_equal(a.vertices, b.vertices)
 
 
@@ -96,16 +91,3 @@ def test_vertex_ordering_row_major():
     assert np.allclose(m.vertices[1], [0.5, 0.0])
     assert np.allclose(m.vertices[3], [0.0, 0.5])
 
-
-@pytest.mark.parametrize("n", range(1, 9))
-def test_edges_match_row_unique_of_the_vertex_pairs(n):
-    # reference: the lexicographic row-unique of the sorted local edges
-    m = mesh.build_grid(n)
-    local = np.concatenate(
-        [m.triangles[:, [0, 1]], m.triangles[:, [1, 2]], m.triangles[:, [2, 0]]], axis=0
-    )
-    edges, inverse = np.unique(np.sort(local, axis=1), axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    assert np.array_equal(m.edges, edges) and m.edges.dtype == edges.dtype
-    assert np.array_equal(m.triangle_edges, inverse.reshape(3, -1).T)
-    assert np.array_equal(m.edge_triangle_count, np.bincount(inverse, minlength=len(edges)))

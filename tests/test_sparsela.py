@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import gc
 import tracemalloc
@@ -88,8 +89,9 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 
 
 def saddle_data(disc, nu=0.01):
-    """The steady saddle data of ``nu`` on ``disc`` as ``steady.solve``
-    hands it to ``sparsela.saddle_solve``: (a_block, g, s, orbits)."""
+    """The steady saddle data of ``nu`` on ``disc``, with the velocity
+    block scaled: (nu A, g, s, orbits), which ``sparsela.saddle_solve``
+    takes with ``nu=1.0``, as the dense references take it."""
     return nu * disc.stiffness_free, disc.G, disc.stiffness, disc.saddle_orbits
 
 
@@ -101,7 +103,7 @@ def fresh_system(grid, degree=1, nu=0.01):
 
 def solve_one(data, delta, rhs, w, tol=1e-10):
     """``saddle_solve`` of ``data`` for the one ``delta``: (x, z, report)."""
-    x, z, report = sparsela.saddle_solve(*data, [delta], rhs, mean_weights=w, tol=tol)
+    x, z, report = sparsela.saddle_solve(*data, [delta], rhs, nu=1.0, mean_weights=w, tol=tol)
     return x[0], z[0], report
 
 
@@ -118,7 +120,7 @@ def test_saddle_zero_rhs(grid4):
     disc, data = fresh_system(grid4)
     nv, npres = data[1].shape
     x, z, report = sparsela.saddle_solve(
-        *data, [1e-3, 1e-2], np.zeros(nv), mean_weights=disc.mean_weights, tol=1e-10,
+        *data, [1e-3, 1e-2], np.zeros(nv), nu=1.0, mean_weights=disc.mean_weights, tol=1e-10,
     )
     assert np.array_equal(x, np.zeros((2, nv)))
     assert np.array_equal(z, np.zeros((2, npres)))
@@ -144,7 +146,7 @@ def test_saddle_rejects_nonpositive_delta(grid4):
     disc, data = fresh_system(grid4, nu=1.0)
     with pytest.raises(ValueError):
         sparsela.saddle_solve(*data, [1e-3, 0.0], np.ones(data[1].shape[0]),
-                              mean_weights=disc.mean_weights, tol=1e-10)
+                              nu=1.0, mean_weights=disc.mean_weights, tol=1e-10)
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -342,11 +344,11 @@ def test_one_solve_builds_each_block_once_for_every_delta(case, monkeypatch, deg
     data, _, rhs, w = steady_system(case, n, degree)
     deltas = [steady.choose_delta(1.0 / n, 0.01, rho) for rho in (1.0, 1000.0, 10.0)]
     singles = [solve_one(data, delta, rhs, w) for delta in deltas]
-    fresh = sparsela._representative_rows(*data).tocsc()
+    fresh = sparsela._representative_rows(*data, 1.0).tocsc()
     gathered = spy_on(monkeypatch, "_representative_rows")
     built = spy_on(monkeypatch, "_symmetry_block")
     seen = spy_on_factor_input(monkeypatch, lambda m: m.copy())
-    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, mean_weights=w, tol=1e-10)
+    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, nu=1.0, mean_weights=w, tol=1e-10)
     (k_r,) = gathered
     assert len(built) == 4 and len(seen) == 12
     # the blocks outside, the delta inside
@@ -411,14 +413,15 @@ def matrix_bytes(m):
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
-    # blocks, and no other block, while SuperLU factors a block.  Traced
-    # over one steady solve, what is alive beyond the representatives'
-    # rows K_r, the scaled block nu*A and the block being factored is at
+    # blocks, no other block and no scaled copy of A, while SuperLU
+    # factors a block.  Traced over one steady solve, what is alive beyond
+    # the representatives' rows K_r and the block being factored is at
     # most nine float vectors of the saddle unknowns' length for one
-    # delta (6.4-7.7 measured), and one more, the second solution, for two
-    # delta (7.4-8.8 measured); keeping the bases of all four blocks
-    # through the block loop adds about six.  A solve on a small grid
-    # warms the code paths first
+    # delta (6.9-7.6 measured), and one more, the second solution, for two
+    # delta (7.9-8.6 measured); keeping the bases of all four blocks
+    # through the block loop adds about six, and a scaled copy of A
+    # about three to five.  A solve on a small grid warms the code paths
+    # first
     small = assembly.Discretization(mesh.build_grid(4), degree)
     steady.solve(small, 0.01, [1e-3], small.free_load(case.steady_forcing), tol=1e-10)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
@@ -438,9 +441,26 @@ def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree
             steady.solve(disc, 0.01, deltas[:count], rhs, tol=1e-10)
         finally:
             tracemalloc.stop()
-        kept = matrix_bytes(gathered[-1]) + matrix_bytes(disc.stiffness_free)
+        kept = matrix_bytes(gathered[-1])
         assert len(seen) == 4 * count
         assert max(seen) <= kept + bound * vector
+
+
+@pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
+def test_int8_orbit_weights_give_the_float_basis(degree, n):
+    # the orbit weights are int8 entries of {-1, 0, 1}, and every block's
+    # basis is bit for bit the one that their float64 form gives
+    orbits = assembly.Discretization(mesh.build_grid(n), degree).saddle_orbits
+    assert orbits.weight.dtype == np.int8
+    assert set(np.unique(orbits.weight).tolist()) <= {-1, 0, 1}
+    as_float = dataclasses.replace(orbits, weight=orbits.weight.astype(np.float64))
+    for k, order in enumerate(orbits.blocks):
+        basis = sparsela._symmetry_basis(orbits, k, order)
+        reference = sparsela._symmetry_basis(as_float, k, order)
+        assert basis.dtype == reference.dtype == np.float64
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(basis, attr), getattr(reference, attr)), attr
+        assert np.array_equal(np.signbit(basis.data), np.signbit(reference.data))
 
 
 class TrackedFactor:
@@ -475,7 +495,7 @@ def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
 
     monkeypatch.setattr(sparsela.spla, "splu", spy)
     monkeypatch.setattr(sparsela, "_symmetry_block", block)
-    sparsela.saddle_solve(*data, [delta, 10 * delta], rhs, mean_weights=w, tol=1e-10)
+    sparsela.saddle_solve(*data, [delta, 10 * delta], rhs, nu=1.0, mean_weights=w, tol=1e-10)
     assert len(factors) == 8 and len(blocks) == 8
     assert all(ref() is None for ref in factors + blocks)
 
@@ -584,7 +604,7 @@ def test_a_failed_delta_ends_alone(case, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sparsela, "_block_solve", block_solve)
-    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, mean_weights=w, tol=1e-10)
+    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, nu=1.0, mean_weights=w, tol=1e-10)
     assert len(calls) == 3 + 3 * 2
     # the error itself, without the traceback that holds the solve's frame
     assert report.failures == (None, planted, None) and planted.__traceback__ is None
