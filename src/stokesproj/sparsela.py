@@ -11,13 +11,14 @@ schemes need:
   one per character of their Klein four-group (``SaddleOrbits``, from
   ``Discretization.saddle_orbits``), each ordered by a geometric nested
   dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
-  the rows of the orbit representatives, sliced from the scalar
-  stiffness A (scaled by nu as they are sliced), ``G``, ``G^T`` and
+  K_r the rows of its own orbits' representatives, sliced from the
+  scalar stiffness ``S`` (its free rows and columns, scaled by nu as
+  they are sliced, for the velocity stiffness A), ``G``, ``G^T`` and
   ``S``, times its sparse basis V_chi, with its ``-delta S`` entries
-  set.  K_r lives only inside the call; each block is built once,
-  factorized and solved for V_chi^T rhs for each delta, and dropped
-  before the next, so one quarter-size block and one factor are alive
-  at a time;
+  set.  K_r is dropped as soon as the block is built; each block is
+  built once, factorized and solved for V_chi^T rhs for each delta,
+  and dropped before the next, so one quarter-size block and one
+  factor are alive at a time;
 - ``FactorizedSpd`` / ``PinnedSingularSolver``: cached LU factorizations
   of SPD scalar matrices, in SuperLU's symmetric mode and minimum-degree
   ordering, reused across the many identical solves of a time loop;
@@ -213,41 +214,40 @@ def _symmetry_basis(orbits, k, order):
     return sparse.csr_matrix((values, col[kept], indptr), shape=(col.size, order.size))
 
 
-def _representative_rows(a, g, s, orbits, nu):
-    """K_r, twice the rows of the orbit representatives of the unpinned
-    saddle matrix K = [[nu A (+) nu A, g], [g^T, s]], with the pressure
-    block ``s`` in place of ``-delta s``, in orbit order: gathered by
-    row-slicing A, g, g^T and s, so K itself is never formed.  The rows
-    of A are scaled by ``nu`` as they are sliced, which gives the rows of
-    nu A bit for bit, so no scaled copy of A is made."""
-    nf, nv = a.shape[0], g.shape[0]
-    field = np.searchsorted([nf, nv], orbits.rep, side="right")  # x, y, pressure
-    rx, ry, rp = (orbits.rep[field == f] - f * nf for f in range(3))
-    ax, ay = a[rx], a[ry]
+def _representative_rows(s, free, g, orbits, order, nu):
+    """Twice the rows of the representatives of the orbits ``order``, in
+    that order, of the unpinned saddle matrix K = [[nu A (+) nu A, g],
+    [g^T, s]], with ``s`` in place of ``-delta s`` and A the block of s on
+    the ``free`` DOFs: row-sliced from s, g and g^T, the rows of A scaled
+    by ``nu`` as they are sliced (bit for bit the rows of nu A), so that
+    neither K nor A nor a scaled copy of A is formed."""
+    nf, nv = free.size, g.shape[0]
+    rep = orbits.rep[order]
+    field = np.searchsorted([nf, nv], rep, side="right")  # x, y, pressure
+    rx, ry, rp = (rep[field == f] - f * nf for f in range(3))
+    ax, ay = (s[free[r]][:, free] for r in (rx, ry))
     ax.data *= nu
     ay.data *= nu
     gt = g[:, rp].T
-    k_r = sparse.bmat([[ax, None, g[rx]],
-                       [None, ay, g[nf + ry]],
-                       [gt[:, :nf], gt[:, nf:], s[rp]]], format="csr")
-    return 2.0 * k_r[np.argsort(np.argsort(field, kind="stable"))]
+    rows = sparse.bmat([[ax, None, g[rx]],
+                        [None, ay, g[nf + ry]],
+                        [gt[:, :nf], gt[:, nf:], s[rp]]], format="csr")
+    return 2.0 * rows[np.argsort(np.argsort(field, kind="stable"))]
 
 
-def _symmetry_block(k_r, orbits, k, order, nv):
-    """Block ``k`` on its orbits ``order``, built from the representatives'
-    rows ``k_r``: (matrix, basis, pressure, slots), where ``basis`` is its
-    V_chi (``_symmetry_basis``), ``matrix`` the sorted CSC of
-
-        K_chi = 2 K_r[order] V_chi
-
-    with S in its pressure-pressure entries, ``pressure`` marks its
-    pressure unknowns (those from ``nv`` on) and ``slots`` the entries of
-    ``matrix.data`` whose row and column are both pressures, which a
-    solve sets to -delta S.  This is V_chi^T K V_chi: K commutes with the
-    group, so K V_chi = V_chi C for some C, and both are diag(4 / n_a) C."""
+def _symmetry_block(s, free, g, orbits, k, order, nu):
+    """Block ``k`` on its orbits ``order``: (matrix, basis, pressure,
+    slots), where ``basis`` is its V_chi (``_symmetry_basis``),
+    ``matrix`` the sorted CSC of K_chi = 2 K_r V_chi, with K_r its own
+    orbits' rows (``_representative_rows``, dropped on return) and S in
+    its pressure-pressure entries, ``pressure`` marks its pressure
+    unknowns and ``slots`` the entries of ``matrix.data`` whose row and
+    column are both pressures, which a solve sets to -delta S.  This is
+    V_chi^T K V_chi: K commutes with the group, so K V_chi = V_chi C for
+    some C, and both are diag(4 / n_a) C."""
     basis = _symmetry_basis(orbits, k, order)
-    matrix = sparse.csc_matrix(k_r[order] @ basis)
-    pressure = orbits.rep[order] >= nv
+    matrix = sparse.csc_matrix(_representative_rows(s, free, g, orbits, order, nu) @ basis)
+    pressure = orbits.rep[order] >= g.shape[0]
     slots = pressure[matrix.indices] & np.repeat(pressure, np.diff(matrix.indptr))
     return matrix, basis, pressure, slots
 
@@ -285,38 +285,40 @@ def _block_solve(matrix, pressure, f, scale, tol):
     return y, steps
 
 
-def saddle_solve(a, g, s, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
+def saddle_solve(s, free, g, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
     """Solve, for every delta of ``deltas``, the symmetric indefinite
     block system
 
         [ diag(nu A, nu A)    g     ] [x]   [rhs_v]
         [       g^T       -delta*s  ] [z] = [  0  ]
 
-    on the zero-mean pressure subspace, where the scalar stiffness
-    A = ``a`` on the free DOFs, scaled by the viscosity ``nu``, acts on
-    both velocity components, one symmetry block at a time.  The matrix
-    commutes with the signed permutations of the grid's symmetry group
-    (``SaddleOrbits`` ``orbits``), so in the symmetry-adapted basis V it
-    is block diagonal.  Each block is built once from the rows K_r of the
-    orbit representatives (``_symmetry_block``); for each delta its
-    ``-delta S`` entries are set, it is factorized and solved for
-    V_chi^T rhs (``_block_solve``), and V_chi y_chi is added to that
-    delta's solution.  SuperLU copies its input, so one block serves
-    every delta, and it is dropped with its basis before the next is
-    built.  The pin drops the pressure orbit of DOF 0 from the trivial
-    block: the constants, the nullspace of the saddle matrix, lie in
-    that block and have a nonzero entry on that orbit, so every pinned
-    block is symmetric quasi-definite, and its symmetric ordering is
-    stable without pivoting.  Each pressure is afterwards projected to
-    zero weighted mean (``mean_weights``).
+    on the zero-mean pressure subspace, where A, the block of the scalar
+    stiffness ``s`` on the ``free`` DOFs, scaled by the viscosity ``nu``,
+    acts on both velocity components, one symmetry block at a time.  The
+    matrix commutes with the signed permutations of the grid's symmetry
+    group (``SaddleOrbits`` ``orbits``), so in the symmetry-adapted basis
+    V it is block diagonal.  Each block is built once from the rows K_r
+    of its own orbits' representatives (``_symmetry_block``), which are
+    dropped before it is factorized; for each delta its ``-delta S``
+    entries are set, it is factorized and solved for V_chi^T rhs
+    (``_block_solve``), and V_chi y_chi is added to that delta's
+    solution.  SuperLU copies its input, so one block serves every
+    delta, and it is dropped with its basis before the next is built.
+    The pin drops the pressure orbit of DOF 0 from the trivial block: the
+    constants, the nullspace of the saddle matrix, lie in that block and
+    have a nonzero entry on that orbit, so every pinned block is
+    symmetric quasi-definite, and its symmetric ordering is stable
+    without pivoting.  Each pressure is afterwards projected to zero
+    weighted mean (``mean_weights``).
 
     Each block is refined against itself to half of ``tol``: the basis
     vectors are orthogonal with squared norms 1, 2 or 4, so in exact
     arithmetic the four block residuals bound the residual of the
     assembled solution.  The contract is checked on each assembled
     solution: its momentum and continuity residuals, recomputed from the
-    scalar blocks (the momentum one as nu (A x_c) per component), must
-    each have a norm of at most tol * ||rhs_v||.
+    scalar blocks (the momentum one per component as nu (s x~) on the
+    free DOFs, x~ the component extended by zeros, which is nu (A x_c)
+    bit for bit), must each have a norm of at most tol * ||rhs_v||.
     That recomputation sums in another order than the blocks and carries
     its own round-off, which scales with the equations' terms and not
     with ||rhs_v||; where the continuity terms are large beside rhs_v
@@ -331,27 +333,24 @@ def saddle_solve(a, g, s, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
     """
     if not all(delta > 0.0 for delta in deltas):
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
-    nv = 2 * a.shape[0]
+    nv = 2 * free.size
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
     if rhs_v.shape != (nv,):
         raise ValueError(f"rhs has shape {rhs_v.shape}, expected ({nv},)")
     scale = np.linalg.norm(rhs_v)
+    sol = np.zeros((len(deltas), nv + npres))
     if scale == 0.0:
-        sol = np.zeros((len(deltas), nv + npres))
         return sol[:, :nv], sol[:, nv:], SolveReport(0, (None,) * len(deltas))
 
-    k_r = _representative_rows(a, g, s, orbits, nu)
-    rhs = np.concatenate([rhs_v, np.zeros(npres)])
-    sol = np.zeros((len(deltas), nv + npres))
     trivial, *rest = orbits.blocks
     failures = [None] * len(deltas)
     refinements = 0
     for k, order in enumerate((trivial[trivial != orbits.orbit[nv]], *rest)):
         if order.size == 0:
             continue
-        matrix, basis, pressure, slots = _symmetry_block(k_r, orbits, k, order, nv)
-        s_values, f = matrix.data[slots], basis.T @ rhs
+        matrix, basis, pressure, slots = _symmetry_block(s, free, g, orbits, k, order, nu)
+        s_values, f = matrix.data[slots], basis[:nv].T @ rhs_v
         for i, delta in enumerate(deltas):
             if failures[i] is not None:
                 continue
@@ -365,10 +364,11 @@ def saddle_solve(a, g, s, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
             sol[i] += basis @ y
         del matrix, basis  # before the next block is built
 
+    extended = np.zeros((2, npres))  # the velocity, zero at the Dirichlet DOFs
     for i, delta in enumerate(deltas):
         x, z = sol[i, :nv], sol[i, nv:]
-        ax = np.concatenate([nu * (a @ xc) for xc in x.reshape(2, -1)])
-        r1 = rhs_v - (ax + g @ z)
+        extended[:, free] = x.reshape(2, -1)
+        r1 = rhs_v - (np.concatenate([nu * (s @ xc)[free] for xc in extended]) + g @ z)
         r2 = delta * (s @ z) - g.T @ x
         rel = max(np.linalg.norm(r1), np.linalg.norm(r2)) / scale
         if failures[i] is None and not rel <= tol:

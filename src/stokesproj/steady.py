@@ -8,11 +8,12 @@ Find (s_h, z_h) in V_h x Q_h with
 which is well posed for equal-order pairs whenever delta > 0.  The
 discrete system is the symmetric indefinite block form solved by
 ``sparsela.saddle_solve``; the returned pressure has zero discrete mean.
-``solve`` takes every delta of a mesh at once: the scalar stiffness A
-on the free DOFs and nu act on both components, so neither a vector
-nor a scaled copy of A is built, and each pinned symmetry block is
-built once for all delta inside that one call, which is the only place
-the saddle data lives; ``solve`` assembles no operator.
+``solve`` takes every delta of a mesh at once: the velocity stiffness
+A, the free rows and columns of the scalar stiffness S, acts with nu on
+both components, so no vector, free or scaled copy of A is built, and
+each pinned symmetry block is built once for all delta inside that one
+call, the only place the saddle data lives; ``solve`` assembles no
+operator.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -44,7 +45,7 @@ def solve(disc, nu, deltas, rhs_v, tol):
     """
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
-    x, z, report = sparsela.saddle_solve(disc.stiffness_free, disc.G, disc.stiffness,
+    x, z, report = sparsela.saddle_solve(disc.stiffness, disc.space.free_scalar, disc.G,
                                          disc.saddle_orbits, deltas, rhs_v, nu=nu,
                                          mean_weights=disc.mean_weights, tol=tol)
     return [failure or (disc.space.extend(velocity.reshape(2, -1)), pressure)

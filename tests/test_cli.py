@@ -450,10 +450,10 @@ def test_steady_sweep_rate_rows():
 
 
 def test_steady_sweep_frees_each_saddle_system_before_the_exact_fields(monkeypatch):
-    # one steady solve per mesh gathers the representatives' rows K_r once
-    # for all its rho, and none are alive when a field is evaluated at the
-    # quadrature points: the forcing load before the mesh's solve, the two
-    # exact fields after it
+    # one steady solve per mesh gathers the rows K_r of each block's
+    # representatives once for all its rho, and none are alive when a
+    # field is evaluated at the quadrature points: the forcing load before
+    # the mesh's solve, the two exact fields after it
     made, alive = [], []
     real_rows = sparsela._representative_rows
     real_at_points = assembly.Discretization.at_quadrature_points
@@ -470,14 +470,39 @@ def test_steady_sweep_frees_each_saddle_system_before_the_exact_fields(monkeypat
     monkeypatch.setattr(sparsela, "_representative_rows", rows)
     monkeypatch.setattr(assembly.Discretization, "at_quadrature_points", at_points)
     cli.run_steady_sweep(steady_csv(nvals="4 6", rhos="1 10"))
-    assert len(made) == 2
+    assert len(made) == 4 * 2
     assert alive == [0] * 6
 
 
+def test_steady_sweep_factors_with_no_gathered_rows_alive(monkeypatch):
+    # each block's rows K_r are dropped once its block is built, before it
+    # is factored for any rho, so no gathered rows are alive at any
+    # factorization
+    made, alive = [], []
+    real_rows, real_splu = sparsela._representative_rows, sparsela._splu
+
+    def rows(*args):
+        k_r = real_rows(*args)
+        made.append(weakref.ref(k_r))
+        return k_r
+
+    def splu(m, *args):
+        alive.append(sum(ref() is not None for ref in made))
+        return real_splu(m, *args)
+
+    monkeypatch.setattr(sparsela, "_representative_rows", rows)
+    monkeypatch.setattr(sparsela, "_splu", splu)
+    cli.run_steady_sweep(steady_csv(nvals="4 6", rhos="1 10"))
+    assert alive == [0] * (4 * 2 * 2)
+    assert len(made) == 4 * 2
+
+
 # traced bytes alive when a P1 N=40 steady sweep first factors (measured
-# 1,617,559-1,618,090 B; 2,179,621-2,179,623 B with edge tables on the
-# mesh, copied P1 arrays, a scaled copy of A and float64 orbit weights)
-STEADY_P1_N40_FACTOR_BYTES = 1_618_000
+# 1,213,547-1,214,206 B; 1,596,631-1,618,090 B with a free copy of the
+# stiffness and the rows K_r of all four blocks alive, and 2,179,621 B
+# also with edge tables on the mesh, copied P1 arrays, a scaled copy of
+# A and float64 orbit weights)
+STEADY_P1_N40_FACTOR_BYTES = 1_214_000
 
 
 def test_steady_sweep_memory_at_its_first_factorization(monkeypatch):
@@ -485,8 +510,9 @@ def test_steady_sweep_memory_at_its_first_factorization(monkeypatch):
     # factors, which heap placement does not move as it moves RSS: the
     # traced bytes alive when a P1 N=40 sweep hands its first symmetry
     # block to the factorization (the mesh, the space, the operators and
-    # loads, the orbit tables, K_r and the block) stay within 10 % of
-    # the measured value.  A sweep on N=4 warms the code paths first
+    # loads, the orbit tables, the block and its basis; no free copy of
+    # the stiffness and no gathered rows) stay within 10 % of the
+    # measured value.  A sweep on N=4 warms the code paths first
     cli.run_steady_sweep(steady_csv(nvals="4"))
     traced = []
     real = sparsela._splu

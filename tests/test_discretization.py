@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sparse
 
+import checks
 import dense_oracle
 from stokesproj import assembly, cli, femspace, mesh, metrics, mms, sparsela
 from stokesproj.assembly import Discretization, componentwise
@@ -65,7 +66,7 @@ def test_operators_bit_identical_to_direct_assembly(degree):
     stiffness = np.einsum("q,tqia,tqja,t->tij", w, grads, grads, det)
     assert_same_csr(disc.mass, entrywise_reference(dofs, mass, every))
     assert_same_csr(disc.stiffness, entrywise_reference(dofs, stiffness, every))
-    assert_same_csr(disc.stiffness_free, entrywise_reference(dofs, stiffness, fs)[:, fs])
+    assert_same_csr(checks.free_stiffness(disc), entrywise_reference(dofs, stiffness, fs)[:, fs])
     g_blocks = [entrywise_reference(dofs, np.einsum("q,tqm,qi,t->tim", w, grads[..., axis],
                                                     vals, det), fs) for axis in range(2)]
     assert_same_csr(disc.G, sparse.vstack(g_blocks, format="csr"))
@@ -76,14 +77,18 @@ def test_operators_bit_identical_to_direct_assembly(degree):
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
 def test_cached_operators_have_int32_indices(grid4, degree):
-    # 4-byte indices, like the saddle matrix built from these blocks; the
-    # viscosity-scaled copy that the steady solve makes keeps them
+    # 4-byte indices, like the saddle matrix built from these blocks, and
+    # like the momentum matrix and the viscosity-scaled rows of the free
+    # stiffness that the steady solve gathers
     disc = Discretization(grid4, degree)
-    for name in ("mass", "stiffness", "mass_free", "stiffness_free", "G", "GT"):
+    for name in ("mass", "stiffness", "mass_free", "G", "GT"):
         m = getattr(disc, name)
         assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32), name
-    scaled = 0.01 * disc.stiffness_free
-    assert (scaled.indices.dtype, scaled.indptr.dtype) == (np.int32, np.int32)
+    orbits = disc.saddle_orbits
+    rows = sparsela._representative_rows(disc.stiffness, disc.space.free_scalar, disc.G,
+                                         orbits, orbits.blocks[0], 0.01)
+    for m in (disc.momentum(0.1, 0.01), rows):
+        assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32)
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -188,7 +193,7 @@ def test_operators_commute_with_grid_symmetries(degree, n):
     # power-of-two grids); at odd N no node sits at the centre, and at N = 1
     # the velocity blocks are empty
     disc = Discretization(mesh.build_grid(n), degree)
-    a = dense_oracle.vector_matrix(0.01 * disc.stiffness_free)
+    a = dense_oracle.vector_matrix(0.01 * checks.free_stiffness(disc))
     for pv, pp in grid_symmetries(disc):
         for matrix, left, right in ((a, pv, pv), (disc.G, pv, pp), (disc.stiffness, pp, pp)):
             dense = matrix.toarray()
@@ -205,7 +210,8 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     # (the trivial one less the pinned orbit), and with that orbit's row
     # and column restored they give back K = V D^-1 B D^-1 V^T, D = V^T V
     disc = Discretization(mesh.build_grid(n), degree)
-    a, g, s, orbits = 0.01 * disc.stiffness_free, disc.G, disc.stiffness, disc.saddle_orbits
+    a, g, s = 0.01 * checks.free_stiffness(disc), disc.G, disc.stiffness
+    orbits = disc.saddle_orbits
     delta = 1.0 / (n * n)
     k = dense_oracle.saddle_matrix(a, g, s, -delta * s).toarray()
     v = np.hstack([dense_oracle.symmetry_basis(orbits, chi, order).toarray()
@@ -218,11 +224,11 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     unpinned = orbits.blocks[0] != orbits.orbit[g.shape[0]]
     assert np.count_nonzero(~unpinned) == 1
     # the blocks a steady solve of delta factors, built as it builds them
-    k_r = sparsela._representative_rows(disc.stiffness_free, g, s, orbits, 0.01)
+    free = disc.space.free_scalar
     trivial, *rest = orbits.blocks
     restored = np.zeros_like(galerkin)
     for chi, order in enumerate((trivial[unpinned], *rest)):
-        matrix, _, _, slots = sparsela._symmetry_block(k_r, orbits, chi, order, g.shape[0])
+        matrix, _, _, slots = sparsela._symmetry_block(s, free, g, orbits, chi, order, 0.01)
         matrix.data[slots] *= -delta
         inside = label == chi
         block = galerkin[np.ix_(inside, inside)]
@@ -316,9 +322,8 @@ def test_probe_builds_initial_state_and_operators_once(counts):
     cli.run_stability_probe(probe_config("0.5 1 4"))
     assert counts["build_space"] == 1
     assert counts["saddle_solve"] == 1
-    # the saddle rows gathered once and each symmetry block built once
-    assert counts["_representative_rows"] == 1
-    assert counts["_symmetry_block"] == 4
+    # each symmetry block built once, from its own gathered rows
+    assert counts["_representative_rows"] == counts["_symmetry_block"] == 4
     # two forcing terms and the mean weights; the steady initial data is
     # the steady forcing, whose load is the first forcing load
     assert counts["assemble_load"] == 3
@@ -359,10 +364,10 @@ def test_steady_sweep_assembles_each_operator_once_per_mesh(counts, monkeypatch)
     assert counts["build_space"] == 2
     # one steady solve per mesh for all its rho
     assert counts["saddle_solve"] == 2
-    # one set of orbit tables and saddle rows per mesh, and the four
-    # symmetry blocks built from the rows once per mesh
-    assert counts["_saddle_orbits"] == counts["_representative_rows"] == 2
-    assert counts["_symmetry_block"] == 4 * 2
+    # one set of orbit tables per mesh, and the four symmetry blocks
+    # built once per mesh, each from its own gathered rows
+    assert counts["_saddle_orbits"] == 2
+    assert counts["_representative_rows"] == counts["_symmetry_block"] == 4 * 2
     assert all(counts[name] == 2 for name in OPERATORS), counts
     assert counts["_operator_rule"] == counts["_element_pattern"] == 2
     assert counts["_geometry"] == counts["basis"] == 4

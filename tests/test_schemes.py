@@ -139,9 +139,9 @@ def test_stabilized_stokes_init_zero_case(grid4):
 
 
 def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monkeypatch):
-    # no time step solves the steady system, so its representatives' rows
-    # K_r and its blocks are freed when the initial state is made, not
-    # held through the run
+    # no time step solves the steady system, so the representatives' rows
+    # K_r of each block, and the blocks, are freed when the initial state
+    # is made, not held through the run
     made = []
     real = sparsela._representative_rows
 
@@ -153,7 +153,7 @@ def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monke
     monkeypatch.setattr(sparsela, "_representative_rows", spy)
     disc = Discretization(grid4, 1)  # held, as a time run holds it
     schemes.initialize(make_params(init="stabilized_stokes"), case, disc)
-    assert len(made) == 1 and made[0]() is None
+    assert len(made) == 4 and all(ref() is None for ref in made)
 
 
 @pytest.mark.parametrize("degree", [1, 2], ids=["P1", "P2"])
@@ -186,7 +186,8 @@ def test_each_run_factors_its_own_momentum_matrix(case, monkeypatch, degree):
     assert alive == [[], [False]]
     assert len(factored) == 2
     for params, (data, indices, indptr) in zip(runs, factored):
-        reference = sparse.csc_matrix(disc.mass_free / params.dt + params.nu * disc.stiffness_free)
+        reference = sparse.csc_matrix(disc.mass_free / params.dt
+                                      + params.nu * checks.free_stiffness(disc))
         assert np.array_equal(data, reference.data)
         assert np.array_equal(indices, reference.indices)
         assert np.array_equal(indptr, reference.indptr)
@@ -272,6 +273,7 @@ def test_noninc_energy_identity_and_inherent_stabilization():
     delta = steady.choose_delta(1.0 / n, nu, 10.0)
     v0 = random_velocity(disc.space, np.random.default_rng(22))
     zero = np.zeros_like(v0)
+    stiffness_free = checks.free_stiffness(disc)
 
     def norm2(matrix, x):
         return float(x @ componentwise(matrix, x))
@@ -287,7 +289,7 @@ def test_noninc_energy_identity_and_inherent_stabilization():
             new = schemes.step_noninc(state, params, disc, momentum, zero)
             v, w, q, p = state.velocity, new.velocity, state.pressure, new.pressure
             terms = [norm2(disc.mass_free, w), -norm2(disc.mass_free, v),
-                     norm2(disc.mass_free, w - v), 2 * dt * nu * norm2(disc.stiffness_free, w),
+                     norm2(disc.mass_free, w - v), 2 * dt * nu * norm2(stiffness_free, w),
                      dt * delta * norm2(disc.stiffness, p), dt * delta * norm2(disc.stiffness, q),
                      -dt * delta * norm2(disc.stiffness, p - q)]
             assert abs(sum(terms)) <= 1e-13 * sum(map(abs, terms)), ratio

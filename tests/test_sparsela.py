@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import gc
 import tracemalloc
+import typing
 import weakref
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
+import checks
 import dense_oracle
 from stokesproj import assembly, mesh, sparsela, steady
 from stokesproj.assembly import componentwise
@@ -88,40 +90,59 @@ def test_grid_neumann_solver_matches_pinned_factorization(n):
 # --- saddle solver -----------------------------------------------------------
 
 
-def saddle_data(disc, nu=0.01):
-    """The steady saddle data of ``nu`` on ``disc``, with the velocity
-    block scaled: (nu A, g, s, orbits), which ``sparsela.saddle_solve``
-    takes with ``nu=1.0``, as the dense references take it."""
-    return nu * disc.stiffness_free, disc.G, disc.stiffness, disc.saddle_orbits
+class Saddle(typing.NamedTuple):
+    """The steady saddle data of the viscosity ``nu`` on ``disc``."""
+
+    disc: assembly.Discretization
+    nu: float
+
+    @property
+    def args(self):
+        """What ``sparsela.saddle_solve`` takes before the deltas:
+        (S, free DOFs, G, orbits)."""
+        d = self.disc
+        return d.stiffness, d.space.free_scalar, d.G, d.saddle_orbits
+
+    @property
+    def blocks(self):
+        """(nu A, G, S, orbits), with nu A a matrix of its own, as the
+        dense references take the scalar blocks."""
+        d = self.disc
+        return self.nu * checks.free_stiffness(d), d.G, d.stiffness, d.saddle_orbits
 
 
 def fresh_system(grid, degree=1, nu=0.01):
     """A fresh Discretization and its steady saddle data of ``nu``."""
     disc = assembly.Discretization(grid, degree)
-    return disc, saddle_data(disc, nu)
+    return disc, Saddle(disc, nu)
 
 
-def solve_one(data, delta, rhs, w, tol=1e-10):
+def solve(data, deltas, rhs, tol=1e-10):
+    """``saddle_solve`` of ``data`` for ``deltas``: (x, z, report)."""
+    return sparsela.saddle_solve(*data.args, deltas, rhs, nu=data.nu,
+                                 mean_weights=data.disc.mean_weights, tol=tol)
+
+
+def solve_one(data, delta, rhs, tol=1e-10):
     """``saddle_solve`` of ``data`` for the one ``delta``: (x, z, report)."""
-    x, z, report = sparsela.saddle_solve(*data, [delta], rhs, nu=1.0, mean_weights=w, tol=tol)
+    x, z, report = solve(data, [delta], rhs, tol)
     return x[0], z[0], report
 
 
 def residual(data, delta, rhs, x, z):
     """The relative residual of the solution rows (x, z) of ``delta``,
-    formed from the scalar blocks as ``saddle_solve`` checks it."""
-    a, g, s, _ = data
-    r1 = componentwise(a, x) + g @ z - rhs
+    formed from the scalar blocks as ``saddle_solve`` checks it, bit for
+    bit."""
+    _, g, s, _ = data.blocks
+    r1 = data.nu * componentwise(checks.free_stiffness(data.disc), x) + g @ z - rhs
     r2 = g.T @ x - delta * (s @ z)
     return max(np.linalg.norm(r1), np.linalg.norm(r2)) / np.linalg.norm(rhs)
 
 
 def test_saddle_zero_rhs(grid4):
     disc, data = fresh_system(grid4)
-    nv, npres = data[1].shape
-    x, z, report = sparsela.saddle_solve(
-        *data, [1e-3, 1e-2], np.zeros(nv), nu=1.0, mean_weights=disc.mean_weights, tol=1e-10,
-    )
+    nv, npres = disc.G.shape
+    x, z, report = solve(data, [1e-3, 1e-2], np.zeros(nv))
     assert np.array_equal(x, np.zeros((2, nv)))
     assert np.array_equal(z, np.zeros((2, npres)))
     assert report == sparsela.SolveReport(0, (None, None))
@@ -129,10 +150,10 @@ def test_saddle_zero_rhs(grid4):
 
 def test_saddle_block_residuals(grid4, case):
     disc, data = fresh_system(grid4)
-    (a, g, s, _), w = data, disc.mean_weights
+    (a, g, s, _), w = data.blocks, disc.mean_weights
     rhs = disc.free_load(case.steady_forcing)
     delta = 1e-3
-    x, z, report = solve_one(data, delta, rhs, w)
+    x, z, report = solve_one(data, delta, rhs)
     scale = np.linalg.norm(rhs)
     r1 = componentwise(a, x) + g @ z - rhs
     r2 = g.T @ x - delta * (s @ z)
@@ -145,8 +166,7 @@ def test_saddle_block_residuals(grid4, case):
 def test_saddle_rejects_nonpositive_delta(grid4):
     disc, data = fresh_system(grid4, nu=1.0)
     with pytest.raises(ValueError):
-        sparsela.saddle_solve(*data, [1e-3, 0.0], np.ones(data[1].shape[0]),
-                              nu=1.0, mean_weights=disc.mean_weights, tol=1e-10)
+        solve(data, [1e-3, 0.0], np.ones(disc.G.shape[0]))
 
 
 def test_saddle_zero_mean_pressure_on_experiment_grid(case):
@@ -165,8 +185,7 @@ def test_saddle_deterministic(grid4, case):
     out = []
     for _ in range(2):
         disc, data = fresh_system(grid4)
-        out.append(solve_one(data, 1e-3, disc.free_load(case.steady_forcing),
-                             disc.mean_weights))
+        out.append(solve_one(data, 1e-3, disc.free_load(case.steady_forcing)))
     assert np.array_equal(out[0][0], out[1][0])
     assert np.array_equal(out[0][1], out[1][1])
 
@@ -182,7 +201,7 @@ def steady_system(case, n, degree, nu=0.01, rho=100.0):
 def pinned_matrix(data, delta):
     """The whole saddle matrix with pressure DOF 0 dropped, in the
     unknowns' own order."""
-    a, g, s, _ = data
+    a, g, s, _ = data.blocks
     k = dense_oracle.saddle_matrix(a, g, s, -delta * s)
     keep = np.flatnonzero(np.arange(k.shape[0]) != g.shape[0])
     return sparse.csc_matrix(k[keep][:, keep])
@@ -190,7 +209,7 @@ def pinned_matrix(data, delta):
 
 def pivoting_reference(data, delta, rhs, w):
     """The pinned whole system solved by SuperLU with default partial pivoting."""
-    nv, npres = data[1].shape
+    nv, npres = data.disc.G.shape
     sol = spla.splu(pinned_matrix(data, delta)).solve(
         np.concatenate([rhs, np.zeros(npres - 1)])
     )
@@ -218,7 +237,7 @@ def test_saddle_symmetric_mode_matches_pivoting_splu(case, monkeypatch, degree, 
     data, delta, rhs, w = steady_system(case, n, degree)
     x_ref, z_ref = pivoting_reference(data, delta, rhs, w)
     calls, _ = spy_on_splu(monkeypatch)
-    x, z, report = solve_one(data, delta, rhs, w)
+    x, z, report = solve_one(data, delta, rhs)
     # one factorization per block, in symmetric mode and the block's order,
     # with no fallback
     assert len(calls) == 4
@@ -245,7 +264,8 @@ def test_nested_dissection_fills_less_than_minimum_degree(case, degree, n):
     # 0.59 at these sizes, and the largest block about 0.14 and 0.15
     data, delta, _, _ = steady_system(case, n, degree)
     whole = fill(pinned_matrix(data, delta), "MMD_AT_PLUS_A")
-    blocks = [fill(block, "NATURAL") for block, _ in dense_oracle.symmetry_blocks(*data, delta)]
+    blocks = [fill(block, "NATURAL")
+              for block, _ in dense_oracle.symmetry_blocks(*data.blocks, delta)]
     assert sum(blocks) < 0.85 * whole
     assert max(blocks) < 0.25 * whole
 
@@ -310,13 +330,13 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
     seen = spy_on_factor_input(monkeypatch)
     bases = spy_on_bases(monkeypatch)
     data, delta, rhs, w = steady_system(case, n, degree, rho=rho)
-    x, z, report = solve_one(data, delta, rhs, w)
-    references = dense_oracle.symmetry_blocks(*data, delta)
+    x, z, report = solve_one(data, delta, rhs)
+    references = dense_oracle.symmetry_blocks(*data.blocks, delta)
     assert len(seen) == len(references) == 4
     for matrix, (reference, _) in zip(seen, references):
         assert_same_csc(matrix, reference)
     # each block's basis once, built with its block for the solve
-    _, g, _, orbits = data
+    _, g, _, orbits = data.blocks
     assert [k for k, _, _ in bases] == [0, 1, 2, 3]
     for (k, order, basis), pinned in zip(bases, dense_oracle.pinned_blocks(orbits, g.shape[0])):
         assert np.array_equal(order, pinned)
@@ -324,8 +344,8 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
         assert basis.format == "csr" and basis.shape == reference.shape
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(basis, attr), getattr(reference, attr)), attr
-    sol, rel, refinements = dense_oracle.saddle_reference(*data, delta, rhs, symmetric_solve,
-                                                          1e-10)
+    sol, rel, refinements = dense_oracle.saddle_reference(*data.blocks, delta, rhs,
+                                                          symmetric_solve, 1e-10)
     # every block is refined at least once
     assert refinements >= 4
     assert report == sparsela.SolveReport(refinements, (None,))
@@ -336,27 +356,29 @@ def test_pinned_saddle_matrix_equals_block_matrix_reference(case, monkeypatch, d
 
 @pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
 def test_one_solve_builds_each_block_once_for_every_delta(case, monkeypatch, degree, n):
-    # one solve for several delta gathers the representatives' rows K_r
-    # once and builds each block once; for each delta in turn it hands
-    # SuperLU, bit for bit, the reference block of that delta, and it
-    # gives the single-delta solves and reports bit for bit.  Refilling
-    # the -delta S entries leaves K_r as it was gathered
-    data, _, rhs, w = steady_system(case, n, degree)
+    # one solve for several delta gathers the rows K_r of each block's
+    # representatives once and builds each block once from them; for each
+    # delta in turn it hands SuperLU, bit for bit, the reference block of
+    # that delta, and it gives the single-delta solves and reports bit for
+    # bit.  Refilling the -delta S entries leaves each K_r as it was
+    # gathered
+    data, _, rhs, _ = steady_system(case, n, degree)
     deltas = [steady.choose_delta(1.0 / n, 0.01, rho) for rho in (1.0, 1000.0, 10.0)]
-    singles = [solve_one(data, delta, rhs, w) for delta in deltas]
-    fresh = sparsela._representative_rows(*data, 1.0).tocsc()
+    singles = [solve_one(data, delta, rhs) for delta in deltas]
+    _, g, _, orbits = data.blocks
+    orders = dense_oracle.pinned_blocks(orbits, g.shape[0])
+    fresh = [sparsela._representative_rows(*data.args, order, data.nu) for order in orders]
     gathered = spy_on(monkeypatch, "_representative_rows")
     built = spy_on(monkeypatch, "_symmetry_block")
     seen = spy_on_factor_input(monkeypatch, lambda m: m.copy())
-    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, nu=1.0, mean_weights=w, tol=1e-10)
-    (k_r,) = gathered
-    assert len(built) == 4 and len(seen) == 12
+    x, z, report = solve(data, deltas, rhs)
+    assert len(gathered) == len(built) == 4 and len(seen) == 12
     # the blocks outside, the delta inside
-    references = [dense_oracle.symmetry_blocks(*data, delta) for delta in deltas]
+    references = [dense_oracle.symmetry_blocks(*data.blocks, delta) for delta in deltas]
     for k in range(4):
         for i in range(3):
             assert_same_csc(seen[3 * k + i], references[i][k][0])
-    assert_same_csc(k_r.tocsc(), fresh)
+        assert_same_csc(gathered[k].tocsc(), fresh[k].tocsc())
     for i, (x_one, z_one, _) in enumerate(singles):
         assert np.array_equal(x[i], x_one) and np.array_equal(z[i], z_one)
         assert residual(data, deltas[i], rhs, x[i], z[i]) <= 1e-10
@@ -371,9 +393,9 @@ def test_refined_saddle_solve_matches_block_matrix_reference(case, degree):
     # the solve is the reference's block by block solve
     data, delta, rhs, w = steady_system(case, 8, degree, rho=1000.0)
     tol = 1e-14
-    x, z, report = solve_one(data, delta, rhs, w, tol=tol)
-    sol, rel, refinements = dense_oracle.saddle_reference(*data, delta, rhs, symmetric_solve,
-                                                          tol)
+    x, z, report = solve_one(data, delta, rhs, tol=tol)
+    sol, rel, refinements = dense_oracle.saddle_reference(*data.blocks, delta, rhs,
+                                                          symmetric_solve, tol)
     assert report.failures == (None,) and report.iterations >= 4 and refinements >= 4
     assert rel <= tol
     z_ref = sparsela.project_mean(sol[x.size:], w)
@@ -391,8 +413,8 @@ def test_velocity_at_rho_1000_matches_refined_pivoting_reference(case):
     delta = steady.choose_delta(1.0 / n, nu, 1000.0)
     rhs = disc.free_load(case.steady_forcing)
     ((velocity, _),) = steady.solve(disc, nu, [delta], rhs, tol=1e-10)
-    data = saddle_data(disc, nu)
-    a, g, s, _ = data
+    data = Saddle(disc, nu)
+    a, g, s, _ = data.blocks
     nv = g.shape[0]
     k = dense_oracle.saddle_matrix(a, g, s, -delta * s)
     keep = np.flatnonzero(np.arange(k.shape[0]) != nv)
@@ -413,37 +435,35 @@ def matrix_bytes(m):
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
-    # blocks, no other block and no scaled copy of A, while SuperLU
-    # factors a block.  Traced over one steady solve, what is alive beyond
-    # the representatives' rows K_r and the block being factored is at
-    # most nine float vectors of the saddle unknowns' length for one
-    # delta (6.9-7.6 measured), and one more, the second solution, for two
-    # delta (7.9-8.6 measured); keeping the bases of all four blocks
-    # through the block loop adds about six, and a scaled copy of A
-    # about three to five.  A solve on a small grid warms the code paths
-    # first
+    # blocks, no other block, no gathered rows and no copy of A, while
+    # SuperLU factors a block.  Traced over one steady solve, what is
+    # alive beyond the block being factored is at most eight float
+    # vectors of the saddle unknowns' length for one delta (5.2-7.2
+    # measured), and one more, the second solution, for two delta
+    # (6.2-7.9 measured); the rows K_r of all four blocks, gathered once
+    # and kept through the block loop, add about six at P1 N=20 and ten
+    # at P2 N=10, and keeping the bases of all four blocks about six.  A
+    # solve on a small grid warms the code paths first
     small = assembly.Discretization(mesh.build_grid(4), degree)
     steady.solve(small, 0.01, [1e-3], small.free_load(case.steady_forcing), tol=1e-10)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
     rhs = disc.free_load(case.steady_forcing)
-    for name in ("stiffness_free", "G", "stiffness", "mean_weights", "saddle_orbits"):
+    for name in ("G", "stiffness", "mean_weights", "saddle_orbits"):
         getattr(disc, name)  # warms the operators and orbit tables
     deltas = [steady.choose_delta(1.0 / n, 0.01, rho) for rho in (100.0, 10.0)]
-    gathered = spy_on(monkeypatch, "_representative_rows")
     seen = spy_on_factor_input(
         monkeypatch, lambda m: tracemalloc.get_traced_memory()[0] - matrix_bytes(m)
     )
     vector = 8 * disc.saddle_orbits.orbit.size
-    for count, bound in ((1, 9), (2, 10)):
+    for count, bound in ((1, 8), (2, 9)):
         seen.clear()
         tracemalloc.start()
         try:
             steady.solve(disc, 0.01, deltas[:count], rhs, tol=1e-10)
         finally:
             tracemalloc.stop()
-        kept = matrix_bytes(gathered[-1])
         assert len(seen) == 4 * count
-        assert max(seen) <= kept + bound * vector
+        assert max(seen) <= bound * vector
 
 
 @pytest.mark.parametrize("degree, n", [(1, 8), (2, 4)])
@@ -495,7 +515,7 @@ def test_one_block_factor_is_alive_at_a_time(case, monkeypatch):
 
     monkeypatch.setattr(sparsela.spla, "splu", spy)
     monkeypatch.setattr(sparsela, "_symmetry_block", block)
-    sparsela.saddle_solve(*data, [delta, 10 * delta], rhs, nu=1.0, mean_weights=w, tol=1e-10)
+    solve(data, [delta, 10 * delta], rhs)
     assert len(factors) == 8 and len(blocks) == 8
     assert all(ref() is None for ref in factors + blocks)
 
@@ -538,7 +558,7 @@ def test_saddle_falls_back_to_pivoting_splu(case, monkeypatch, failure):
     first = diagonal_factor(spla.splu) if failure == "misses_contract" else zero_pivot
     calls, _ = spy_on_splu(monkeypatch, symmetric=first)
     tol = 1e-10
-    x, z, report = solve_one(data, delta, rhs, w, tol=tol)
+    x, z, report = solve_one(data, delta, rhs, tol=tol)
     # for each block, the ordered symmetric factorization, then one with
     # default partial pivoting
     assert [c.get("permc_spec") for c in calls] == ["NATURAL", None] * 4
@@ -555,7 +575,7 @@ def test_block_fallback_meets_the_contract_at_rho_1e8(case, monkeypatch):
     # second symmetric factorization in its place leaves 1.2e-7)
     data, delta, rhs, w = steady_system(case, 8, 1, rho=1e8)
     calls, _ = spy_on_splu(monkeypatch)
-    x, z, report = solve_one(data, delta, rhs, w)
+    x, z, report = solve_one(data, delta, rhs)
     assert report.failures == (None,)
     assert residual(data, delta, rhs, x, z) <= 1e-10
     assert calls.count({}) == 2 and len(calls) == 6
@@ -573,13 +593,13 @@ def test_singular_pivoting_fallback_is_solver_error(case, monkeypatch):
         assert isinstance(solution, sparsela.LinearSolverError)
         assert str(solution) == "pivoting factorization failed: Factor is exactly singular"
     with pytest.raises(sparsela.LinearSolverError, match="exactly singular"):
-        sparsela.FactorizedSpd(disc.stiffness_free.tocsc())
+        sparsela.FactorizedSpd(checks.free_stiffness(disc).tocsc())
 
 
 def test_saddle_reports_when_fallback_misses_contract(case, monkeypatch):
     data, delta, rhs, w = steady_system(case, 8, 1)
     monkeypatch.setattr(sparsela.spla, "splu", diagonal_factor(spla.splu))
-    x, z, report = solve_one(data, delta, rhs, w)
+    x, z, report = solve_one(data, delta, rhs)
     rel = residual(data, delta, rhs, x, z)
     assert rel > 1e-10
     (failure,) = report.failures
@@ -592,7 +612,7 @@ def test_a_failed_delta_ends_alone(case, monkeypatch):
     # for it, and the other delta are solved, bit for bit, as if alone
     data, delta, rhs, w = steady_system(case, 8, 1)
     deltas = [delta, 10 * delta, 100 * delta]
-    singles = [solve_one(data, one, rhs, w) for one in deltas]
+    singles = [solve_one(data, one, rhs) for one in deltas]
     calls = []
     real = sparsela._block_solve
     planted = sparsela.LinearSolverError("planted failure")
@@ -604,7 +624,7 @@ def test_a_failed_delta_ends_alone(case, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(sparsela, "_block_solve", block_solve)
-    x, z, report = sparsela.saddle_solve(*data, deltas, rhs, nu=1.0, mean_weights=w, tol=1e-10)
+    x, z, report = solve(data, deltas, rhs)
     assert len(calls) == 3 + 3 * 2
     # the error itself, without the traceback that holds the solve's frame
     assert report.failures == (None, planted, None) and planted.__traceback__ is None

