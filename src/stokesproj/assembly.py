@@ -15,13 +15,12 @@ blocks on it, a pressure one, and the velocity operators are built
 block by block from the scalar basis.  Dirichlet conditions are
 homogeneous, so constrained rows/columns are simply eliminated;
 ``restrict``/``extend`` on FeSpace translate between full and free
-coefficient vectors.  ``Discretization`` assembles the operators and
-the orbit tables of the steady saddle unknowns once per (mesh, degree)
-pair, and each load once per analytic field; the saddle blocks live
-only inside a steady solve (``steady.solve``).
+coefficient vectors.  ``Discretization`` assembles the operators once
+per (mesh, degree) pair and each load once per analytic field; it
+keeps no steady-solve data, which lives only inside a steady solve
+(``steady.solve``).
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -144,127 +143,6 @@ def componentwise(matrix, x):
     return np.concatenate([matrix @ block for block in x.reshape(-1, matrix.shape[1])])
 
 
-def _dissect(lattice, step):
-    """Geometric nested dissection (George 1973) of grid nodes with integer
-    lattice indices ``lattice`` (n, 2).
-
-    A node set is split, in the longer direction of its bounding box,
-    at the line nearest the median of its nodes (for a triangle of
-    nodes, the middle of the box would leave one part three times the
-    other); the two parts are ordered first, then the separator line.
-    Only lines at multiples of ``step`` strictly inside the box (the
-    mesh lines) separate: no element straddles them.  A set of at most 8
-    nodes, or one with no such line inside its box, is a leaf.  Returns
-    the (nodes, line) blocks in elimination order, with line =
-    (axis, index) of a separator and None for a leaf.
-    """
-    blocks = []
-
-    def split(nodes):
-        if nodes.size > 8:
-            pts = lattice[nodes]
-            lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
-            axis = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1
-            coord = pts[:, axis]
-            # the mesh lines strictly inside the box are step * k, first <= k <= last
-            first, last = lo[axis] // step + 1, -(-hi[axis] // step) - 1
-            if first <= last:
-                nearest = math.ceil(float(np.median(coord)) / step - 0.5)  # ties to the lower
-                mid = step * min(max(nearest, first), last)
-                split(nodes[coord < mid])
-                split(nodes[coord > mid])
-                blocks.append((nodes[coord == mid], (axis, mid)))
-                return
-        blocks.append((nodes, None))
-
-    split(np.lexsort((lattice[:, 0], lattice[:, 1])))
-    return blocks
-
-
-def _node_symmetries(space):
-    """The node permutations (reflection x <-> y, half-turn about
-    (1/2, 1/2)) of ``space`` and the integer lattice index of every
-    node: its coordinates times degree * n, so the mesh lines lie at
-    multiples of the degree.  Raises ValueError unless every lattice
-    point is one node and both maps take triangles to triangles and free
-    DOFs to free DOFs."""
-    m = space.degree * space.mesh.n
-    lattice = np.rint(space.node_coords * m).astype(np.int64)
-    i, j = lattice.T
-    at = np.full((m + 1) ** 2, -1, dtype=np.int64)
-    at[j * (m + 1) + i] = np.arange(i.size)
-    if i.size != at.size or np.any(at < 0):
-        raise ValueError("the nodes are not the points of a square lattice")
-    reflect, turn = at[i * (m + 1) + j], at[(m - j) * (m + 1) + (m - i)]
-    free = np.zeros(space.num_dofs, dtype=bool)
-    free[space.free_scalar] = True
-    nv = space.mesh.num_vertices  # vertices are the first nodes
-
-    def triangle_keys(perm):
-        a, b, c = np.sort(perm[space.mesh.triangles], axis=1).T
-        return np.sort((a * nv + b) * nv + c)
-
-    for perm in (reflect, turn):
-        if not (np.array_equal(triangle_keys(perm), triangle_keys(np.arange(nv)))
-                and np.array_equal(free[perm], free)):
-            raise ValueError("the mesh is not symmetric under the reflection x <-> y "
-                             "and the half-turn about (1/2, 1/2)")
-    return reflect, turn, lattice
-
-
-def _saddle_orbits(space):
-    """The ``sparsela.SaddleOrbits`` of the steady saddle unknowns of
-    ``space`` (free x-velocities, free y-velocities, pressures).
-
-    Each group element g (identity, reflection, half-turn, their
-    product) maps unknown i to ``image[g, i]`` with sign ``sign[g, i]``.
-    An orbit's representative is its member of least index whose node
-    lies in the fundamental triangle; an unknown's weight in block k is
-    chi_k(g) sign[g, i] for the g that maps it to the representative,
-    averaged over all such g: +1 or -1, or 0 where the stabilizer rules
-    the character out, stored as int8.  Orbits are numbered, and so
-    every block ordered, by the rank of their representatives' nodes in
-    the nested dissection (``_dissect``) of the nodes of the fundamental
-    triangle, and by field within a node.
-    """
-    reflect, turn, lattice = _node_symmetries(space)
-    m = space.degree * space.mesh.n
-    fs, nn = space.free_scalar, space.num_dofs
-    nf = fs.size
-    free_pos = np.full(nn, -1, dtype=np.int64)
-    free_pos[fs] = np.arange(nf)
-    node = np.concatenate([fs, fs, np.arange(nn)])
-    field = np.repeat([0, 1, 2], [nf, nf, nn])
-    velocity = field < 2
-    image, sign = [], []
-    for swap, flip, perm in ((False, False, np.arange(nn)), (True, False, reflect),
-                             (False, True, turn), (True, True, reflect[turn])):
-        to = perm[node]
-        comp = np.where(velocity & swap, 1 - field, field)
-        image.append(np.where(velocity, comp * nf + free_pos[to], 2 * nf + to))
-        sign.append(np.where(velocity & flip, -1.0, 1.0))
-    image, sign = np.array(image), np.array(sign)
-    i, j = lattice[node].T
-    outside = (j > i) | (i + j > m)
-    key = image + outside[image] * image.shape[1]
-    rep_of = np.take_along_axis(image, key.argmin(axis=0)[None], axis=0)[0]
-    hit = image == rep_of
-    chi = np.array([[(-1.0) ** bin(k & g).count("1") for g in range(4)] for k in range(4)])
-    weight = (chi @ (hit * sign) / hit.sum(axis=0)).astype(np.int8)
-
-    inside = np.flatnonzero(~outside[2 * nf:])  # the nodes of the fundamental triangle
-    dissection = np.concatenate([nodes for nodes, _ in _dissect(lattice[inside], space.degree)])
-    rank = np.empty(nn, dtype=np.int64)  # set for the nodes inside, the only ones read
-    rank[inside[dissection]] = np.arange(inside.size)
-    rep, orbit = np.unique(rep_of, return_inverse=True)
-    order = np.lexsort((field[rep], rank[node[rep]]))
-    number = np.empty_like(order)
-    number[order] = np.arange(order.size)
-    rep, orbit = rep[order], number[orbit]
-    blocks = tuple(np.flatnonzero(weight[k, rep] != 0) for k in range(4))
-    return sparsela.SaddleOrbits(orbit, rep, np.bincount(orbit), weight, blocks)
-
-
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """The one scalar space and lazily cached operators of an equal-order
@@ -287,11 +165,9 @@ class Discretization:
     Every per-mesh quantity is computed once: ``quadrature`` is the
     degree-6 rule on the triangles behind the loads and
     ``metrics.error_vs_exact``; ``load`` assembles each analytic field
-    once; ``saddle_orbits`` holds the orbit tables of the steady saddle
-    unknowns under the grid's reflection x <-> y and half-turn, which
-    split the saddle system into four symmetry blocks.  No saddle data
-    of a viscosity is kept here: it lives only inside one steady solve
-    for all the delta of a mesh (``steady.solve``).  The one exception is
+    once.  No steady-solve data is kept here, neither the orbit tables
+    nor the blocks: they live only inside one steady solve for all the
+    delta of a mesh (``steady.solve``).  The one exception is
     the physical points of the degree-6 rule: as large as a field's
     values, they are mapped anew, a chunk of triangles at a time, for
     each field evaluated there (``at_quadrature_points``, the one place
@@ -428,13 +304,6 @@ class Discretization:
     def free_load(self, f):
         """Load vector of the analytic field ``f`` on the free DOFs."""
         return self.space.restrict(self.load(f))
-
-    @cached_property
-    def saddle_orbits(self):
-        """The orbit tables of the steady saddle unknowns under the grid's
-        reflection x <-> y and half-turn (``sparsela.SaddleOrbits``),
-        each block's orbits in nested-dissection order."""
-        return _saddle_orbits(self.space)
 
     @cached_property
     def pressure_solver(self):

@@ -8,9 +8,10 @@ schemes need:
   Stokes block system on the zero-mean pressure subspace, for every
   delta of a mesh in one call, one symmetry block at a time: the grid's
   reflection x <-> y and half-turn split the system into four blocks,
-  one per character of their Klein four-group (``SaddleOrbits``, from
-  ``Discretization.saddle_orbits``), each ordered by a geometric nested
-  dissection of the fundamental triangle.  Block chi is 2 K_r V_chi,
+  one per character of their Klein four-group (``SaddleOrbits``, whose
+  tables the solve builds from the scalar space and drops on return),
+  each ordered by a geometric nested dissection of the fundamental
+  triangle (``_dissect``).  Block chi is 2 K_r V_chi,
   K_r the rows of its own orbits' representatives, sliced from the
   scalar stiffness ``S`` (its free rows and columns, scaled by nu as
   they are sliced, for the velocity stiffness A), ``G``, ``G^T`` and
@@ -30,6 +31,7 @@ a ``LinearSolverError``.  All solvers are deterministic: identical
 inputs give bit-identical outputs.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,7 +169,8 @@ class SaddleOrbits:
     the reflection x <-> y, which maps (u_x, u_y)(x, y) to
     (u_y, u_x)(y, x), the half-turn about (1/2, 1/2), which maps
     (u_x, u_y)(x, y) to -(u_x, u_y)(1 - x, 1 - y), and their product.
-    Pressures map as scalars.  Built by ``Discretization.saddle_orbits``.
+    Pressures map as scalars.  Built by ``_saddle_orbits`` inside each
+    ``saddle_solve``, which holds them only while it solves.
 
     Each character chi of this Klein four-group has a block.  Character
     k takes the value -1 on the reflection if bit 0 of k is set and on
@@ -198,6 +201,125 @@ class SaddleOrbits:
     blocks: tuple
 
 
+def _dissect(lattice, step, nodes=None):
+    """Geometric nested dissection (George 1973) of grid nodes with integer
+    lattice indices ``lattice`` (n, 2).
+
+    A node set is split, in the longer direction of its bounding box,
+    at the line nearest the median of its nodes (for a triangle of
+    nodes, the middle of the box would leave one part three times the
+    other); the two parts are ordered first, then the separator line.
+    Only lines at multiples of ``step`` strictly inside the box (the
+    mesh lines) separate: no element straddles them.  A set of at most 8
+    nodes, or one with no such line inside its box, is a leaf.  Returns
+    the (nodes, line) blocks in elimination order, with line =
+    (axis, index) of a separator and None for a leaf.  ``nodes`` is the
+    set to split, every node by default, in lexicographic (y, x) order.
+    It recurses through this module-level function and not a closure,
+    so no reference cycle holds the node arrays once it returns.
+    """
+    if nodes is None:
+        nodes = np.lexsort((lattice[:, 0], lattice[:, 1]))
+    if nodes.size > 8:
+        pts = lattice[nodes]
+        lo, hi = pts.min(axis=0).tolist(), pts.max(axis=0).tolist()
+        axis = 0 if hi[0] - lo[0] >= hi[1] - lo[1] else 1
+        coord = pts[:, axis]
+        # the mesh lines strictly inside the box are step * k, first <= k <= last
+        first, last = lo[axis] // step + 1, -(-hi[axis] // step) - 1
+        if first <= last:
+            nearest = math.ceil(float(np.median(coord)) / step - 0.5)  # ties to the lower
+            mid = step * min(max(nearest, first), last)
+            return (_dissect(lattice, step, nodes[coord < mid])
+                    + _dissect(lattice, step, nodes[coord > mid])
+                    + [(nodes[coord == mid], (axis, mid))])
+    return [(nodes, None)]
+
+
+def _node_symmetries(space):
+    """The node permutations (reflection x <-> y, half-turn about
+    (1/2, 1/2)) of ``space`` and the integer lattice index of every
+    node: its coordinates times degree * n, so the mesh lines lie at
+    multiples of the degree.  Raises ValueError unless every lattice
+    point is one node and both maps take triangles to triangles and free
+    DOFs to free DOFs."""
+    m = space.degree * space.mesh.n
+    lattice = np.rint(space.node_coords * m).astype(np.int64)
+    i, j = lattice.T
+    at = np.full((m + 1) ** 2, -1, dtype=np.int64)
+    at[j * (m + 1) + i] = np.arange(i.size)
+    if i.size != at.size or np.any(at < 0):
+        raise ValueError("the nodes are not the points of a square lattice")
+    reflect, turn = at[i * (m + 1) + j], at[(m - j) * (m + 1) + (m - i)]
+    free = np.zeros(space.num_dofs, dtype=bool)
+    free[space.free_scalar] = True
+    nv = space.mesh.num_vertices  # vertices are the first nodes
+
+    def triangle_keys(perm):
+        a, b, c = np.sort(perm[space.mesh.triangles], axis=1).T
+        return np.sort((a * nv + b) * nv + c)
+
+    for perm in (reflect, turn):
+        if not (np.array_equal(triangle_keys(perm), triangle_keys(np.arange(nv)))
+                and np.array_equal(free[perm], free)):
+            raise ValueError("the mesh is not symmetric under the reflection x <-> y "
+                             "and the half-turn about (1/2, 1/2)")
+    return reflect, turn, lattice
+
+
+def _saddle_orbits(space):
+    """The ``SaddleOrbits`` of the steady saddle unknowns of
+    ``space`` (free x-velocities, free y-velocities, pressures).
+
+    Each group element g (identity, reflection, half-turn, their
+    product) maps unknown i to ``image[g, i]`` with sign ``sign[g, i]``.
+    An orbit's representative is its member of least index whose node
+    lies in the fundamental triangle; an unknown's weight in block k is
+    chi_k(g) sign[g, i] for the g that maps it to the representative,
+    averaged over all such g: +1 or -1, or 0 where the stabilizer rules
+    the character out, stored as int8.  Orbits are numbered, and so
+    every block ordered, by the rank of their representatives' nodes in
+    the nested dissection (``_dissect``) of the nodes of the fundamental
+    triangle, and by field within a node.
+    """
+    reflect, turn, lattice = _node_symmetries(space)
+    m = space.degree * space.mesh.n
+    fs, nn = space.free_scalar, space.num_dofs
+    nf = fs.size
+    free_pos = np.full(nn, -1, dtype=np.int64)
+    free_pos[fs] = np.arange(nf)
+    node = np.concatenate([fs, fs, np.arange(nn)])
+    field = np.repeat([0, 1, 2], [nf, nf, nn])
+    velocity = field < 2
+    image, sign = [], []
+    for swap, flip, perm in ((False, False, np.arange(nn)), (True, False, reflect),
+                             (False, True, turn), (True, True, reflect[turn])):
+        to = perm[node]
+        comp = np.where(velocity & swap, 1 - field, field)
+        image.append(np.where(velocity, comp * nf + free_pos[to], 2 * nf + to))
+        sign.append(np.where(velocity & flip, -1.0, 1.0))
+    image, sign = np.array(image), np.array(sign)
+    i, j = lattice[node].T
+    outside = (j > i) | (i + j > m)
+    key = image + outside[image] * image.shape[1]
+    rep_of = np.take_along_axis(image, key.argmin(axis=0)[None], axis=0)[0]
+    hit = image == rep_of
+    chi = np.array([[(-1.0) ** bin(k & g).count("1") for g in range(4)] for k in range(4)])
+    weight = (chi @ (hit * sign) / hit.sum(axis=0)).astype(np.int8)
+
+    inside = np.flatnonzero(~outside[2 * nf:])  # the nodes of the fundamental triangle
+    dissection = np.concatenate([nodes for nodes, _ in _dissect(lattice[inside], space.degree)])
+    rank = np.empty(nn, dtype=np.int64)  # set for the nodes inside, the only ones read
+    rank[inside[dissection]] = np.arange(inside.size)
+    rep, orbit = np.unique(rep_of, return_inverse=True)
+    order = np.lexsort((field[rep], rank[node[rep]]))
+    number = np.empty_like(order)
+    number[order] = np.arange(order.size)
+    rep, orbit = rep[order], number[orbit]
+    blocks = tuple(np.flatnonzero(weight[k, rep] != 0) for k in range(4))
+    return SaddleOrbits(orbit, rep, np.bincount(orbit), weight, blocks)
+
+
 def _symmetry_basis(orbits, k, order):
     """The symmetry-adapted basis V_chi of block ``k`` on its orbits
     ``order`` (a ``SaddleOrbits`` block, possibly pinned): the sparse
@@ -220,7 +342,9 @@ def _representative_rows(s, free, g, orbits, order, nu):
     [g^T, s]], with ``s`` in place of ``-delta s`` and A the block of s on
     the ``free`` DOFs: row-sliced from s, g and g^T, the rows of A scaled
     by ``nu`` as they are sliced (bit for bit the rows of nu A), so that
-    neither K nor A nor a scaled copy of A is formed."""
+    neither K nor A nor a scaled copy of A is formed.  The pieces are
+    stacked as CSR, with explicit zero blocks, so none passes through
+    COO and no row is sorted again."""
     nf, nv = free.size, g.shape[0]
     rep = orbits.rep[order]
     field = np.searchsorted([nf, nv], rep, side="right")  # x, y, pressure
@@ -228,10 +352,9 @@ def _representative_rows(s, free, g, orbits, order, nu):
     ax, ay = (s[free[r]][:, free] for r in (rx, ry))
     ax.data *= nu
     ay.data *= nu
-    gt = g[:, rp].T
-    rows = sparse.bmat([[ax, None, g[rx]],
-                        [None, ay, g[nf + ry]],
-                        [gt[:, :nf], gt[:, nf:], s[rp]]], format="csr")
+    rows = sparse.vstack([sparse.hstack([ax, sparse.csr_matrix((rx.size, nf)), g[rx]]),
+                          sparse.hstack([sparse.csr_matrix((ry.size, nf)), ay, g[nf + ry]]),
+                          sparse.hstack([g[:, rp].T.tocsr(), s[rp]])], format="csr")
     return 2.0 * rows[np.argsort(np.argsort(field, kind="stable"))]
 
 
@@ -285,7 +408,7 @@ def _block_solve(matrix, pressure, f, scale, tol):
     return y, steps
 
 
-def saddle_solve(s, free, g, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
+def saddle_solve(space, s, g, deltas, rhs_v, *, nu, mean_weights, tol):
     """Solve, for every delta of ``deltas``, the symmetric indefinite
     block system
 
@@ -293,11 +416,14 @@ def saddle_solve(s, free, g, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
         [       g^T       -delta*s  ] [z] = [  0  ]
 
     on the zero-mean pressure subspace, where A, the block of the scalar
-    stiffness ``s`` on the ``free`` DOFs, scaled by the viscosity ``nu``,
-    acts on both velocity components, one symmetry block at a time.  The
-    matrix commutes with the signed permutations of the grid's symmetry
-    group (``SaddleOrbits`` ``orbits``), so in the symmetry-adapted basis
-    V it is block diagonal.  Each block is built once from the rows K_r
+    stiffness ``s`` on the free DOFs of the scalar ``space``, scaled by
+    the viscosity ``nu``, acts on both velocity components, one symmetry
+    block at a time.  The matrix commutes with the signed permutations
+    of the grid's symmetry group, so in the symmetry-adapted basis V it
+    is block diagonal.  The orbit tables of that group
+    (``SaddleOrbits``, ``_saddle_orbits``) are built from ``space`` once
+    a nonzero ``rhs_v`` needs them and are dropped with the solve's
+    blocks when it returns.  Each block is built once from the rows K_r
     of its own orbits' representatives (``_symmetry_block``), which are
     dropped before it is factorized; for each delta its ``-delta S``
     entries are set, it is factorized and solved for V_chi^T rhs
@@ -333,6 +459,7 @@ def saddle_solve(s, free, g, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
     """
     if not all(delta > 0.0 for delta in deltas):
         raise ValueError("saddle solve requires delta > 0 for equal-order pairs")
+    free = space.free_scalar
     nv = 2 * free.size
     npres = s.shape[0]
     rhs_v = np.asarray(rhs_v, dtype=float)
@@ -343,6 +470,7 @@ def saddle_solve(s, free, g, orbits, deltas, rhs_v, *, nu, mean_weights, tol):
     if scale == 0.0:
         return sol[:, :nv], sol[:, nv:], SolveReport(0, (None,) * len(deltas))
 
+    orbits = _saddle_orbits(space)
     trivial, *rest = orbits.blocks
     failures = [None] * len(deltas)
     refinements = 0

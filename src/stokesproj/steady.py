@@ -11,9 +11,9 @@ discrete system is the symmetric indefinite block form solved by
 ``solve`` takes every delta of a mesh at once: the velocity stiffness
 A, the free rows and columns of the scalar stiffness S, acts with nu on
 both components, so no vector, free or scaled copy of A is built, and
-each pinned symmetry block is built once for all delta inside that one
-call, the only place the saddle data lives; ``solve`` assembles no
-operator.
+the orbit tables and each pinned symmetry block are built once for all
+delta inside that one call, the only place the saddle data lives;
+``solve`` assembles no operator.
 
 Besides being an experiment target in its own right, this solve is the
 recommended initializer of the transient schemes (with data g - v_t).
@@ -35,7 +35,7 @@ def choose_delta(h, nu, rho):
 
 def solve(disc, nu, deltas, rhs_v, tol):
     """The stabilized steady solves of the viscosity ``nu`` for each of
-    ``deltas`` on the operators and orbit tables of ``disc``, for the
+    ``deltas`` on the space and operators of ``disc``, for the
     load ``rhs_v`` on the free velocity DOFs (``disc.free_load``).
 
     Returns, per delta, either (velocity, pressure), both full velocity
@@ -45,8 +45,7 @@ def solve(disc, nu, deltas, rhs_v, tol):
     """
     if nu <= 0.0:
         raise ValueError("viscosity must be positive")
-    x, z, report = sparsela.saddle_solve(disc.stiffness, disc.space.free_scalar, disc.G,
-                                         disc.saddle_orbits, deltas, rhs_v, nu=nu,
-                                         mean_weights=disc.mean_weights, tol=tol)
+    x, z, report = sparsela.saddle_solve(disc.space, disc.stiffness, disc.G, deltas, rhs_v,
+                                         nu=nu, mean_weights=disc.mean_weights, tol=tol)
     return [failure or (disc.space.extend(velocity.reshape(2, -1)), pressure)
             for velocity, pressure, failure in zip(x, z, report.failures)]

@@ -84,7 +84,7 @@ def test_cached_operators_have_int32_indices(grid4, degree):
     for name in ("mass", "stiffness", "mass_free", "G", "GT"):
         m = getattr(disc, name)
         assert (m.indices.dtype, m.indptr.dtype) == (np.int32, np.int32), name
-    orbits = disc.saddle_orbits
+    orbits = sparsela._saddle_orbits(disc.space)
     rows = sparsela._representative_rows(disc.stiffness, disc.space.free_scalar, disc.G,
                                          orbits, orbits.blocks[0], 0.01)
     for m in (disc.momentum(0.1, 0.01), rows):
@@ -127,7 +127,7 @@ def test_saddle_order_groups_each_node_fields(degree, n):
     # every block lists its orbits by the node of their representative,
     # the fields of a node together and in order
     disc = Discretization(mesh.build_grid(n), degree)
-    orbits = disc.saddle_orbits
+    orbits = sparsela._saddle_orbits(disc.space)
     nodes, field = saddle_unknown_nodes(disc)
     assert np.array_equal(orbits.orbit[orbits.rep], np.arange(orbits.rep.size))
     assert np.array_equal(orbits.size, np.bincount(orbits.orbit))
@@ -211,7 +211,7 @@ def test_symmetry_blocks_reassemble_the_saddle_matrix(degree, n):
     # and column restored they give back K = V D^-1 B D^-1 V^T, D = V^T V
     disc = Discretization(mesh.build_grid(n), degree)
     a, g, s = 0.01 * checks.free_stiffness(disc), disc.G, disc.stiffness
-    orbits = disc.saddle_orbits
+    orbits = sparsela._saddle_orbits(disc.space)
     delta = 1.0 / (n * n)
     k = dense_oracle.saddle_matrix(a, g, s, -delta * s).toarray()
     v = np.hstack([dense_oracle.symmetry_basis(orbits, chi, order).toarray()
@@ -255,14 +255,14 @@ def test_orbit_tables_need_a_symmetric_mesh(degree):
     triangles[0], triangles[1] = (sw, se, nw), (se, ne, nw)
     flipped = dataclasses.replace(grid, triangles=triangles)
     with pytest.raises(ValueError, match="not symmetric"):
-        Discretization(flipped, degree).saddle_orbits
+        sparsela._saddle_orbits(Discretization(flipped, degree).space)
 
 
 @pytest.mark.parametrize("n", [2, 3, 8])
 def test_p2_separators_lie_on_mesh_lines(n):
     disc = Discretization(mesh.build_grid(n), 2)
     lattice = np.rint(disc.space.node_coords * 2 * n).astype(np.int64)
-    blocks = assembly._dissect(lattice, 2)
+    blocks = sparsela._dissect(lattice, 2)
     all_nodes = np.concatenate([nodes for nodes, _ in blocks])
     assert np.array_equal(np.sort(all_nodes), np.arange(len(lattice)))
     separators = [(nodes, line) for nodes, line in blocks if line is not None]
@@ -303,7 +303,7 @@ def counts(monkeypatch):
     counting(sparsela, "saddle_solve")
     counting(sparsela, "_representative_rows")
     counting(sparsela, "_symmetry_block")
-    counting(assembly, "_saddle_orbits")
+    counting(sparsela, "_saddle_orbits")
     counting(sparsela, "PinnedSingularSolver")
     counting(sparsela, "GridNeumannSolver")
     counting(metrics, "TransientErrorTracker")

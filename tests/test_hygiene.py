@@ -7,7 +7,10 @@ And every defaulted parameter of a public package function or method is
 passed by some call in src/ or scripts/: a default that nothing
 overrides is a constant.  Every field of a package dataclass is read as
 an attribute in src/, scripts/ or the benchmark harness perfbench/*.py:
-a field that nothing reads is carried for nothing.  No line under src/
+a field that nothing reads is carried for nothing.  No function under
+src/ defines a nested function that calls itself: such a closure and
+its cell form a reference cycle, which keeps what the closure reads
+alive until the cyclic garbage collector runs.  No line under src/
 is longer than 99 characters.  Every span pattern of a benchmark layer
 (perfbench/layers.py) matches a name that the benchmark's tracer wraps:
 a layer that matches nothing reads 0.  And every ``module.Name`` or
@@ -150,6 +153,57 @@ def test_package_code_has_callers_outside_tests():
         )
     )
     assert not found, f"only tests reach {sorted(found)}"
+
+
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def recursive_closures(source):
+    """``outer.inner`` of every function ``inner`` of ``source`` that
+    calls itself by its bare name, ``outer`` being the function it is
+    nested in."""
+    tree = ast.parse(source)
+    parent = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, FUNCTIONS):
+            continue
+        outer = parent[node]
+        while outer is not tree and not isinstance(outer, FUNCTIONS):
+            outer = parent[outer]
+        if outer is not tree and any(
+            isinstance(call, ast.Call) and getattr(call.func, "id", None) == node.name
+            for call in ast.walk(node)
+        ):
+            found.append(f"{outer.name}.{node.name}")
+    return sorted(found)
+
+
+def test_checker_flags_recursive_closures():
+    source = (
+        "def fact(n):\n"
+        "    return n * fact(n - 1) if n else 1\n"
+        "def outer(nodes):\n"
+        "    def split(part):\n"
+        "        return split(part[1:]) if part else []\n"
+        "    def once(part):\n"
+        "        return outer(part)\n"
+        "    async def wait(n):\n"
+        "        def inner(k):\n"
+        "            return inner(k - 1) if k else 0\n"
+        "        return await wait(n - 1)\n"
+        "    return split(nodes), once\n"
+        "class Tree:\n"
+        "    def walk(self):\n"
+        "        return self.walk()\n"
+    )
+    assert recursive_closures(source) == ["outer.split", "outer.wait", "wait.inner"]
+
+
+def test_package_has_no_recursive_closures():
+    found = [f"{path}: {name}" for path in FILES if path.parts[0] == "src"
+             for name in recursive_closures((ROOT / path).read_text())]
+    assert not found, f"nested functions that call themselves: {found}"
 
 
 def test_package_lines_fit_99_columns():

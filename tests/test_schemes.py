@@ -10,6 +10,7 @@ import scipy.linalg
 import scipy.sparse as sparse
 
 import checks
+import monolithic
 from stokesproj import cli, femspace, mesh, metrics, schemes, sparsela, steady
 from stokesproj.assembly import Discretization, componentwise
 
@@ -342,6 +343,30 @@ def test_noninc_stability_threshold_is_two_over_lambda_max(degree, n):
         for ratio in (0.5, 1.0, 2.0):
             assert radius(nu, rho, ratio) < 1.0, (nu, rho, ratio)
     assert radius(1.0, 100.0, 1.01 * 2.0 / lam_max) > 1.0
+
+
+def test_noninc_pressure_tends_to_the_pspg_step_at_first_order(case, load_at):
+    # at fixed delta the non-incremental scheme splits the monolithic
+    # backward-Euler step of the PSPG-type system [[M/dt + nu A, G],
+    # [G^T, -delta S]], so its final pressure differs from that step's by
+    # O(dt).  Measured at P1 N=20, nu = 0.01, rho = 10, T = 0.05 from the
+    # interpolant: 9.37e-5, 2.30e-5 and 5.72e-6 relative at dt = delta,
+    # delta/4 and delta/16 (ratios 4.07 and 4.03), with velocity
+    # differences 4.7e-5, 1.1e-5 and 2.6e-6
+    n, nu = 20, case.nu
+    disc = Discretization(mesh.build_grid(n), 1)
+    delta = steady.choose_delta(1.0 / n, nu, 10.0)
+    differences = []
+    for k in (1, 4):
+        params = schemes.SchemeParams(nu=nu, dt=delta / k, T=0.05, delta=delta,
+                                      init="interpolant")
+        (result,) = schemes.run([params], case, disc)
+        start = schemes.initialize(params, case, disc)
+        _, pressure = monolithic.run(disc, load_at(case, disc), start.velocity, nu, delta,
+                                     params.dt, params.num_steps())
+        difference = result.final_state.pressure - pressure
+        differences.append(np.linalg.norm(difference) / np.linalg.norm(pressure))
+    assert 3.5 <= differences[0] / differences[1] <= 4.5
 
 
 def states(params, case, disc):

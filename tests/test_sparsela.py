@@ -97,18 +97,16 @@ class Saddle(typing.NamedTuple):
     nu: float
 
     @property
-    def args(self):
-        """What ``sparsela.saddle_solve`` takes before the deltas:
-        (S, free DOFs, G, orbits)."""
-        d = self.disc
-        return d.stiffness, d.space.free_scalar, d.G, d.saddle_orbits
+    def orbits(self):
+        """The orbit tables that ``sparsela.saddle_solve`` builds inside."""
+        return sparsela._saddle_orbits(self.disc.space)
 
     @property
     def blocks(self):
         """(nu A, G, S, orbits), with nu A a matrix of its own, as the
         dense references take the scalar blocks."""
         d = self.disc
-        return self.nu * checks.free_stiffness(d), d.G, d.stiffness, d.saddle_orbits
+        return self.nu * checks.free_stiffness(d), d.G, d.stiffness, self.orbits
 
 
 def fresh_system(grid, degree=1, nu=0.01):
@@ -119,8 +117,9 @@ def fresh_system(grid, degree=1, nu=0.01):
 
 def solve(data, deltas, rhs, tol=1e-10):
     """``saddle_solve`` of ``data`` for ``deltas``: (x, z, report)."""
-    return sparsela.saddle_solve(*data.args, deltas, rhs, nu=data.nu,
-                                 mean_weights=data.disc.mean_weights, tol=tol)
+    d = data.disc
+    return sparsela.saddle_solve(d.space, d.stiffness, d.G, deltas, rhs, nu=data.nu,
+                                 mean_weights=d.mean_weights, tol=tol)
 
 
 def solve_one(data, delta, rhs, tol=1e-10):
@@ -367,7 +366,9 @@ def test_one_solve_builds_each_block_once_for_every_delta(case, monkeypatch, deg
     singles = [solve_one(data, delta, rhs) for delta in deltas]
     _, g, _, orbits = data.blocks
     orders = dense_oracle.pinned_blocks(orbits, g.shape[0])
-    fresh = [sparsela._representative_rows(*data.args, order, data.nu) for order in orders]
+    d = data.disc
+    fresh = [sparsela._representative_rows(d.stiffness, d.space.free_scalar, d.G, orbits,
+                                           order, data.nu) for order in orders]
     gathered = spy_on(monkeypatch, "_representative_rows")
     built = spy_on(monkeypatch, "_symmetry_block")
     seen = spy_on_factor_input(monkeypatch, lambda m: m.copy())
@@ -432,29 +433,38 @@ def matrix_bytes(m):
     return m.data.nbytes + m.indices.nbytes + m.indptr.nbytes
 
 
+def table_bytes(orbits):
+    return sum(a.nbytes for a in (orbits.orbit, orbits.rep, orbits.size, orbits.weight,
+                                  *orbits.blocks))
+
+
 @pytest.mark.parametrize("degree, n", [(1, 20), (2, 10)])
 def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree, n):
     # the steady solve holds no copy of the saddle matrix, whole or in
     # blocks, no other block, no gathered rows and no copy of A, while
     # SuperLU factors a block.  Traced over one steady solve, what is
-    # alive beyond the block being factored is at most eight float
-    # vectors of the saddle unknowns' length for one delta (5.2-7.2
-    # measured), and one more, the second solution, for two delta
-    # (6.2-7.9 measured); the rows K_r of all four blocks, gathered once
-    # and kept through the block loop, add about six at P1 N=20 and ten
-    # at P2 N=10, and keeping the bases of all four blocks about six.  A
-    # solve on a small grid warms the code paths first
+    # alive beyond the block being factored and the orbit tables that the
+    # solve builds is at most eight float vectors of the saddle unknowns'
+    # length for one delta (6.2-6.9 measured), and one more, the second
+    # solution, for two delta (7.2-8.0 measured); the rows K_r of all four
+    # blocks, gathered once and kept through the block loop, add about six
+    # at P1 N=20 and ten at P2 N=10, and keeping the bases of all four
+    # blocks about six.  The garbage of a nested dissection by a recursive
+    # closure, alive until the cyclic collector runs, read 6.9-7.6 and
+    # 7.4-8.6 (``test_saddle_solve_leaves_no_reference_cycles`` guards
+    # it).  A solve on a small grid warms the code paths first
     small = assembly.Discretization(mesh.build_grid(4), degree)
     steady.solve(small, 0.01, [1e-3], small.free_load(case.steady_forcing), tol=1e-10)
     disc = assembly.Discretization(mesh.build_grid(n), degree)
     rhs = disc.free_load(case.steady_forcing)
-    for name in ("G", "stiffness", "mean_weights", "saddle_orbits"):
-        getattr(disc, name)  # warms the operators and orbit tables
+    for name in ("G", "stiffness", "mean_weights"):
+        getattr(disc, name)  # warms the operators
+    orbits = sparsela._saddle_orbits(disc.space)
+    tables, vector = table_bytes(orbits), 8 * orbits.orbit.size
     deltas = [steady.choose_delta(1.0 / n, 0.01, rho) for rho in (100.0, 10.0)]
     seen = spy_on_factor_input(
-        monkeypatch, lambda m: tracemalloc.get_traced_memory()[0] - matrix_bytes(m)
+        monkeypatch, lambda m: tracemalloc.get_traced_memory()[0] - matrix_bytes(m) - tables
     )
-    vector = 8 * disc.saddle_orbits.orbit.size
     for count, bound in ((1, 8), (2, 9)):
         seen.clear()
         tracemalloc.start()
@@ -470,7 +480,7 @@ def test_only_the_factor_input_is_alive_when_factoring(case, monkeypatch, degree
 def test_int8_orbit_weights_give_the_float_basis(degree, n):
     # the orbit weights are int8 entries of {-1, 0, 1}, and every block's
     # basis is bit for bit the one that their float64 form gives
-    orbits = assembly.Discretization(mesh.build_grid(n), degree).saddle_orbits
+    orbits = sparsela._saddle_orbits(assembly.Discretization(mesh.build_grid(n), degree).space)
     assert orbits.weight.dtype == np.int8
     assert set(np.unique(orbits.weight).tolist()) <= {-1, 0, 1}
     as_float = dataclasses.replace(orbits, weight=orbits.weight.astype(np.float64))
