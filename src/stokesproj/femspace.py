@@ -125,13 +125,10 @@ class FeSpace:
         blocks = np.asarray(coeffs).reshape(-1, self.num_dofs)
         return blocks[:, self.free_scalar].ravel()
 
-    def extend(self, coeffs_free):
-        """Inverse of restrict: insert zeros at the Dirichlet DOFs of every
-        block.  A (blocks, free) array gives the block count even where
-        no DOF is free, which a flat vector cannot."""
-        blocks = np.asarray(coeffs_free)
-        if blocks.ndim == 1:
-            blocks = blocks.reshape(-1, self.free_scalar.size)
+    def extend(self, blocks):
+        """Inverse of restrict for a (blocks, free) array: insert zeros at
+        the Dirichlet DOFs of every block.  The leading axis gives the
+        block count even where no DOF is free, which a flat vector cannot."""
         out = np.zeros((blocks.shape[0], self.num_dofs))
         out[:, self.free_scalar] = blocks
         return out.ravel()

@@ -141,7 +141,7 @@ class TransientErrorTracker:
 
     def __call__(self, state):
         """The ErrorRecord of ``state`` (velocity on the free DOFs)."""
-        v, q = self.space.extend(state.velocity), state.pressure
+        v, q = self.space.extend(state.velocity.reshape(2, -1)), state.pressure
         c = float(np.cos(state.t))
         vmv = float(v @ componentwise(self.M, v))
         qmq = float(q @ (self.M @ q))

@@ -28,8 +28,10 @@ velocity component, so one scalar factorization of M/dt + nu A
 steps take that factor and read every other operator from the
 Discretization, the pressure solve too: factor-free for P1 and one
 pinned factorization of S for P2.  ``run`` is the one time loop: it
-steps every run of a mesh on shared forcing loads and initial states,
-and the experiment runners only choose what each step records.
+steps one run from the initial state its caller gives it, so a caller
+chooses that state (the stability probe starts every dt/delta ratio
+from one), and the experiment runners only choose what each step
+records.
 """
 
 from dataclasses import dataclass
@@ -152,9 +154,8 @@ def initialize(params, case, disc):
             )
         else:
             q0 = np.zeros(space.num_dofs)
-    prev = q0.copy() if params.scheme == "inc" else None
     return TimeState(step=0, t=0.0, velocity=space.restrict(v0), pressure=q0,
-                     pressure_prev=prev)
+                     pressure_prev=q0 if params.scheme == "inc" else None)
 
 
 def _advance(state, params, disc, momentum, load, pressure_in_momentum):
@@ -190,48 +191,34 @@ def step_inc(state, params, disc, momentum, load):
         t=state.t + params.dt,
         velocity=v_new,
         pressure=_pressure_solve(disc, rhs_p, params.delta + params.delta2),
-        pressure_prev=state.pressure.copy(),
+        pressure_prev=state.pressure,
     )
 
 
 @dataclass
 class RunResult:
-    params: SchemeParams
     final_state: TimeState
     diverged: bool
-    steps_completed: int
     energies: np.ndarray
     records: list
 
 
-def run(runs, case, disc, observe=None, energy_ceiling=None):
-    """Step every SchemeParams of ``runs`` on ``disc`` with forcing from
-    ``case``; returns one RunResult per run, in order.
+def run(params, state, case, disc, observe=None, energy_ceiling=None):
+    """Step the run ``params`` on ``disc`` from ``state`` with forcing from
+    ``case``; returns its RunResult.
 
-    The runs share the forcing loads, and the runs with the same (init,
-    nu, delta, tol, scheme) share one initial state; the initial states
-    are made first.  ``observe(state)`` is called on the initial state
-    and after every step, and its return values are the run's
-    ``records``.  A run stops and is marked diverged once its velocity
-    stops being finite or, when ``energy_ceiling`` is set, once its
-    velocity energy exceeds ceiling * max(initial energy, 1e-300);
-    ``energies`` holds that history.  ``final_state`` is the last state
-    that passed this test; ``steps_completed`` counts the diverged step
-    too.
+    ``state`` is usually ``initialize(params, case, disc)``; runs may
+    share one, as nothing writes into a state's arrays.  ``observe(state)``
+    is called on the initial state and after every step, and its return
+    values are the run's ``records``.  The run stops and is marked
+    diverged once its velocity stops being finite or, when
+    ``energy_ceiling`` is set, once its velocity energy exceeds ceiling *
+    max(initial energy, 1e-300); ``energies`` holds that history, the
+    diverged step's energy included.  ``final_state`` is the last state
+    that passed this test.  The run's momentum matrix and factor are
+    freed on return.
     """
     loads = [(tf, disc.free_load(sf)) for tf, sf in case.forcing_terms()]
-    keys = [(p.init, p.nu, p.delta, p.tol, p.scheme) for p in runs]
-    initial = {}
-    for params, key in zip(runs, keys):
-        if key not in initial:
-            initial[key] = initialize(params, case, disc)
-    return [_run_one(params, disc, initial[key], loads, observe, energy_ceiling)
-            for params, key in zip(runs, keys)]
-
-
-def _run_one(params, disc, state, loads, observe, energy_ceiling):
-    """Step one run from ``state``; see ``run``.  Its momentum matrix and
-    factor are freed on return, before the next run's are made."""
     momentum = sparsela.FactorizedSpd(disc.momentum(params.dt, params.nu))
     step = step_noninc if params.scheme == "noninc" else step_inc
 
@@ -258,5 +245,4 @@ def _run_one(params, disc, state, loads, observe, energy_ceiling):
         state = new
         if observe is not None:
             records.append(observe(state))
-    steps = state.step + 1 if diverged else state.step
-    return RunResult(params, state, diverged, steps, np.asarray(energies), records)
+    return RunResult(state, diverged, np.asarray(energies), records)

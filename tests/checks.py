@@ -1,11 +1,13 @@
 """Quantities that only the tests evaluate: the velocity gradient,
 divergence and time derivative of the manufactured case of
 ``stokesproj.mms``, the velocity stiffness A of a discretization as a
-matrix of its own, the velocity energy of a state, and the residuals of
-the two non-incremental relations for a completed time step."""
+matrix of its own, the velocity energy of a state, the residuals of
+the two non-incremental relations for a completed time step, and a time
+run from its own initial state."""
 
 import numpy as np
 
+from stokesproj import schemes
 from stokesproj.assembly import componentwise
 
 
@@ -67,3 +69,9 @@ def noninc_residuals(params, disc, v_old, v_new, q_momentum, q_new, load_block):
     div_scale = max(np.linalg.norm(div_rhs), 1e-300)
     div_res = np.linalg.norm(params.delta * (disc.stiffness @ q_new) - div_rhs) / div_scale
     return mom_res, div_res
+
+
+def run_from_initial(params, case, disc, **options):
+    """The RunResult of ``params`` on ``disc`` from the initial state that
+    ``params.init`` makes; ``options`` are those of ``schemes.run``."""
+    return schemes.run(params, schemes.initialize(params, case, disc), case, disc, **options)

@@ -196,7 +196,7 @@ def test_restrict_extend_roundtrip(grid4):
     rng = np.random.default_rng(3)
     full = rng.standard_normal(2 * space.num_dofs)
     full[dense_oracle.dirichlet_dofs(space)] = 0.0
-    assert np.array_equal(space.extend(space.restrict(full)), full)
+    assert np.array_equal(space.extend(space.restrict(full).reshape(2, -1)), full)
 
 
 # --- interpolation -----------------------------------------------------------

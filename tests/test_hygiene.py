@@ -16,13 +16,17 @@ is longer than 99 characters.  Every span pattern of a benchmark layer
 a layer that matches nothing reads 0.  And every ``module.Name`` or
 class name that the README quotes in backticks, or a src/ docstring in
 double backticks, names an attribute of the package: a renamed or
-deleted name leaves no stale mention behind."""
+deleted name leaves no stale mention behind.  A quoted call
+``module.name(args)`` lists the parameter names of that function, less
+``self``, with ``*`` and defaults left out of the comparison: a changed
+signature leaves no stale call behind."""
 
 import ast
 import builtins
 import collections
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import re
 
@@ -475,16 +479,20 @@ def test_benchmark_layer_patterns_match_code():
 MODULES = {path.stem for path in (ROOT / "src" / "stokesproj").glob("[!_]*.py")}
 
 
+def _quoted(text, quote):
+    """The ``quote``-delimited spans of ``text`` outside fenced code blocks."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
+    return re.findall(f"{quote}([^`]+?){quote}", text)
+
+
 def documented_names(text, quote, modules):
     """Every dotted name that opens a ``quote``-delimited span of
     ``text`` outside fenced code blocks (alone or before a call's
     argument list) and starts with one of ``modules`` or with a
     capitalized word, a class name; an optional ``stokesproj.`` prefix
     is dropped."""
-    text = re.sub(r"^```.*?^```", "", text, flags=re.S | re.M)
-    spans = re.findall(f"{quote}([^`]+?){quote}", text)
     dotted = re.compile(r"(?:stokesproj\.)?([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*)?", re.S)
-    names = {m.group(1) for m in map(dotted.fullmatch, spans) if m}
+    names = {m.group(1) for m in map(dotted.fullmatch, _quoted(text, quote)) if m}
     return sorted(name for name in names
                   if name.split(".")[0] in modules and "." in name
                   or re.match(r"[A-Z][a-z]", name))
@@ -512,6 +520,37 @@ def _resolves(name):
     return any(_has_path(owner, name.split(".")) for owner in owners + [builtins])
 
 
+def documented_calls(text, quote, modules):
+    """(name, listed) of every ``quote``-delimited span of ``text``
+    outside fenced code blocks that is a whole call ``module.name(args)``
+    of one of ``modules``: ``listed`` holds the names of its arguments in
+    order, less ``*``, defaults and ``self``."""
+    call = re.compile(r"(?:stokesproj\.)?((\w+)\.[\w.]+)\((.*)\)", re.S)
+    calls = []
+    for m in map(call.fullmatch, _quoted(text, quote)):
+        if m and m.group(2) in modules:
+            listed = [arg.split("=")[0].strip().lstrip("*") for arg in m.group(3).split(",")]
+            calls.append((m.group(1), [arg for arg in listed if arg and arg != "self"]))
+    return sorted(calls)
+
+
+def _parameters(name):
+    """The parameter names, less ``self``, of the package callable ``name``."""
+    head, *path = name.split(".")
+    obj = importlib.import_module(f"stokesproj.{head}")
+    for attr in path:
+        obj = getattr(obj, attr)
+    return [p for p in inspect.signature(obj).parameters if p != "self"]
+
+
+def miscalled(text, quote):
+    """Every quoted package call of ``text`` whose listed names are not
+    the parameters of the callable it names."""
+    calls = documented_calls(text, quote, MODULES)
+    return [f"{name}({', '.join(listed)})" for name, listed in calls
+            if _resolves(name) and listed != _parameters(name)]
+
+
 def test_checker_finds_documented_names():
     text = ("`mesh.build_grid` and `stokesproj.schemes.run(runs, case)`, `steady.solve`, "
             "`np.linalg.norm`, `scripts/x.cfg`, `schemes.Gone.attr`, `Gone`, `K_r`, `mesh`\n"
@@ -525,10 +564,28 @@ def test_checker_finds_documented_names():
     assert not _resolves("Gone") and not _resolves("Discretization.gone")
 
 
+def test_checker_finds_documented_calls():
+    text = ("`stokesproj.schemes.run(params, state,\ncase, disc, observe=None)`, "
+            "`mesh.build_grid`, `steady.solve(*, tol=1e-10)`, `np.linalg.norm(x)`, `Gone(a)`, "
+            "`mesh.f(a`\n"
+            "```\n`mesh.fenced(a)`\n```\n")
+    assert documented_calls(text, "`", {"mesh", "schemes", "steady"}) == [
+        ("schemes.run", ["params", "state", "case", "disc", "observe"]), ("steady.solve", ["tol"])]
+    assert _parameters("schemes.run") == [
+        "params", "state", "case", "disc", "observe", "energy_ceiling"]
+    assert _parameters("assembly.Discretization.momentum") == ["dt", "nu"]
+    assert miscalled("`schemes.initialize(params, case, disc)` `mesh.build_grid(n)`", "`") == []
+    assert miscalled("`schemes.run(runs, case, disc)` `schemes.Gone(a)`", "`") == [
+        "schemes.run(runs, case, disc)"]
+
+
 def test_readme_names_exist():
-    names = documented_names((ROOT / "README.md").read_text(), "`", MODULES)
+    text = (ROOT / "README.md").read_text()
+    names = documented_names(text, "`", MODULES)
     stale = [name for name in names if not _resolves(name)]
     assert names and not stale, f"README.md names {stale}, which do not exist"
+    wrong = miscalled(text, "`")
+    assert not wrong, f"README.md calls {wrong}, which list other parameters"
 
 
 def test_docstring_names_exist():
@@ -537,6 +594,8 @@ def test_docstring_names_exist():
         tree = ast.parse((ROOT / path).read_text())
         docstrings = (ast.get_docstring(node) or "" for node in ast.walk(tree)
                       if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)))
-        stale += [f"{path}: {name}" for doc in docstrings
-                  for name in documented_names(doc, "``", MODULES) if not _resolves(name)]
-    assert not stale, f"docstrings name {stale}, which do not exist"
+        for doc in docstrings:
+            stale += [f"{path}: {name}" for name in documented_names(doc, "``", MODULES)
+                      if not _resolves(name)]
+            stale += [f"{path}: {call}" for call in miscalled(doc, "``")]
+    assert not stale, f"docstrings name {stale}, which do not exist or list other parameters"

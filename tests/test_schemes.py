@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import pathlib
 import tracemalloc
@@ -183,7 +184,8 @@ def test_each_run_factors_its_own_momentum_matrix(case, monkeypatch, degree):
 
     monkeypatch.setattr(sparsela, "_splu", splu)
     monkeypatch.setattr(Discretization, "momentum", momentum)
-    schemes.run(runs, case, disc)
+    for params in runs:
+        checks.run_from_initial(params, case, disc)
     assert alive == [[], [False]]
     assert len(factored) == 2
     for params, (data, indices, indptr) in zip(runs, factored):
@@ -212,7 +214,7 @@ def test_momentum_matrix_allocates_little_beside_its_entries(degree, n):
     assert peak < 8 * matrix.nnz + 8 * 4096 + 4096
 
 
-def test_incremental_init_copies_pressure(grid4, case):
+def test_incremental_init_starts_with_equal_pressures(grid4, case):
     params = make_params(scheme="inc", init="interpolant")
     state = schemes.initialize(params, case, Discretization(grid4, 1))
     assert np.array_equal(state.pressure_prev, state.pressure)
@@ -360,8 +362,8 @@ def test_noninc_pressure_tends_to_the_pspg_step_at_first_order(case, load_at):
     for k in (1, 4):
         params = schemes.SchemeParams(nu=nu, dt=delta / k, T=0.05, delta=delta,
                                       init="interpolant")
-        (result,) = schemes.run([params], case, disc)
         start = schemes.initialize(params, case, disc)
+        result = schemes.run(params, start, case, disc)
         _, pressure = monolithic.run(disc, load_at(case, disc), start.velocity, nu, delta,
                                      params.dt, params.num_steps())
         difference = result.final_state.pressure - pressure
@@ -371,8 +373,7 @@ def test_noninc_pressure_tends_to_the_pspg_step_at_first_order(case, load_at):
 
 def states(params, case, disc):
     """The initial state and the state after every step of one run."""
-    (result,) = schemes.run([params], case, disc, observe=lambda state: state)
-    return result.records
+    return checks.run_from_initial(params, case, disc, observe=lambda state: state).records
 
 
 def test_stabilized_initial_data_bounds_the_pressure_jump_from_the_first_step(case):
@@ -539,26 +540,48 @@ def test_classical_form_identity(grid4, case, load_at):
 
 def test_run_single_step(grid4, case):
     params = make_params(T=1e-3, init="stabilized_stokes")
-    (result,) = schemes.run([params], case, Discretization(grid4, 1))
-    assert result.steps_completed == 1
+    result = checks.run_from_initial(params, case, Discretization(grid4, 1))
+    assert result.final_state.step == 1
     assert result.final_state.t == pytest.approx(1e-3)
     assert not result.diverged
 
 
 def test_run_invokes_observers(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
-    (result,) = schemes.run([params], case, Discretization(grid4, 1),
-                            observe=lambda st: st.step)
+    result = checks.run_from_initial(params, case, Discretization(grid4, 1),
+                                     observe=lambda st: st.step)
     assert result.records == [0, 1, 2, 3, 4, 5]
-    assert result.steps_completed == 5
+    assert result.final_state.step == 5
 
 
 def test_run_deterministic(grid4, case):
     params = make_params(T=5e-3, init="stabilized_stokes")
-    (r1,) = schemes.run([params], case, Discretization(grid4, 1))
-    (r2,) = schemes.run([params], case, Discretization(grid4, 1))
+    r1 = checks.run_from_initial(params, case, Discretization(grid4, 1))
+    r2 = checks.run_from_initial(params, case, Discretization(grid4, 1))
     assert np.array_equal(r1.final_state.velocity, r2.final_state.velocity)
     assert np.array_equal(r1.final_state.pressure, r2.final_state.pressure)
+
+
+@pytest.mark.parametrize("scheme", ["noninc", "inc"])
+def test_runs_may_share_one_initial_state(grid4, case, scheme):
+    # nothing writes into a state's arrays, so two runs from one shared
+    # initial state step as runs from fresh states do and leave it as it was
+    disc = Discretization(grid4, 1)
+    runs = [make_params(scheme=scheme, init="interpolant", dt=dt) for dt in (1e-3, 5e-4)]
+    shared = schemes.initialize(runs[0], case, disc)
+    before = copy.deepcopy(shared)
+
+    def same(a, b):
+        return all(np.array_equal(x, y)
+                   for x, y in zip(dataclasses.astuple(a), dataclasses.astuple(b)))
+
+    for params in runs:
+        result = schemes.run(params, shared, case, disc, observe=lambda state: state)
+        fresh = checks.run_from_initial(params, case, disc, observe=lambda state: state)
+        assert same(result.final_state, fresh.final_state)
+        assert len(result.records) == len(fresh.records) == params.num_steps() + 1
+        assert all(same(a, b) for a, b in zip(result.records, fresh.records))
+    assert same(shared, before)
 
 
 def test_unstable_run_marked_diverged(case):
@@ -569,11 +592,12 @@ def test_unstable_run_marked_diverged(case):
         nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
         init="stabilized_stokes", max_dt_ratio=np.inf,
     )
-    (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
+    result = checks.run_from_initial(params, case, Discretization(grid, 1), energy_ceiling=1e12)
     assert result.diverged
-    assert result.steps_completed < 500
-    # the final state is the last one that passed the divergence test
-    assert result.final_state.step == result.steps_completed - 1
+    # the energies run to the diverged step, and the final state is the
+    # last one that passed the divergence test
+    assert len(result.energies) - 1 < 500
+    assert result.final_state.step == len(result.energies) - 2
     assert np.all(np.isfinite(result.final_state.velocity))
 
 
@@ -584,7 +608,7 @@ def test_stable_run_keeps_energy_bounded(case):
         nu=case.nu, dt=0.5 * delta, T=100 * 0.5 * delta, delta=delta,
         scheme="noninc", init="stabilized_stokes",
     )
-    (result,) = schemes.run([params], case, Discretization(grid, 1), energy_ceiling=1e12)
+    result = checks.run_from_initial(params, case, Discretization(grid, 1), energy_ceiling=1e12)
     assert not result.diverged
     assert result.energies.max() <= 10.0 * result.energies[0]
 
@@ -625,7 +649,8 @@ def test_modified_scheme_keeps_its_pressure_as_dt_falls(case):
     runs = [params(delta, delta), params(delta / 64, delta), params(delta / 64, delta / 64)]
     tracker = metrics.TransientErrorTracker(disc, case)
     both, modified, classical = (
-        tracker(result.final_state).pres_l2_exact for result in schemes.run(runs, case, disc)
+        tracker(checks.run_from_initial(params, case, disc).final_state).pres_l2_exact
+        for params in runs
     )
     assert abs(modified / both - 1.0) < 0.01, (both, modified)
     assert classical >= 2.0 * both, (both, classical)

@@ -425,7 +425,7 @@ def test_velocity_at_rho_1000_matches_refined_pivoting_reference(case):
     sol[keep] = solve(full_rhs[keep])
     for _ in range(3):
         sol[keep] += solve((full_rhs - k @ sol)[keep])
-    reference = disc.space.extend(sol[:nv])
+    reference = disc.space.extend(sol[:nv].reshape(2, -1))
     assert np.linalg.norm(velocity - reference) <= 1e-13 * np.linalg.norm(reference)
 
 
