@@ -364,10 +364,11 @@ def run_steady_sweep(config):
 # transient experiments
 
 
-def _scheme_params(config, delta, dt, init):
-    """The SchemeParams of one time-stepping run.  The stability probe
-    steps the non-incremental scheme for ``step_budget`` steps and accepts
-    dt up to 2 delta; the transient kinds accept dt > delta only with
+def _scheme_params(config, delta, dt):
+    """The SchemeParams of the runs at ``dt`` on a mesh of stabilization
+    ``delta``, whatever their initial state.  The stability probe steps
+    the non-incremental scheme for ``step_budget`` steps and accepts dt up
+    to 2 delta; the transient kinds accept dt > delta only with
     ``allow_unstable``."""
     probe = config.kind == "stability_probe"
     scheme = "noninc" if probe else config.scheme
@@ -378,25 +379,19 @@ def _scheme_params(config, delta, dt, init):
         delta=delta,
         delta2=0.0 if scheme == "inc" and config.delta2_law == "zero" else None,
         scheme=scheme,
-        init=init,
         max_dt_ratio=np.inf if config.allow_unstable else 2.0 if probe else 1.0,
-        tol=config.tol,
     )
 
 
 def _scheme_runs(config, h):
-    """SchemeParams of every run on the mesh of size ``h``, in run order:
-    one per init (transient_init, transient_convergence) or one per dt/delta
-    ratio (stability_probe)."""
+    """SchemeParams of the mesh of size ``h``, one per dt, in run order:
+    one for the transient kinds, whose every init steps with it, or one
+    per dt/delta ratio (stability_probe)."""
     (rho,) = config.rho_values
     delta = steady.choose_delta(h, config.nu, rho)
     if config.kind == "stability_probe":
-        return [
-            _scheme_params(config, delta, ratio * delta, "stabilized_stokes")
-            for ratio in config.dt_ratios
-        ]
-    dt = delta if config.dt_law == "equal_delta" else config.dt
-    return [_scheme_params(config, delta, dt, init) for init in config.inits]
+        return [_scheme_params(config, delta, ratio * delta) for ratio in config.dt_ratios]
+    return [_scheme_params(config, delta, delta if config.dt_law == "equal_delta" else config.dt)]
 
 
 def run_transient_init(config):
@@ -411,15 +406,16 @@ def run_transient_init(config):
             keep = state.step <= 1 or state.step % config.record_every == 0
             return tracker(state) if keep else None
 
-        for params in _scheme_runs(config, h):
-            result = schemes.run(params, schemes.initialize(params, case, disc), case, disc,
-                                 observe=observe)
+        (params,) = _scheme_runs(config, h)
+        for init in config.inits:
+            result = schemes.run(
+                params, schemes.initialize(init, case, disc, config.nu, params.delta, config.tol),
+                case, disc, observe=observe)
             records = [rec for rec in result.records if rec is not None]
             if result.records[-1] is None:
                 records.append(tracker(result.final_state))
             for rec in records:
-                rows.append([params.init, n, rec.step, rec.t, rec.pres_l2_interp,
-                             rec.vel_l2_interp])
+                rows.append([init, n, rec.step, rec.t, rec.pres_l2_interp, rec.vel_l2_interp])
     return columns, rows
 
 
@@ -433,11 +429,11 @@ def run_transient_convergence(config):
         "pres_l2_time_integrated,pres_l2_final,vel_l2_final,status"
     ).split(",")
     rows = []
-    (rho,) = config.rho_values
+    (rho,), (init,) = config.rho_values, config.inits
     for _, n, h, disc in _meshes(config):
         (params,) = _scheme_runs(config, h)
         try:
-            state = schemes.initialize(params, case, disc)
+            state = schemes.initialize(init, case, disc, config.nu, params.delta, config.tol)
             # made after the initial state, so that nothing it holds is alive
             # while a stabilized-Stokes steady solve runs
             tracker = metrics.TransientErrorTracker(disc, case)
@@ -478,7 +474,8 @@ def run_stability_probe(config):
     for _, n, h, disc in _meshes(config):
         runs = _scheme_runs(config, h)
         # every ratio starts from one stabilized-Stokes state at the mesh's delta
-        state = schemes.initialize(runs[0], case, disc)
+        state = schemes.initialize("stabilized_stokes", case, disc, config.nu, runs[0].delta,
+                                   config.tol)
         for ratio, params in zip(config.dt_ratios, runs):
             result = schemes.run(params, state, case, disc, energy_ceiling=config.energy_ceiling)
             for step, energy in enumerate(result.energies):

@@ -28,10 +28,11 @@ velocity component, so one scalar factorization of M/dt + nu A
 steps take that factor and read every other operator from the
 Discretization, the pressure solve too: factor-free for P1 and one
 pinned factorization of S for P2.  ``run`` is the one time loop: it
-steps one run from the initial state its caller gives it, so a caller
-chooses that state (the stability probe starts every dt/delta ratio
-from one), and the experiment runners only choose what each step
-records.
+steps one run from the initial state its caller gives it, which
+``initialize`` makes from the steady problem alone, so one state serves
+runs of either scheme at any dt (the stability probe starts every
+dt/delta ratio from one), and the experiment runners only choose what
+each step records.
 """
 
 from dataclasses import dataclass
@@ -53,7 +54,7 @@ class SchemeGuardError(ValueError):
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Time-stepping configuration, checked when it is made.
+    """The time steps of one run, checked when it is made; not its initial state.
 
     ``delta2`` (incremental scheme only) defaults to delta, the analyzed
     case.  ``max_dt_ratio`` is the largest dt/delta that the time-step
@@ -69,9 +70,7 @@ class SchemeParams:
     delta: float
     delta2: float = None
     scheme: str = "noninc"
-    init: str = "stabilized_stokes"
     max_dt_ratio: float = 1.0
-    tol: float = 1e-10
 
     def __post_init__(self):
         if self.nu <= 0.0:
@@ -86,8 +85,6 @@ class SchemeParams:
             raise ValueError("delta2 must be nonnegative")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-        if self.init not in INITS:
-            raise ValueError(f"unknown init {self.init!r}; choose from {INITS}")
         if self.scheme == "inc" and self.delta2 is None:
             object.__setattr__(self, "delta2", self.delta)  # the dataclass is frozen
         self.check_guard()
@@ -115,8 +112,8 @@ class SchemeParams:
 class TimeState:
     """State after ``step`` steps at t = step * dt: velocity coefficients
     on the free velocity DOFs (component blocks), pressure coefficients on
-    every pressure DOF.  ``pressure_prev`` is carried by the incremental
-    scheme."""
+    every pressure DOF.  ``pressure_prev``, the pressure one step back, is
+    read by the incremental step only; an initial state holds q0 there."""
 
     step: int
     t: float
@@ -125,37 +122,40 @@ class TimeState:
     pressure_prev: np.ndarray = None
 
 
-def initialize(params, case, disc):
-    """Initial (velocity, pressure) state on ``disc`` for the configured strategy.
+def initialize(init, case, disc, nu, delta, tol):
+    """Initial state on ``disc`` by the strategy ``init`` at viscosity ``nu``:
 
     interpolant:        nodal interpolants of v(0) and q(0), the pressure
                         shifted to zero discrete mean;
-    stabilized_stokes:  the stabilized steady solve at delta with data
-                        g(0) - v_t(0), which is the steady forcing (a
-                        failed solve raises its LinearSolverError); its
-                        saddle blocks live only inside that solve;
+    stabilized_stokes:  the stabilized steady solve at ``delta`` to
+                        ``tol`` with data g(0) - v_t(0), which is the
+                        steady forcing (a failed solve raises its
+                        LinearSolverError); its saddle blocks live only
+                        inside that solve;
     zero_pressure:      interpolated velocity and identically zero pressure.
 
-    The velocity keeps only its free DOFs, so its Dirichlet values are zero.
+    The velocity keeps only its free DOFs, so its Dirichlet values are
+    zero.  Both pressures are q0, so either scheme starts from the state
+    (2 q0 - q0 is q0).  An unknown ``init`` raises ValueError.
     """
+    if init not in INITS:
+        raise ValueError(f"unknown init {init!r}; choose from {INITS}")
     space = disc.space
-    if params.init == "stabilized_stokes":
-        (solution,) = steady.solve(disc, params.nu, [params.delta],
-                                   disc.free_load(case.steady_forcing), params.tol)
+    if init == "stabilized_stokes":
+        (solution,) = steady.solve(disc, nu, [delta], disc.free_load(case.steady_forcing), tol)
         if isinstance(solution, sparsela.LinearSolverError):
             raise solution
         v0, q0 = solution
     else:
         v0 = femspace.interpolate(space, lambda x, y: case.velocity(x, y, 0.0))
-        if params.init == "interpolant":
+        if init == "interpolant":
             q0 = sparsela.project_mean(
                 femspace.interpolate(space, lambda x, y: case.pressure(x, y, 0.0)),
                 disc.mean_weights,
             )
         else:
             q0 = np.zeros(space.num_dofs)
-    return TimeState(step=0, t=0.0, velocity=space.restrict(v0), pressure=q0,
-                     pressure_prev=q0 if params.scheme == "inc" else None)
+    return TimeState(step=0, t=0.0, velocity=space.restrict(v0), pressure=q0, pressure_prev=q0)
 
 
 def _advance(state, params, disc, momentum, load, pressure_in_momentum):
@@ -207,7 +207,8 @@ def run(params, state, case, disc, observe=None, energy_ceiling=None):
     """Step the run ``params`` on ``disc`` from ``state`` with forcing from
     ``case``; returns its RunResult.
 
-    ``state`` is usually ``initialize(params, case, disc)``; runs may
+    ``state`` is usually ``initialize(init, case, disc, nu, delta, tol)``
+    at the run's nu and delta; runs of either scheme and of any dt may
     share one, as nothing writes into a state's arrays.  ``observe(state)``
     is called on the initial state and after every step, and its return
     values are the run's ``records``.  The run stops and is marked

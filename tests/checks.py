@@ -2,8 +2,8 @@
 divergence and time derivative of the manufactured case of
 ``stokesproj.mms``, the velocity stiffness A of a discretization as a
 matrix of its own, the velocity energy of a state, the residuals of
-the two non-incremental relations for a completed time step, and a time
-run from its own initial state."""
+the two non-incremental relations for a completed time step, and an
+initial state at a run's nu and delta and the run from it."""
 
 import numpy as np
 
@@ -71,7 +71,16 @@ def noninc_residuals(params, disc, v_old, v_new, q_momentum, q_new, load_block):
     return mom_res, div_res
 
 
-def run_from_initial(params, case, disc, **options):
-    """The RunResult of ``params`` on ``disc`` from the initial state that
-    ``params.init`` makes; ``options`` are those of ``schemes.run``."""
-    return schemes.run(params, schemes.initialize(params, case, disc), case, disc, **options)
+# the steady tolerance of the CLI's default config
+TOL = 1e-10
+
+
+def initial_state(init, params, case, disc):
+    """The initial state ``init`` on ``disc`` at the nu and delta of ``params``."""
+    return schemes.initialize(init, case, disc, params.nu, params.delta, TOL)
+
+
+def run_from_initial(params, init, case, disc, **options):
+    """The RunResult of ``params`` on ``disc`` from its initial state
+    ``init``; ``options`` are those of ``schemes.run``."""
+    return schemes.run(params, initial_state(init, params, case, disc), case, disc, **options)

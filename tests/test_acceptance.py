@@ -193,20 +193,17 @@ def init_study(mms_case):
     t0 = time.time()
     for n in (20, 40, 80):
         delta = steady.choose_delta(1.0 / n, NU, 10.0)
-        runs = [
-            schemes.SchemeParams(nu=NU, dt=delta, T=2.0, delta=delta, scheme="noninc", init=init)
-            for init in ("stabilized_stokes", "interpolant")
-        ]
+        params = schemes.SchemeParams(nu=NU, dt=delta, T=2.0, delta=delta, scheme="noninc")
         disc = Discretization(mesh.build_grid(n), 1)
         tracker = metrics.TransientErrorTracker(disc, mms_case)
-        last = runs[0].num_steps()
+        last = params.num_steps()
 
         def observe(state):  # the test reads the records of steps 1 and `last` only
             return tracker(state) if state.step <= 1 or state.step == last else None
 
-        for params in runs:
-            result = checks.run_from_initial(params, mms_case, disc, observe=observe)
-            results[(n, params.init)] = result.records
+        for init in ("stabilized_stokes", "interpolant"):
+            result = checks.run_from_initial(params, init, mms_case, disc, observe=observe)
+            results[(n, init)] = result.records
     return results, time.time() - t0
 
 
@@ -258,12 +255,13 @@ def test_criterion_06_stability_threshold(mms_case):
     runs = [
         schemes.SchemeParams(
             nu=NU, dt=ratio * delta, T=500 * (ratio * delta), delta=delta, scheme="noninc",
-            init="stabilized_stokes", max_dt_ratio=np.inf,
+            max_dt_ratio=np.inf,
         )
         for ratio in ratios
     ]
     disc = Discretization(grid, 1)
-    state = schemes.initialize(runs[0], mms_case, disc)  # every ratio starts from it
+    # every ratio starts from one state
+    state = schemes.initialize("stabilized_stokes", mms_case, disc, NU, delta, checks.TOL)
     for ratio, params in zip(ratios, runs):
         result = schemes.run(params, state, mms_case, disc, energy_ceiling=1e12)
         finite = result.energies[np.isfinite(result.energies)]
@@ -303,7 +301,6 @@ def test_criterion_07_free_decay_monotonicity():
     for scheme in ("noninc", "inc"):
         params = schemes.SchemeParams(
             nu=NU, dt=delta, T=100 * delta, delta=delta, scheme=scheme,
-            init="zero_pressure",
         )
         momentum = sparsela.FactorizedSpd(disc.momentum(params.dt, params.nu))
         zero_q = np.zeros(disc.space.num_dofs)
@@ -338,12 +335,11 @@ def test_criterion_08_scheme_equivalence(mms_case, load_at):
     delta = steady.choose_delta(1.0 / 20, NU, 10.0)
     params = schemes.SchemeParams(
         nu=NU, dt=delta, T=50 * delta, delta=delta, scheme="inc",
-        init="stabilized_stokes",
     )
     disc = Discretization(grid, 1)
     momentum = sparsela.FactorizedSpd(disc.momentum(params.dt, params.nu))
     load = load_at(mms_case, disc)
-    state = schemes.initialize(params, mms_case, disc)
+    state = checks.initial_state("stabilized_stokes", params, mms_case, disc)
     worst_mom = worst_div = 0.0
     for _ in range(50):
         prev = state
@@ -457,11 +453,11 @@ def inc_convergence(mms_case):
         delta = 0.01 * h * h  # dt = delta = delta2 = 0.01 h^2
         params = schemes.SchemeParams(
             nu=NU, dt=delta, T=0.02, delta=delta, scheme="inc",
-            init="stabilized_stokes",
         )
         disc = Discretization(grid, 1)
         tracker = metrics.TransientErrorTracker(disc, mms_case)
-        result = checks.run_from_initial(params, mms_case, disc, observe=tracker.pres_l2_exact)
+        result = checks.run_from_initial(params, "stabilized_stokes", mms_case, disc,
+                                         observe=tracker.pres_l2_exact)
         errs.append(metrics.discrete_time_norm(result.records[1:], params.dt))
         hs.append(h)
     return errs, hs, time.time() - t0

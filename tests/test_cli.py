@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stokesproj
-from stokesproj import assembly, cli, metrics, sparsela, steady
+from stokesproj import assembly, cli, mesh, metrics, mms, schemes, sparsela, steady
 
 
 def write(tmp_path, text, name="exp.cfg"):
@@ -571,6 +571,34 @@ def test_transient_init_rows():
         sub = [r for r in rows if r[0] == init]
         assert [r[2] for r in sub] == list(range(11))
         assert all(np.isfinite(r[4]) and r[4] >= 0 for r in sub)
+
+
+def test_stabilized_stokes_initial_state_is_the_steady_solve_at_delta():
+    # an initial state depends on delta, not on dt: at dt = delta/2 the
+    # step-0 row is, bit for bit, the error of the steady solve at delta
+    # (0.004613098 pressure, 0.013232165 velocity); solved at dt, it would
+    # read 0.004097856 and 0.007028442
+    config = cli.parse_config_text(
+        "[transient_init]\nn_values = 8\nrho_values = 10\ninits = stabilized_stokes\n"
+        "dt_law = fixed\ndt = 0.0078125\nT = 0.015625\n",
+        kind="transient_init",
+    )
+    _, rows = cli.run_transient_init(config)
+    disc = assembly.Discretization(mesh.build_grid(8), 1)
+    case = mms.berrone_case(config.nu)
+    tracker = metrics.TransientErrorTracker(disc, case)
+    delta = steady.choose_delta(1.0 / 8, config.nu, 10.0)
+    assert config.dt == delta / 2
+
+    def step0(at):
+        ((v, q),) = steady.solve(disc, config.nu, [at], disc.free_load(case.steady_forcing),
+                                 config.tol)
+        record = tracker(schemes.TimeState(0, 0.0, disc.space.restrict(v), q))
+        return [record.pres_l2_interp, record.vel_l2_interp]
+
+    assert [row[2] for row in rows] == [0, 1, 2]
+    assert rows[0][4:] == step0(delta)
+    assert step0(config.dt) != step0(delta)
 
 
 def test_transient_convergence_rows():

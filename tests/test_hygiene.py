@@ -19,7 +19,11 @@ double backticks, names an attribute of the package: a renamed or
 deleted name leaves no stale mention behind.  A quoted call
 ``module.name(args)`` lists the parameter names of that function, less
 ``self``, with ``*`` and defaults left out of the comparison: a changed
-signature leaves no stale call behind."""
+signature leaves no stale call behind.  So does a quoted bare call
+``name(args)``: in a src/ docstring, of a function of the docstring's own
+module or a method of a class defined there; in a row of the README's
+library table, of the row's module ``stokesproj.M``.  A bare name
+that names none of those (an argument, a callback) is left alone."""
 
 import ast
 import builtins
@@ -520,18 +524,36 @@ def _resolves(name):
     return any(_has_path(owner, name.split(".")) for owner in owners + [builtins])
 
 
+def _listed(args):
+    """The names of the arguments ``args`` of a quoted call, in order,
+    less ``*``, defaults and ``self``."""
+    names = [arg.split("=")[0].strip().lstrip("*") for arg in args.split(",")]
+    return [name for name in names if name and name != "self"]
+
+
 def documented_calls(text, quote, modules):
     """(name, listed) of every ``quote``-delimited span of ``text``
     outside fenced code blocks that is a whole call ``module.name(args)``
     of one of ``modules``: ``listed`` holds the names of its arguments in
     order, less ``*``, defaults and ``self``."""
     call = re.compile(r"(?:stokesproj\.)?((\w+)\.[\w.]+)\((.*)\)", re.S)
-    calls = []
-    for m in map(call.fullmatch, _quoted(text, quote)):
-        if m and m.group(2) in modules:
-            listed = [arg.split("=")[0].strip().lstrip("*") for arg in m.group(3).split(",")]
-            calls.append((m.group(1), [arg for arg in listed if arg and arg != "self"]))
-    return sorted(calls)
+    return sorted((m.group(1), _listed(m.group(3)))
+                  for m in map(call.fullmatch, _quoted(text, quote))
+                  if m and m.group(2) in modules)
+
+
+def bare_calls(text, quote):
+    """(name, listed) of every ``quote``-delimited span of ``text``
+    outside fenced code blocks that is a whole call ``name(args)`` of a
+    bare name; ``listed`` as for ``documented_calls``."""
+    call = re.compile(r"(\w+)\((.*)\)", re.S)
+    return sorted((m.group(1), _listed(m.group(2)))
+                  for m in map(call.fullmatch, _quoted(text, quote)) if m)
+
+
+def _signature(obj):
+    """The parameter names, less ``self``, of the callable ``obj``."""
+    return [p for p in inspect.signature(obj).parameters if p != "self"]
 
 
 def _parameters(name):
@@ -540,7 +562,7 @@ def _parameters(name):
     obj = importlib.import_module(f"stokesproj.{head}")
     for attr in path:
         obj = getattr(obj, attr)
-    return [p for p in inspect.signature(obj).parameters if p != "self"]
+    return _signature(obj)
 
 
 def miscalled(text, quote):
@@ -549,6 +571,27 @@ def miscalled(text, quote):
     calls = documented_calls(text, quote, MODULES)
     return [f"{name}({', '.join(listed)})" for name, listed in calls
             if _resolves(name) and listed != _parameters(name)]
+
+
+def _named_in(module, name):
+    """What a bare ``name`` names in ``module``: its function of that
+    name, or else the methods of that name of the classes it defines."""
+    if inspect.isfunction(getattr(module, name, None)):
+        return [getattr(module, name)]
+    return [getattr(cls, name) for cls in vars(module).values()
+            if inspect.isclass(cls) and cls.__module__ == module.__name__
+            and name in vars(cls) and inspect.isroutine(getattr(cls, name))]
+
+
+def miscalled_bare(text, quote, module):
+    """Every quoted bare call of ``text`` that names something in
+    ``module`` and whose listed names are the parameters of none of it."""
+    found = []
+    for name, listed in bare_calls(text, quote):
+        named = _named_in(module, name)
+        if named and all(listed != _signature(obj) for obj in named):
+            found.append(f"{name}({', '.join(listed)})")
+    return found
 
 
 def test_checker_finds_documented_names():
@@ -574,9 +617,32 @@ def test_checker_finds_documented_calls():
     assert _parameters("schemes.run") == [
         "params", "state", "case", "disc", "observe", "energy_ceiling"]
     assert _parameters("assembly.Discretization.momentum") == ["dt", "nu"]
-    assert miscalled("`schemes.initialize(params, case, disc)` `mesh.build_grid(n)`", "`") == []
+    assert miscalled("`schemes.initialize(init, case, disc, nu, delta, tol)` `mesh.build_grid(n)`",
+                     "`") == []
     assert miscalled("`schemes.run(runs, case, disc)` `schemes.Gone(a)`", "`") == [
         "schemes.run(runs, case, disc)"]
+
+
+def test_checker_finds_bare_calls():
+    schemes = importlib.import_module("stokesproj.schemes")
+    assembly = importlib.import_module("stokesproj.assembly")
+    text = ("`initialize(init, case,\ndisc, nu, delta, tol)`, `run(params, state, case, disc, "
+            "observe=None)`, `momentum(dt, nu)`, `mesh.build_grid(n)`, `λ(2λ−1)`, `f(a`\n"
+            "```\n`fenced(a)`\n```\n")
+    assert bare_calls(text, "`") == [
+        ("initialize", ["init", "case", "disc", "nu", "delta", "tol"]),
+        ("momentum", ["dt", "nu"]),
+        ("run", ["params", "state", "case", "disc", "observe"]),
+        ("λ", ["2λ−1"]),
+    ]
+    # a function of the module, a method of a class it defines (self left
+    # out), and names it does not define, which are left alone
+    assert miscalled_bare("``initialize(init, case, disc, nu, delta, tol)`` ``check_guard()`` "
+                          "``observe(state)`` ``momentum(dt, nu)``", "``", schemes) == []
+    assert miscalled_bare("``initialize(params, case, disc)`` ``check_guard(self, dt)``", "``",
+                          schemes) == ["check_guard(dt)", "initialize(params, case, disc)"]
+    assert miscalled_bare("`momentum(dt, nu)` `momentum(nu, dt)`", "`", assembly) == [
+        "momentum(nu, dt)"]
 
 
 def test_readme_names_exist():
@@ -585,6 +651,9 @@ def test_readme_names_exist():
     stale = [name for name in names if not _resolves(name)]
     assert names and not stale, f"README.md names {stale}, which do not exist"
     wrong = miscalled(text, "`")
+    for name, row in re.findall(r"^\| `stokesproj\.(\w+)` \|(.*)$", text, re.M):
+        module = importlib.import_module(f"stokesproj.{name}")
+        wrong += [f"{name}: {call}" for call in miscalled_bare(row, "`", module)]
     assert not wrong, f"README.md calls {wrong}, which list other parameters"
 
 
@@ -598,4 +667,7 @@ def test_docstring_names_exist():
             stale += [f"{path}: {name}" for name in documented_names(doc, "``", MODULES)
                       if not _resolves(name)]
             stale += [f"{path}: {call}" for call in miscalled(doc, "``")]
+            if path.stem in MODULES:
+                module = importlib.import_module(f"stokesproj.{path.stem}")
+                stale += [f"{path}: {call}" for call in miscalled_bare(doc, "``", module)]
     assert not stale, f"docstrings name {stale}, which do not exist or list other parameters"

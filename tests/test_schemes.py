@@ -17,8 +17,7 @@ from stokesproj.assembly import Discretization, componentwise
 
 
 def make_params(**kw):
-    base = dict(nu=0.01, dt=1e-3, T=1e-2, delta=1e-3, scheme="noninc",
-                init="zero_pressure")
+    base = dict(nu=0.01, dt=1e-3, T=1e-2, delta=1e-3, scheme="noninc")
     base.update(kw)
     return schemes.SchemeParams(**base)
 
@@ -82,19 +81,18 @@ def test_incremental_delta2_defaults_to_delta():
     assert make_params().delta2 is None
 
 
-def test_rejects_unknown_enum_values():
+def test_rejects_unknown_enum_values(grid4, case):
     with pytest.raises(ValueError):
         make_params(scheme="bdf2")
-    with pytest.raises(ValueError):
-        make_params(init="restart")
+    with pytest.raises(ValueError, match="unknown init 'restart'"):
+        schemes.initialize("restart", case, Discretization(grid4, 1), 0.01, 1e-3, checks.TOL)
 
 
 # --- initialization ----------------------------------------------------------
 
 
 def test_zero_pressure_init(grid4, case):
-    params = make_params(init="zero_pressure")
-    state = schemes.initialize(params, case, Discretization(grid4, 1))
+    state = checks.initial_state("zero_pressure", make_params(), case, Discretization(grid4, 1))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
     assert state.step == 0 and state.t == 0.0
 
@@ -107,8 +105,8 @@ def test_interpolant_init_reproduces_linear_field(grid4):
         def pressure(self, x, y, t):
             return np.zeros_like(x)
 
-    params = make_params(init="interpolant")
-    state = schemes.initialize(params, LinearCase(), Discretization(grid4, 1))
+    state = checks.initial_state("interpolant", make_params(), LinearCase(),
+                                 Discretization(grid4, 1))
     space = femspace.build_space(grid4, 1)
     nf = space.free_scalar.size
     expected = space.node_coords[space.free_scalar, 0]  # Dirichlet rows dropped
@@ -117,8 +115,7 @@ def test_interpolant_init_reproduces_linear_field(grid4):
 
 
 def test_interpolant_init_pressure_mean_subtracted(grid4, case):
-    params = make_params(init="interpolant")
-    state = schemes.initialize(params, case, Discretization(grid4, 1))
+    state = checks.initial_state("interpolant", make_params(), case, Discretization(grid4, 1))
     w = Discretization(grid4, 1).mean_weights
     assert abs(w @ state.pressure) <= 1e-13
 
@@ -134,8 +131,8 @@ def test_stabilized_stokes_init_zero_case(grid4):
         def steady_forcing(self, x, y):
             return np.zeros((2,) + x.shape)
 
-    params = make_params(init="stabilized_stokes")
-    state = schemes.initialize(params, NullCase(), Discretization(grid4, 1))
+    state = checks.initial_state("stabilized_stokes", make_params(), NullCase(),
+                                 Discretization(grid4, 1))
     assert np.array_equal(state.velocity, np.zeros_like(state.velocity))
     assert np.array_equal(state.pressure, np.zeros_like(state.pressure))
 
@@ -154,7 +151,7 @@ def test_stabilized_stokes_init_leaves_no_saddle_system_alive(grid4, case, monke
 
     monkeypatch.setattr(sparsela, "_representative_rows", spy)
     disc = Discretization(grid4, 1)  # held, as a time run holds it
-    schemes.initialize(make_params(init="stabilized_stokes"), case, disc)
+    checks.initial_state("stabilized_stokes", make_params(), case, disc)
     assert len(made) == 4 and all(ref() is None for ref in made)
 
 
@@ -185,7 +182,7 @@ def test_each_run_factors_its_own_momentum_matrix(case, monkeypatch, degree):
     monkeypatch.setattr(sparsela, "_splu", splu)
     monkeypatch.setattr(Discretization, "momentum", momentum)
     for params in runs:
-        checks.run_from_initial(params, case, disc)
+        checks.run_from_initial(params, "zero_pressure", case, disc)
     assert alive == [[], [False]]
     assert len(factored) == 2
     for params, (data, indices, indptr) in zip(runs, factored):
@@ -215,9 +212,10 @@ def test_momentum_matrix_allocates_little_beside_its_entries(degree, n):
 
 
 def test_incremental_init_starts_with_equal_pressures(grid4, case):
-    params = make_params(scheme="inc", init="interpolant")
-    state = schemes.initialize(params, case, Discretization(grid4, 1))
-    assert np.array_equal(state.pressure_prev, state.pressure)
+    # an initial state serves both schemes: the incremental one's first
+    # extrapolation 2 q0 - q0 is q0 exactly
+    state = checks.initial_state("interpolant", make_params(), case, Discretization(grid4, 1))
+    assert state.pressure_prev is state.pressure
 
 
 # --- stepping ----------------------------------------------------------------
@@ -303,16 +301,30 @@ def test_noninc_energy_identity_and_inherent_stabilization():
 
 
 def step_map(disc, params):
-    """The zero-load non-incremental step on ``disc`` as a dense matrix
-    acting on (v, q), built one column at a time."""
-    nv = 2 * disc.space.free_scalar.size
+    """The zero-load step of ``params.scheme`` on ``disc`` as a dense
+    matrix acting on (v, q), or on (v, q, q_prev) for the incremental
+    scheme, built one column at a time."""
+    parts = 3 if params.scheme == "inc" else 2
+    step = schemes.step_inc if params.scheme == "inc" else schemes.step_noninc
+    nv, nq = 2 * disc.space.free_scalar.size, disc.space.num_dofs
     momentum, zero = momentum_factor(disc, params), np.zeros(nv)
     columns = []
-    for unit in np.eye(nv + disc.space.num_dofs):
-        new = schemes.step_noninc(schemes.TimeState(0, 0.0, unit[:nv], unit[nv:]), params,
-                                  disc, momentum, zero)
-        columns.append(np.concatenate([new.velocity, new.pressure]))
+    for unit in np.eye(nv + (parts - 1) * nq):
+        start = np.split(unit, [nv, nv + nq])[:parts]
+        new = step(schemes.TimeState(0, 0.0, *start), params, disc, momentum, zero)
+        columns.append(np.concatenate([new.velocity, new.pressure, new.pressure_prev][:parts]))
     return np.array(columns).T
+
+
+def lambda_max(disc):
+    """The largest generalized eigenvalue of (G^T M^-1 G, S) on the
+    zero-mean pressures of ``disc``."""
+    mass = np.kron(np.eye(2), disc.mass_free.toarray())
+    g, s = disc.G.toarray(), disc.stiffness.toarray()
+    schur = g.T @ np.linalg.solve(mass, g)
+    # both matrices vanish on the constants, so any complement of them,
+    # here the pressures with q_0 = 0, carries the zero-mean eigenvalues
+    return scipy.linalg.eigh(schur[1:, 1:], s[1:, 1:], eigvals_only=True)[-1]
 
 
 @pytest.mark.parametrize("degree, n", [(1, 6), (2, 4)], ids=["P1", "P2"])
@@ -327,12 +339,7 @@ def test_noninc_stability_threshold_is_two_over_lambda_max(degree, n):
     # 0.999303 at dt/delta = 2, and 1.019761 and 1.019008 at
     # 1.01 * 2/lambda_max
     disc = Discretization(mesh.build_grid(n), degree)
-    mass = np.kron(np.eye(2), disc.mass_free.toarray())
-    g, s = disc.G.toarray(), disc.stiffness.toarray()
-    schur = g.T @ np.linalg.solve(mass, g)
-    # both matrices vanish on the constants, so any complement of them,
-    # here the pressures with q_0 = 0, carries the zero-mean eigenvalues
-    lam_max = scipy.linalg.eigh(schur[1:, 1:], s[1:, 1:], eigvals_only=True)[-1]
+    lam_max = lambda_max(disc)
     assert lam_max <= 1.0
 
     def radius(nu, rho, ratio):
@@ -345,6 +352,50 @@ def test_noninc_stability_threshold_is_two_over_lambda_max(degree, n):
         for ratio in (0.5, 1.0, 2.0):
             assert radius(nu, rho, ratio) < 1.0, (nu, rho, ratio)
     assert radius(1.0, 100.0, 1.01 * 2.0 / lam_max) > 1.0
+
+
+@pytest.mark.parametrize("degree, n", [(1, 6), (2, 4)], ids=["P1", "P2"])
+def test_inc_damps_spurious_pressure_modes_by_delta2(degree, n):
+    # G has an 8-dimensional kernel here: the constants and 7 spurious
+    # pressure modes, which an equal-order pair cannot control without
+    # stabilization.  The non-incremental step reads q only through G q,
+    # so it sends them to 0 at once (2.1e-16 and 9.6e-16 measured).  The
+    # incremental step leaves v = 0 on them and solves
+    # (delta + delta2) S q+ = delta S q, so with a = delta2/delta it
+    # scales them by 1/(1 + a) per step: 7 eigenvalues 0.8 at a = 1/4,
+    # and 7 fixed points at a = 0, the stall of the delta2 = 0 pressure in
+    # exact form.  On an eigenpair lambda of (G^T M^-1 G, S), with
+    # x = lambda dt/delta and nu A small beside M/dt, the extrapolation
+    # 2 q - q_prev gives (1 + a) p+ - (2 + a - 2x) p + (1 - x) p- = 0,
+    # stable exactly for x < (4 + 2a)/3 (Schur-Cohn), so the threshold is
+    # r* = (4 + 2a)/(3 lambda_max).  Measured at nu = 1, rho = 100: the
+    # radius at dt = delta is 0.99981 (P1) and 0.99965 (P2) at a = 1/4 and
+    # 1 + 1e-15 at a = 0; at a = 1/4 it is 0.99970 and 0.99948 at 0.99 r*,
+    # and 1.0255 and 1.0247 at 1.01 r*, where a step without the
+    # extrapolation stays at 0.9997 and 0.9995
+    disc = Discretization(mesh.build_grid(n), degree)
+    kernel = scipy.linalg.null_space(disc.G.toarray())
+    assert kernel.shape[1] == 8
+    delta = steady.choose_delta(1.0 / n, 1.0, 100.0)
+
+    def step_of(scheme, ratio=1.0, a=None):
+        dt = ratio * delta
+        params = schemes.SchemeParams(nu=1.0, dt=dt, T=dt, delta=delta, scheme=scheme,
+                                      delta2=None if a is None else a * delta,
+                                      max_dt_ratio=np.inf)
+        return step_map(disc, params)
+
+    def radius(ratio, a):
+        return np.abs(np.linalg.eigvals(step_of("inc", ratio, a))).max()
+
+    nv = 2 * disc.space.free_scalar.size
+    assert np.abs(step_of("noninc")[:, nv:] @ kernel).max() < 1e-14
+    for a in (0.25, 0.0):
+        eigenvalues = np.linalg.eigvals(step_of("inc", a=a))
+        assert np.sum(np.abs(eigenvalues - 1.0 / (1.0 + a)) < 1e-9) == 7, a
+    assert radius(1.0, 0.25) < 1.0
+    threshold = (4.0 + 2.0 * 0.25) / (3.0 * lambda_max(disc))
+    assert radius(0.99 * threshold, 0.25) < 1.0 < radius(1.01 * threshold, 0.25)
 
 
 def test_noninc_pressure_tends_to_the_pspg_step_at_first_order(case, load_at):
@@ -360,9 +411,8 @@ def test_noninc_pressure_tends_to_the_pspg_step_at_first_order(case, load_at):
     delta = steady.choose_delta(1.0 / n, nu, 10.0)
     differences = []
     for k in (1, 4):
-        params = schemes.SchemeParams(nu=nu, dt=delta / k, T=0.05, delta=delta,
-                                      init="interpolant")
-        start = schemes.initialize(params, case, disc)
+        params = schemes.SchemeParams(nu=nu, dt=delta / k, T=0.05, delta=delta)
+        start = checks.initial_state("interpolant", params, case, disc)
         result = schemes.run(params, start, case, disc)
         _, pressure = monolithic.run(disc, load_at(case, disc), start.velocity, nu, delta,
                                      params.dt, params.num_steps())
@@ -371,9 +421,9 @@ def test_noninc_pressure_tends_to_the_pspg_step_at_first_order(case, load_at):
     assert 3.5 <= differences[0] / differences[1] <= 4.5
 
 
-def states(params, case, disc):
-    """The initial state and the state after every step of one run."""
-    return checks.run_from_initial(params, case, disc, observe=lambda state: state).records
+def states(params, init, case, disc):
+    """The initial state ``init`` and the state after every step of one run."""
+    return checks.run_from_initial(params, init, case, disc, observe=lambda state: state).records
 
 
 def test_stabilized_initial_data_bounds_the_pressure_jump_from_the_first_step(case):
@@ -392,9 +442,8 @@ def test_stabilized_initial_data_bounds_the_pressure_jump_from_the_first_step(ca
         return float(x @ componentwise(matrix, x))
 
     def run(init):
-        params = schemes.SchemeParams(nu=case.nu, dt=delta, T=10 * delta, delta=delta,
-                                      init=init)
-        trajectory = states(params, case, disc)
+        params = schemes.SchemeParams(nu=case.nu, dt=delta, T=10 * delta, delta=delta)
+        trajectory = states(params, init, case, disc)
         ratios = [delta**2 * norm2(disc.stiffness, new.pressure - old.pressure)
                   / norm2(disc.mass_free, new.velocity - old.velocity)
                   for old, new in zip(trajectory, trajectory[1:])]
@@ -411,10 +460,10 @@ def test_stabilized_initial_data_bounds_the_pressure_jump_from_the_first_step(ca
 
 
 def test_pressure_zero_mean_every_step(grid4, case):
-    params = make_params(init="stabilized_stokes", dt=1e-3, delta=1e-3, T=1e-2)
+    params = make_params(dt=1e-3, delta=1e-3, T=1e-2)
     disc = Discretization(grid4, 1)
     w = disc.mean_weights
-    trajectory = states(params, case, disc)
+    trajectory = states(params, "stabilized_stokes", case, disc)
     assert len(trajectory) == 11
     for state in trajectory[1:]:
         assert abs(w @ state.pressure) <= 1e-11
@@ -422,18 +471,18 @@ def test_pressure_zero_mean_every_step(grid4, case):
 
 
 def test_pressure_equation_residual_each_step(grid4, case):
-    params = make_params(init="stabilized_stokes")
+    params = make_params()
     disc = Discretization(grid4, 1)
-    for state in states(params, case, disc)[1:]:
+    for state in states(params, "stabilized_stokes", case, disc)[1:]:
         rhs = disc.G.T @ state.velocity
         res = params.delta * (disc.stiffness @ state.pressure) - rhs
         assert np.linalg.norm(res) <= 1e-9 * np.linalg.norm(rhs)
 
 
 def test_incremental_pressure_update_residual(grid4, case):
-    params = make_params(scheme="inc", init="stabilized_stokes")
+    params = make_params(scheme="inc")
     disc = Discretization(grid4, 1)
-    trajectory = states(params, case, disc)
+    trajectory = states(params, "stabilized_stokes", case, disc)
     for prev, state in zip(trajectory, trajectory[1:]):
         rhs = params.delta * (disc.stiffness @ prev.pressure) + disc.G.T @ state.velocity
         lhs = (params.delta + params.delta2) * (disc.stiffness @ state.pressure)
@@ -451,7 +500,7 @@ def one_step_from_steady(case, disc, scheme, dt_ratio, steady_factor, delta2_fac
                                   delta=delta, delta2=delta2, scheme=scheme)
     load = disc.free_load(case.steady_forcing)
     ((velocity, pressure),) = steady.solve(disc, case.nu, [steady_factor * delta], load,
-                                           params.tol)
+                                           checks.TOL)
     state = schemes.TimeState(0, 0.0, disc.space.restrict(velocity), pressure, pressure.copy())
     step = schemes.step_noninc if scheme == "noninc" else schemes.step_inc
     return state, step(state, params, disc, momentum_factor(disc, params), load)
@@ -490,11 +539,10 @@ def test_incremental_step_leaves_the_steady_state_at_another_delta2(case):
 def test_incremental_extrapolation_satisfies_noninc_relations(case, load_at):
     # delta2 = delta: (v, 2q^n - q^{n-1}) solves the non-incremental relations
     grid = mesh.build_grid(8)
-    params = make_params(scheme="inc", init="stabilized_stokes",
-                         dt=1e-3, delta=1e-3, T=2e-2)
+    params = make_params(scheme="inc", dt=1e-3, delta=1e-3, T=2e-2)
     disc = Discretization(grid, 1)
     load = load_at(case, disc)
-    trajectory = states(params, case, disc)
+    trajectory = states(params, "stabilized_stokes", case, disc)
     assert len(trajectory) == 21
     for prev, state in zip(trajectory, trajectory[1:]):
         q_hat_old = 2 * prev.pressure - prev.pressure_prev
@@ -510,11 +558,11 @@ def test_classical_form_identity(grid4, case, load_at):
     # delta = dt: stepping the pre-elimination form that carries the
     # projected end-of-step velocity reproduces the eliminated update
     dt = 1e-3
-    params = make_params(dt=dt, delta=dt, init="stabilized_stokes")
+    params = make_params(dt=dt, delta=dt)
     disc = Discretization(grid4, 1)
     momentum = momentum_factor(disc, params)
     load_of = load_at(case, disc)
-    s0 = schemes.initialize(params, case, disc)
+    s0 = checks.initial_state("stabilized_stokes", params, case, disc)
 
     state_a = s0
     vb, qb = s0.velocity.copy(), s0.pressure.copy()
@@ -539,36 +587,39 @@ def test_classical_form_identity(grid4, case, load_at):
 
 
 def test_run_single_step(grid4, case):
-    params = make_params(T=1e-3, init="stabilized_stokes")
-    result = checks.run_from_initial(params, case, Discretization(grid4, 1))
+    params = make_params(T=1e-3)
+    result = checks.run_from_initial(params, "stabilized_stokes", case, Discretization(grid4, 1))
     assert result.final_state.step == 1
     assert result.final_state.t == pytest.approx(1e-3)
     assert not result.diverged
 
 
 def test_run_invokes_observers(grid4, case):
-    params = make_params(T=5e-3, init="stabilized_stokes")
-    result = checks.run_from_initial(params, case, Discretization(grid4, 1),
+    params = make_params(T=5e-3)
+    result = checks.run_from_initial(params, "stabilized_stokes", case, Discretization(grid4, 1),
                                      observe=lambda st: st.step)
     assert result.records == [0, 1, 2, 3, 4, 5]
     assert result.final_state.step == 5
 
 
 def test_run_deterministic(grid4, case):
-    params = make_params(T=5e-3, init="stabilized_stokes")
-    r1 = checks.run_from_initial(params, case, Discretization(grid4, 1))
-    r2 = checks.run_from_initial(params, case, Discretization(grid4, 1))
+    params = make_params(T=5e-3)
+    r1 = checks.run_from_initial(params, "stabilized_stokes", case, Discretization(grid4, 1))
+    r2 = checks.run_from_initial(params, "stabilized_stokes", case, Discretization(grid4, 1))
     assert np.array_equal(r1.final_state.velocity, r2.final_state.velocity)
     assert np.array_equal(r1.final_state.pressure, r2.final_state.pressure)
 
 
-@pytest.mark.parametrize("scheme", ["noninc", "inc"])
-def test_runs_may_share_one_initial_state(grid4, case, scheme):
-    # nothing writes into a state's arrays, so two runs from one shared
-    # initial state step as runs from fresh states do and leave it as it was
+@pytest.mark.parametrize("first", ["noninc", "inc"])
+def test_runs_may_share_one_initial_state(grid4, case, first):
+    # an initial state depends on neither dt nor the scheme, and nothing
+    # writes into a state's arrays, so runs of both schemes at two dt from
+    # one shared initial state, in either order, step as runs from fresh
+    # states do and leave it as it was
     disc = Discretization(grid4, 1)
-    runs = [make_params(scheme=scheme, init="interpolant", dt=dt) for dt in (1e-3, 5e-4)]
-    shared = schemes.initialize(runs[0], case, disc)
+    order = (first, "inc" if first == "noninc" else "noninc")
+    runs = [make_params(scheme=scheme, dt=dt) for scheme in order for dt in (1e-3, 5e-4)]
+    shared = checks.initial_state("interpolant", runs[0], case, disc)
     before = copy.deepcopy(shared)
 
     def same(a, b):
@@ -577,7 +628,8 @@ def test_runs_may_share_one_initial_state(grid4, case, scheme):
 
     for params in runs:
         result = schemes.run(params, shared, case, disc, observe=lambda state: state)
-        fresh = checks.run_from_initial(params, case, disc, observe=lambda state: state)
+        fresh = checks.run_from_initial(params, "interpolant", case, disc,
+                                        observe=lambda state: state)
         assert same(result.final_state, fresh.final_state)
         assert len(result.records) == len(fresh.records) == params.num_steps() + 1
         assert all(same(a, b) for a, b in zip(result.records, fresh.records))
@@ -589,10 +641,10 @@ def test_unstable_run_marked_diverged(case):
     delta = steady.choose_delta(1.0 / 20, case.nu, 10.0)
     dt = 4 * delta
     params = schemes.SchemeParams(
-        nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc",
-        init="stabilized_stokes", max_dt_ratio=np.inf,
+        nu=case.nu, dt=dt, T=500 * dt, delta=delta, scheme="noninc", max_dt_ratio=np.inf,
     )
-    result = checks.run_from_initial(params, case, Discretization(grid, 1), energy_ceiling=1e12)
+    result = checks.run_from_initial(params, "stabilized_stokes", case, Discretization(grid, 1),
+                                     energy_ceiling=1e12)
     assert result.diverged
     # the energies run to the diverged step, and the final state is the
     # last one that passed the divergence test
@@ -605,10 +657,10 @@ def test_stable_run_keeps_energy_bounded(case):
     grid = mesh.build_grid(20)
     delta = steady.choose_delta(1.0 / 20, case.nu, 10.0)
     params = schemes.SchemeParams(
-        nu=case.nu, dt=0.5 * delta, T=100 * 0.5 * delta, delta=delta,
-        scheme="noninc", init="stabilized_stokes",
+        nu=case.nu, dt=0.5 * delta, T=100 * 0.5 * delta, delta=delta, scheme="noninc",
     )
-    result = checks.run_from_initial(params, case, Discretization(grid, 1), energy_ceiling=1e12)
+    result = checks.run_from_initial(params, "stabilized_stokes", case, Discretization(grid, 1),
+                                     energy_ceiling=1e12)
     assert not result.diverged
     assert result.energies.max() <= 10.0 * result.energies[0]
 
@@ -643,13 +695,13 @@ def test_modified_scheme_keeps_its_pressure_as_dt_falls(case):
     delta = steady.choose_delta(1.0 / 20, case.nu, 10.0)
 
     def params(dt, delta):
-        return schemes.SchemeParams(nu=case.nu, dt=dt, T=0.05, delta=delta, scheme="noninc",
-                                    init="interpolant")
+        return schemes.SchemeParams(nu=case.nu, dt=dt, T=0.05, delta=delta, scheme="noninc")
 
     runs = [params(delta, delta), params(delta / 64, delta), params(delta / 64, delta / 64)]
     tracker = metrics.TransientErrorTracker(disc, case)
     both, modified, classical = (
-        tracker(checks.run_from_initial(params, case, disc).final_state).pres_l2_exact
+        tracker(checks.run_from_initial(params, "interpolant", case, disc).final_state)
+        .pres_l2_exact
         for params in runs
     )
     assert abs(modified / both - 1.0) < 0.01, (both, modified)
